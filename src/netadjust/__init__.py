@@ -15,7 +15,6 @@ from .adjustment import (
     SolverError,
     prevalent_case_survival,
     solve_noncancer_survival,
-    solve_noncancer_survival_triangular,
 )
 from .diagnostics import Diagnostics
 from .estimators import (

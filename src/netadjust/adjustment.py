@@ -18,9 +18,13 @@ with dF_k the year-k diagnosis mass of cancer-free subjects and the kernel
 vanishing at k = t.  r(1) = 1, so the system solves by forward substitution;
 the shifted cells' S_P values enter at strictly smaller horizons.
 
-Two independent solver paths are provided: a memoized recursion and an
-explicit triangular-matrix assembly (`solve_noncancer_survival_triangular`),
-kept separate as a numerical oracle for each other.
+A cell (a, y) is linked only to cells (a+k, y+k) of its own birth-cohort
+diagonal, so `solve_noncancer_survival` first finds which horizons each cell
+of the target's diagonal needs (the dependency closure, pruned where
+dF_k = 0), then sweeps t = 1..K forward, solving horizon t for every cell
+that needs it in one array expression.  The sweep keeps r(t) and the
+clip/guard flags alongside S_P, and reuses every horizon an earlier solve
+on the same diagonal already produced.
 """
 from __future__ import annotations
 
@@ -93,7 +97,7 @@ def prevalent_case_survival(
 
 
 class AdjustmentIngredients:
-    """Accessor bundle both solver paths consume.
+    """Accessor bundle the solver (and its test oracle) consume.
 
     Subclasses provide per-cell grids; `horizon` is the number of annual
     steps solved.  `prevalent_grid` is only called where `alpha` is positive.
@@ -130,144 +134,140 @@ def _numerator(ing: AdjustmentIngredients, key: StratumKey, alpha: float) -> np.
     return lt - alpha * prev
 
 
+class _SolvedCell:
+    """One lattice cell: its solver inputs, fetched the first time it has a
+    horizon to solve, and S_P at t = 0..K with r(t) and the clip/guard flags
+    of each horizon; horizons 1..solved are filled."""
+
+    __slots__ = ("values", "residual", "clipped", "guarded", "solved",
+                 "scale", "numer", "mass", "kernel_lags", "so")
+
+    def __init__(self, horizon: int):
+        self.values = np.ones(horizon + 1)
+        self.residual = np.ones(horizon + 1)
+        self.clipped = np.zeros(horizon + 1, dtype=bool)
+        self.guarded = np.zeros(horizon + 1, dtype=bool)
+        self.solved = 0
+        self.scale = 1.0                   # 1 - alpha
+        self.numer = None                  # lt - alpha * prev at t = 0..K
+        self.mass = None                   # dF_k, k = 1..K
+        self.kernel_lags: list[int] = []   # the k with dF_k != 0
+        self.so = None                     # S_O at t = 0..K, read by younger cells
+
+
 def solve_noncancer_survival(
     ing: AdjustmentIngredients,
     key: StratumKey,
     diagnostics: Diagnostics | None = None,
-    _memo: dict | None = None,
-    _cell_counts: dict | None = None,
+    cells: dict | None = None,
 ) -> AdjustedPopulationSurvival:
-    """Recursive forward solve with lattice memoization.
+    """Forward sweep over t along the key's diagonal.
 
-    Clip/guard counters are tracked per lattice cell so the returned curve
-    reports only the target stratum's interventions (matching the
-    triangular oracle); diagnostics aggregate every newly computed cell.
+    Cell j is `ing.shift(key, j)` (shifts compose along the diagonal).  A
+    first pass propagates the horizons each cell needs, from younger to
+    older cells, only along kernel terms with nonzero diagnosis mass; so
+    exactly the (cell, horizon) pairs the forward substitution reads are
+    solved, and a cell's ingredients are fetched when it first has one to
+    solve.  `cells` maps cells to `_SolvedCell` records and carries solved
+    horizons from one call to the next; only newly solved horizons add to
+    the diagnostics.  The returned curve reports the target cell's own
+    clip/guard counts.
     """
     diag = ensure_diagnostics(diagnostics)
-    memo = _memo if _memo is not None else {}
-    counts = _cell_counts if _cell_counts is not None else {}
+    cells = cells if cells is not None else {}
+    K = ing.horizon
+    chain, records = [], []
+    for j in range(K):
+        cell = ing.shift(key, j)
+        rec = cells.get(cell)
+        if rec is None:
+            rec = cells[cell] = _SolvedCell(K)
+        chain.append(cell)
+        records.append(rec)
 
-    def value(k: StratumKey, t: int) -> float:
-        if t == 0:
-            return 1.0
-        got = memo.get((k, t))
-        if got is not None:
-            return got
-        prev_value = value(k, t - 1)
-        a = ing.alpha(k)
-        numer = _numerator(ing, k, a)[t]
-        if t == 1:
-            r = 1.0
-        else:
-            dF = np.asarray(ing.diagnosis_mass(k), dtype=np.float64)
-            acc = 0.0
-            for kk in range(1, t):
-                if dF[kk - 1] == 0.0:
-                    continue
-                shifted = ing.shift(k, kk)
-                sp = value(shifted, t - kk)
-                so = float(np.asarray(ing.so_grid(shifted))[t - kk])
-                acc += (1.0 - so / sp) * float(dF[kk - 1])
-            r = 1.0 - acc
-        if r < R_FLOOR:
-            raise SolverError(f"residual denominator r({t})={r:.3e} at {k}; inputs are inconsistent")
-        v = numer / ((1.0 - a) * r)
-        cell = counts.setdefault(k, [0, 0])
-        clipped = min(max(v, SP_CLIP_EPS), 1.0)
-        if clipped != v:
-            cell[0] += 1
-            diag.incr("sp_clip")
-        v = clipped
-        if v > prev_value:
-            cell[1] += 1
-            diag.incr("sp_monotone_guard")
-            v = prev_value
-        memo[(k, t)] = v
-        return v
+    # horizons needed per cell; steps[t] lists the cells solving horizon t
+    need = [0] * K
+    need[0] = K
+    steps: list[list[int]] = [[] for _ in range(K + 1)]
+    for j, rec in enumerate(records):
+        n = need[j]
+        if n <= rec.solved:
+            continue
+        for t in range(rec.solved + 1, n + 1):
+            steps[t].append(j)
+        if rec.numer is None:
+            a = ing.alpha(chain[j])
+            rec.numer = _numerator(ing, chain[j], a)
+            rec.scale = 1.0 - a
+        if n < 2:
+            continue
+        if rec.mass is None:
+            rec.mass = np.asarray(ing.diagnosis_mass(chain[j]), dtype=np.float64)[:K]
+            rec.kernel_lags = (np.flatnonzero(rec.mass) + 1).tolist()
+        for k in rec.kernel_lags:
+            if k >= n:
+                break
+            need[j + k] = max(need[j + k], n - k)
+            target = records[j + k]
+            if target.so is None:
+                target.so = np.asarray(ing.so_grid(chain[j + k]), dtype=np.float64)[: K + 1]
 
-    values = np.ones(ing.horizon + 1)
-    for t in range(1, ing.horizon + 1):
-        values[t] = value(key, t)
-    clip, guard = counts.get(key, [0, 0])
-    return AdjustedPopulationSurvival(key, values, clip, guard)
-
-
-def solve_noncancer_survival_triangular(
-    ing: AdjustmentIngredients,
-    key: StratumKey,
-    diagnostics: Diagnostics | None = None,
-) -> AdjustedPopulationSurvival:
-    """Independent oracle: explicit strictly-lower-triangular assembly.
-
-    Collects every lattice cell the target depends on, orders cells so all
-    dependencies (shifts toward higher age at smaller horizons) are solved
-    first, then builds each cell's K x K kernel matrix and applies forward
-    substitution on r = 1 - H @ dF.
-    """
-    diag = ensure_diagnostics(diagnostics)
-    need: dict[StratumKey, int] = {key: ing.horizon}
-    stack = [key]
-    while stack:
-        s = stack.pop()
-        n = need[s]
-        for k in range(1, n):
-            s2 = ing.shift(s, k)
-            if need.get(s2, 0) < n - k:
-                need[s2] = n - k
-                stack.append(s2)
-    order = sorted(
-        need,
-        key=lambda s: (s.demographics, s.year - s.age, -s.age),
+    blank = np.ones(K + 1)
+    sp = np.array([rec.values for rec in records])
+    so = np.array([blank if rec.so is None else rec.so for rec in records])
+    for t in range(1, K + 1):
+        if steps[t]:
+            _sweep_step(t, steps[t], chain, records, sp, so, diag)
+    root = records[0]
+    return AdjustedPopulationSurvival(
+        key, root.values.copy(), int(root.clipped.sum()), int(root.guarded.sum())
     )
-    solved: dict[StratumKey, np.ndarray] = {}
-    result: AdjustedPopulationSurvival | None = None
-    for s in order:
-        n = need[s]
-        a = ing.alpha(s)
-        numer = _numerator(ing, s, a)[1 : n + 1]
-        dF = np.asarray(ing.diagnosis_mass(s), dtype=np.float64)[:n]
-        H = np.zeros((n, n))
-        for k in range(1, n):
-            shifted = ing.shift(s, k)
-            so = np.asarray(ing.so_grid(shifted), dtype=np.float64)
-            sp = solved[shifted]
-            m = n - k
-            H[k:, k - 1] = 1.0 - so[1 : m + 1] / sp[1 : m + 1]
-        r = 1.0 - H @ dF
-        too_small = r < R_FLOOR
-        if too_small.any():
-            t_bad = int(np.flatnonzero(too_small)[0]) + 1
-            raise SolverError(
-                f"residual denominator r({t_bad})={r[t_bad - 1]:.3e} at {s}; inputs are inconsistent"
-            )
-        raw = numer / ((1.0 - a) * r)
-        values = np.ones(n + 1)
-        clips = guards = 0
-        for t in range(1, n + 1):
-            v = raw[t - 1]
-            c = min(max(v, SP_CLIP_EPS), 1.0)
-            if c != v:
-                clips += 1
-            v = c
-            if v > values[t - 1]:
-                guards += 1
-                v = values[t - 1]
-            values[t] = v
-        solved[s] = values
-        diag.incr("sp_clip", clips)
-        diag.incr("sp_monotone_guard", guards)
-        if s == key:
-            result = AdjustedPopulationSurvival(s, values, clips, guards)
-    assert result is not None
-    return result
+
+
+def _sweep_step(t, active, chain, records, sp, so, diag) -> None:
+    """Solve horizon t for the `active` cells of the chain, in place."""
+    js = np.array(active)
+    if t == 1:
+        r = np.ones(js.size)
+    else:
+        kk = np.arange(1, t)
+        rows, cols = js[:, None] + kk, t - kk
+        dF = np.array([records[j].mass[: t - 1] for j in active])
+        terms = np.where(dF != 0.0, (1.0 - so[rows, cols] / sp[rows, cols]) * dF, 0.0)
+        # accumulate over k in order, as the scalar forward substitution does
+        r = 1.0 - np.cumsum(terms, axis=1)[:, -1]
+    if (r < R_FLOOR).any():
+        i = int(np.flatnonzero(r < R_FLOOR)[0])
+        raise SolverError(
+            f"residual denominator r({t})={r[i]:.3e} at {chain[active[i]]}; inputs are inconsistent"
+        )
+    numer = np.array([records[j].numer[t] for j in active])
+    scale = np.array([records[j].scale for j in active])
+    raw = numer / (scale * r)
+    v = np.minimum(np.maximum(raw, SP_CLIP_EPS), 1.0)
+    clipped = v != raw
+    prev = sp[js, t - 1]
+    guarded = v > prev
+    v = np.where(guarded, prev, v)
+    sp[js, t] = v
+    for i, j in enumerate(active):
+        rec = records[j]
+        rec.values[t] = v[i]
+        rec.residual[t] = r[i]
+        rec.clipped[t] = clipped[i]
+        rec.guarded[t] = guarded[i]
+        rec.solved = t
+    diag.incr("sp_clip", int(clipped.sum()))
+    diag.incr("sp_monotone_guard", int(guarded.sum()))
 
 
 class AdjustmentEngine(AdjustmentIngredients):
     """Production ingredients: life table + incidence + registry survival.
 
     Wires the prevalence recursion, the diagnosis-mass products, and the
-    per-cell diagonal survival into the solver, memoizing every grid so each
-    lattice cell is computed once per run.
+    per-cell diagonal survival into the solver.  Overall survival is read
+    only from the prevalence calculator's lag table; the other grids, and
+    every solved cell, are kept so each is computed once per run.
     """
 
     def __init__(
@@ -281,19 +281,16 @@ class AdjustmentEngine(AdjustmentIngredients):
     ):
         self.life_table = life_table
         self.incidence = incidence
-        self.so = overall_survival
         self.horizon = int(horizon)
         self.diagnostics = ensure_diagnostics(diagnostics)
         self.calc = PrevalenceCalculator(
-            incidence, overall_survival, life_table, lag_eval, self.diagnostics
+            incidence, overall_survival, life_table, lag_eval, self.diagnostics, self.horizon
         )
         self._lt_grids: dict[StratumKey, np.ndarray] = {}
-        self._so_grids: dict[StratumKey, np.ndarray] = {}
         self._masses: dict[StratumKey, np.ndarray] = {}
         self._prev: dict[StratumKey, np.ndarray] = {}
         self._curves: dict[StratumKey, AdjustedPopulationSurvival] = {}
-        self._memo: dict = {}
-        self._cell_counts: dict = {}
+        self._cells: dict[StratumKey, _SolvedCell] = {}
 
     def lt_survival_grid(self, key: StratumKey) -> np.ndarray:
         grid = self._lt_grids.get(key)
@@ -315,11 +312,10 @@ class AdjustmentEngine(AdjustmentIngredients):
         return grid
 
     def so_grid(self, key: StratumKey) -> np.ndarray:
-        grid = self._so_grids.get(key)
-        if grid is None:
-            grid = np.asarray(self.so(key, np.arange(self.horizon + 1, dtype=np.float64)))
-            self._so_grids[key] = grid
-        return grid
+        """S_O at integer lags 0..K: the even columns of the key's table row."""
+        table = self.calc.table
+        row = table.row(key)   # may add rows, replacing table.values
+        return table.values[row, : 2 * self.horizon + 1 : 2]
 
     def diagnosis_mass(self, key: StratumKey) -> np.ndarray:
         mass = self._masses.get(key)
@@ -328,31 +324,15 @@ class AdjustmentEngine(AdjustmentIngredients):
             self._masses[key] = mass
         return mass
 
-    def prevalent_case_curve(self, key: StratumKey) -> PrevalentCaseSurvival:
-        return PrevalentCaseSurvival(key, self.prevalent_grid(key))
-
     def solve(self, key: StratumKey) -> AdjustedPopulationSurvival:
         curve = self._curves.get(key)
         if curve is None:
-            curve = solve_noncancer_survival(
-                self, key, self.diagnostics, self._memo, self._cell_counts
-            )
+            curve = solve_noncancer_survival(self, key, self.diagnostics, self._cells)
             self._curves[key] = curve
         return curve
 
     def residuals(self, key: StratumKey) -> np.ndarray:
-        """r(t) for t = 1..K at the key's cell (diagnostic export)."""
+        """r(t) for t = 1..K at the key's cell (diagnostic export), as the
+        solve computed it."""
         self.solve(key)
-        dF = self.diagnosis_mass(key)
-        out = np.empty(self.horizon)
-        for t in range(1, self.horizon + 1):
-            acc = 0.0
-            for k in range(1, t):
-                if dF[k - 1] == 0.0:
-                    continue
-                shifted = self.shift(key, k)
-                sp = self._memo[(shifted, t - k)]
-                so = float(self.so_grid(shifted)[t - k])
-                acc += (1.0 - so / sp) * float(dF[k - 1])
-            out[t - 1] = 1.0 - acc
-        return out
+        return self._cells[key].residual[1:].copy()

@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--horizon", type=int, default=15)
     est.add_argument("--extrapolation-points", type=int, default=4)
     est.add_argument("--years", default="3,5,7,10")
-    est.add_argument("--jobs", type=int, help="worker bound (this command runs in-process)")
     est.add_argument("--curves", action="store_true", help="also write full PP curve CSV")
     est.add_argument("--out", required=True)
 
@@ -73,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     adj.add_argument("--population")
     adj.add_argument("--horizon", type=int, default=15)
     adj.add_argument("--extrapolation-points", type=int, default=4)
-    adj.add_argument("--jobs", type=int, help="worker bound (this command runs in-process)")
     adj.add_argument("--out", required=True)
 
     sim = sub.add_parser("simulate", help="run the bias/rMSE experiment")

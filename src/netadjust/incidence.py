@@ -13,18 +13,20 @@ the life-table adjustment:
   F(t) = 1 - prod_{s<t} (1 - IR(a+s)).
 
 The recursion walks each birth-cohort diagonal once (each cell depends only
-on strictly earlier cells of the same diagonal), caching overall-survival
-evaluations per diagnosis stratum.
+on strictly earlier cells of the same diagonal); every overall-survival value
+it reads comes from one lag table, evaluated once per diagnosis stratum.
 """
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics, log
 from .registry import StratumKey
+from .survival_provider import OverallSurvivalProvider, SurvivalLagTable
 
 
 class IncidenceError(ValueError):
@@ -148,16 +150,25 @@ def time_to_diagnosis_increment(
 
 
 class _DiagonalState:
-    """Per-diagonal recursion state (one birth cohort, one demographic group)."""
+    """Per-diagonal recursion state (one birth cohort, one demographic group).
 
-    __slots__ = ("alpha", "irga", "rows", "ir_by_age", "surv")
+    Arrays are indexed by age and sized once for ages 0..max_age; alpha is
+    known for the first `n` ages (rows and irga for the first n - 1), ir for
+    the first `n_ir` and the cohort survival for the first `n_surv`.
+    """
 
-    def __init__(self):
-        self.alpha: list[float] = [0.0]   # alpha(age 0) = 0 by construction
-        self.irga: list[float] = []       # IR(d) * (1 - alpha(d)) * cohort survival to d
-        self.rows: dict[int, np.ndarray] = {}   # survival since diagnosis per diagnosis age
-        self.ir_by_age: list[float] = []
-        self.surv: list[float] = [1.0]    # life-table cohort survival from age 0 along the diagonal
+    __slots__ = ("n", "n_ir", "n_surv", "alpha", "irga", "ir", "surv", "rows")
+
+    def __init__(self, max_age: int):
+        size = max_age + 1
+        self.n = 1                          # alpha(age 0) = 0 by construction
+        self.n_ir = 0
+        self.n_surv = 1
+        self.alpha = np.zeros(size)
+        self.irga = np.empty(size)          # IR(d) * (1 - alpha(d)) * cohort survival to d
+        self.ir = np.empty(size)
+        self.surv = np.ones(size)           # life-table cohort survival from age 0 along the diagonal
+        self.rows = np.empty(size, dtype=np.intp)   # lag-table row of the age-d diagnosis stratum
 
 
 class PrevalenceCalculator:
@@ -172,6 +183,12 @@ class PrevalenceCalculator:
 
     `overall_survival` is a callable (StratumKey, times array) -> survival
     array; registry-backed providers extrapolate past follow-up internally.
+    It is read only through `table`, a `SurvivalLagTable` covering cells up
+    to `max_age` and horizons up to `horizon` (lags up to their sum).  With
+    a registry provider `max_age` is the oldest cell the solver reaches from
+    a registry stratum (its oldest age plus horizon - 1), so no lag past
+    what a solve can read is evaluated; otherwise it is the life table's
+    oldest age.
     `lag_eval` picks where within the diagnosis year the survival curve is
     read: "year_start" uses the full integer lag, "mid_year" shifts the
     evaluation point back half a year.
@@ -184,68 +201,60 @@ class PrevalenceCalculator:
         life_table,
         lag_eval: str = "year_start",
         diagnostics: Diagnostics | None = None,
+        horizon: int = 15,
     ):
         if lag_eval not in ("year_start", "mid_year"):
             raise ValueError(f"unknown lag_eval {lag_eval!r}")
         self.incidence = incidence
-        self.so = overall_survival
         self.life_table = life_table
-        self.offset = 0.0 if lag_eval == "year_start" else 0.5
+        self.offset = 0 if lag_eval == "year_start" else 1   # in half-year table columns
         self.diagnostics = ensure_diagnostics(diagnostics)
+        if isinstance(overall_survival, OverallSurvivalProvider):
+            self.max_age = overall_survival.max_age + horizon - 1
+        else:
+            self.max_age = life_table.age_max
+        self.table = SurvivalLagTable(overall_survival, self.max_age + horizon)
         self._diagonals: dict[tuple[int, tuple], _DiagonalState] = {}
 
-    def _state(self, key: StratumKey) -> _DiagonalState:
-        ident = (key.year - key.age, key.demographics)
+    def _ensure(self, key: StratumKey, age: int) -> _DiagonalState:
+        """Extend the key's diagonal through `age`; alpha(a) is one dot product
+        of the lag-(a-d) survival anti-diagonal with the irga terms."""
+        if age > self.max_age:
+            raise PrevalenceError(
+                f"cell {key} is older than the {self.max_age} years the survival lag table covers"
+            )
+        yob = key.year - key.age
+        ident = (yob, key.demographics)
         state = self._diagonals.get(ident)
         if state is None:
-            state = self._diagonals[ident] = _DiagonalState()
-        return state
-
-    def _row(self, state: _DiagonalState, key: StratumKey, d: int, length: int) -> np.ndarray:
-        """Survival since diagnosis for the age-d stratum, lags 1..length."""
-        row = state.rows.get(d)
-        if row is None or row.shape[0] < length:
-            size = max(length, 2 * row.shape[0] if row is not None else length)
-            lags = np.arange(1, size + 1, dtype=np.float64) - self.offset
-            stratum = StratumKey(d, key.year - key.age + d, key.demographics)
-            row = np.asarray(self.so(stratum, lags), dtype=np.float64)
-            state.rows[d] = row
-        return row
-
-    def _ensure(self, key: StratumKey, age: int) -> _DiagonalState:
-        state = self._state(key)
-        yob = key.year - key.age
-        while len(state.ir_by_age) < age:
-            d = len(state.ir_by_age)
-            state.ir_by_age.append(
-                self.incidence.ir(d, yob + d, key.demographics, self.diagnostics)
-            )
-        while len(state.surv) <= age:
-            d = len(state.surv) - 1
+            state = self._diagonals[ident] = _DiagonalState(self.max_age)
+        if state.n > age:
+            return state
+        for d in range(state.n_ir, age):
+            state.ir[d] = self.incidence.ir(d, yob + d, key.demographics, self.diagnostics)
+            state.n_ir = d + 1
+        for d in range(state.n_surv - 1, age):
             q = self.life_table.q(d, yob + d, key.demographics, self.diagnostics)
-            state.surv.append(state.surv[-1] * (1.0 - q))
-        while len(state.alpha) <= age:
-            a = len(state.alpha)
+            state.surv[d + 1] = state.surv[d] * (1.0 - q)
+            state.n_surv = d + 2
+        for a in range(state.n, age + 1):
             if state.surv[a] <= 0.0:
                 raise PrevalenceError(
                     f"life-table cohort extinct at age {a} on diagonal "
                     f"(birth year {yob}, {key.demographics}); prevalence undefined"
                 )
-            terms = np.empty(a)
-            for d in range(a):
-                terms[d] = self._row(state, key, d, a - d)[a - d - 1]
-            if len(state.irga) < a:
-                for d in range(len(state.irga), a):
-                    state.irga.append(
-                        state.ir_by_age[d] * (1.0 - state.alpha[d]) * state.surv[d]
-                    )
-            value = float(terms @ np.asarray(state.irga[:a])) / state.surv[a]
+            d = a - 1
+            state.rows[d] = self.table.row(StratumKey(d, yob + d, key.demographics))
+            state.irga[d] = state.ir[d] * (1.0 - state.alpha[d]) * state.surv[d]
+            terms = self.table.values[state.rows[:a], 2 * np.arange(a, 0, -1) - self.offset]
+            value = float(terms @ state.irga[:a]) / state.surv[a]
             if value >= 1.0:
                 raise PrevalenceError(
                     f"prevalence {value:.6f} >= 1 at age {a} on diagonal "
                     f"(birth year {yob}, {key.demographics}); incidence and survival inputs disagree"
                 )
-            state.alpha.append(value)
+            state.alpha[a] = value
+            state.n = a + 1
         return state
 
     def prevalence(self, key: StratumKey) -> float:
@@ -253,17 +262,15 @@ class PrevalenceCalculator:
         if key.age < 0:
             raise ValueError("prevalence needs age >= 0")
         state = self._ensure(key, key.age)
-        return state.alpha[key.age]
+        return float(state.alpha[key.age])
 
     def _summands(self, key: StratumKey) -> np.ndarray:
         """Lag-s contributions to alpha: patient survival times the attrition-
         normalized diagnosis mass, s = 1..age."""
         a = key.age
         state = self._ensure(key, a)
-        out = np.empty(a)
-        for s in range(1, a + 1):
-            d = a - s
-            out[s - 1] = self._row(state, key, d, s)[s - 1] * state.irga[d]
+        d = np.arange(a - 1, -1, -1)
+        out = self.table.values[state.rows[d], 2 * (a - d) - self.offset] * state.irga[d]
         return out / state.surv[a]
 
     def lag_since_diagnosis_increments(self, key: StratumKey) -> np.ndarray:
@@ -296,9 +303,8 @@ class PrevalenceCalculator:
         alpha = self.prevalence(key)
         if alpha <= 0.0:
             raise PrevalenceError(f"prevalent mixture undefined at {key}: prevalence is 0")
-        state = self._state(key)
-        irga = np.asarray(state.irga[:a])
-        return irga[::-1] / (state.surv[a] * alpha)
+        state = self._ensure(key, a)
+        return state.irga[:a][::-1] / (state.surv[a] * alpha)
 
     def survival_from_diagnosis_matrix(self, key: StratumKey, horizon: int) -> np.ndarray:
         """Matrix M[s-1, t] = S_O(t + s | diagnosed age-s years back), t = 0..horizon.
@@ -308,13 +314,14 @@ class PrevalenceCalculator:
         recursion.
         """
         a = key.age
+        if a + horizon > self.table.max_lag:
+            raise ValueError(
+                f"lag {a + horizon} at {key} is past the survival lag table's {self.table.max_lag}"
+            )
         state = self._ensure(key, a)
-        out = np.empty((a, horizon + 1))
-        for s in range(1, a + 1):
-            d = a - s
-            row = self._row(state, key, d, s + horizon)
-            out[s - 1, :] = row[s - 1 : s + horizon]
-        return out
+        s = np.arange(1, a + 1)
+        lags = 2 * (s[:, None] + np.arange(horizon + 1)) - self.offset
+        return self.table.values[state.rows[a - s][:, None], lags]
 
 
 def prevalence(
@@ -367,7 +374,9 @@ def load_counts(path, value_column: str) -> dict:
                 raise IncidenceError(f"{path.name}:{rownum}: {exc}") from None
             if keyc in out:
                 raise IncidenceError(f"{path.name}:{rownum}: duplicate cell {keyc}")
-            if value < 0:
-                raise IncidenceError(f"{path.name}:{rownum}: negative {value_column}")
+            if not (math.isfinite(value) and value >= 0):
+                raise IncidenceError(
+                    f"{path.name}:{rownum}: {value_column} {row[value_column]!r} is not a finite non-negative number"
+                )
             out[keyc] = value
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,10 @@ def load_registry(path) -> RegistryFrame:
                 raise RegistryFormatError(f"{path.name}:{rownum}: {exc}") from None
             if event not in (0, 1):
                 raise RegistryFormatError(f"{path.name}:{rownum}: event must be 0 or 1")
-            if time < 0:
-                raise RegistryFormatError(f"{path.name}:{rownum}: negative follow-up time")
+            if not (math.isfinite(time) and time >= 0):
+                raise RegistryFormatError(
+                    f"{path.name}:{rownum}: follow-up time {row['time']!r} is not a finite non-negative number"
+                )
             if age < 0:
                 raise RegistryFormatError(f"{path.name}:{rownum}: negative age")
             demo = (row["sex"].strip(),)

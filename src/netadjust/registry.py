@@ -10,6 +10,8 @@ as at risk at u), and deaths are processed before censorings at tied times.
 """
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +35,8 @@ class PatientRecord:
     event: bool
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ValueError(f"negative follow-up time {self.time}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"follow-up time {self.time} is not a finite non-negative number")
         if self.age_diag < 0:
             raise ValueError(f"negative age at diagnosis {self.age_diag}")
 
@@ -81,8 +83,8 @@ class RegistryFrame:
         n = self.age.shape[0]
         if not all(a.shape[0] == n for a in (self.year, self.demo_code, self.time, self.event)):
             raise ValueError("registry columns have unequal lengths")
-        if n and self.time.min() < 0:
-            raise ValueError("negative follow-up time in registry")
+        if n and not (np.isfinite(self.time).all() and self.time.min() >= 0):
+            raise ValueError("follow-up times in registry must be finite and non-negative")
 
     @property
     def n(self) -> int:
@@ -106,12 +108,6 @@ class RegistryFrame:
             [r.event for r in records],
             list(vocab),
         )
-
-    def to_records(self) -> list[PatientRecord]:
-        return [
-            PatientRecord(int(a), int(y), self.demo_vocab[c], float(t), bool(e))
-            for a, y, c, t, e in zip(self.age, self.year, self.demo_code, self.time, self.event)
-        ]
 
     def subset(self, mask: np.ndarray) -> "RegistryFrame":
         return RegistryFrame(
@@ -192,6 +188,29 @@ def build_strata(records, banding: Banding = Banding()) -> dict[StratumKey, Even
     return strata
 
 
+class _DemographicPool:
+    """Live strata of one demographic group, as arrays for neighbour search."""
+
+    def __init__(self, keys: list[StratumKey]):
+        self.keys = keys
+        self.pos = {k: i for i, k in enumerate(keys)}
+        self.ages = np.array([k.age for k in keys], dtype=np.int64)
+        self.years = np.array([k.year for k in keys], dtype=np.int64)
+        self.live = np.ones(len(keys), dtype=bool)
+
+    def remove(self, key: StratumKey) -> None:
+        self.live[self.pos[key]] = False
+
+    def nearest(self, key: StratumKey) -> StratumKey:
+        """Closest live stratum: Chebyshev distance, then Manhattan, then
+        lower age, then lower year."""
+        idx = np.flatnonzero(self.live)
+        da = np.abs(self.ages[idx] - key.age)
+        dy = np.abs(self.years[idx] - key.year)
+        best = np.lexsort((self.years[idx], self.ages[idx], da + dy, np.maximum(da, dy)))[0]
+        return self.keys[idx[best]]
+
+
 def merge_small_strata(
     strata: dict[StratumKey, EventTable],
     min_size: int = 10,
@@ -199,43 +218,50 @@ def merge_small_strata(
 ) -> tuple[dict[StratumKey, EventTable], dict[StratumKey, StratumKey]]:
     """Fold strata with fewer than min_size subjects into a neighbor.
 
-    Preference: adjacent age with the same year, then the nearest existing
-    stratum with the same demographics (Chebyshev distance on (age, year),
-    ties toward lower age then lower year).  Returns the merged map plus a
-    lookup from every original key to the key that now holds its records.
+    The smallest stratum (ties toward the lower key) goes first.  Preference:
+    adjacent age with the same year, then the nearest existing stratum with
+    the same demographics (Chebyshev distance on (age, year), ties toward
+    lower age then lower year).  Returns the merged map plus a lookup from
+    every original key to the key that now holds its records.
+
+    Each merge touches only the two strata involved: a heap orders the small
+    strata by (size, key), dropping entries a merge made stale, and a
+    reverse map lists the original keys each stratum holds.
     """
     diag = ensure_diagnostics(diagnostics)
     merged = dict(strata)
     alias: dict[StratumKey, StratumKey] = {k: k for k in strata}
-
-    def neighbor(key: StratumKey) -> StratumKey | None:
-        pool = [k for k in merged if k.demographics == key.demographics and k != key]
-        if not pool:
-            return None
-        for cand in (StratumKey(key.age - 1, key.year, key.demographics),
-                     StratumKey(key.age + 1, key.year, key.demographics)):
-            if cand in merged:
-                return cand
-        return min(
-            pool,
-            key=lambda k: (max(abs(k.age - key.age), abs(k.year - key.year)),
-                           abs(k.age - key.age) + abs(k.year - key.year),
-                           k.age, k.year),
-        )
-
-    while True:
-        small = [k for k, t in merged.items() if t.n < min_size]
-        if not small:
+    holds: dict[StratumKey, list[StratumKey]] = {k: [k] for k in strata}
+    by_demo: dict[tuple, list[StratumKey]] = {}
+    for k in merged:
+        by_demo.setdefault(k.demographics, []).append(k)
+    pools = {demo: _DemographicPool(keys) for demo, keys in by_demo.items()}
+    small = [(t.n, k) for k, t in merged.items() if t.n < min_size]
+    heapq.heapify(small)
+    while small:
+        n, key = small[0]
+        table = merged.get(key)
+        if table is None or table.n != n:
+            heapq.heappop(small)
+            continue
+        pool = pools[key.demographics]
+        pool.remove(key)
+        if not pool.live.any():
             break
-        small.sort(key=lambda k: (merged[k].n, k))
-        key = small[0]
-        target = neighbor(key)
-        if target is None:
-            break
+        for target in (StratumKey(key.age - 1, key.year, key.demographics),
+                       StratumKey(key.age + 1, key.year, key.demographics)):
+            if target in merged:
+                break
+        else:
+            target = pool.nearest(key)
+        heapq.heappop(small)
         merged[target] = merged[target].merge(merged.pop(key))
-        for orig, cur in alias.items():
-            if cur == key:
-                alias[orig] = target
+        moved = holds.pop(key)
+        for orig in moved:
+            alias[orig] = target
+        holds[target].extend(moved)
+        if merged[target].n < min_size:
+            heapq.heappush(small, (merged[target].n, target))
         diag.incr("stratum_merge")
         log.debug("merged stratum %s (n<%d) into %s", key, min_size, target)
     return merged, alias

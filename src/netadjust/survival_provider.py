@@ -4,6 +4,9 @@ Each stratum gets a Kaplan-Meier curve continued by the exponential tail fit;
 queries for strata the registry never saw are clamped to the declared
 age/year ranges and, failing an exact hit, resolved to the nearest existing
 stratum with the same demographics.  Curves and tail fits are cached lazily.
+
+`SurvivalLagTable` is the one cache of these values the adjustment reads:
+each resolved stratum's survival evaluated once on a shared grid of lags.
 """
 from __future__ import annotations
 
@@ -32,11 +35,12 @@ class ProviderError(ValueError):
 class OverallSurvivalProvider:
     """Callable (key, times) -> overall-survival values for cancer patients.
 
-    When a life table is supplied, extrapolated values are additionally
-    capped so that beyond the fitted cutoff a patient cohort's survival
-    decays at least as fast as the general population of its own cell
-    (non-negative excess hazard); this only ever binds where a noisy tail
-    fit came out implausibly flat.
+    When a life table is supplied, every extrapolated value (t > tau) is
+    reshaped by the population of the stratum's own cell: it is multiplied
+    by the population's hazard growth past the fit window and capped at the
+    population's own survival from tau (see `_harden_tail`).  This is a
+    model choice, not a rare guard: it lowers extrapolated values in every
+    stratum of a dataset-2 replicate (33 of 33).
     """
 
     def __init__(
@@ -137,14 +141,17 @@ class OverallSurvivalProvider:
         return pop
 
     def _harden_tail(self, resolved: StratumKey, curve: ExtendedSurvival, times, values):
-        """Apply the life-table guards to extrapolated values (t > tau).
+        """Reshape extrapolated values (t > tau) by the cell's population.
 
         The fitted constant rate embeds the population hazard of the anchor
-        years only; multiplying by the population's excess cumulative hazard
-        past tau restores its growth with attained age.  The hard cap keeps
-        the patient cohort from outliving its own general-population cell
-        (non-negative excess hazard), which only binds on implausibly flat
-        noise fits.
+        years only, so each extrapolated value is multiplied by
+        exp(-excess), where excess is the population's cumulative hazard past
+        tau beyond what the fit-window rate predicts: the population's
+        hazard growth with attained age.  The result is then capped at
+        S(tau) times the population's survival from tau, so the patient
+        cohort never outlives its own general-population cell.  Every value
+        this lowers is counted as `so_population_cap`; with an increasing
+        population hazard that is nearly every extrapolated value.
         """
         t = np.asarray(times, dtype=np.float64)
         pop = self._population_curve(resolved)
@@ -176,6 +183,50 @@ class OverallSurvivalProvider:
 
     __call__ = survival
 
-    def grid(self, key: StratumKey, horizon: int) -> np.ndarray:
-        """Survival at integer lags 0..horizon."""
-        return np.asarray(self.survival(key, np.arange(horizon + 1, dtype=np.float64)))
+    @property
+    def max_age(self) -> int:
+        """Oldest age at diagnosis of any registry stratum, merged or not."""
+        return max(k.age for k in (*self.strata, *self.alias))
+
+
+LAG_TABLE_ROW_BLOCK = 64  # rows added at a time for sources without a stratum list
+
+
+class SurvivalLagTable:
+    """Overall survival of each stratum on one grid of lags 0, 1/2, 1, ..., max_lag.
+
+    Column c holds lag c/2: integer lags sit at even columns, the
+    half-year-offset lags s - 1/2 at odd ones.  A stratum's row is filled by
+    a single call of the survival source on the whole grid, the first time a
+    key resolving to it is looked up, and never changes after.  With an
+    `OverallSurvivalProvider` keys resolve to registry strata and the rows
+    are allocated once, one per stratum; any other callable (a closed-form
+    curve) is treated as having one stratum per key, and rows are added in
+    blocks as keys appear.
+    """
+
+    def __init__(self, survival, max_lag: int):
+        self.survival = survival
+        self.max_lag = int(max_lag)
+        self.lags = 0.5 * np.arange(2 * self.max_lag + 1, dtype=np.float64)
+        if isinstance(survival, OverallSurvivalProvider):
+            self._resolve = survival.resolve
+            rows = len(survival.strata)
+        else:
+            self._resolve = None
+            rows = LAG_TABLE_ROW_BLOCK
+        self.values = np.empty((rows, self.lags.shape[0]))
+        self._rows: dict[StratumKey, int] = {}
+
+    def row(self, key: StratumKey) -> int:
+        """Row of the key's stratum, evaluating the stratum on first use."""
+        stratum = key if self._resolve is None else self._resolve(key)
+        row = self._rows.get(stratum)
+        if row is None:
+            row = len(self._rows)
+            if row == self.values.shape[0]:
+                block = np.empty((LAG_TABLE_ROW_BLOCK, self.values.shape[1]))
+                self.values = np.concatenate((self.values, block))
+            self.values[row] = self.survival(stratum, self.lags)
+            self._rows[stratum] = row
+        return row

@@ -9,11 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from netadjust.adjustment import (
-    AdjustmentEngine,
-    solve_noncancer_survival,
-    solve_noncancer_survival_triangular,
-)
+from netadjust.adjustment import AdjustmentEngine, solve_noncancer_survival
 from netadjust.estimators import (
     adjusted_population_provider,
     crude_probability,
@@ -35,6 +31,7 @@ from netadjust.simulation import (
 from netadjust.cli import main as cli_main
 
 from conftest import flat_life_table, toy_frame
+from oracles import solve_noncancer_survival_triangular
 from synthetic import BASE_KEY, SyntheticIngredients
 
 JOBS = 2

@@ -10,15 +10,16 @@ from netadjust.adjustment import (
     SolverError,
     prevalent_case_survival,
     solve_noncancer_survival,
-    solve_noncancer_survival_triangular,
 )
 from netadjust.diagnostics import Diagnostics
 from netadjust.estimators import adjusted_population_provider, naive_population_provider, pohar_perme
-from netadjust.incidence import IncidenceTable
+from netadjust.incidence import IncidenceTable, PrevalenceError
 from netadjust.lifetable import diagonal_survival
 from netadjust.registry import StratumKey
+from netadjust.survival_provider import OverallSurvivalProvider
 
 from conftest import flat_incidence, flat_life_table, toy_frame
+from oracles import solve_noncancer_survival_triangular, triangular_residuals
 from synthetic import BASE_KEY, SyntheticIngredients
 
 
@@ -186,3 +187,183 @@ class TestNullAdjustmentEstimate:
             assert adjusted.cumulative_hazard_at(t) == pytest.approx(
                 naive.cumulative_hazard_at(t), abs=1e-12
             )
+
+
+def gapped_registry_engine(lag_eval="mid_year", horizon=8):
+    """Engine over a small multi-cohort registry with age gaps, a life table
+    and incidence narrower than the cells the solver reaches (so both clamp),
+    and incidence cells missing inside its range."""
+    rng = np.random.default_rng(2024)
+    rows = []
+    for sex in ("0", "1"):
+        for age in (55, 56, 58, 61, 62, 66):
+            for year in (1995, 1996, 1999):
+                n = int(rng.integers(2, 9))
+                for _ in range(n):
+                    rows.append((age, year, sex, float(rng.exponential(6.0)), int(rng.random() < 0.6)))
+    frame = toy_frame(rows)
+    life_table = flat_life_table(0.015, ages=(0, 68), years=(1940, 2001))
+    cells = {}
+    for sex in ("0", "1"):
+        for age in range(0, 72):
+            for year in range(1935, 2003):
+                if (age + year) % 7 != 0:
+                    cells[(age, year, (sex,))] = 0.002 + 0.0004 * max(age - 40, 0)
+    diag = Diagnostics()
+    provider = OverallSurvivalProvider.from_registry(
+        frame, min_stratum_size=6, anchor_points=3, tau_min_at_risk=2,
+        population_floor=life_table, diagnostics=diag,
+    )
+    engine = AdjustmentEngine(
+        life_table, IncidenceTable(cells), provider, horizon=horizon, lag_eval=lag_eval,
+        diagnostics=diag,
+    )
+    keys = sorted({StratumKey(a, y, (s,)) for a, y, s, _, _ in rows})
+    return engine, provider, keys, diag
+
+
+class TestRegistryEngine:
+    @pytest.mark.parametrize("lag_eval", ["mid_year", "year_start"])
+    def test_solve_and_residuals_match_oracle(self, lag_eval):
+        engine, _, keys, diag = gapped_registry_engine(lag_eval)
+        assert diag.get("stratum_merge") > 0
+        for key in keys:
+            got = engine.solve(key)
+            want = solve_noncancer_survival_triangular(engine, key)
+            np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+            assert (got.clip_count, got.guard_count) == (want.clip_count, want.guard_count)
+            np.testing.assert_allclose(
+                engine.residuals(key), triangular_residuals(engine, key), rtol=0, atol=1e-12
+            )
+        assert diag.get("lifetable_clamp") > 0
+        assert diag.get("incidence_clamp") > 0 and diag.get("incidence_missing_cell") > 0
+
+    def test_lag_table_equals_direct_survival(self):
+        engine, provider, keys, _ = gapped_registry_engine()
+        table = engine.calc.table
+        lags = table.max_lag
+        probes = keys + [StratumKey(40, 1980, ("0",)), StratumKey(70, 2010, ("1",))]
+        for key in probes:
+            row = table.values[table.row(key)]
+            integer = provider.survival(key, np.arange(lags + 1, dtype=np.float64))
+            half = provider.survival(key, np.arange(1, lags + 1, dtype=np.float64) - 0.5)
+            assert np.array_equal(row[::2], integer)
+            assert np.array_equal(row[1::2], half)
+            assert np.array_equal(engine.so_grid(key), integer[: engine.horizon + 1])
+
+    def test_prevalence_terms_read_the_table_at_the_right_lags(self):
+        engine, provider, keys, _ = gapped_registry_engine()
+        key = keys[-1]
+        matrix = engine.calc.survival_from_diagnosis_matrix(key, engine.horizon)
+        for s in range(1, key.age + 1):
+            origin = StratumKey(key.age - s, key.year - s, key.demographics)
+            want = provider.survival(origin, s - 0.5 + np.arange(engine.horizon + 1, dtype=np.float64))
+            assert np.array_equal(matrix[s - 1], want)
+
+    def test_one_survival_evaluation_per_stratum(self):
+        engine, provider, keys, _ = gapped_registry_engine()
+        calls = []
+        direct = provider.survival
+        provider.survival = lambda key, times: calls.append(key) or direct(key, times)
+        engine.calc.table.survival = provider.survival
+        for key in keys:
+            engine.solve(key)
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= set(provider.strata)
+
+    def test_cells_past_the_table_are_rejected(self):
+        engine, provider, _, _ = gapped_registry_engine()
+        old = StratumKey(provider.max_age + engine.horizon, 2000, ("0",))
+        with pytest.raises(PrevalenceError, match="older than"):
+            engine.alpha(old)
+
+
+class TestPlainCallableTable:
+    def test_rows_added_past_the_first_block_keep_their_values(self):
+        # a key-dependent closed form: one table row per key, well past 64 rows
+        def so(key, times):
+            return np.exp(-(0.05 + 0.001 * key.age) * np.asarray(times, dtype=float))
+
+        engine = AdjustmentEngine(flat_life_table(0.01), flat_incidence(0.01), so, horizon=6)
+        keys = [StratumKey(a, 1990 + a + d, ("0",)) for a in (30, 45, 60) for d in (0, 7)]
+        for key in keys:
+            engine.solve(key)
+        table = engine.calc.table
+        assert len(table._rows) > table.values.shape[0] // 2 > 64
+        for key in keys:
+            np.testing.assert_array_equal(engine.so_grid(key), so(key, np.arange(7.0)))
+            origin = StratumKey(0, key.year - key.age, key.demographics)
+            matrix = engine.calc.survival_from_diagnosis_matrix(key, 6)
+            np.testing.assert_array_equal(matrix[-1], so(origin, key.age - 0.5 + np.arange(7.0)))
+
+
+class TestSweep:
+    def test_reuse_counts_only_new_entries(self):
+        diag = Diagnostics()
+        cells = {}
+        hits = 0
+        for seed in range(40):
+            ing = SyntheticIngredients(seed)
+            cells = {}
+            for j in (2, 0, 1, 3):
+                solve_noncancer_survival(ing, BASE_KEY.shift(j), diag, cells)
+            hits += sum(int(rec.clipped[1 : rec.solved + 1].sum()) for rec in cells.values())
+        assert diag.get("sp_clip") == hits > 0
+
+    def test_reuse_matches_fresh_solves(self):
+        for seed in range(40):
+            ing = SyntheticIngredients(seed)
+            cells = {}
+            for j in (3, 1, 0, 2):
+                key = BASE_KEY.shift(j)
+                shared = solve_noncancer_survival(ing, key, cells=cells)
+                fresh = solve_noncancer_survival(ing, key)
+                assert np.array_equal(shared.values, fresh.values)
+                assert (shared.clip_count, shared.guard_count) == (fresh.clip_count, fresh.guard_count)
+
+    def test_reads_only_the_pruned_closure(self):
+        # diagnosis mass only at k = 2: the target (age 60) reads cell 62
+        # through horizon 4 and cell 64 through horizon 2, and nothing else
+        class Sparse(SyntheticIngredients):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.calls = {"alpha": set(), "so": set(), "mass": set()}
+
+            def _cell(self, key):
+                cell = super()._cell(key)
+                cell["mass"] = np.array([0.0, 0.2, 0.0, 0.0, 0.0, 0.0])
+                return cell
+
+            def alpha(self, key):
+                self.calls["alpha"].add(key.age)
+                return super().alpha(key)
+
+            def so_grid(self, key):
+                self.calls["so"].add(key.age)
+                return super().so_grid(key)
+
+            def diagnosis_mass(self, key):
+                self.calls["mass"].add(key.age)
+                return super().diagnosis_mass(key)
+
+        ing = Sparse(5)
+        cells = {}
+        solve_noncancer_survival(ing, BASE_KEY, cells=cells)
+        assert ing.calls == {"alpha": {60, 62, 64}, "so": {62, 64}, "mass": {60, 62, 64}}
+        assert {k.age: rec.solved for k, rec in cells.items() if rec.solved} == {60: 6, 62: 4, 64: 2}
+
+    def test_solver_error_names_the_failing_cell(self):
+        class DeepDegenerate(SyntheticIngredients):
+            def _cell(self, key):
+                cell = super()._cell(key)
+                if key.age == 62:
+                    cell["mass"] = np.array([1.0 - 1e-9] + [0.0] * (self.horizon - 1))
+                    cell["alpha"] = 0.0
+                if key.age == 63:
+                    cell["so"] = np.concatenate(([1.0], np.full(self.horizon, 1e-9)))
+                return cell
+
+        with pytest.raises(SolverError, match=r"r\(2\)=.* at StratumKey\(age=62, year=2022"):
+            solve_noncancer_survival(DeepDegenerate(3), BASE_KEY)
+        with pytest.raises(SolverError, match=r"at StratumKey\(age=62, year=2022"):
+            solve_noncancer_survival_triangular(DeepDegenerate(3), BASE_KEY)

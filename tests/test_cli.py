@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,13 @@ from netadjust.cli import main
 from netadjust.io import load_registry, write_registry
 
 from conftest import toy_frame
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "adjust"
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def write_inputs(tmp_path, q=0.02, ir=0.01):
@@ -116,6 +125,73 @@ class TestAdjust:
         assert len(alpha) == 3
         residuals = (out / "residuals.csv").read_text().strip().splitlines()
         assert len(residuals) == 1 + 2 * 10
+
+    def test_matches_golden_outputs(self, tmp_path):
+        # golden files were written by the memoized scalar recursion this
+        # solver replaced, from the same inputs
+        registry = write_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert main([
+            "adjust", "--registry", str(registry),
+            "--lifetable", str(tmp_path / "lifetable.csv"),
+            "--incidence", str(tmp_path / "incidence.csv"),
+            "--horizon", "10", "--out", str(out),
+        ]) == 0
+        for name, value in (("adjusted.csv", "s_p"), ("alpha.csv", "alpha"), ("residuals.csv", "r")):
+            got, want = read_csv(out / name), read_csv(GOLDEN / name)
+            assert [{k: v for k, v in r.items() if k != value} for r in got] == \
+                [{k: v for k, v in r.items() if k != value} for r in want]
+            np.testing.assert_allclose(
+                [float(r[value]) for r in got], [float(r[value]) for r in want], rtol=0, atol=1e-12
+            )
+
+    def test_jobs_flag_removed(self, tmp_path):
+        registry = write_inputs(tmp_path)
+        with pytest.raises(SystemExit):
+            main([
+                "adjust", "--registry", str(registry),
+                "--lifetable", str(tmp_path / "lifetable.csv"),
+                "--incidence", str(tmp_path / "incidence.csv"),
+                "--jobs", "2", "--out", str(tmp_path / "out"),
+            ])
+
+
+class TestNonFiniteInput:
+    """Non-finite values are rejected while loading, with the file and row."""
+
+    def run_estimate(self, tmp_path, registry, extra=()):
+        return main([
+            "estimate", "--registry", str(registry),
+            "--lifetable", str(tmp_path / "lifetable.csv"),
+            "--mode", "adjusted", *extra, "--horizon", "12", "--years", "3",
+            "--out", str(tmp_path / "out"),
+        ])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_registry_time(self, tmp_path, capsys, bad):
+        write_inputs(tmp_path)
+        registry = tmp_path / "bad_registry.csv"
+        registry.write_text(
+            "age_diag,year_diag,sex,time,event\n60,1990,m,2.0,1\n61,1991,m," + bad + ",0\n",
+            encoding="utf-8",
+        )
+        code = self.run_estimate(tmp_path, registry, ["--incidence", str(tmp_path / "incidence.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.strip().splitlines()[-1].startswith("error: bad_registry.csv:3: ")
+        assert "Traceback" not in err
+
+    def test_person_years(self, tmp_path, capsys):
+        registry = write_inputs(tmp_path)
+        population = tmp_path / "population.csv"
+        rows = population.read_text(encoding="utf-8").splitlines()
+        rows[5] = rows[5].rsplit(",", 1)[0] + ",nan"
+        population.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = self.run_estimate(tmp_path, registry, ["--population", str(population)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.strip().splitlines()[-1].startswith("error: population.csv:6: ")
+        assert "Traceback" not in err
 
 
 class TestSimulate:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netadjust.diagnostics import Diagnostics
 from netadjust.registry import (
     Banding,
     EmptyInputError,
@@ -16,6 +17,7 @@ from netadjust.registry import (
 )
 
 from conftest import toy_frame
+from oracles import merge_small_strata_reference
 
 
 def make_table(times, events):
@@ -178,3 +180,40 @@ class TestMergeSmallStrata:
         merged, alias = merge_small_strata(build_strata(toy_frame(rows)), min_size=5)
         # nothing to merge the lone male stratum into
         assert StratumKey(60, 1990, ("m",)) in merged
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(50, 58), st.integers(1990, 1996), st.sampled_from(["m", "f"])),
+            st.integers(1, 14),
+            min_size=1, max_size=40,
+        ),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rescanning_reference(self, sizes, min_size):
+        rng = np.random.default_rng(len(sizes))
+        strata = {
+            StratumKey(a, y, (s,)): make_table(rng.uniform(0.1, 10.0, n), rng.random(n) < 0.5)
+            for (a, y, s), n in sizes.items()
+        }
+        diag, ref_diag = Diagnostics(), Diagnostics()
+        merged, alias = merge_small_strata(strata, min_size, diag)
+        ref_merged, ref_alias = merge_small_strata_reference(strata, min_size, ref_diag)
+        assert list(merged) == list(ref_merged)
+        for key, table in merged.items():
+            assert np.array_equal(table.raw_times, ref_merged[key].raw_times)
+            assert np.array_equal(table.raw_events, ref_merged[key].raw_events)
+        assert list(alias.items()) == list(ref_alias.items())
+        assert diag.get("stratum_merge") == ref_diag.get("stratum_merge")
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_patient_record_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite non-negative"):
+            PatientRecord(60, 2000, ("m",), bad, True)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_frame_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            toy_frame([(60, 2000, "m", 1.0, 1), (61, 2001, "m", bad, 0)])
