@@ -63,7 +63,6 @@ from .registry import (
     kaplan_meier,
     merge_small_strata,
     nelson_aalen,
-    survival_at,
 )
 from .simulation import (
     Cohort,

@@ -17,6 +17,7 @@ import numpy as np
 from .adjustment import AdjustmentEngine
 from .diagnostics import Diagnostics, log
 from .estimators import (
+    RiskSetSummary,
     adjusted_population_provider,
     crude_probability,
     ederer1,
@@ -134,9 +135,10 @@ def cmd_estimate(args) -> int:
 
     out = Path(args.out)
     rows = []
-    pp = pohar_perme(frame, provider)
-    e1 = ederer1(frame, provider)
-    cpd = crude_probability(frame, provider)
+    risk = RiskSetSummary(frame)
+    pp = pohar_perme(risk, provider)
+    e1 = ederer1(risk, provider)
+    cpd = crude_probability(risk, provider)
     for name, est in (("pohar_perme", pp), ("ederer1", e1), ("crude_probability", cpd)):
         for year, value in evaluate_at_years(est, years):
             rows.append({"estimator": name, "provider": provider.mode, "year": year, "value": value})

@@ -1,10 +1,16 @@
 """Relative-survival estimators over a pluggable population-survival source.
 
-All three estimators take the registry records plus a
-`PopulationSurvivalProvider` (either the raw life-table cohort survival or
-the adjusted non-cancer survival) and integrate the population-hazard terms
-in closed form: within any interval where the risk set is frozen and the
-annual hazards are constant,
+All three estimators read the registry through one `RiskSetSummary`, built
+once per registry and passed to each of them (records or a `RegistryFrame`
+are summarised on the spot), plus a `PopulationSurvivalProvider` (either the
+raw life-table cohort survival or the adjusted non-cancer survival).  The
+summary holds one dense strata x times matrix, the at-risk counts; deaths
+are kept one entry per death as (stratum row, time index), so Pohar-Perme's
+weighted death sum is a single bincount of 1/S_P at those cells, and Ederer
+I and the crude probability read pooled per-time death and at-risk counts.
+
+The population-hazard terms are integrated in closed form: within any
+interval where the risk set is frozen and the annual hazards are constant,
 
     integral of [sum_i Y_i dL_i / S_i] / [sum_j Y_j / S_j]
         = log(sum_j Y_j / S_j) evaluated at the endpoints,
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import Diagnostics, ensure_diagnostics, log
+from .diagnostics import Diagnostics, ensure_diagnostics
 from .extrapolation import AnnualGridSurvival
 from .lifetable import LifeTable, diagonal_survival
 from .registry import RegistryFrame, StratumKey, as_frame
@@ -90,42 +96,66 @@ def adjusted_population_provider(engine) -> PopulationSurvivalProvider:
 
 
 class RiskSetSummary:
-    """Distinct observed times with per-stratum death and at-risk counts.
+    """Risk sets of one registry, shared by all three estimators.
 
-    At-risk uses {T >= u}; on the interval between consecutive observed
-    times the risk set equals the at-risk set of the right endpoint.
+    `times` are the distinct observed times and `keys` the diagnosis strata.
+    `at_risk` is the one strata x times matrix, using {T >= u}: on the
+    interval between consecutive observed times the risk set equals the
+    at-risk set of the right endpoint.  Deaths are kept one entry per death
+    as (`death_rows`, `death_times`): stratum row and time index, in stratum
+    order.  `pooled_deaths` and `pooled_at_risk` are the per-time totals.
     """
 
     def __init__(self, frame: RegistryFrame):
         if frame.n == 0:
             raise EstimatorError("cannot estimate from an empty registry")
-        self.frame = frame
-        self.times = np.unique(frame.time)
+        self.times, t_idx = np.unique(frame.time, return_inverse=True)
         order = np.lexsort((frame.year, frame.age, frame.demo_code))
         sa, sy, sc = frame.age[order], frame.year[order], frame.demo_code[order]
-        cuts = np.flatnonzero((np.diff(sa) != 0) | (np.diff(sy) != 0) | (np.diff(sc) != 0)) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [frame.n]))
-        self.keys: list[StratumKey] = []
-        rows_y, rows_d = [], []
-        for s, e in zip(starts, ends):
-            idx = order[s:e]
-            self.keys.append(StratumKey(int(sa[s]), int(sy[s]), frame.demo_vocab[int(sc[s])]))
-            t_s = np.sort(frame.time[idx])
-            dt_s = np.sort(frame.time[idx[frame.event[idx]]])
-            rows_y.append(idx.shape[0] - np.searchsorted(t_s, self.times, side="left"))
-            rows_d.append(
-                np.searchsorted(dt_s, self.times, side="right")
-                - np.searchsorted(dt_s, self.times, side="left")
-            )
-        self.at_risk = np.vstack(rows_y).astype(np.float64)   # strata x times
-        self.deaths = np.vstack(rows_d).astype(np.float64)
-        self.sizes = self.at_risk[:, 0].copy()
+        first = np.concatenate(([True], (np.diff(sa) != 0) | (np.diff(sy) != 0) | (np.diff(sc) != 0)))
+        self.keys: list[StratumKey] = [
+            StratumKey(int(sa[i]), int(sy[i]), frame.demo_vocab[int(sc[i])])
+            for i in np.flatnonzero(first)
+        ]
+        rows = np.empty(frame.n, dtype=np.intp)
+        rows[order] = np.cumsum(first) - 1
+        # count each patient at its own time, then sum from the right
+        self.at_risk = np.zeros((len(self.keys), self.times.shape[0]))
+        np.add.at(self.at_risk, (rows, t_idx), 1.0)
+        np.cumsum(self.at_risk[:, ::-1], axis=1, out=self.at_risk[:, ::-1])
+        dead = order[frame.event[order]]
+        self.death_rows, self.death_times = rows[dead], t_idx[dead]
+        self.pooled_deaths = np.bincount(self.death_times, minlength=self.times.shape[0])
+        self.pooled_at_risk = self.at_risk.sum(axis=0)
+        self.sizes = np.bincount(rows).astype(np.float64)
         self.n = frame.n
 
 
-def _provider_matrix(provider, keys, times) -> np.ndarray:
-    return np.vstack([np.asarray(provider.survival(k, times)) for k in keys])
+def as_risk_set(records) -> RiskSetSummary:
+    if isinstance(records, RiskSetSummary):
+        return records
+    return RiskSetSummary(as_frame(records))
+
+
+def _provider_matrix(values, keys, times) -> np.ndarray:
+    """Strata x times matrix of `values(key, times)`, a provider's
+    `survival` or `cumulative_hazard`."""
+    return np.vstack([np.asarray(values(k, times)) for k in keys])
+
+
+def _locate(estimate, t: float) -> tuple[int, float | None]:
+    """(m, lo) for t > 0 on the estimate's observed times u: lo is None when
+    the stored value at m is exact (t = u[m], or t past the last time, which
+    is counted); otherwise t lies in (lo, u[m]), lo = 0 before u[0], where
+    the risk set is column m of `at_risk`."""
+    u = estimate.times
+    m = int(np.searchsorted(u, t, side="left"))
+    if m == u.shape[0]:
+        estimate.provider.diagnostics.incr("beyond_support_eval")
+        return m - 1, None
+    if u[m] == t:
+        return m, None
+    return m, (float(u[m - 1]) if m > 0 else 0.0)
 
 
 @dataclass
@@ -141,22 +171,15 @@ class NetSurvivalEstimate:
         t = float(t)
         if t < 0:
             raise ValueError("t must be >= 0")
-        if t == 0 or self.times.size == 0:
+        if t == 0:
             return 0.0
-        u = self.times
-        m = int(np.searchsorted(u, t, side="left"))
-        if m >= u.shape[0]:
-            if t > u[-1]:
-                self.provider.diagnostics.incr("beyond_support_eval")
-            return float(self.cum_hazard[-1])
-        if u[m] == t:
+        m, lo = _locate(self, t)
+        if lo is None:
             return float(self.cum_hazard[m])
         base = float(self.cum_hazard[m - 1]) if m > 0 else 0.0
-        lo = u[m - 1] if m > 0 else 0.0
         y = self._risk.at_risk[:, m]
-        sp_t = np.array([float(self.provider.survival(k, t)) for k in self._risk.keys])
-        sp_lo = np.array([float(self.provider.survival(k, lo)) for k in self._risk.keys])
-        return base - float(np.log((y / sp_t).sum()) - np.log((y / sp_lo).sum()))
+        sp = _provider_matrix(self.provider.survival, self._risk.keys, np.array([lo, t]))
+        return base - float(np.log((y / sp[:, 1]).sum()) - np.log((y / sp[:, 0]).sum()))
 
     def survival_at(self, t) -> float:
         return float(np.exp(-self.cumulative_hazard_at(t)))
@@ -171,19 +194,19 @@ def pohar_perme(records, provider: PopulationSurvivalProvider) -> NetSurvivalEst
     expected-mortality part subtracts the at-risk population hazard, with the
     interval integrals in the exact log form described in the module header.
     """
-    frame = as_frame(records)
-    rs = RiskSetSummary(frame)
+    rs = as_risk_set(records)
     u = rs.times
-    sp = _provider_matrix(provider, rs.keys, u)
-    sp_prev = np.hstack([np.ones((sp.shape[0], 1)), sp[:, :-1]])
-    w = 1.0 / sp
+    sp = _provider_matrix(provider.survival, rs.keys, u)
+    denom_prev = np.concatenate(
+        ([rs.at_risk[:, 0].sum()], (rs.at_risk[:, 1:] / sp[:, :-1]).sum(axis=0))
+    )
+    w = np.reciprocal(sp, out=sp)
+    # every observed time has someone at risk and 1/S_P > 0, so denom > 0
     denom = (rs.at_risk * w).sum(axis=0)
-    if (denom <= 0).any():
-        log.warning("empty weighted risk set at %d event times; increments skipped",
-                    int((denom <= 0).sum()))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        event_inc = np.where(denom > 0, (rs.deaths * w).sum(axis=0) / denom, 0.0)
-    denom_prev = (rs.at_risk / sp_prev).sum(axis=0)
+    weighted_deaths = np.bincount(
+        rs.death_times, weights=w[rs.death_rows, rs.death_times], minlength=u.shape[0]
+    )
+    event_inc = weighted_deaths / denom
     expected_inc = np.log(denom) - np.log(denom_prev)
     cum = np.cumsum(event_inc - expected_inc)
     return NetSurvivalEstimate(u, cum, rs, provider)
@@ -198,23 +221,21 @@ class RelativeSurvivalEstimate:
     _risk: RiskSetSummary
     provider: PopulationSurvivalProvider
 
-    def _na_at(self, t: float) -> float:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return float(self.na_values[idx]) if idx >= 0 else 0.0
-
     def cumulative_hazard_at(self, t) -> float:
         t = float(t)
         if t < 0:
             raise ValueError("t must be >= 0")
         if t == 0:
             return 0.0
-        last = float(self.times[-1])
-        if t > last:
-            self.provider.diagnostics.incr("beyond_support_eval")
-            t = last
-        sp_t = np.array([float(self.provider.survival(k, t)) for k in self._risk.keys])
+        m, lo = _locate(self, t)
+        if lo is None:
+            t = float(self.times[m])   # t itself, or the last time when t is past it
+        else:
+            m -= 1
+        na = float(self.na_values[m]) if m >= 0 else 0.0
+        sp_t = _provider_matrix(self.provider.survival, self._risk.keys, np.array([t]))[:, 0]
         expected = float(np.log(self._risk.n) - np.log((self._risk.sizes * sp_t).sum()))
-        return self._na_at(t) - expected
+        return na - expected
 
     def survival_at(self, t) -> float:
         return float(np.exp(-self.cumulative_hazard_at(t)))
@@ -226,11 +247,8 @@ def ederer1(records, provider: PopulationSurvivalProvider) -> RelativeSurvivalEs
     """Observed cumulative hazard minus the expected-survival-weighted
     population hazard; the population term runs over the whole cohort and
     telescopes to log(n) - log(sum_j S_P(t | Z_j))."""
-    frame = as_frame(records)
-    rs = RiskSetSummary(frame)
-    deaths = rs.deaths.sum(axis=0)
-    at_risk = rs.at_risk.sum(axis=0)
-    na = np.cumsum(np.where(at_risk > 0, deaths / at_risk, 0.0))
+    rs = as_risk_set(records)
+    na = np.cumsum(rs.pooled_deaths / rs.pooled_at_risk)
     return RelativeSurvivalEstimate(rs.times, na, rs, provider)
 
 
@@ -251,34 +269,23 @@ class CrudeProbabilityEstimate:
     _risk: RiskSetSummary
     provider: PopulationSurvivalProvider
 
-    def _partial(self, which: str, t: float) -> float:
-        u = self.times
-        m = int(np.searchsorted(u, t, side="left"))
-        if m >= u.shape[0]:
-            if t > u[-1]:
-                self.provider.diagnostics.incr("beyond_support_eval")
-            return float(getattr(self, which)[-1])
-        if u[m] == t:
-            return float(getattr(self, which)[m])
-        base = float(getattr(self, which)[m - 1]) if m > 0 else 0.0
-        if which == "cancer_isotonic":
-            return base
-        lo = u[m - 1] if m > 0 else 0.0
-        y = self._risk.at_risk[:, m]
-        dl = np.array([
-            float(self.provider.cumulative_hazard(k, t) - self.provider.cumulative_hazard(k, lo))
-            for k in self._risk.keys
-        ])
-        piece = float(self.km_left[m]) * float((y * dl).sum() / y.sum())
-        return base + (-piece if which == "cancer" else piece)
-
     def value_at(self, t, which: str = "cancer") -> float:
         t = float(t)
         if t < 0:
             raise ValueError("t must be >= 0")
         if t == 0:
             return 0.0
-        return self._partial(which, t)
+        values = getattr(self, which)
+        m, lo = _locate(self, t)
+        if lo is None:
+            return float(values[m])
+        base = float(values[m - 1]) if m > 0 else 0.0
+        if which == "cancer_isotonic":
+            return base
+        y = self._risk.at_risk[:, m]
+        lp = _provider_matrix(self.provider.cumulative_hazard, self._risk.keys, np.array([lo, t]))
+        piece = float(self.km_left[m]) * float((y * (lp[:, 1] - lp[:, 0])).sum() / y.sum())
+        return base + (-piece if which == "cancer" else piece)
 
 
 def crude_probability(records, provider: PopulationSurvivalProvider) -> CrudeProbabilityEstimate:
@@ -288,23 +295,15 @@ def crude_probability(records, provider: PopulationSurvivalProvider) -> CrudePro
     excess-hazard increments: the all-cause Nelson-Aalen jumps minus the
     at-risk-averaged population hazard, the latter in exact annual pieces.
     """
-    frame = as_frame(records)
-    rs = RiskSetSummary(frame)
-    u = rs.times
-    deaths = rs.deaths.sum(axis=0)
-    at_risk = rs.at_risk.sum(axis=0)
-    na_inc = np.where(at_risk > 0, deaths / at_risk, 0.0)
-    km = np.cumprod(1.0 - na_inc)
-    km_left = np.concatenate(([1.0], km[:-1]))
-    lp = np.vstack([
-        np.asarray(provider.cumulative_hazard(k, u)) for k in rs.keys
-    ])
-    lp_prev = np.hstack([np.zeros((lp.shape[0], 1)), lp[:, :-1]])
-    avg_pop = (rs.at_risk * (lp - lp_prev)).sum(axis=0) / at_risk
+    rs = as_risk_set(records)
+    na_inc = rs.pooled_deaths / rs.pooled_at_risk
+    km_left = np.concatenate(([1.0], np.cumprod(1.0 - na_inc)[:-1]))
+    lp = _provider_matrix(provider.cumulative_hazard, rs.keys, rs.times)
+    avg_pop = (rs.at_risk * np.diff(lp, axis=1, prepend=0.0)).sum(axis=0) / rs.pooled_at_risk
     cancer = np.cumsum(km_left * (na_inc - avg_pop))
     other = np.cumsum(km_left * avg_pop)
     iso = np.maximum.accumulate(cancer)
-    return CrudeProbabilityEstimate(u, cancer, other, iso, km_left, rs, provider)
+    return CrudeProbabilityEstimate(rs.times, cancer, other, iso, km_left, rs, provider)
 
 
 def evaluate_at_years(estimate, years) -> list[tuple[float, float]]:

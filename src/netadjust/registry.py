@@ -109,12 +109,6 @@ class RegistryFrame:
             list(vocab),
         )
 
-    def subset(self, mask: np.ndarray) -> "RegistryFrame":
-        return RegistryFrame(
-            self.age[mask], self.year[mask], self.demo_code[mask],
-            self.time[mask], self.event[mask], self.demo_vocab,
-        )
-
 
 def as_frame(records) -> RegistryFrame:
     if isinstance(records, RegistryFrame):
@@ -331,8 +325,3 @@ def nelson_aalen(table: EventTable) -> CumulativeHazardCurve:
     t = table.times[has_death]
     inc = table.deaths[has_death] / table.at_risk[has_death]
     return CumulativeHazardCurve(t, np.cumsum(inc))
-
-
-def survival_at(curve, t):
-    """Evaluate any survival-like curve right-continuously at t >= 0."""
-    return curve.survival_at(t)

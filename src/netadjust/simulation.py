@@ -20,6 +20,7 @@ import numpy as np
 from .adjustment import AdjustmentEngine
 from .diagnostics import Diagnostics, log
 from .estimators import (
+    RiskSetSummary,
     adjusted_population_provider,
     naive_population_provider,
     pohar_perme,
@@ -279,6 +280,7 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
     life_table, incidence = derive_tables(cohort, cfg.person_years)
     censor_seed = cfg.base_seed + 1_000_000 + rep
     frame_win = make_registry(cohort, censor_seed, cfg.diag_window, cfg.censor_max)
+    risk = RiskSetSummary(frame_win)
     values: dict[str, list[float]] = {}
     for method in methods:
         if method == "naive":
@@ -301,7 +303,7 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
             provider = adjusted_population_provider(engine)
         else:
             raise ValueError(f"unknown method {method!r}")
-        estimate = pohar_perme(frame_win, provider)
+        estimate = pohar_perme(risk, provider)
         values[method] = [estimate.survival_at(y) for y in cfg.years]
     return {
         "rep": rep,

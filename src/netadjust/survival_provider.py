@@ -161,11 +161,9 @@ class OverallSurvivalProvider:
         lam_fit = (lam_tau - pop.cumulative_hazard_at(max(tau - span, 0.0))) / min(
             span, tau
         ) if tau > 0 else 0.0
-        excess_growth = pop.cumulative_hazard_at(t) - lam_tau - lam_fit * (t - tau)
-        growth = np.minimum(np.exp(-excess_growth), 1.0)
-        cap = float(curve.base.survival_at(tau)) * np.minimum(
-            np.exp(-(pop.cumulative_hazard_at(t) - lam_tau)), 1.0
-        )
+        lam_t = pop.cumulative_hazard_at(t)
+        growth = np.minimum(np.exp(-(lam_t - lam_tau - lam_fit * (t - tau))), 1.0)
+        cap = float(curve.base.survival_at(tau)) * np.minimum(np.exp(-(lam_t - lam_tau)), 1.0)
         hardened = np.minimum(values * growth, cap)
         out = np.where(t > tau, hardened, values)
         hit = out < values

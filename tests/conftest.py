@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netadjust.estimators import RiskSetSummary
 from netadjust.incidence import IncidenceTable
 from netadjust.lifetable import LifeTable
 from netadjust.registry import RegistryFrame
@@ -53,3 +54,17 @@ def toy_frame(rows):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def risk_set_builds(monkeypatch):
+    """Frames passed to `RiskSetSummary`, one entry per summary built."""
+    frames = []
+    build = RiskSetSummary.__init__
+
+    def counting(self, frame):
+        frames.append(frame)
+        build(self, frame)
+
+    monkeypatch.setattr(RiskSetSummary, "__init__", counting)
+    return frames

@@ -222,6 +222,21 @@ def gapped_registry_engine(lag_eval="mid_year", horizon=8):
     return engine, provider, keys, diag
 
 
+class TestTailHardening:
+    def test_lags_past_population_grid_counted_once(self):
+        frame = toy_frame([(60, 1990, "0", float(t), 1) for t in range(1, 9)])
+        diag = Diagnostics()
+        provider = OverallSurvivalProvider.from_registry(
+            frame, min_stratum_size=1, anchor_points=3, tau_min_at_risk=2,
+            population_floor=flat_life_table(0.02), diagnostics=diag,
+        )
+        key = StratumKey(60, 1990, ("0",))
+        lags = np.array([0.5, 20.0, 119.5, 120.0, 120.5, 130.0, 200.0])
+        before = diag.get("grid_extended_eval")
+        provider.survival(key, lags)
+        assert diag.get("grid_extended_eval") - before == 3
+
+
 class TestRegistryEngine:
     @pytest.mark.parametrize("lag_eval", ["mid_year", "year_start"])
     def test_solve_and_residuals_match_oracle(self, lag_eval):

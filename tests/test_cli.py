@@ -10,12 +10,23 @@ from netadjust.io import load_registry, write_registry
 
 from conftest import toy_frame
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "adjust"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_matches_golden(got_path, want_path, columns):
+    """Rows agree exactly outside `columns` and to 1e-12 inside them."""
+    got, want = read_csv(got_path), read_csv(want_path)
+    assert [{k: v for k, v in r.items() if k not in columns} for r in got] == \
+        [{k: v for k, v in r.items() if k not in columns} for r in want]
+    for column in columns:
+        np.testing.assert_allclose(
+            [float(r[column]) for r in got], [float(r[column]) for r in want], rtol=0, atol=1e-12
+        )
 
 
 def write_inputs(tmp_path, q=0.02, ir=0.01):
@@ -95,6 +106,36 @@ class TestEstimate:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("mode", ["naive", "adjusted"])
+    def test_matches_golden_outputs(self, tmp_path, mode):
+        # golden files were written when each estimator built its own risk
+        # sets with a strata x times deaths matrix, from the same inputs
+        registry = write_inputs(tmp_path)
+        out = tmp_path / "out"
+        extra = ["--incidence", str(tmp_path / "incidence.csv")] if mode == "adjusted" else []
+        assert main([
+            "estimate", "--registry", str(registry),
+            "--lifetable", str(tmp_path / "lifetable.csv"), *extra,
+            "--mode", mode, "--horizon", "12", "--years", "3,5,7,10",
+            "--curves", "--out", str(out),
+        ]) == 0
+        golden = GOLDEN / "estimate" / mode
+        assert_matches_golden(out / "estimates.csv", golden / "estimates.csv", ["value"])
+        assert_matches_golden(
+            out / "curve_pohar_perme.csv", golden / "curve_pohar_perme.csv", ["lambda", "e_s"]
+        )
+
+    @pytest.mark.parametrize("mode", ["naive", "adjusted"])
+    def test_one_risk_set_per_run(self, tmp_path, risk_set_builds, mode):
+        registry = write_inputs(tmp_path)
+        extra = ["--incidence", str(tmp_path / "incidence.csv")] if mode == "adjusted" else []
+        assert main([
+            "estimate", "--registry", str(registry),
+            "--lifetable", str(tmp_path / "lifetable.csv"), *extra,
+            "--mode", mode, "--horizon", "12", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert [frame.n for frame in risk_set_builds] == [3]
+
     def test_schema_error_reports_row(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("age_diag,year_diag,sex,time,event\n60,1990,m,2.0,7\n", encoding="utf-8")
@@ -138,12 +179,7 @@ class TestAdjust:
             "--horizon", "10", "--out", str(out),
         ]) == 0
         for name, value in (("adjusted.csv", "s_p"), ("alpha.csv", "alpha"), ("residuals.csv", "r")):
-            got, want = read_csv(out / name), read_csv(GOLDEN / name)
-            assert [{k: v for k, v in r.items() if k != value} for r in got] == \
-                [{k: v for k, v in r.items() if k != value} for r in want]
-            np.testing.assert_allclose(
-                [float(r[value]) for r in got], [float(r[value]) for r in want], rtol=0, atol=1e-12
-            )
+            assert_matches_golden(out / name, GOLDEN / "adjust" / name, [value])
 
     def test_jobs_flag_removed(self, tmp_path):
         registry = write_inputs(tmp_path)

@@ -6,13 +6,15 @@ import pytest
 from netadjust.diagnostics import Diagnostics
 from netadjust.estimators import (
     EstimatorError,
+    RiskSetSummary,
     crude_probability,
     ederer1,
     evaluate_at_years,
     naive_population_provider,
     pohar_perme,
 )
-from netadjust.registry import EventTable, StratumKey, kaplan_meier, nelson_aalen
+from netadjust.lifetable import LifeTable
+from netadjust.registry import EventTable, PatientRecord, StratumKey, kaplan_meier, nelson_aalen
 
 from conftest import flat_life_table, toy_frame
 
@@ -20,6 +22,17 @@ from conftest import flat_life_table, toy_frame
 def unit_provider(horizon=20):
     """S_P identically 1 (a zero-mortality life table)."""
     return naive_population_provider(flat_life_table(0.0), horizon)
+
+
+def varying_provider(seed=99, horizon=15):
+    """S_P from a life table with random q in every cell, so weights differ by stratum."""
+    cells = {}
+    gen = np.random.default_rng(seed)
+    for sex in ("0", "1"):
+        for age in range(55, 90):
+            for year in range(1985, 2020):
+                cells[(age, year, (sex,))] = float(gen.uniform(0.005, 0.2))
+    return naive_population_provider(LifeTable(cells, require_complete=False), horizon)
 
 
 def mixed_frame(rng, n=40, n_strata=3, censor=8.0):
@@ -62,14 +75,7 @@ class TestPoharPerme:
             (62, 1992, "0", 5.9, 0),
         ]
         frame = toy_frame(rows)
-        cells = {}
-        gen = np.random.default_rng(99)
-        for sex in ("0", "1"):
-            for age in range(55, 90):
-                for year in range(1985, 2020):
-                    cells[(age, year, (sex,))] = float(gen.uniform(0.005, 0.2))
-        from netadjust.lifetable import LifeTable
-        provider = naive_population_provider(LifeTable(cells, require_complete=False), 15)
+        provider = varying_provider()
         est = pohar_perme(frame, provider)
         keys = [StratumKey(60, 1990, ("0",)), StratumKey(61, 1991, ("1",)),
                 StratumKey(62, 1992, ("0",))]
@@ -90,6 +96,36 @@ class TestPoharPerme:
                 den += at_risk / s
             riemann = float(np.sum(np.where(den > 0, num / den, 0.0)) * h)
             assert est.cumulative_hazard_at(t_eval) == pytest.approx(-riemann, abs=2e-6)
+
+    def test_tied_deaths_match_per_patient_sum(self, rng):
+        # times on a half-year grid: deaths tie within and across strata
+        rows = [
+            (60 + k, 1990 + k, "0" if k % 2 else "1", float(rng.integers(1, 13)) / 2, bool(rng.random() < 0.7))
+            for k in rng.integers(0, 4, 60)
+        ]
+        deaths_at = {}
+        for a, _, _, t, e in rows:
+            if e:
+                deaths_at.setdefault(t, []).append(a)
+        assert any(len(ages) > len(set(ages)) for ages in deaths_at.values())
+        assert any(len(set(ages)) > 1 for ages in deaths_at.values())
+        provider = varying_provider()
+        est = pohar_perme(toy_frame(rows), provider)
+
+        def weight(row, u):
+            return 1.0 / float(provider.survival(StratumKey(row[0], row[1], (row[2],)), u))
+
+        times = sorted({r[3] for r in rows})
+        np.testing.assert_array_equal(est.times, times)
+        cum = 0.0
+        for m, u in enumerate(times):
+            lo = times[m - 1] if m else 0.0
+            at_risk = [r for r in rows if r[3] >= u]
+            den = sum(weight(r, u) for r in at_risk)
+            den_prev = sum(weight(r, lo) for r in at_risk)
+            dead = sum(weight(r, u) for r in at_risk if r[3] == u and r[4])
+            cum += dead / den - (math.log(den) - math.log(den_prev))
+            assert est.cum_hazard[m] == pytest.approx(cum, abs=1e-12)
 
     def test_weight_floor_counted(self):
         frame = toy_frame([(60, 1990, "0", 14.0, 1), (60, 1990, "0", 14.5, 0)])
@@ -195,6 +231,38 @@ class TestCrudeProbability:
         est = crude_probability(frame, provider)
         iso = [est.value_at(t, "cancer_isotonic") for t in np.unique(frame.time)]
         assert np.all(np.diff(iso) >= -1e-15)
+
+
+class TestRiskSetSummary:
+    def test_summary_and_records_give_equal_estimates(self, rng):
+        frame = mixed_frame(rng, n=60, n_strata=4)
+        records = [
+            PatientRecord(int(a), int(y), frame.demo_vocab[int(c)], float(t), bool(e))
+            for a, y, c, t, e in zip(frame.age, frame.year, frame.demo_code, frame.time, frame.event)
+        ]
+        provider = varying_provider()
+        rs = RiskSetSummary(frame)
+        last = float(frame.time.max())
+        points = [0.0, 0.3, 2.5, *np.unique(frame.time)[::7], last, last + 4.0]
+        for estimator in (pohar_perme, ederer1, crude_probability):
+            shared, own = estimator(rs, provider), estimator(records, provider)
+            assert shared._risk is rs
+            np.testing.assert_array_equal(shared.times, own.times)
+            assert [shared.value_at(t) for t in points] == [own.value_at(t) for t in points]
+
+    def test_deaths_kept_per_death(self, rng):
+        frame = mixed_frame(rng, n=60, n_strata=4)
+        rs = RiskSetSummary(frame)
+        assert [name for name, value in vars(rs).items() if np.ndim(value) == 2] == ["at_risk"]
+        assert rs.death_rows.shape == rs.death_times.shape == (frame.n_events,)
+        for row, m in zip(rs.death_rows, rs.death_times):
+            key = rs.keys[row]
+            assert ((frame.age == key.age) & (frame.year == key.year) & (frame.time == rs.times[m])
+                    & frame.event).any()
+        np.testing.assert_array_equal(rs.pooled_at_risk, rs.at_risk.sum(axis=0))
+        np.testing.assert_array_equal(
+            rs.pooled_deaths, [np.sum(frame.time[frame.event] == u) for u in rs.times]
+        )
 
 
 class TestProvider:

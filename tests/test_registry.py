@@ -13,7 +13,6 @@ from netadjust.registry import (
     kaplan_meier,
     merge_small_strata,
     nelson_aalen,
-    survival_at,
 )
 
 from conftest import toy_frame
@@ -74,17 +73,17 @@ class TestNelsonAalen:
 class TestSurvivalAt:
     def test_value_at_zero(self):
         km = kaplan_meier(make_table([2.0], [1]))
-        assert survival_at(km, 0.0) == 1.0
+        assert km.survival_at(0.0) == 1.0
 
     def test_right_continuity_at_jump(self):
         km = kaplan_meier(make_table([2.0, 2.0], [1, 0]))
         # jump to 0.5 exactly at t=2
-        assert survival_at(km, 2.0) == pytest.approx(0.5, abs=1e-15)
-        assert survival_at(km, 1.999999) == 1.0
+        assert km.survival_at(2.0) == pytest.approx(0.5, abs=1e-15)
+        assert km.survival_at(1.999999) == 1.0
 
     def test_beyond_last_jump(self):
         km = kaplan_meier(make_table([1.0, 2.0], [1, 1]))
-        assert survival_at(km, 50.0) == survival_at(km, 2.0)
+        assert km.survival_at(50.0) == km.survival_at(2.0)
 
 
 class TestBuildStrata:

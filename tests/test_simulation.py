@@ -207,6 +207,11 @@ class TestExperiment:
         again = run_replicate(SMALL, 0)
         assert r["values"] == again["values"]
 
+    def test_one_risk_set_per_replicate(self, risk_set_builds):
+        r = run_replicate(SMALL, 0)
+        assert len(risk_set_builds) == 1
+        assert risk_set_builds[0].n == r["patients"]
+
     def test_bad_dataset_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(dataset=5)
