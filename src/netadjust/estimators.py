@@ -4,16 +4,21 @@ All three estimators read the registry through one `RiskSetSummary`, built
 once per registry and passed to each of them (records or a `RegistryFrame`
 are summarised on the spot), plus a `PopulationSurvivalProvider` (either the
 raw life-table cohort survival or the adjusted non-cancer survival).  The
-summary holds one dense strata x times matrix, the at-risk counts; deaths
-are kept one entry per death as (stratum row, time index), so Pohar-Perme's
-weighted death sum is a single bincount of 1/S_P at those cells, and Ederer
-I and the crude probability read pooled per-time death and at-risk counts.
+summary keeps no strata x times array: it keeps each patient's (stratum row,
+time index) in time order and rebuilds the at-risk counts one column block
+of observed times at a time, over only the strata with someone still at
+risk.  Pohar-Perme and the crude probability stream over those blocks,
+evaluating S_P or Lambda_P for the block's strata only and carrying each
+stratum's last column into the next block; deaths are kept one entry per
+death as (stratum row, time index), so Pohar-Perme's weighted death sum is a
+single bincount of 1/S_P gathered at those cells, and Ederer I and the
+crude probability read pooled per-time death and at-risk counts.
 
-S_P and Lambda_P for all strata come from one stacked-grid evaluation: the
-provider stacks the annual grids of the risk set's strata once (the naive
-grids from the life table, the adjusted ones from a single
-`AdjustmentEngine.solve` call over all strata), and each strata x times
-matrix, on the observed times or at an off-grid point, is one gather.
+S_P and Lambda_P for all strata come from one stack of the strata's annual
+grids (the naive grids from the life table, the adjusted ones from a single
+`AdjustmentEngine.solve` call over all strata): the estimators resolve the
+strata to rows of the stack once per call, and each block, or an off-grid
+point, is one gather over those rows.
 
 The population-hazard terms are integrated in closed form: within any
 interval where the risk set is frozen and the annual hazards are constant,
@@ -37,6 +42,8 @@ from .lifetable import LifeTable, diagonal_survival
 from .registry import RegistryFrame, StratumKey, as_frame
 
 WEIGHT_FLOOR = 1e-6
+# cells of one at-risk column block: a ~30-stratum study replicate is one block
+BLOCK_CELLS = 1 << 17
 
 
 class EstimatorError(ValueError):
@@ -52,8 +59,11 @@ class PopulationSurvivalProvider:
     values and yearly slopes as strata x (horizon + 1) arrays and
     interpolates log-linearly, i.e. with a constant hazard inside each year.
     `survival_matrix` and `cumulative_hazard_matrix` evaluate many strata
-    at many times with one gather; `survival` and `cumulative_hazard` read
-    one stratum's row of the same evaluator.
+    at many times with one gather; `grid_rows` resolves strata to rows of
+    the stack once, so that `survival_rows` and `cumulative_hazard_rows` can
+    evaluate any subset of them without looking the keys up again;
+    `survival` and `cumulative_hazard` read one stratum's row of the same
+    evaluator.
     """
 
     def __init__(self, grid_fn, horizon: int, mode: str,
@@ -66,12 +76,13 @@ class PopulationSurvivalProvider:
         self._index: dict[StratumKey, int] = {}
         self._grids: AnnualGridSurvival | None = None
 
-    def _rows(self, keys) -> list[int] | None:
-        """Rows of `keys` in the stacked grids, or None when they are all the
-        rows in order; keys not seen before are stacked with one `grid_fn`
-        call."""
-        new = [k for k in dict.fromkeys(keys) if k not in self._index]
-        if new:
+    def grid_rows(self, keys) -> np.ndarray:
+        """Rows of `keys` in the stacked grids; keys not seen before are
+        stacked with one `grid_fn` call."""
+        index = self._index
+        rows = np.fromiter((index.get(k, -1) for k in keys), np.intp, len(keys))
+        if rows.size and rows.min() < 0:
+            new = [k for k in dict.fromkeys(keys) if k not in index]
             grid = np.asarray(self.grid_fn(new), dtype=np.float64)
             floored = (grid < self.floor).sum()
             if floored:
@@ -80,21 +91,27 @@ class PopulationSurvivalProvider:
             if self._grids is not None:
                 grid = np.concatenate((self._grids.values, grid))
             self._grids = AnnualGridSurvival(grid, self.diagnostics)
-            self._index.update((k, len(self._index)) for k in new)
-        rows = [self._index[k] for k in keys]
-        return None if rows == list(range(len(self._index))) else rows
+            index.update((k, len(index)) for k in new)
+            rows = np.fromiter((index[k] for k in keys), np.intp, len(keys))
+        return rows
 
-    def survival_matrix(self, keys, t) -> np.ndarray:
-        """Strata x times array of S_P for `keys` at the times `t`."""
-        rows = self._rows(keys)
+    def survival_rows(self, rows, t) -> np.ndarray:
+        """Rows x times array of S_P for the stacked-grid `rows` at the times `t`."""
         out = self._grids.survival_at(np.atleast_1d(t), rows)
         return np.maximum(out, self.floor, out=out)
 
-    def cumulative_hazard_matrix(self, keys, t) -> np.ndarray:
-        """Strata x times array of Lambda_P for `keys` at the times `t`."""
-        rows = self._rows(keys)
+    def cumulative_hazard_rows(self, rows, t) -> np.ndarray:
+        """Rows x times array of Lambda_P for the stacked-grid `rows` at the times `t`."""
         out = self._grids.cumulative_hazard_at(np.atleast_1d(t), rows)
         return np.minimum(out, -np.log(self.floor), out=out)
+
+    def survival_matrix(self, keys, t) -> np.ndarray:
+        """Strata x times array of S_P for `keys` at the times `t`."""
+        return self.survival_rows(self.grid_rows(keys), t)
+
+    def cumulative_hazard_matrix(self, keys, t) -> np.ndarray:
+        """Strata x times array of Lambda_P for `keys` at the times `t`."""
+        return self.cumulative_hazard_rows(self.grid_rows(keys), t)
 
     def survival(self, key: StratumKey, t):
         row = self.survival_matrix([key], t)[0]
@@ -132,36 +149,84 @@ class RiskSetSummary:
     """Risk sets of one registry, shared by all three estimators.
 
     `times` are the distinct observed times and `keys` the diagnosis strata.
-    `at_risk` is the one strata x times matrix, using {T >= u}: on the
-    interval between consecutive observed times the risk set equals the
-    at-risk set of the right endpoint.  Deaths are kept one entry per death
-    as (`death_rows`, `death_times`): stratum row and time index, in stratum
-    order.  `pooled_deaths` and `pooled_at_risk` are the per-time totals.
+    At-risk counts use {T >= u}: on the interval between consecutive
+    observed times the risk set equals the at-risk set of the right
+    endpoint.  No strata x times array is kept.  Each patient is kept as
+    (`patient_rows`, `patient_times`), stratum row and time index, in time
+    order (stratum order within a time), and `blocks` rebuilds the at-risk
+    counts one column block at a time from each stratum's remaining count;
+    `at_risk_column` rebuilds one column.  Deaths are the same pairs for the
+    patients who died (`death_rows`, `death_times`), in the same order.
+    `pooled_deaths` and `pooled_at_risk` are the per-time totals and `sizes`
+    the patients per stratum.
     """
 
     def __init__(self, frame: RegistryFrame):
         if frame.n == 0:
             raise EstimatorError("cannot estimate from an empty registry")
         self.times, t_idx = np.unique(frame.time, return_inverse=True)
-        order = np.lexsort((frame.year, frame.age, frame.demo_code))
-        sa, sy, sc = frame.age[order], frame.year[order], frame.demo_code[order]
-        first = np.concatenate(([True], (np.diff(sa) != 0) | (np.diff(sy) != 0) | (np.diff(sc) != 0)))
+        # one integer per stratum, in (demographics, age, year) order
+        age0, year0 = int(frame.age.min()), int(frame.year.min())
+        n_ages, n_years = int(frame.age.max()) - age0 + 1, int(frame.year.max()) - year0 + 1
+        codes, rows = np.unique(
+            (frame.demo_code * n_ages + (frame.age - age0)) * n_years + (frame.year - year0),
+            return_inverse=True,
+        )
+        demo, cell = np.divmod(codes, n_ages * n_years)
+        age, year = np.divmod(cell, n_years)
         self.keys: list[StratumKey] = [
-            StratumKey(int(sa[i]), int(sy[i]), frame.demo_vocab[int(sc[i])])
-            for i in np.flatnonzero(first)
+            StratumKey(a + age0, y + year0, frame.demo_vocab[d])
+            for d, a, y in zip(demo.tolist(), age.tolist(), year.tolist())
         ]
-        rows = np.empty(frame.n, dtype=np.intp)
-        rows[order] = np.cumsum(first) - 1
-        # count each patient at its own time, then sum from the right
-        self.at_risk = np.zeros((len(self.keys), self.times.shape[0]))
-        np.add.at(self.at_risk, (rows, t_idx), 1.0)
-        np.cumsum(self.at_risk[:, ::-1], axis=1, out=self.at_risk[:, ::-1])
-        dead = order[frame.event[order]]
-        self.death_rows, self.death_times = rows[dead], t_idx[dead]
-        self.pooled_deaths = np.bincount(self.death_times, minlength=self.times.shape[0])
-        self.pooled_at_risk = self.at_risk.sum(axis=0)
+        # (time index, stratum row) pairs sorted as one integer each
+        n_strata = len(self.keys)
+        pairs = t_idx * n_strata + rows
+        self.patient_times, self.patient_rows = np.divmod(np.sort(pairs), n_strata)
+        self.death_times, self.death_rows = np.divmod(np.sort(pairs[frame.event]), n_strata)
+        n_times = self.times.shape[0]
+        self.pooled_deaths = np.bincount(self.death_times, minlength=n_times)
+        exits = np.bincount(t_idx, minlength=n_times).astype(np.float64)
+        self.pooled_at_risk = np.cumsum(exits[::-1])[::-1]
         self.sizes = np.bincount(rows).astype(np.float64)
         self.n = frame.n
+
+    def blocks(self):
+        """Yield (j0, j1, rows, Y) over the observed times in order: `rows`
+        are the strata with someone at risk at time index j0 (ascending) and
+        `Y` their C-ordered at-risk counts at time indices j0..j1-1, about
+        BLOCK_CELLS cells.  A block spans at least two times unless there is
+        only one, so that summing `Y`-shaped arrays over strata always adds
+        rows one after another, as for a whole strata x times array."""
+        n_times = self.times.shape[0]
+        remaining = self.sizes.copy()
+        position = np.empty(len(self.keys), dtype=np.intp)
+        j0 = p0 = 0
+        while j0 < n_times:
+            rows = np.flatnonzero(remaining)
+            j1 = min(n_times, j0 + max(2, BLOCK_CELLS // rows.shape[0]))
+            if j1 == n_times - 1:
+                j1 = n_times
+            p1 = int(np.searchsorted(self.patient_times, j1))
+            width = j1 - j0
+            position[rows] = np.arange(rows.shape[0])
+            pos = position[self.patient_rows[p0:p1]]
+            col = self.patient_times[p0:p1] - j0
+            # a stratum's row of the block is constant between the times its
+            # patients leave: one run per stratum and one more per patient
+            # leaving before the block's last time, filled with np.repeat
+            row_ends = np.arange(1, rows.shape[0] + 1) * width
+            ends = np.sort(np.concatenate(((pos * width + col + 1)[col < width - 1], row_ends)))
+            first = np.searchsorted(ends, row_ends - width, side="right")
+            values = (remaining[rows] + first)[(ends - 1) // width] - np.arange(ends.shape[0])
+            y = np.repeat(values, np.diff(ends, prepend=0)).reshape(rows.shape[0], width)
+            yield j0, j1, rows, y
+            remaining[rows] -= np.bincount(pos, minlength=rows.shape[0])
+            j0, p0 = j1, p1
+
+    def at_risk_column(self, m: int) -> np.ndarray:
+        """At-risk counts of every stratum at time index m."""
+        p = int(np.searchsorted(self.patient_times, m))
+        return np.bincount(self.patient_rows[p:], minlength=len(self.keys)).astype(np.float64)
 
 
 def as_risk_set(records) -> RiskSetSummary:
@@ -174,7 +239,7 @@ def _locate(estimate, t: float) -> tuple[int, float | None]:
     """(m, lo) for t > 0 on the estimate's observed times u: lo is None when
     the stored value at m is exact (t = u[m], or t past the last time, which
     is counted); otherwise t lies in (lo, u[m]), lo = 0 before u[0], where
-    the risk set is column m of `at_risk`."""
+    the risk set is the one at time index m."""
     u = estimate.times
     m = int(np.searchsorted(u, t, side="left"))
     if m == u.shape[0]:
@@ -183,6 +248,18 @@ def _locate(estimate, t: float) -> tuple[int, float | None]:
     if u[m] == t:
         return m, None
     return m, (float(u[m - 1]) if m > 0 else 0.0)
+
+
+def _at_risk_values(estimate, m: int, lo: float, t: float, evaluate):
+    """(y, values): every stratum's at-risk count y at time index m, and
+    `evaluate(grid rows, [lo, t])` (S_P or Lambda_P) for the strata with
+    y > 0; the other strata get 1, which their y = 0 cancels exactly."""
+    rs = estimate._risk
+    y = rs.at_risk_column(m)
+    live = np.flatnonzero(y)
+    values = np.ones((y.shape[0], 2))
+    values[live] = evaluate(estimate.provider.grid_rows(rs.keys)[live], np.array([lo, t]))
+    return y, values
 
 
 @dataclass
@@ -204,8 +281,7 @@ class NetSurvivalEstimate:
         if lo is None:
             return float(self.cum_hazard[m])
         base = float(self.cum_hazard[m - 1]) if m > 0 else 0.0
-        y = self._risk.at_risk[:, m]
-        sp = self.provider.survival_matrix(self._risk.keys, np.array([lo, t]))
+        y, sp = _at_risk_values(self, m, lo, t, self.provider.survival_rows)
         return base - float(np.log((y / sp[:, 1]).sum()) - np.log((y / sp[:, 0]).sum()))
 
     def survival_at(self, t) -> float:
@@ -223,16 +299,33 @@ def pohar_perme(records, provider: PopulationSurvivalProvider) -> NetSurvivalEst
     """
     rs = as_risk_set(records)
     u = rs.times
-    sp = provider.survival_matrix(rs.keys, u)
-    denom_prev = np.concatenate(
-        ([rs.at_risk[:, 0].sum()], (rs.at_risk[:, 1:] / sp[:, :-1]).sum(axis=0))
-    )
-    w = np.reciprocal(sp, out=sp)
-    # every observed time has someone at risk and 1/S_P > 0, so denom > 0
-    denom = (rs.at_risk * w).sum(axis=0)
-    weighted_deaths = np.bincount(
-        rs.death_times, weights=w[rs.death_rows, rs.death_times], minlength=u.shape[0]
-    )
+    grid_rows = provider.grid_rows(rs.keys)
+    denom, denom_prev = np.empty(u.shape), np.empty(u.shape)
+    death_weights = np.empty(rs.death_times.shape)
+    sp_last = np.ones(len(rs.keys))   # S_P at the previous observed time, 1 before the first
+    position = np.empty(len(rs.keys), dtype=np.intp)
+    d0 = 0
+    for j0, j1, rows, y in rs.blocks():
+        sp = provider.survival_rows(grid_rows[rows], u[j0:j1])
+        ratio = np.empty_like(sp)
+        np.divide(y[:, 0], sp_last[rows], out=ratio[:, 0])
+        np.divide(y[:, 1:], sp[:, :-1], out=ratio[:, 1:])
+        sp_last[rows] = sp[:, -1]
+        denom_prev[j0:j1] = ratio.sum(axis=0)
+        if u.shape[0] == 2:
+            # a whole-matrix evaluation sums this column as a one-column
+            # matrix, which numpy adds pairwise
+            denom_prev[1] = ratio[:, 1].sum()
+        w = np.reciprocal(sp, out=sp)
+        d1 = int(np.searchsorted(rs.death_times, j1))
+        position[rows] = np.arange(rows.shape[0])
+        death_weights[d0:d1] = w[position[rs.death_rows[d0:d1]], rs.death_times[d0:d1] - j0]
+        d0 = d1
+        # every observed time has someone at risk and 1/S_P > 0, so denom > 0
+        denom[j0:j1] = np.multiply(y, w, out=w).sum(axis=0)
+    # one bincount over the deaths in time order, stratum order within a
+    # time: each time's weights are added in stratum order
+    weighted_deaths = np.bincount(rs.death_times, weights=death_weights, minlength=u.shape[0])
     event_inc = weighted_deaths / denom
     expected_inc = np.log(denom) - np.log(denom_prev)
     cum = np.cumsum(event_inc - expected_inc)
@@ -309,8 +402,7 @@ class CrudeProbabilityEstimate:
         base = float(values[m - 1]) if m > 0 else 0.0
         if which == "cancer_isotonic":
             return base
-        y = self._risk.at_risk[:, m]
-        lp = self.provider.cumulative_hazard_matrix(self._risk.keys, np.array([lo, t]))
+        y, lp = _at_risk_values(self, m, lo, t, self.provider.cumulative_hazard_rows)
         piece = float(self.km_left[m]) * float((y * (lp[:, 1] - lp[:, 0])).sum() / y.sum())
         return base + (-piece if which == "cancer" else piece)
 
@@ -325,16 +417,21 @@ def crude_probability(records, provider: PopulationSurvivalProvider) -> CrudePro
     rs = as_risk_set(records)
     na_inc = rs.pooled_deaths / rs.pooled_at_risk
     km_left = np.concatenate(([1.0], np.cumprod(1.0 - na_inc)[:-1]))
-    lp = provider.cumulative_hazard_matrix(rs.keys, rs.times)
-    # the yearly population-hazard pieces, weighted by the at-risk counts,
-    # built in one fresh matrix so that at most three strata x times arrays
-    # are alive (at_risk, lp, pieces)
-    pieces = np.empty_like(lp)
-    pieces[:, 0] = lp[:, 0]
-    np.subtract(lp[:, 1:], lp[:, :-1], out=pieces[:, 1:])
-    del lp
-    pieces *= rs.at_risk
-    avg_pop = pieces.sum(axis=0) / rs.pooled_at_risk
+    grid_rows = provider.grid_rows(rs.keys)
+    # the yearly population-hazard pieces weighted by the at-risk counts,
+    # block by block, with each stratum's Lambda_P at the previous time
+    # carried over (0 before the first)
+    weighted = np.empty(rs.times.shape)
+    lp_last = np.zeros(len(rs.keys))
+    for j0, j1, rows, y in rs.blocks():
+        lp = provider.cumulative_hazard_rows(grid_rows[rows], rs.times[j0:j1])
+        pieces = np.empty_like(lp)
+        np.subtract(lp[:, 0], lp_last[rows], out=pieces[:, 0])
+        np.subtract(lp[:, 1:], lp[:, :-1], out=pieces[:, 1:])
+        lp_last[rows] = lp[:, -1]
+        pieces *= y
+        weighted[j0:j1] = pieces.sum(axis=0)
+    avg_pop = weighted / rs.pooled_at_risk
     cancer = np.cumsum(km_left * (na_inc - avg_pop))
     other = np.cumsum(km_left * avg_pop)
     iso = np.maximum.accumulate(cancer)

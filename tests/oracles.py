@@ -12,6 +12,12 @@
   table.
 * `time_to_diagnosis_cdf` and `time_to_diagnosis_increment`: the
   time-to-diagnosis law in closed form, one value at a time.
+* `DenseRiskSet`, `dense_pohar_perme` and `dense_crude_probability`: the
+  estimators over one whole strata x times at-risk matrix (built with
+  `np.add.at` and a reversed cumsum) and whole strata x times S_P and
+  Lambda_P matrices, with their off-grid evaluations.
+* `lag_since_diagnosis_cdf`: the prevalent-case diagnosis-lag cdf summed
+  from the increments.
 """
 import numpy as np
 
@@ -23,9 +29,9 @@ from netadjust.adjustment import (
     SolverError,
 )
 from netadjust.diagnostics import Diagnostics, ensure_diagnostics
-from netadjust.incidence import IncidenceTable, time_to_diagnosis_increments
+from netadjust.incidence import IncidenceTable, PrevalenceCalculator, time_to_diagnosis_increments
 from netadjust.lifetable import LifeTable
-from netadjust.registry import EventTable, StratumKey
+from netadjust.registry import EventTable, RegistryFrame, StratumKey
 
 
 def _triangular(ing: AdjustmentIngredients, key: StratumKey, diagnostics=None):
@@ -226,3 +232,114 @@ def time_to_diagnosis_increment(
         raise ValueError("k must be >= 1")
     return float(time_to_diagnosis_increments(ir, key, k, diagnostics)[-1])
 
+
+def lag_since_diagnosis_cdf(calc: PrevalenceCalculator, key: StratumKey, t: int) -> float:
+    """P(diagnosed within the last t years | prevalent at key)."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t == 0:
+        return 0.0
+    inc = calc.lag_since_diagnosis_increments(key)
+    return float(inc[: min(int(t), inc.shape[0])].sum())
+
+
+class DenseRiskSet:
+    """A registry's risk sets with the at-risk counts as one strata x times
+    matrix; deaths one entry per death in stratum order."""
+
+    def __init__(self, frame: RegistryFrame):
+        self.times, t_idx = np.unique(frame.time, return_inverse=True)
+        order = np.lexsort((frame.year, frame.age, frame.demo_code))
+        sa, sy, sc = frame.age[order], frame.year[order], frame.demo_code[order]
+        first = np.concatenate(([True], (np.diff(sa) != 0) | (np.diff(sy) != 0) | (np.diff(sc) != 0)))
+        self.keys = [
+            StratumKey(int(sa[i]), int(sy[i]), frame.demo_vocab[int(sc[i])])
+            for i in np.flatnonzero(first)
+        ]
+        rows = np.empty(frame.n, dtype=np.intp)
+        rows[order] = np.cumsum(first) - 1
+        # count each patient at its own time, then sum from the right
+        self.at_risk = np.zeros((len(self.keys), self.times.shape[0]))
+        np.add.at(self.at_risk, (rows, t_idx), 1.0)
+        np.cumsum(self.at_risk[:, ::-1], axis=1, out=self.at_risk[:, ::-1])
+        dead = order[frame.event[order]]
+        self.death_rows, self.death_times = rows[dead], t_idx[dead]
+        self.pooled_deaths = np.bincount(self.death_times, minlength=self.times.shape[0])
+        self.pooled_at_risk = self.at_risk.sum(axis=0)
+
+
+def _dense_locate(u, t):
+    """(m, lo) as the estimators locate t > 0 on the observed times u."""
+    m = int(np.searchsorted(u, t, side="left"))
+    if m == u.shape[0]:
+        return m - 1, None
+    if u[m] == t:
+        return m, None
+    return m, (float(u[m - 1]) if m > 0 else 0.0)
+
+
+def dense_pohar_perme(rs: DenseRiskSet, provider):
+    """(cum_hazard, value_at) of Pohar-Perme from whole matrices."""
+    u = rs.times
+    sp = provider.survival_matrix(rs.keys, u)
+    denom_prev = np.concatenate(
+        ([rs.at_risk[:, 0].sum()], (rs.at_risk[:, 1:] / sp[:, :-1]).sum(axis=0))
+    )
+    w = np.reciprocal(sp, out=sp)
+    denom = (rs.at_risk * w).sum(axis=0)
+    weighted_deaths = np.bincount(
+        rs.death_times, weights=w[rs.death_rows, rs.death_times], minlength=u.shape[0]
+    )
+    cum = np.cumsum(weighted_deaths / denom - (np.log(denom) - np.log(denom_prev)))
+
+    def value_at(t):
+        t = float(t)
+        if t == 0:
+            return 1.0
+        m, lo = _dense_locate(u, t)
+        if lo is None:
+            return float(np.exp(-float(cum[m])))
+        base = float(cum[m - 1]) if m > 0 else 0.0
+        y = rs.at_risk[:, m]
+        s = provider.survival_matrix(rs.keys, np.array([lo, t]))
+        lam = base - float(np.log((y / s[:, 1]).sum()) - np.log((y / s[:, 0]).sum()))
+        return float(np.exp(-lam))
+
+    return cum, value_at
+
+
+def dense_crude_probability(rs: DenseRiskSet, provider):
+    """({cancer, other, cancer_isotonic}, value_at) of the crude
+    probability from whole matrices."""
+    na_inc = rs.pooled_deaths / rs.pooled_at_risk
+    km_left = np.concatenate(([1.0], np.cumprod(1.0 - na_inc)[:-1]))
+    lp = provider.cumulative_hazard_matrix(rs.keys, rs.times)
+    pieces = np.empty_like(lp)
+    pieces[:, 0] = lp[:, 0]
+    np.subtract(lp[:, 1:], lp[:, :-1], out=pieces[:, 1:])
+    pieces *= rs.at_risk
+    avg_pop = pieces.sum(axis=0) / rs.pooled_at_risk
+    cancer = np.cumsum(km_left * (na_inc - avg_pop))
+    curves = {
+        "cancer": cancer,
+        "other": np.cumsum(km_left * avg_pop),
+        "cancer_isotonic": np.maximum.accumulate(cancer),
+    }
+
+    def value_at(t, which="cancer"):
+        t = float(t)
+        if t == 0:
+            return 0.0
+        values = curves[which]
+        m, lo = _dense_locate(rs.times, t)
+        if lo is None:
+            return float(values[m])
+        base = float(values[m - 1]) if m > 0 else 0.0
+        if which == "cancer_isotonic":
+            return base
+        y = rs.at_risk[:, m]
+        lam = provider.cumulative_hazard_matrix(rs.keys, np.array([lo, t]))
+        piece = float(km_left[m]) * float((y * (lam[:, 1] - lam[:, 0])).sum() / y.sum())
+        return base + (-piece if which == "cancer" else piece)
+
+    return curves, value_at

@@ -31,7 +31,12 @@ from netadjust.simulation import (
 from netadjust.cli import main as cli_main
 
 from conftest import flat_life_table, toy_frame
-from oracles import nelson_aalen, solve_noncancer_survival_triangular, time_to_diagnosis_cdf
+from oracles import (
+    lag_since_diagnosis_cdf,
+    nelson_aalen,
+    solve_noncancer_survival_triangular,
+    time_to_diagnosis_cdf,
+)
 from synthetic import BASE_KEY, SyntheticIngredients
 
 JOBS = 2
@@ -184,7 +189,7 @@ def test_criterion_6_prevalence_oracles():
             for t in (1, 3, 5, 10):
                 emp = float((prevalent & (td >= age - t)).sum()) / n_prev
                 se_f = math.sqrt(max(emp * (1 - emp), 1e-12) / n_prev)
-                got = calc.lag_since_diagnosis_cdf(key, t)
+                got = lag_since_diagnosis_cdf(calc, key, t)
                 worst["lag_cdf"] = max(worst["lag_cdf"], abs(got - emp) / (3 * max(se_f, 1e-9)))
             pcs = calc.prevalent_mix_weights(key) @ calc.survival_from_diagnosis_matrix(key, 10)
             for t in (1, 5, 10):

@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from netadjust import estimators
 from netadjust.adjustment import AdjustmentEngine
 from netadjust.diagnostics import Diagnostics
 from netadjust.estimators import (
@@ -20,7 +22,7 @@ from netadjust.lifetable import LifeTable
 from netadjust.registry import EventTable, PatientRecord, StratumKey, kaplan_meier
 
 from conftest import flat_incidence, flat_life_table, toy_frame
-from oracles import nelson_aalen
+from oracles import DenseRiskSet, dense_crude_probability, dense_pohar_perme, nelson_aalen
 
 
 def unit_provider(horizon=20):
@@ -237,6 +239,12 @@ class TestCrudeProbability:
         assert np.all(np.diff(iso) >= -1e-15)
 
 
+# tracemalloc peak of building a summary and running `crude_probability`,
+# in whole strata x times float matrices: 0.31 measured, a few column
+# blocks of BLOCK_CELLS cells
+PEAK_MATRICES = 0.35
+
+
 class TestCrudeProbabilityMemory:
     def test_population_term_matches_padded_difference(self, rng):
         frame = mixed_frame(rng, n=80, n_strata=5)
@@ -245,7 +253,8 @@ class TestCrudeProbabilityMemory:
         est = crude_probability(rs, provider)
         # the pre-allocation form: np.diff with a prepended zero column
         lp = provider.cumulative_hazard_matrix(rs.keys, rs.times)
-        avg_pop = (rs.at_risk * np.diff(lp, axis=1, prepend=0.0)).sum(axis=0) / rs.pooled_at_risk
+        at_risk = DenseRiskSet(frame).at_risk
+        avg_pop = (at_risk * np.diff(lp, axis=1, prepend=0.0)).sum(axis=0) / rs.pooled_at_risk
         assert np.array_equal(est.other, np.cumsum(est.km_left * avg_pop))
 
     def test_peak_is_three_strata_by_times_matrices(self):
@@ -265,9 +274,9 @@ class TestCrudeProbabilityMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        matrix = rs.at_risk.nbytes
+        matrix = 8 * len(rs.keys) * len(rs.times)
         assert matrix > 5_000_000
-        assert peak < 3.5 * matrix
+        assert peak < PEAK_MATRICES * matrix
 
 
 class TestRiskSetSummary:
@@ -290,16 +299,137 @@ class TestRiskSetSummary:
     def test_deaths_kept_per_death(self, rng):
         frame = mixed_frame(rng, n=60, n_strata=4)
         rs = RiskSetSummary(frame)
-        assert [name for name, value in vars(rs).items() if np.ndim(value) == 2] == ["at_risk"]
+        assert [name for name, value in vars(rs).items() if np.ndim(value) > 1] == []
         assert rs.death_rows.shape == rs.death_times.shape == (frame.n_events,)
         for row, m in zip(rs.death_rows, rs.death_times):
             key = rs.keys[row]
             assert ((frame.age == key.age) & (frame.year == key.year) & (frame.time == rs.times[m])
                     & frame.event).any()
-        np.testing.assert_array_equal(rs.pooled_at_risk, rs.at_risk.sum(axis=0))
+        np.testing.assert_array_equal(rs.pooled_at_risk, DenseRiskSet(frame).at_risk.sum(axis=0))
         np.testing.assert_array_equal(
             rs.pooled_deaths, [np.sum(frame.time[frame.event] == u) for u in rs.times]
         )
+
+
+STREAM_HORIZON = 8
+
+
+@st.composite
+def streamed_registries(draw):
+    """Registries for the streamed estimators: times on a quarter-year grid
+    (ties within and across strata, integer times), some strata censored
+    early, times past the provider's grid, and optionally a death at the
+    last time."""
+    strata = draw(st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 4), st.sampled_from("01"), st.integers(1, 56)),
+        min_size=1, max_size=24,
+    ))
+    patients = draw(st.lists(
+        st.tuples(st.integers(0, len(strata) - 1), st.integers(1, 56), st.booleans()),
+        min_size=1, max_size=80,
+    ))
+    rows = []
+    for k, quarters, event in patients:
+        age, year, sex, cap = strata[k]
+        rows.append((60 + age, 1995 + year, sex, min(quarters, cap) / 4, event))
+    if draw(st.booleans()):
+        last = max(r[3] for r in rows)
+        rows = [r[:4] + (r[4] or r[3] == last,) for r in rows]
+    return rows
+
+
+def check_streamed_against_dense(rows, block_cells):
+    frame = toy_frame(rows)
+    diag = Diagnostics()
+    provider = varying_provider(horizon=STREAM_HORIZON)
+    provider.diagnostics = diag
+    oracle_provider = varying_provider(horizon=STREAM_HORIZON)
+    dense = DenseRiskSet(frame)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "BLOCK_CELLS", block_cells(len(dense.keys)))
+        rs = RiskSetSummary(frame)
+        assert rs.keys == dense.keys
+        np.testing.assert_array_equal(rs.times, dense.times)
+        assert [name for name, value in vars(rs).items() if np.ndim(value) > 1] == []
+        np.testing.assert_array_equal(rs.pooled_at_risk, dense.pooled_at_risk)
+        for m in range(rs.times.shape[0]):
+            np.testing.assert_array_equal(rs.at_risk_column(m), dense.at_risk[:, m])
+        # the blocks tile the times in order; each holds exactly the strata
+        # at risk at its first time and their at-risk counts
+        n_times = rs.times.shape[0]
+        end, past_grid = 0, 0
+        for j0, j1, block_rows, y in rs.blocks():
+            assert j0 == end and (j1 - j0 >= 2 or n_times == 1)
+            np.testing.assert_array_equal(block_rows, np.flatnonzero(dense.at_risk[:, j0]))
+            assert y.flags.c_contiguous
+            np.testing.assert_array_equal(y, dense.at_risk[block_rows, j0:j1])
+            past_grid += block_rows.shape[0] * int((rs.times[j0:j1] > STREAM_HORIZON).sum())
+            end = j1
+        assert end == n_times
+
+        pp = pohar_perme(rs, provider)
+        cp = crude_probability(rs, provider)
+        # S_P and Lambda_P are evaluated once per block cell
+        assert diag.get("grid_extended_eval") == 2 * past_grid
+        cum, pp_at = dense_pohar_perme(dense, oracle_provider)
+        curves, cp_at = dense_crude_probability(dense, oracle_provider)
+        assert np.array_equal(pp.cum_hazard, cum)
+        for which, values in curves.items():
+            assert np.array_equal(getattr(cp, which), values), which
+
+        u = rs.times
+        off_grid = [u[0] / 2, *((u[1:] + u[:-1]) / 2), u[-1] + 1.0]
+        for t in [*u, *off_grid]:
+            m = min(int(np.searchsorted(u, t)), n_times - 1)
+            beyond = 0 if t == u[m] or t > u[-1] else int(t > STREAM_HORIZON) + int(
+                (u[m - 1] if m else 0.0) > STREAM_HORIZON)
+            live = int((dense.at_risk[:, m] > 0).sum())
+            before = diag.get("grid_extended_eval")
+            assert pp.value_at(t) == pp_at(t), t
+            for which in curves:
+                assert cp.value_at(t, which) == cp_at(t, which), (t, which)
+            # off the grid only the strata at risk are evaluated, once for
+            # Pohar-Perme and once for each crude curve that needs them
+            assert diag.get("grid_extended_eval") - before == 3 * live * beyond
+
+
+BLOCK_SIZES = {
+    "one cell": lambda n_strata: 1,
+    "seven cells": lambda n_strata: 7,
+    "three strata": lambda n_strata: 3 * n_strata,
+    "one block": lambda n_strata: 1 << 20,
+}
+
+
+class TestStreamedEstimators:
+    @pytest.mark.parametrize("block", list(BLOCK_SIZES))
+    @given(rows=streamed_registries())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_dense_construction_bit_for_bit(self, block, rows):
+        check_streamed_against_dense(rows, BLOCK_SIZES[block])
+
+    @pytest.mark.parametrize("block", list(BLOCK_SIZES))
+    @pytest.mark.parametrize("n_times", [1, 2, 3])
+    def test_few_times_many_strata(self, block, n_times):
+        # with one or two times the whole-matrix sums run over one-column
+        # matrices, which numpy adds pairwise: over forty strata that order
+        # shows in the last bit of some of these registries
+        for seed in range(12):
+            gen = np.random.default_rng(seed)
+            times = gen.choice([2.5, 6.25, 11.0][:n_times], 40)
+            rows = [
+                (60 + k % 7, 1995 + k // 7, "0" if k % 2 else "1", float(t), bool(gen.random() < 0.6))
+                for k, t in zip(gen.permutation(40), times)
+            ]
+            check_streamed_against_dense(rows, BLOCK_SIZES[block])
+
+    def test_study_sized_risk_set_is_one_block(self):
+        gen = np.random.default_rng(3)
+        rows = [(60 + int(a), 1990 + int(a), "0", float(t), True)
+                for a, t in zip(gen.integers(0, 30, 2600), gen.exponential(5.0, 2600))]
+        rs = RiskSetSummary(toy_frame(rows))
+        assert len(rs.keys) == 30 and len(rs.times) == 2600
+        assert len(list(rs.blocks())) == 1
 
 
 class TestProvider:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netadjust.diagnostics import Diagnostics
 from netadjust.incidence import (
     IncidenceError,
     IncidenceTable,
@@ -14,7 +15,7 @@ from netadjust.incidence import (
 from netadjust.registry import StratumKey
 
 from conftest import diagonal_life_table, flat_incidence, flat_life_table
-from oracles import time_to_diagnosis_cdf, time_to_diagnosis_increment
+from oracles import lag_since_diagnosis_cdf, time_to_diagnosis_cdf, time_to_diagnosis_increment
 
 
 KEY60 = StratumKey(60, 2010, ("0",))
@@ -24,6 +25,79 @@ def const_survival(rate):
     def fn(key, times):
         return np.exp(-rate * np.asarray(times, dtype=float))
     return fn
+
+
+def ir_reference(cells, key, steps, diagnostics):
+    """The year-by-year dict lookup the gather replaces: one scalar IR per
+    step, clamped into the declared ranges and 0 at a missing cell."""
+    if not cells:
+        return np.zeros(steps)
+    ages = [k[0] for k in cells]
+    years = [k[1] for k in cells]
+    out = []
+    for j in range(steps):
+        age, year = key.age + j, key.year + j
+        a = min(max(age, min(ages)), max(ages))
+        y = min(max(year, min(years)), max(years))
+        if (a, y) != (age, year):
+            diagnostics.incr("incidence_clamp")
+        value = cells.get((a, y, key.demographics))
+        if value is None:
+            diagnostics.incr("incidence_missing_cell")
+            value = 0.0
+        out.append(value)
+    return np.array(out)
+
+
+# ages 0..60, years 1960..2020, sex "1" only below age 30: lookups clamp on
+# both coordinates, and hit missing cells and an unknown group
+GAPPED_CELLS = {
+    (a, y, (s,)): 0.001 + 0.0001 * a + 1e-5 * (y - 1960)
+    for s in ("0", "1") for a in range(61) for y in range(1960, 2021)
+    if s == "0" or a < 30
+}
+GAPPED = IncidenceTable(GAPPED_CELLS)
+
+
+class TestDiagonalGather:
+    @given(
+        st.integers(-5, 75), st.integers(1950, 2030), st.integers(0, 40), st.sampled_from(["0", "1", "x"])
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scalar_lookups(self, age, year, steps, sex):
+        key = StratumKey(age, year, (sex,))
+        got_diag, want_diag = Diagnostics(), Diagnostics()
+        want = ir_reference(GAPPED_CELLS, key, steps, want_diag)
+        np.testing.assert_array_equal(GAPPED.ir_diagonal(key, steps, got_diag), want)
+        assert got_diag.as_dict() == want_diag.as_dict()
+        one_diag, one_want = Diagnostics(), Diagnostics()
+        assert GAPPED.ir(age, year, (sex,), one_diag) == ir_reference(GAPPED_CELLS, key, 1, one_want)[0]
+        assert one_diag.as_dict() == one_want.as_dict()
+
+    def test_empty_table_is_zero_and_counts_nothing(self):
+        diag = Diagnostics()
+        table = IncidenceTable.zero()
+        np.testing.assert_array_equal(table.ir_diagonal(KEY60, 5, diag), np.zeros(5))
+        assert table.ir(60, 2010, ("0",), diag) == 0.0
+        assert diag.as_dict() == {}
+
+    def test_cells_round_trip(self):
+        assert GAPPED.cells == GAPPED_CELLS
+
+    @pytest.mark.parametrize("sex", ["0", "1", "x"])
+    def test_prevalence_counts_each_step_once(self, sex):
+        # the recursion reads IR(d) for d = 0..age-1 along the diagonal once,
+        # extending it when an older cell is asked for
+        calc = PrevalenceCalculator(
+            GAPPED, const_survival(0.1), flat_life_table(0.01, years=(1900, 2070), sexes=("0", "1", "x"))
+        )
+        want = Diagnostics()
+        for age in (20, 45, 70):
+            key = StratumKey(age, 1950 + age, (sex,))
+            calc.prevalence(key)
+        ir_reference(GAPPED_CELLS, StratumKey(0, 1950, (sex,)), 70, want)
+        got = {k: v for k, v in calc.diagnostics.as_dict().items() if k.startswith("incidence")}
+        assert got == want.as_dict()
 
 
 class TestComputeIncidence:
@@ -149,8 +223,8 @@ class TestPrevalence:
         ir = flat_incidence(0.02)
         calc = PrevalenceCalculator(ir, const_survival(0.08), flat_life_table(0.01))
         key = StratumKey(40, 2000, ("0",))
-        assert calc.lag_since_diagnosis_cdf(key, 40) == pytest.approx(1.0, abs=1e-12)
-        assert calc.lag_since_diagnosis_cdf(key, 0) == 0.0
+        assert lag_since_diagnosis_cdf(calc, key, 40) == pytest.approx(1.0, abs=1e-12)
+        assert lag_since_diagnosis_cdf(calc, key, 0) == 0.0
 
     def test_degenerate_incidence_gives_step_lag_distribution(self):
         # incidence concentrated at age 30 only (explicit zeros elsewhere,
@@ -160,8 +234,8 @@ class TestPrevalence:
         calc = PrevalenceCalculator(ir, const_survival(0.1), flat_life_table(0.0))
         key = StratumKey(42, 2002, ("0",))  # lag to the spike: 12 years
         for t in range(0, 12):
-            assert calc.lag_since_diagnosis_cdf(key, t) == pytest.approx(0.0, abs=1e-12)
-        assert calc.lag_since_diagnosis_cdf(key, 12) == pytest.approx(1.0, abs=1e-12)
+            assert lag_since_diagnosis_cdf(calc, key, t) == pytest.approx(0.0, abs=1e-12)
+        assert lag_since_diagnosis_cdf(calc, key, 12) == pytest.approx(1.0, abs=1e-12)
 
     def test_lag_distribution_undefined_without_prevalence(self):
         calc = PrevalenceCalculator(
@@ -192,6 +266,6 @@ class TestPrevalence:
         key = StratumKey(n, 1960 + n, ("0",))
         alpha = calc.prevalence(key)
         if alpha > 0:
-            assert calc.lag_since_diagnosis_cdf(key, n) == pytest.approx(1.0, abs=1e-12)
+            assert lag_since_diagnosis_cdf(calc, key, n) == pytest.approx(1.0, abs=1e-12)
             inc = calc.lag_since_diagnosis_increments(key)
             assert np.all(inc >= -1e-15)
