@@ -29,10 +29,8 @@ from .estimators import (
 from .extrapolation import (
     ExtendedSurvival,
     extend_survival,
-    fit_exponential_tail,
     follow_up_cutoff,
     loglinear_interpolate,
-    select_anchor_times,
 )
 from .incidence import (
     IncidenceTable,

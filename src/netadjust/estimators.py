@@ -129,7 +129,7 @@ def naive_population_provider(
     diag = ensure_diagnostics(diagnostics)
 
     def grid_fn(keys) -> np.ndarray:
-        return np.array([diagonal_survival(life_table, key, horizon, diag).values for key in keys])
+        return diagonal_survival(life_table, keys, horizon, diag).values
 
     return PopulationSurvivalProvider(grid_fn, horizon, "naive-lifetable", diagnostics=diag)
 

@@ -2,8 +2,10 @@
 
 Beyond the end of reliable follow-up a stratum's survival curve is continued
 as exp(-g0 - g1*t), with (g0, g1) the least-squares fit of -log S at a few
-integer anchor times near the cutoff.  Between annual grid points, survival
-is interpolated log-linearly (constant hazard within the year).
+integer anchor times near the cutoff; cutoffs, anchors and fits are computed
+for every stratum of a stacked Kaplan-Meier curve at once.  Between annual
+grid points, survival is interpolated log-linearly (constant hazard within
+the year).
 """
 from __future__ import annotations
 
@@ -15,74 +17,49 @@ from .diagnostics import Diagnostics, ensure_diagnostics, log
 from .registry import EventTable, StepSurvivalCurve
 
 
-class ExtrapolationError(ValueError):
-    """Tail fit impossible for this stratum."""
+def follow_up_cutoff(table: EventTable, min_at_risk: int = 5):
+    """Each stratum's largest observed time whose risk set still holds
+    min_at_risk subjects, or its last observed time when no time qualifies.
 
-
-def follow_up_cutoff(table: EventTable, min_at_risk: int = 5) -> float:
-    """Largest observed time whose risk set still holds min_at_risk subjects.
-
-    Falls back to the last observed time when no time qualifies.
+    A float for a single-stratum table, one value per stratum otherwise.
     """
-    ok = table.at_risk >= min_at_risk
-    if ok.any():
-        return float(table.times[ok][-1])
-    return float(table.times[-1])
-
-
-def select_anchor_times(curve: StepSurvivalCurve, tau: float, h: int) -> np.ndarray:
-    """The last h integer grid times <= tau where the curve is positive.
-
-    Fewer than h available -> all of them; fewer than two -> error (the
-    caller falls back to carrying the last value forward).
-    """
-    if h < 2:
-        raise ValueError("need at least two anchor points")
-    grid = np.arange(0, int(np.floor(tau)) + 1, dtype=np.float64)
-    positive = grid[curve.survival_at(grid) > 0.0]
-    if positive.shape[0] < 2:
-        raise ExtrapolationError(f"only {positive.shape[0]} positive grid point(s) at or before tau={tau}")
-    return positive[-h:]
-
-
-def fit_exponential_tail(
-    curve: StepSurvivalCurve, anchors: np.ndarray, diagnostics: Diagnostics | None = None
-) -> tuple[float, float]:
-    """OLS of -log S(anchor) on anchor time; negative slope clipped to 0."""
-    diag = ensure_diagnostics(diagnostics)
-    anchors = np.asarray(anchors, dtype=np.float64)
-    if np.unique(anchors).shape[0] < 2:
-        raise ExtrapolationError("anchor times are all equal; tail fit is singular")
-    values = np.asarray(curve.survival_at(anchors), dtype=np.float64)
-    if (values <= 0).any():
-        raise ExtrapolationError("tail fit needs positive survival at every anchor")
-    y = -np.log(values)
-    g1, g0 = np.polyfit(anchors, y, 1)
-    if g1 < 0.0:
-        # float noise on flat curves is not worth reporting
-        if g1 < -1e-12:
-            diag.incr("extrapolation_slope_clipped")
-            log.debug("negative tail slope %.3g clipped to 0", g1)
-        g1 = 0.0
-        g0 = float(np.mean(y))
-    return float(g0), float(g1)
+    starts, ends = table.offsets[:-1], table.offsets[1:]
+    # at-risk counts fall within a stratum, so the qualifying times lead it
+    ok = np.add.reduceat(table.at_risk >= min_at_risk, starts, dtype=np.intp)
+    tau = table.times[np.where(ok > 0, starts + ok, ends) - 1]
+    return tau if table.stacked else float(tau[0])
 
 
 @dataclass
 class ExtendedSurvival:
-    """A step curve continued past tau by exp(-g0 - g1*t), clipped monotone."""
+    """Step curves continued past tau by exp(-g0 - g1*t), clipped monotone.
+
+    For a stacked base `tau`, `g0` and `g1` hold one value per stratum, and
+    `survival_at` evaluates like the base (every stratum or `rows`, at
+    shared times or one row of times per stratum).
+    """
 
     base: StepSurvivalCurve
-    tau: float
-    g0: float
-    g1: float
+    tau: float | np.ndarray
+    g0: float | np.ndarray
+    g1: float | np.ndarray
 
-    def survival_at(self, t):
+    def __post_init__(self):
+        # the tail never rises above the curve's value at tau
+        s_tau = self.base.survival_at(np.reshape(self.tau, (-1, 1)))[:, 0]
+        self.s_tau = s_tau if self.base.stacked else float(s_tau[0])
+
+    def survival_at(self, t, rows=None):
         t = np.asarray(t, dtype=np.float64)
-        base_vals = np.asarray(self.base.survival_at(t), dtype=np.float64)
-        cap = float(self.base.survival_at(self.tau))
-        tail = np.minimum(np.exp(-self.g0 - self.g1 * t), cap)
-        out = np.where(t <= self.tau, base_vals, tail)
+        base_vals = self.base.survival_at(t, rows)
+        params = (self.tau, self.g0, self.g1, self.s_tau)
+        if self.base.stacked:
+            pick = slice(None) if rows is None else rows
+            params = (np.asarray(p)[pick, None] for p in params)
+            t = t if t.ndim == 2 else np.atleast_1d(t)
+        tau, g0, g1, cap = params
+        tail = np.minimum(np.exp(-g0 - g1 * t), cap)
+        out = np.where(t <= tau, base_vals, tail)
         return out if out.ndim else float(out)
 
     __call__ = survival_at
@@ -90,22 +67,59 @@ class ExtendedSurvival:
 
 def extend_survival(
     curve: StepSurvivalCurve,
-    tau: float,
+    tau,
     h: int,
     diagnostics: Diagnostics | None = None,
 ) -> ExtendedSurvival:
-    """Fit the exponential tail; on failure carry the value at tau forward."""
+    """Fit every stratum's exponential tail.
+
+    A stratum's anchors are the last h integer times <= tau where its curve
+    is positive (all of them if fewer): since a curve is positive before
+    its first zero, they are consecutive integers, fixed by the last one and
+    their number.  Strata with the same anchors share one `np.polyfit` of
+    -log S, one column per stratum, so each stratum's (g0, g1) is the same
+    least-squares line as a fit of its own; a negative slope is clipped to
+    0.  A stratum with fewer than two anchors carries its value at tau
+    forward (g1 = 0, counted as `extrapolation_fallback`).
+    """
+    if h < 2:
+        raise ValueError("need at least two anchor points")
     diag = ensure_diagnostics(diagnostics)
-    try:
-        anchors = select_anchor_times(curve, tau, h)
-        g0, g1 = fit_exponential_tail(curve, anchors, diag)
-    except ExtrapolationError as exc:
-        diag.incr("extrapolation_fallback")
-        log.warning("tail fit failed (%s); carrying last value forward", exc)
-        s_tau = float(curve.survival_at(tau))
-        g0 = -np.log(s_tau) if s_tau > 0 else np.inf
-        g1 = 0.0
-    return ExtendedSurvival(curve, float(tau), g0, g1)
+    tau = np.asarray(tau, dtype=np.float64)
+    col = np.reshape(tau, (-1, 1))
+    last = np.minimum(np.floor(col[:, 0]), np.ceil(curve.zero_times()) - 1.0)
+    count = np.minimum(last + 1.0, float(h))
+    fits = count >= 2.0
+    g0 = np.empty(col.shape[0])
+    g1 = np.zeros(col.shape[0])
+    anchor_sets, members = np.unique((last * (h + 1) + count)[fits], return_inverse=True)
+    fit_rows, members = np.flatnonzero(fits), members.reshape(-1)
+    for j, code in enumerate(anchor_sets.tolist()):
+        rows = fit_rows[members == j]
+        top, n = divmod(code, h + 1)
+        anchors = np.arange(top - n + 1.0, top + 1.0)
+        y = -np.log(curve.survival_at(np.broadcast_to(anchors, (rows.shape[0], int(n))), rows))
+        slope, intercept = np.polyfit(anchors, y.T, 1)
+        rising = slope < 0.0
+        if rising.any():
+            # float noise on flat curves is not worth reporting
+            diag.incr("extrapolation_slope_clipped", int((slope < -1e-12).sum()))
+            log.debug("negative tail slope clipped to 0 in %d stratum(s)", int(rising.sum()))
+            intercept[rising] = y[rising].mean(axis=1)
+            slope[rising] = 0.0
+        g0[rows], g1[rows] = intercept, slope
+    fallback = ~fits
+    if fallback.any():
+        diag.incr("extrapolation_fallback", int(fallback.sum()))
+        log.warning("tail fit needs two positive anchors at or before tau; carrying the value "
+                    "at tau forward in %d stratum(s)", int(fallback.sum()))
+        s_tau = curve.survival_at(col)[:, 0]
+        alive = fallback & (s_tau > 0)
+        g0[fallback] = np.inf
+        g0[alive] = -np.log(s_tau[alive])
+    if not curve.stacked:
+        return ExtendedSurvival(curve, float(tau), float(g0[0]), float(g1[0]))
+    return ExtendedSurvival(curve, tau, g0, g1)
 
 
 def loglinear_interpolate(values, t, diagnostics: Diagnostics | None = None):
@@ -164,6 +178,8 @@ class AnnualGridSurvival:
     (counted once per stratum and time).  For a stack, a time vector is
     located once and the columns it needs are gathered from every row, or
     from the `rows` asked for; the result is a C-ordered rows x times array.
+    `cumulative_hazard_at` also takes a rows x m array of times, one row of
+    times for each row of the stack (or of `rows`).
     """
 
     def __init__(self, values: np.ndarray, diagnostics: Diagnostics | None = None):
@@ -183,17 +199,23 @@ class AnnualGridSurvival:
         logs, slopes = self.log_values, self.slopes
         if rows is not None:
             logs, slopes = logs[rows], slopes[rows]
+        per_row = logs.ndim == 2 and t_arr.ndim == 2
         beyond = int((t_arr > self.k_max).sum())
         if beyond:
-            self.diagnostics.incr("grid_extended_eval", beyond * (logs.shape[0] if logs.ndim > 1 else 1))
+            shared_by = logs.shape[0] if logs.ndim == 2 and not per_row else 1
+            self.diagnostics.incr("grid_extended_eval", beyond * shared_by)
+
+        def take(a, i):
+            return np.take_along_axis(a, i, axis=-1) if per_row else np.take(a, i, axis=-1)
+
         if self.k_max > 0:
             idx = np.minimum(np.floor(t_arr).astype(int), self.k_max - 1)
-            out = np.take(slopes, idx, axis=-1)
+            out = take(slopes, idx)
             out *= t_arr - idx
         else:
             idx = np.zeros_like(t_arr, dtype=int)
-            out = np.zeros(logs.shape[:-1] + t_arr.shape)
-        out += np.take(logs, idx, axis=-1)
+            out = np.zeros(take(logs, idx).shape)
+        out += take(logs, idx)
         return out
 
     def cumulative_hazard_at(self, t, rows=None):

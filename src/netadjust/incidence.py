@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics, log
+from .io import check_table_extent
 from .registry import StratumKey
 from .survival_provider import OverallSurvivalProvider, SurvivalLagTable
 
@@ -284,24 +285,6 @@ class PrevalenceCalculator:
         state = self._ensure(key, key.age)
         return float(state.alpha[key.age])
 
-    def _summands(self, key: StratumKey) -> np.ndarray:
-        """Lag-s contributions to alpha: patient survival times the attrition-
-        normalized diagnosis mass, s = 1..age."""
-        a = key.age
-        state = self._ensure(key, a)
-        d = np.arange(a - 1, -1, -1)
-        out = self.table.values[state.rows[d], 2 * (a - d) - self.offset] * state.irga[d]
-        return out / state.surv[a]
-
-    def lag_since_diagnosis_increments(self, key: StratumKey) -> np.ndarray:
-        """Mass of the prevalent-case diagnosis-lag distribution at s = 1..age."""
-        alpha = self.prevalence(key)
-        if alpha <= 0.0:
-            raise PrevalenceError(
-                f"lag distribution undefined at {key}: prevalence is 0"
-            )
-        return self._summands(key) / alpha
-
     def prevalent_mix_weights(self, key: StratumKey) -> np.ndarray:
         """Attrition-normalized diagnosis mass per lag s = 1..age, over alpha.
 
@@ -336,7 +319,8 @@ class PrevalenceCalculator:
 
 
 def load_incidence_table(path) -> IncidenceTable:
-    """Read an incidence CSV with header age,year,sex,ir."""
+    """Read an incidence CSV with header age,year,sex,ir; ages and the table's
+    extent are checked as for a life table."""
     path = Path(path)
     cells: dict[tuple[int, int, tuple], float] = {}
     with path.open(newline="", encoding="utf-8") as fh:
@@ -358,11 +342,13 @@ def load_incidence_table(path) -> IncidenceTable:
             if not 0.0 <= ir < 1.0:
                 raise IncidenceError(f"{path.name}:{rownum}: ir={ir} outside [0,1)")
             cells[keyc] = ir
+    check_table_extent(path.name, cells, IncidenceError)
     return IncidenceTable(cells)
 
 
 def load_counts(path, value_column: str) -> dict:
-    """Read a counts CSV (age,year,sex,<value_column>) into a cell dict."""
+    """Read a counts CSV (age,year,sex,<value_column>) into a cell dict; the
+    cells become an incidence table, so their extent is checked as for one."""
     path = Path(path)
     out: dict[tuple[int, int, tuple], float] = {}
     with path.open(newline="", encoding="utf-8") as fh:
@@ -383,4 +369,5 @@ def load_counts(path, value_column: str) -> dict:
                     f"{path.name}:{rownum}: {value_column} {row[value_column]!r} is not a finite non-negative number"
                 )
             out[keyc] = value
+    check_table_extent(path.name, out, IncidenceError)
     return out

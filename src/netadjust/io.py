@@ -21,6 +21,40 @@ class RegistryFormatError(ValueError):
     """Malformed registry CSV."""
 
 
+MAX_AGE = 150                 # oldest age an input row may name
+MAX_TABLE_CELLS = 1 << 22     # cells of the (demographics, age, year) grid an input may span
+
+
+def check_table_extent(name: str, rows, error: type[ValueError]) -> None:
+    """Check the (age, year, demographics) of an input file's data rows, in
+    file order (row 2 first, after the header), before anything is built
+    from them: every age must lie in [0, MAX_AGE], and the (demographics,
+    age, year) grid they span may hold at most MAX_TABLE_CELLS cells.
+    Tables keep one dense array over that grid, and registry strata are
+    numbered within it.  The error names the first row that breaks either
+    rule."""
+    rows = list(rows)
+    if not rows:
+        return
+    ages, years, demographics = zip(*rows)
+    if not (0 <= min(ages) and max(ages) <= MAX_AGE):
+        i = next(i for i, age in enumerate(ages) if not 0 <= age <= MAX_AGE)
+        raise error(f"{name}:{i + 2}: age {ages[i]} outside [0, {MAX_AGE}]")
+    if len(set(demographics)) * (max(ages) - min(ages) + 1) * (max(years) - min(years) + 1) <= MAX_TABLE_CELLS:
+        return
+    # too big: find the row that stretches it past the limit
+    seen, lo, hi = set(), (ages[0], years[0]), (ages[0], years[0])
+    for i, (age, year, demo) in enumerate(rows):
+        seen.add(demo)
+        lo, hi = (min(lo[0], age), min(lo[1], year)), (max(hi[0], age), max(hi[1], year))
+        cells = len(seen) * (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
+        if cells > MAX_TABLE_CELLS:
+            raise error(
+                f"{name}:{i + 2}: age {age}, year {year} would stretch the (sex, age, year) grid to "
+                f"{cells} cells (ages {lo[0]}-{hi[0]}, years {lo[1]}-{hi[1]}; at most {MAX_TABLE_CELLS})"
+            )
+
+
 REGISTRY_HEADER = ["age_diag", "year_diag", "sex", "time", "event"]
 
 
@@ -47,8 +81,6 @@ def load_registry(path) -> RegistryFrame:
                 raise RegistryFormatError(
                     f"{path.name}:{rownum}: follow-up time {row['time']!r} is not a finite non-negative number"
                 )
-            if age < 0:
-                raise RegistryFormatError(f"{path.name}:{rownum}: negative age")
             demo = (row["sex"].strip(),)
             ages.append(age)
             years.append(year)
@@ -57,6 +89,7 @@ def load_registry(path) -> RegistryFrame:
             events.append(bool(event))
     if not ages:
         raise RegistryFormatError(f"{path.name}: no data rows")
+    check_table_extent(path.name, zip(ages, years, codes), RegistryFormatError)
     return RegistryFrame(ages, years, codes, times, events, list(vocab))
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import Diagnostics, log
+from .io import check_table_extent
 from .registry import StratumKey
 
 
@@ -93,58 +94,69 @@ class LifeTable:
             raise LifeTableError(f"no life-table cell (age={a}, year={y}, {demo})")
         return q
 
-    def q_diagonal(self, key: StratumKey, steps: int, diagnostics: Diagnostics | None = None) -> np.ndarray:
-        """q at (age+j, year+j) for j = 0..steps-1 in one gather, each step
-        clamped into the table's ranges (counted once per clamped step, up to
-        and including a missing cell, which raises)."""
-        ages = np.arange(key.age, key.age + steps)
-        years = ages + (key.year - key.age)
+    def q_diagonal(self, keys, steps: int, diagnostics: Diagnostics | None = None) -> np.ndarray:
+        """q at (age+j, year+j) for j = 0..steps-1 from each key, in one
+        gather: a vector for one key, a keys x steps array for a sequence of
+        keys.  Each step is clamped into the table's ranges (counted once
+        per clamped step); a missing cell raises, after counting the clamped
+        steps of the keys before it and of its own key up to it."""
+        single = isinstance(keys, StratumKey)
+        keys = (keys,) if single else keys
+        n = len(keys)
+        ages = np.fromiter((k.age for k in keys), np.intp, n)[:, None] + np.arange(steps)
+        years = ages + np.fromiter((k.year - k.age for k in keys), np.intp, n)[:, None]
+        demo = np.fromiter((self._demo_index.get(k.demographics, -1) for k in keys), np.intp, n)
         a = np.minimum(np.maximum(ages, self.age_min), self.age_max)
         y = np.minimum(np.maximum(years, self.year_min), self.year_max)
-        demo = self._demo_index.get(key.demographics)
-        q = np.full(steps, np.nan) if demo is None else self._q[demo, a - self.age_min, y - self.year_min]
+        q = self._q[demo[:, None], a - self.age_min, y - self.year_min]
+        q[demo < 0] = np.nan
         clamped = (a != ages) | (y != years)
         missing = np.isnan(q)
         if missing.any():
             i = int(missing.argmax())
+            r, j = divmod(i, steps)
             if diagnostics is not None:
-                diagnostics.incr("lifetable_clamp", int(clamped[: i + 1].sum()))
-            raise LifeTableError(f"no life-table cell (age={a[i]}, year={y[i]}, {key.demographics})")
+                diagnostics.incr("lifetable_clamp", int(clamped.ravel()[: i + 1].sum()))
+            raise LifeTableError(f"no life-table cell (age={a[r, j]}, year={y[r, j]}, {keys[r].demographics})")
         if diagnostics is not None:
             diagnostics.incr("lifetable_clamp", int(clamped.sum()))
-        return q
+        return q[0] if single else q
 
 
 @dataclass(frozen=True)
 class DiagonalSurvival:
-    """Cohort survival extracted along the diagonal: values at t = 0..K."""
+    """Cohort survival extracted along the diagonal: values at t = 0..K, one
+    row per origin when there are several."""
 
-    origin: StratumKey
+    origin: StratumKey | list
     values: np.ndarray
 
     def __post_init__(self):
         v = self.values
-        if v[0] != 1.0:
+        if (v[..., 0] != 1.0).any():
             raise ValueError("diagonal survival must start at 1")
-        if (np.diff(v) > 1e-15).any() or v.min() < 0 or v.max() > 1:
+        if (np.diff(v, axis=-1) > 1e-15).any() or v.min() < 0 or v.max() > 1:
             raise ValueError("diagonal survival must be non-increasing in [0,1]")
 
 
 def diagonal_survival(
-    lt: LifeTable, key: StratumKey, horizon: int, diagnostics: Diagnostics | None = None
+    lt: LifeTable, keys, horizon: int, diagnostics: Diagnostics | None = None
 ) -> DiagonalSurvival:
-    """S(t) = prod_{j<t} (1 - q(age+j, year+j)) for t = 0..horizon."""
-    q = lt.q_diagonal(key, horizon, diagnostics)
-    values = np.concatenate(([1.0], np.cumprod(1.0 - q)))
-    return DiagonalSurvival(key, values)
+    """S(t) = prod_{j<t} (1 - q(age+j, year+j)) for t = 0..horizon, from one
+    key or, as a keys x (horizon + 1) array, from each of a sequence of keys
+    with one gather."""
+    q = lt.q_diagonal(keys, horizon, diagnostics)
+    values = np.concatenate((np.ones(q.shape[:-1] + (1,)), np.cumprod(1.0 - q, axis=-1)), axis=-1)
+    return DiagonalSurvival(keys, values)
 
 
 def load_life_table(path) -> LifeTable:
     """Read a life-table CSV with header age,year,sex,q.
 
     The observed ages x years rectangle must be complete for every sex;
-    missing cells, duplicates, and q outside [0,1] are hard errors reported
-    with their coordinates / row numbers.
+    missing cells, duplicates, q outside [0,1], ages outside [0, MAX_AGE]
+    and a rectangle past MAX_TABLE_CELLS cells are hard errors reported with
+    their coordinates / row numbers.
     """
     path = Path(path)
     cells: dict[tuple[int, int, tuple], float] = {}
@@ -167,6 +179,7 @@ def load_life_table(path) -> LifeTable:
             if not 0.0 <= q <= 1.0:
                 raise LifeTableError(f"{path.name}:{rownum}: q={q} outside [0,1] at (age={age}, year={year}, sex={demo[0]})")
             cells[keyc] = q
+    check_table_extent(path.name, cells, LifeTableError)
     table = LifeTable(cells, require_complete=True)
     log.info("loaded life table %s: ages %d-%d, years %d-%d, %d groups",
              path.name, table.age_min, table.age_max, table.year_min, table.year_max,

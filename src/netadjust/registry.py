@@ -2,8 +2,9 @@
 
 A registry row carries the covariates fixed at diagnosis (age, calendar year,
 demographic codes), the follow-up time in years, and an all-cause death
-indicator.  Records are grouped into strata by their diagnosis covariates and
-each stratum gets a Kaplan-Meier fit.
+indicator.  Records are grouped into strata by their diagnosis covariates;
+the strata share one stacked event table, and one call fits the
+Kaplan-Meier curves of all of them.
 
 Conventions: the at-risk set at time u is {T >= u} (subjects dying at u count
 as at risk at u), and deaths are processed before censorings at tied times.
@@ -117,69 +118,75 @@ def as_frame(records) -> RegistryFrame:
 
 
 class EventTable:
-    """Risk-set summary of one stratum: distinct times, deaths, censorings.
+    """Risk-set summary of one stratum, or of many stacked stratum after
+    stratum: each stratum's distinct times with their deaths, censorings and
+    at-risk counts.
 
-    Keeps the raw (time, event) arrays so tables can be merged exactly.
+    `labels` gives each observation's stratum 0..S-1, and every stratum must
+    have one; without it the table is a single stratum.  The observations are
+    sorted once by (stratum, time), and stratum i owns the entries
+    `offsets[i]:offsets[i + 1]`; `sizes` are the observations per stratum.
     """
 
-    def __init__(self, raw_times: np.ndarray, raw_events: np.ndarray):
-        raw_times = np.asarray(raw_times, dtype=np.float64)
-        raw_events = np.asarray(raw_events, dtype=bool)
-        if raw_times.size == 0:
+    def __init__(self, times: np.ndarray, events: np.ndarray, labels: np.ndarray | None = None):
+        times = np.asarray(times, dtype=np.float64)
+        events = np.asarray(events, dtype=bool)
+        n = times.shape[0]
+        if n == 0:
             raise EmptyInputError("event table needs at least one observation")
-        order = np.argsort(raw_times, kind="mergesort")
-        self.raw_times = raw_times[order]
-        self.raw_events = raw_events[order]
-        self.times, inverse = np.unique(self.raw_times, return_inverse=True)
-        m = self.times.shape[0]
-        self.deaths = np.bincount(inverse, weights=self.raw_events.astype(float), minlength=m).astype(np.int64)
-        totals = np.bincount(inverse, minlength=m).astype(np.int64)
-        self.censored = totals - self.deaths
-        exits = np.concatenate(([0], np.cumsum(totals)[:-1]))
-        self.at_risk = raw_times.shape[0] - exits
-        self._validate()
-
-    def _validate(self):
-        if (self.deaths < 0).any() or (self.censored < 0).any():
-            raise ValueError("negative counts in event table")
-        if (np.diff(self.at_risk) > 0).any():
-            raise ValueError("at-risk counts must be non-increasing")
+        self.stacked = labels is not None
+        labels = np.zeros(n, dtype=np.intp) if labels is None else np.asarray(labels, dtype=np.intp)
+        self.sizes = np.bincount(labels)
+        if not self.sizes.all():
+            raise EmptyInputError("every stratum of an event table needs at least one observation")
+        # by time, then stably by stratum (a radix sort while labels fit 16 bits)
+        order = np.argsort(times)
+        narrow = labels[order].astype(np.min_scalar_type(self.sizes.shape[0] - 1))
+        order = order[np.argsort(narrow, kind="stable")]
+        t, lab = times[order], labels[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(t[1:], t[:-1], out=first[1:])
+        first[1:] |= lab[1:] != lab[:-1]
+        starts = np.flatnonzero(first)
+        stratum = lab[starts]
+        self.times = t[starts]
+        self.deaths = np.add.reduceat(events[order].astype(np.int64), starts)
+        self.censored = np.diff(np.append(starts, n)) - self.deaths
+        self.at_risk = np.cumsum(self.sizes)[stratum] - starts
+        self.offsets = np.concatenate(([0], np.cumsum(np.bincount(stratum, minlength=self.sizes.shape[0]))))
 
     @property
     def n(self) -> int:
-        return int(self.at_risk[0]) if self.at_risk.size else 0
-
-    def merge(self, other: "EventTable") -> "EventTable":
-        return EventTable(
-            np.concatenate([self.raw_times, other.raw_times]),
-            np.concatenate([self.raw_events, other.raw_events]),
-        )
+        return int(self.sizes.sum())
 
 
-def build_strata(records, banding: Banding = Banding()) -> dict[StratumKey, EventTable]:
+def build_strata(records, banding: Banding = Banding()) -> tuple[dict[StratumKey, int], np.ndarray]:
     """Partition records into strata keyed by banded (age, year, demographics).
 
-    Band representatives are the lower band edges.  Every record lands in
-    exactly one stratum; stratum sizes sum to the record count.
+    Band representatives are the lower band edges.  Returns the size of each
+    stratum, keys in (demographics, age, year) order, and each record's
+    stratum as an index into that order; stratum sizes sum to the record
+    count.
     """
     frame = as_frame(records)
     if frame.n == 0:
         raise EmptyInputError("cannot stratify an empty registry")
     b_age = (frame.age // banding.age_width) * banding.age_width
     b_year = (frame.year // banding.year_width) * banding.year_width
-    order = np.lexsort((b_year, b_age, frame.demo_code))
-    strata: dict[StratumKey, EventTable] = {}
-    ca, cy, cc = b_age[order], b_year[order], frame.demo_code[order]
-    boundaries = np.flatnonzero(
-        (np.diff(ca) != 0) | (np.diff(cy) != 0) | (np.diff(cc) != 0)
-    ) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [frame.n]))
-    for s, e in zip(starts, ends):
-        idx = order[s:e]
-        key = StratumKey(int(ca[s]), int(cy[s]), frame.demo_vocab[int(cc[s])])
-        strata[key] = EventTable(frame.time[idx], frame.event[idx])
-    return strata
+    # one integer per stratum, ordered like (demographics, age, year)
+    age0, year0 = int(b_age.min()), int(b_year.min())
+    n_ages, n_years = int(b_age.max()) - age0 + 1, int(b_year.max()) - year0 + 1
+    codes, labels = np.unique(
+        (frame.demo_code * n_ages + (b_age - age0)) * n_years + (b_year - year0), return_inverse=True
+    )
+    demo, cell = np.divmod(codes, n_ages * n_years)
+    age, year = np.divmod(cell, n_years)
+    keys = [
+        StratumKey(a + age0, y + year0, frame.demo_vocab[d])
+        for d, a, y in zip(demo.tolist(), age.tolist(), year.tolist())
+    ]
+    return dict(zip(keys, np.bincount(labels).tolist())), labels.reshape(-1)
 
 
 class _DemographicPool:
@@ -206,36 +213,36 @@ class _DemographicPool:
 
 
 def merge_small_strata(
-    strata: dict[StratumKey, EventTable],
+    sizes: dict[StratumKey, int],
     min_size: int = 10,
     diagnostics: Diagnostics | None = None,
-) -> tuple[dict[StratumKey, EventTable], dict[StratumKey, StratumKey]]:
+) -> tuple[dict[StratumKey, int], dict[StratumKey, StratumKey]]:
     """Fold strata with fewer than min_size subjects into a neighbor.
 
-    The smallest stratum (ties toward the lower key) goes first.  Preference:
-    adjacent age with the same year, then the nearest existing stratum with
-    the same demographics (Chebyshev distance on (age, year), ties toward
-    lower age then lower year).  Returns the merged map plus a lookup from
-    every original key to the key that now holds its records.
+    Merges are decided from the stratum sizes alone.  The smallest stratum
+    (ties toward the lower key) goes first.  Preference: adjacent age with
+    the same year, then the nearest existing stratum with the same
+    demographics (Chebyshev distance on (age, year), ties toward lower age
+    then lower year).  Returns the sizes of the merged strata plus a lookup
+    from every original key to the key that now holds its records.
 
     Each merge touches only the two strata involved: a heap orders the small
     strata by (size, key), dropping entries a merge made stale, and a
     reverse map lists the original keys each stratum holds.
     """
     diag = ensure_diagnostics(diagnostics)
-    merged = dict(strata)
-    alias: dict[StratumKey, StratumKey] = {k: k for k in strata}
-    holds: dict[StratumKey, list[StratumKey]] = {k: [k] for k in strata}
+    merged = dict(sizes)
+    alias: dict[StratumKey, StratumKey] = {k: k for k in sizes}
+    holds: dict[StratumKey, list[StratumKey]] = {k: [k] for k in sizes}
     by_demo: dict[tuple, list[StratumKey]] = {}
     for k in merged:
         by_demo.setdefault(k.demographics, []).append(k)
     pools = {demo: _DemographicPool(keys) for demo, keys in by_demo.items()}
-    small = [(t.n, k) for k, t in merged.items() if t.n < min_size]
+    small = [(n, k) for k, n in merged.items() if n < min_size]
     heapq.heapify(small)
     while small:
         n, key = small[0]
-        table = merged.get(key)
-        if table is None or table.n != n:
+        if merged.get(key) != n:
             heapq.heappop(small)
             continue
         pool = pools[key.demographics]
@@ -249,51 +256,104 @@ def merge_small_strata(
         else:
             target = pool.nearest(key)
         heapq.heappop(small)
-        merged[target] = merged[target].merge(merged.pop(key))
+        merged[target] += merged.pop(key)
         moved = holds.pop(key)
         for orig in moved:
             alias[orig] = target
         holds[target].extend(moved)
-        if merged[target].n < min_size:
-            heapq.heappush(small, (merged[target].n, target))
+        if merged[target] < min_size:
+            heapq.heappush(small, (merged[target], target))
         diag.incr("stratum_merge")
         log.debug("merged stratum %s (n<%d) into %s", key, min_size, target)
     return merged, alias
 
 
-class StepSurvivalCurve:
-    """Right-continuous step survival curve with S(0) = 1."""
+def _segment_cumprod(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Cumulative product restarting at each segment `offsets[i]:offsets[i+1]`,
+    bit-identical to `np.cumprod` of each segment.  Segments are grouped by
+    length class (the same power of two at or above the length), each class
+    padded with ones into one matrix and multiplied along its rows, so the
+    padding never exceeds the data."""
+    out = np.empty_like(values)
+    lengths = np.diff(offsets)
+    width_class = np.frexp(lengths.astype(np.float64))[1]   # 2**(c-1) <= length < 2**c
+    for c in np.unique(width_class[lengths > 0]).tolist():
+        segs = np.flatnonzero(width_class == c)
+        idx = offsets[segs, None] + np.arange(1 << c)
+        used = idx < offsets[segs + 1, None]
+        block = np.ones(idx.shape)
+        block[used] = values[idx[used]]
+        np.cumprod(block, axis=1, out=block)
+        out[idx[used]] = block[used]
+    return out
 
-    def __init__(self, jump_times: np.ndarray, values: np.ndarray):
+
+class StepSurvivalCurve:
+    """Right-continuous step survival curves with S(0) = 1, one per stratum.
+
+    Stratum i jumps at `jump_times[offsets[i]:offsets[i + 1]]` to the
+    matching `values`.  Without `offsets` there is one curve, evaluated at
+    times of any shape.  A stacked curve evaluates every stratum, or the
+    `rows` asked for, at a vector of times shared by all of them (a rows x
+    times array), or at a rows x m array of times, one row per stratum.
+    Every evaluation is one exact search: each jump is keyed by its stratum
+    and the rank of its time among all jump times, so one `searchsorted`
+    over the keys counts the jumps at or before each (stratum, time) pair.
+    """
+
+    def __init__(self, jump_times: np.ndarray, values: np.ndarray, offsets: np.ndarray | None = None):
         self.jump_times = np.asarray(jump_times, dtype=np.float64)
         self.values = np.asarray(values, dtype=np.float64)
-        if self.jump_times.size:
-            if (np.diff(self.jump_times) <= 0).any():
+        n = self.jump_times.shape[0]
+        self.stacked = offsets is not None
+        self.offsets = np.array([0, n]) if offsets is None else np.asarray(offsets, dtype=np.intp)
+        self._stratum = stratum = np.repeat(np.arange(self.offsets.shape[0] - 1), np.diff(self.offsets))
+        if n:
+            within = stratum[1:] == stratum[:-1]
+            if (np.diff(self.jump_times)[within] <= 0).any():
                 raise ValueError("jump times must be strictly increasing")
-            if self.jump_times[0] <= 0:
+            if self.jump_times.min() <= 0:
                 raise ValueError("jumps must occur at positive times")
-            if (np.diff(self.values) > 1e-15).any():
+            if (np.diff(self.values)[within] > 1e-15).any():
                 raise ValueError("survival curve must be non-increasing")
             if self.values.max() > 1 or self.values.min() < 0:
                 raise ValueError("survival values must lie in [0, 1]")
+        self._ranks = np.unique(self.jump_times)
+        self._keys = stratum * (self._ranks.shape[0] + 1) + np.searchsorted(self._ranks, self.jump_times)
 
-    def survival_at(self, t):
+    def survival_at(self, t, rows=None):
         """Right-continuous evaluation; constant after the last jump."""
         t = np.asarray(t, dtype=np.float64)
-        if self.jump_times.size == 0:
-            out = np.ones_like(t)
-            return out if out.ndim else float(out)
-        idx = np.searchsorted(self.jump_times, t, side="right") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 1.0)
+        if not self.stacked:
+            rows = np.zeros((), dtype=np.intp)
+        else:
+            rows = np.arange(self.offsets.shape[0] - 1) if rows is None else np.asarray(rows, dtype=np.intp)
+            rows = rows[:, None]
+            t = t if t.ndim == 2 else np.atleast_1d(t)
+        start = self.offsets[rows]
+        rank = np.searchsorted(self._ranks, t, side="right")
+        idx = np.searchsorted(self._keys, rows * (self._ranks.shape[0] + 1) + rank) - 1
+        out = np.where(idx >= start, np.append(self.values, 1.0)[idx], 1.0)   # idx -1 reads the 1
         return out if out.ndim else float(out)
+
+    def zero_times(self) -> np.ndarray:
+        """Each stratum's first time at 0 (inf where its curve stays positive)."""
+        lengths = np.diff(self.offsets)
+        positive = np.bincount(self._stratum[self.values > 0], minlength=lengths.shape[0])
+        first_zero = self.offsets[:-1] + positive
+        out = np.full(lengths.shape, np.inf)
+        hit = positive < lengths
+        out[hit] = self.jump_times[first_zero[hit]]
+        return out
 
     __call__ = survival_at
 
 
 def kaplan_meier(table: EventTable) -> StepSurvivalCurve:
-    """Product-limit curve of an event table (jumps at death times only)."""
+    """Product-limit curve of each stratum of an event table (jumps at death
+    times only), stacked like the table."""
     has_death = table.deaths > 0
     t = table.times[has_death]
     factors = 1.0 - table.deaths[has_death] / table.at_risk[has_death]
-    return StepSurvivalCurve(t, np.cumprod(factors))
-
+    offsets = np.concatenate(([0], np.cumsum(np.add.reduceat(has_death, table.offsets[:-1], dtype=np.intp))))
+    return StepSurvivalCurve(t, _segment_cumprod(factors, offsets), offsets if table.stacked else None)

@@ -6,6 +6,10 @@
 * `merge_small_strata_reference`: the plain rescanning stratum merger, which
   rebuilds the small-stratum list, the neighbour pool and the alias map on
   every merge.
+* `PerStratumSurvival`, `select_anchor_times` and `fit_exponential_tail`:
+  registry overall survival one stratum at a time (event table, Kaplan-Meier,
+  anchors, `np.polyfit` tail, population hardening), the path the stacked
+  provider replaced.
 * `diagonal_cumulative_hazard`: the life table's piecewise-linear cumulative
   hazard along a diagonal.
 * `nelson_aalen`: the all-cause cumulative-hazard step function of an event
@@ -16,8 +20,9 @@
   estimators over one whole strata x times at-risk matrix (built with
   `np.add.at` and a reversed cumsum) and whole strata x times S_P and
   Lambda_P matrices, with their off-grid evaluations.
-* `lag_since_diagnosis_cdf`: the prevalent-case diagnosis-lag cdf summed
-  from the increments.
+* `lag_since_diagnosis_increments` and `lag_since_diagnosis_cdf`: the
+  prevalent-case diagnosis-lag distribution, read from the prevalence
+  recursion's own terms, and its cdf summed from the increments.
 """
 import numpy as np
 
@@ -29,9 +34,14 @@ from netadjust.adjustment import (
     SolverError,
 )
 from netadjust.diagnostics import Diagnostics, ensure_diagnostics
-from netadjust.incidence import IncidenceTable, PrevalenceCalculator, time_to_diagnosis_increments
+from netadjust.incidence import (
+    IncidenceTable,
+    PrevalenceCalculator,
+    PrevalenceError,
+    time_to_diagnosis_increments,
+)
 from netadjust.lifetable import LifeTable
-from netadjust.registry import EventTable, RegistryFrame, StratumKey
+from netadjust.registry import Banding, EventTable, RegistryFrame, StratumKey
 
 
 def _triangular(ing: AdjustmentIngredients, key: StratumKey, diagnostics=None):
@@ -106,16 +116,16 @@ def triangular_residuals(ing, key) -> np.ndarray:
     return _triangular(ing, key)[key][3]
 
 
-def merge_small_strata_reference(strata, min_size=10, diagnostics=None):
+def merge_small_strata_reference(sizes, min_size=10, diagnostics=None):
     """Fold strata with fewer than min_size subjects into a neighbor.
 
     Preference: adjacent age with the same year, then the nearest existing
     stratum with the same demographics (Chebyshev distance on (age, year),
-    ties toward lower age then lower year).
+    ties toward lower age then lower year).  Works on stratum sizes.
     """
     diag = ensure_diagnostics(diagnostics)
-    merged = dict(strata)
-    alias: dict[StratumKey, StratumKey] = {k: k for k in strata}
+    merged = dict(sizes)
+    alias: dict[StratumKey, StratumKey] = {k: k for k in sizes}
 
     def neighbor(key: StratumKey) -> StratumKey | None:
         pool = [k for k in merged if k.demographics == key.demographics and k != key]
@@ -133,15 +143,15 @@ def merge_small_strata_reference(strata, min_size=10, diagnostics=None):
         )
 
     while True:
-        small = [k for k, t in merged.items() if t.n < min_size]
+        small = [k for k, n in merged.items() if n < min_size]
         if not small:
             break
-        small.sort(key=lambda k: (merged[k].n, k))
+        small.sort(key=lambda k: (merged[k], k))
         key = small[0]
         target = neighbor(key)
         if target is None:
             break
-        merged[target] = merged[target].merge(merged.pop(key))
+        merged[target] += merged.pop(key)
         for orig, cur in alias.items():
             if cur == key:
                 alias[orig] = target
@@ -233,13 +243,27 @@ def time_to_diagnosis_increment(
     return float(time_to_diagnosis_increments(ir, key, k, diagnostics)[-1])
 
 
+def lag_since_diagnosis_increments(calc: PrevalenceCalculator, key: StratumKey) -> np.ndarray:
+    """Mass of the prevalent-case diagnosis-lag distribution at s = 1..age:
+    the lag-s contributions to alpha (patient survival times the
+    attrition-normalized diagnosis mass), over alpha."""
+    alpha = calc.prevalence(key)
+    if alpha <= 0.0:
+        raise PrevalenceError(f"lag distribution undefined at {key}: prevalence is 0")
+    a = key.age
+    state = calc._ensure(key, a)
+    d = np.arange(a - 1, -1, -1)
+    summands = calc.table.values[state.rows[d], 2 * (a - d) - calc.offset] * state.irga[d]
+    return summands / state.surv[a] / alpha
+
+
 def lag_since_diagnosis_cdf(calc: PrevalenceCalculator, key: StratumKey, t: int) -> float:
     """P(diagnosed within the last t years | prevalent at key)."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
         return 0.0
-    inc = calc.lag_since_diagnosis_increments(key)
+    inc = lag_since_diagnosis_increments(calc, key)
     return float(inc[: min(int(t), inc.shape[0])].sum())
 
 
@@ -343,3 +367,153 @@ def dense_crude_probability(rs: DenseRiskSet, provider):
         return base + (-piece if which == "cancer" else piece)
 
     return curves, value_at
+
+
+class ExtrapolationError(ValueError):
+    """Tail fit impossible for this stratum."""
+
+
+def select_anchor_times(curve, tau: float, h: int) -> np.ndarray:
+    """The last h integer grid times <= tau where the curve is positive.
+
+    Fewer than h available -> all of them; fewer than two -> error (the
+    caller falls back to carrying the last value forward).
+    """
+    if h < 2:
+        raise ValueError("need at least two anchor points")
+    grid = np.arange(0, int(np.floor(tau)) + 1, dtype=np.float64)
+    positive = grid[curve.survival_at(grid) > 0.0]
+    if positive.shape[0] < 2:
+        raise ExtrapolationError(f"only {positive.shape[0]} positive grid point(s) at or before tau={tau}")
+    return positive[-h:]
+
+
+def fit_exponential_tail(curve, anchors: np.ndarray, diagnostics: Diagnostics | None = None):
+    """OLS of -log S(anchor) on anchor time by `np.polyfit`; negative slope
+    clipped to 0."""
+    diag = ensure_diagnostics(diagnostics)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    if np.unique(anchors).shape[0] < 2:
+        raise ExtrapolationError("anchor times are all equal; tail fit is singular")
+    values = np.asarray(curve.survival_at(anchors), dtype=np.float64)
+    if (values <= 0).any():
+        raise ExtrapolationError("tail fit needs positive survival at every anchor")
+    y = -np.log(values)
+    g1, g0 = np.polyfit(anchors, y, 1)
+    if g1 < 0.0:
+        if g1 < -1e-12:
+            diag.incr("extrapolation_slope_clipped")
+        g1 = 0.0
+        g0 = float(np.mean(y))
+    return float(g0), float(g1)
+
+
+class _StepCurve:
+    """One right-continuous step survival curve, evaluated by searchsorted."""
+
+    def __init__(self, jump_times, values):
+        self.jump_times, self.values = jump_times, values
+
+    def survival_at(self, t):
+        t = np.asarray(t, dtype=np.float64)
+        if self.jump_times.size == 0:
+            return np.ones_like(t) if t.ndim else 1.0
+        idx = np.searchsorted(self.jump_times, t, side="right") - 1
+        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 1.0)
+        return out if out.ndim else float(out)
+
+
+class PerStratumSurvival:
+    """Overall survival one stratum at a time, as the provider computed it
+    before its strata were stacked: each stratum's event table from its own
+    sorted observations, its Kaplan-Meier curve by `np.cumprod`, its
+    anchors and `np.polyfit` tail, and hardening against its own 120-step
+    population grid read cell by cell with `LifeTable.q`.  Curves and
+    population grids are built the first time a stratum is evaluated.
+
+    `provider` (an `OverallSurvivalProvider`) supplies the stratum a key
+    resolves to and the stratum of each registry record; `frame` is the
+    registry it was built from.
+    """
+
+    POP_GRID = 120
+
+    def __init__(self, provider, frame, banding=Banding(), diagnostics=None):
+        self.provider = provider
+        self.diagnostics = ensure_diagnostics(diagnostics)
+        b_age = (frame.age // banding.age_width) * banding.age_width
+        b_year = (frame.year // banding.year_width) * banding.year_width
+        owner = [
+            provider.alias.get(k, k)
+            for k in (StratumKey(int(a), int(y), frame.demo_vocab[int(c)])
+                      for a, y, c in zip(b_age, b_year, frame.demo_code))
+        ]
+        self.observations = {}
+        for key in provider.strata:
+            mine = np.array([o == key for o in owner])
+            self.observations[key] = (frame.time[mine], frame.event[mine])
+        self._curves = {}
+        self._pops = {}
+
+    def curve(self, stratum):
+        """(step curve, tau, g0, g1) of one stratum."""
+        if stratum not in self._curves:
+            raw_t, raw_e = self.observations[stratum]
+            order = np.argsort(raw_t, kind="mergesort")
+            raw_t, raw_e = raw_t[order], raw_e[order]
+            times, inverse = np.unique(raw_t, return_inverse=True)
+            deaths = np.bincount(inverse, weights=raw_e.astype(float), minlength=times.shape[0])
+            totals = np.bincount(inverse, minlength=times.shape[0])
+            at_risk = raw_t.shape[0] - np.concatenate(([0], np.cumsum(totals)[:-1]))
+            has_death = deaths > 0
+            km = _StepCurve(times[has_death], np.cumprod(1.0 - deaths[has_death] / at_risk[has_death]))
+            ok = at_risk >= self.provider.tau_min_at_risk
+            tau = float(times[ok][-1]) if ok.any() else float(times[-1])
+            try:
+                anchors = select_anchor_times(km, tau, self.provider.anchor_points)
+                g0, g1 = fit_exponential_tail(km, anchors, self.diagnostics)
+            except ExtrapolationError:
+                self.diagnostics.incr("extrapolation_fallback")
+                s_tau = float(km.survival_at(tau))
+                g0, g1 = (-np.log(s_tau) if s_tau > 0 else np.inf), 0.0
+            self._curves[stratum] = (km, tau, g0, g1)
+        return self._curves[stratum]
+
+    def _population_hazard(self, stratum, t):
+        """The stratum's cell population's cumulative hazard at t: piecewise
+        linear through -log of its floored annual grid, the last slope
+        carried past the grid (counted per time)."""
+        if stratum not in self._pops:
+            lt = self.provider.population_floor
+            values = [1.0]
+            for j in range(self.POP_GRID):
+                q = lt.q(stratum.age + j, stratum.year + j, stratum.demographics, self.diagnostics)
+                values.append(values[-1] * (1.0 - q))
+            logs = -np.log(np.maximum(np.array(values), 1e-12))
+            self._pops[stratum] = (logs, np.diff(logs))
+        logs, slopes = self._pops[stratum]
+        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        self.diagnostics.incr("grid_extended_eval", int((t > self.POP_GRID).sum()))
+        idx = np.minimum(np.floor(t).astype(int), self.POP_GRID - 1)
+        return slopes[idx] * (t - idx) + logs[idx]
+
+    def survival(self, key, times):
+        stratum = self.provider.resolve(key)
+        km, tau, g0, g1 = self.curve(stratum)
+        t = np.atleast_1d(np.asarray(times, dtype=np.float64))
+        s_tau = float(km.survival_at(tau))
+        tail = np.minimum(np.exp(-g0 - g1 * t), s_tau)
+        values = np.where(t <= tau, km.survival_at(t), tail)
+        if self.provider.population_floor is None:
+            return values
+        span = max(self.provider.anchor_points - 1, 1)
+        lam_tau = float(self._population_hazard(stratum, tau)[0])
+        lam_fit = (lam_tau - float(self._population_hazard(stratum, max(tau - span, 0.0))[0])) / min(
+            span, tau
+        ) if tau > 0 else 0.0
+        lam_t = self._population_hazard(stratum, t)
+        growth = np.minimum(np.exp(-(lam_t - lam_tau - lam_fit * (t - tau))), 1.0)
+        cap = s_tau * np.minimum(np.exp(-(lam_t - lam_tau)), 1.0)
+        out = np.where(t > tau, np.minimum(values * growth, cap), values)
+        self.diagnostics.incr("so_population_cap", int((out < values).sum()))
+        return out

@@ -17,7 +17,7 @@ from netadjust.estimators import (
     naive_population_provider,
     pohar_perme,
 )
-from netadjust.extrapolation import extend_survival, fit_exponential_tail, loglinear_interpolate
+from netadjust.extrapolation import extend_survival, loglinear_interpolate
 from netadjust.incidence import IncidenceTable, PrevalenceCalculator
 from netadjust.lifetable import diagonal_survival
 from netadjust.registry import EventTable, StepSurvivalCurve, StratumKey, kaplan_meier
@@ -32,6 +32,7 @@ from netadjust.cli import main as cli_main
 
 from conftest import flat_life_table, toy_frame
 from oracles import (
+    fit_exponential_tail,
     lag_since_diagnosis_cdf,
     nelson_aalen,
     solve_noncancer_survival_triangular,

@@ -230,7 +230,76 @@ class TestNonFiniteInput:
         assert "Traceback" not in err
 
 
+class TestOutOfRangeInput:
+    """Ages outside [0, MAX_AGE] and files whose (sex, age, year) grid would
+    pass MAX_TABLE_CELLS are rejected while loading, naming the file and row."""
+
+    HEADERS = {
+        "registry.csv": "age_diag,year_diag,sex,time,event",
+        "lifetable.csv": "age,year,sex,q",
+        "incidence.csv": "age,year,sex,ir",
+        "population.csv": "age,year,sex,person_years",
+    }
+
+    # a check that fires too late fails on building the table instead of
+    # allocating it
+    BUILT_FROM = {
+        "lifetable.csv": "netadjust.lifetable.LifeTable",
+        "incidence.csv": "netadjust.incidence.IncidenceTable",
+        "population.csv": "netadjust.incidence.IncidenceTable",
+    }
+
+    @pytest.mark.parametrize("name, rows, message", [
+        ("registry.csv", ["60,1990,m,2.0,1", "151,1990,m,1.0,0"], "registry.csv:3: age 151 outside [0, 150]"),
+        ("registry.csv", ["-1,1990,m,2.0,1"], "registry.csv:2: age -1 outside [0, 150]"),
+        ("registry.csv", ["0,1990,m,2.0,1", "150,50000000000000000,f,3.0,0"],
+         "registry.csv:3: age 150, year 50000000000000000 would stretch"),
+        ("lifetable.csv", ["60,1990,m,0.02", "-1,1990,m,0.02"], "lifetable.csv:3: age -1 outside"),
+        ("lifetable.csv", ["60,1990,m,0.02", "100000000,1990,m,0.02"], "lifetable.csv:3: age 100000000 outside"),
+        ("lifetable.csv", ["60,1990,m,0.02", "61,1990,m,0.02", "60,100000000,m,0.02"],
+         "lifetable.csv:4: age 60, year 100000000 would stretch the (sex, age, year) grid to 199996022 cells"),
+        ("incidence.csv", ["60,1990,m,0.01", "-3,1990,m,0.01"], "incidence.csv:3: age -3 outside"),
+        ("incidence.csv", ["60,-100000000,m,0.01", "61,1990,m,0.01", "60,1991,m,0.01"],
+         "incidence.csv:3: age 61, year 1990 would stretch the (sex, age, year) grid to 200003982 cells"),
+        ("population.csv", ["60,1990,m,1000", "200,1990,m,1000"], "population.csv:3: age 200 outside"),
+        ("population.csv", ["60,1990,m,1000", "61,1990,m,1000", "60,100000000,m,1000"],
+         "population.csv:4: age 60, year 100000000 would stretch"),
+    ])
+    def test_rejected_with_file_and_row(self, tmp_path, capsys, monkeypatch, name, rows, message):
+        registry = write_inputs(tmp_path)
+        if name in self.BUILT_FROM:
+            def refuse(*args, **kwargs):
+                raise AssertionError("a table was built from out-of-range input")
+
+            monkeypatch.setattr(self.BUILT_FROM[name], refuse)
+        (tmp_path / name).write_text("\n".join([self.HEADERS[name], *rows]) + "\n", encoding="utf-8")
+        source = ["--population", str(tmp_path / "population.csv")] if name == "population.csv" \
+            else ["--incidence", str(tmp_path / "incidence.csv")]
+        code = main([
+            "estimate", "--registry", str(registry),
+            "--lifetable", str(tmp_path / "lifetable.csv"), *source,
+            "--mode", "adjusted", "--horizon", "12", "--years", "3", "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.strip().splitlines()[-1].startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+
 class TestSimulate:
+    def test_matches_golden_outputs(self, tmp_path):
+        # golden files were written when each stratum's overall survival was
+        # built one stratum at a time, by the same command
+        out = tmp_path / "out"
+        assert main([
+            "simulate", "--dataset", "2", "--reps", "4", "--seed", "20230316", "--jobs", "1",
+            "--out", str(out),
+        ]) == 0
+        assert_matches_golden(out / "table1.csv", GOLDEN / "simulate" / "table1.csv", [])
+        assert_matches_golden(
+            out / "table2.csv", GOLDEN / "simulate" / "table2.csv", ["true", "ave", "pct_bias", "rmse_x100"]
+        )
+
     def test_scenario_file_and_outputs(self, tmp_path):
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(

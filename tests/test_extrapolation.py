@@ -8,14 +8,13 @@ from netadjust.diagnostics import Diagnostics
 from netadjust.extrapolation import (
     AnnualGridSurvival,
     ExtendedSurvival,
-    ExtrapolationError,
     extend_survival,
-    fit_exponential_tail,
     follow_up_cutoff,
     loglinear_interpolate,
-    select_anchor_times,
 )
 from netadjust.registry import EventTable, StepSurvivalCurve
+
+from oracles import ExtrapolationError, fit_exponential_tail, select_anchor_times
 
 
 def exp_curve(rate, jumps=None):

@@ -15,7 +15,12 @@ from netadjust.incidence import (
 from netadjust.registry import StratumKey
 
 from conftest import diagonal_life_table, flat_incidence, flat_life_table
-from oracles import lag_since_diagnosis_cdf, time_to_diagnosis_cdf, time_to_diagnosis_increment
+from oracles import (
+    lag_since_diagnosis_cdf,
+    lag_since_diagnosis_increments,
+    time_to_diagnosis_cdf,
+    time_to_diagnosis_increment,
+)
 
 
 KEY60 = StratumKey(60, 2010, ("0",))
@@ -242,7 +247,7 @@ class TestPrevalence:
             IncidenceTable.zero(), const_survival(0.1), flat_life_table(0.0)
         )
         with pytest.raises(PrevalenceError):
-            calc.lag_since_diagnosis_increments(StratumKey(10, 1970, ("0",)))
+            lag_since_diagnosis_increments(calc, StratumKey(10, 1970, ("0",)))
 
     def test_impossible_inputs_raise(self):
         # immortal patients inside a dying population push alpha past 1
@@ -267,5 +272,5 @@ class TestPrevalence:
         alpha = calc.prevalence(key)
         if alpha > 0:
             assert lag_since_diagnosis_cdf(calc, key, n) == pytest.approx(1.0, abs=1e-12)
-            inc = calc.lag_since_diagnosis_increments(key)
+            inc = lag_since_diagnosis_increments(calc, key)
             assert np.all(inc >= -1e-15)
