@@ -19,14 +19,14 @@ vanishing at k = t.  r(1) = 1, so the system solves by forward substitution;
 the shifted cells' S_P values enter at strictly smaller horizons.
 
 A cell (a, y) is linked only to cells (a+k, y+k) of its own birth-cohort
-diagonal, so `AdjustmentEngine.solve` groups the requested keys by diagonal
-and runs one `solve_noncancer_survival` sweep per diagonal with every key
-of it as a root.  The sweep first finds which horizons each cell of the
-diagonal needs (the union of the roots' dependency closures, pruned where
-dF_k = 0), then steps t = 1..K forward, solving horizon t for every cell of
-the diagonal that needs it in one array expression.  It keeps r(t) and the
-clip/guard flags alongside S_P, and reuses every horizon an earlier sweep
-on the same diagonal already produced.
+diagonal.  `solve_noncancer_survival` lays the requested keys out as one
+chain of cells per diagonal and concatenates the chains.  It first finds
+which horizons each cell needs (the union of the roots' dependency
+closures, pruned where dF_k = 0), then fetches every needed cell's inputs
+with one call per ingredient, then steps t = 1..K forward once, solving
+horizon t for every cell of every chain that needs it in one array
+expression.  It keeps r(t) and the clip/guard flags alongside S_P in
+`SolvedCells`, and reuses every horizon an earlier solve already produced.
 """
 from __future__ import annotations
 
@@ -51,16 +51,17 @@ class SolverError(ValueError):
 
 @dataclass(frozen=True)
 class PrevalentCaseSurvival:
-    """Survival from the cell date of previously diagnosed subjects, t = 0..K."""
+    """Survival from the cell date of previously diagnosed subjects, t = 0..K,
+    one row per origin when there are several."""
 
-    origin: StratumKey
+    origin: StratumKey | list
     values: np.ndarray
 
     def __post_init__(self):
         v = self.values
-        if abs(v[0] - 1.0) > 1e-9:
+        if (np.abs(v[..., 0] - 1.0) > 1e-9).any():
             raise ValueError("prevalent-case survival must start at 1")
-        if (np.diff(v) > 1e-12).any() or v.min() < -1e-12:
+        if (np.diff(v, axis=-1) > 1e-12).any() or v.min() < -1e-12:
             raise ValueError("prevalent-case survival must be non-increasing in [0,1]")
 
 
@@ -79,152 +80,182 @@ class AdjustedPopulationSurvival:
     __call__ = survival_at
 
 
-def prevalent_case_survival(
-    key: StratumKey,
-    mix_weights: np.ndarray,
-    survival_matrix: np.ndarray,
-) -> PrevalentCaseSurvival:
-    """Mixture survival of prevalent cases over their diagnosis-lag law.
+def prevalent_case_survival(keys, mixture: np.ndarray) -> PrevalentCaseSurvival:
+    """Prevalent-case survival from the prevalence recursion's mixture.
 
-    `mix_weights[s-1]` is the attrition-normalized diagnosis mass of the
-    year s years back divided by alpha, and `survival_matrix[s-1, t]` the
-    survival from that diagnosis to horizon t; the product is the lag-s mass
-    times the conditional survival of a case alive at the cell date (the
-    survival-to-cell factor cancels), so the t = 0 column mixes to 1 by the
-    prevalence recursion itself.
+    `mixture[..., t]` is the lag-weighted survival of the prevalent cases to
+    horizon t, over alpha (`PrevalenceCalculator.prevalent_survival`); its
+    t = 0 column is 1 up to rounding, by the recursion itself.  Values are
+    clipped into [0, 1] and start at exactly 1.
     """
-    values = mix_weights @ survival_matrix
-    values = np.clip(values, 0.0, 1.0)
-    values[0] = 1.0
-    return PrevalentCaseSurvival(key, values)
+    values = np.clip(mixture, 0.0, 1.0)
+    values[..., 0] = 1.0
+    return PrevalentCaseSurvival(keys, values)
 
 
 class AdjustmentIngredients:
     """Accessor bundle the solver (and its test oracle) consume.
 
-    Subclasses provide per-cell grids; `horizon` is the number of annual
-    steps solved.  `prevalent_grid` is only called where `alpha` is positive.
+    The methods `lt_survival_grid`, `alpha`, `prevalent_grid`, `so_grid` and
+    `diagnosis_mass` each take a sequence of cells and return one row per
+    cell: the grids at t = 0..K, the diagnosis mass at k = 1..K, alpha one
+    value.  `horizon` is the number K of annual steps solved.
+    `prevalent_grid` is only asked for cells where `alpha` is positive.
     """
 
     horizon: int
 
-    def lt_survival_grid(self, key: StratumKey) -> np.ndarray:
-        raise NotImplementedError
 
-    def alpha(self, key: StratumKey) -> float:
-        raise NotImplementedError
+class SolvedCells:
+    """Every lattice cell the solves sharing this record have visited, one
+    row per cell (`index` maps cells to rows).  `solved` counts the horizons
+    filled in `values` (S_P at t = 0..K), `residual` (r(t)) and the
+    clip/guard flags.  A cell has its `numer` (lt - alpha * prev) and
+    `scale` (1 - alpha) once `solved` is at least 1, its diagnosis `mass`
+    once it is at least 2, and its `so` grid once a younger cell's kernel
+    has read it (`has_so`)."""
 
-    def prevalent_grid(self, key: StratumKey) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(self, horizon: int):
+        K = int(horizon)
+        self.index: dict[StratumKey, int] = {}
+        self._fill = {
+            "solved": (np.intp, (), 0), "values": (np.float64, (K + 1,), 1.0),
+            "residual": (np.float64, (K + 1,), 1.0), "clipped": (bool, (K + 1,), False),
+            "guarded": (bool, (K + 1,), False), "numer": (np.float64, (K + 1,), 1.0),
+            "scale": (np.float64, (), 1.0), "mass": (np.float64, (K,), 0.0),
+            "so": (np.float64, (K + 1,), 1.0), "has_so": (bool, (), False),
+        }
+        for name, (dtype, shape, fill) in self._fill.items():
+            setattr(self, name, np.full((0,) + shape, fill, dtype=dtype))
 
-    def so_grid(self, key: StratumKey) -> np.ndarray:
-        raise NotImplementedError
-
-    def diagnosis_mass(self, key: StratumKey) -> np.ndarray:
-        raise NotImplementedError
-
-    def shift(self, key: StratumKey, k: int) -> StratumKey:
-        return key.shift(k)
-
-
-def _numerator(ing: AdjustmentIngredients, key: StratumKey, alpha: float) -> np.ndarray:
-    lt = np.asarray(ing.lt_survival_grid(key), dtype=np.float64)
-    if alpha == 0.0:
-        return lt.copy()
-    if alpha >= 1.0:
-        raise SolverError(f"prevalence {alpha} >= 1 at {key}")
-    prev = np.asarray(ing.prevalent_grid(key), dtype=np.float64)
-    return lt - alpha * prev
+    def rows(self, keys) -> np.ndarray:
+        """Row of each key, adding rows for the cells not seen before."""
+        index = self.index
+        new = [k for k in dict.fromkeys(keys) if k not in index]
+        if new:
+            index.update((k, len(index)) for k in new)
+            for name, (dtype, shape, fill) in self._fill.items():
+                grown = np.full((len(new),) + shape, fill, dtype=dtype)
+                setattr(self, name, np.concatenate((getattr(self, name), grown)))
+        return np.fromiter((index[k] for k in keys), np.intp, len(keys))
 
 
-class _SolvedCell:
-    """One lattice cell: its solver inputs, fetched the first time it has a
-    horizon to solve, and once solved, S_P at t = 0..K with r(t) and the
-    clip/guard flags of each horizon; horizons 1..solved are filled."""
-
-    __slots__ = ("values", "residual", "clipped", "guarded", "solved",
-                 "scale", "numer", "mass", "kernel_lags", "so")
-
-    def __init__(self):
-        self.values = self.residual = self.clipped = self.guarded = None
-        self.solved = 0
-        self.scale = 1.0                   # 1 - alpha
-        self.numer = None                  # lt - alpha * prev at t = 0..K
-        self.mass = None                   # dF_k, k = 1..K
-        self.kernel_lags = None            # the k with dF_k != 0
-        self.so = None                     # S_O at t = 0..K, read by younger cells
+def _propagate(roots, solved, mass, known, starts, lengths, K) -> np.ndarray:
+    """Horizons each chain position needs: K at the roots, and n - k at
+    position j + k from a position j that needs n > its solved horizons,
+    for each k < n with nonzero diagnosis mass dF_k at j.  Positions are
+    visited in chain order, all chains at once, so a position's need is
+    final before it passes it on.  Positions whose mass is not `known`
+    pass nothing on."""
+    need = np.zeros(solved.shape[0], dtype=np.intp)
+    need[roots] = K
+    lags = np.arange(1, K + 1)
+    for o in range(int(lengths.max())):
+        j = starts[lengths > o] + o
+        n = need[j]
+        go = (n > solved[j]) & (n >= 2) & known[j]
+        j, n = j[go], n[go]
+        src, k = np.nonzero((mass[j] != 0.0) & (lags < n[:, None]))
+        target = j[src] + lags[k]
+        need[target] = np.maximum(need[target], n[src] - lags[k])
+    return need
 
 
 def solve_noncancer_survival(
     ing: AdjustmentIngredients,
     keys: Sequence[StratumKey],
     diagnostics: Diagnostics | None = None,
-    cells: dict | None = None,
+    cells: SolvedCells | None = None,
 ) -> list[AdjustedPopulationSurvival]:
-    """S_P of every key, all on one birth-cohort diagonal, in one forward sweep.
+    """S_P of every key, on any birth-cohort diagonals, in one forward sweep.
 
-    Cell j is `ing.shift(first, j)`, with `first` the youngest key (shifts
-    compose along the diagonal); every key is a root that needs horizons
-    1..K.  A first pass propagates the horizons each cell needs, from
-    younger to older cells, only along kernel terms with nonzero diagnosis
-    mass; so exactly the (cell, horizon) pairs the forward substitution
-    reads are solved, and a cell's ingredients are fetched when it first has
-    one to solve.  Each step t then solves horizon t for every cell of the
-    diagonal that needs it in one array expression.  `cells` maps cells to
-    `_SolvedCell` records and carries solved horizons from one call to the
-    next; only newly solved horizons add to the diagnostics.  The returned
+    The keys of a diagonal are the roots of one chain of cells, from its
+    youngest key through K - 1 cells past its oldest; each root needs
+    horizons 1..K, and no position reads past its chain.  Needed horizons
+    propagate from younger to older cells only along kernel terms with
+    nonzero diagnosis mass, so exactly the (cell, horizon) pairs the forward
+    substitution reads are solved.  Masses are fetched in rounds, each for
+    the cells found so far to need two or more horizons; every other
+    ingredient is fetched in one call for all cells that first need it.
+    Each step t solves horizon t for every cell that needs it in one array
+    expression.  `cells` carries fetched inputs and solved horizons from one
+    call to the next and is updated only when the whole sweep succeeds;
+    only newly solved horizons add to the diagnostics.  The returned
     curves, in the order of `keys`, report each key's own clip/guard counts.
     """
     diag = ensure_diagnostics(diagnostics)
-    cells = cells if cells is not None else {}
     K = ing.horizon
-    first = min(keys, key=lambda k: k.age)
-    offsets = [key.age - first.age for key in keys]
-    for key, j in zip(keys, offsets):
-        if ing.shift(first, j) != key:
-            raise ValueError(f"{key} is not on the birth-cohort diagonal of {first}")
-    chain = [ing.shift(first, j) for j in range(max(offsets) + K)]
-    records = []
-    for cell in chain:
-        rec = cells.get(cell)
-        if rec is None:
-            rec = cells[cell] = _SolvedCell()
-        records.append(rec)
+    cells = cells if cells is not None else SolvedCells(K)
+    rows = cells.rows(keys)   # adds rows, replacing the arrays
+    solved = cells.solved[rows]
+    todo = [key for key, n in zip(keys, solved.tolist()) if n < K]
+    if todo:
+        _sweep(ing, todo, diag, cells)
+    return [
+        AdjustedPopulationSurvival(
+            key, cells.values[row].copy(), int(cells.clipped[row].sum()), int(cells.guarded[row].sum())
+        )
+        for key, row in zip(keys, rows.tolist())
+    ]
 
-    # horizons needed per cell; a cell's need is final once every younger
-    # cell has passed it on
-    solved = np.array([rec.solved for rec in records])
-    need = np.zeros(len(chain), dtype=solved.dtype)
-    need[offsets] = K
-    for j, rec in enumerate(records):
-        n = int(need[j])
-        if n <= rec.solved:
-            continue
-        if rec.numer is None:
-            a = ing.alpha(chain[j])
-            rec.numer = _numerator(ing, chain[j], a)
-            rec.scale = 1.0 - a
-        if n < 2:
-            continue
-        if rec.mass is None:
-            rec.mass = np.asarray(ing.diagnosis_mass(chain[j]), dtype=np.float64)[:K]
-            rec.kernel_lags = np.flatnonzero(rec.mass) + 1
-        lags = rec.kernel_lags[rec.kernel_lags < n]
-        for k in lags.tolist():
-            target = records[j + k]
-            if target.so is None:
-                target.so = np.asarray(ing.so_grid(chain[j + k]), dtype=np.float64)[: K + 1]
-        need[j + lags] = np.maximum(need[j + lags], n - lags)
 
-    ones, zeros, flags = np.ones(K + 1), np.zeros(K), np.zeros(K + 1, dtype=bool)
-    numer = np.array([ones if rec.numer is None else rec.numer for rec in records])
-    scale = np.array([rec.scale for rec in records])
-    mass = np.array([zeros if rec.mass is None else rec.mass for rec in records])
-    so = np.array([ones if rec.so is None else rec.so for rec in records])
-    sp = np.array([ones if rec.values is None else rec.values for rec in records])
-    residual = np.array([ones if rec.residual is None else rec.residual for rec in records])
-    clipped = np.array([flags if rec.clipped is None else rec.clipped for rec in records])
-    guarded = np.array([flags if rec.guarded is None else rec.guarded for rec in records])
+def _sweep(ing, roots: list, diag: Diagnostics, cells: SolvedCells) -> None:
+    """Solve the `roots` through horizon K, and every cell they read, as
+    `solve_noncancer_survival` describes."""
+    K = ing.horizon
+    spans: dict[tuple, list[int]] = {}
+    for key in roots:
+        span = spans.setdefault((key.year - key.age, key.demographics), [key.age, key.age])
+        span[0], span[1] = min(span[0], key.age), max(span[1], key.age)
+    chain = [StratumKey(a, yob + a, demo) for (yob, demo), (lo, hi) in spans.items()
+             for a in range(lo, hi + K)]
+    lengths = np.array([hi + K - lo for lo, hi in spans.values()], dtype=np.intp)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    first = dict(zip(spans, (start - lo for start, (lo, _) in zip(starts.tolist(), spans.values()))))
+    at_root = [first[(key.year - key.age, key.demographics)] + key.age for key in roots]
+    rows = cells.rows(chain)
+    solved = cells.solved[rows]
+
+    # horizons needed per position, with masses fetched in rounds for the
+    # positions found to need two or more; the propagation reruns after
+    # each round until no position lacks its mass
+    mass, known = cells.mass[rows], solved >= 2
+    need = _propagate(at_root, solved, mass, known, starts, lengths, K)
+    while True:
+        fetch = np.flatnonzero((need >= 2) & (need > solved) & ~known)
+        if not fetch.size:
+            break
+        mass[fetch] = np.asarray(ing.diagnosis_mass([chain[j] for j in fetch.tolist()]), dtype=np.float64)[:, :K]
+        known[fetch] = True
+        need = _propagate(at_root, solved, mass, known, starts, lengths, K)
+
+    # every other input of the cells that first have a horizon to solve, and
+    # the S_O grids their kernels read, one call per ingredient
+    numer, scale = cells.numer[rows], cells.scale[rows]
+    new = np.flatnonzero((need > solved) & (solved == 0))
+    if new.size:
+        fresh = [chain[j] for j in new.tolist()]
+        alpha = np.asarray(ing.alpha(fresh), dtype=np.float64)
+        lt = np.asarray(ing.lt_survival_grid(fresh), dtype=np.float64)[:, : K + 1]
+        if (alpha >= 1.0).any():
+            i = int(np.argmax(alpha >= 1.0))
+            raise SolverError(f"prevalence {alpha[i]} >= 1 at {fresh[i]}")
+        mixed = np.flatnonzero(alpha != 0.0)
+        if mixed.size:
+            prev = np.asarray(ing.prevalent_grid([fresh[i] for i in mixed.tolist()]), dtype=np.float64)
+            lt[mixed] = lt[mixed] - alpha[mixed, None] * prev[:, : K + 1]
+        numer[new], scale[new] = lt, 1.0 - alpha
+    lags = np.arange(1, K + 1)
+    active = np.flatnonzero((need > solved) & (need >= 2))
+    src, k = np.nonzero((mass[active] != 0.0) & (lags < need[active, None]))
+    read = np.unique(active[src] + lags[k])
+    so, has_so = cells.so[rows], cells.has_so[rows]
+    read = read[~has_so[read]]
+    if read.size:
+        so[read] = np.asarray(ing.so_grid([chain[j] for j in read.tolist()]), dtype=np.float64)[:, : K + 1]
+
+    sp, residual = cells.values[rows], cells.residual[rows]
+    clipped, guarded = cells.clipped[rows], cells.guarded[rows]
     for t in range(1, K + 1):
         js = np.flatnonzero((solved < t) & (need >= t))
         if not js.size:
@@ -233,9 +264,9 @@ def solve_noncancer_survival(
             r = np.ones(js.size)
         else:
             kk = np.arange(1, t)
-            rows, cols = js[:, None] + kk, t - kk
+            at, cols = js[:, None] + kk, t - kk
             dF = mass[js, : t - 1]
-            terms = np.where(dF != 0.0, (1.0 - so[rows, cols] / sp[rows, cols]) * dF, 0.0)
+            terms = np.where(dF != 0.0, (1.0 - so[at, cols] / sp[at, cols]) * dF, 0.0)
             # accumulate over k in order, as the scalar forward substitution does
             r = 1.0 - np.cumsum(terms, axis=1)[:, -1]
         if (r < R_FLOOR).any():
@@ -255,27 +286,23 @@ def solve_noncancer_survival(
         diag.incr("sp_clip", int(clip.sum()))
         diag.incr("sp_monotone_guard", int(guard.sum()))
 
-    for j in np.flatnonzero(need > solved).tolist():
-        rec = records[j]
-        rec.values, rec.residual = sp[j], residual[j]
-        rec.clipped, rec.guarded = clipped[j], guarded[j]
-        rec.solved = int(need[j])
-    curves = []
-    for key, j in zip(keys, offsets):
-        rec = records[j]
-        curves.append(AdjustedPopulationSurvival(
-            key, rec.values.copy(), int(rec.clipped.sum()), int(rec.guarded.sum())
-        ))
-    return curves
+    cells.numer[rows], cells.scale[rows], cells.mass[rows] = numer, scale, mass
+    cells.so[rows], cells.has_so[rows[read]] = so, True
+    done = np.flatnonzero(need > solved)
+    at = rows[done]
+    cells.values[at], cells.residual[at] = sp[done], residual[done]
+    cells.clipped[at], cells.guarded[at] = clipped[done], guarded[done]
+    cells.solved[at] = need[done]
 
 
 class AdjustmentEngine(AdjustmentIngredients):
     """Production ingredients: life table + incidence + registry survival.
 
     Wires the prevalence recursion, the diagnosis-mass products, and the
-    per-cell diagonal survival into the solver.  Overall survival is read
-    only from the prevalence calculator's lag table; the other grids, and
-    every solved cell, are kept so each is computed once per run.
+    diagonal survival into the solver; each ingredient method takes one key
+    or a sequence of keys.  Overall survival is read only from the
+    prevalence calculator's lag table.  The solved cells, with the inputs
+    they were solved from, are kept so each is computed once per run.
     """
 
     def __init__(
@@ -294,59 +321,43 @@ class AdjustmentEngine(AdjustmentIngredients):
         self.calc = PrevalenceCalculator(
             incidence, overall_survival, life_table, lag_eval, self.diagnostics, self.horizon
         )
-        self._lt_grids: dict[StratumKey, np.ndarray] = {}
-        self._masses: dict[StratumKey, np.ndarray] = {}
-        self._prev: dict[StratumKey, np.ndarray] = {}
-        self._curves: dict[StratumKey, AdjustedPopulationSurvival] = {}
-        self._cells: dict[StratumKey, _SolvedCell] = {}
+        self.cells = SolvedCells(self.horizon)
 
-    def lt_survival_grid(self, key: StratumKey) -> np.ndarray:
-        grid = self._lt_grids.get(key)
-        if grid is None:
-            grid = diagonal_survival(self.life_table, key, self.horizon, self.diagnostics).values
-            self._lt_grids[key] = grid
-        return grid
+    def lt_survival_grid(self, keys) -> np.ndarray:
+        return diagonal_survival(self.life_table, keys, self.horizon, self.diagnostics).values
 
-    def alpha(self, key: StratumKey) -> float:
-        return self.calc.prevalence(key)
+    def alpha(self, keys):
+        return self.calc.prevalence(keys)
 
-    def prevalent_grid(self, key: StratumKey) -> np.ndarray:
-        grid = self._prev.get(key)
-        if grid is None:
-            weights = self.calc.prevalent_mix_weights(key)
-            matrix = self.calc.survival_from_diagnosis_matrix(key, self.horizon)
-            grid = prevalent_case_survival(key, weights, matrix).values
-            self._prev[key] = grid
-        return grid
+    def prevalent_grid(self, keys) -> np.ndarray:
+        return prevalent_case_survival(keys, self.calc.prevalent_survival(keys)).values
 
-    def so_grid(self, key: StratumKey) -> np.ndarray:
-        """S_O at integer lags 0..K: the even columns of the key's table row."""
+    def so_grid(self, keys) -> np.ndarray:
+        """S_O at integer lags 0..K: the even columns of each key's table row."""
         table = self.calc.table
-        row = table.row(key)   # may add rows, replacing table.values
-        return table.values[row, : 2 * self.horizon + 1 : 2]
+        single = isinstance(keys, StratumKey)
+        rows = table.rows([keys] if single else keys)   # may add rows, replacing table.values
+        grid = table.values[rows, : 2 * self.horizon + 1 : 2]
+        return grid[0] if single else grid
 
-    def diagnosis_mass(self, key: StratumKey) -> np.ndarray:
-        mass = self._masses.get(key)
-        if mass is None:
-            mass = time_to_diagnosis_increments(self.incidence, key, self.horizon, self.diagnostics)
-            self._masses[key] = mass
-        return mass
+    def diagnosis_mass(self, keys) -> np.ndarray:
+        return time_to_diagnosis_increments(self.incidence, keys, self.horizon, self.diagnostics)
 
     def solve(self, keys: Sequence[StratumKey]) -> list[AdjustedPopulationSurvival]:
-        """S_P curves of `keys`, in order.  Keys not solved before are
-        grouped by birth-cohort diagonal, and each diagonal is solved in one
-        sweep rooted at all of its keys."""
-        diagonals: dict[tuple, list[StratumKey]] = {}
-        for key in keys:
-            if key not in self._curves:
-                diagonals.setdefault((key.year - key.age, key.demographics), []).append(key)
-        for group in diagonals.values():
-            curves = solve_noncancer_survival(self, group, self.diagnostics, self._cells)
-            self._curves.update(zip(group, curves))
-        return [self._curves[key] for key in keys]
+        """S_P curves of `keys`, in order; the keys not solved before are
+        solved together in one sweep.  The lag table is filled first: made
+        before the sweep's per-cell arrays, the temporaries of its one
+        evaluation (the run's largest) leave `adjust` peaking ~5 MiB lower."""
+        self.calc.table.values
+        return solve_noncancer_survival(self, list(keys), self.diagnostics, self.cells)
 
-    def residuals(self, key: StratumKey) -> np.ndarray:
-        """r(t) for t = 1..K at the key's cell (diagnostic export), as the
-        solve computed it."""
-        self.solve([key])
-        return self._cells[key].residual[1:].copy()
+    def residuals(self, keys) -> np.ndarray:
+        """r(t) for t = 1..K at each key's cell (diagnostic export), as the
+        solve computed it: a vector for one key, a keys x K array for a
+        sequence of keys."""
+        single = isinstance(keys, StratumKey)
+        keys = [keys] if single else list(keys)
+        self.solve(keys)
+        rows = self.cells.rows(keys)
+        r = self.cells.residual[rows, 1:]
+        return r[0] if single else r

@@ -172,17 +172,18 @@ def cmd_adjust(args) -> int:
     )
     keys = _registry_strata_keys(frame)
     grid_rows, alpha_rows, r_rows = [], [], []
-    for key, curve in zip(keys, engine.solve(keys)):
+    curves = engine.solve(keys)
+    alphas, residuals = engine.alpha(keys), engine.residuals(keys)
+    for key, curve, alpha, r in zip(keys, curves, alphas.tolist(), residuals):
         alpha_rows.append({
-            "age": key.age, "year": key.year, "sex": key.demographics[0],
-            "alpha": engine.alpha(key),
+            "age": key.age, "year": key.year, "sex": key.demographics[0], "alpha": alpha,
         })
         for t, value in enumerate(curve.values):
             grid_rows.append({
                 "age": key.age, "year": key.year, "sex": key.demographics[0],
                 "t": t, "s_p": value,
             })
-        for t, value in enumerate(engine.residuals(key), start=1):
+        for t, value in enumerate(r, start=1):
             r_rows.append({
                 "age": key.age, "year": key.year, "sex": key.demographics[0],
                 "t": t, "r": value,

@@ -7,13 +7,14 @@ the life-table adjustment:
 * prevalence: the probability that a member of a cell has a prior diagnosis,
   via the recursion  alpha(a) = sum_s S_O(s | a-s) * IR(a-s) * (1 - alpha(a-s))
   with alpha(age 0) = 0;
-* the lag-since-diagnosis distribution of prevalent cases (the same summands,
-  normalized by alpha);
+* the survival of prevalent cases from the cell date (the same summands with
+  each patient's survival carried further, normalized by alpha);
 * the time-to-diagnosis distribution of cancer-free members,
   F(t) = 1 - prod_{s<t} (1 - IR(a+s)).
 
-The recursion walks each birth-cohort diagonal once (each cell depends only
-on strictly earlier cells of the same diagonal); every overall-survival value
+Each cell depends only on strictly earlier cells of its birth-cohort
+diagonal, so the recursion steps through the ages once for all diagonals
+together, reading each diagonal's inputs once; every overall-survival value
 it reads comes from one lag table, evaluated once per diagnosis stratum.
 """
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics, log
 from .io import check_table_extent
+from .lifetable import CellTable
 from .registry import StratumKey
 from .survival_provider import OverallSurvivalProvider, SurvivalLagTable
 
@@ -41,93 +43,45 @@ class PrevalenceError(ValueError):
 IR_CLIP = 1.0 - 1e-9
 
 
-class IncidenceTable:
-    """Annual incidence rates keyed like a life table.
-
-    The rates live in one dense (demographics, age, year) array, NaN where
-    the input has no cell, so a diagonal of any length is read with a single
-    gather.  Lookups outside the declared age/year ranges are clamped to the
+class IncidenceTable(CellTable):
+    """Annual incidence rates keyed like a life table, in the same dense
+    layout.  Lookups outside the declared age/year ranges are clamped to the
     nearest in-range cell (counted); cells absent after clamping default to
     0 (counted), so pediatric gaps in real incidence files do not abort a
     run.
     """
 
-    def __init__(self, cells: dict):
-        n = len(cells)
-        ir = np.fromiter((float(v) for v in cells.values()), np.float64, n)
-        bad = np.flatnonzero(~((ir >= 0.0) & (ir < 1.0)))
-        if bad.size:
-            (age, year, demo), value = list(cells.items())[bad[0]]
-            raise IncidenceError(f"ir={float(value)} outside [0,1) at cell (age={age}, year={year}, {demo})")
-        self.demographics = sorted({k[2] for k in cells})
-        self._demo_index = {demo: i for i, demo in enumerate(self.demographics)}
-        if not n:
-            self.age_min = self.age_max = self.year_min = self.year_max = 0
-            self._ir = np.empty((0, 0, 0))
-            return
-        ages = np.fromiter((int(k[0]) for k in cells), np.intp, n)
-        years = np.fromiter((int(k[1]) for k in cells), np.intp, n)
-        self.age_min, self.age_max = int(ages.min()), int(ages.max())
-        self.year_min, self.year_max = int(years.min()), int(years.max())
-        demos = np.fromiter((self._demo_index[k[2]] for k in cells), np.intp, n)
-        self._ir = np.full(
-            (len(self.demographics), self.age_max - self.age_min + 1, self.year_max - self.year_min + 1),
-            np.nan,
-        )
-        self._ir[demos, ages - self.age_min, years - self.year_min] = ir
+    quantity, bounds, error = "ir", "[0,1)", IncidenceError
 
-    @property
-    def cells(self) -> dict[tuple[int, int, tuple], float]:
-        """Every cell the table holds, as {(age, year, demographics): ir}."""
-        d, a, y = np.nonzero(~np.isnan(self._ir))
-        return {
-            (self.age_min + i, self.year_min + j, self.demographics[k]): self._ir.item(k, i, j)
-            for k, i, j in zip(d.tolist(), a.tolist(), y.tolist())
-        }
+    @staticmethod
+    def valid(values: np.ndarray) -> np.ndarray:
+        return (values >= 0.0) & (values < 1.0)
 
     @classmethod
     def zero(cls) -> "IncidenceTable":
         """Empty table: IR identically 0 (the no-adjustment limit)."""
         return cls({})
 
-    def ir(self, age: int, year: int, demo: tuple, diagnostics: Diagnostics | None = None) -> float:
-        """IR at one cell, counted as in `ir_diagonal`.  The prevalence
-        recursion extends a diagonal by a few ages at a time and reads one
-        cell per age, where a one-step `ir_diagonal` gather costs over ten
-        times as much."""
-        if not self._ir.size:
-            return 0.0
-        a = min(max(age, self.age_min), self.age_max)
-        y = min(max(year, self.year_min), self.year_max)
-        if (a, y) != (age, year) and diagnostics is not None:
-            diagnostics.incr("incidence_clamp")
-        d = self._demo_index.get(demo)
-        value = math.nan if d is None else self._ir.item(d, a - self.age_min, y - self.year_min)
-        if math.isnan(value):
-            if diagnostics is not None:
-                diagnostics.incr("incidence_missing_cell")
-            return 0.0
-        return value
-
-    def ir_diagonal(self, key: StratumKey, steps: int, diagnostics: Diagnostics | None = None) -> np.ndarray:
-        """IR at (age+j, year+j) for j = 0..steps-1 in one gather, each step
-        clamped into the table's ranges (counted once per clamped step) and 0
-        at a missing cell (counted once per step); an empty table is 0
+    def ir_diagonal(self, keys, steps, diagnostics: Diagnostics | None = None) -> np.ndarray:
+        """IR at (age+j, year+j) for j = 0..steps-1 from each key, in one
+        gather: a vector for one key, a keys x steps array for a sequence of
+        keys.  `steps` may give one count per key; a key's row is then 0
+        past its own count, and those entries are not counted.  Each step is
+        clamped into the table's ranges (counted once per clamped step) and
+        is 0 at a missing cell (counted once per step); an empty table is 0
         everywhere and counts nothing."""
-        if not self._ir.size:
-            return np.zeros(steps)
-        ages = np.arange(key.age, key.age + steps)
-        years = ages + (key.year - key.age)
-        a = np.minimum(np.maximum(ages, self.age_min), self.age_max)
-        y = np.minimum(np.maximum(years, self.year_min), self.year_max)
-        demo = self._demo_index.get(key.demographics)
-        ir = np.full(steps, np.nan) if demo is None else self._ir[demo, a - self.age_min, y - self.year_min]
-        missing = np.isnan(ir)
-        if diagnostics is not None:
-            diagnostics.incr("incidence_clamp", int(((a != ages) | (y != years)).sum()))
-            diagnostics.incr("incidence_missing_cell", int(missing.sum()))
-        ir[missing] = 0.0
-        return ir
+        single = isinstance(keys, StratumKey)
+        keys = (keys,) if single else keys
+        if self._values.size:
+            ir, clamped, _, _ = self._gather(keys, steps)
+            missing = np.isnan(ir)
+            ir[missing] = 0.0
+            if diagnostics is not None:
+                diagnostics.incr("incidence_clamp", int(clamped.sum()))
+                diagnostics.incr("incidence_missing_cell", int(missing.sum()))
+        else:
+            ir = np.zeros((len(keys), int(np.max(steps, initial=0))))
+        return ir[0] if single else ir
 
 
 def compute_incidence(
@@ -158,42 +112,21 @@ def compute_incidence(
 
 
 def time_to_diagnosis_increments(
-    ir: IncidenceTable, key: StratumKey, k_max: int, diagnostics: Diagnostics | None = None
+    ir: IncidenceTable, keys, k_max: int, diagnostics: Diagnostics | None = None
 ) -> np.ndarray:
-    """Year-by-year diagnosis mass for k = 1..k_max: F(k) - F(k-1).
+    """Year-by-year diagnosis mass for k = 1..k_max: F(k) - F(k-1), a
+    vector for one key, a keys x k_max array for a sequence of keys.
 
     Equals IR(key+k-1) times the probability of staying undiagnosed through
     the earlier years; increments telescope back to the cdf.
     """
-    rates = ir.ir_diagonal(key, int(k_max), diagnostics)
-    undiagnosed = np.concatenate(([1.0], np.cumprod(1.0 - rates)[:-1]))
-    return undiagnosed * rates
-
-
-class _DiagonalState:
-    """Per-diagonal recursion state (one birth cohort, one demographic group).
-
-    Arrays are indexed by age and sized once for ages 0..max_age; alpha is
-    known for the first `n` ages (rows and irga for the first n - 1), ir for
-    the first `n_ir` and the cohort survival for the first `n_surv`.
-    """
-
-    __slots__ = ("n", "n_ir", "n_surv", "alpha", "irga", "ir", "surv", "rows")
-
-    def __init__(self, max_age: int):
-        size = max_age + 1
-        self.n = 1                          # alpha(age 0) = 0 by construction
-        self.n_ir = 0
-        self.n_surv = 1
-        self.alpha = np.zeros(size)
-        self.irga = np.empty(size)          # IR(d) * (1 - alpha(d)) * cohort survival to d
-        self.ir = np.empty(size)
-        self.surv = np.ones(size)           # life-table cohort survival from age 0 along the diagonal
-        self.rows = np.empty(size, dtype=np.intp)   # lag-table row of the age-d diagnosis stratum
+    rates = ir.ir_diagonal(keys, int(k_max), diagnostics)
+    undiagnosed = np.cumprod(1.0 - rates, axis=-1)[..., :-1]
+    return np.concatenate((np.ones(rates.shape[:-1] + (1,)), undiagnosed), axis=-1) * rates
 
 
 class PrevalenceCalculator:
-    """Prevalence and diagnosis-lag distributions from incidence + survival.
+    """Prevalence and prevalent-case survival from incidence + survival.
 
     Each lag-s term multiplies the chance of a diagnosis s years back
     (IR * fraction then undiagnosed), the patients' survival over those s
@@ -230,92 +163,153 @@ class PrevalenceCalculator:
         self.life_table = life_table
         self.offset = 0 if lag_eval == "year_start" else 1   # in half-year table columns
         self.diagnostics = ensure_diagnostics(diagnostics)
+        self.horizon = int(horizon)
         if isinstance(overall_survival, OverallSurvivalProvider):
-            self.max_age = overall_survival.max_age + horizon - 1
+            self.max_age = overall_survival.max_age + self.horizon - 1
         else:
             self.max_age = life_table.age_max
-        self.table = SurvivalLagTable(overall_survival, self.max_age + horizon)
-        self._diagonals: dict[tuple[int, tuple], _DiagonalState] = {}
+        self.table = SurvivalLagTable(overall_survival, self.max_age + self.horizon)
+        # the inputs of each diagonal (birth year, demographics) over ages
+        # 0..max_age, read once and extended when an older cell is asked for:
+        # IR(d), the lag-table row of the age-d diagnosis stratum (both for
+        # d < known) and the cohort survival from age 0 (through known)
+        self._diagonals: dict[tuple[int, tuple], int] = {}
+        self._known = np.zeros(0, dtype=np.intp)
+        self._ir = np.zeros((0, self.max_age + 1))
+        self._surv = np.ones((0, self.max_age + 1))
+        self._rows = np.zeros((0, self.max_age + 1), dtype=np.intp)
 
-    def _ensure(self, key: StratumKey, age: int) -> _DiagonalState:
-        """Extend the key's diagonal through `age`; alpha(a) is one dot product
-        of the lag-(a-d) survival anti-diagonal with the irga terms."""
-        if age > self.max_age:
-            raise PrevalenceError(
-                f"cell {key} is older than the {self.max_age} years the survival lag table covers"
-            )
-        yob = key.year - key.age
-        ident = (yob, key.demographics)
-        state = self._diagonals.get(ident)
-        if state is None:
-            state = self._diagonals[ident] = _DiagonalState(self.max_age)
-        if state.n > age:
-            return state
-        for d in range(state.n_ir, age):
-            state.ir[d] = self.incidence.ir(d, yob + d, key.demographics, self.diagnostics)
-            state.n_ir = d + 1
-        for d in range(state.n_surv - 1, age):
-            q = self.life_table.q(d, yob + d, key.demographics, self.diagnostics)
-            state.surv[d + 1] = state.surv[d] * (1.0 - q)
-            state.n_surv = d + 2
-        for a in range(state.n, age + 1):
-            if state.surv[a] <= 0.0:
+    def _locate(self, keys) -> np.ndarray:
+        """Diagonal of each key, adding the diagonals not seen before."""
+        for key in keys:
+            if key.age < 0:
+                raise ValueError("prevalence needs age >= 0")
+            if key.age > self.max_age:
                 raise PrevalenceError(
-                    f"life-table cohort extinct at age {a} on diagonal "
-                    f"(birth year {yob}, {key.demographics}); prevalence undefined"
+                    f"cell {key} is older than the {self.max_age} years the survival lag table covers"
                 )
-            d = a - 1
-            state.rows[d] = self.table.row(StratumKey(d, yob + d, key.demographics))
-            state.irga[d] = state.ir[d] * (1.0 - state.alpha[d]) * state.surv[d]
-            terms = self.table.values[state.rows[:a], 2 * np.arange(a, 0, -1) - self.offset]
-            value = float(terms @ state.irga[:a]) / state.surv[a]
-            if value >= 1.0:
-                raise PrevalenceError(
-                    f"prevalence {value:.6f} >= 1 at age {a} on diagonal "
-                    f"(birth year {yob}, {key.demographics}); incidence and survival inputs disagree"
-                )
-            state.alpha[a] = value
-            state.n = a + 1
-        return state
+        diagonals = self._diagonals
+        index = np.array(
+            [diagonals.setdefault((k.year - k.age, k.demographics), len(diagonals)) for k in keys],
+            dtype=np.intp,
+        )
+        new = len(diagonals) - self._known.shape[0]
+        if new:
+            width = self.max_age + 1
+            self._known = np.concatenate((self._known, np.zeros(new, dtype=np.intp)))
+            self._ir = np.concatenate((self._ir, np.zeros((new, width))))
+            self._surv = np.concatenate((self._surv, np.ones((new, width))))
+            self._rows = np.concatenate((self._rows, np.zeros((new, width), dtype=np.intp)))
+        return index
 
-    def prevalence(self, key: StratumKey) -> float:
-        """alpha at the key's cell."""
-        if key.age < 0:
-            raise ValueError("prevalence needs age >= 0")
-        state = self._ensure(key, key.age)
-        return float(state.alpha[key.age])
+    def _extend(self, diags: np.ndarray, reach: np.ndarray) -> None:
+        """Read the inputs of each diagonal through age reach - 1, once: one
+        IR gather, one life-table gather and one lag-table row lookup for the
+        ages not read before."""
+        grow = reach > self._known[diags]
+        if not grow.any():
+            return
+        diags, reach = diags[grow], reach[grow]
+        start = self._known[diags]
+        count = reach - start
+        ident = list(self._diagonals)
+        starts = [
+            StratumKey(int(a), ident[i][0] + int(a), ident[i][1])
+            for i, a in zip(diags.tolist(), start.tolist())
+        ]
+        ir = self.incidence.ir_diagonal(starts, count, self.diagnostics)
+        q = self.life_table.q_diagonal(starts, count, self.diagnostics)
+        ages = start[:, None] + np.arange(ir.shape[1])
+        used = ages < reach[:, None]
+        lines = np.broadcast_to(diags[:, None], ages.shape)[used]
+        cells = [
+            StratumKey(d, ident[i][0] + d, ident[i][1])
+            for i, d in zip(lines.tolist(), ages[used].tolist())
+        ]
+        self._ir[lines, ages[used]] = ir[used]
+        self._rows[lines, ages[used]] = self.table.rows(cells)
+        # survival to d + 1 = survival to d times (1 - q(d)), multiplied in age order
+        surv = np.cumprod(np.column_stack((self._surv[diags, start], 1.0 - q)), axis=1)[:, 1:]
+        self._surv[lines, ages[used] + 1] = surv[used]
+        self._known[diags] = reach
 
-    def prevalent_mix_weights(self, key: StratumKey) -> np.ndarray:
-        """Attrition-normalized diagnosis mass per lag s = 1..age, over alpha.
+    def _recursion(self, keys, grids: bool):
+        """alpha at each key's cell, and with `grids` the prevalent-case
+        survival at t = 0..horizon, with one step per age for all the keys'
+        diagonals together.
 
-        These pair with `survival_from_diagnosis_matrix`: weight * M[s-1, t]
-        is the probability of a diagnosis s years back followed by survival
-        to horizon t, already conditioned on being prevalent.  The t = 0
-        column then mixes to exactly 1 (the recursion's own sum).
+        C[i, m] accumulates irga(d) * S_O(m - d | diagnosed at d) over the
+        ages d stepped so far on diagonal i, irga(d) being IR(d) times the
+        fraction undiagnosed, 1 - alpha(d), times the cohort survival to d.
+        At step a, before age a is added, alpha(a) = C[i, a] / survival to a,
+        and C[i, a + t] is the numerator of the prevalent cases' survival to
+        horizon t.
         """
-        a = key.age
-        alpha = self.prevalence(key)
-        if alpha <= 0.0:
+        index = self._locate(keys)
+        ages = np.fromiter((k.age for k in keys), np.intp, len(keys))
+        diags, line = np.unique(index, return_inverse=True)
+        line = line.reshape(-1)
+        reach = np.zeros(diags.shape[0], dtype=np.intp)
+        np.maximum.at(reach, line, ages)
+        self._extend(diags, reach)
+        top = int(reach.max()) if reach.size else 0
+        K = self.horizon if grids else 0
+        table = self.table.values
+        lags = 2 * np.arange(1, top + K + 1) - self.offset   # table column of lag 1, 2, ...
+        ir, surv, rows = self._ir[diags, :top], self._surv[diags, : top + 1], self._rows[diags, :top]
+        alpha = np.zeros((diags.shape[0], top + 1))
+        C = np.zeros((diags.shape[0], top + K + 1))
+        numer = np.empty((len(keys), K + 1)) if grids else None
+        order = np.argsort(ages, kind="stable")
+        bounds = np.searchsorted(ages[order], np.arange(top + 2))
+        for a in range(top + 1):
+            if a:
+                live = reach >= a
+                extinct = live & (surv[:, a] <= 0.0)
+                if extinct.any():
+                    yob, demo = list(self._diagonals)[int(diags[extinct.argmax()])]
+                    raise PrevalenceError(
+                        f"life-table cohort extinct at age {a} on diagonal "
+                        f"(birth year {yob}, {demo}); prevalence undefined"
+                    )
+                np.divide(C[:, a], surv[:, a], out=alpha[:, a], where=live)
+                over = live & (alpha[:, a] >= 1.0)
+                if over.any():
+                    yob, demo = list(self._diagonals)[int(diags[over.argmax()])]
+                    raise PrevalenceError(
+                        f"prevalence {alpha[over.argmax(), a]:.6f} >= 1 at age {a} on diagonal "
+                        f"(birth year {yob}, {demo}); incidence and survival inputs disagree"
+                    )
+            if grids:
+                at = order[bounds[a] : bounds[a + 1]]
+                numer[at] = C[line[at], a : a + K + 1]
+            if a < top:
+                irga = ir[:, a] * (1.0 - alpha[:, a]) * surv[:, a]
+                C[:, a + 1 :] += irga[:, None] * table[rows[:, a, None], lags[: top + K - a]]
+        values = alpha[line, ages]
+        if not grids:
+            return values
+        if (values <= 0.0).any():
+            key = keys[int((values <= 0.0).argmax())]
             raise PrevalenceError(f"prevalent mixture undefined at {key}: prevalence is 0")
-        state = self._ensure(key, a)
-        return state.irga[:a][::-1] / (state.surv[a] * alpha)
+        return numer / (surv[line, ages] * values)[:, None]
 
-    def survival_from_diagnosis_matrix(self, key: StratumKey, horizon: int) -> np.ndarray:
-        """Matrix M[s-1, t] = S_O(t + s | diagnosed age-s years back), t = 0..horizon.
+    def prevalence(self, keys):
+        """alpha at each key's cell: a float for one key, an array for a
+        sequence of keys."""
+        if isinstance(keys, StratumKey):
+            return float(self._recursion([keys], False)[0])
+        return self._recursion(list(keys), False)
 
-        Row s pairs with the lag-s mass of the prevalent-case distribution;
-        the evaluation point carries the same within-year offset as the
-        recursion.
-        """
-        a = key.age
-        if a + horizon > self.table.max_lag:
-            raise ValueError(
-                f"lag {a + horizon} at {key} is past the survival lag table's {self.table.max_lag}"
-            )
-        state = self._ensure(key, a)
-        s = np.arange(1, a + 1)
-        lags = 2 * (s[:, None] + np.arange(horizon + 1)) - self.offset
-        return self.table.values[state.rows[a - s][:, None], lags]
+    def prevalent_survival(self, keys) -> np.ndarray:
+        """Survival of the prevalent cases from each key's cell date at
+        t = 0..horizon: the recursion's lag-s diagnosis mass times the
+        survival from that diagnosis to s + t, over alpha; 1 at t = 0 up to
+        rounding.  A vector for one key, a keys x (horizon + 1) array for a
+        sequence of keys."""
+        if isinstance(keys, StratumKey):
+            return self._recursion([keys], True)[0]
+        return self._recursion(list(keys), True)
 
 
 def load_incidence_table(path) -> IncidenceTable:

@@ -14,7 +14,6 @@ read with a single gather.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +28,75 @@ class LifeTableError(ValueError):
     """Malformed life-table input."""
 
 
-class LifeTable:
+class CellTable:
+    """Annual values keyed by (age, calendar year, demographics).
+
+    The values live in one dense (demographics, age, year) array, NaN where
+    the input has no cell, so a diagonal of any length is read with a single
+    gather.  Lookups outside the declared age/year ranges are clamped to the
+    nearest in-range cell.  Subclasses name the quantity, its valid range
+    and their error type.
+    """
+
+    quantity, bounds, error = "value", "[0,1]", ValueError
+
+    def __init__(self, cells: dict):
+        n = len(cells)
+        values = np.fromiter((float(v) for v in cells.values()), np.float64, n)
+        bad = np.flatnonzero(~self.valid(values))
+        if bad.size:
+            (age, year, demo), value = list(cells.items())[bad[0]]
+            raise self.error(
+                f"{self.quantity}={float(value)} outside {self.bounds} at cell (age={age}, year={year}, {demo})"
+            )
+        self.demographics = sorted({k[2] for k in cells})
+        self._demo_index = {demo: i for i, demo in enumerate(self.demographics)}
+        ages = np.fromiter((int(k[0]) for k in cells), np.intp, n)
+        years = np.fromiter((int(k[1]) for k in cells), np.intp, n)
+        self.age_min, self.age_max = (int(ages.min()), int(ages.max())) if n else (0, 0)
+        self.year_min, self.year_max = (int(years.min()), int(years.max())) if n else (0, 0)
+        demos = np.fromiter((self._demo_index[k[2]] for k in cells), np.intp, n)
+        self._values = np.full(
+            (len(self.demographics), self.age_max - self.age_min + 1, self.year_max - self.year_min + 1),
+            np.nan,
+        )
+        self._values[demos, ages - self.age_min, years - self.year_min] = values
+
+    @staticmethod
+    def valid(values: np.ndarray) -> np.ndarray:
+        return (values >= 0.0) & (values <= 1.0)
+
+    @property
+    def cells(self) -> dict[tuple[int, int, tuple], float]:
+        """Every cell the table holds, as {(age, year, demographics): value}."""
+        d, a, y = np.nonzero(~np.isnan(self._values))
+        return {
+            (self.age_min + i, self.year_min + j, self.demographics[k]): self._values.item(k, i, j)
+            for k, i, j in zip(d.tolist(), a.tolist(), y.tolist())
+        }
+
+    def _gather(self, keys, steps):
+        """Values at (age+j, year+j) for j = 0..steps-1 from each key (steps
+        an int or one count per key), each step clamped into the table's
+        ranges: (values, clamped, ages, years) as keys x max(steps) arrays of
+        the values, the clamped steps and the cells read.  Values are NaN at
+        a missing cell and 0 past a key's own count, which is not clamped."""
+        n = len(keys)
+        steps = np.broadcast_to(np.asarray(steps, dtype=np.intp), (n,))
+        width = np.arange(int(steps.max()) if n else 0)
+        used = width < steps[:, None]
+        ages = np.fromiter((k.age for k in keys), np.intp, n)[:, None] + width
+        years = ages + np.fromiter((k.year - k.age for k in keys), np.intp, n)[:, None]
+        demo = np.fromiter((self._demo_index.get(k.demographics, -1) for k in keys), np.intp, n)
+        a = np.minimum(np.maximum(ages, self.age_min), self.age_max)
+        y = np.minimum(np.maximum(years, self.year_min), self.year_max)
+        values = self._values[demo[:, None], a - self.age_min, y - self.year_min]
+        values[demo < 0] = np.nan
+        values[~used] = 0.0
+        return values, ((a != ages) | (y != years)) & used, a, y
+
+
+class LifeTable(CellTable):
     """Annual conditional death probabilities keyed by (age, year, demographics).
 
     `require_complete=True` (the loader's mode) demands every cell of the
@@ -40,81 +107,34 @@ class LifeTable:
     out-of-range keys to the diagonal corner cell).
     """
 
+    quantity, bounds, error = "q", "[0,1]", LifeTableError
+
     def __init__(self, cells: dict, require_complete: bool = True):
         if not cells:
             raise LifeTableError("life table has no cells")
-        n = len(cells)
-        q = np.fromiter((float(v) for v in cells.values()), np.float64, n)
-        bad = np.flatnonzero(~((q >= 0.0) & (q <= 1.0)))
-        if bad.size:
-            (age, year, demo), value = list(cells.items())[bad[0]]
-            raise LifeTableError(f"q={float(value)} outside [0,1] at cell (age={age}, year={year}, {demo})")
-        ages = np.fromiter((int(k[0]) for k in cells), np.intp, n)
-        years = np.fromiter((int(k[1]) for k in cells), np.intp, n)
-        self.age_min, self.age_max = int(ages.min()), int(ages.max())
-        self.year_min, self.year_max = int(years.min()), int(years.max())
-        self.demographics = sorted({k[2] for k in cells})
-        # the one store of q: a dense (demographics, age, year) array in which
-        # cells the input lacks are NaN
-        self._demo_index = {demo: i for i, demo in enumerate(self.demographics)}
-        demos = np.fromiter((self._demo_index[k[2]] for k in cells), np.intp, n)
-        self._q = np.full(
-            (len(self.demographics), self.age_max - self.age_min + 1, self.year_max - self.year_min + 1),
-            np.nan,
-        )
-        self._q[demos, ages - self.age_min, years - self.year_min] = q
-        if require_complete:
-            missing = np.argwhere(np.isnan(self._q))
-            if missing.size:
-                d, a, y = missing[0]
-                raise LifeTableError(
-                    f"missing cell (age={self.age_min + a}, year={self.year_min + y}, {self.demographics[d]})"
-                )
+        super().__init__(cells)
+        missing = np.argwhere(np.isnan(self._values)) if require_complete else ()
+        if len(missing):
+            d, a, y = missing[0]
+            raise LifeTableError(
+                f"missing cell (age={self.age_min + a}, year={self.year_min + y}, {self.demographics[d]})"
+            )
 
-    @property
-    def cells(self) -> dict[tuple[int, int, tuple], float]:
-        """Every cell the table holds, as {(age, year, demographics): q}."""
-        d, a, y = np.nonzero(~np.isnan(self._q))
-        return {
-            (self.age_min + i, self.year_min + j, self.demographics[k]): self._q.item(k, i, j)
-            for k, i, j in zip(d.tolist(), a.tolist(), y.tolist())
-        }
-
-    def q(self, age: int, year: int, demo: tuple, diagnostics: Diagnostics | None = None) -> float:
-        """q at one cell, clamped into the table's ranges (counted).  The
-        prevalence recursion reads one cell per age step, where a one-step
-        `q_diagonal` gather costs over ten times as much."""
-        a = min(max(age, self.age_min), self.age_max)
-        y = min(max(year, self.year_min), self.year_max)
-        if (a, y) != (age, year) and diagnostics is not None:
-            diagnostics.incr("lifetable_clamp")
-        d = self._demo_index.get(demo)
-        q = math.nan if d is None else self._q.item(d, a - self.age_min, y - self.year_min)
-        if math.isnan(q):
-            raise LifeTableError(f"no life-table cell (age={a}, year={y}, {demo})")
-        return q
-
-    def q_diagonal(self, keys, steps: int, diagnostics: Diagnostics | None = None) -> np.ndarray:
+    def q_diagonal(self, keys, steps, diagnostics: Diagnostics | None = None) -> np.ndarray:
         """q at (age+j, year+j) for j = 0..steps-1 from each key, in one
         gather: a vector for one key, a keys x steps array for a sequence of
-        keys.  Each step is clamped into the table's ranges (counted once
-        per clamped step); a missing cell raises, after counting the clamped
+        keys.  `steps` may give one count per key; a key's row is then 0
+        past its own count, and those entries are neither read nor counted.
+        Each step is clamped into the table's ranges (counted once per
+        clamped step); a missing cell raises, after counting the clamped
         steps of the keys before it and of its own key up to it."""
         single = isinstance(keys, StratumKey)
         keys = (keys,) if single else keys
-        n = len(keys)
-        ages = np.fromiter((k.age for k in keys), np.intp, n)[:, None] + np.arange(steps)
-        years = ages + np.fromiter((k.year - k.age for k in keys), np.intp, n)[:, None]
-        demo = np.fromiter((self._demo_index.get(k.demographics, -1) for k in keys), np.intp, n)
-        a = np.minimum(np.maximum(ages, self.age_min), self.age_max)
-        y = np.minimum(np.maximum(years, self.year_min), self.year_max)
-        q = self._q[demo[:, None], a - self.age_min, y - self.year_min]
-        q[demo < 0] = np.nan
-        clamped = (a != ages) | (y != years)
+        q, clamped, a, y = self._gather(keys, steps)
         missing = np.isnan(q)
         if missing.any():
             i = int(missing.argmax())
-            r, j = divmod(i, steps)
+            r, j = divmod(i, q.shape[1])
             if diagnostics is not None:
                 diagnostics.incr("lifetable_clamp", int(clamped.ravel()[: i + 1].sum()))
             raise LifeTableError(f"no life-table cell (age={a[r, j]}, year={y[r, j]}, {keys[r].demographics})")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -44,11 +44,23 @@ class PatientRecord:
 
 @dataclass(frozen=True, order=True)
 class StratumKey:
-    """Stratum identifier: (age, calendar year, demographic codes)."""
+    """Stratum identifier: (age, calendar year, demographic codes).  The hash
+    is computed once, at construction, and not pickled: `str` hashes differ
+    between processes, so an unpickled key hashes afresh."""
 
     age: int
     year: int
     demographics: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.age, self.year, self.demographics)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return StratumKey, (self.age, self.year, self.demographics)
 
     def shift(self, s: int) -> "StratumKey":
         """Move s years along the Lexis diagonal (age and year together)."""
@@ -193,23 +205,25 @@ class _DemographicPool:
     """Live strata of one demographic group, as arrays for neighbour search."""
 
     def __init__(self, keys: list[StratumKey]):
-        self.keys = keys
-        self.pos = {k: i for i, k in enumerate(keys)}
-        self.ages = np.array([k.age for k in keys], dtype=np.int64)
-        self.years = np.array([k.year for k in keys], dtype=np.int64)
-        self.live = np.ones(len(keys), dtype=bool)
+        self.keys = sorted(keys)   # by (age, year): the first of tied distances is the tie-break
+        self.pos = {k: i for i, k in enumerate(self.keys)}
+        self.ages = np.array([k.age for k in self.keys], dtype=np.int64)
+        self.years = np.array([k.year for k in self.keys], dtype=np.int64)
+        # Manhattan distances between members stay below this, so Chebyshev
+        # distance * span + Manhattan distance orders by both
+        self.span = int(np.ptp(self.ages) + np.ptp(self.years)) + 1
+        self.dead = np.zeros(len(self.keys), dtype=np.int64)   # a distance past any live one
 
     def remove(self, key: StratumKey) -> None:
-        self.live[self.pos[key]] = False
+        self.dead[self.pos[key]] = np.iinfo(np.int64).max
 
     def nearest(self, key: StratumKey) -> StratumKey:
         """Closest live stratum: Chebyshev distance, then Manhattan, then
-        lower age, then lower year."""
-        idx = np.flatnonzero(self.live)
-        da = np.abs(self.ages[idx] - key.age)
-        dy = np.abs(self.years[idx] - key.year)
-        best = np.lexsort((self.years[idx], self.ages[idx], da + dy, np.maximum(da, dy)))[0]
-        return self.keys[idx[best]]
+        lower age, then lower year, by one arg-min."""
+        da = np.abs(self.ages - key.age)
+        dy = np.abs(self.years - key.year)
+        distance = np.maximum(da, dy) * self.span + (da + dy)
+        return self.keys[int(np.maximum(distance, self.dead).argmin())]
 
 
 def merge_small_strata(
@@ -247,7 +261,7 @@ def merge_small_strata(
             continue
         pool = pools[key.demographics]
         pool.remove(key)
-        if not pool.live.any():
+        if pool.dead.all():
             break
         for target in (StratumKey(key.age - 1, key.year, key.demographics),
                        StratumKey(key.age + 1, key.year, key.demographics)):

@@ -28,7 +28,7 @@ from .estimators import (
 )
 from .incidence import IncidenceTable
 from .lifetable import LifeTable
-from .registry import Banding, RegistryFrame, StratumKey
+from .registry import Banding, RegistryFrame
 from .survival_provider import OverallSurvivalProvider
 
 BASE_EXCESS_HAZARD = 0.1
@@ -447,45 +447,3 @@ def run_experiment(
         excluded=excluded,
         counters=diagnostics.as_dict(),
     )
-
-
-def noncancer_survival_mae(cfg: ScenarioConfig, rep: int, ts=(1.0, 5.0, 10.0)) -> np.ndarray:
-    """Mean |adjusted S_P - generator S_P| over the analysis strata, per t.
-
-    Used by the consistency study: the error must shrink as the cohort
-    grows.
-    """
-    cohort = generate_cohort(cfg, cfg.base_seed + rep)
-    life_table, incidence = derive_tables(cohort, cfg.person_years)
-    frame_all = make_registry(
-        cohort, cfg.base_seed + 1_000_000 + rep, _provider_window(cfg), cfg.censor_max
-    )
-    diagnostics = Diagnostics()
-    so = OverallSurvivalProvider.from_registry(
-        frame_all, Banding(),
-        min_stratum_size=cfg.min_stratum_size,
-        anchor_points=cfg.extrapolation_points,
-        tau_min_at_risk=cfg.tau_min_at_risk,
-        population_floor=life_table,
-        diagnostics=diagnostics,
-    )
-    engine = AdjustmentEngine(
-        life_table, incidence, so,
-        horizon=cfg.horizon, lag_eval=cfg.lag_eval, diagnostics=diagnostics,
-    )
-    lo, hi = cfg.diag_window
-    errors = {t: [] for t in ts}
-    keys = [
-        StratumKey(age, cfg.birth_year + age, (sex,))
-        for age in range(int(lo), int(hi)) for sex in ("0", "1")
-    ]
-    for key, curve in zip(keys, engine.solve(keys)):
-        for t in ts:
-            truth = true_noncancer_survival(cfg, key.age, t)
-            errors[t].append(abs(float(curve.values[int(t)]) - truth))
-    return np.array([float(np.mean(errors[t])) for t in ts])
-
-
-def _mae_task(args):
-    cfg, rep, ts = args
-    return noncancer_survival_mae(cfg, rep, ts)

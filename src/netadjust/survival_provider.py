@@ -221,7 +221,8 @@ class SurvivalLagTable:
     call of the provider on the whole grid.  Any other callable (a
     closed-form curve) is treated as having one stratum per key: a key's row
     is filled by one call the first time it is looked up, and rows are added
-    in blocks as keys appear.  Rows never change once filled.
+    in blocks as keys appear (rows not yet filled hold 0).  Rows never
+    change once filled.
     """
 
     def __init__(self, survival, max_lag: int):
@@ -235,7 +236,7 @@ class SurvivalLagTable:
         else:
             self._resolve = None
             self._rows: dict[StratumKey, int] = {}
-            self._values = np.empty((LAG_TABLE_ROW_BLOCK, self.lags.shape[0]))
+            self._values = np.zeros((LAG_TABLE_ROW_BLOCK, self.lags.shape[0]))
 
     @property
     def values(self) -> np.ndarray:
@@ -244,17 +245,17 @@ class SurvivalLagTable:
             self._values = self.survival(list(self._rows), self.lags)
         return self._values
 
-    def row(self, key: StratumKey) -> int:
-        """Row of the key's stratum; a closed-form source is evaluated for a
-        key on its first lookup."""
+    def rows(self, keys) -> np.ndarray:
+        """Row of each key's stratum, in one pass; a closed-form source is
+        evaluated for a key on its first lookup."""
         if self._resolve is not None:
-            return self._rows[self._resolve(key)]
-        row = self._rows.get(key)
-        if row is None:
-            row = len(self._rows)
-            if row == self._values.shape[0]:
-                block = np.empty((LAG_TABLE_ROW_BLOCK, self._values.shape[1]))
-                self._values = np.concatenate((self._values, block))
-            self._values[row] = self.survival(key, self.lags)
-            self._rows[key] = row
-        return row
+            return np.array([self._rows[self._resolve(key)] for key in keys], dtype=np.intp)
+        for key in keys:
+            if key not in self._rows:
+                row = len(self._rows)
+                if row == self._values.shape[0]:
+                    block = np.zeros((LAG_TABLE_ROW_BLOCK, self._values.shape[1]))
+                    self._values = np.concatenate((self._values, block))
+                self._values[row] = self.survival(key, self.lags)
+                self._rows[key] = row
+        return np.array([self._rows[key] for key in keys], dtype=np.intp)

@@ -1,10 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from netadjust.estimators import RiskSetSummary
 from netadjust.incidence import IncidenceTable
 from netadjust.lifetable import LifeTable
 from netadjust.registry import RegistryFrame
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
+# test cannot pass on one run and fail on the next
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def flat_life_table(q=0.02, ages=(0, 110), years=(1950, 2070), sexes=("0", "1")):

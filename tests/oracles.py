@@ -1,8 +1,16 @@
 """Independent reference implementations the package is checked against.
 
-* `solve_noncancer_survival_triangular`: the S_P system assembled as one
-  explicit strictly-lower-triangular kernel matrix per lattice cell, solved
-  by forward substitution; `triangular_residuals` returns its r(t).
+* `triangular_cells` and `solve_noncancer_survival_triangular`: the S_P
+  system assembled as one explicit strictly-lower-triangular kernel matrix
+  per lattice cell, solved by forward substitution, every cell the targets
+  depend on once; `triangular_residuals` returns its r(t).
+* `ScalarPrevalence`: the prevalence recursion one age and one diagonal at a
+  time, as a dot product per age, with the per-cell lag-weight vector and
+  survival-from-diagnosis matrix of the prevalent cases;
+  `ScalarIngredients` feeds it and the other one-cell solver inputs to the
+  triangular solver.
+* `ir_at` and `q_at`: one incidence rate and one death probability,
+  clamped and counted as the tables' diagonal gathers do.
 * `merge_small_strata_reference`: the plain rescanning stratum merger, which
   rebuilds the small-stratum list, the neighbour pool and the alias map on
   every merge.
@@ -24,6 +32,8 @@
   prevalent-case diagnosis-lag distribution, read from the prevalence
   recursion's own terms, and its cdf summed from the increments.
 """
+import math
+
 import numpy as np
 
 from netadjust.adjustment import (
@@ -40,46 +50,64 @@ from netadjust.incidence import (
     PrevalenceError,
     time_to_diagnosis_increments,
 )
-from netadjust.lifetable import LifeTable
+from netadjust.lifetable import LifeTable, LifeTableError
 from netadjust.registry import Banding, EventTable, RegistryFrame, StratumKey
+from netadjust.survival_provider import OverallSurvivalProvider, SurvivalLagTable
 
 
-def _triangular(ing: AdjustmentIngredients, key: StratumKey, diagnostics=None):
-    """Solve every lattice cell the target depends on; returns
-    {cell: (values, clips, guards, r)} for the cells solved."""
+def triangular_cells(ing: AdjustmentIngredients, keys, diagnostics=None):
+    """Solve every lattice cell the targets depend on, each cell once;
+    returns {cell: (values, clips, guards, r)} for the cells solved.
+
+    A cell that needs horizon n passes n - k on to its k-th shift for each
+    k < n with nonzero diagnosis mass dF_k (the kernel terms with dF_k = 0
+    vanish), so a cell's diagnosis mass is read only when it needs two or
+    more horizons.  Every ingredient is read with one-cell calls, once per
+    cell."""
     diag = ensure_diagnostics(diagnostics)
-    need: dict[StratumKey, int] = {key: ing.horizon}
-    stack = [key]
+    K = ing.horizon
+    need: dict[StratumKey, int] = {key: K for key in keys}
+    mass: dict[StratumKey, np.ndarray] = {}
+    stack = list(need)
     while stack:
         s = stack.pop()
         n = need[s]
+        if n < 2:
+            continue
+        if s not in mass:
+            mass[s] = np.asarray(ing.diagnosis_mass([s])[0], dtype=np.float64)[:K]
         for k in range(1, n):
-            s2 = ing.shift(s, k)
-            if need.get(s2, 0) < n - k:
+            s2 = s.shift(k)
+            if mass[s][k - 1] != 0.0 and need.get(s2, 0) < n - k:
                 need[s2] = n - k
                 stack.append(s2)
     # dependencies (shifts toward higher age at smaller horizons) first
     order = sorted(need, key=lambda s: (s.demographics, s.year - s.age, -s.age))
     solved: dict[StratumKey, tuple] = {}
+    so_grids: dict[StratumKey, np.ndarray] = {}
     for s in order:
         n = need[s]
-        a = ing.alpha(s)
-        lt = np.asarray(ing.lt_survival_grid(s), dtype=np.float64)
+        a = float(ing.alpha([s])[0])
+        lt = np.asarray(ing.lt_survival_grid([s])[0], dtype=np.float64)
         if a == 0.0:
             numer = lt[1 : n + 1]
         elif a >= 1.0:
             raise SolverError(f"prevalence {a} >= 1 at {s}")
         else:
-            numer = (lt - a * np.asarray(ing.prevalent_grid(s), dtype=np.float64))[1 : n + 1]
-        dF = np.asarray(ing.diagnosis_mass(s), dtype=np.float64)[:n]
+            numer = (lt - a * np.asarray(ing.prevalent_grid([s])[0], dtype=np.float64))[1 : n + 1]
+        dF = mass[s] if n >= 2 else np.zeros(K)
         H = np.zeros((n, n))
         for k in range(1, n):
-            shifted = ing.shift(s, k)
-            so = np.asarray(ing.so_grid(shifted), dtype=np.float64)
+            if dF[k - 1] == 0.0:
+                continue
+            shifted = s.shift(k)
+            if shifted not in so_grids:
+                so_grids[shifted] = np.asarray(ing.so_grid([shifted])[0], dtype=np.float64)
+            so = so_grids[shifted]
             sp = solved[shifted][0]
             m = n - k
             H[k:, k - 1] = 1.0 - so[1 : m + 1] / sp[1 : m + 1]
-        r = 1.0 - H @ dF
+        r = 1.0 - H @ dF[:n]
         too_small = r < R_FLOOR
         if too_small.any():
             t_bad = int(np.flatnonzero(too_small)[0]) + 1
@@ -105,15 +133,235 @@ def _triangular(ing: AdjustmentIngredients, key: StratumKey, diagnostics=None):
     return solved
 
 
-def solve_noncancer_survival_triangular(ing, key, diagnostics=None) -> AdjustedPopulationSurvival:
-    """S_P of the target cell with its own clip/guard counts."""
-    values, clips, guards, _ = _triangular(ing, key, diagnostics)[key]
-    return AdjustedPopulationSurvival(key, values, clips, guards)
+def solve_noncancer_survival_triangular(ing, keys, diagnostics=None):
+    """S_P of the target cell with its own clip/guard counts, or a list of
+    them for a sequence of targets solved together (each cell they depend
+    on solved once)."""
+    single = isinstance(keys, StratumKey)
+    targets = [keys] if single else list(keys)
+    solved = triangular_cells(ing, targets, diagnostics)
+    curves = [AdjustedPopulationSurvival(key, *solved[key][:3]) for key in targets]
+    return curves[0] if single else curves
 
 
 def triangular_residuals(ing, key) -> np.ndarray:
     """r(t), t = 1..K, at the target cell from the oracle's kernel matrix."""
-    return _triangular(ing, key)[key][3]
+    return triangular_cells(ing, [key])[key][3]
+
+
+def ir_at(table: IncidenceTable, age: int, year: int, demo: tuple, diagnostics=None) -> float:
+    """IR at one cell, clamped into the table's ranges (counted) and 0 at a
+    missing cell (counted); an empty table is 0 and counts nothing."""
+    if not table._values.size:
+        return 0.0
+    a = min(max(age, table.age_min), table.age_max)
+    y = min(max(year, table.year_min), table.year_max)
+    if (a, y) != (age, year) and diagnostics is not None:
+        diagnostics.incr("incidence_clamp")
+    d = table._demo_index.get(demo)
+    value = math.nan if d is None else table._values.item(d, a - table.age_min, y - table.year_min)
+    if math.isnan(value):
+        if diagnostics is not None:
+            diagnostics.incr("incidence_missing_cell")
+        return 0.0
+    return value
+
+
+def q_at(lt: LifeTable, age: int, year: int, demo: tuple, diagnostics=None) -> float:
+    """q at one cell, clamped into the table's ranges (counted); a missing
+    cell raises."""
+    a = min(max(age, lt.age_min), lt.age_max)
+    y = min(max(year, lt.year_min), lt.year_max)
+    if (a, y) != (age, year) and diagnostics is not None:
+        diagnostics.incr("lifetable_clamp")
+    d = lt._demo_index.get(demo)
+    q = math.nan if d is None else lt._values.item(d, a - lt.age_min, y - lt.year_min)
+    if math.isnan(q):
+        raise LifeTableError(f"no life-table cell (age={a}, year={y}, {demo})")
+    return q
+
+
+class _DiagonalState:
+    """Per-diagonal recursion state (one birth cohort, one demographic group).
+
+    Arrays are indexed by age and sized once for ages 0..max_age; alpha is
+    known for the first `n` ages (rows and irga for the first n - 1), ir for
+    the first `n_ir` and the cohort survival for the first `n_surv`.
+    """
+
+    def __init__(self, max_age: int):
+        size = max_age + 1
+        self.n = 1                          # alpha(age 0) = 0 by construction
+        self.n_ir = 0
+        self.n_surv = 1
+        self.alpha = np.zeros(size)
+        self.irga = np.empty(size)          # IR(d) * (1 - alpha(d)) * cohort survival to d
+        self.ir = np.empty(size)
+        self.surv = np.ones(size)           # life-table cohort survival from age 0 along the diagonal
+        self.rows = np.empty(size, dtype=np.intp)   # lag-table row of the age-d diagnosis stratum
+
+
+class ScalarPrevalence:
+    """The prevalence recursion as `PrevalenceCalculator` ran it before its
+    diagonals were batched: each diagonal is extended one age at a time,
+    reading one IR (`ir_at`), one q (`q_at`) and one lag-table row per age,
+    and alpha(a) is one dot product of the lag-(a-d) survival anti-diagonal
+    with the irga terms.  The prevalent cases' survival is the per-cell lag
+    weights times the per-cell survival-from-diagnosis matrix."""
+
+    def __init__(self, incidence, table: SurvivalLagTable, life_table, offset: int, max_age: int,
+                 diagnostics=None):
+        self.incidence = incidence
+        self.table = table
+        self.life_table = life_table
+        self.offset = offset
+        self.max_age = max_age
+        self.diagnostics = ensure_diagnostics(diagnostics)
+        self._diagonals: dict[tuple[int, tuple], _DiagonalState] = {}
+
+    @classmethod
+    def of(cls, calc: PrevalenceCalculator, diagnostics=None) -> "ScalarPrevalence":
+        """A walk over the inputs and the lag table of `calc`."""
+        return cls(calc.incidence, calc.table, calc.life_table, calc.offset, calc.max_age, diagnostics)
+
+    def _row(self, key: StratumKey) -> int:
+        return int(self.table.rows([key])[0])
+
+    def _ensure(self, key: StratumKey, age: int) -> _DiagonalState:
+        if age > self.max_age:
+            raise PrevalenceError(
+                f"cell {key} is older than the {self.max_age} years the survival lag table covers"
+            )
+        yob = key.year - key.age
+        ident = (yob, key.demographics)
+        state = self._diagonals.get(ident)
+        if state is None:
+            state = self._diagonals[ident] = _DiagonalState(self.max_age)
+        if state.n > age:
+            return state
+        for d in range(state.n_ir, age):
+            state.ir[d] = ir_at(self.incidence, d, yob + d, key.demographics, self.diagnostics)
+            state.n_ir = d + 1
+        for d in range(state.n_surv - 1, age):
+            q = q_at(self.life_table, d, yob + d, key.demographics, self.diagnostics)
+            state.surv[d + 1] = state.surv[d] * (1.0 - q)
+            state.n_surv = d + 2
+        for a in range(state.n, age + 1):
+            if state.surv[a] <= 0.0:
+                raise PrevalenceError(
+                    f"life-table cohort extinct at age {a} on diagonal "
+                    f"(birth year {yob}, {key.demographics}); prevalence undefined"
+                )
+            d = a - 1
+            state.rows[d] = self._row(StratumKey(d, yob + d, key.demographics))
+            state.irga[d] = state.ir[d] * (1.0 - state.alpha[d]) * state.surv[d]
+            terms = self.table.values[state.rows[:a], 2 * np.arange(a, 0, -1) - self.offset]
+            value = float(terms @ state.irga[:a]) / state.surv[a]
+            if value >= 1.0:
+                raise PrevalenceError(
+                    f"prevalence {value:.6f} >= 1 at age {a} on diagonal "
+                    f"(birth year {yob}, {key.demographics}); incidence and survival inputs disagree"
+                )
+            state.alpha[a] = value
+            state.n = a + 1
+        return state
+
+    def prevalence(self, key: StratumKey) -> float:
+        if key.age < 0:
+            raise ValueError("prevalence needs age >= 0")
+        return float(self._ensure(key, key.age).alpha[key.age])
+
+    def prevalent_mix_weights(self, key: StratumKey) -> np.ndarray:
+        """Attrition-normalized diagnosis mass per lag s = 1..age, over alpha."""
+        a = key.age
+        alpha = self.prevalence(key)
+        if alpha <= 0.0:
+            raise PrevalenceError(f"prevalent mixture undefined at {key}: prevalence is 0")
+        state = self._ensure(key, a)
+        return state.irga[:a][::-1] / (state.surv[a] * alpha)
+
+    def survival_from_diagnosis_matrix(self, key: StratumKey, horizon: int) -> np.ndarray:
+        """M[s-1, t] = S_O(t + s | diagnosed age-s years back), t = 0..horizon,
+        read at the recursion's within-year offset."""
+        a = key.age
+        state = self._ensure(key, a)
+        s = np.arange(1, a + 1)
+        lags = 2 * (s[:, None] + np.arange(horizon + 1)) - self.offset
+        return self.table.values[state.rows[a - s][:, None], lags]
+
+    def prevalent_survival(self, key: StratumKey, horizon: int) -> np.ndarray:
+        """Lag weights times the survival-from-diagnosis matrix, clipped
+        into [0, 1] and starting at 1."""
+        values = self.prevalent_mix_weights(key) @ self.survival_from_diagnosis_matrix(key, horizon)
+        values = np.clip(values, 0.0, 1.0)
+        values[0] = 1.0
+        return values
+
+
+class ScalarIngredients(AdjustmentIngredients):
+    """Solver inputs computed one cell at a time, independently of
+    `AdjustmentEngine`: alpha and the prevalent-case survival from
+    `ScalarPrevalence`, the life-table grid as a running product of `q_at`,
+    the diagnosis mass from `ir_at` and the S_O grid from a lag table row.
+    Each cell's inputs are computed once, so every counter counts each
+    cell once."""
+
+    def __init__(self, life_table, incidence, overall_survival, horizon=15, lag_eval="mid_year",
+                 diagnostics=None):
+        self.life_table = life_table
+        self.incidence = incidence
+        self.horizon = int(horizon)
+        self.diagnostics = ensure_diagnostics(diagnostics)
+        if isinstance(overall_survival, OverallSurvivalProvider):
+            max_age = overall_survival.max_age + self.horizon - 1
+        else:
+            max_age = life_table.age_max
+        table = SurvivalLagTable(overall_survival, max_age + self.horizon)
+        offset = 0 if lag_eval == "year_start" else 1
+        self.walk = ScalarPrevalence(incidence, table, life_table, offset, max_age, self.diagnostics)
+        self._cache: dict[tuple[str, StratumKey], object] = {}
+
+    def _each(self, name, keys, compute):
+        out = []
+        for key in keys:
+            if (name, key) not in self._cache:
+                self._cache[(name, key)] = compute(key)
+            out.append(self._cache[(name, key)])
+        return np.array(out)
+
+    def _lt(self, key):
+        values = [1.0]
+        for j in range(self.horizon):
+            q = q_at(self.life_table, key.age + j, key.year + j, key.demographics, self.diagnostics)
+            values.append(values[-1] * (1.0 - q))
+        return np.array(values)
+
+    def _mass(self, key):
+        out, undiagnosed = [], 1.0
+        for j in range(self.horizon):
+            rate = ir_at(self.incidence, key.age + j, key.year + j, key.demographics, self.diagnostics)
+            out.append(undiagnosed * rate)
+            undiagnosed *= 1.0 - rate
+        return np.array(out)
+
+    def _so(self, key):
+        table = self.walk.table
+        return table.values[self.walk._row(key), : 2 * self.horizon + 1 : 2]
+
+    def lt_survival_grid(self, keys):
+        return self._each("lt", keys, self._lt)
+
+    def alpha(self, keys):
+        return self._each("alpha", keys, self.walk.prevalence)
+
+    def prevalent_grid(self, keys):
+        return self._each("prev", keys, lambda key: self.walk.prevalent_survival(key, self.horizon))
+
+    def so_grid(self, keys):
+        return self._each("so", keys, self._so)
+
+    def diagnosis_mass(self, keys):
+        return self._each("mass", keys, self._mass)
 
 
 def merge_small_strata_reference(sizes, min_size=10, diagnostics=None):
@@ -246,14 +494,16 @@ def time_to_diagnosis_increment(
 def lag_since_diagnosis_increments(calc: PrevalenceCalculator, key: StratumKey) -> np.ndarray:
     """Mass of the prevalent-case diagnosis-lag distribution at s = 1..age:
     the lag-s contributions to alpha (patient survival times the
-    attrition-normalized diagnosis mass), over alpha."""
-    alpha = calc.prevalence(key)
+    attrition-normalized diagnosis mass), over alpha, from the one-age walk
+    over the inputs of `calc`."""
+    walk = ScalarPrevalence.of(calc)
+    alpha = walk.prevalence(key)
     if alpha <= 0.0:
         raise PrevalenceError(f"lag distribution undefined at {key}: prevalence is 0")
     a = key.age
-    state = calc._ensure(key, a)
+    state = walk._ensure(key, a)
     d = np.arange(a - 1, -1, -1)
-    summands = calc.table.values[state.rows[d], 2 * (a - d) - calc.offset] * state.irga[d]
+    summands = walk.table.values[state.rows[d], 2 * (a - d) - walk.offset] * state.irga[d]
     return summands / state.surv[a] / alpha
 
 
@@ -487,7 +737,7 @@ class PerStratumSurvival:
             lt = self.provider.population_floor
             values = [1.0]
             for j in range(self.POP_GRID):
-                q = lt.q(stratum.age + j, stratum.year + j, stratum.demographics, self.diagnostics)
+                q = q_at(lt, stratum.age + j, stratum.year + j, stratum.demographics, self.diagnostics)
                 values.append(values[-1] * (1.0 - q))
             logs = -np.log(np.maximum(np.array(values), 1e-12))
             self._pops[stratum] = (logs, np.diff(logs))

@@ -6,7 +6,7 @@ from netadjust.registry import StratumKey
 
 
 class SyntheticIngredients(AdjustmentIngredients):
-    """Random per-cell grids on one diagonal, generated lazily.
+    """Random per-cell grids, generated lazily, one row per cell asked for.
 
     Occasionally produces numerators above one or locally increasing grids
     so the clip and monotonicity-guard paths get exercised; total diagnosis
@@ -39,20 +39,23 @@ class SyntheticIngredients(AdjustmentIngredients):
             self._cells[key] = cell
         return cell
 
-    def lt_survival_grid(self, key):
-        return self._cell(key)["lt"]
+    def _stack(self, keys, name):
+        return np.array([self._cell(key)[name] for key in keys])
 
-    def alpha(self, key):
-        return self._cell(key)["alpha"]
+    def lt_survival_grid(self, keys):
+        return self._stack(keys, "lt")
 
-    def prevalent_grid(self, key):
-        return self._cell(key)["prev"]
+    def alpha(self, keys):
+        return self._stack(keys, "alpha")
 
-    def so_grid(self, key):
-        return self._cell(key)["so"]
+    def prevalent_grid(self, keys):
+        return self._stack(keys, "prev")
 
-    def diagnosis_mass(self, key):
-        return self._cell(key)["mass"]
+    def so_grid(self, keys):
+        return self._stack(keys, "so")
+
+    def diagnosis_mass(self, keys):
+        return self._stack(keys, "mass")
 
 
 BASE_KEY = StratumKey(60, 2020, ("x",))

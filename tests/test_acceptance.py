@@ -21,13 +21,18 @@ from netadjust.extrapolation import extend_survival, loglinear_interpolate
 from netadjust.incidence import IncidenceTable, PrevalenceCalculator
 from netadjust.lifetable import diagonal_survival
 from netadjust.registry import EventTable, StepSurvivalCurve, StratumKey, kaplan_meier
+from netadjust.diagnostics import Diagnostics
+from netadjust.registry import Banding
 from netadjust.simulation import (
     ScenarioConfig,
-    _mae_task,
+    _provider_window,
     derive_tables,
     generate_cohort,
+    make_registry,
     run_experiment,
+    true_noncancer_survival,
 )
+from netadjust.survival_provider import OverallSurvivalProvider
 from netadjust.cli import main as cli_main
 
 from conftest import flat_life_table, toy_frame
@@ -192,7 +197,7 @@ def test_criterion_6_prevalence_oracles():
                 se_f = math.sqrt(max(emp * (1 - emp), 1e-12) / n_prev)
                 got = lag_since_diagnosis_cdf(calc, key, t)
                 worst["lag_cdf"] = max(worst["lag_cdf"], abs(got - emp) / (3 * max(se_f, 1e-9)))
-            pcs = calc.prevalent_mix_weights(key) @ calc.survival_from_diagnosis_matrix(key, 10)
+            pcs = calc.prevalent_survival(key)
             for t in (1, 5, 10):
                 emp = float((prevalent & (death >= age + t)).sum()) / n_prev
                 se_f = math.sqrt(max(emp * (1 - emp), 1e-12) / n_prev)
@@ -236,6 +241,48 @@ def test_criterion_7_extrapolation_exactness():
         f"|g0|={abs(g0):.1e}, |g1-rate|={abs(g1 - rate):.1e}, tail err={value_err:.1e}, "
         f"grid exact={grid_exact}, interp err={interp_err:.1e}",
     )
+
+
+def noncancer_survival_mae(cfg: ScenarioConfig, rep: int, ts=(1.0, 5.0, 10.0)) -> np.ndarray:
+    """Mean |adjusted S_P - generator S_P| over the analysis strata, per t.
+
+    Used by the consistency study (criterion 8): the error must shrink as
+    the cohort grows.
+    """
+    cohort = generate_cohort(cfg, cfg.base_seed + rep)
+    life_table, incidence = derive_tables(cohort, cfg.person_years)
+    frame_all = make_registry(
+        cohort, cfg.base_seed + 1_000_000 + rep, _provider_window(cfg), cfg.censor_max
+    )
+    diagnostics = Diagnostics()
+    so = OverallSurvivalProvider.from_registry(
+        frame_all, Banding(),
+        min_stratum_size=cfg.min_stratum_size,
+        anchor_points=cfg.extrapolation_points,
+        tau_min_at_risk=cfg.tau_min_at_risk,
+        population_floor=life_table,
+        diagnostics=diagnostics,
+    )
+    engine = AdjustmentEngine(
+        life_table, incidence, so,
+        horizon=cfg.horizon, lag_eval=cfg.lag_eval, diagnostics=diagnostics,
+    )
+    lo, hi = cfg.diag_window
+    errors = {t: [] for t in ts}
+    keys = [
+        StratumKey(age, cfg.birth_year + age, (sex,))
+        for age in range(int(lo), int(hi)) for sex in ("0", "1")
+    ]
+    for key, curve in zip(keys, engine.solve(keys)):
+        for t in ts:
+            truth = true_noncancer_survival(cfg, key.age, t)
+            errors[t].append(abs(float(curve.values[int(t)]) - truth))
+    return np.array([float(np.mean(errors[t])) for t in ts])
+
+
+def _mae_task(args):
+    cfg, rep, ts = args
+    return noncancer_survival_mae(cfg, rep, ts)
 
 
 def test_criterion_8_consistency_in_cohort_size():

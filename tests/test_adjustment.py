@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from netadjust.adjustment import (
     AdjustedPopulationSurvival,
     AdjustmentEngine,
     PrevalentCaseSurvival,
+    SolvedCells,
     SolverError,
     prevalent_case_survival,
     solve_noncancer_survival,
@@ -16,12 +18,18 @@ from netadjust.adjustment import (
 from netadjust.diagnostics import Diagnostics
 from netadjust.estimators import adjusted_population_provider, naive_population_provider, pohar_perme
 from netadjust.incidence import IncidenceTable, PrevalenceError
-from netadjust.lifetable import diagonal_survival
+from netadjust.lifetable import LifeTable, diagonal_survival
 from netadjust.registry import StratumKey
 from netadjust.survival_provider import OverallSurvivalProvider
 
 from conftest import flat_incidence, flat_life_table, toy_frame
-from oracles import solve_noncancer_survival_triangular, triangular_residuals
+from oracles import (
+    ScalarIngredients,
+    ScalarPrevalence,
+    solve_noncancer_survival_triangular,
+    triangular_cells,
+    triangular_residuals,
+)
 from synthetic import BASE_KEY, SyntheticIngredients
 
 
@@ -44,7 +52,7 @@ class TestPrevalentCaseSurvival:
     def test_unit_survival_inputs_give_one(self):
         weights = np.array([0.4, 0.6])
         matrix = np.ones((2, 5))
-        curve = prevalent_case_survival(BASE_KEY, weights, matrix)
+        curve = prevalent_case_survival(BASE_KEY, weights @ matrix)
         assert np.all(curve.values == 1.0)
 
     def test_point_mass_gives_conditional_survival(self):
@@ -137,8 +145,8 @@ class TestSolver:
 
     def test_alpha_at_least_one_rejected(self):
         class BadAlpha(SyntheticIngredients):
-            def alpha(self, key):
-                return 1.0
+            def alpha(self, keys):
+                return np.ones(len(keys))
 
         with pytest.raises(SolverError, match="prevalence"):
             solve_noncancer_survival(BadAlpha(1), [BASE_KEY])
@@ -261,7 +269,7 @@ class TestRegistryEngine:
         lags = table.max_lag
         probes = keys + [StratumKey(40, 1980, ("0",)), StratumKey(70, 2010, ("1",))]
         for key in probes:
-            row = table.values[table.row(key)]
+            row = table.values[table.rows([key])[0]]
             integer = provider.survival(key, np.arange(lags + 1, dtype=np.float64))
             half = provider.survival(key, np.arange(1, lags + 1, dtype=np.float64) - 0.5)
             assert np.array_equal(row[::2], integer)
@@ -269,13 +277,19 @@ class TestRegistryEngine:
             assert np.array_equal(engine.so_grid(key), integer[: engine.horizon + 1])
 
     def test_prevalence_terms_read_the_table_at_the_right_lags(self):
+        # the one-cell walk's survival-from-diagnosis matrix reads the table
+        # at lag s - 1/2 + t, and the batched recursion mixes the same terms
         engine, provider, keys, _ = gapped_registry_engine()
         key = keys[-1]
-        matrix = engine.calc.survival_from_diagnosis_matrix(key, engine.horizon)
+        walk = ScalarPrevalence.of(engine.calc)
+        matrix = walk.survival_from_diagnosis_matrix(key, engine.horizon)
         for s in range(1, key.age + 1):
             origin = StratumKey(key.age - s, key.year - s, key.demographics)
             want = provider.survival(origin, s - 0.5 + np.arange(engine.horizon + 1, dtype=np.float64))
             assert np.array_equal(matrix[s - 1], want)
+        np.testing.assert_allclose(
+            engine.calc.prevalent_survival(key), walk.prevalent_mix_weights(key) @ matrix, rtol=0, atol=1e-12
+        )
 
     def test_one_survival_evaluation_per_stratum(self):
         engine, provider, keys, _ = gapped_registry_engine()
@@ -308,30 +322,34 @@ class TestPlainCallableTable:
             engine.solve([key])
         table = engine.calc.table
         assert len(table._rows) > table.values.shape[0] // 2 > 64
+        walk = ScalarPrevalence.of(engine.calc)
         for key in keys:
             np.testing.assert_array_equal(engine.so_grid(key), so(key, np.arange(7.0)))
             origin = StratumKey(0, key.year - key.age, key.demographics)
-            matrix = engine.calc.survival_from_diagnosis_matrix(key, 6)
+            matrix = walk.survival_from_diagnosis_matrix(key, 6)
             np.testing.assert_array_equal(matrix[-1], so(origin, key.age - 0.5 + np.arange(7.0)))
+            np.testing.assert_allclose(
+                engine.calc.prevalent_survival(key), walk.prevalent_mix_weights(key) @ matrix,
+                rtol=0, atol=1e-12,
+            )
 
 
 class TestSweep:
     def test_reuse_counts_only_new_entries(self):
         diag = Diagnostics()
-        cells = {}
         hits = 0
         for seed in range(40):
             ing = SyntheticIngredients(seed)
-            cells = {}
+            cells = SolvedCells(ing.horizon)
             for j in (2, 0, 1, 3):
                 solve_noncancer_survival(ing, [BASE_KEY.shift(j)], diag, cells)
-            hits += sum(int(rec.clipped[1 : rec.solved + 1].sum()) for rec in cells.values())
+            hits += sum(int(cells.clipped[row, 1 : n + 1].sum()) for row, n in enumerate(cells.solved))
         assert diag.get("sp_clip") == hits > 0
 
     def test_reuse_matches_fresh_solves(self):
         for seed in range(40):
             ing = SyntheticIngredients(seed)
-            cells = {}
+            cells = SolvedCells(ing.horizon)
             for j in (3, 1, 0, 2):
                 key = BASE_KEY.shift(j)
                 shared = solve_noncancer_survival(ing, [key], cells=cells)[0]
@@ -352,23 +370,25 @@ class TestSweep:
                 cell["mass"] = np.array([0.0, 0.2, 0.0, 0.0, 0.0, 0.0])
                 return cell
 
-            def alpha(self, key):
-                self.calls["alpha"].add(key.age)
-                return super().alpha(key)
+            def alpha(self, keys):
+                self.calls["alpha"].update(key.age for key in keys)
+                return super().alpha(keys)
 
-            def so_grid(self, key):
-                self.calls["so"].add(key.age)
-                return super().so_grid(key)
+            def so_grid(self, keys):
+                self.calls["so"].update(key.age for key in keys)
+                return super().so_grid(keys)
 
-            def diagnosis_mass(self, key):
-                self.calls["mass"].add(key.age)
-                return super().diagnosis_mass(key)
+            def diagnosis_mass(self, keys):
+                self.calls["mass"].update(key.age for key in keys)
+                return super().diagnosis_mass(keys)
 
         ing = Sparse(5)
-        cells = {}
+        cells = SolvedCells(ing.horizon)
         solve_noncancer_survival(ing, [BASE_KEY], cells=cells)
         assert ing.calls == {"alpha": {60, 62, 64}, "so": {62, 64}, "mass": {60, 62, 64}}
-        assert {k.age: rec.solved for k, rec in cells.items() if rec.solved} == {60: 6, 62: 4, 64: 2}
+        assert {k.age: int(cells.solved[row]) for k, row in cells.index.items() if cells.solved[row]} == {
+            60: 6, 62: 4, 64: 2
+        }
 
     def test_solver_error_names_the_failing_cell(self):
         class DeepDegenerate(SyntheticIngredients):
@@ -390,11 +410,11 @@ class TestSweep:
 def solved_state(cells):
     """Per cell: horizons solved, S_P, r(t) and clip/guard flags up to them."""
     out = {}
-    for key, rec in cells.items():
-        n = rec.solved
+    for key, row in cells.index.items():
+        n = int(cells.solved[row])
         if n:
-            out[key] = (n, rec.values[: n + 1].tolist(), rec.residual[1 : n + 1].tolist(),
-                        rec.clipped[1 : n + 1].tolist(), rec.guarded[1 : n + 1].tolist())
+            out[key] = (n, cells.values[row, : n + 1].tolist(), cells.residual[row, 1 : n + 1].tolist(),
+                        cells.clipped[row, 1 : n + 1].tolist(), cells.guarded[row, 1 : n + 1].tolist())
     return out
 
 
@@ -404,9 +424,9 @@ class TestDiagonalBatch:
     def test_batch_equals_one_at_a_time(self, seed, offsets):
         ing = SyntheticIngredients(seed)
         keys = [BASE_KEY.shift(j) for j in offsets]
-        one_diag, one_cells = Diagnostics(), {}
+        one_diag, one_cells = Diagnostics(), SolvedCells(ing.horizon)
         one = [solve_noncancer_survival(ing, [key], one_diag, one_cells)[0] for key in keys]
-        batch_diag, batch_cells = Diagnostics(), {}
+        batch_diag, batch_cells = Diagnostics(), SolvedCells(ing.horizon)
         batch = solve_noncancer_survival(ing, keys, batch_diag, batch_cells)
         for a, b in zip(batch, one):
             assert a.origin == b.origin
@@ -416,10 +436,16 @@ class TestDiagonalBatch:
         assert batch_diag.as_dict() == one_diag.as_dict()
 
     def test_keys_off_the_diagonal_rejected(self):
+        # a key off BASE_KEY's diagonal is kept out of that diagonal's chain:
+        # it gets a chain of its own, and each solves as it does alone
         ing = SyntheticIngredients(1)
         other = StratumKey(BASE_KEY.age + 1, BASE_KEY.year, BASE_KEY.demographics)
-        with pytest.raises(ValueError, match="not on the birth-cohort diagonal"):
-            solve_noncancer_survival(ing, [BASE_KEY, other])
+        together = solve_noncancer_survival(ing, [BASE_KEY, other])
+        for key, curve in zip((BASE_KEY, other), together):
+            alone = solve_noncancer_survival(ing, [key])[0]
+            assert curve.origin == key
+            assert np.array_equal(curve.values, alone.values)
+            assert (curve.clip_count, curve.guard_count) == (alone.clip_count, alone.guard_count)
 
     @pytest.mark.parametrize("lag_eval", ["mid_year", "year_start"])
     def test_engine_batch_equals_one_at_a_time(self, lag_eval):
@@ -434,22 +460,168 @@ class TestDiagonalBatch:
         assert batch_diag.as_dict() == single_diag.as_dict()
 
     def test_one_sweep_per_diagonal(self, monkeypatch):
+        # every diagonal of a solve call is swept together, once; solved
+        # keys are not swept again
         engine, _, keys, _ = gapped_registry_engine()
         sweeps = []
-        sweep = adjustment.solve_noncancer_survival
+        sweep = adjustment._sweep
 
         def counting(ing, roots, *args):
             sweeps.append(list(roots))
             return sweep(ing, roots, *args)
 
-        monkeypatch.setattr(adjustment, "solve_noncancer_survival", counting)
+        monkeypatch.setattr(adjustment, "_sweep", counting)
         curves = engine.solve(keys)
         assert [c.origin for c in curves] == keys
         diagonals = {(k.year - k.age, k.demographics) for k in keys}
-        assert len(sweeps) == len(diagonals) < len(keys)
-        for roots in sweeps:
-            assert len({(k.year - k.age, k.demographics) for k in roots}) == 1
-        assert sorted(k for roots in sweeps for k in roots) == sorted(keys)
+        assert len(sweeps) == 1 < len(diagonals) < len(keys)
+        assert sorted(sweeps[0]) == sorted(keys)
         engine.solve(keys[::-1])
         engine.residuals(keys[0])
-        assert len(sweeps) == len(diagonals)
+        assert len(sweeps) == 1
+
+
+def random_registry_inputs(seed, zero_band):
+    """Life table, incidence and registry survival of a random two-sex,
+    multi-cohort registry: the life table and the incidence are narrower
+    than the cells the solver reaches (both clamp; every cohort is born
+    before the incidence's first year), incidence cells are
+    missing on every `seed % 5 + 5`-th anti-diagonal, and incidence is 0 at
+    ages `zero_band` (so the kernel prunes)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for sex in ("0", "1"):
+        ages = rng.choice(np.arange(52, 68), size=4, replace=False)
+        years = rng.choice(np.arange(1993, 2000), size=2, replace=False)
+        for age in ages.tolist():
+            for year in years.tolist():
+                for _ in range(int(rng.integers(2, 9))):
+                    rows.append((age, year, sex, float(rng.exponential(6.0)), int(rng.random() < 0.6)))
+    frame = toy_frame(rows)
+    life_table = flat_life_table(float(rng.uniform(0.005, 0.03)), ages=(0, 70), years=(1940, 2001))
+    gap = seed % 5 + 5
+    slope = float(rng.uniform(0.0002, 0.0006))
+    cells = {}
+    for sex in ("0", "1"):
+        for age in range(0, 74):
+            for year in range(1950, 2003):
+                if (age + year) % gap:
+                    rate = 0.0 if age in zero_band else 0.002 + slope * max(age - 40, 0)
+                    cells[(age, year, (sex,))] = rate
+    diag = Diagnostics()
+    provider = OverallSurvivalProvider.from_registry(
+        frame, min_stratum_size=6, anchor_points=3, tau_min_at_risk=2,
+        population_floor=life_table, diagnostics=diag,
+    )
+    keys = sorted({StratumKey(a, y, (s,)) for a, y, s, _, _ in rows})
+    return life_table, IncidenceTable(cells), provider, keys, diag
+
+
+class TestBatchAgainstOracles:
+    """The batched recursion and sweep against the one-cell walk and the
+    triangular solver, on inputs built twice from the same seed so that
+    the oracle reads nothing the batch computed."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["mid_year", "year_start"]),
+        st.integers(2, 15),
+        st.integers(54, 75),
+        st.sampled_from(["all", "one", "shuffled"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batch_equals_oracles(self, seed, lag_eval, horizon, zero_start, grouping):
+        zero_band = range(zero_start, zero_start + 3)
+        life_table, incidence, provider, keys, diag = random_registry_inputs(seed, zero_band)
+        engine = AdjustmentEngine(life_table, incidence, provider, horizon, lag_eval, diag)
+        rng = np.random.default_rng(seed)
+        if grouping == "shuffled":
+            keys = [keys[i] for i in rng.permutation(len(keys))]
+        cuts = {"all": [], "one": list(range(1, len(keys))),
+                "shuffled": sorted(rng.choice(range(1, len(keys)), size=3, replace=False).tolist())}[grouping]
+        bounds = [0, *cuts, len(keys)]
+        groups = [keys[i:j] for i, j in zip(bounds, bounds[1:])]
+        curves = {}
+        for group in groups:
+            curves.update((c.origin, c) for c in engine.solve(group))
+        residuals = engine.residuals(keys)
+
+        o_life, o_incidence, o_provider, _, o_diag = random_registry_inputs(seed, zero_band)
+        oracle = ScalarIngredients(o_life, o_incidence, o_provider, horizon, lag_eval, o_diag)
+        solved = triangular_cells(oracle, keys, o_diag)
+        for key, r in zip(keys, residuals):
+            values, clips, guards, want_r = solved[key]
+            np.testing.assert_allclose(curves[key].values, values, rtol=0, atol=1e-12)
+            assert (curves[key].clip_count, curves[key].guard_count) == (clips, guards)
+            np.testing.assert_allclose(r, want_r, rtol=0, atol=1e-12)
+        assert diag.as_dict() == o_diag.as_dict()
+        assert diag.get("incidence_clamp") and diag.get("incidence_missing_cell")
+        assert diag.get("lifetable_clamp") and diag.get("so_stratum_clamp")
+
+        # every cell the oracle solved: alpha and the prevalent-case survival
+        cells = list(solved)
+        alpha = engine.alpha(cells)
+        np.testing.assert_allclose(alpha, oracle.alpha(cells), rtol=0, atol=1e-12)
+        mixed = [cell for cell, a in zip(cells, alpha) if a > 0.0]
+        np.testing.assert_allclose(
+            engine.prevalent_grid(mixed), oracle.prevalent_grid(mixed), rtol=0, atol=1e-12
+        )
+        assert set(engine.cells.index) >= set(cells)
+        assert {k for k, row in engine.cells.index.items() if engine.cells.solved[row]} == set(cells)
+        assert diag.as_dict() == o_diag.as_dict()
+
+
+class TestErrorsNameTheCell:
+    @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 500))
+    @settings(max_examples=40, deadline=None)
+    def test_solver_error_names_the_cell_in_a_batch(self, bad_diagonal, bad_key, seed):
+        # three keys on each of three diagonals (two groups); one key has
+        # nearly all its diagnosis mass one year on, where S_O is ~0, which
+        # drives its r(2) below the floor
+        keys = [
+            StratumKey(60 + 2 * j, 2020 + 2 * j + 5 * d, ("x",) if d < 2 else ("y",))
+            for d in range(3) for j in range(3)
+        ]
+        bad = keys[3 * bad_diagonal + bad_key]
+
+        class Degenerate(SyntheticIngredients):
+            def _cell(self, key):
+                cell = super()._cell(key)
+                if key == bad:
+                    cell["mass"] = np.array([1.0 - 1e-9] + [0.0] * (self.horizon - 1))
+                    cell["alpha"] = 0.0
+                if key == bad.shift(1):
+                    cell["so"] = np.concatenate(([1.0], np.full(self.horizon, 1e-9)))
+                return cell
+
+        cell = rf"StratumKey\(age={bad.age}, year={bad.year}, demographics=\('{bad.demographics[0]}',\)\)"
+        with pytest.raises(SolverError, match=rf"r\(2\)=.* at {cell}; "):
+            solve_noncancer_survival(Degenerate(seed), keys)
+        with pytest.raises(SolverError, match=rf"r\(2\)=.* at {cell}; "):
+            solve_noncancer_survival_triangular(Degenerate(seed), keys)
+
+    def test_prevalence_at_least_one_names_the_cell(self):
+        # immortal patients and a population halving every year push alpha
+        # past 1 on the diagonal of group "1" only
+        q = {(a, y, (s,)): (0.5 if s == "1" else 0.01)
+             for s in ("0", "1") for a in range(0, 60) for y in range(1940, 2010)}
+        engine = AdjustmentEngine(LifeTable(q), flat_incidence(0.3), const_survival(0.0), horizon=4)
+        keys = [StratumKey(20, 1980, ("0",)), StratumKey(20, 1975, ("1",)), StratumKey(25, 1985, ("0",))]
+        with pytest.raises(PrevalenceError) as want:
+            ScalarPrevalence.of(engine.calc).prevalence(keys[1])
+        age = re.search(r">= 1 at age (\d+) on diagonal \(birth year 1955, \('1',\)\)", str(want.value)).group(1)
+        with pytest.raises(PrevalenceError, match=rf">= 1 at age {age} on diagonal \(birth year 1955, \('1',\)\)"):
+            engine.solve(keys)
+
+    def test_extinct_cohort_names_the_cell(self):
+        # every group-"0" cohort dies out at age 5
+        q = {(a, y, (s,)): (1.0 if s == "0" and a == 5 else 0.01)
+             for s in ("0", "1") for a in range(0, 60) for y in range(1940, 2010)}
+        engine = AdjustmentEngine(LifeTable(q), flat_incidence(0.01), const_survival(0.1), horizon=4)
+        keys = [StratumKey(20, 1980, ("1",)), StratumKey(20, 1980, ("0",))]
+        with pytest.raises(
+            PrevalenceError, match=r"extinct at age 6 on diagonal \(birth year 1960, \('0',\)\); prevalence undefined"
+        ):
+            engine.solve(keys)
+        with pytest.raises(PrevalenceError, match=r"extinct at age 6 on diagonal \(birth year 1960, \('0',\)\)"):
+            ScalarPrevalence.of(engine.calc).prevalence(keys[1])

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,27 @@ class TestAdjust:
         ]) == 0
         for name, value in (("adjusted.csv", "s_p"), ("alpha.csv", "alpha"), ("residuals.csv", "r")):
             assert_matches_golden(out / name, GOLDEN / "adjust" / name, [value])
+
+    def test_prevalence_error_is_one_line(self, tmp_path, capsys):
+        # incidence 0.9 in a population losing half of itself every year:
+        # prevalence passes 1, and the run stops with the cell named
+        registry = write_inputs(tmp_path, q=0.5, ir=0.9)
+        code = main([
+            "adjust", "--registry", str(registry),
+            "--lifetable", str(tmp_path / "lifetable.csv"),
+            "--incidence", str(tmp_path / "incidence.csv"),
+            "--horizon", "10", "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert re.fullmatch(
+            r"error: prevalence \d+\.\d{6} >= 1 at age \d+ on diagonal \(birth year 1930, \('m',\)\); "
+            r"incidence and survival inputs disagree",
+            errors[0],
+        )
 
     def test_jobs_flag_removed(self, tmp_path):
         registry = write_inputs(tmp_path)

@@ -16,6 +16,7 @@ from netadjust.registry import StratumKey
 
 from conftest import diagonal_life_table, flat_incidence, flat_life_table
 from oracles import (
+    ir_at,
     lag_since_diagnosis_cdf,
     lag_since_diagnosis_increments,
     time_to_diagnosis_cdf,
@@ -76,14 +77,14 @@ class TestDiagonalGather:
         np.testing.assert_array_equal(GAPPED.ir_diagonal(key, steps, got_diag), want)
         assert got_diag.as_dict() == want_diag.as_dict()
         one_diag, one_want = Diagnostics(), Diagnostics()
-        assert GAPPED.ir(age, year, (sex,), one_diag) == ir_reference(GAPPED_CELLS, key, 1, one_want)[0]
+        assert ir_at(GAPPED, age, year, (sex,), one_diag) == ir_reference(GAPPED_CELLS, key, 1, one_want)[0]
         assert one_diag.as_dict() == one_want.as_dict()
 
     def test_empty_table_is_zero_and_counts_nothing(self):
         diag = Diagnostics()
         table = IncidenceTable.zero()
         np.testing.assert_array_equal(table.ir_diagonal(KEY60, 5, diag), np.zeros(5))
-        assert table.ir(60, 2010, ("0",), diag) == 0.0
+        assert ir_at(table, 60, 2010, ("0",), diag) == 0.0
         assert diag.as_dict() == {}
 
     def test_cells_round_trip(self):
@@ -109,11 +110,11 @@ class TestComputeIncidence:
     def test_no_diagnoses(self):
         py = {(a, 2000, ("0",)): 1000.0 for a in range(5)}
         table = compute_incidence({}, py)
-        assert all(table.ir(a, 2000, ("0",)) == 0.0 for a in range(5))
+        assert all(ir_at(table, a, 2000, ("0",)) == 0.0 for a in range(5))
 
     def test_simple_ratio(self):
         table = compute_incidence({(50, 2000, ("0",)): 15}, {(50, 2000, ("0",)): 1000.0})
-        assert table.ir(50, 2000, ("0",)) == pytest.approx(0.015, abs=1e-15)
+        assert ir_at(table, 50, 2000, ("0",)) == pytest.approx(0.015, abs=1e-15)
 
     def test_zero_person_years_with_diagnoses(self):
         with pytest.raises(IncidenceError):
@@ -123,7 +124,7 @@ class TestComputeIncidence:
         from netadjust.diagnostics import Diagnostics
         diag = Diagnostics()
         table = compute_incidence({(50, 2000, ("0",)): 10}, {(50, 2000, ("0",)): 5.0}, diag)
-        assert table.ir(50, 2000, ("0",)) < 1.0
+        assert ir_at(table, 50, 2000, ("0",)) < 1.0
         assert diag.get("incidence_clip") == 1
 
 
@@ -132,7 +133,7 @@ class TestLoader:
         f = tmp_path / "inc.csv"
         f.write_text("age,year,sex,ir\n50,2000,m,0.015\n", encoding="utf-8")
         table = load_incidence_table(f)
-        assert table.ir(50, 2000, ("m",)) == pytest.approx(0.015)
+        assert ir_at(table, 50, 2000, ("m",)) == pytest.approx(0.015)
 
     def test_range_check(self, tmp_path):
         f = tmp_path / "inc.csv"
@@ -144,7 +145,7 @@ class TestLoader:
         from netadjust.diagnostics import Diagnostics
         diag = Diagnostics()
         table = IncidenceTable({(50, 2000, ("m",)): 0.01, (52, 2002, ("m",)): 0.01})
-        assert table.ir(51, 2001, ("m",), diag) == 0.0
+        assert ir_at(table, 51, 2001, ("m",), diag) == 0.0
         assert diag.get("incidence_missing_cell") == 1
 
 

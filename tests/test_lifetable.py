@@ -15,7 +15,7 @@ from netadjust.lifetable import (
 from netadjust.registry import StratumKey
 
 from conftest import diagonal_life_table, flat_life_table
-from oracles import InfiniteHazardError, diagonal_cumulative_hazard
+from oracles import InfiniteHazardError, diagonal_cumulative_hazard, q_at
 
 
 def write_csv(path, rows, header="age,year,sex,q"):
@@ -32,7 +32,7 @@ class TestLoader:
         write_csv(f, rows)
         table = load_life_table(f)
         assert len(table.cells) == 8
-        assert table.q(60, 1990, ("m",)) == pytest.approx(0.07)
+        assert q_at(table, 60, 1990, ("m",)) == pytest.approx(0.07)
 
     def test_out_of_range_q_rejected_with_coordinates(self, tmp_path):
         f = tmp_path / "lt.csv"
@@ -84,7 +84,7 @@ class TestDiagonalSurvival:
 def q_diagonal_reference(lt, key, steps, diagnostics):
     """The year-by-year lookup the gather replaces: one scalar q per step."""
     return np.array(
-        [lt.q(key.age + j, key.year + j, key.demographics, diagnostics) for j in range(steps)]
+        [q_at(lt, key.age + j, key.year + j, key.demographics, diagnostics) for j in range(steps)]
     )
 
 

@@ -1,7 +1,14 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import netadjust
 from netadjust.diagnostics import Diagnostics
 from netadjust.registry import (
     Banding,
@@ -230,3 +237,33 @@ class TestNonFiniteTimes:
     def test_frame_rejects(self, bad):
         with pytest.raises(ValueError, match="finite and non-negative"):
             toy_frame([(60, 2000, "m", 1.0, 1), (61, 2001, "m", bad, 0)])
+
+
+class TestStratumKey:
+    def test_hash_is_recomputed_after_pickling(self):
+        # `str` hashes are salted per process, as in the worker processes of
+        # `simulate --jobs N`: a key unpickled in another process must hash
+        # like a key built there
+        keys = [StratumKey(60, 2000, ("f",)), StratumKey(61, 2001, ("m",))]
+        payload = pickle.dumps({key: i for i, key in enumerate(keys)})
+        script = (
+            "import pickle, sys\n"
+            "from netadjust.registry import StratumKey\n"
+            "table = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert table[StratumKey(60, 2000, ('f',))] == 0\n"
+            "assert table[StratumKey(61, 2001, ('m',))] == 1\n"
+            "assert [hash(k) for k in table] == [hash((k.age, k.year, k.demographics)) for k in table]\n"
+        )
+        src = str(Path(netadjust.__file__).resolve().parents[1])
+        for seed in ("0", "1"):   # at least one salt differs from this process's
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            subprocess.run([sys.executable, "-c", script], input=payload, env=env, check=True)
+
+    def test_hash_and_equality_follow_the_fields(self):
+        a, b = StratumKey(60, 2000, ("f",)), StratumKey(60, 2000, ("f",))
+        assert a == b and hash(a) == hash(b) == hash((60, 2000, ("f",)))
+        assert a != StratumKey(60, 2001, ("f",))
+        assert {a: 1}[b] == 1
+        assert a.shift(2) == StratumKey(62, 2002, ("f",))
+        assert repr(a) == "StratumKey(age=60, year=2000, demographics=('f',))"

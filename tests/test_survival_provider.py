@@ -84,14 +84,14 @@ class TestBatchMatchesPerStratumPath:
         oracle = PerStratumSurvival(provider, frame)
         table = SurvivalLagTable(provider, max_lag)
         keys = probe_keys(provider)
-        rows = [table.row(key) for key in keys]
+        rows = table.rows(keys).tolist()
         for stratum in provider.strata:
             want = oracle.survival(stratum, table.lags)
-            np.testing.assert_allclose(table.values[table.row(stratum)], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(table.values[table.rows([stratum])[0]], want, rtol=0, atol=1e-12)
         assert counters(diag) == counters(oracle.diagnostics)
         times = np.array([0.0, 0.6, 3.0, 7.25, 14.9, 30.0, 119.5, 121.0, 200.0])
         for key, row in zip(keys, rows):
-            assert row == table.row(provider.resolve(key))
+            assert row == table.rows([provider.resolve(key)])[0]
             got = provider.survival(key, times)
             np.testing.assert_allclose(got, oracle.survival(key, times), rtol=0, atol=1e-12)
             assert provider.survival(key, 7.25) == oracle.survival(key, 7.25)[0] == got[3]
@@ -137,7 +137,7 @@ class TestTailCases:
         lags = SurvivalLagTable(provider, 130)
         for stratum in provider.strata:
             np.testing.assert_allclose(
-                lags.values[lags.row(stratum)], oracle.survival(stratum, lags.lags), rtol=0, atol=1e-12
+                lags.values[lags.rows([stratum])[0]], oracle.survival(stratum, lags.lags), rtol=0, atol=1e-12
             )
         assert diag.get("extrapolation_fallback") == 1
         curve = provider._curve
