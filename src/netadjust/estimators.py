@@ -4,21 +4,14 @@ All three estimators read the registry through one `RiskSetSummary`, built
 once per registry and passed to each of them (records or a `RegistryFrame`
 are summarised on the spot), plus a `PopulationSurvivalProvider` (either the
 raw life-table cohort survival or the adjusted non-cancer survival).  The
-summary keeps no strata x times array: it keeps each patient's (stratum row,
-time index) in time order and rebuilds the at-risk counts one column block
-of observed times at a time, over only the strata with someone still at
-risk.  Pohar-Perme and the crude probability stream over those blocks,
-evaluating S_P or Lambda_P for the block's strata only and carrying each
-stratum's last column into the next block; deaths are kept one entry per
-death as (stratum row, time index), so Pohar-Perme's weighted death sum is a
-single bincount of 1/S_P gathered at those cells, and Ederer I and the
-crude probability read pooled per-time death and at-risk counts.
-
-S_P and Lambda_P for all strata come from one stack of the strata's annual
-grids (the naive grids from the life table, the adjusted ones from a single
-`AdjustmentEngine.solve` call over all strata): the estimators resolve the
-strata to rows of the stack once per call, and each block, or an off-grid
-point, is one gather over those rows.
+summary keeps each patient's and each death's (stratum row, time index) in
+time order, and no strata x times array.  Pohar-Perme streams over column
+blocks of observed times, rebuilding the at-risk counts of the strata still
+at risk and evaluating S_P for those strata only; its weighted death sum is
+one bincount of 1/S_P gathered at the deaths.  Ederer I and the crude
+probability read pooled per-time death and at-risk counts.  S_P and the
+yearly Lambda_P rates of all strata come from one stack of their annual
+grids (the adjusted ones from one `AdjustmentEngine.solve` call).
 
 The population-hazard terms are integrated in closed form: within any
 interval where the risk set is frozen and the annual hazards are constant,
@@ -28,7 +21,10 @@ interval where the risk set is frozen and the annual hazards are constant,
 
 because the numerator is exactly the derivative of the denominator, and the
 Ederer-I population term telescopes the same way without the at-risk
-indicator.  No discretization error is introduced anywhere.
+indicator.  The crude probability's term evaluates no cell: Lambda_P has a
+constant rate in each grid year, so its at-risk sum over an interval is the
+at-risk patients' summed yearly rates times the overlaps, in O(patients x
+grid years).  No discretization error is introduced anywhere.
 """
 from __future__ import annotations
 
@@ -51,19 +47,17 @@ class EstimatorError(ValueError):
 
 
 class PopulationSurvivalProvider:
-    """(key, t) -> S_P and Lambda_P, floored so 1/S_P never exceeds 1/floor.
+    """(key, t) -> S_P, floored so 1/S_P never exceeds 1/floor.
 
     `grid_fn` maps a list of strata to their annual survival grids (a
     strata x (horizon + 1) array).  The grids of all strata asked for are
     stacked once into one `AnnualGridSurvival`, which keeps values, -log
     values and yearly slopes as strata x (horizon + 1) arrays and
     interpolates log-linearly, i.e. with a constant hazard inside each year.
-    `survival_matrix` and `cumulative_hazard_matrix` evaluate many strata
-    at many times with one gather; `grid_rows` resolves strata to rows of
-    the stack once, so that `survival_rows` and `cumulative_hazard_rows` can
-    evaluate any subset of them without looking the keys up again;
-    `survival` and `cumulative_hazard` read one stratum's row of the same
-    evaluator.
+    `survival_matrix` evaluates many strata at many times with one gather;
+    `grid_rows` resolves strata to rows of the stack once, so that
+    `survival_rows` and `hazard_rates` can read any subset of them without
+    looking the keys up again.
     """
 
     def __init__(self, grid_fn, horizon: int, mode: str,
@@ -100,26 +94,22 @@ class PopulationSurvivalProvider:
         out = self._grids.survival_at(np.atleast_1d(t), rows)
         return np.maximum(out, self.floor, out=out)
 
-    def cumulative_hazard_rows(self, rows, t) -> np.ndarray:
-        """Rows x times array of Lambda_P for the stacked-grid `rows` at the times `t`."""
-        out = self._grids.cumulative_hazard_at(np.atleast_1d(t), rows)
-        return np.minimum(out, -np.log(self.floor), out=out)
+    def hazard_rates(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Lambda_P's yearly rates for the stacked-grid `rows` (rows x horizon,
+        the last one carried past the grid) and the time each row's Lambda_P
+        reaches the cap -log(floor), inf if never: past the floored grids."""
+        grids = self._grids
+        rates = grids.slopes[rows]
+        crossing = np.full(rates.shape[0], np.inf)
+        if rates.shape[1]:
+            rising = np.flatnonzero(rates[:, -1] > 0.0)
+            below = -np.log(self.floor) - grids.log_values[rows[rising], -2]
+            crossing[rising] = (grids.k_max - 1) + below / rates[rising, -1]
+        return rates, crossing
 
     def survival_matrix(self, keys, t) -> np.ndarray:
         """Strata x times array of S_P for `keys` at the times `t`."""
         return self.survival_rows(self.grid_rows(keys), t)
-
-    def cumulative_hazard_matrix(self, keys, t) -> np.ndarray:
-        """Strata x times array of Lambda_P for `keys` at the times `t`."""
-        return self.cumulative_hazard_rows(self.grid_rows(keys), t)
-
-    def survival(self, key: StratumKey, t):
-        row = self.survival_matrix([key], t)[0]
-        return row if np.ndim(t) else row[0]
-
-    def cumulative_hazard(self, key: StratumKey, t):
-        row = self.cumulative_hazard_matrix([key], t)[0]
-        return row if np.ndim(t) else row[0]
 
 
 def naive_population_provider(
@@ -250,16 +240,35 @@ def _locate(estimate, t: float) -> tuple[int, float | None]:
     return m, (float(u[m - 1]) if m > 0 else 0.0)
 
 
-def _at_risk_values(estimate, m: int, lo: float, t: float, evaluate):
-    """(y, values): every stratum's at-risk count y at time index m, and
-    `evaluate(grid rows, [lo, t])` (S_P or Lambda_P) for the strata with
-    y > 0; the other strata get 1, which their y = 0 cancels exactly."""
-    rs = estimate._risk
-    y = rs.at_risk_column(m)
-    live = np.flatnonzero(y)
-    values = np.ones((y.shape[0], 2))
-    values[live] = evaluate(estimate.provider.grid_rows(rs.keys)[live], np.array([lo, t]))
-    return y, values
+def _at_risk_hazard(rs: RiskSetSummary, provider, edges: np.ndarray, first: int = 0) -> np.ndarray:
+    """Sum of Lambda_P(hi) - Lambda_P(lo) over the patients at risk, for each
+    interval (lo, hi] between consecutive `edges`; interval j has the risk
+    set of time index first + j.  Lambda_P's rate is constant on each grid
+    year and runs on past the grid until the cap, so each sum adds, year by
+    year, the rates of the patients at risk times their overlaps with the
+    interval: a reverse cumulative sum over the patients in time order."""
+    rates, crossing = provider.hazard_rates(provider.grid_rows(rs.keys))
+    p0 = int(np.searchsorted(rs.patient_times, first))
+    rows, lo, hi = rs.patient_rows[p0:], edges[:-1], edges[1:]
+    n, n_seg, out = lo.shape[0], rates.shape[1], np.zeros(lo.shape[0])
+    exits = np.minimum(rs.patient_times[p0:] - first, n - 1)
+    for k in range(n_seg):
+        j0 = int(np.searchsorted(hi, k, side="right"))
+        p = int(np.searchsorted(exits, j0))
+        # a patient's rate stops at the year's end, or past the grid at its
+        # stratum's crossing time: whole intervals up to the one holding
+        # the stop, and part of that one
+        rate = rates[rows[p:], k]
+        stop = np.minimum(crossing[rows[p:]], k + 1.0 if k < n_seg - 1 else np.inf)
+        cross = np.searchsorted(hi, stop)
+        ends = np.flatnonzero(cross <= exits[p:])
+        part = np.maximum(stop[ends] - np.maximum(lo[cross[ends]], k), 0.0)
+        out += np.bincount(cross[ends], weights=rate[ends] * part, minlength=n)
+        # bin i + 1: the rates of the patients whose last whole interval is j0 + i
+        last = np.minimum(exits[p:], cross - 1) - j0
+        summed = np.bincount(last + 1, weights=rate, minlength=n - j0 + 1)[:0:-1].cumsum()[::-1]
+        out[j0:] += (hi[j0:] - np.maximum(lo[j0:], k)) * summed
+    return out
 
 
 @dataclass
@@ -281,7 +290,10 @@ class NetSurvivalEstimate:
         if lo is None:
             return float(self.cum_hazard[m])
         base = float(self.cum_hazard[m - 1]) if m > 0 else 0.0
-        y, sp = _at_risk_values(self, m, lo, t, self.provider.survival_rows)
+        # S_P at lo and t of the strata at risk; the others' 1 meets y = 0
+        y = self._risk.at_risk_column(m)
+        sp, live = np.ones((y.shape[0], 2)), y > 0
+        sp[live] = self.provider.survival_rows(self.provider.grid_rows(self._risk.keys)[live], [lo, t])
         return base - float(np.log((y / sp[:, 1]).sum()) - np.log((y / sp[:, 0]).sum()))
 
     def survival_at(self, t) -> float:
@@ -402,8 +414,8 @@ class CrudeProbabilityEstimate:
         base = float(values[m - 1]) if m > 0 else 0.0
         if which == "cancer_isotonic":
             return base
-        y, lp = _at_risk_values(self, m, lo, t, self.provider.cumulative_hazard_rows)
-        piece = float(self.km_left[m]) * float((y * (lp[:, 1] - lp[:, 0])).sum() / y.sum())
+        weighted = _at_risk_hazard(self._risk, self.provider, np.array([lo, t]), m)[0]
+        piece = float(self.km_left[m]) * float(weighted / self._risk.pooled_at_risk[m])
         return base + (-piece if which == "cancer" else piece)
 
 
@@ -412,25 +424,13 @@ def crude_probability(records, provider: PopulationSurvivalProvider) -> CrudePro
 
     Integrates the pooled Kaplan-Meier curve (left limits) against the
     excess-hazard increments: the all-cause Nelson-Aalen jumps minus the
-    at-risk-averaged population hazard, the latter in exact annual pieces.
+    at-risk-averaged population hazard, summed in closed form from the
+    yearly hazard rates of the patients at risk (`_at_risk_hazard`).
     """
     rs = as_risk_set(records)
     na_inc = rs.pooled_deaths / rs.pooled_at_risk
     km_left = np.concatenate(([1.0], np.cumprod(1.0 - na_inc)[:-1]))
-    grid_rows = provider.grid_rows(rs.keys)
-    # the yearly population-hazard pieces weighted by the at-risk counts,
-    # block by block, with each stratum's Lambda_P at the previous time
-    # carried over (0 before the first)
-    weighted = np.empty(rs.times.shape)
-    lp_last = np.zeros(len(rs.keys))
-    for j0, j1, rows, y in rs.blocks():
-        lp = provider.cumulative_hazard_rows(grid_rows[rows], rs.times[j0:j1])
-        pieces = np.empty_like(lp)
-        np.subtract(lp[:, 0], lp_last[rows], out=pieces[:, 0])
-        np.subtract(lp[:, 1:], lp[:, :-1], out=pieces[:, 1:])
-        lp_last[rows] = lp[:, -1]
-        pieces *= y
-        weighted[j0:j1] = pieces.sum(axis=0)
+    weighted = _at_risk_hazard(rs, provider, np.concatenate(([0.0], rs.times)))
     avg_pop = weighted / rs.pooled_at_risk
     cancer = np.cumsum(km_left * (na_inc - avg_pop))
     other = np.cumsum(km_left * avg_pop)

@@ -27,12 +27,16 @@
 * `DenseRiskSet`, `dense_pohar_perme` and `dense_crude_probability`: the
   estimators over one whole strata x times at-risk matrix (built with
   `np.add.at` and a reversed cumsum) and whole strata x times S_P and
-  Lambda_P matrices, with their off-grid evaluations.
+  Lambda_P matrices, with their off-grid evaluations;
+  `population_cumulative_hazard` evaluates Lambda_P cell by cell, and
+  `exact_population_hazard` sums its increments over the at-risk patients
+  in exact rational arithmetic.
 * `lag_since_diagnosis_increments` and `lag_since_diagnosis_cdf`: the
   prevalent-case diagnosis-lag distribution, read from the prevalence
   recursion's own terms, and its cdf summed from the increments.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -582,12 +586,52 @@ def dense_pohar_perme(rs: DenseRiskSet, provider):
     return cum, value_at
 
 
+def _floored_grid(provider, keys):
+    grid = np.asarray(provider.grid_fn(list(keys)), dtype=np.float64)
+    return np.maximum(grid, provider.floor)
+
+
+def population_cumulative_hazard(provider, keys, t):
+    """Strata x times Lambda_P of `keys`, one cell at a time: piecewise
+    linear through -log of each stratum's floored annual grid, the last
+    yearly slope carried past the grid, capped at -log(floor)."""
+    logs = -np.log(_floored_grid(provider, keys))
+    slopes = np.diff(logs, axis=1)
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    k = np.minimum(np.floor(t).astype(int), slopes.shape[1] - 1)
+    return np.minimum(logs[:, k] + slopes[:, k] * (t - k), -np.log(provider.floor))
+
+
+def exact_population_hazard(rs: DenseRiskSet, provider):
+    """For each observed time u_j, the at-risk patients' summed integral of
+    the population hazard over (u_{j-1}, u_j], as Fractions: every yearly
+    slope of -log of the floored grids (the last one carried past the
+    grid, no cap) times the exact overlap of the interval with its year."""
+    slopes = np.diff(-np.log(_floored_grid(provider, rs.keys)), axis=1)
+    n_seg = slopes.shape[1]
+    rates = [[Fraction(float(r)) for r in row] for row in slopes]
+    edges = [Fraction(0)] + [Fraction(float(u)) for u in rs.times]
+    out = []
+    for j in range(len(rs.times)):
+        lo, hi = edges[j], edges[j + 1]
+        total = Fraction(0)
+        for k in range(n_seg):
+            stop = hi if k == n_seg - 1 else min(hi, Fraction(k + 1))
+            overlap = stop - max(lo, Fraction(k))
+            if overlap > 0:
+                total += overlap * sum(
+                    int(rs.at_risk[i, j]) * rates[i][k] for i in range(len(rs.keys))
+                )
+        out.append(total)
+    return out
+
+
 def dense_crude_probability(rs: DenseRiskSet, provider):
     """({cancer, other, cancer_isotonic}, value_at) of the crude
     probability from whole matrices."""
     na_inc = rs.pooled_deaths / rs.pooled_at_risk
     km_left = np.concatenate(([1.0], np.cumprod(1.0 - na_inc)[:-1]))
-    lp = provider.cumulative_hazard_matrix(rs.keys, rs.times)
+    lp = population_cumulative_hazard(provider, rs.keys, rs.times)
     pieces = np.empty_like(lp)
     pieces[:, 0] = lp[:, 0]
     np.subtract(lp[:, 1:], lp[:, :-1], out=pieces[:, 1:])
@@ -612,7 +656,7 @@ def dense_crude_probability(rs: DenseRiskSet, provider):
         if which == "cancer_isotonic":
             return base
         y = rs.at_risk[:, m]
-        lam = provider.cumulative_hazard_matrix(rs.keys, np.array([lo, t]))
+        lam = population_cumulative_hazard(provider, rs.keys, np.array([lo, t]))
         piece = float(km_left[m]) * float((y * (lam[:, 1] - lam[:, 0])).sum() / y.sum())
         return base + (-piece if which == "cancer" else piece)
 

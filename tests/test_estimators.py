@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from netadjust.lifetable import LifeTable
 from netadjust.registry import EventTable, PatientRecord, StratumKey, kaplan_meier
 
 from conftest import flat_incidence, flat_life_table, toy_frame
-from oracles import DenseRiskSet, dense_crude_probability, dense_pohar_perme, nelson_aalen
+from oracles import (
+    DenseRiskSet,
+    dense_crude_probability,
+    dense_pohar_perme,
+    exact_population_hazard,
+    nelson_aalen,
+    population_cumulative_hazard,
+)
 
 
 def unit_provider(horizon=20):
@@ -93,10 +101,10 @@ class TestPoharPerme:
             den = np.zeros_like(u)
             for key, t_i in subjects:
                 at_risk = (u <= t_i).astype(float)
-                s = np.asarray(provider.survival(key, u))
+                s = provider.survival_matrix([key], u)[0]
                 lam = (
-                    np.asarray(provider.cumulative_hazard(key, u + h / 2))
-                    - np.asarray(provider.cumulative_hazard(key, np.maximum(u - h / 2, 0.0)))
+                    population_cumulative_hazard(provider, [key], u + h / 2)[0]
+                    - population_cumulative_hazard(provider, [key], np.maximum(u - h / 2, 0.0))[0]
                 ) / h
                 num += at_risk * lam / s
                 den += at_risk / s
@@ -119,7 +127,7 @@ class TestPoharPerme:
         est = pohar_perme(toy_frame(rows), provider)
 
         def weight(row, u):
-            return 1.0 / float(provider.survival(StratumKey(row[0], row[1], (row[2],)), u))
+            return 1.0 / float(provider.survival_matrix([StratumKey(row[0], row[1], (row[2],))], [u])[0, 0])
 
         times = sorted({r[3] for r in rows})
         np.testing.assert_array_equal(est.times, times)
@@ -194,10 +202,10 @@ class TestEderer1:
         num = np.zeros_like(u)
         den = np.zeros_like(u)
         for key in keys:
-            s = np.asarray(provider.survival(key, u))
+            s = provider.survival_matrix([key], u)[0]
             lam = (
-                np.asarray(provider.cumulative_hazard(key, u + h / 2))
-                - np.asarray(provider.cumulative_hazard(key, np.maximum(u - h / 2, 0.0)))
+                population_cumulative_hazard(provider, [key], u + h / 2)[0]
+                - population_cumulative_hazard(provider, [key], np.maximum(u - h / 2, 0.0))[0]
             ) / h
             num += s * lam
             den += s
@@ -239,10 +247,59 @@ class TestCrudeProbability:
         assert np.all(np.diff(iso) >= -1e-15)
 
 
+def capping_provider(diag, horizon=15):
+    """S_P from a life table whose death probability is constant along each
+    birth cohort: 0.5, 0.6, 0.7 and 0.8 for the cohorts born 1930 back to
+    1927, 0.05 for the others."""
+    cohort_q = {1930: 0.5, 1929: 0.6, 1928: 0.7, 1927: 0.8}
+    cells = {
+        (age, year, ("0",)): cohort_q.get(year - age, 0.05)
+        for age in range(55, 95) for year in range(1985, 2015)
+    }
+    return naive_population_provider(LifeTable(cells, require_complete=False), horizon, diag)
+
+
+class TestCrudeProbabilityCap:
+    def test_capped_strata_match_dense_and_stop_adding(self):
+        # Lambda_P reaches -log(WEIGHT_FLOOR) past the grid in the 0.5 and
+        # 0.6 cohorts (at ~19.9 and ~15.1 years); the 0.7 and 0.8 cohorts'
+        # grids are floored from year 12 and 9 on, so their last rate is 0
+        gen = np.random.default_rng(11)
+        rows = [
+            (60 + k, 1990, "0", float(gen.uniform(0.2, 12.0 if k == 4 else 30.0)), bool(gen.random() < 0.3))
+            for k in gen.integers(0, 5, 160)
+        ]
+        frame = toy_frame(rows)
+        diag = Diagnostics()
+        provider = capping_provider(diag)
+        rs = RiskSetSummary(frame)
+        est = crude_probability(rs, provider)
+        assert diag.get("weight_floor") > 0
+        _, crossing = provider.hazard_rates(provider.grid_rows(rs.keys))
+        binds = crossing < rs.times[-1]
+        assert binds.sum() == 2 and (crossing[binds] > provider.horizon).all()
+
+        curves, at = dense_crude_probability(DenseRiskSet(frame), capping_provider(Diagnostics()))
+        for which, values in curves.items():
+            np.testing.assert_allclose(getattr(est, which), values, rtol=0, atol=1e-12, err_msg=which)
+        u = rs.times
+        points = [*u, *((u[1:] + u[:-1]) / 2), *crossing[binds], u[-1] + 1.0]
+        for t in points:
+            for which in curves:
+                assert est.value_at(t, which) == pytest.approx(at(t, which), rel=0, abs=1e-12)
+        # once every stratum still at risk is capped, the population term
+        # adds exactly nothing
+        capped = u[:-1] >= crossing[binds].max()
+        assert capped.sum() > 10
+        assert np.array_equal(est.other[1:][capped], est.other[:-1][capped])
+        assert est.value_at((u[-3] + u[-2]) / 2, "other") == est.other[-3]
+
+
 # tracemalloc peak of building a summary and running `crude_probability`,
-# in whole strata x times float matrices: 0.31 measured, a few column
-# blocks of BLOCK_CELLS cells
-PEAK_MATRICES = 0.35
+# in float vectors of patients + strata x grid columns: 5.9 measured (the
+# summary's and the curves' per-patient and per-time vectors, a few
+# per-patient vectors of one grid year, the strata's yearly rates)
+PEAK_VECTORS = 8.0
 
 
 class TestCrudeProbabilityMemory:
@@ -252,10 +309,10 @@ class TestCrudeProbabilityMemory:
         rs = RiskSetSummary(frame)
         est = crude_probability(rs, provider)
         # the pre-allocation form: np.diff with a prepended zero column
-        lp = provider.cumulative_hazard_matrix(rs.keys, rs.times)
+        lp = population_cumulative_hazard(provider, rs.keys, rs.times)
         at_risk = DenseRiskSet(frame).at_risk
         avg_pop = (at_risk * np.diff(lp, axis=1, prepend=0.0)).sum(axis=0) / rs.pooled_at_risk
-        assert np.array_equal(est.other, np.cumsum(est.km_left * avg_pop))
+        np.testing.assert_allclose(est.other, np.cumsum(est.km_left * avg_pop), rtol=0, atol=1e-12)
 
     def test_peak_is_three_strata_by_times_matrices(self):
         gen = np.random.default_rng(5)
@@ -274,9 +331,8 @@ class TestCrudeProbabilityMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        matrix = 8 * len(rs.keys) * len(rs.times)
-        assert matrix > 5_000_000
-        assert peak < PEAK_MATRICES * matrix
+        assert 8 * len(rs.keys) * len(rs.times) > 5_000_000
+        assert peak < PEAK_VECTORS * 8 * (n + len(rs.keys) * (provider.horizon + 1))
 
 
 class TestRiskSetSummary:
@@ -312,6 +368,9 @@ class TestRiskSetSummary:
 
 
 STREAM_HORIZON = 8
+# relative error of the crude probability's population term, in units of
+# float64 eps: 1.78 was the worst over 600 registries
+EXACT_ULPS = 4
 
 
 @st.composite
@@ -369,13 +428,14 @@ def check_streamed_against_dense(rows, block_cells):
 
         pp = pohar_perme(rs, provider)
         cp = crude_probability(rs, provider)
-        # S_P and Lambda_P are evaluated once per block cell
-        assert diag.get("grid_extended_eval") == 2 * past_grid
+        # S_P is evaluated once per block cell; the crude probability
+        # evaluates no cell
+        assert diag.get("grid_extended_eval") == past_grid
         cum, pp_at = dense_pohar_perme(dense, oracle_provider)
         curves, cp_at = dense_crude_probability(dense, oracle_provider)
         assert np.array_equal(pp.cum_hazard, cum)
         for which, values in curves.items():
-            assert np.array_equal(getattr(cp, which), values), which
+            np.testing.assert_allclose(getattr(cp, which), values, rtol=0, atol=1e-12, err_msg=which)
 
         u = rs.times
         off_grid = [u[0] / 2, *((u[1:] + u[:-1]) / 2), u[-1] + 1.0]
@@ -387,10 +447,9 @@ def check_streamed_against_dense(rows, block_cells):
             before = diag.get("grid_extended_eval")
             assert pp.value_at(t) == pp_at(t), t
             for which in curves:
-                assert cp.value_at(t, which) == cp_at(t, which), (t, which)
-            # off the grid only the strata at risk are evaluated, once for
-            # Pohar-Perme and once for each crude curve that needs them
-            assert diag.get("grid_extended_eval") - before == 3 * live * beyond
+                assert cp.value_at(t, which) == pytest.approx(cp_at(t, which), rel=0, abs=1e-12), (t, which)
+            # off the grid only Pohar-Perme evaluates, and only the strata at risk
+            assert diag.get("grid_extended_eval") - before == live * beyond
 
 
 BLOCK_SIZES = {
@@ -423,6 +482,21 @@ class TestStreamedEstimators:
             ]
             check_streamed_against_dense(rows, BLOCK_SIZES[block])
 
+    @given(rows=streamed_registries())
+    @settings(max_examples=40, deadline=None)
+    def test_population_term_equals_exact_sums(self, rows):
+        # each interval's at-risk sum of Lambda_P increments against exact
+        # rational arithmetic on the same float rates and times
+        frame = toy_frame(rows)
+        provider = varying_provider(horizon=STREAM_HORIZON)
+        rs = RiskSetSummary(frame)
+        got = estimators._at_risk_hazard(rs, provider, np.concatenate(([0.0], rs.times)))
+        _, crossing = provider.hazard_rates(provider.grid_rows(rs.keys))
+        assert (crossing > rs.times[-1]).all()   # the exact sums ignore the cap
+        exact = exact_population_hazard(DenseRiskSet(frame), varying_provider(horizon=STREAM_HORIZON))
+        for value, want in zip(got.tolist(), exact):
+            assert abs(Fraction(value) - want) <= EXACT_ULPS * np.finfo(float).eps * want
+
     def test_study_sized_risk_set_is_one_block(self):
         gen = np.random.default_rng(3)
         rows = [(60 + int(a), 1990 + int(a), "0", float(t), True)
@@ -436,12 +510,13 @@ class TestProvider:
     def test_integer_consistency(self):
         provider = naive_population_provider(flat_life_table(0.03), 10)
         key = StratumKey(70, 2000, ("0",))
+        rates, crossing = provider.hazard_rates(provider.grid_rows([key]))
+        assert rates.shape == (1, 10) and crossing[0] > 10
+        lam = np.concatenate(([0.0], np.cumsum(rates[0])))
         for t in range(11):
-            s = float(provider.survival(key, float(t)))
-            lam = float(provider.cumulative_hazard(key, float(t)))
-            assert math.exp(-lam) == pytest.approx(s, abs=1e-12)
-        assert float(provider.survival(key, 0.0)) == 1.0
-        assert float(provider.cumulative_hazard(key, 0.0)) == 0.0
+            s = float(provider.survival_matrix([key], [float(t)])[0, 0])
+            assert math.exp(-lam[t]) == pytest.approx(s, abs=1e-12)
+        assert provider.survival_matrix([key], [0.0])[0, 0] == 1.0
 
     def test_mode_labels(self):
         assert naive_population_provider(flat_life_table(0.0), 5).mode == "naive-lifetable"
@@ -456,18 +531,14 @@ class TestProvider:
         provider = varying_provider()
         provider.diagnostics = diag
         sp = provider.survival_matrix(keys, t)
-        lp = provider.cumulative_hazard_matrix(keys, t)
-        for m in (sp, lp):
-            assert m.shape == (len(keys), t.size) and m.flags.c_contiguous
-        # two points past the 15-year grid, per stratum and per matrix
-        assert diag.get("grid_extended_eval") == 2 * 2 * len(keys)
+        assert sp.shape == (len(keys), t.size) and sp.flags.c_contiguous
+        # two points past the 15-year grid, per stratum
+        assert diag.get("grid_extended_eval") == 2 * len(keys)
         fresh = varying_provider()
         for i, key in enumerate(keys):
-            assert np.array_equal(fresh.survival(key, t), sp[i])
-            assert np.array_equal(fresh.cumulative_hazard(key, t), lp[i])
+            assert np.array_equal(fresh.survival_matrix([key], t)[0], sp[i])
             for j, u in enumerate(t):
-                assert fresh.survival(key, float(u)) == sp[i, j]
-                assert fresh.cumulative_hazard(key, float(u)) == lp[i, j]
+                assert fresh.survival_matrix([key], [float(u)])[0, 0] == sp[i, j]
         # any subset and order of strata reads the same rows
         order = [5, 0, 9, 9, 2]
         assert np.array_equal(provider.survival_matrix([keys[i] for i in order], t), sp[order])
@@ -480,10 +551,10 @@ class TestProvider:
         provider.grid_fn = lambda keys: calls.append(list(keys)) or grid_fn(keys)
         keys = [StratumKey(60 + i, 2000, ("0",)) for i in range(5)]
         provider.survival_matrix(keys + keys[:2], np.array([1.0, 2.5]))
-        provider.cumulative_hazard_matrix(keys, np.array([3.0]))
-        provider.survival(keys[3], 4.0)
+        provider.hazard_rates(provider.grid_rows(keys))
+        provider.survival_matrix([keys[3]], [4.0])
         extra = StratumKey(40, 1990, ("1",))
-        provider.survival(extra, 4.0)
+        provider.survival_matrix([extra], [4.0])
         assert calls == [keys, [extra]]
 
     def test_adjusted_provider_solves_all_strata_in_one_call(self, rng):
