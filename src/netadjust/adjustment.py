@@ -52,16 +52,16 @@ class SolverError(ValueError):
 @dataclass(frozen=True)
 class PrevalentCaseSurvival:
     """Survival from the cell date of previously diagnosed subjects, t = 0..K,
-    one row per origin when there are several."""
+    one row per origin."""
 
-    origin: StratumKey | list
+    origin: list[StratumKey]
     values: np.ndarray
 
     def __post_init__(self):
         v = self.values
-        if (np.abs(v[..., 0] - 1.0) > 1e-9).any():
+        if (np.abs(v[:, 0] - 1.0) > 1e-9).any():
             raise ValueError("prevalent-case survival must start at 1")
-        if (np.diff(v, axis=-1) > 1e-12).any() or v.min() < -1e-12:
+        if (np.diff(v, axis=1) > 1e-12).any() or v.min() < -1e-12:
             raise ValueError("prevalent-case survival must be non-increasing in [0,1]")
 
 
@@ -83,27 +83,14 @@ class AdjustedPopulationSurvival:
 def prevalent_case_survival(keys, mixture: np.ndarray) -> PrevalentCaseSurvival:
     """Prevalent-case survival from the prevalence recursion's mixture.
 
-    `mixture[..., t]` is the lag-weighted survival of the prevalent cases to
-    horizon t, over alpha (`PrevalenceCalculator.prevalent_survival`); its
-    t = 0 column is 1 up to rounding, by the recursion itself.  Values are
-    clipped into [0, 1] and start at exactly 1.
+    `mixture[i, t]` is the lag-weighted survival of key i's prevalent cases
+    to horizon t, over alpha (`PrevalenceCalculator.prevalent_survival`);
+    its t = 0 column is 1 up to rounding, by the recursion itself.  Values
+    are clipped into [0, 1] and start at exactly 1.
     """
     values = np.clip(mixture, 0.0, 1.0)
-    values[..., 0] = 1.0
-    return PrevalentCaseSurvival(keys, values)
-
-
-class AdjustmentIngredients:
-    """Accessor bundle the solver (and its test oracle) consume.
-
-    The methods `lt_survival_grid`, `alpha`, `prevalent_grid`, `so_grid` and
-    `diagnosis_mass` each take a sequence of cells and return one row per
-    cell: the grids at t = 0..K, the diagnosis mass at k = 1..K, alpha one
-    value.  `horizon` is the number K of annual steps solved.
-    `prevalent_grid` is only asked for cells where `alpha` is positive.
-    """
-
-    horizon: int
+    values[:, 0] = 1.0
+    return PrevalentCaseSurvival(list(keys), values)
 
 
 class SolvedCells:
@@ -162,12 +149,19 @@ def _propagate(roots, solved, mass, known, starts, lengths, K) -> np.ndarray:
 
 
 def solve_noncancer_survival(
-    ing: AdjustmentIngredients,
+    ing,
     keys: Sequence[StratumKey],
     diagnostics: Diagnostics | None = None,
     cells: SolvedCells | None = None,
 ) -> list[AdjustedPopulationSurvival]:
     """S_P of every key, on any birth-cohort diagonals, in one forward sweep.
+
+    `ing` supplies the inputs: its methods `lt_survival_grid`, `alpha`,
+    `prevalent_grid`, `so_grid` and `diagnosis_mass` each take a sequence of
+    cells and return one row per cell (the grids at t = 0..K, the diagnosis
+    mass at k = 1..K, alpha one value), and `horizon` is the number K of
+    annual steps solved.  `prevalent_grid` is only asked for cells where
+    `alpha` is positive.
 
     The keys of a diagonal are the roots of one chain of cells, from its
     youngest key through K - 1 cells past its oldest; each root needs
@@ -295,14 +289,15 @@ def _sweep(ing, roots: list, diag: Diagnostics, cells: SolvedCells) -> None:
     cells.solved[at] = need[done]
 
 
-class AdjustmentEngine(AdjustmentIngredients):
+class AdjustmentEngine:
     """Production ingredients: life table + incidence + registry survival.
 
     Wires the prevalence recursion, the diagnosis-mass products, and the
-    diagonal survival into the solver; each ingredient method takes one key
-    or a sequence of keys.  Overall survival is read only from the
-    prevalence calculator's lag table.  The solved cells, with the inputs
-    they were solved from, are kept so each is computed once per run.
+    diagonal survival into the solver; each ingredient method takes a
+    sequence of keys and returns one row per key.  Overall survival is read
+    only from the prevalence calculator's lag table.  The solved cells, with
+    the inputs they were solved from, are kept so each is computed once per
+    run.
     """
 
     def __init__(
@@ -335,10 +330,8 @@ class AdjustmentEngine(AdjustmentIngredients):
     def so_grid(self, keys) -> np.ndarray:
         """S_O at integer lags 0..K: the even columns of each key's table row."""
         table = self.calc.table
-        single = isinstance(keys, StratumKey)
-        rows = table.rows([keys] if single else keys)   # may add rows, replacing table.values
-        grid = table.values[rows, : 2 * self.horizon + 1 : 2]
-        return grid[0] if single else grid
+        rows = table.rows(keys)   # may add rows, replacing table.values
+        return table.values[rows, : 2 * self.horizon + 1 : 2]
 
     def diagnosis_mass(self, keys) -> np.ndarray:
         return time_to_diagnosis_increments(self.incidence, keys, self.horizon, self.diagnostics)
@@ -353,11 +346,7 @@ class AdjustmentEngine(AdjustmentIngredients):
 
     def residuals(self, keys) -> np.ndarray:
         """r(t) for t = 1..K at each key's cell (diagnostic export), as the
-        solve computed it: a vector for one key, a keys x K array for a
-        sequence of keys."""
-        single = isinstance(keys, StratumKey)
-        keys = [keys] if single else list(keys)
+        solve computed it, as a keys x K array."""
+        keys = list(keys)
         self.solve(keys)
-        rows = self.cells.rows(keys)
-        r = self.cells.residual[rows, 1:]
-        return r[0] if single else r
+        return self.cells.residual[self.cells.rows(keys), 1:]

@@ -1,11 +1,11 @@
 """Relative-survival estimators over a pluggable population-survival source.
 
 All three estimators read the registry through one `RiskSetSummary`, built
-once per registry and passed to each of them (records or a `RegistryFrame`
-are summarised on the spot), plus a `PopulationSurvivalProvider` (either the
-raw life-table cohort survival or the adjusted non-cancer survival).  The
-summary keeps each patient's and each death's (stratum row, time index) in
-time order, and no strata x times array.  Pohar-Perme streams over column
+once per registry and passed to each of them, plus a
+`PopulationSurvivalProvider` (either the raw life-table cohort survival or
+the adjusted non-cancer survival).  The summary takes its strata from
+`build_strata` and keeps each patient's and each death's (stratum row, time
+index) in time order, and no strata x times array.  Pohar-Perme streams over column
 blocks of observed times, rebuilding the at-risk counts of the strata still
 at risk and evaluating S_P for those strata only; its weighted death sum is
 one bincount of 1/S_P gathered at the deaths.  Ederer I and the crude
@@ -35,7 +35,7 @@ import numpy as np
 from .diagnostics import Diagnostics, ensure_diagnostics
 from .extrapolation import AnnualGridSurvival
 from .lifetable import LifeTable, diagonal_survival
-from .registry import RegistryFrame, StratumKey, as_frame
+from .registry import RegistryFrame, StratumKey, build_strata
 
 WEIGHT_FLOOR = 1e-6
 # cells of one at-risk column block: a ~30-stratum study replicate is one block
@@ -138,36 +138,25 @@ def adjusted_population_provider(engine) -> PopulationSurvivalProvider:
 class RiskSetSummary:
     """Risk sets of one registry, shared by all three estimators.
 
-    `times` are the distinct observed times and `keys` the diagnosis strata.
-    At-risk counts use {T >= u}: on the interval between consecutive
-    observed times the risk set equals the at-risk set of the right
-    endpoint.  No strata x times array is kept.  Each patient is kept as
-    (`patient_rows`, `patient_times`), stratum row and time index, in time
-    order (stratum order within a time), and `blocks` rebuilds the at-risk
-    counts one column block at a time from each stratum's remaining count;
-    `at_risk_column` rebuilds one column.  Deaths are the same pairs for the
-    patients who died (`death_rows`, `death_times`), in the same order.
-    `pooled_deaths` and `pooled_at_risk` are the per-time totals and `sizes`
-    the patients per stratum.
+    `times` are the distinct observed times and `keys` the strata of
+    `build_strata`, in its order.  At-risk counts use {T >= u}: on the
+    interval between consecutive observed times the risk set equals the
+    at-risk set of the right endpoint.  No strata x times array is kept.
+    Each patient is kept as (`patient_rows`, `patient_times`), stratum row
+    and time index, in time order (stratum order within a time), and
+    `blocks` rebuilds the at-risk counts one column block at a time from
+    each stratum's remaining count; `at_risk_column` rebuilds one column.
+    Deaths are the same pairs for the patients who died (`death_rows`,
+    `death_times`), in the same order.  `pooled_deaths` and `pooled_at_risk`
+    are the per-time totals and `sizes` the patients per stratum.
     """
 
     def __init__(self, frame: RegistryFrame):
         if frame.n == 0:
             raise EstimatorError("cannot estimate from an empty registry")
         self.times, t_idx = np.unique(frame.time, return_inverse=True)
-        # one integer per stratum, in (demographics, age, year) order
-        age0, year0 = int(frame.age.min()), int(frame.year.min())
-        n_ages, n_years = int(frame.age.max()) - age0 + 1, int(frame.year.max()) - year0 + 1
-        codes, rows = np.unique(
-            (frame.demo_code * n_ages + (frame.age - age0)) * n_years + (frame.year - year0),
-            return_inverse=True,
-        )
-        demo, cell = np.divmod(codes, n_ages * n_years)
-        age, year = np.divmod(cell, n_years)
-        self.keys: list[StratumKey] = [
-            StratumKey(a + age0, y + year0, frame.demo_vocab[d])
-            for d, a, y in zip(demo.tolist(), age.tolist(), year.tolist())
-        ]
+        strata, rows = build_strata(frame)
+        self.keys: list[StratumKey] = list(strata)
         # (time index, stratum row) pairs sorted as one integer each
         n_strata = len(self.keys)
         pairs = t_idx * n_strata + rows
@@ -177,7 +166,7 @@ class RiskSetSummary:
         self.pooled_deaths = np.bincount(self.death_times, minlength=n_times)
         exits = np.bincount(t_idx, minlength=n_times).astype(np.float64)
         self.pooled_at_risk = np.cumsum(exits[::-1])[::-1]
-        self.sizes = np.bincount(rows).astype(np.float64)
+        self.sizes = np.fromiter(strata.values(), np.float64, n_strata)
         self.n = frame.n
 
     def blocks(self):
@@ -217,12 +206,6 @@ class RiskSetSummary:
         """At-risk counts of every stratum at time index m."""
         p = int(np.searchsorted(self.patient_times, m))
         return np.bincount(self.patient_rows[p:], minlength=len(self.keys)).astype(np.float64)
-
-
-def as_risk_set(records) -> RiskSetSummary:
-    if isinstance(records, RiskSetSummary):
-        return records
-    return RiskSetSummary(as_frame(records))
 
 
 def _locate(estimate, t: float) -> tuple[int, float | None]:
@@ -302,14 +285,13 @@ class NetSurvivalEstimate:
     value_at = survival_at
 
 
-def pohar_perme(records, provider: PopulationSurvivalProvider) -> NetSurvivalEstimate:
+def pohar_perme(rs: RiskSetSummary, provider: PopulationSurvivalProvider) -> NetSurvivalEstimate:
     """Inverse-population-survival weighted excess-hazard estimator.
 
     Event increments weight each death by 1/S_P at its own covariates; the
     expected-mortality part subtracts the at-risk population hazard, with the
     interval integrals in the exact log form described in the module header.
     """
-    rs = as_risk_set(records)
     u = rs.times
     grid_rows = provider.grid_rows(rs.keys)
     denom, denom_prev = np.empty(u.shape), np.empty(u.shape)
@@ -375,11 +357,10 @@ class RelativeSurvivalEstimate:
     value_at = survival_at
 
 
-def ederer1(records, provider: PopulationSurvivalProvider) -> RelativeSurvivalEstimate:
+def ederer1(rs: RiskSetSummary, provider: PopulationSurvivalProvider) -> RelativeSurvivalEstimate:
     """Observed cumulative hazard minus the expected-survival-weighted
     population hazard; the population term runs over the whole cohort and
     telescopes to log(n) - log(sum_j S_P(t | Z_j))."""
-    rs = as_risk_set(records)
     na = np.cumsum(rs.pooled_deaths / rs.pooled_at_risk)
     return RelativeSurvivalEstimate(rs.times, na, rs, provider)
 
@@ -419,7 +400,7 @@ class CrudeProbabilityEstimate:
         return base + (-piece if which == "cancer" else piece)
 
 
-def crude_probability(records, provider: PopulationSurvivalProvider) -> CrudeProbabilityEstimate:
+def crude_probability(rs: RiskSetSummary, provider: PopulationSurvivalProvider) -> CrudeProbabilityEstimate:
     """Real-world probability of dying of cancer, competing mortality kept.
 
     Integrates the pooled Kaplan-Meier curve (left limits) against the
@@ -427,7 +408,6 @@ def crude_probability(records, provider: PopulationSurvivalProvider) -> CrudePro
     at-risk-averaged population hazard, summed in closed form from the
     yearly hazard rates of the patients at risk (`_at_risk_hazard`).
     """
-    rs = as_risk_set(records)
     na_inc = rs.pooled_deaths / rs.pooled_at_risk
     km_left = np.concatenate(([1.0], np.cumprod(1.0 - na_inc)[:-1]))
     weighted = _at_risk_hazard(rs, provider, np.concatenate(([0.0], rs.times)))

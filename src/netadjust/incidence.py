@@ -63,25 +63,21 @@ class IncidenceTable(CellTable):
         return cls({})
 
     def ir_diagonal(self, keys, steps, diagnostics: Diagnostics | None = None) -> np.ndarray:
-        """IR at (age+j, year+j) for j = 0..steps-1 from each key, in one
-        gather: a vector for one key, a keys x steps array for a sequence of
-        keys.  `steps` may give one count per key; a key's row is then 0
-        past its own count, and those entries are not counted.  Each step is
-        clamped into the table's ranges (counted once per clamped step) and
-        is 0 at a missing cell (counted once per step); an empty table is 0
-        everywhere and counts nothing."""
-        single = isinstance(keys, StratumKey)
-        keys = (keys,) if single else keys
-        if self._values.size:
-            ir, clamped, _, _ = self._gather(keys, steps)
-            missing = np.isnan(ir)
-            ir[missing] = 0.0
-            if diagnostics is not None:
-                diagnostics.incr("incidence_clamp", int(clamped.sum()))
-                diagnostics.incr("incidence_missing_cell", int(missing.sum()))
-        else:
-            ir = np.zeros((len(keys), int(np.max(steps, initial=0))))
-        return ir[0] if single else ir
+        """IR at (age+j, year+j) for j = 0..steps-1 from each key, as a keys
+        x steps array from one gather.  `steps` may give one count per key; a
+        key's row is then 0 past its own count, and those entries are not
+        counted.  Each step is clamped into the table's ranges (counted once
+        per clamped step) and is 0 at a missing cell (counted once per step);
+        an empty table is 0 everywhere and counts nothing."""
+        if not self._values.size:
+            return np.zeros((len(keys), int(np.max(steps, initial=0))))
+        ir, clamped, _, _ = self._gather(keys, steps)
+        missing = np.isnan(ir)
+        ir[missing] = 0.0
+        if diagnostics is not None:
+            diagnostics.incr("incidence_clamp", int(clamped.sum()))
+            diagnostics.incr("incidence_missing_cell", int(missing.sum()))
+        return ir
 
 
 def compute_incidence(
@@ -114,15 +110,15 @@ def compute_incidence(
 def time_to_diagnosis_increments(
     ir: IncidenceTable, keys, k_max: int, diagnostics: Diagnostics | None = None
 ) -> np.ndarray:
-    """Year-by-year diagnosis mass for k = 1..k_max: F(k) - F(k-1), a
-    vector for one key, a keys x k_max array for a sequence of keys.
+    """Year-by-year diagnosis mass for k = 1..k_max, F(k) - F(k-1), as a
+    keys x k_max array.
 
     Equals IR(key+k-1) times the probability of staying undiagnosed through
     the earlier years; increments telescope back to the cdf.
     """
     rates = ir.ir_diagonal(keys, int(k_max), diagnostics)
-    undiagnosed = np.cumprod(1.0 - rates, axis=-1)[..., :-1]
-    return np.concatenate((np.ones(rates.shape[:-1] + (1,)), undiagnosed), axis=-1) * rates
+    undiagnosed = np.cumprod(1.0 - rates, axis=1)[:, :-1]
+    return np.concatenate((np.ones((rates.shape[0], 1)), undiagnosed), axis=1) * rates
 
 
 class PrevalenceCalculator:
@@ -135,8 +131,8 @@ class PrevalenceCalculator:
     re-normalizes for cohort attrition between the two cells, without which
     prevalence at high-mortality ages is badly understated.
 
-    `overall_survival` is a callable (StratumKey, times array) -> survival
-    array; registry-backed providers extrapolate past follow-up internally.
+    `overall_survival` is an `OverallSurvivalProvider`, which extrapolates
+    past follow-up internally, or a callable (StratumKey, times) -> survival.
     It is read only through `table`, a `SurvivalLagTable` covering cells up
     to `max_age` and horizons up to `horizon` (lags up to their sum).  With
     a registry provider `max_age` is the oldest cell the solver reaches from
@@ -294,21 +290,15 @@ class PrevalenceCalculator:
             raise PrevalenceError(f"prevalent mixture undefined at {key}: prevalence is 0")
         return numer / (surv[line, ages] * values)[:, None]
 
-    def prevalence(self, keys):
-        """alpha at each key's cell: a float for one key, an array for a
-        sequence of keys."""
-        if isinstance(keys, StratumKey):
-            return float(self._recursion([keys], False)[0])
+    def prevalence(self, keys) -> np.ndarray:
+        """alpha at each key's cell."""
         return self._recursion(list(keys), False)
 
     def prevalent_survival(self, keys) -> np.ndarray:
         """Survival of the prevalent cases from each key's cell date at
-        t = 0..horizon: the recursion's lag-s diagnosis mass times the
-        survival from that diagnosis to s + t, over alpha; 1 at t = 0 up to
-        rounding.  A vector for one key, a keys x (horizon + 1) array for a
-        sequence of keys."""
-        if isinstance(keys, StratumKey):
-            return self._recursion([keys], True)[0]
+        t = 0..horizon, a keys x (horizon + 1) array: the recursion's lag-s
+        diagnosis mass times the survival from that diagnosis to s + t, over
+        alpha; 1 at t = 0 up to rounding."""
         return self._recursion(list(keys), True)
 
 

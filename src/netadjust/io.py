@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .registry import RegistryFrame
+from .registry import MAX_TABLE_CELLS, RegistryFrame
 
 
 class RegistryFormatError(ValueError):
@@ -22,7 +22,6 @@ class RegistryFormatError(ValueError):
 
 
 MAX_AGE = 150                 # oldest age an input row may name
-MAX_TABLE_CELLS = 1 << 22     # cells of the (demographics, age, year) grid an input may span
 
 
 def check_table_extent(name: str, rows, error: type[ValueError]) -> None:

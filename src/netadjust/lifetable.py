@@ -121,15 +121,13 @@ class LifeTable(CellTable):
             )
 
     def q_diagonal(self, keys, steps, diagnostics: Diagnostics | None = None) -> np.ndarray:
-        """q at (age+j, year+j) for j = 0..steps-1 from each key, in one
-        gather: a vector for one key, a keys x steps array for a sequence of
-        keys.  `steps` may give one count per key; a key's row is then 0
-        past its own count, and those entries are neither read nor counted.
-        Each step is clamped into the table's ranges (counted once per
-        clamped step); a missing cell raises, after counting the clamped
-        steps of the keys before it and of its own key up to it."""
-        single = isinstance(keys, StratumKey)
-        keys = (keys,) if single else keys
+        """q at (age+j, year+j) for j = 0..steps-1 from each key, as a keys x
+        steps array from one gather.  `steps` may give one count per key; a
+        key's row is then 0 past its own count, and those entries are neither
+        read nor counted.  Each step is clamped into the table's ranges
+        (counted once per clamped step); a missing cell raises, after
+        counting the clamped steps of the keys before it and of its own key
+        up to it."""
         q, clamped, a, y = self._gather(keys, steps)
         missing = np.isnan(q)
         if missing.any():
@@ -140,34 +138,33 @@ class LifeTable(CellTable):
             raise LifeTableError(f"no life-table cell (age={a[r, j]}, year={y[r, j]}, {keys[r].demographics})")
         if diagnostics is not None:
             diagnostics.incr("lifetable_clamp", int(clamped.sum()))
-        return q[0] if single else q
+        return q
 
 
 @dataclass(frozen=True)
 class DiagonalSurvival:
     """Cohort survival extracted along the diagonal: values at t = 0..K, one
-    row per origin when there are several."""
+    row per origin."""
 
-    origin: StratumKey | list
+    origin: list[StratumKey]
     values: np.ndarray
 
     def __post_init__(self):
         v = self.values
-        if (v[..., 0] != 1.0).any():
+        if (v[:, 0] != 1.0).any():
             raise ValueError("diagonal survival must start at 1")
-        if (np.diff(v, axis=-1) > 1e-15).any() or v.min() < 0 or v.max() > 1:
+        if (np.diff(v, axis=1) > 1e-15).any() or v.min() < 0 or v.max() > 1:
             raise ValueError("diagonal survival must be non-increasing in [0,1]")
 
 
 def diagonal_survival(
     lt: LifeTable, keys, horizon: int, diagnostics: Diagnostics | None = None
 ) -> DiagonalSurvival:
-    """S(t) = prod_{j<t} (1 - q(age+j, year+j)) for t = 0..horizon, from one
-    key or, as a keys x (horizon + 1) array, from each of a sequence of keys
-    with one gather."""
+    """S(t) = prod_{j<t} (1 - q(age+j, year+j)) for t = 0..horizon from each
+    key, as a keys x (horizon + 1) array from one gather."""
     q = lt.q_diagonal(keys, horizon, diagnostics)
-    values = np.concatenate((np.ones(q.shape[:-1] + (1,)), np.cumprod(1.0 - q, axis=-1)), axis=-1)
-    return DiagonalSurvival(keys, values)
+    values = np.concatenate((np.ones((q.shape[0], 1)), np.cumprod(1.0 - q, axis=1)), axis=1)
+    return DiagonalSurvival(list(keys), values)
 
 
 def load_life_table(path) -> LifeTable:

@@ -20,6 +20,8 @@ import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics, log
 
+MAX_TABLE_CELLS = 1 << 22     # cells of the (demographics, age, year) grid an input may span
+
 
 class EmptyInputError(ValueError):
     """Raised when an operation requires at least one record."""
@@ -123,12 +125,6 @@ class RegistryFrame:
         )
 
 
-def as_frame(records) -> RegistryFrame:
-    if isinstance(records, RegistryFrame):
-        return records
-    return RegistryFrame.from_records(list(records))
-
-
 class EventTable:
     """Risk-set summary of one stratum, or of many stacked stratum after
     stratum: each stratum's distinct times with their deaths, censorings and
@@ -173,15 +169,15 @@ class EventTable:
         return int(self.sizes.sum())
 
 
-def build_strata(records, banding: Banding = Banding()) -> tuple[dict[StratumKey, int], np.ndarray]:
-    """Partition records into strata keyed by banded (age, year, demographics).
+def build_strata(frame: RegistryFrame, banding: Banding = Banding()) -> tuple[dict[StratumKey, int], np.ndarray]:
+    """Partition a registry into strata keyed by banded (age, year, demographics).
 
     Band representatives are the lower band edges.  Returns the size of each
-    stratum, keys in (demographics, age, year) order, and each record's
-    stratum as an index into that order; stratum sizes sum to the record
-    count.
+    stratum, keys in (demographics, age, year) order, and each patient's
+    stratum as an index into that order; stratum sizes sum to the patient
+    count.  Strata are numbered within the (demographics, age, year) grid the
+    registry spans, which may hold at most MAX_TABLE_CELLS cells.
     """
-    frame = as_frame(records)
     if frame.n == 0:
         raise EmptyInputError("cannot stratify an empty registry")
     b_age = (frame.age // banding.age_width) * banding.age_width
@@ -189,6 +185,12 @@ def build_strata(records, banding: Banding = Banding()) -> tuple[dict[StratumKey
     # one integer per stratum, ordered like (demographics, age, year)
     age0, year0 = int(b_age.min()), int(b_year.min())
     n_ages, n_years = int(b_age.max()) - age0 + 1, int(b_year.max()) - year0 + 1
+    cells = len(frame.demo_vocab) * n_ages * n_years
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"registry spans ages {age0}-{age0 + n_ages - 1} and years {year0}-{year0 + n_years - 1}: "
+            f"{cells} (demographics, age, year) cells, at most {MAX_TABLE_CELLS}"
+        )
     codes, labels = np.unique(
         (frame.demo_code * n_ages + (b_age - age0)) * n_years + (b_year - year0), return_inverse=True
     )

@@ -21,8 +21,8 @@ from .lifetable import LifeTable, diagonal_survival
 from .registry import (
     Banding,
     EventTable,
+    RegistryFrame,
     StratumKey,
-    as_frame,
     build_strata,
     kaplan_meier,
     merge_small_strata,
@@ -81,7 +81,7 @@ class OverallSurvivalProvider:
     @classmethod
     def from_registry(
         cls,
-        records,
+        frame: RegistryFrame,
         banding: Banding = Banding(),
         min_stratum_size: int = 10,
         anchor_points: int = 4,
@@ -92,7 +92,6 @@ class OverallSurvivalProvider:
         """Stratify once: merge strata by size, label every patient with its
         final stratum and build one event table over all of them."""
         diag = ensure_diagnostics(diagnostics)
-        frame = as_frame(records)
         sizes, labels = build_strata(frame, banding)
         merged, alias = merge_small_strata(sizes, min_stratum_size, diag)
         row = {key: i for i, key in enumerate(merged)}
@@ -185,20 +184,14 @@ class OverallSurvivalProvider:
         return out
 
     def survival(self, keys, times) -> np.ndarray:
-        """S_O at `times` of the stratum each key resolves to: a vector (a
-        float for scalar times) for one key, a keys x times array for a
-        sequence of keys, from one evaluation of the stacked curves."""
-        single = isinstance(keys, StratumKey)
-        rows = np.array(
-            [self.strata[self.resolve(key)] for key in ([keys] if single else keys)], dtype=np.intp
-        )
+        """S_O at `times` of the stratum each key resolves to, a keys x times
+        array from one evaluation of the stacked curves."""
+        rows = np.array([self.strata[self.resolve(key)] for key in keys], dtype=np.intp)
         t = np.atleast_1d(np.asarray(times, dtype=np.float64))
         values = self._build().survival_at(t, rows)
         if self.population_floor is not None:
             values = self._harden_tail(rows, t, values)
-        if not single:
-            return values
-        return values[0] if np.ndim(times) else float(values[0, 0])
+        return values
 
     __call__ = survival
 

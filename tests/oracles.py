@@ -44,7 +44,6 @@ from netadjust.adjustment import (
     R_FLOOR,
     SP_CLIP_EPS,
     AdjustedPopulationSurvival,
-    AdjustmentIngredients,
     SolverError,
 )
 from netadjust.diagnostics import Diagnostics, ensure_diagnostics
@@ -59,7 +58,7 @@ from netadjust.registry import Banding, EventTable, RegistryFrame, StratumKey
 from netadjust.survival_provider import OverallSurvivalProvider, SurvivalLagTable
 
 
-def triangular_cells(ing: AdjustmentIngredients, keys, diagnostics=None):
+def triangular_cells(ing, keys, diagnostics=None):
     """Solve every lattice cell the targets depend on, each cell once;
     returns {cell: (values, clips, guards, r)} for the cells solved.
 
@@ -302,7 +301,7 @@ class ScalarPrevalence:
         return values
 
 
-class ScalarIngredients(AdjustmentIngredients):
+class ScalarIngredients:
     """Solver inputs computed one cell at a time, independently of
     `AdjustmentEngine`: alpha and the prevalent-case survival from
     `ScalarPrevalence`, the life-table grid as a running product of `q_at`,
@@ -430,7 +429,7 @@ def diagonal_cumulative_hazard(
     if steps == 0:
         out = np.zeros_like(t_arr)
         return out if np.ndim(t) else float(out[0])
-    q = lt.q_diagonal(key, steps, diagnostics)
+    q = lt.q_diagonal([key], steps, diagnostics)[0]
     bad = np.flatnonzero(q == 1.0)
     if bad.size:
         j = int(bad[0])
@@ -483,7 +482,7 @@ def time_to_diagnosis_cdf(
         raise ValueError("t must be >= 0")
     if t == 0:
         return 0.0
-    rates = ir.ir_diagonal(key, int(t), diagnostics)
+    rates = ir.ir_diagonal([key], int(t), diagnostics)[0]
     return float(1.0 - np.prod(1.0 - rates))
 
 
@@ -492,7 +491,7 @@ def time_to_diagnosis_increment(
 ) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return float(time_to_diagnosis_increments(ir, key, k, diagnostics)[-1])
+    return float(time_to_diagnosis_increments(ir, [key], k, diagnostics)[0][-1])
 
 
 def lag_since_diagnosis_increments(calc: PrevalenceCalculator, key: StratumKey) -> np.ndarray:

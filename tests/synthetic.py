@@ -1,11 +1,10 @@
 """Randomized ingredient bundles for exercising the two solver paths."""
 import numpy as np
 
-from netadjust.adjustment import AdjustmentIngredients
 from netadjust.registry import StratumKey
 
 
-class SyntheticIngredients(AdjustmentIngredients):
+class SyntheticIngredients:
     """Random per-cell grids, generated lazily, one row per cell asked for.
 
     Occasionally produces numerators above one or locally increasing grids

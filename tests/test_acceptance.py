@@ -11,6 +11,7 @@ import pytest
 
 from netadjust.adjustment import AdjustmentEngine, solve_noncancer_survival
 from netadjust.estimators import (
+    RiskSetSummary,
     adjusted_population_provider,
     crude_probability,
     ederer1,
@@ -117,12 +118,12 @@ def test_criterion_4_null_adjustment_identity():
     grids_equal = all(
         np.array_equal(
             engine.solve([StratumKey(a, 2000 + a - 60, (s,))])[0].values,
-            diagonal_survival(lt, StratumKey(a, 2000 + a - 60, (s,)), 12).values,
+            diagonal_survival(lt, [StratumKey(a, 2000 + a - 60, (s,))], 12).values[0],
         )
         for a, s in ((60, "0"), (63, "1"), (66, "1"))
     )
-    adjusted = pohar_perme(frame, adjusted_population_provider(engine))
-    naive = pohar_perme(frame, naive_population_provider(lt, 12))
+    adjusted = pohar_perme(RiskSetSummary(frame), adjusted_population_provider(engine))
+    naive = pohar_perme(RiskSetSummary(frame), naive_population_provider(lt, 12))
     gaps = [
         abs(adjusted.cumulative_hazard_at(t) - naive.cumulative_hazard_at(t))
         for t in (1.0, 2.0, 5.0, 6.5, 9.0, 11.5)
@@ -191,13 +192,13 @@ def test_criterion_6_prevalence_oracles():
             n_prev = int(prevalent.sum())
             emp_alpha = n_prev / n_alive
             se = math.sqrt(emp_alpha * (1 - emp_alpha) / n_alive)
-            worst["alpha"] = max(worst["alpha"], abs(calc.prevalence(key) - emp_alpha) / (3 * se))
+            worst["alpha"] = max(worst["alpha"], abs(calc.prevalence([key])[0] - emp_alpha) / (3 * se))
             for t in (1, 3, 5, 10):
                 emp = float((prevalent & (td >= age - t)).sum()) / n_prev
                 se_f = math.sqrt(max(emp * (1 - emp), 1e-12) / n_prev)
                 got = lag_since_diagnosis_cdf(calc, key, t)
                 worst["lag_cdf"] = max(worst["lag_cdf"], abs(got - emp) / (3 * max(se_f, 1e-9)))
-            pcs = calc.prevalent_survival(key)
+            pcs = calc.prevalent_survival([key])[0]
             for t in (1, 5, 10):
                 emp = float((prevalent & (death >= age + t)).sum()) / n_prev
                 se_f = math.sqrt(max(emp * (1 - emp), 1e-12) / n_prev)
@@ -313,8 +314,8 @@ def test_criterion_9_estimator_reductions(rng):
     frame = toy_frame(rows)
     unit = naive_population_provider(flat_life_table(0.0), 20)
     na = nelson_aalen(EventTable(frame.time, frame.event))
-    pp = pohar_perme(frame, unit)
-    e1 = ederer1(frame, unit)
+    pp = pohar_perme(RiskSetSummary(frame), unit)
+    e1 = ederer1(RiskSetSummary(frame), unit)
     grid = np.unique(frame.time)
     pp_gap = max(abs(pp.cumulative_hazard_at(t) - na.hazard_at(t)) for t in grid)
     e1_gap = max(abs(e1.cumulative_hazard_at(t) - na.hazard_at(t)) for t in grid)
@@ -324,8 +325,8 @@ def test_criterion_9_estimator_reductions(rng):
         for t, e in zip(rng.exponential(4.0, 25), rng.random(25) < 0.8)
     ])
     provider = naive_population_provider(flat_life_table(0.06), 25)
-    pp_s = pohar_perme(single, provider)
-    e1_s = ederer1(single, provider)
+    pp_s = pohar_perme(RiskSetSummary(single), provider)
+    e1_s = ederer1(RiskSetSummary(single), provider)
     collapse_gap = max(
         abs(pp_s.cumulative_hazard_at(t) - e1_s.cumulative_hazard_at(t))
         for t in np.unique(single.time)
@@ -334,7 +335,7 @@ def test_criterion_9_estimator_reductions(rng):
     uncensored = toy_frame([
         (60, 1990, "0", float(t), True) for t in rng.exponential(3.0, 25)
     ])
-    cpd = crude_probability(uncensored, naive_population_provider(flat_life_table(0.0), 25))
+    cpd = crude_probability(RiskSetSummary(uncensored), naive_population_provider(flat_life_table(0.0), 25))
     km = kaplan_meier(EventTable(uncensored.time, uncensored.event))
     cpd_gap = max(
         abs(cpd.value_at(t) - (1.0 - km.survival_at(t))) for t in np.unique(uncensored.time)

@@ -16,7 +16,12 @@ from netadjust.adjustment import (
     solve_noncancer_survival,
 )
 from netadjust.diagnostics import Diagnostics
-from netadjust.estimators import adjusted_population_provider, naive_population_provider, pohar_perme
+from netadjust.estimators import (
+    RiskSetSummary,
+    adjusted_population_provider,
+    naive_population_provider,
+    pohar_perme,
+)
 from netadjust.incidence import IncidenceTable, PrevalenceError
 from netadjust.lifetable import LifeTable, diagonal_survival
 from netadjust.registry import StratumKey
@@ -52,7 +57,7 @@ class TestPrevalentCaseSurvival:
     def test_unit_survival_inputs_give_one(self):
         weights = np.array([0.4, 0.6])
         matrix = np.ones((2, 5))
-        curve = prevalent_case_survival(BASE_KEY, weights @ matrix)
+        curve = prevalent_case_survival([BASE_KEY], [weights @ matrix])
         assert np.all(curve.values == 1.0)
 
     def test_point_mass_gives_conditional_survival(self):
@@ -66,7 +71,7 @@ class TestPrevalentCaseSurvival:
             horizon=10, lag_eval="year_start",
         )
         key = StratumKey(60, 2020, ("0",))
-        grid = engine.prevalent_grid(key)
+        grid = engine.prevalent_grid([key])[0]
         for t in range(11):
             expected = math.exp(-rate * (t + s0)) / math.exp(-rate * s0)
             assert grid[t] == pytest.approx(expected, abs=1e-12)
@@ -75,10 +80,10 @@ class TestPrevalentCaseSurvival:
         engine = AdjustmentEngine(
             flat_life_table(0.01), flat_incidence(0.02), const_survival(0.1), horizon=8
         )
-        grid = engine.prevalent_grid(StratumKey(50, 2010, ("0",)))
+        grid = engine.prevalent_grid([StratumKey(50, 2010, ("0",))])[0]
         assert grid[0] == 1.0
         assert np.all(np.diff(grid) <= 1e-12)
-        PrevalentCaseSurvival(StratumKey(50, 2010, ("0",)), grid)
+        PrevalentCaseSurvival([StratumKey(50, 2010, ("0",))], np.array([grid]))
 
 
 class TestSolver:
@@ -87,7 +92,7 @@ class TestSolver:
         engine = AdjustmentEngine(lt, IncidenceTable.zero(), const_survival(0.1), horizon=12)
         key = StratumKey(65, 2000, ("0",))
         curve = engine.solve([key])[0]
-        expected = diagonal_survival(lt, key, 12).values
+        expected = diagonal_survival(lt, [key], 12).values[0]
         assert np.array_equal(curve.values, expected)
         assert curve.clip_count == 0 and curve.guard_count == 0
 
@@ -96,9 +101,9 @@ class TestSolver:
             flat_life_table(0.03), flat_incidence(0.02), const_survival(0.1), horizon=4
         )
         key = StratumKey(40, 2005, ("0",))
-        alpha = engine.alpha(key)
-        prev = engine.prevalent_grid(key)
-        lt_grid = engine.lt_survival_grid(key)
+        alpha = engine.alpha([key])[0]
+        prev = engine.prevalent_grid([key])[0]
+        lt_grid = engine.lt_survival_grid([key])[0]
         expected = (lt_grid[1] - alpha * prev[1]) / (1.0 - alpha)
         assert engine.solve([key])[0].values[1] == pytest.approx(expected, abs=1e-14)
 
@@ -164,7 +169,7 @@ class TestSolver:
         engine = AdjustmentEngine(
             flat_life_table(0.02), flat_incidence(0.01), const_survival(0.1), horizon=6
         )
-        r = engine.residuals(StratumKey(62, 2021, ("1",)))
+        r = engine.residuals([StratumKey(62, 2021, ("1",))])[0]
         assert r.shape == (6,)
         assert r[0] == 1.0
         assert np.all(r > 0)
@@ -173,7 +178,7 @@ class TestSolver:
         engine = AdjustmentEngine(
             flat_life_table(0.02), IncidenceTable.zero(), const_survival(0.1), horizon=6
         )
-        r = engine.residuals(StratumKey(62, 2021, ("1",)))
+        r = engine.residuals([StratumKey(62, 2021, ("1",))])[0]
         assert np.all(r == 1.0)
 
 
@@ -191,8 +196,8 @@ class TestNullAdjustmentEstimate:
         diag = Diagnostics()
         engine = AdjustmentEngine(lt, IncidenceTable.zero(), const_survival(0.1),
                                   horizon=12, diagnostics=diag)
-        adjusted = pohar_perme(frame, adjusted_population_provider(engine))
-        naive = pohar_perme(frame, naive_population_provider(lt, 12, diag))
+        adjusted = pohar_perme(RiskSetSummary(frame), adjusted_population_provider(engine))
+        naive = pohar_perme(RiskSetSummary(frame), naive_population_provider(lt, 12, diag))
         for t in (1.0, 2.0, 5.5, 9.0, 11.0):
             assert adjusted.cumulative_hazard_at(t) == pytest.approx(
                 naive.cumulative_hazard_at(t), abs=1e-12
@@ -243,7 +248,7 @@ class TestTailHardening:
         key = StratumKey(60, 1990, ("0",))
         lags = np.array([0.5, 20.0, 119.5, 120.0, 120.5, 130.0, 200.0])
         before = diag.get("grid_extended_eval")
-        provider.survival(key, lags)
+        provider.survival([key], lags)
         assert diag.get("grid_extended_eval") - before == 3
 
 
@@ -258,7 +263,7 @@ class TestRegistryEngine:
             np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
             assert (got.clip_count, got.guard_count) == (want.clip_count, want.guard_count)
             np.testing.assert_allclose(
-                engine.residuals(key), triangular_residuals(engine, key), rtol=0, atol=1e-12
+                engine.residuals([key])[0], triangular_residuals(engine, key), rtol=0, atol=1e-12
             )
         assert diag.get("lifetable_clamp") > 0
         assert diag.get("incidence_clamp") > 0 and diag.get("incidence_missing_cell") > 0
@@ -270,11 +275,11 @@ class TestRegistryEngine:
         probes = keys + [StratumKey(40, 1980, ("0",)), StratumKey(70, 2010, ("1",))]
         for key in probes:
             row = table.values[table.rows([key])[0]]
-            integer = provider.survival(key, np.arange(lags + 1, dtype=np.float64))
-            half = provider.survival(key, np.arange(1, lags + 1, dtype=np.float64) - 0.5)
+            integer = provider.survival([key], np.arange(lags + 1, dtype=np.float64))[0]
+            half = provider.survival([key], np.arange(1, lags + 1, dtype=np.float64) - 0.5)[0]
             assert np.array_equal(row[::2], integer)
             assert np.array_equal(row[1::2], half)
-            assert np.array_equal(engine.so_grid(key), integer[: engine.horizon + 1])
+            assert np.array_equal(engine.so_grid([key])[0], integer[: engine.horizon + 1])
 
     def test_prevalence_terms_read_the_table_at_the_right_lags(self):
         # the one-cell walk's survival-from-diagnosis matrix reads the table
@@ -285,10 +290,10 @@ class TestRegistryEngine:
         matrix = walk.survival_from_diagnosis_matrix(key, engine.horizon)
         for s in range(1, key.age + 1):
             origin = StratumKey(key.age - s, key.year - s, key.demographics)
-            want = provider.survival(origin, s - 0.5 + np.arange(engine.horizon + 1, dtype=np.float64))
+            want = provider.survival([origin], s - 0.5 + np.arange(engine.horizon + 1, dtype=np.float64))[0]
             assert np.array_equal(matrix[s - 1], want)
         np.testing.assert_allclose(
-            engine.calc.prevalent_survival(key), walk.prevalent_mix_weights(key) @ matrix, rtol=0, atol=1e-12
+            engine.calc.prevalent_survival([key])[0], walk.prevalent_mix_weights(key) @ matrix, rtol=0, atol=1e-12
         )
 
     def test_one_survival_evaluation_per_stratum(self):
@@ -307,7 +312,7 @@ class TestRegistryEngine:
         engine, provider, _, _ = gapped_registry_engine()
         old = StratumKey(provider.max_age + engine.horizon, 2000, ("0",))
         with pytest.raises(PrevalenceError, match="older than"):
-            engine.alpha(old)
+            engine.alpha([old])
 
 
 class TestPlainCallableTable:
@@ -324,12 +329,12 @@ class TestPlainCallableTable:
         assert len(table._rows) > table.values.shape[0] // 2 > 64
         walk = ScalarPrevalence.of(engine.calc)
         for key in keys:
-            np.testing.assert_array_equal(engine.so_grid(key), so(key, np.arange(7.0)))
+            np.testing.assert_array_equal(engine.so_grid([key])[0], so(key, np.arange(7.0)))
             origin = StratumKey(0, key.year - key.age, key.demographics)
             matrix = walk.survival_from_diagnosis_matrix(key, 6)
             np.testing.assert_array_equal(matrix[-1], so(origin, key.age - 0.5 + np.arange(7.0)))
             np.testing.assert_allclose(
-                engine.calc.prevalent_survival(key), walk.prevalent_mix_weights(key) @ matrix,
+                engine.calc.prevalent_survival([key])[0], walk.prevalent_mix_weights(key) @ matrix,
                 rtol=0, atol=1e-12,
             )
 
@@ -456,7 +461,7 @@ class TestDiagonalBatch:
             alone = single.solve([key])[0]
             assert np.array_equal(curve.values, alone.values)
             assert (curve.clip_count, curve.guard_count) == (alone.clip_count, alone.guard_count)
-            assert np.array_equal(batched.residuals(key), single.residuals(key))
+            assert np.array_equal(batched.residuals([key])[0], single.residuals([key])[0])
         assert batch_diag.as_dict() == single_diag.as_dict()
 
     def test_one_sweep_per_diagonal(self, monkeypatch):
@@ -477,7 +482,7 @@ class TestDiagonalBatch:
         assert len(sweeps) == 1 < len(diagonals) < len(keys)
         assert sorted(sweeps[0]) == sorted(keys)
         engine.solve(keys[::-1])
-        engine.residuals(keys[0])
+        engine.residuals([keys[0]])
         assert len(sweeps) == 1
 
 

@@ -107,6 +107,29 @@ class TestEstimate:
         ])
         assert code == 0
 
+    def test_population_counts_give_their_incidence(self, tmp_path):
+        # the registry's strata over 1000 person-years per cell: IR is
+        # 2/1000 at (60, 1990, m), 1/1000 at (62, 1992, m) and 0 elsewhere
+        registry = write_inputs(tmp_path)
+        counted = {(60, 1990): 0.002, (62, 1992): 0.001}
+        rows = ["age,year,sex,ir"] + [
+            f"{age},{year},m,{counted.get((age, year), 0.0)}" for age in range(55, 81) for year in range(1985, 2011)
+        ]
+        incidence = tmp_path / "counted_incidence.csv"
+        incidence.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        estimates = []
+        for source in (["--population", str(tmp_path / "population.csv")], ["--incidence", str(incidence)]):
+            out = tmp_path / source[0].strip("-")
+            code = main([
+                "estimate", "--registry", str(registry),
+                "--lifetable", str(tmp_path / "lifetable.csv"), *source,
+                "--mode", "adjusted", "--horizon", "12", "--years", "3,5,7,10",
+                "--out", str(out),
+            ])
+            assert code == 0
+            estimates.append((out / "estimates.csv").read_bytes())
+        assert estimates[0] == estimates[1]
+
     @pytest.mark.parametrize("mode", ["naive", "adjusted"])
     def test_matches_golden_outputs(self, tmp_path, mode):
         # golden files were written when each estimator built its own risk

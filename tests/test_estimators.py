@@ -20,7 +20,7 @@ from netadjust.estimators import (
     pohar_perme,
 )
 from netadjust.lifetable import LifeTable
-from netadjust.registry import EventTable, PatientRecord, StratumKey, kaplan_meier
+from netadjust.registry import EventTable, PatientRecord, RegistryFrame, StratumKey, kaplan_meier
 
 from conftest import flat_incidence, flat_life_table, toy_frame
 from oracles import (
@@ -65,18 +65,18 @@ def mixed_frame(rng, n=40, n_strata=3, censor=8.0):
 class TestPoharPerme:
     def test_reduces_to_nelson_aalen_when_sp_is_one(self, rng):
         frame = mixed_frame(rng)
-        est = pohar_perme(frame, unit_provider())
+        est = pohar_perme(RiskSetSummary(frame), unit_provider())
         na = nelson_aalen(EventTable(frame.time, frame.event))
         for t in np.unique(frame.time):
             assert est.cumulative_hazard_at(t) == pytest.approx(na.hazard_at(t), abs=1e-12)
 
     def test_survival_at_zero(self, rng):
-        est = pohar_perme(mixed_frame(rng), unit_provider())
+        est = pohar_perme(RiskSetSummary(mixed_frame(rng)), unit_provider())
         assert est.survival_at(0.0) == 1.0
 
     def test_constant_beyond_support(self, rng):
         frame = mixed_frame(rng)
-        est = pohar_perme(frame, unit_provider())
+        est = pohar_perme(RiskSetSummary(frame), unit_provider())
         last = float(frame.time.max())
         assert est.survival_at(last + 5.0) == est.survival_at(last)
 
@@ -90,7 +90,7 @@ class TestPoharPerme:
         ]
         frame = toy_frame(rows)
         provider = varying_provider()
-        est = pohar_perme(frame, provider)
+        est = pohar_perme(RiskSetSummary(frame), provider)
         keys = [StratumKey(60, 1990, ("0",)), StratumKey(61, 1991, ("1",)),
                 StratumKey(62, 1992, ("0",))]
         subjects = [(keys[0], 2.7), (keys[0], 4.1), (keys[1], 3.3), (keys[2], 5.9)]
@@ -124,7 +124,7 @@ class TestPoharPerme:
         assert any(len(ages) > len(set(ages)) for ages in deaths_at.values())
         assert any(len(set(ages)) > 1 for ages in deaths_at.values())
         provider = varying_provider()
-        est = pohar_perme(toy_frame(rows), provider)
+        est = pohar_perme(RiskSetSummary(toy_frame(rows)), provider)
 
         def weight(row, u):
             return 1.0 / float(provider.survival_matrix([StratumKey(row[0], row[1], (row[2],))], [u])[0, 0])
@@ -145,21 +145,20 @@ class TestPoharPerme:
         frame = toy_frame([(60, 1990, "0", 14.0, 1), (60, 1990, "0", 14.5, 0)])
         diag = Diagnostics()
         provider = naive_population_provider(flat_life_table(0.8), 15, diag)
-        est = pohar_perme(frame, provider)
+        est = pohar_perme(RiskSetSummary(frame), provider)
         assert np.isfinite(est.cumulative_hazard_at(14.0))
         assert diag.get("weight_floor") > 0
 
     def test_empty_registry(self):
-        from netadjust.registry import RegistryFrame
         empty = RegistryFrame([], [], [], [], [], [])
         with pytest.raises(EstimatorError):
-            pohar_perme(empty, unit_provider())
+            pohar_perme(RiskSetSummary(empty), unit_provider())
 
 
 class TestEderer1:
     def test_reduces_to_nelson_aalen_when_hazard_zero(self, rng):
         frame = mixed_frame(rng)
-        est = ederer1(frame, unit_provider())
+        est = ederer1(RiskSetSummary(frame), unit_provider())
         na = nelson_aalen(EventTable(frame.time, frame.event))
         for t in np.unique(frame.time):
             assert est.cumulative_hazard_at(t) == pytest.approx(na.hazard_at(t), abs=1e-12)
@@ -172,7 +171,7 @@ class TestEderer1:
         t0 = 3.5
         frame = toy_frame([(60, 1990, "0", t0, 1)])
         provider = naive_population_provider(flat_life_table(q), 15)
-        est = ederer1(frame, provider)
+        est = ederer1(RiskSetSummary(frame), provider)
         for t in (0.5, 2.0, 3.4999, 3.5):
             expected = (1.0 if t >= t0 else 0.0) - lam * t
             assert est.cumulative_hazard_at(t) == pytest.approx(expected, abs=1e-12)
@@ -184,8 +183,8 @@ class TestEderer1:
         ]
         frame = toy_frame(rows)
         provider = naive_population_provider(flat_life_table(0.07), 25)
-        pp = pohar_perme(frame, provider)
-        e1 = ederer1(frame, provider)
+        pp = pohar_perme(RiskSetSummary(frame), provider)
+        e1 = ederer1(RiskSetSummary(frame), provider)
         for t in np.unique(frame.time):
             assert pp.cumulative_hazard_at(t) == pytest.approx(
                 e1.cumulative_hazard_at(t), abs=1e-12
@@ -194,7 +193,7 @@ class TestEderer1:
     def test_population_term_matches_riemann(self):
         frame = toy_frame([(60, 1990, "0", 4.0, 1), (64, 1994, "1", 6.0, 0)])
         provider = naive_population_provider(flat_life_table(0.05), 15)
-        est = ederer1(frame, provider)
+        est = ederer1(RiskSetSummary(frame), provider)
         keys = [StratumKey(60, 1990, ("0",)), StratumKey(64, 1994, ("1",))]
         t_eval = 3.3
         h = 1e-3
@@ -217,7 +216,7 @@ class TestCrudeProbability:
     def test_equals_one_minus_km_when_population_hazard_zero(self, rng):
         times = rng.exponential(3.0, 25)
         frame = toy_frame([(60, 1990, "0", float(t), True) for t in times])
-        est = crude_probability(frame, unit_provider())
+        est = crude_probability(RiskSetSummary(frame), unit_provider())
         km = kaplan_meier(EventTable(frame.time, frame.event))
         for t in np.unique(frame.time):
             assert est.value_at(t) == pytest.approx(1.0 - km.survival_at(t), abs=1e-12)
@@ -225,14 +224,14 @@ class TestCrudeProbability:
     def test_no_deaths_gives_negative_diagnostic(self):
         frame = toy_frame([(60, 1990, "0", 5.0, 0), (60, 1990, "0", 7.0, 0)])
         provider = naive_population_provider(flat_life_table(0.1), 15)
-        est = crude_probability(frame, provider)
+        est = crude_probability(RiskSetSummary(frame), provider)
         assert est.value_at(7.0) < 0.0
         assert est.value_at(7.0, "other") > 0.0
 
     def test_decomposition_bounded_by_all_cause(self, rng):
         frame = mixed_frame(rng)
         provider = naive_population_provider(flat_life_table(0.04), 15)
-        est = crude_probability(frame, provider)
+        est = crude_probability(RiskSetSummary(frame), provider)
         km = kaplan_meier(EventTable(frame.time, frame.event))
         for t in np.unique(frame.time):
             total = est.value_at(t) + est.value_at(t, "other")
@@ -242,7 +241,7 @@ class TestCrudeProbability:
     def test_isotonic_copy_monotone(self, rng):
         frame = mixed_frame(rng)
         provider = naive_population_provider(flat_life_table(0.04), 15)
-        est = crude_probability(frame, provider)
+        est = crude_probability(RiskSetSummary(frame), provider)
         iso = [est.value_at(t, "cancer_isotonic") for t in np.unique(frame.time)]
         assert np.all(np.diff(iso) >= -1e-15)
 
@@ -343,11 +342,11 @@ class TestRiskSetSummary:
             for a, y, c, t, e in zip(frame.age, frame.year, frame.demo_code, frame.time, frame.event)
         ]
         provider = varying_provider()
-        rs = RiskSetSummary(frame)
+        rs, own_rs = RiskSetSummary(frame), RiskSetSummary(RegistryFrame.from_records(records))
         last = float(frame.time.max())
         points = [0.0, 0.3, 2.5, *np.unique(frame.time)[::7], last, last + 4.0]
         for estimator in (pohar_perme, ederer1, crude_probability):
-            shared, own = estimator(rs, provider), estimator(records, provider)
+            shared, own = estimator(rs, provider), estimator(own_rs, provider)
             assert shared._risk is rs
             np.testing.assert_array_equal(shared.times, own.times)
             assert [shared.value_at(t) for t in points] == [own.value_at(t) for t in points]
@@ -576,7 +575,7 @@ class TestProvider:
 class TestEvaluateAtYears:
     def test_rows_and_conventions(self, rng):
         frame = mixed_frame(rng)
-        est = pohar_perme(frame, unit_provider())
+        est = pohar_perme(RiskSetSummary(frame), unit_provider())
         rows = evaluate_at_years(est, [0.0, 3.0, 5.0, 7.0, 10.0])
         assert len(rows) == 5
         assert rows[0] == (0.0, 1.0)

@@ -10,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import netadjust
 from netadjust.diagnostics import Diagnostics
+from netadjust.estimators import RiskSetSummary
 from netadjust.registry import (
     Banding,
     EmptyInputError,
     EventTable,
+    MAX_TABLE_CELLS,
     PatientRecord,
+    RegistryFrame,
     StratumKey,
     build_strata,
     kaplan_meier,
@@ -112,12 +115,23 @@ class TestBuildStrata:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            build_strata([])
+            build_strata(RegistryFrame.from_records([]))
 
     def test_accepts_patient_records(self):
         records = [PatientRecord(70, 2000, ("f",), 2.5, True)]
-        strata, _ = build_strata(records)
+        strata, _ = build_strata(RegistryFrame.from_records(records))
         assert StratumKey(70, 2000, ("f",)) in strata
+
+    def test_grid_past_the_cell_limit_rejected(self):
+        # 3 sexes x 151 ages x 3e16 + 1 years: the int64 stratum code would
+        # wrap, putting the patient at (150, 5, "c") in a stratum of another age
+        frame = RegistryFrame([0, 150, 0, 150], [0, 3 * 10**16, 0, 5], [0, 1, 2, 2],
+                              [1.0, 2.0, 3.0, 4.0], [True, False, True, False], [("a",), ("b",), ("c",)])
+        match = rf"ages 0-150 and years 0-{3 * 10**16}: .* at most {MAX_TABLE_CELLS}"
+        with pytest.raises(ValueError, match=match):
+            build_strata(frame)
+        with pytest.raises(ValueError, match=match):
+            RiskSetSummary(frame)
 
     @given(
         st.lists(

@@ -92,9 +92,9 @@ class TestBatchMatchesPerStratumPath:
         times = np.array([0.0, 0.6, 3.0, 7.25, 14.9, 30.0, 119.5, 121.0, 200.0])
         for key, row in zip(keys, rows):
             assert row == table.rows([provider.resolve(key)])[0]
-            got = provider.survival(key, times)
+            got = provider.survival([key], times)[0]
             np.testing.assert_allclose(got, oracle.survival(key, times), rtol=0, atol=1e-12)
-            assert provider.survival(key, 7.25) == oracle.survival(key, 7.25)[0] == got[3]
+            assert provider.survival([key], 7.25)[0][0] == oracle.survival(key, 7.25)[0] == got[3]
         assert counters(diag) == counters(oracle.diagnostics)
 
     @given(registries(), st.integers(2, 5), st.integers(1, 4))
