@@ -39,7 +39,7 @@ from .incidence import (
     load_incidence_table,
     time_to_diagnosis_increments,
 )
-from .io import load_registry, write_registry
+from .io import load_registry
 from .lifetable import (
     DiagonalSurvival,
     LifeTable,

@@ -19,14 +19,12 @@ it reads comes from one lag table, evaluated once per diagnosis stratum.
 """
 from __future__ import annotations
 
-import csv
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics, log
-from .io import check_table_extent
+from .io import read_cells
 from .lifetable import CellTable
 from .registry import StratumKey
 from .survival_provider import OverallSurvivalProvider, SurvivalLagTable
@@ -303,55 +301,20 @@ class PrevalenceCalculator:
 
 
 def load_incidence_table(path) -> IncidenceTable:
-    """Read an incidence CSV with header age,year,sex,ir; ages and the table's
-    extent are checked as for a life table."""
-    path = Path(path)
-    cells: dict[tuple[int, int, tuple], float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"age", "year", "sex", "ir"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise IncidenceError(f"{path.name}: header must contain {sorted(required)}")
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                age = int(row["age"])
-                year = int(row["year"])
-                ir = float(row["ir"])
-            except (TypeError, ValueError) as exc:
-                raise IncidenceError(f"{path.name}:{rownum}: {exc}") from None
-            demo = (row["sex"].strip(),)
-            keyc = (age, year, demo)
-            if keyc in cells:
-                raise IncidenceError(f"{path.name}:{rownum}: duplicate cell (age={age}, year={year}, sex={demo[0]})")
-            if not 0.0 <= ir < 1.0:
-                raise IncidenceError(f"{path.name}:{rownum}: ir={ir} outside [0,1)")
-            cells[keyc] = ir
-    check_table_extent(path.name, cells, IncidenceError)
-    return IncidenceTable(cells)
+    """Read an incidence CSV (age,year,sex,ir) with `io.read_cells`: ir must
+    lie in [0,1)."""
+    columns = read_cells(Path(path), "ir", IncidenceError, lambda ir: (ir >= 0.0) & (ir < 1.0),
+                         "duplicate cell (age={age}, year={year}, sex={sex})", "ir={value} outside [0,1)")
+    return IncidenceTable(columns)
 
 
 def load_counts(path, value_column: str) -> dict:
-    """Read a counts CSV (age,year,sex,<value_column>) into a cell dict; the
-    cells become an incidence table, so their extent is checked as for one."""
-    path = Path(path)
-    out: dict[tuple[int, int, tuple], float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"age", "year", "sex", value_column}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise IncidenceError(f"{path.name}: header must contain {sorted(required)}")
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                keyc = (int(row["age"]), int(row["year"]), (row["sex"].strip(),))
-                value = float(row[value_column])
-            except (TypeError, ValueError) as exc:
-                raise IncidenceError(f"{path.name}:{rownum}: {exc}") from None
-            if keyc in out:
-                raise IncidenceError(f"{path.name}:{rownum}: duplicate cell {keyc}")
-            if not (math.isfinite(value) and value >= 0):
-                raise IncidenceError(
-                    f"{path.name}:{rownum}: {value_column} {row[value_column]!r} is not a finite non-negative number"
-                )
-            out[keyc] = value
-    check_table_extent(path.name, out, IncidenceError)
-    return out
+    """Read a counts CSV (age,year,sex,<value_column>) with `io.read_cells`
+    into a cell dict in file order: the values must be finite and
+    non-negative.  The cells become an incidence table."""
+    demographics, codes, ages, years, values = read_cells(
+        Path(path), value_column, IncidenceError, lambda v: np.isfinite(v) & (v >= 0), "duplicate cell {cell}",
+        value_column + " {text!r} is not a finite non-negative number",
+    )
+    cells = zip(ages.tolist(), years.tolist(), map(demographics.__getitem__, codes.tolist()))
+    return dict(zip(cells, values.tolist()))

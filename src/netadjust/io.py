@@ -1,15 +1,19 @@
 """CSV ingestion/export helpers and the reproducibility manifest.
 
 All files are UTF-8, comma-separated, headered, with '.' decimal points.
-Floats are written with repr (shortest round-trip), so identical runs emit
-identical bytes.
+An input file is read whole and kept by column (`CsvColumns`): columns are
+found by header name in any order, extra columns are ignored, and of a
+repeated name the last wins; blank lines are skipped and not counted in row
+numbers (the header is row 1); a record with fewer fields than the header is
+an error.  Floats are written with repr (shortest round-trip), so identical
+runs emit identical bytes.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -24,86 +28,138 @@ class RegistryFormatError(ValueError):
 MAX_AGE = 150                 # oldest age an input row may name
 
 
-def check_table_extent(name: str, rows, error: type[ValueError]) -> None:
-    """Check the (age, year, demographics) of an input file's data rows, in
-    file order (row 2 first, after the header), before anything is built
-    from them: every age must lie in [0, MAX_AGE], and the (demographics,
-    age, year) grid they span may hold at most MAX_TABLE_CELLS cells.
-    Tables keep one dense array over that grid, and registry strata are
-    numbered within it.  The error names the first row that breaks either
-    rule."""
-    rows = list(rows)
-    if not rows:
-        return
-    ages, years, demographics = zip(*rows)
-    if not (0 <= min(ages) and max(ages) <= MAX_AGE):
-        i = next(i for i, age in enumerate(ages) if not 0 <= age <= MAX_AGE)
-        raise error(f"{name}:{i + 2}: age {ages[i]} outside [0, {MAX_AGE}]")
-    if len(set(demographics)) * (max(ages) - min(ages) + 1) * (max(years) - min(years) + 1) <= MAX_TABLE_CELLS:
-        return
-    # too big: find the row that stretches it past the limit
-    seen, lo, hi = set(), (ages[0], years[0]), (ages[0], years[0])
-    for i, (age, year, demo) in enumerate(rows):
-        seen.add(demo)
-        lo, hi = (min(lo[0], age), min(lo[1], year)), (max(hi[0], age), max(hi[1], year))
-        cells = len(seen) * (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
-        if cells > MAX_TABLE_CELLS:
-            raise error(
-                f"{name}:{i + 2}: age {age}, year {year} would stretch the (sex, age, year) grid to "
-                f"{cells} cells (ages {lo[0]}-{hi[0]}, years {lo[1]}-{hi[1]}; at most {MAX_TABLE_CELLS})"
+class CsvColumns:
+    """The data records of one input CSV, read at once and kept by column
+    under the rules above.
+
+    The checks stand in for a loop over the records that stops at the first
+    fault: each reads only the records before the earliest fault found so
+    far, so of several faults the earliest record's is reported, and of one
+    record's faults the first check's.  `check_table_extent` raises it.
+    """
+
+    def __init__(self, path: Path, names: list[str], error: type[ValueError]):
+        self.file, self.error = path.name, error
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or not set(names).issubset(header):
+                raise error(f"{path.name}: header must contain {names}")
+            records = list(filter(None, reader))
+        self.n, self._fault = len(records), None   # the records the checks still read
+        fields = np.fromiter(map(len, records), np.intp, len(records))
+        self.reject(fields < len(header), lambda i: (
+            f"missing column {header[fields[i]]!r}: {fields[i]} fields, the header has {len(header)}"))
+        columns = dict(zip(header, zip(*records[: self.n])))
+        self.texts = {name: columns.get(name, ()) for name in names}
+
+    def parse(self, name: str, convert) -> np.ndarray:
+        """The column converted by `convert` (int or float) to an int64 or
+        float64 array; the first text it rejects, or an int past 64 bits, is
+        a fault."""
+        dtype, texts = np.int64 if convert is int else np.float64, self.texts[name][: self.n]
+        try:
+            return np.array(list(map(convert, texts)), dtype)
+        except (ValueError, OverflowError):
+            for i, text in enumerate(texts):
+                try:
+                    np.array(convert(text), dtype)
+                except (ValueError, OverflowError) as exc:
+                    self.n, self._fault = i, str(exc)
+                    return self.parse(name, convert)
+
+    def groups(self, name: str) -> tuple[list[tuple], np.ndarray]:
+        """The column's stripped texts as (demographics, codes): the distinct
+        texts as 1-tuples, first seen first, and each record's index."""
+        texts = list(map(str.strip, self.texts[name][: self.n]))
+        index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+        return [(text,) for text in index], np.array(list(map(index.__getitem__, texts)), np.int64)
+
+    def reject(self, bad: np.ndarray, message) -> None:
+        """A fault at the first record i where `bad` holds: `message(i)`."""
+        hit = np.flatnonzero(bad[: self.n])
+        if hit.size:
+            self.n, self._fault = int(hit[0]), message(int(hit[0]))
+
+    def reject_repeats(self, keys: list[np.ndarray], message) -> None:
+        """A fault at the first record whose keys all equal an earlier
+        record's, found by one stable sort."""
+        keys = [key[: self.n] for key in keys]
+        order = np.lexsort(keys)
+        repeat = np.logical_and.reduce([key[order][1:] == key[order][:-1] for key in keys])
+        self.reject(np.isin(np.arange(self.n), order[1:][repeat]), message)
+
+    def check_table_extent(self, ages, years, codes) -> None:
+        """Raise the earliest fault found; then, before anything is built,
+        check the (age, year, demographics code) columns (codes numbered
+        first seen first): every age must lie in [0, MAX_AGE], and the
+        (demographics, age, year) grid the rows span may hold at most
+        MAX_TABLE_CELLS cells, as tables keep one dense array over it and
+        registry strata are numbered within it.  The error names the row."""
+        if self._fault is not None:
+            raise self.error(f"{self.file}:{self.n + 2}: {self._fault}")
+        bad = np.flatnonzero((ages < 0) | (ages > MAX_AGE))
+        if bad.size:
+            raise self.error(f"{self.file}:{bad[0] + 2}: age {ages[bad[0]]} outside [0, {MAX_AGE}]")
+        # the grid of rows 0..i only grows with i; its size is counted in Python ints
+        groups = np.maximum.accumulate(codes) + 1
+        age_lo, age_hi, year_lo, year_hi = (f.accumulate(x) for x in (ages, years) for f in (np.minimum, np.maximum))
+
+        def cells(i: int) -> int:
+            return int(groups[i]) * (int(age_hi[i]) - int(age_lo[i]) + 1) * (int(year_hi[i]) - int(year_lo[i]) + 1)
+
+        i = bisect.bisect_left(range(ages.size), True, key=lambda i: cells(i) > MAX_TABLE_CELLS)
+        if i < ages.size:
+            raise self.error(
+                f"{self.file}:{i + 2}: age {ages[i]}, year {years[i]} would stretch the (sex, age, year) grid to "
+                f"{cells(i)} cells (ages {age_lo[i]}-{age_hi[i]}, years {year_lo[i]}-{year_hi[i]}; "
+                f"at most {MAX_TABLE_CELLS})"
             )
+
+
+def read_cells(path: Path, value: str, error: type[ValueError], valid, duplicate: str, invalid: str):
+    """The (demographics, codes, ages, years, values) columns of a CSV of
+    cells (age,year,sex,<value>).  A row's checks, in order: age, year and
+    the value parse, the cell is not a duplicate, `valid(values)` holds; then
+    `CsvColumns.check_table_extent`.  The messages are formatted with the
+    row's age, year, sex, cell (age, year, (sex,)), value and value text."""
+    rows = CsvColumns(path, sorted({"age", "year", "sex", value}), error)
+    ages, years, values = rows.parse("age", int), rows.parse("year", int), rows.parse(value, float)
+    demographics, codes = rows.groups("sex")
+
+    def describe(message):
+        return lambda i: message.format(
+            age=ages[i], year=years[i], sex=demographics[codes[i]][0], value=values[i],
+            cell=(int(ages[i]), int(years[i]), demographics[codes[i]]), text=rows.texts[value][i])
+
+    rows.reject_repeats([codes, ages, years], describe(duplicate))
+    with np.errstate(invalid="ignore"):
+        rows.reject(~valid(values), describe(invalid))
+    rows.check_table_extent(ages, years, codes)
+    return demographics, codes, ages, years, values
 
 
 REGISTRY_HEADER = ["age_diag", "year_diag", "sex", "time", "event"]
 
 
 def load_registry(path) -> RegistryFrame:
-    """Read a registry CSV (age_diag,year_diag,sex,time,event)."""
+    """Read a registry CSV (age_diag,year_diag,sex,time,event).  A row's
+    checks, in order: age_diag, year_diag, time and event parse, event is 0
+    or 1, time is finite and non-negative; then
+    `CsvColumns.check_table_extent`, and the file needs a data row."""
     path = Path(path)
-    ages, years, codes, times, events = [], [], [], [], []
-    vocab: dict[tuple, int] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(REGISTRY_HEADER).issubset(reader.fieldnames):
-            raise RegistryFormatError(f"{path.name}: header must contain {REGISTRY_HEADER}")
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                age = int(row["age_diag"])
-                year = int(row["year_diag"])
-                time = float(row["time"])
-                event = int(row["event"])
-            except (TypeError, ValueError) as exc:
-                raise RegistryFormatError(f"{path.name}:{rownum}: {exc}") from None
-            if event not in (0, 1):
-                raise RegistryFormatError(f"{path.name}:{rownum}: event must be 0 or 1")
-            if not (math.isfinite(time) and time >= 0):
-                raise RegistryFormatError(
-                    f"{path.name}:{rownum}: follow-up time {row['time']!r} is not a finite non-negative number"
-                )
-            demo = (row["sex"].strip(),)
-            ages.append(age)
-            years.append(year)
-            codes.append(vocab.setdefault(demo, len(vocab)))
-            times.append(time)
-            events.append(bool(event))
-    if not ages:
+    rows = CsvColumns(path, REGISTRY_HEADER, RegistryFormatError)
+    ages, years = rows.parse("age_diag", int), rows.parse("year_diag", int)
+    times, events = rows.parse("time", float), rows.parse("event", int)
+    rows.reject((events != 0) & (events != 1), lambda i: "event must be 0 or 1")
+    with np.errstate(invalid="ignore"):
+        rows.reject(~(np.isfinite(times) & (times >= 0)), lambda i: (
+            f"follow-up time {rows.texts['time'][i]!r} is not a finite non-negative number"))
+    vocab, codes = rows.groups("sex")
+    rows.check_table_extent(ages, years, codes)
+    if not ages.size:
         raise RegistryFormatError(f"{path.name}: no data rows")
-    check_table_extent(path.name, zip(ages, years, codes), RegistryFormatError)
-    return RegistryFrame(ages, years, codes, times, events, list(vocab))
-
-
-def write_registry(path, frame: RegistryFrame) -> None:
-    rows = [
-        {
-            "age_diag": int(a),
-            "year_diag": int(y),
-            "sex": frame.demo_vocab[c][0],
-            "time": float(t),
-            "event": int(e),
-        }
-        for a, y, c, t, e in zip(frame.age, frame.year, frame.demo_code, frame.time, frame.event)
-    ]
-    write_rows_csv(path, REGISTRY_HEADER, rows)
+    return RegistryFrame(ages, years, codes, times, events.astype(bool), vocab)
 
 
 def _format_value(value):

@@ -13,14 +13,13 @@ read with a single gather.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import Diagnostics, log
-from .io import check_table_extent
+from .io import read_cells
 from .registry import StratumKey
 
 
@@ -40,27 +39,31 @@ class CellTable:
 
     quantity, bounds, error = "value", "[0,1]", ValueError
 
-    def __init__(self, cells: dict):
-        n = len(cells)
-        values = np.fromiter((float(v) for v in cells.values()), np.float64, n)
+    def __init__(self, cells):
+        """`cells` is {(age, year, demographics): value}, made into columns,
+        or the columns (demographics, codes, ages, years, values)."""
+        if isinstance(cells, dict):
+            demographics = list(dict.fromkeys(k[2] for k in cells))
+            index = {demo: i for i, demo in enumerate(demographics)}
+            keys = np.array([(index[k[2]], int(k[0]), int(k[1])) for k in cells], np.intp).reshape(-1, 3).T
+            cells = demographics, *keys, np.fromiter((float(v) for v in cells.values()), np.float64, len(cells))
+        demographics, codes, ages, years, values = cells
         bad = np.flatnonzero(~self.valid(values))
         if bad.size:
-            (age, year, demo), value = list(cells.items())[bad[0]]
-            raise self.error(
-                f"{self.quantity}={float(value)} outside {self.bounds} at cell (age={age}, year={year}, {demo})"
-            )
-        self.demographics = sorted({k[2] for k in cells})
+            i = bad[0]
+            raise self.error(f"{self.quantity}={float(values[i])} outside {self.bounds} at cell "
+                             f"(age={int(ages[i])}, year={int(years[i])}, {demographics[codes[i]]})")
+        self.demographics = sorted(demographics)
         self._demo_index = {demo: i for i, demo in enumerate(self.demographics)}
-        ages = np.fromiter((int(k[0]) for k in cells), np.intp, n)
-        years = np.fromiter((int(k[1]) for k in cells), np.intp, n)
+        rank = np.array([self._demo_index[demo] for demo in demographics], np.intp)
+        n = len(values)
         self.age_min, self.age_max = (int(ages.min()), int(ages.max())) if n else (0, 0)
         self.year_min, self.year_max = (int(years.min()), int(years.max())) if n else (0, 0)
-        demos = np.fromiter((self._demo_index[k[2]] for k in cells), np.intp, n)
         self._values = np.full(
             (len(self.demographics), self.age_max - self.age_min + 1, self.year_max - self.year_min + 1),
             np.nan,
         )
-        self._values[demos, ages - self.age_min, years - self.year_min] = values
+        self._values[rank[codes], ages - self.age_min, years - self.year_min] = values
 
     @staticmethod
     def valid(values: np.ndarray) -> np.ndarray:
@@ -109,10 +112,10 @@ class LifeTable(CellTable):
 
     quantity, bounds, error = "q", "[0,1]", LifeTableError
 
-    def __init__(self, cells: dict, require_complete: bool = True):
-        if not cells:
-            raise LifeTableError("life table has no cells")
+    def __init__(self, cells, require_complete: bool = True):
         super().__init__(cells)
+        if not self._values.size:
+            raise LifeTableError("life table has no cells")
         missing = np.argwhere(np.isnan(self._values)) if require_complete else ()
         if len(missing):
             d, a, y = missing[0]
@@ -168,36 +171,14 @@ def diagonal_survival(
 
 
 def load_life_table(path) -> LifeTable:
-    """Read a life-table CSV with header age,year,sex,q.
-
-    The observed ages x years rectangle must be complete for every sex;
-    missing cells, duplicates, q outside [0,1], ages outside [0, MAX_AGE]
-    and a rectangle past MAX_TABLE_CELLS cells are hard errors reported with
-    their coordinates / row numbers.
-    """
+    """Read a life-table CSV (age,year,sex,q) with `io.read_cells`: q must
+    lie in [0,1], and the observed ages x years rectangle must be complete
+    for every sex (the error names the missing cell)."""
     path = Path(path)
-    cells: dict[tuple[int, int, tuple], float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"age", "year", "sex", "q"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise LifeTableError(f"{path.name}: header must contain {sorted(required)}")
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                age = int(row["age"])
-                year = int(row["year"])
-                q = float(row["q"])
-            except (TypeError, ValueError) as exc:
-                raise LifeTableError(f"{path.name}:{rownum}: {exc}") from None
-            demo = (row["sex"].strip(),)
-            keyc = (age, year, demo)
-            if keyc in cells:
-                raise LifeTableError(f"{path.name}:{rownum}: duplicate cell (age={age}, year={year}, sex={demo[0]})")
-            if not 0.0 <= q <= 1.0:
-                raise LifeTableError(f"{path.name}:{rownum}: q={q} outside [0,1] at (age={age}, year={year}, sex={demo[0]})")
-            cells[keyc] = q
-    check_table_extent(path.name, cells, LifeTableError)
-    table = LifeTable(cells, require_complete=True)
+    columns = read_cells(path, "q", LifeTableError, lambda q: (q >= 0.0) & (q <= 1.0),
+                         "duplicate cell (age={age}, year={year}, sex={sex})",
+                         "q={value} outside [0,1] at (age={age}, year={year}, sex={sex})")
+    table = LifeTable(columns, require_complete=True)
     log.info("loaded life table %s: ages %d-%d, years %d-%d, %d groups",
              path.name, table.age_min, table.age_max, table.year_min, table.year_max,
              len(table.demographics))

@@ -12,7 +12,6 @@ estimators against the generator's truth over many replicates.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -419,6 +418,7 @@ def run_experiment(
     jobs = jobs if jobs is not None else (cfg.jobs or 1)
     tasks = [(cfg, rep, methods) for rep in range(cfg.reps)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only here, so the CLI starts without it
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_replicate_task, tasks, chunksize=4))
     else:

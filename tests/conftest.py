@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from netadjust.estimators import RiskSetSummary
 from netadjust.incidence import IncidenceTable
+from netadjust.io import REGISTRY_HEADER, write_rows_csv
 from netadjust.lifetable import LifeTable
 from netadjust.registry import RegistryFrame
 
@@ -76,3 +77,17 @@ def risk_set_builds(monkeypatch):
 
     monkeypatch.setattr(RiskSetSummary, "__init__", counting)
     return frames
+
+
+def write_registry(path, frame: RegistryFrame) -> None:
+    rows = [
+        {
+            "age_diag": int(a),
+            "year_diag": int(y),
+            "sex": frame.demo_vocab[c][0],
+            "time": float(t),
+            "event": int(e),
+        }
+        for a, y, c, t, e in zip(frame.age, frame.year, frame.demo_code, frame.time, frame.event)
+    ]
+    write_rows_csv(path, REGISTRY_HEADER, rows)

@@ -34,9 +34,14 @@
 * `lag_since_diagnosis_increments` and `lag_since_diagnosis_cdf`: the
   prevalent-case diagnosis-lag distribution, read from the prevalence
   recursion's own terms, and its cdf summed from the increments.
+* `load_registry`, `load_life_table`, `load_incidence_table` and
+  `load_counts`, with the row-list `check_table_extent`: the CSV loaders one
+  `csv.DictReader` record at a time, each record's checks made in turn.
 """
+import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -46,15 +51,17 @@ from netadjust.adjustment import (
     AdjustedPopulationSurvival,
     SolverError,
 )
-from netadjust.diagnostics import Diagnostics, ensure_diagnostics
+from netadjust.diagnostics import Diagnostics, ensure_diagnostics, log
 from netadjust.incidence import (
+    IncidenceError,
     IncidenceTable,
     PrevalenceCalculator,
     PrevalenceError,
     time_to_diagnosis_increments,
 )
+from netadjust.io import MAX_AGE, REGISTRY_HEADER, RegistryFormatError
 from netadjust.lifetable import LifeTable, LifeTableError
-from netadjust.registry import Banding, EventTable, RegistryFrame, StratumKey
+from netadjust.registry import MAX_TABLE_CELLS, Banding, EventTable, RegistryFrame, StratumKey
 from netadjust.survival_provider import OverallSurvivalProvider, SurvivalLagTable
 
 
@@ -810,3 +817,164 @@ class PerStratumSurvival:
         out = np.where(t > tau, np.minimum(values * growth, cap), values)
         self.diagnostics.incr("so_population_cap", int((out < values).sum()))
         return out
+
+
+# Row-by-row CSV loaders: one csv.DictReader record at a time, each
+# record's checks made in turn.  The package's column loaders must return
+# what these return, or raise the same error.
+
+def check_table_extent(name: str, rows, error: type[ValueError]) -> None:
+    """Check the (age, year, demographics) of an input file's data rows, in
+    file order (row 2 first, after the header), before anything is built
+    from them: every age must lie in [0, MAX_AGE], and the (demographics,
+    age, year) grid they span may hold at most MAX_TABLE_CELLS cells.
+    Tables keep one dense array over that grid, and registry strata are
+    numbered within it.  The error names the first row that breaks either
+    rule."""
+    rows = list(rows)
+    if not rows:
+        return
+    ages, years, demographics = zip(*rows)
+    if not (0 <= min(ages) and max(ages) <= MAX_AGE):
+        i = next(i for i, age in enumerate(ages) if not 0 <= age <= MAX_AGE)
+        raise error(f"{name}:{i + 2}: age {ages[i]} outside [0, {MAX_AGE}]")
+    if len(set(demographics)) * (max(ages) - min(ages) + 1) * (max(years) - min(years) + 1) <= MAX_TABLE_CELLS:
+        return
+    # too big: find the row that stretches it past the limit
+    seen, lo, hi = set(), (ages[0], years[0]), (ages[0], years[0])
+    for i, (age, year, demo) in enumerate(rows):
+        seen.add(demo)
+        lo, hi = (min(lo[0], age), min(lo[1], year)), (max(hi[0], age), max(hi[1], year))
+        cells = len(seen) * (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
+        if cells > MAX_TABLE_CELLS:
+            raise error(
+                f"{name}:{i + 2}: age {age}, year {year} would stretch the (sex, age, year) grid to "
+                f"{cells} cells (ages {lo[0]}-{hi[0]}, years {lo[1]}-{hi[1]}; at most {MAX_TABLE_CELLS})"
+            )
+
+
+def load_registry(path) -> RegistryFrame:
+    """Read a registry CSV (age_diag,year_diag,sex,time,event)."""
+    path = Path(path)
+    ages, years, codes, times, events = [], [], [], [], []
+    vocab: dict[tuple, int] = {}
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(REGISTRY_HEADER).issubset(reader.fieldnames):
+            raise RegistryFormatError(f"{path.name}: header must contain {REGISTRY_HEADER}")
+        for rownum, row in enumerate(reader, start=2):
+            try:
+                age = int(row["age_diag"])
+                year = int(row["year_diag"])
+                time = float(row["time"])
+                event = int(row["event"])
+            except (TypeError, ValueError) as exc:
+                raise RegistryFormatError(f"{path.name}:{rownum}: {exc}") from None
+            if event not in (0, 1):
+                raise RegistryFormatError(f"{path.name}:{rownum}: event must be 0 or 1")
+            if not (math.isfinite(time) and time >= 0):
+                raise RegistryFormatError(
+                    f"{path.name}:{rownum}: follow-up time {row['time']!r} is not a finite non-negative number"
+                )
+            demo = (row["sex"].strip(),)
+            ages.append(age)
+            years.append(year)
+            codes.append(vocab.setdefault(demo, len(vocab)))
+            times.append(time)
+            events.append(bool(event))
+    if not ages:
+        raise RegistryFormatError(f"{path.name}: no data rows")
+    check_table_extent(path.name, zip(ages, years, codes), RegistryFormatError)
+    return RegistryFrame(ages, years, codes, times, events, list(vocab))
+
+
+def load_life_table(path) -> LifeTable:
+    """Read a life-table CSV with header age,year,sex,q.
+
+    The observed ages x years rectangle must be complete for every sex;
+    missing cells, duplicates, q outside [0,1], ages outside [0, MAX_AGE]
+    and a rectangle past MAX_TABLE_CELLS cells are hard errors reported with
+    their coordinates / row numbers.
+    """
+    path = Path(path)
+    cells: dict[tuple[int, int, tuple], float] = {}
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        required = {"age", "year", "sex", "q"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise LifeTableError(f"{path.name}: header must contain {sorted(required)}")
+        for rownum, row in enumerate(reader, start=2):
+            try:
+                age = int(row["age"])
+                year = int(row["year"])
+                q = float(row["q"])
+            except (TypeError, ValueError) as exc:
+                raise LifeTableError(f"{path.name}:{rownum}: {exc}") from None
+            demo = (row["sex"].strip(),)
+            keyc = (age, year, demo)
+            if keyc in cells:
+                raise LifeTableError(f"{path.name}:{rownum}: duplicate cell (age={age}, year={year}, sex={demo[0]})")
+            if not 0.0 <= q <= 1.0:
+                raise LifeTableError(f"{path.name}:{rownum}: q={q} outside [0,1] at (age={age}, year={year}, sex={demo[0]})")
+            cells[keyc] = q
+    check_table_extent(path.name, cells, LifeTableError)
+    table = LifeTable(cells, require_complete=True)
+    log.info("loaded life table %s: ages %d-%d, years %d-%d, %d groups",
+             path.name, table.age_min, table.age_max, table.year_min, table.year_max,
+             len(table.demographics))
+    return table
+
+
+def load_incidence_table(path) -> IncidenceTable:
+    """Read an incidence CSV with header age,year,sex,ir; ages and the table's
+    extent are checked as for a life table."""
+    path = Path(path)
+    cells: dict[tuple[int, int, tuple], float] = {}
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        required = {"age", "year", "sex", "ir"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise IncidenceError(f"{path.name}: header must contain {sorted(required)}")
+        for rownum, row in enumerate(reader, start=2):
+            try:
+                age = int(row["age"])
+                year = int(row["year"])
+                ir = float(row["ir"])
+            except (TypeError, ValueError) as exc:
+                raise IncidenceError(f"{path.name}:{rownum}: {exc}") from None
+            demo = (row["sex"].strip(),)
+            keyc = (age, year, demo)
+            if keyc in cells:
+                raise IncidenceError(f"{path.name}:{rownum}: duplicate cell (age={age}, year={year}, sex={demo[0]})")
+            if not 0.0 <= ir < 1.0:
+                raise IncidenceError(f"{path.name}:{rownum}: ir={ir} outside [0,1)")
+            cells[keyc] = ir
+    check_table_extent(path.name, cells, IncidenceError)
+    return IncidenceTable(cells)
+
+
+def load_counts(path, value_column: str) -> dict:
+    """Read a counts CSV (age,year,sex,<value_column>) into a cell dict; the
+    cells become an incidence table, so their extent is checked as for one."""
+    path = Path(path)
+    out: dict[tuple[int, int, tuple], float] = {}
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        required = {"age", "year", "sex", value_column}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise IncidenceError(f"{path.name}: header must contain {sorted(required)}")
+        for rownum, row in enumerate(reader, start=2):
+            try:
+                keyc = (int(row["age"]), int(row["year"]), (row["sex"].strip(),))
+                value = float(row[value_column])
+            except (TypeError, ValueError) as exc:
+                raise IncidenceError(f"{path.name}:{rownum}: {exc}") from None
+            if keyc in out:
+                raise IncidenceError(f"{path.name}:{rownum}: duplicate cell {keyc}")
+            if not (math.isfinite(value) and value >= 0):
+                raise IncidenceError(
+                    f"{path.name}:{rownum}: {value_column} {row[value_column]!r} is not a finite non-negative number"
+                )
+            out[keyc] = value
+    check_table_extent(path.name, out, IncidenceError)
+    return out

@@ -1,15 +1,19 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netadjust
 from netadjust.cli import main
-from netadjust.io import load_registry, write_registry
+from netadjust.io import load_registry
 
-from conftest import toy_frame
+from conftest import toy_frame, write_registry
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -400,3 +404,14 @@ class TestRegistryIO:
         assert np.array_equal(back.age, frame.age)
         assert np.array_equal(back.time, frame.time)
         assert back.demo_vocab[back.demo_code[1]] == ("f",)
+
+
+def test_import_leaves_out_the_process_pool():
+    """Importing the command line does not import the process pool, which
+    only `simulate` with more than one job uses: it costs every CLI process
+    ~20 ms at start-up."""
+    src = Path(netadjust.__file__).resolve().parents[1]
+    probe = "import sys, netadjust.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
