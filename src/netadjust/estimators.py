@@ -5,13 +5,24 @@ once per registry and passed to each of them, plus a
 `PopulationSurvivalProvider` (either the raw life-table cohort survival or
 the adjusted non-cancer survival).  The summary takes its strata from
 `build_strata` and keeps each patient's and each death's (stratum row, time
-index) in time order, and no strata x times array.  Pohar-Perme streams over column
-blocks of observed times, rebuilding the at-risk counts of the strata still
-at risk and evaluating S_P for those strata only; its weighted death sum is
-one bincount of 1/S_P gathered at the deaths.  Ederer I and the crude
+index) in time order, and no strata x times array.  Ederer I and the crude
 probability read pooled per-time death and at-risk counts.  S_P and the
 yearly Lambda_P rates of all strata come from one stack of their annual
 grids (the adjusted ones from one `AdjustmentEngine.solve` call).
+
+Pohar-Perme needs, at every observed time, the at-risk sum of 1/S_P.  In
+grid year k a stratum's 1/S_P(k + f) is exp(L_sk) exp(h_sk f), f in [0, 1],
+so the sum is a power series in f whose coefficients M_n sum
+exp(L_sk) h_sk^n / n! over the patients at risk: one reverse cumulative sum
+over the patients in time order per term, with the terms chosen from the
+year's largest rate.  That costs O((patients + times) x terms) per year,
+against one S_P cell per stratum at risk per time for streaming the at-risk
+counts in column blocks and evaluating S_P for the strata at risk.
+`pohar_perme` takes the moments for the times on the grid when they cost
+less (a 1,200-stratum registry), and streams otherwise (a ~30-stratum study
+replicate), as it always does past the grid, where the weight floor caps
+each stratum at its own crossing time.  Its weighted death sum is one
+bincount of 1/S_P evaluated at the deaths.
 
 The population-hazard terms are integrated in closed form: within any
 interval where the risk set is frozen and the annual hazards are constant,
@@ -24,10 +35,12 @@ Ederer-I population term telescopes the same way without the at-risk
 indicator.  The crude probability's term evaluates no cell: Lambda_P has a
 constant rate in each grid year, so its at-risk sum over an interval is the
 at-risk patients' summed yearly rates times the overlaps, in O(patients x
-grid years).  No discretization error is introduced anywhere.
+grid years).  No discretization error is introduced anywhere; the moment
+series stops once its remainder bound is below TAYLOR_TOL.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +51,8 @@ from .lifetable import LifeTable, diagonal_survival
 from .registry import RegistryFrame, StratumKey, build_strata
 
 WEIGHT_FLOOR = 1e-6
+# remainder bound of each grid year's Taylor series of 1/S_P in Pohar-Perme
+TAYLOR_TOL = 1e-17
 # cells of one at-risk column block: a ~30-stratum study replicate is one block
 BLOCK_CELLS = 1 << 17
 
@@ -89,9 +104,10 @@ class PopulationSurvivalProvider:
             rows = np.fromiter((index[k] for k in keys), np.intp, len(keys))
         return rows
 
-    def survival_rows(self, rows, t) -> np.ndarray:
-        """Rows x times array of S_P for the stacked-grid `rows` at the times `t`."""
-        out = self._grids.survival_at(np.atleast_1d(t), rows)
+    def survival_rows(self, rows, t, at_risk=None) -> np.ndarray:
+        """Rows x times array of S_P for the stacked-grid `rows` at the times
+        `t`; `at_risk` counts as in `AnnualGridSurvival`."""
+        out = self._grids.survival_at(np.atleast_1d(t), rows, at_risk)
         return np.maximum(out, self.floor, out=out)
 
     def hazard_rates(self, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -143,9 +159,12 @@ class RiskSetSummary:
     interval between consecutive observed times the risk set equals the
     at-risk set of the right endpoint.  No strata x times array is kept.
     Each patient is kept as (`patient_rows`, `patient_times`), stratum row
-    and time index, in time order (stratum order within a time), and
-    `blocks` rebuilds the at-risk counts one column block at a time from
-    each stratum's remaining count; `at_risk_column` rebuilds one column.
+    and time index, in time order (stratum order within a time), so a
+    reverse cumulative sum over the patients sums any per-stratum value over
+    the risk set of every time at once, as Pohar-Perme's moments and the
+    crude probability's rates do.  `blocks` rebuilds the at-risk counts one
+    column block at a time from each stratum's remaining count, from any
+    time on; `at_risk_column` rebuilds one column.
     Deaths are the same pairs for the patients who died (`death_rows`,
     `death_times`), in the same order.  `pooled_deaths` and `pooled_at_risk`
     are the per-time totals and `sizes` the patients per stratum.
@@ -169,17 +188,18 @@ class RiskSetSummary:
         self.sizes = np.fromiter(strata.values(), np.float64, n_strata)
         self.n = frame.n
 
-    def blocks(self):
-        """Yield (j0, j1, rows, Y) over the observed times in order: `rows`
-        are the strata with someone at risk at time index j0 (ascending) and
-        `Y` their C-ordered at-risk counts at time indices j0..j1-1, about
-        BLOCK_CELLS cells.  A block spans at least two times unless there is
-        only one, so that summing `Y`-shaped arrays over strata always adds
-        rows one after another, as for a whole strata x times array."""
+    def blocks(self, start: int = 0):
+        """Yield (j0, j1, rows, Y) over the observed times from time index
+        `start` on, in order: `rows` are the strata with someone at risk at
+        time index j0 (ascending) and `Y` their C-ordered at-risk counts at
+        time indices j0..j1-1, about BLOCK_CELLS cells.  A block spans at
+        least two times unless only one is left, so that summing `Y`-shaped
+        arrays over strata always adds rows one after another, as for a
+        whole strata x times array."""
         n_times = self.times.shape[0]
-        remaining = self.sizes.copy()
+        remaining = self.at_risk_column(start)
         position = np.empty(len(self.keys), dtype=np.intp)
-        j0 = p0 = 0
+        j0, p0 = start, int(np.searchsorted(self.patient_times, start))
         while j0 < n_times:
             rows = np.flatnonzero(remaining)
             j1 = min(n_times, j0 + max(2, BLOCK_CELLS // rows.shape[0]))
@@ -285,31 +305,106 @@ class NetSurvivalEstimate:
     value_at = survival_at
 
 
+def _taylor_terms(x: np.ndarray) -> np.ndarray:
+    """For each grid year, the fewest N with x^(N+1)/(N+1)! e^x <= TAYLOR_TOL,
+    x the year's largest |rate|: a bound on the remainder of exp(h f)'s
+    series after N terms for |h| <= x and f in [0, 1]."""
+    terms = []
+    for value in x.tolist():
+        n, bound = 0, value * math.exp(value)
+        while bound > TAYLOR_TOL:
+            n += 1
+            bound *= value / (n + 1)
+        terms.append(n)
+    return np.array(terms, dtype=np.intp)
+
+
+def _years(u: np.ndarray, n_years: int):
+    """Each time's grid year (the last year also holds K) and the index of
+    the first time of each year that holds one."""
+    year = np.minimum(np.floor(u).astype(np.intp), n_years - 1)
+    return year, np.flatnonzero(np.diff(year, prepend=-1))
+
+
+def _moments_pay(rs: RiskSetSummary, rates: np.ndarray, first: int) -> bool:
+    """Whether `_moment_sums` over the first `first` times costs less than
+    the stream: (terms + 1) x (patients at risk + times), summed over the
+    grid years, against the strata at risk summed over the times."""
+    year, starts = _years(rs.times[:first], rates.shape[1])
+    patients = rs.patient_times.shape[0] - np.searchsorted(rs.patient_times, starts)
+    terms = _taylor_terms(np.abs(rates).max(axis=0))[year[starts]]
+    moments = ((terms + 1) * (patients + np.diff(starts, append=first))).sum()
+    last = np.zeros(len(rs.keys), np.intp)
+    np.maximum.at(last, rs.patient_rows, rs.patient_times)
+    return 0 < moments < np.minimum(last + 1, first).sum()
+
+
+def _moment_sums(rs: RiskSetSummary, logs: np.ndarray, rates: np.ndarray, first: int):
+    """Pohar-Perme's at-risk sums at the first `first` observed times, all on
+    the grid, from per-year moments: (denom, denom_prev, the weights of the
+    deaths at those times).  `logs` and `rates` are -log S_P at the grid
+    points and the yearly slopes, one row per stratum of `rs.keys`.
+
+    In grid year k, the at-risk sum of 1/S_P at time index j is
+    sum_n f^n M_n(k, j), where M_n(k, j) sums exp(L_sk) h_sk^n / n! over the
+    patients at risk at j: a reverse cumulative sum over the patients in
+    time order, read at each time of the year and at the next time, whose
+    denom_prev is the same series at the year's last f.  Horner evaluates
+    the series in f; the death weights are evaluated directly."""
+    from numpy.polynomial.polynomial import polyval
+
+    u, n_patients = rs.times[:first], rs.patient_times.shape[0]
+    # the patients at risk at time index j are those from p[j] on in time order
+    p = np.searchsorted(rs.patient_times, np.arange(first))
+    year, starts = _years(u, rates.shape[1])
+    f, terms = u - year, _taylor_terms(np.abs(rates).max(axis=0))
+    denom, denom_prev = np.empty(first), np.empty(first)
+    denom_prev[0] = rs.pooled_at_risk[0]   # S_P = 1 at time 0
+    for j0, j1 in zip(starts, [*starts[1:], first]):
+        k = year[j0]
+        powers = rates[:, k] / np.arange(1.0, terms[k] + 1)[:, None]
+        coef = np.cumprod(np.concatenate((np.exp(logs[None, :, k]), powers)), axis=0)
+        # column c of the reverse cumulative sums sums the last c + 1 patients
+        moments = np.cumsum(coef[:, rs.patient_rows[p[j0]:][::-1]], axis=1)[:, n_patients - 1 - p[j0 : j1 + 1]]
+        denom[j0:j1] = polyval(f[j0:j1], moments[:, : j1 - j0], tensor=False)
+        denom_prev[j0 + 1 : j1 + 1] = polyval(f[j0:j1][: moments.shape[1] - 1], moments[:, 1:], tensor=False)
+    d = int(np.searchsorted(rs.death_times, first))
+    rows, j = rs.death_rows[:d], rs.death_times[:d]
+    return denom, denom_prev, np.exp(logs[rows, year[j]] + rates[rows, year[j]] * f[j])
+
+
 def pohar_perme(rs: RiskSetSummary, provider: PopulationSurvivalProvider) -> NetSurvivalEstimate:
     """Inverse-population-survival weighted excess-hazard estimator.
 
     Event increments weight each death by 1/S_P at its own covariates; the
     expected-mortality part subtracts the at-risk population hazard, with the
     interval integrals in the exact log form described in the module header.
+    The at-risk sums of 1/S_P at the times on the grid come from per-year
+    moments (`_moment_sums`) when `_moments_pay`; the other times are
+    streamed over `rs.blocks`.
     """
     u = rs.times
     grid_rows = provider.grid_rows(rs.keys)
+    logs, rates = provider._grids.log_values[grid_rows], provider._grids.slopes[grid_rows]
     denom, denom_prev = np.empty(u.shape), np.empty(u.shape)
     death_weights = np.empty(rs.death_times.shape)
-    sp_last = np.ones(len(rs.keys))   # S_P at the previous observed time, 1 before the first
+    first = int(np.searchsorted(u, rates.shape[1], side="right")) if rates.shape[1] else 0
+    if _moments_pay(rs, rates, first):
+        denom[:first], denom_prev[:first], weights = _moment_sums(rs, logs, rates, first)
+        death_weights[: weights.shape[0]] = weights
+    else:
+        first = 0
+    # S_P at the previous observed time, 1 before the first
+    sp_last = provider.survival_rows(grid_rows, u[first - 1])[:, 0] if first else np.ones(len(rs.keys))
     position = np.empty(len(rs.keys), dtype=np.intp)
-    d0 = 0
-    for j0, j1, rows, y in rs.blocks():
-        sp = provider.survival_rows(grid_rows[rows], u[j0:j1])
+    d0 = int(np.searchsorted(rs.death_times, first))
+    for j0, j1, rows, y in rs.blocks(first):
+        sp = provider.survival_rows(grid_rows[rows], u[j0:j1], y)
         ratio = np.empty_like(sp)
         np.divide(y[:, 0], sp_last[rows], out=ratio[:, 0])
         np.divide(y[:, 1:], sp[:, :-1], out=ratio[:, 1:])
         sp_last[rows] = sp[:, -1]
         denom_prev[j0:j1] = ratio.sum(axis=0)
-        if u.shape[0] == 2:
-            # a whole-matrix evaluation sums this column as a one-column
-            # matrix, which numpy adds pairwise
-            denom_prev[1] = ratio[:, 1].sum()
         w = np.reciprocal(sp, out=sp)
         d1 = int(np.searchsorted(rs.death_times, j1))
         position[rows] = np.arange(rows.shape[0])

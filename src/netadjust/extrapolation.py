@@ -174,10 +174,14 @@ class AnnualGridSurvival:
     `values` is one grid (t = 0..K) or a stack of grids, one stratum per
     row.  Grid values must be positive (callers floor them first); the
     cumulative hazard is piecewise linear with the yearly slopes implied by
-    the grid, and evaluation past the grid carries the last slope forward
-    (counted once per stratum and time).  For a stack, a time vector is
-    located once and the columns it needs are gathered from every row, or
-    from the `rows` asked for; the result is a C-ordered rows x times array.
+    the grid, and evaluation past the grid carries the last slope forward.
+    Each (row, time) evaluated past the grid counts once as
+    `grid_extended_eval`; given `at_risk` (rows x times, shared times), only
+    the cells where it is positive count, so Pohar-Perme counts one per
+    (stratum at risk, observed time past the grid).  For a stack, a time
+    vector is located once and the columns it needs are gathered from every
+    row, or from the `rows` asked for; the result is a C-ordered rows x
+    times array.
     `cumulative_hazard_at` also takes a rows x m array of times, one row of
     times for each row of the stack (or of `rows`).
     """
@@ -193,17 +197,19 @@ class AnnualGridSurvival:
         self.slopes = np.diff(self.log_values, axis=-1)
         self.k_max = self.values.shape[-1] - 1
 
-    def _hazard(self, t_arr: np.ndarray, rows) -> np.ndarray:
+    def _hazard(self, t_arr: np.ndarray, rows, at_risk=None) -> np.ndarray:
         if (t_arr < 0).any():
             raise ValueError("t must be >= 0")
         logs, slopes = self.log_values, self.slopes
         if rows is not None:
             logs, slopes = logs[rows], slopes[rows]
         per_row = logs.ndim == 2 and t_arr.ndim == 2
-        beyond = int((t_arr > self.k_max).sum())
-        if beyond:
+        beyond = t_arr > self.k_max
+        if at_risk is not None:
+            self.diagnostics.incr("grid_extended_eval", np.count_nonzero(at_risk[:, beyond]))
+        elif beyond.any():
             shared_by = logs.shape[0] if logs.ndim == 2 and not per_row else 1
-            self.diagnostics.incr("grid_extended_eval", beyond * shared_by)
+            self.diagnostics.incr("grid_extended_eval", int(beyond.sum()) * shared_by)
 
         def take(a, i):
             return np.take_along_axis(a, i, axis=-1) if per_row else np.take(a, i, axis=-1)
@@ -223,9 +229,9 @@ class AnnualGridSurvival:
         out = self._hazard(t_arr, rows)
         return out if np.ndim(t) or out.ndim > 1 else float(out[0])
 
-    def survival_at(self, t, rows=None):
+    def survival_at(self, t, rows=None, at_risk=None):
         t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        out = self._hazard(t_arr, rows)
+        out = self._hazard(t_arr, rows, at_risk)
         np.exp(np.negative(out, out=out), out=out)
         exact = (t_arr == np.floor(t_arr)) & (t_arr <= self.k_max) & (t_arr >= 0)
         if exact.any():

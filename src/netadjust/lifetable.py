@@ -173,12 +173,15 @@ def diagonal_survival(
 def load_life_table(path) -> LifeTable:
     """Read a life-table CSV (age,year,sex,q) with `io.read_cells`: q must
     lie in [0,1], and the observed ages x years rectangle must be complete
-    for every sex (the error names the missing cell)."""
+    for every sex (the error names the file and the missing cell)."""
     path = Path(path)
     columns = read_cells(path, "q", LifeTableError, lambda q: (q >= 0.0) & (q <= 1.0),
                          "duplicate cell (age={age}, year={year}, sex={sex})",
                          "q={value} outside [0,1] at (age={age}, year={year}, sex={sex})")
-    table = LifeTable(columns, require_complete=True)
+    try:
+        table = LifeTable(columns, require_complete=True)
+    except LifeTableError as exc:
+        raise LifeTableError(f"{path.name}: {exc}") from None
     log.info("loaded life table %s: ages %d-%d, years %d-%d, %d groups",
              path.name, table.age_min, table.age_max, table.year_min, table.year_max,
              len(table.demographics))

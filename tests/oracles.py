@@ -28,6 +28,7 @@
   estimators over one whole strata x times at-risk matrix (built with
   `np.add.at` and a reversed cumsum) and whole strata x times S_P and
   Lambda_P matrices, with their off-grid evaluations;
+  `dense_pohar_perme_sums` gives Pohar-Perme's at-risk and death sums;
   `population_cumulative_hazard` evaluates Lambda_P cell by cell, and
   `exact_population_hazard` sums its increments over the at-risk patients
   in exact rational arithmetic.
@@ -562,8 +563,11 @@ def _dense_locate(u, t):
     return m, (float(u[m - 1]) if m > 0 else 0.0)
 
 
-def dense_pohar_perme(rs: DenseRiskSet, provider):
-    """(cum_hazard, value_at) of Pohar-Perme from whole matrices."""
+def dense_pohar_perme_sums(rs: DenseRiskSet, provider):
+    """(denom, denom_prev, weighted_deaths) of Pohar-Perme from whole
+    matrices: at each observed time, the at-risk sum of 1/S_P at that time
+    and at the previous one (S_P = 1 before the first), and the summed 1/S_P
+    of the deaths."""
     u = rs.times
     sp = provider.survival_matrix(rs.keys, u)
     denom_prev = np.concatenate(
@@ -574,6 +578,13 @@ def dense_pohar_perme(rs: DenseRiskSet, provider):
     weighted_deaths = np.bincount(
         rs.death_times, weights=w[rs.death_rows, rs.death_times], minlength=u.shape[0]
     )
+    return denom, denom_prev, weighted_deaths
+
+
+def dense_pohar_perme(rs: DenseRiskSet, provider):
+    """(cum_hazard, value_at) of Pohar-Perme from whole matrices."""
+    u = rs.times
+    denom, denom_prev, weighted_deaths = dense_pohar_perme_sums(rs, provider)
     cum = np.cumsum(weighted_deaths / denom - (np.log(denom) - np.log(denom_prev)))
 
     def value_at(t):
@@ -892,7 +903,7 @@ def load_life_table(path) -> LifeTable:
     """Read a life-table CSV with header age,year,sex,q.
 
     The observed ages x years rectangle must be complete for every sex;
-    missing cells, duplicates, q outside [0,1], ages outside [0, MAX_AGE]
+    missing cells (named with the file), duplicates, q outside [0,1], ages outside [0, MAX_AGE]
     and a rectangle past MAX_TABLE_CELLS cells are hard errors reported with
     their coordinates / row numbers.
     """
@@ -918,7 +929,10 @@ def load_life_table(path) -> LifeTable:
                 raise LifeTableError(f"{path.name}:{rownum}: q={q} outside [0,1] at (age={age}, year={year}, sex={demo[0]})")
             cells[keyc] = q
     check_table_extent(path.name, cells, LifeTableError)
-    table = LifeTable(cells, require_complete=True)
+    try:
+        table = LifeTable(cells, require_complete=True)
+    except LifeTableError as exc:
+        raise LifeTableError(f"{path.name}: {exc}") from None
     log.info("loaded life table %s: ages %d-%d, years %d-%d, %d groups",
              path.name, table.age_min, table.age_max, table.year_min, table.year_max,
              len(table.demographics))

@@ -176,6 +176,19 @@ class TestEstimate:
         assert code == 1
 
 
+    def test_missing_life_table_cell_names_the_file(self, tmp_path, capsys):
+        registry = write_inputs(tmp_path)
+        table = tmp_path / "lifetable.csv"
+        table.write_text(table.read_text().replace("61,1991,m,0.02\n", ""), encoding="utf-8")
+        code = main([
+            "estimate", "--registry", str(registry), "--lifetable", str(table),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines()[-1] == "error: lifetable.csv: missing cell (age=61, year=1991, ('m',))"
+
+
 class TestAdjust:
     def test_exports(self, tmp_path):
         registry = write_inputs(tmp_path)

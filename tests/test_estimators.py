@@ -27,6 +27,7 @@ from oracles import (
     DenseRiskSet,
     dense_crude_probability,
     dense_pohar_perme,
+    dense_pohar_perme_sums,
     exact_population_hazard,
     nelson_aalen,
     population_cumulative_hazard,
@@ -396,6 +397,11 @@ def streamed_registries(draw):
     return rows
 
 
+def past_grid_cells(dense):
+    """(stratum at risk, observed time past the grid) pairs."""
+    return int((dense.at_risk[:, dense.times > STREAM_HORIZON] > 0).sum())
+
+
 def check_streamed_against_dense(rows, block_cells):
     frame = toy_frame(rows)
     diag = Diagnostics()
@@ -415,24 +421,23 @@ def check_streamed_against_dense(rows, block_cells):
         # the blocks tile the times in order; each holds exactly the strata
         # at risk at its first time and their at-risk counts
         n_times = rs.times.shape[0]
-        end, past_grid = 0, 0
+        end = 0
         for j0, j1, block_rows, y in rs.blocks():
             assert j0 == end and (j1 - j0 >= 2 or n_times == 1)
             np.testing.assert_array_equal(block_rows, np.flatnonzero(dense.at_risk[:, j0]))
             assert y.flags.c_contiguous
             np.testing.assert_array_equal(y, dense.at_risk[block_rows, j0:j1])
-            past_grid += block_rows.shape[0] * int((rs.times[j0:j1] > STREAM_HORIZON).sum())
             end = j1
         assert end == n_times
 
         pp = pohar_perme(rs, provider)
         cp = crude_probability(rs, provider)
-        # S_P is evaluated once per block cell; the crude probability
-        # evaluates no cell
-        assert diag.get("grid_extended_eval") == past_grid
+        # one count per stratum at risk at each observed time past the grid;
+        # the crude probability evaluates no cell
+        assert diag.get("grid_extended_eval") == past_grid_cells(dense)
         cum, pp_at = dense_pohar_perme(dense, oracle_provider)
         curves, cp_at = dense_crude_probability(dense, oracle_provider)
-        assert np.array_equal(pp.cum_hazard, cum)
+        np.testing.assert_allclose(pp.cum_hazard, cum, rtol=0, atol=1e-12)
         for which, values in curves.items():
             np.testing.assert_allclose(getattr(cp, which), values, rtol=0, atol=1e-12, err_msg=which)
 
@@ -444,7 +449,7 @@ def check_streamed_against_dense(rows, block_cells):
                 (u[m - 1] if m else 0.0) > STREAM_HORIZON)
             live = int((dense.at_risk[:, m] > 0).sum())
             before = diag.get("grid_extended_eval")
-            assert pp.value_at(t) == pp_at(t), t
+            assert pp.value_at(t) == pytest.approx(pp_at(t), rel=0, abs=1e-12), t
             for which in curves:
                 assert cp.value_at(t, which) == pytest.approx(cp_at(t, which), rel=0, abs=1e-12), (t, which)
             # off the grid only Pohar-Perme evaluates, and only the strata at risk
@@ -470,8 +475,8 @@ class TestStreamedEstimators:
     @pytest.mark.parametrize("n_times", [1, 2, 3])
     def test_few_times_many_strata(self, block, n_times):
         # with one or two times the whole-matrix sums run over one-column
-        # matrices, which numpy adds pairwise: over forty strata that order
-        # shows in the last bit of some of these registries
+        # matrices, which numpy adds pairwise, and the blocks add rows one
+        # after another: over forty strata that order shows in the last bit
         for seed in range(12):
             gen = np.random.default_rng(seed)
             times = gen.choice([2.5, 6.25, 11.0][:n_times], 40)
@@ -503,6 +508,139 @@ class TestStreamedEstimators:
         rs = RiskSetSummary(toy_frame(rows))
         assert len(rs.keys) == 30 and len(rs.times) == 2600
         assert len(list(rs.blocks())) == 1
+
+
+def moment_calls(monkeypatch):
+    """The `first` of every `_moment_sums` call."""
+    calls, moment_sums = [], estimators._moment_sums
+    monkeypatch.setattr(estimators, "_moment_sums",
+                        lambda rs, logs, rates, first: calls.append(first) or moment_sums(rs, logs, rates, first))
+    return calls
+
+
+def forced_moments(frame, provider):
+    """Pohar-Perme with every time on the grid taken from the moment sums."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_moments_pay", lambda rs, rates, first: first > 0)
+        return pohar_perme(RiskSetSummary(frame), provider)
+
+
+def check_against_dense(pp, frame, oracle_provider, points):
+    """cum_hazard to 1e-12; value_at to 1e-12, relative where it passes 1
+    (the capped weights drive it far above 1 past the crossings)."""
+    cum, pp_at = dense_pohar_perme(DenseRiskSet(frame), oracle_provider)
+    np.testing.assert_allclose(pp.cum_hazard, cum, rtol=0, atol=1e-12)
+    for t in points:
+        assert pp.value_at(t) == pytest.approx(pp_at(t), rel=1e-12, abs=1e-12), t
+
+
+def on_grid(rs, provider) -> int:
+    """The number of observed times on the provider's grid."""
+    return int(np.searchsorted(rs.times, provider.horizon, side="right"))
+
+
+class TestMomentSums:
+    @given(rows=streamed_registries())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_dense_sums(self, rows):
+        frame = toy_frame(rows)
+        provider = varying_provider(horizon=STREAM_HORIZON)
+        rs = RiskSetSummary(frame)
+        first = on_grid(rs, provider)
+        if first:
+            grid_rows = provider.grid_rows(rs.keys)
+            logs, rates = provider._grids.log_values[grid_rows], provider._grids.slopes[grid_rows]
+            denom, denom_prev, weights = estimators._moment_sums(rs, logs, rates, first)
+            d = int(np.searchsorted(rs.death_times, first))
+            got = (denom, denom_prev, np.bincount(rs.death_times[:d], weights=weights, minlength=first))
+            want = dense_pohar_perme_sums(DenseRiskSet(frame), varying_provider(horizon=STREAM_HORIZON))
+            for value, expected in zip(got, want):
+                np.testing.assert_allclose(value, expected[:first], rtol=1e-12, atol=0)
+        # the stream past the grid starts at the first time past it
+        at_risk = DenseRiskSet(frame).at_risk
+        for j0, j1, block_rows, y in rs.blocks(first):
+            np.testing.assert_array_equal(block_rows, np.flatnonzero(at_risk[:, j0]))
+            np.testing.assert_array_equal(y, at_risk[block_rows, j0:j1])
+        # the whole estimator with the moment sums, and the same count past the grid
+        diag = Diagnostics()
+        provider = varying_provider(horizon=STREAM_HORIZON)
+        provider.diagnostics = diag
+        pp = forced_moments(frame, provider)
+        assert diag.get("grid_extended_eval") == past_grid_cells(DenseRiskSet(frame))
+        u = rs.times
+        check_against_dense(pp, frame, varying_provider(horizon=STREAM_HORIZON),
+                            [*u, u[0] / 2, *((u[1:] + u[:-1]) / 2), u[-1] + 1.0])
+
+    def test_large_registry_picks_moments(self, monkeypatch):
+        gen = np.random.default_rng(21)
+        n = 4000
+        rows = [(55 + int(a), 1985 + int(y), "0" if i % 2 else "1", float(t), bool(e)) for i, (a, y, t, e) in
+                enumerate(zip(gen.integers(0, 35, n), gen.integers(0, 10, n), gen.exponential(5.0, n),
+                              gen.random(n) < 0.6))]
+        frame = toy_frame(rows)
+        calls = moment_calls(monkeypatch)
+        provider = varying_provider()
+        rs = RiskSetSummary(frame)
+        pp = pohar_perme(rs, provider)
+        assert len(rs.keys) > 500 and calls == [on_grid(rs, provider)] and calls[0] < len(rs.times)
+        u = rs.times
+        check_against_dense(pp, frame, varying_provider(), [*u[::97], *((u[1:] + u[:-1]) / 2)[::89], 7.5])
+
+    def test_study_sized_registry_keeps_the_stream(self, monkeypatch):
+        gen = np.random.default_rng(3)
+        rows = [(60 + int(a), 1990 + int(a), "0", float(t), True)
+                for a, t in zip(gen.integers(0, 30, 2600), gen.exponential(5.0, 2600))]
+        calls = moment_calls(monkeypatch)
+        pohar_perme(RiskSetSummary(toy_frame(rows)), varying_provider())
+        assert calls == []
+
+    @pytest.mark.parametrize("moments", ["chosen", "forced"])
+    def test_floor_crossing_past_the_grid(self, moments):
+        # follow-up to 30 years on a 15-year grid: Lambda_P reaches
+        # -log(WEIGHT_FLOOR) past the grid in the 0.5 and 0.6 cohorts
+        gen = np.random.default_rng(17)
+        rows = [(60 + int(k), 1990, "0", float(gen.uniform(0.2, 30.0)), bool(gen.random() < 0.4))
+                for k in gen.integers(0, 5, 200)]
+        frame = toy_frame(rows)
+        provider = capping_provider(Diagnostics())
+        rs = RiskSetSummary(frame)
+        pp = pohar_perme(rs, provider) if moments == "chosen" else forced_moments(frame, provider)
+        _, crossing = provider.hazard_rates(provider.grid_rows(rs.keys))
+        binds = crossing < rs.times[-1]
+        assert binds.sum() == 2 and (crossing[binds] > provider.horizon).all()
+        u = rs.times
+        check_against_dense(pp, frame, capping_provider(Diagnostics()),
+                            [*crossing[binds], *u[np.searchsorted(u, crossing[binds]) + np.array([[-1], [0]])].ravel(),
+                             *u[::7], 15.0, 22.5])
+
+    @pytest.mark.parametrize("moments", ["chosen", "forced"])
+    def test_year_down_to_the_floor_in_one_step(self, moments):
+        # the cohort born 1931 dies out at age 61: its floored grid falls
+        # from 1 to WEIGHT_FLOOR in the first year of the key (61, 1992)
+        cells = {(age, year, ("0",)): 1.0 if (year - age, age) == (1931, 61) else 0.03
+                 for age in range(55, 95) for year in range(1985, 2015)}
+        def provider():
+            return naive_population_provider(LifeTable(cells, require_complete=False), 10)
+
+        gen = np.random.default_rng(8)
+        rows = [(60 + int(k), 1991 + int(k), "0", float(gen.uniform(0.05, 12.0)), bool(gen.random() < 0.5))
+                for k in gen.integers(0, 3, 120)]
+        frame = toy_frame(rows)
+        pp_provider = provider()
+        rs = RiskSetSummary(frame)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            pp = pohar_perme(rs, pp_provider) if moments == "chosen" else forced_moments(frame, pp_provider)
+        rates, _ = pp_provider.hazard_rates(pp_provider.grid_rows(rs.keys))
+        assert rates.max() == pytest.approx(-math.log(estimators.WEIGHT_FLOOR), rel=1e-15)
+        u = rs.times
+        check_against_dense(pp, frame, provider(), [*u[::5], 0.5, 1.0, 10.5])
+
+    def test_taylor_terms_are_the_fewest(self):
+        x = np.array([0.0, 1e-9, 0.004, 0.3, 1.04, 5.0, -math.log(estimators.WEIGHT_FLOOR)])
+        for value, n in zip(x.tolist(), estimators._taylor_terms(x).tolist()):
+            def bound(m):
+                return value ** (m + 1) / math.factorial(m + 1) * math.exp(value)
+            assert bound(n) <= estimators.TAYLOR_TOL and (n == 0 or bound(n - 1) > estimators.TAYLOR_TOL)
 
 
 class TestProvider:
