@@ -30,7 +30,6 @@ from .extrapolation import (
     ExtendedSurvival,
     extend_survival,
     follow_up_cutoff,
-    loglinear_interpolate,
 )
 from .incidence import (
     IncidenceTable,

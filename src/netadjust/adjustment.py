@@ -36,7 +36,6 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics
-from .extrapolation import loglinear_interpolate
 from .incidence import IncidenceTable, PrevalenceCalculator, time_to_diagnosis_increments
 from .lifetable import LifeTable, diagonal_survival
 from .registry import StratumKey
@@ -67,17 +66,12 @@ class PrevalentCaseSurvival:
 
 @dataclass
 class AdjustedPopulationSurvival:
-    """Non-cancer survival on the annual grid with log-linear interpolation."""
+    """Non-cancer survival of one cell at t = 0..K, with its solve's clip and guard counts."""
 
     origin: StratumKey
     values: np.ndarray
     clip_count: int = 0
     guard_count: int = 0
-
-    def survival_at(self, t):
-        return loglinear_interpolate(self.values, t)
-
-    __call__ = survival_at
 
 
 def prevalent_case_survival(keys, mixture: np.ndarray) -> PrevalentCaseSurvival:
@@ -329,9 +323,7 @@ class AdjustmentEngine:
 
     def so_grid(self, keys) -> np.ndarray:
         """S_O at integer lags 0..K: the even columns of each key's table row."""
-        table = self.calc.table
-        rows = table.rows(keys)   # may add rows, replacing table.values
-        return table.values[rows, : 2 * self.horizon + 1 : 2]
+        return self.calc.table.values[self.calc.rows(keys), : 2 * self.horizon + 1 : 2]
 
     def diagnosis_mass(self, keys) -> np.ndarray:
         return time_to_diagnosis_increments(self.incidence, keys, self.horizon, self.diagnostics)

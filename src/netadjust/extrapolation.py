@@ -122,52 +122,6 @@ def extend_survival(
     return ExtendedSurvival(curve, tau, g0, g1)
 
 
-def loglinear_interpolate(values, t, diagnostics: Diagnostics | None = None):
-    """Log-linear interpolation of an annual survival grid at real t in [0, K].
-
-    Exact (bitwise) at integer grid points.  A zero right endpoint keeps the
-    geometric decay of the previous interval (counted); a zero left endpoint
-    makes the whole interval zero.
-    """
-    diag = ensure_diagnostics(diagnostics)
-    values = np.asarray(values, dtype=np.float64)
-    k_max = values.shape[0] - 1
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if (t_arr < 0).any() or (t_arr > k_max).any():
-        raise ValueError(f"t must lie within [0, {k_max}]")
-    floor = np.floor(t_arr)
-    on_grid = t_arr == floor
-    idx = floor.astype(int)
-    frac = t_arr - floor
-    out = np.empty_like(t_arr)
-    out[on_grid] = values[idx[on_grid]]
-    interior = ~on_grid
-    if interior.any():
-        left = values[idx[interior]]
-        right = values[idx[interior] + 1]
-        res = np.empty(left.shape)
-        both = (left > 0) & (right > 0)
-        res[both] = np.exp(
-            (1.0 - frac[interior][both]) * np.log(left[both])
-            + frac[interior][both] * np.log(right[both])
-        )
-        dead = left == 0
-        res[dead] = 0.0
-        hit_zero = (left > 0) & (right == 0)
-        if hit_zero.any():
-            diag.incr("interp_zero_endpoint", int(hit_zero.sum()))
-            ji = idx[interior][hit_zero]
-            usable = ji >= 1
-            prev_left = values[np.maximum(ji - 1, 0)]
-            ratio = np.where(
-                usable & (prev_left > 0), values[ji] / np.maximum(prev_left, 1e-300), 1.0
-            )
-            ratio = np.minimum(ratio, 1.0)
-            res[hit_zero] = values[ji] * ratio ** frac[interior][hit_zero]
-        out[interior] = res
-    return out if np.ndim(t) else float(out[0])
-
-
 class AnnualGridSurvival:
     """Annual survival grids with log-linear interpolation and exact hazards.
 

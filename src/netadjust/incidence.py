@@ -27,7 +27,7 @@ from .diagnostics import Diagnostics, ensure_diagnostics, log
 from .io import read_cells
 from .lifetable import CellTable
 from .registry import StratumKey
-from .survival_provider import OverallSurvivalProvider, SurvivalLagTable
+from .survival_provider import SurvivalLagTable
 
 
 class IncidenceError(ValueError):
@@ -130,13 +130,12 @@ class PrevalenceCalculator:
     prevalence at high-mortality ages is badly understated.
 
     `overall_survival` is an `OverallSurvivalProvider`, which extrapolates
-    past follow-up internally, or a callable (StratumKey, times) -> survival.
-    It is read only through `table`, a `SurvivalLagTable` covering cells up
-    to `max_age` and horizons up to `horizon` (lags up to their sum).  With
-    a registry provider `max_age` is the oldest cell the solver reaches from
-    a registry stratum (its oldest age plus horizon - 1), so no lag past
-    what a solve can read is evaluated; otherwise it is the life table's
-    oldest age.
+    past follow-up internally.  It is read only through `table`, a
+    `SurvivalLagTable` covering cells up to `max_age` and horizons up to
+    `horizon` (lags up to their sum).  `max_age` is the oldest cell the
+    solver reaches from a registry stratum (its oldest age plus
+    horizon - 1), so no lag past what a solve can read is evaluated.  Each
+    cell's stratum is looked up once (`rows`).
     `lag_eval` picks where within the diagnosis year the survival curve is
     read: "year_start" uses the full integer lag, "mid_year" shifts the
     evaluation point back half a year.
@@ -158,10 +157,7 @@ class PrevalenceCalculator:
         self.offset = 0 if lag_eval == "year_start" else 1   # in half-year table columns
         self.diagnostics = ensure_diagnostics(diagnostics)
         self.horizon = int(horizon)
-        if isinstance(overall_survival, OverallSurvivalProvider):
-            self.max_age = overall_survival.max_age + self.horizon - 1
-        else:
-            self.max_age = life_table.age_max
+        self.max_age = overall_survival.max_age + self.horizon - 1
         self.table = SurvivalLagTable(overall_survival, self.max_age + self.horizon)
         # the inputs of each diagonal (birth year, demographics) over ages
         # 0..max_age, read once and extended when an older cell is asked for:
@@ -193,8 +189,24 @@ class PrevalenceCalculator:
             self._known = np.concatenate((self._known, np.zeros(new, dtype=np.intp)))
             self._ir = np.concatenate((self._ir, np.zeros((new, width))))
             self._surv = np.concatenate((self._surv, np.ones((new, width))))
-            self._rows = np.concatenate((self._rows, np.zeros((new, width), dtype=np.intp)))
+            self._rows = np.concatenate((self._rows, np.full((new, width), -1, dtype=np.intp)))  # -1: not looked up
         return index
+
+    def rows(self, keys) -> np.ndarray:
+        """Lag-table row of each cell's stratum."""
+        lines = self._locate(keys)
+        ages = np.fromiter((k.age for k in keys), np.intp, len(keys))
+        self._look_up(lines, ages)
+        return self._rows[lines, ages]
+
+    def _look_up(self, lines: np.ndarray, ages: np.ndarray) -> None:
+        """Look up, in one call, the rows of the cells (`ages` on diagonals
+        `lines`) not looked up before: each is looked up, and counted, once."""
+        new = self._rows[lines, ages] < 0
+        lines, ages = np.unique(np.stack((lines[new], ages[new])), axis=1)
+        ident = list(self._diagonals)
+        cells = [StratumKey(d, ident[i][0] + d, ident[i][1]) for i, d in zip(lines.tolist(), ages.tolist())]
+        self._rows[lines, ages] = self.table.rows(cells)
 
     def _extend(self, diags: np.ndarray, reach: np.ndarray) -> None:
         """Read the inputs of each diagonal through age reach - 1, once: one
@@ -216,12 +228,8 @@ class PrevalenceCalculator:
         ages = start[:, None] + np.arange(ir.shape[1])
         used = ages < reach[:, None]
         lines = np.broadcast_to(diags[:, None], ages.shape)[used]
-        cells = [
-            StratumKey(d, ident[i][0] + d, ident[i][1])
-            for i, d in zip(lines.tolist(), ages[used].tolist())
-        ]
         self._ir[lines, ages[used]] = ir[used]
-        self._rows[lines, ages[used]] = self.table.rows(cells)
+        self._look_up(lines, ages[used])
         # survival to d + 1 = survival to d times (1 - q(d)), multiplied in age order
         surv = np.cumprod(np.column_stack((self._surv[diags, start], 1.0 - q)), axis=1)[:, 1:]
         self._surv[lines, ages[used] + 1] = surv[used]

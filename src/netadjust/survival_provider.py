@@ -1,12 +1,14 @@
 """Per-stratum overall-survival lookup built from registry data.
 
-Each stratum gets a Kaplan-Meier curve continued by the exponential tail fit;
-queries for strata the registry never saw are clamped to the declared
-age/year ranges and, failing an exact hit, resolved to the nearest existing
-stratum with the same demographics.  The registry is stratified once: every
-patient is labelled with its final (merged) stratum and all strata share one
-stacked event table.  The first survival query builds every stratum's curve,
-tail fit and population grid in one batch; later queries only evaluate them.
+Each stratum gets a Kaplan-Meier curve continued by the exponential tail fit.
+The registry is stratified once: every patient is labelled with its final
+(merged) stratum and all strata share one stacked event table.  The first
+survival query builds every stratum's curve, tail fit and population grid in
+one batch; later queries only evaluate them.
+
+Keys map onto strata by one clip and one gather from a dense (demographics
+x age x year) table: a registry key, merged or not, holds its own stratum,
+any other cell the stratum nearest its clamp into the strata's ranges.
 
 `SurvivalLagTable` is the one cache of these values the adjustment reads:
 every stratum's survival evaluated on a shared grid of lags in one call.
@@ -36,15 +38,16 @@ class ProviderError(ValueError):
 
 
 class OverallSurvivalProvider:
-    """Callable (keys, times) -> overall-survival values for cancer patients.
+    """Overall survival of cancer patients, by registry stratum.
 
     `keys` are the strata in the order of the rows of `table`, a stacked
-    `EventTable`.  When a life table is supplied, every extrapolated value
-    (t > tau) is reshaped by the population of the stratum's own cell: it is
-    multiplied by the population's hazard growth past the fit window and
-    capped at the population's own survival from tau (see `_harden_tail`).
-    This is a model choice, not a rare guard: it lowers extrapolated values
-    in every stratum of a dataset-2 replicate (33 of 33).
+    `EventTable`, and `alias` maps merged-away keys onto them (see `lookup`).
+    When a life table is supplied, every extrapolated value (t > tau) is
+    reshaped by the population of the stratum's own cell: it is multiplied
+    by the population's hazard growth past the fit window and capped at the
+    population's own survival from tau (see `_harden_tail`).  This is a
+    model choice, not a rare guard: it lowers extrapolated values in every
+    stratum of a dataset-2 replicate (33 of 33).
     """
 
     def __init__(
@@ -68,15 +71,7 @@ class OverallSurvivalProvider:
         self.diagnostics = ensure_diagnostics(diagnostics)
         self._curve: ExtendedSurvival | None = None
         self._population: AnnualGridSurvival | None = None
-        self._resolved: dict[StratumKey, StratumKey] = {}
-        self._index: dict[tuple, list[StratumKey]] = {}
-        for key in keys:
-            self._index.setdefault(key.demographics, []).append(key)
-        self._ranges = {}
-        for demo, demo_keys in self._index.items():
-            ages = [k.age for k in demo_keys]
-            years = [k.year for k in demo_keys]
-            self._ranges[demo] = (min(ages), max(ages), min(years), max(years))
+        self._clamp_table()
 
     @classmethod
     def from_registry(
@@ -99,36 +94,60 @@ class OverallSurvivalProvider:
         table = EventTable(frame.time, frame.event, final[labels])
         return cls(list(merged), table, alias, anchor_points, tau_min_at_risk, population_floor, diag)
 
-    def resolve(self, key: StratumKey) -> StratumKey:
-        """Map a requested key onto a stratum that actually has data."""
-        hit = self._resolved.get(key)
-        if hit is not None:
-            return hit
-        resolved = self.alias.get(key, key)
-        if resolved not in self.strata:
-            demo = key.demographics
-            keys = self._index.get(demo)
-            if not keys:
-                raise ProviderError(f"no strata with demographics {demo}")
-            a_lo, a_hi, y_lo, y_hi = self._ranges[demo]
-            a = min(max(key.age, a_lo), a_hi)
-            y = min(max(key.year, y_lo), y_hi)
-            cand = self.alias.get(StratumKey(a, y, demo), StratumKey(a, y, demo))
-            if cand in self.strata:
-                resolved = cand
-            else:
-                resolved = min(
-                    keys,
-                    key=lambda k: (
-                        max(abs(k.age - a), abs(k.year - y)),
-                        abs(k.age - a) + abs(k.year - y),
-                        k.age,
-                        k.year,
-                    ),
-                )
-            self.diagnostics.incr("so_stratum_clamp")
-        self._resolved[key] = resolved
-        return resolved
+    def _clamp_table(self) -> None:
+        """Stratum rows of the (demographics, age, year) cells of a rectangle
+        one cell wider on every side than the strata and the merged-away
+        keys, which hold their strata; any other cell is clamped, its row
+        found when first read (`_fill`).  Keys past the border read the
+        border cells they clip onto."""
+        groups = self._groups = {d: i for i, d in enumerate(dict.fromkeys(k.demographics for k in self.strata))}
+        group, age, year, row, own = np.array([
+            (groups[k.demographics], k.age, k.year, self.strata.get(self.alias.get(k, k), -1),
+             self.strata.get(k, -1)) for k in {*self.strata, *self.alias} if k.demographics in groups
+        ], dtype=np.int64).T
+        lo = self._lo = np.array([age.min(), year.min()]) - 1
+        self.max_age = int(age.max())   # the oldest age at diagnosis of any stratum, merged or not
+        self._rows = np.full((len(groups), age.max() - lo[0] + 2, year.max() - lo[1] + 2), -1, dtype=np.intp)
+        self._rows[group, age - lo[0], year - lo[1]] = row
+        self._clamped = self._rows < 0
+        group, age, year, row = self._strata = np.stack((group, age - lo[0], year - lo[1], own))[:, own >= 0]
+        self._ranges = np.array([(age[m].min(), age[m].max(), year[m].min(), year[m].max())
+                                 for m in (group == i for i in range(len(groups)))])
+
+    def _fill(self, g: np.ndarray, a: np.ndarray, y: np.ndarray) -> None:
+        """Rows of clamped cells, found when first read: a cell clipped into
+        its demographics' strata's ranges takes the clipped cell's stratum if
+        it has one, else the nearest by (Chebyshev, L1, age, year)."""
+        g, a, y = np.unique(np.stack((g, a, y)), axis=1)
+        ca, cy = np.clip(a, *self._ranges[g, :2].T), np.clip(y, *self._ranges[g, 2:].T)
+        rows = np.where(self._clamped[g, ca, cy], -1, self._rows[g, ca, cy])
+        group, age, year, row = self._strata
+        # (Chebyshev, L1) as one integer, then (age, year) among the ties
+        base, never = 2 * max(self._rows.shape) + 1, np.iinfo(np.int64).max
+        holes = np.flatnonzero(rows < 0)
+        for part in np.array_split(holes, 1 + holes.size * row.size // 1_000_000):
+            da, dy = np.abs(ca[part, None] - age), np.abs(cy[part, None] - year)
+            dist = np.where(g[part, None] == group, np.maximum(da, dy) * base + da + dy, never)
+            best = np.where(dist == dist.min(axis=1, keepdims=True), age * base + year, never)
+            rows[part] = row[np.argmin(best, axis=1)]
+        self._rows[g, a, y] = rows
+
+    def lookup(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Row of the stratum each key resolves to and whether it was clamped
+        (counted as `so_stratum_clamp`); `ProviderError` names demographics no stratum has."""
+        n = len(keys)
+        group = np.fromiter((self._groups.get(k.demographics, -1) for k in keys), np.intp, n)
+        if (group < 0).any():
+            unseen = sorted({k.demographics for k in keys} - set(self._groups))
+            raise ProviderError(f"no strata with demographics {', '.join(map(str, unseen))}")
+        cell = np.array([(k.age, k.year) for k in keys], dtype=np.int64).reshape(n, 2) - self._lo
+        cell = (group, *np.clip(cell, 0, np.array(self._rows.shape[1:]) - 1).T)
+        new = self._rows[cell] < 0
+        if new.any():
+            self._fill(*(c[new] for c in cell))
+        clamped = self._clamped[cell]
+        self.diagnostics.incr("so_stratum_clamp", int(clamped.sum()))
+        return self._rows[cell], clamped
 
     def _build(self) -> ExtendedSurvival:
         """Every stratum's Kaplan-Meier curve and tail fit, and the stack of
@@ -186,69 +205,37 @@ class OverallSurvivalProvider:
     def survival(self, keys, times) -> np.ndarray:
         """S_O at `times` of the stratum each key resolves to, a keys x times
         array from one evaluation of the stacked curves."""
-        rows = np.array([self.strata[self.resolve(key)] for key in keys], dtype=np.intp)
+        rows = self.lookup(keys)[0]
         t = np.atleast_1d(np.asarray(times, dtype=np.float64))
         values = self._build().survival_at(t, rows)
         if self.population_floor is not None:
             values = self._harden_tail(rows, t, values)
         return values
 
-    __call__ = survival
-
-    @property
-    def max_age(self) -> int:
-        """Oldest age at diagnosis of any registry stratum, merged or not."""
-        return max(k.age for k in (*self.strata, *self.alias))
-
-
-LAG_TABLE_ROW_BLOCK = 64  # rows added at a time for sources without a stratum list
-
 
 class SurvivalLagTable:
     """Overall survival of each stratum on one grid of lags 0, 1/2, 1, ..., max_lag.
 
     Column c of `values` holds lag c/2: integer lags sit at even columns,
-    the half-year-offset lags s - 1/2 at odd ones.  With an
-    `OverallSurvivalProvider` keys resolve to registry strata, one row per
-    stratum, and the first read of `values` fills every row with a single
-    call of the provider on the whole grid.  Any other callable (a
-    closed-form curve) is treated as having one stratum per key: a key's row
-    is filled by one call the first time it is looked up, and rows are added
-    in blocks as keys appear (rows not yet filled hold 0).  Rows never
-    change once filled.
-    """
+    the half-year-offset lags s - 1/2 at odd ones.  Row r holds the
+    provider's stratum r; the first read of `values` fills every row with
+    one call of the provider on the whole grid."""
 
-    def __init__(self, survival, max_lag: int):
-        self.survival = survival
+    def __init__(self, provider: OverallSurvivalProvider, max_lag: int):
+        self.survival = provider.survival
+        self.lookup = provider.lookup
+        self.strata = list(provider.strata)
         self.max_lag = int(max_lag)
         self.lags = 0.5 * np.arange(2 * self.max_lag + 1, dtype=np.float64)
-        if isinstance(survival, OverallSurvivalProvider):
-            self._resolve = survival.resolve
-            self._rows = dict(survival.strata)
-            self._values = None
-        else:
-            self._resolve = None
-            self._rows: dict[StratumKey, int] = {}
-            self._values = np.zeros((LAG_TABLE_ROW_BLOCK, self.lags.shape[0]))
+        self._values = None
 
     @property
     def values(self) -> np.ndarray:
-        """Rows x lags array of overall survival."""
+        """Strata x lags array of overall survival."""
         if self._values is None:
-            self._values = self.survival(list(self._rows), self.lags)
+            self._values = self.survival(self.strata, self.lags)
         return self._values
 
     def rows(self, keys) -> np.ndarray:
-        """Row of each key's stratum, in one pass; a closed-form source is
-        evaluated for a key on its first lookup."""
-        if self._resolve is not None:
-            return np.array([self._rows[self._resolve(key)] for key in keys], dtype=np.intp)
-        for key in keys:
-            if key not in self._rows:
-                row = len(self._rows)
-                if row == self._values.shape[0]:
-                    block = np.zeros((LAG_TABLE_ROW_BLOCK, self._values.shape[1]))
-                    self._values = np.concatenate((self._values, block))
-                self._values[row] = self.survival(key, self.lags)
-                self._rows[key] = row
-        return np.array([self._rows[key] for key in keys], dtype=np.intp)
+        """Row of each key's stratum, by the provider's `lookup`."""
+        return self.lookup(keys)[0]

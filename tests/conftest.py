@@ -6,9 +6,9 @@ from hypothesis import settings
 
 from netadjust.estimators import RiskSetSummary
 from netadjust.incidence import IncidenceTable
-from netadjust.io import REGISTRY_HEADER, write_rows_csv
+from netadjust.io import MAX_AGE, REGISTRY_HEADER, write_rows_csv
 from netadjust.lifetable import LifeTable
-from netadjust.registry import RegistryFrame
+from netadjust.registry import RegistryFrame, StratumKey
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
 # test cannot pass on one run and fail on the next
@@ -42,6 +42,38 @@ def flat_incidence(ir, ages=(0, 110), years=(1950, 2070), sexes=("0", "1")):
             for year in range(years[0], years[1] + 1):
                 cells[(age, year, (sex,))] = ir
     return IncidenceTable(cells)
+
+
+class ClosedFormSurvival:
+    """A closed-form overall survival `curve(key, times)` in the shape of
+    `OverallSurvivalProvider`: the `strata`, `lookup` and `survival` the
+    survival lag table reads and the `max_age` the prevalence calculator
+    reads.  It has one stratum per age 0..MAX_AGE and demographics, and a
+    key reads the stratum of its age (clipped into 0..MAX_AGE) and
+    demographics, so `curve` may depend on a key's age and demographics but
+    not on its year.  No key is clamped."""
+
+    def __init__(self, curve, max_age=110, demographics=(("0",), ("1",))):
+        self.curve = curve
+        self.max_age = max_age
+        self.groups = {demo: i for i, demo in enumerate(demographics)}
+        self.strata = {
+            StratumKey(age, 0, demo): i * (MAX_AGE + 1) + age
+            for demo, i in self.groups.items() for age in range(MAX_AGE + 1)
+        }
+
+    def lookup(self, keys):
+        rows = [self.groups[k.demographics] * (MAX_AGE + 1) + min(max(k.age, 0), MAX_AGE) for k in keys]
+        return np.array(rows, dtype=np.intp), np.zeros(len(keys), dtype=bool)
+
+    def survival(self, keys, times):
+        return np.array([self.curve(key, times) for key in keys], dtype=np.float64)
+
+
+def const_survival(rate, demographics=(("0",), ("1",))):
+    """S_O(t) = exp(-rate t) for every key."""
+    return ClosedFormSurvival(lambda key, times: np.exp(-rate * np.asarray(times, dtype=float)),
+                              demographics=demographics)
 
 
 def toy_frame(rows):

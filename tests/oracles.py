@@ -14,6 +14,8 @@
 * `merge_small_strata_reference`: the plain rescanning stratum merger, which
   rebuilds the small-stratum list, the neighbour pool and the alias map on
   every merge.
+* `resolve_stratum`: the stratum one key maps onto, by the scalar clamp and
+  nearest-stratum search over the strata of its demographics.
 * `PerStratumSurvival`, `select_anchor_times` and `fit_exponential_tail`:
   registry overall survival one stratum at a time (event table, Kaplan-Meier,
   anchors, `np.polyfit` tail, population hardening), the path the stacked
@@ -63,7 +65,7 @@ from netadjust.incidence import (
 from netadjust.io import MAX_AGE, REGISTRY_HEADER, RegistryFormatError
 from netadjust.lifetable import LifeTable, LifeTableError
 from netadjust.registry import MAX_TABLE_CELLS, Banding, EventTable, RegistryFrame, StratumKey
-from netadjust.survival_provider import OverallSurvivalProvider, SurvivalLagTable
+from netadjust.survival_provider import ProviderError, SurvivalLagTable
 
 
 def triangular_cells(ing, keys, diagnostics=None):
@@ -229,6 +231,7 @@ class ScalarPrevalence:
         self.max_age = max_age
         self.diagnostics = ensure_diagnostics(diagnostics)
         self._diagonals: dict[tuple[int, tuple], _DiagonalState] = {}
+        self._rows: dict[StratumKey, int] = {}
 
     @classmethod
     def of(cls, calc: PrevalenceCalculator, diagnostics=None) -> "ScalarPrevalence":
@@ -236,7 +239,10 @@ class ScalarPrevalence:
         return cls(calc.incidence, calc.table, calc.life_table, calc.offset, calc.max_age, diagnostics)
 
     def _row(self, key: StratumKey) -> int:
-        return int(self.table.rows([key])[0])
+        """The key's lag-table row, looked up once per key."""
+        if key not in self._rows:
+            self._rows[key] = int(self.table.rows([key])[0])
+        return self._rows[key]
 
     def _ensure(self, key: StratumKey, age: int) -> _DiagonalState:
         if age > self.max_age:
@@ -323,10 +329,7 @@ class ScalarIngredients:
         self.incidence = incidence
         self.horizon = int(horizon)
         self.diagnostics = ensure_diagnostics(diagnostics)
-        if isinstance(overall_survival, OverallSurvivalProvider):
-            max_age = overall_survival.max_age + self.horizon - 1
-        else:
-            max_age = life_table.age_max
+        max_age = overall_survival.max_age + self.horizon - 1
         table = SurvivalLagTable(overall_survival, max_age + self.horizon)
         offset = 0 if lag_eval == "year_start" else 1
         self.walk = ScalarPrevalence(incidence, table, life_table, offset, max_age, self.diagnostics)
@@ -734,6 +737,30 @@ class _StepCurve:
         return out if out.ndim else float(out)
 
 
+def resolve_stratum(provider, key: StratumKey) -> tuple[StratumKey, bool]:
+    """The stratum `key` maps onto, and whether it was clamped.
+
+    A stratum, or a key merged into one (`provider.alias`), maps onto that
+    stratum.  Any other key is clamped into the age and year ranges of the
+    strata of its demographics; the clamped cell maps onto its own stratum
+    if it has one, otherwise onto the nearest stratum by (Chebyshev
+    distance, L1 distance, age, year)."""
+    strata, alias = provider.strata, provider.alias
+    if alias.get(key, key) in strata:
+        return alias.get(key, key), False
+    keys = [k for k in strata if k.demographics == key.demographics]
+    if not keys:
+        raise ProviderError(f"no strata with demographics {key.demographics}")
+    a = min(max(key.age, min(k.age for k in keys)), max(k.age for k in keys))
+    y = min(max(key.year, min(k.year for k in keys)), max(k.year for k in keys))
+    cell = StratumKey(a, y, key.demographics)
+    if alias.get(cell, cell) in strata:
+        return alias.get(cell, cell), True
+    nearest = min(keys, key=lambda k: (max(abs(k.age - a), abs(k.year - y)),
+                                       abs(k.age - a) + abs(k.year - y), k.age, k.year))
+    return nearest, True
+
+
 class PerStratumSurvival:
     """Overall survival one stratum at a time, as the provider computed it
     before its strata were stacked: each stratum's event table from its own
@@ -742,9 +769,9 @@ class PerStratumSurvival:
     population grid read cell by cell with `LifeTable.q`.  Curves and
     population grids are built the first time a stratum is evaluated.
 
-    `provider` (an `OverallSurvivalProvider`) supplies the stratum a key
-    resolves to and the stratum of each registry record; `frame` is the
-    registry it was built from.
+    `provider` (an `OverallSurvivalProvider`) supplies its strata, its
+    merged-away keys and its settings; a key resolves by `resolve_stratum`.
+    `frame` is the registry it was built from.
     """
 
     POP_GRID = 120
@@ -809,7 +836,7 @@ class PerStratumSurvival:
         return slopes[idx] * (t - idx) + logs[idx]
 
     def survival(self, key, times):
-        stratum = self.provider.resolve(key)
+        stratum = resolve_stratum(self.provider, key)[0]
         km, tau, g0, g1 = self.curve(stratum)
         t = np.atleast_1d(np.asarray(times, dtype=np.float64))
         s_tau = float(km.survival_at(tau))

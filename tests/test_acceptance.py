@@ -18,7 +18,7 @@ from netadjust.estimators import (
     naive_population_provider,
     pohar_perme,
 )
-from netadjust.extrapolation import extend_survival, loglinear_interpolate
+from netadjust.extrapolation import AnnualGridSurvival, extend_survival
 from netadjust.incidence import IncidenceTable, PrevalenceCalculator
 from netadjust.lifetable import diagonal_survival
 from netadjust.registry import EventTable, StepSurvivalCurve, StratumKey, kaplan_meier
@@ -36,7 +36,7 @@ from netadjust.simulation import (
 from netadjust.survival_provider import OverallSurvivalProvider
 from netadjust.cli import main as cli_main
 
-from conftest import flat_life_table, toy_frame
+from conftest import ClosedFormSurvival, flat_life_table, toy_frame
 from oracles import (
     fit_exponential_tail,
     lag_since_diagnosis_cdf,
@@ -114,7 +114,7 @@ def test_criterion_4_null_adjustment_identity():
     def so(key, times):
         return np.exp(-0.1 * np.asarray(times, float))
 
-    engine = AdjustmentEngine(lt, IncidenceTable.zero(), so, horizon=12)
+    engine = AdjustmentEngine(lt, IncidenceTable.zero(), ClosedFormSurvival(so), horizon=12)
     grids_equal = all(
         np.array_equal(
             engine.solve([StratumKey(a, 2000 + a - 60, (s,))])[0].values,
@@ -177,7 +177,7 @@ def test_criterion_6_prevalence_oracles():
     cohort = generate_cohort(cfg, cfg.base_seed)
     life_table, incidence = derive_tables(cohort, cfg.person_years)
     calc = PrevalenceCalculator(
-        incidence, _EmpiricalSurvival(cohort), life_table, lag_eval=cfg.lag_eval
+        incidence, ClosedFormSurvival(_EmpiricalSurvival(cohort)), life_table, lag_eval=cfg.lag_eval
     )
     g, td, tp = cohort.gender, cohort.t_diag, cohort.t_other
     death, diagnosed = cohort.death_age, cohort.diagnosed
@@ -230,9 +230,10 @@ def test_criterion_7_extrapolation_exactness():
         abs(ext.survival_at(t) - math.exp(-rate * t)) for t in (2.5, 15.0, 20.0, 45.0)
     )
     grid = np.exp(-0.21 * np.arange(16.0))
-    grid_exact = all(loglinear_interpolate(grid, float(t)) == grid[t] for t in range(16))
+    interpolated = AnnualGridSurvival(grid)
+    grid_exact = all(interpolated.survival_at(float(t)) == grid[t] for t in range(16))
     interp_err = max(
-        abs(loglinear_interpolate(grid, t) - math.exp(-0.21 * t))
+        abs(interpolated.survival_at(t) - math.exp(-0.21 * t))
         for t in (0.31, 4.5, 9.99, 14.2)
     )
     ok = abs(g0) <= 1e-10 and abs(g1 - rate) <= 1e-10 and value_err <= 1e-10 \

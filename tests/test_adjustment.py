@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from netadjust import adjustment
 from netadjust.adjustment import (
-    AdjustedPopulationSurvival,
     AdjustmentEngine,
     PrevalentCaseSurvival,
     SolvedCells,
@@ -27,21 +26,16 @@ from netadjust.lifetable import LifeTable, diagonal_survival
 from netadjust.registry import StratumKey
 from netadjust.survival_provider import OverallSurvivalProvider
 
-from conftest import flat_incidence, flat_life_table, toy_frame
+from conftest import ClosedFormSurvival, const_survival, flat_incidence, flat_life_table, toy_frame
 from oracles import (
     ScalarIngredients,
     ScalarPrevalence,
+    resolve_stratum,
     solve_noncancer_survival_triangular,
     triangular_cells,
     triangular_residuals,
 )
 from synthetic import BASE_KEY, SyntheticIngredients
-
-
-def const_survival(rate):
-    def fn(key, times):
-        return np.exp(-rate * np.asarray(times, dtype=float))
-    return fn
 
 
 def toy_registry():
@@ -182,13 +176,6 @@ class TestSolver:
         assert np.all(r == 1.0)
 
 
-class TestAdjustedCurve:
-    def test_mid_year_interpolation(self):
-        curve = AdjustedPopulationSurvival(BASE_KEY, np.array([1.0, 0.99, 0.97]))
-        assert curve.survival_at(0.5) == pytest.approx(math.exp(0.5 * math.log(0.99)), abs=1e-14)
-        assert curve.survival_at(1.0) == 0.99
-
-
 class TestNullAdjustmentEstimate:
     def test_adjusted_equals_naive_pp_without_incidence(self):
         lt = flat_life_table(0.02)
@@ -308,6 +295,18 @@ class TestRegistryEngine:
         assert len(calls) == 1
         assert calls[0] == list(provider.strata)
 
+    def test_clamp_counter_counts_each_clamped_cell_once(self):
+        engine, provider, keys, diag = gapped_registry_engine()
+        looked_up = []
+        lookup = engine.calc.table.lookup
+        engine.calc.table.lookup = lambda cells: looked_up.extend(cells) or lookup(cells)
+        engine.solve(keys)
+        engine.residuals(keys)
+        engine.alpha(keys)
+        assert len(looked_up) == len(set(looked_up))
+        clamped = sum(resolve_stratum(provider, cell)[1] for cell in looked_up)
+        assert diag.get("so_stratum_clamp") == clamped == 1604
+
     def test_cells_past_the_table_are_rejected(self):
         engine, provider, _, _ = gapped_registry_engine()
         old = StratumKey(provider.max_age + engine.horizon, 2000, ("0",))
@@ -315,18 +314,16 @@ class TestRegistryEngine:
             engine.alpha([old])
 
 
-class TestPlainCallableTable:
-    def test_rows_added_past_the_first_block_keep_their_values(self):
-        # a key-dependent closed form: one table row per key, well past 64 rows
+class TestKeyDependentCurve:
+    def test_each_cell_reads_the_curve_of_its_age(self):
+        # a key-dependent closed form: one table row per age
         def so(key, times):
             return np.exp(-(0.05 + 0.001 * key.age) * np.asarray(times, dtype=float))
 
-        engine = AdjustmentEngine(flat_life_table(0.01), flat_incidence(0.01), so, horizon=6)
+        engine = AdjustmentEngine(flat_life_table(0.01), flat_incidence(0.01), ClosedFormSurvival(so), horizon=6)
         keys = [StratumKey(a, 1990 + a + d, ("0",)) for a in (30, 45, 60) for d in (0, 7)]
         for key in keys:
             engine.solve([key])
-        table = engine.calc.table
-        assert len(table._rows) > table.values.shape[0] // 2 > 64
         walk = ScalarPrevalence.of(engine.calc)
         for key in keys:
             np.testing.assert_array_equal(engine.so_grid([key])[0], so(key, np.arange(7.0)))

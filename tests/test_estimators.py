@@ -22,7 +22,7 @@ from netadjust.estimators import (
 from netadjust.lifetable import LifeTable
 from netadjust.registry import EventTable, PatientRecord, RegistryFrame, StratumKey, kaplan_meier
 
-from conftest import flat_incidence, flat_life_table, toy_frame
+from conftest import const_survival, flat_incidence, flat_life_table, toy_frame
 from oracles import (
     DenseRiskSet,
     dense_crude_probability,
@@ -696,9 +696,7 @@ class TestProvider:
 
     def test_adjusted_provider_solves_all_strata_in_one_call(self, rng):
         frame = mixed_frame(rng, n=60, n_strata=4)
-        def overall(key, times):
-            return np.exp(-0.1 * np.asarray(times, dtype=float))
-
+        overall = const_survival(0.1)
         engine = AdjustmentEngine(flat_life_table(0.02), flat_incidence(0.01), overall, horizon=12)
         calls = []
         solve = engine.solve

@@ -10,7 +10,6 @@ from netadjust.extrapolation import (
     ExtendedSurvival,
     extend_survival,
     follow_up_cutoff,
-    loglinear_interpolate,
 )
 from netadjust.registry import EventTable, StepSurvivalCurve
 
@@ -140,44 +139,33 @@ class TestFollowUpCutoff:
         assert follow_up_cutoff(table, 5) == 2.0
 
 
+def interpolate(grid, t):
+    """The annual grid read between its points, as the adjusted and the
+    population providers read their grids."""
+    return AnnualGridSurvival(grid).survival_at(t)
+
+
 class TestLoglinearInterpolate:
     def test_exact_at_grid(self):
         grid = np.array([1.0, 0.9, 0.81, 0.5])
         for t in range(4):
-            assert loglinear_interpolate(grid, float(t)) == grid[t]
+            assert interpolate(grid, float(t)) == grid[t]
 
     def test_geometric_mean(self):
-        value = loglinear_interpolate(np.array([1.0, 0.9, 0.81]), 1.5)
+        value = interpolate(np.array([1.0, 0.9, 0.81]), 1.5)
         assert value == pytest.approx(0.9 * math.sqrt(0.9), abs=1e-12)
 
     def test_constant_grid(self):
         grid = np.full(6, 0.4)
         grid[0] = 1.0
         ts = np.array([1.2, 2.7, 4.9])
-        assert np.allclose(loglinear_interpolate(grid, ts), 0.4, atol=1e-15)
-
-    def test_zero_right_endpoint_carries_decay(self):
-        diag = Diagnostics()
-        grid = np.array([1.0, 0.5, 0.25, 0.0])
-        value = loglinear_interpolate(grid, 2.5, diag)
-        assert value == pytest.approx(0.25 * math.sqrt(0.5), abs=1e-12)
-        assert diag.get("interp_zero_endpoint") == 1
-        # still exact at the grid point itself
-        assert loglinear_interpolate(grid, 3.0) == 0.0
-
-    def test_zero_left_endpoint_is_zero(self):
-        grid = np.array([1.0, 0.0, 0.0])
-        assert loglinear_interpolate(grid, 1.5) == 0.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            loglinear_interpolate(np.array([1.0, 0.5]), 1.5)
+        assert np.allclose(interpolate(grid, ts), 0.4, atol=1e-15)
 
     @given(st.floats(0.0, 0.8), st.floats(0.01, 9.99))
     @settings(max_examples=60, deadline=None)
     def test_exact_on_exponentials_between_grid(self, rate, t):
         grid = np.exp(-rate * np.arange(11.0))
-        assert loglinear_interpolate(grid, t) == pytest.approx(
+        assert interpolate(grid, t) == pytest.approx(
             math.exp(-rate * t), rel=1e-10
         )
 

@@ -14,7 +14,7 @@ from netadjust.incidence import (
 )
 from netadjust.registry import StratumKey
 
-from conftest import diagonal_life_table, flat_incidence, flat_life_table
+from conftest import const_survival, diagonal_life_table, flat_incidence, flat_life_table
 from oracles import (
     ir_at,
     lag_since_diagnosis_cdf,
@@ -25,12 +25,6 @@ from oracles import (
 
 
 KEY60 = StratumKey(60, 2010, ("0",))
-
-
-def const_survival(rate):
-    def fn(key, times):
-        return np.exp(-rate * np.asarray(times, dtype=float))
-    return fn
 
 
 def ir_reference(cells, key, steps, diagnostics):
@@ -95,7 +89,8 @@ class TestDiagonalGather:
         # the recursion reads IR(d) for d = 0..age-1 along the diagonal once,
         # extending it when an older cell is asked for
         calc = PrevalenceCalculator(
-            GAPPED, const_survival(0.1), flat_life_table(0.01, years=(1900, 2070), sexes=("0", "1", "x"))
+            GAPPED, const_survival(0.1, demographics=(("0",), ("1",), ("x",))),
+            flat_life_table(0.01, years=(1900, 2070), sexes=("0", "1", "x")),
         )
         want = Diagnostics()
         for age in (20, 45, 70):

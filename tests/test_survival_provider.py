@@ -1,14 +1,17 @@
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from netadjust.diagnostics import Diagnostics
 from netadjust.extrapolation import extend_survival, follow_up_cutoff
 from netadjust.lifetable import LifeTable
 from netadjust.registry import EventTable, StratumKey, kaplan_meier
-from netadjust.survival_provider import OverallSurvivalProvider, SurvivalLagTable
+from netadjust.survival_provider import OverallSurvivalProvider, ProviderError, SurvivalLagTable
 
 from conftest import toy_frame
-from oracles import PerStratumSurvival
+from oracles import PerStratumSurvival, resolve_stratum
 
 COUNTERS = (
     "so_population_cap",
@@ -66,6 +69,76 @@ def probe_keys(provider):
     return list(provider.strata) + list(provider.alias) + extra
 
 
+def rectangle_keys(provider):
+    """Every (age, year, sex) cell of LIFE_TABLE's rectangle whose sex has
+    strata, and every merged-away key."""
+    demos = {key.demographics for key in provider.strata}
+    cells = [StratumKey(a, y, d) for d in sorted(demos) for a in range(30, 101) for y in range(1980, 2041)]
+    return cells + list(provider.alias)
+
+
+def assert_lookup_is_the_scalar_rule(provider, keys):
+    rows, clamped = provider.lookup(keys)
+    want = [resolve_stratum(provider, key) for key in keys]
+    assert rows.tolist() == [provider.strata[stratum] for stratum, _ in want]
+    assert clamped.tolist() == [flag for _, flag in want]
+
+
+class TestClampTable:
+    @given(registries(), st.sampled_from([1, 3, 6, 12]))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_and_flags_equal_the_scalar_rule(self, frame, min_size):
+        provider = OverallSurvivalProvider.from_registry(frame, min_stratum_size=min_size)
+        assert_lookup_is_the_scalar_rule(provider, rectangle_keys(provider))
+
+    def test_merged_away_keys_below_the_strata(self):
+        # the age-50 cells merge into age 51, so the strata start at 51 and
+        # the merged-away age-50 keys lie below them
+        rows = [(50, 2000, "0", 1.0, 1), (50, 2003, "0", 2.0, 0)]
+        rows += [(age, year, "0", 1.0 + i, i % 2) for age, year in ((51, 2000), (51, 2003), (54, 2001))
+                 for i in range(4)]
+        rows += [(52, 2002, "1", 1.0 + i, 1) for i in range(4)]
+        provider = OverallSurvivalProvider.from_registry(toy_frame(rows), min_stratum_size=3)
+        assert min(k.age for k in provider.strata) == 51
+        below = [k for k in provider.alias if k.age == 50]
+        assert len(below) == 2
+        assert not provider.lookup(below)[1].any()
+        assert_lookup_is_the_scalar_rule(provider, rectangle_keys(provider))
+        far = [StratumKey(a, y, (s,)) for s in "01" for a in (0, 49, 50, 150) for y in (1900, 2000, 2003, 2100)]
+        assert_lookup_is_the_scalar_rule(provider, far)
+
+    def test_keys_clipped_onto_a_merged_away_key_take_its_stratum(self):
+        # (60, 2000) merges into (61, 2000), which merges into (63, 2000);
+        # keys clipped onto (60, 2000) take (63, 2000), though (59, 2001)
+        # is nearer
+        rows = [(60, 2000, "0", 1.0, 1), (61, 2000, "0", 1.0, 1), (61, 2000, "0", 2.0, 0)]
+        rows += [(age, year, "0", 1.0 + i, i % 2) for age, year in ((63, 2000), (59, 2001)) for i in range(6)]
+        provider = OverallSurvivalProvider.from_registry(toy_frame(rows), min_stratum_size=5)
+        assert set(provider.strata) == {StratumKey(63, 2000, ("0",)), StratumKey(59, 2001, ("0",))}
+        keys = [StratumKey(60, 2000, ("0",)), StratumKey(60, 1990, ("0",)), StratumKey(60, 1999, ("0",))]
+        rows, clamped = provider.lookup(keys)
+        assert rows.tolist() == [provider.strata[StratumKey(63, 2000, ("0",))]] * 3
+        assert clamped.tolist() == [False, True, True]
+        assert_lookup_is_the_scalar_rule(provider, rectangle_keys(provider))
+
+    def test_clamped_keys_counted_per_lookup(self):
+        diag = Diagnostics()
+        frame = toy_frame([(60, 2000, "0", 1.0, 1), (62, 2001, "0", 2.0, 1)])
+        provider = OverallSurvivalProvider.from_registry(frame, min_stratum_size=1, diagnostics=diag)
+        keys = [StratumKey(60, 2000, ("0",)), StratumKey(61, 2000, ("0",)), StratumKey(70, 1990, ("0",))]
+        assert provider.lookup(keys)[1].tolist() == [False, True, True]
+        assert diag.get("so_stratum_clamp") == 2
+
+    def test_unseen_demographics_are_named(self):
+        frame = toy_frame([(60, 2000, "0", 1.0, 1), (61, 2000, "1", 2.0, 1)])
+        provider = OverallSurvivalProvider.from_registry(frame, min_stratum_size=1)
+        keys = [StratumKey(60, 2000, ("0",)), StratumKey(60, 2000, ("x",)), StratumKey(61, 2001, ("2",))]
+        with pytest.raises(ProviderError, match=re.escape("no strata with demographics ('2',), ('x',)")):
+            provider.lookup(keys)
+        with pytest.raises(ProviderError, match=re.escape("('x',)")):
+            provider.survival(keys[1:2], [1.0])
+
+
 class TestBatchMatchesPerStratumPath:
     @given(
         registries(),
@@ -91,7 +164,7 @@ class TestBatchMatchesPerStratumPath:
         assert counters(diag) == counters(oracle.diagnostics)
         times = np.array([0.0, 0.6, 3.0, 7.25, 14.9, 30.0, 119.5, 121.0, 200.0])
         for key, row in zip(keys, rows):
-            assert row == table.rows([provider.resolve(key)])[0]
+            assert row == provider.strata[resolve_stratum(provider, key)[0]]
             got = provider.survival([key], times)[0]
             np.testing.assert_allclose(got, oracle.survival(key, times), rtol=0, atol=1e-12)
             assert provider.survival([key], 7.25)[0][0] == oracle.survival(key, 7.25)[0] == got[3]
