@@ -89,14 +89,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _incidence_from_args(args, frame, diagnostics):
+def _adjustment_engine(args, frame, sizes, life_table, diagnostics):
+    """The adjustment engine of the run's inputs and its incidence input for the
+    manifest; --population divides the stratum `sizes` by the person-years."""
     if args.incidence:
-        return load_incidence_table(args.incidence), {"incidence": args.incidence}
-    if args.population:
+        incidence, extra = load_incidence_table(args.incidence), {"incidence": args.incidence}
+    elif args.population:
         person_years = load_counts(args.population, "person_years")
-        diagnoses = {(k.age, k.year, k.demographics): n for k, n in build_strata(frame)[0].items()}
-        return compute_incidence(diagnoses, person_years, diagnostics), {"population": args.population}
-    raise UsageError("adjusted mode needs --incidence or --population")
+        diagnoses = {(k.age, k.year, k.demographics): n for k, n in sizes.items()}
+        incidence, extra = compute_incidence(diagnoses, person_years, diagnostics), {"population": args.population}
+    else:
+        raise UsageError("adjusted mode needs --incidence or --population")
+    so = OverallSurvivalProvider.from_registry(
+        frame, Banding(), anchor_points=args.extrapolation_points,
+        population_floor=life_table, diagnostics=diagnostics,
+    )
+    return AdjustmentEngine(life_table, incidence, so, horizon=args.horizon, diagnostics=diagnostics), extra
 
 
 def cmd_estimate(args) -> int:
@@ -112,34 +120,24 @@ def cmd_estimate(args) -> int:
     if args.mode == "naive":
         provider = naive_population_provider(life_table, args.horizon, diagnostics)
     else:
-        incidence, extra = _incidence_from_args(args, frame, diagnostics)
+        sizes = build_strata(frame)[0] if args.population else None
+        engine, extra = _adjustment_engine(args, frame, sizes, life_table, diagnostics)
         inputs.update(extra)
-        so = OverallSurvivalProvider.from_registry(
-            frame, Banding(), anchor_points=args.extrapolation_points,
-            population_floor=life_table, diagnostics=diagnostics,
-        )
-        engine = AdjustmentEngine(
-            life_table, incidence, so, horizon=args.horizon, diagnostics=diagnostics
-        )
         provider = adjusted_population_provider(engine)
 
     out = Path(args.out)
-    rows = []
     risk = RiskSetSummary(frame)
     pp = pohar_perme(risk, provider)
     e1 = ederer1(risk, provider)
     cpd = crude_probability(risk, provider)
-    for name, est in (("pohar_perme", pp), ("ederer1", e1), ("crude_probability", cpd)):
-        for year, value in evaluate_at_years(est, years):
-            rows.append({"estimator": name, "provider": provider.mode, "year": year, "value": value})
-    write_rows_csv(out / "estimates.csv", ["estimator", "provider", "year", "value"], rows)
+    rows = [(name, provider.mode, year, value)
+            for name, est in (("pohar_perme", pp), ("ederer1", e1), ("crude_probability", cpd))
+            for year, value in evaluate_at_years(est, years)]
+    write_rows_csv(out / "estimates.csv", ["estimator", "provider", "year", "value"], list(zip(*rows)))
     outputs = ["estimates.csv"]
     if args.curves:
-        curve_rows = [
-            {"t": float(t), "lambda": float(lam), "e_s": float(np.exp(-lam))}
-            for t, lam in zip(pp.times, pp.cum_hazard)
-        ]
-        write_rows_csv(out / "curve_pohar_perme.csv", ["t", "lambda", "e_s"], curve_rows)
+        write_rows_csv(out / "curve_pohar_perme.csv", ["t", "lambda", "e_s"],
+                       [pp.times, pp.cum_hazard, np.exp(-pp.cum_hazard)])
         outputs.append("curve_pohar_perme.csv")
     _finish(out, "estimate", _config_echo(args, years=years), inputs, diagnostics, outputs)
     return 0
@@ -150,38 +148,27 @@ def cmd_adjust(args) -> int:
         raise UsageError("--extrapolation-points must be at least 2")
     diagnostics = Diagnostics()
     frame = load_registry(args.registry)
-    keys = sorted(build_strata(frame)[0])   # stratified before the tables: the run peaks ~0.1 MiB lower
+    sizes = build_strata(frame)[0]   # stratified before the tables: the run peaks ~0.1 MiB lower
+    keys = sorted(sizes)
     life_table = load_life_table(args.lifetable)
-    incidence, extra = _incidence_from_args(args, frame, diagnostics)
+    engine, extra = _adjustment_engine(args, frame, sizes, life_table, diagnostics)
     inputs = {"registry": args.registry, "lifetable": args.lifetable, **extra}
-    so = OverallSurvivalProvider.from_registry(
-        frame, Banding(), anchor_points=args.extrapolation_points,
-        population_floor=life_table, diagnostics=diagnostics,
-    )
-    engine = AdjustmentEngine(
-        life_table, incidence, so, horizon=args.horizon, diagnostics=diagnostics
-    )
-    grid_rows, alpha_rows, r_rows = [], [], []
-    curves = engine.solve(keys)
-    alphas, residuals = engine.alpha(keys), engine.residuals(keys)
-    for key, curve, alpha, r in zip(keys, curves, alphas.tolist(), residuals):
-        alpha_rows.append({
-            "age": key.age, "year": key.year, "sex": key.demographics[0], "alpha": alpha,
-        })
-        for t, value in enumerate(curve.values):
-            grid_rows.append({
-                "age": key.age, "year": key.year, "sex": key.demographics[0],
-                "t": t, "s_p": value,
-            })
-        for t, value in enumerate(r, start=1):
-            r_rows.append({
-                "age": key.age, "year": key.year, "sex": key.demographics[0],
-                "t": t, "r": value,
-            })
+    residuals, alphas = engine.residuals(keys), engine.alpha(keys)   # residuals solves the keys
+    sp = engine.cells.values[engine.cells.rows(keys)]
+    n, K = len(keys), engine.horizon
+    ages, years = np.array([k.age for k in keys]), np.array([k.year for k in keys])
+    sexes = np.array([k.demographics[0] for k in keys], dtype=object)
+
+    def keyed(width, *columns):
+        """The age, year and sex columns, each key's repeated `width` times, then `columns`."""
+        return [np.repeat(column, width) for column in (ages, years, sexes)] + list(columns)
+
     out = Path(args.out)
-    write_rows_csv(out / "adjusted.csv", ["age", "year", "sex", "t", "s_p"], grid_rows)
-    write_rows_csv(out / "alpha.csv", ["age", "year", "sex", "alpha"], alpha_rows)
-    write_rows_csv(out / "residuals.csv", ["age", "year", "sex", "t", "r"], r_rows)
+    write_rows_csv(out / "adjusted.csv", ["age", "year", "sex", "t", "s_p"],
+                   keyed(K + 1, np.tile(np.arange(K + 1), n), sp.ravel()))
+    write_rows_csv(out / "alpha.csv", ["age", "year", "sex", "alpha"], keyed(1, alphas))
+    write_rows_csv(out / "residuals.csv", ["age", "year", "sex", "t", "r"],
+                   keyed(K, np.tile(np.arange(1, K + 1), n), residuals.ravel()))
     _finish(out, "adjust", _config_echo(args), inputs, diagnostics,
             ["adjusted.csv", "alpha.csv", "residuals.csv"])
     return 0
@@ -244,17 +231,13 @@ def cmd_simulate(args) -> int:
     jobs = settings.get("jobs") or os.cpu_count() or 1
     result = run_experiment(cfg, jobs=jobs)
     out = Path(args.out)
-    write_rows_csv(
-        out / "table1.csv",
-        ["dataset", "patients_median", "patients_min", "patients_max",
-         "events_median", "events_min", "events_max"],
-        result.count_rows(),
-    )
-    write_rows_csv(
-        out / "table2.csv",
-        ["dataset", "year", "method", "true", "ave", "pct_bias", "rmse_x100"],
-        result.summary_rows(),
-    )
+    for name, header, rows in (
+        ("table1.csv", ["dataset", "patients_median", "patients_min", "patients_max",
+                        "events_median", "events_min", "events_max"], result.count_rows()),
+        ("table2.csv", ["dataset", "year", "method", "true", "ave", "pct_bias", "rmse_x100"],
+         result.summary_rows()),
+    ):
+        write_rows_csv(out / name, header, [[row[column] for row in rows] for column in header])
     diagnostics = Diagnostics()
     diagnostics.merge(result.counters)
     config_echo = {

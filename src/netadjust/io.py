@@ -5,7 +5,9 @@ An input file is read whole and kept by column (`CsvColumns`): columns are
 found by header name in any order, extra columns are ignored, and of a
 repeated name the last wins; blank lines are skipped and not counted in row
 numbers (the header is row 1); a record with fewer fields than the header is
-an error.  Floats are written with repr (shortest round-trip), so identical
+an error.  An output file is written by column (`write_rows_csv`), with the
+bytes `csv.writer` writes for its rows: a float or int array column is
+formatted in one pass, floats with repr (shortest round-trip), so identical
 runs emit identical bytes.
 """
 from __future__ import annotations
@@ -14,6 +16,7 @@ import bisect
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -170,15 +173,40 @@ def _format_value(value):
     return str(value)
 
 
-def write_rows_csv(path, header, rows) -> None:
-    """Write dict rows with a fixed column order and deterministic floats."""
+_QUOTED = re.compile('[,"\r\n]')   # a field holding one of these is quoted
+WRITE_ROWS = 1 << 12          # rows formatted at a time, to bound the strings held
+
+
+def _fields(column) -> list[str]:
+    """The column's values formatted by `_format_value`, each quoted as
+    `csv.writer` quotes it (its quotes doubled) when it holds a comma, a
+    quote or a line break; a float or int array is formatted in one pass."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind == "f":
+        return list(map(repr, column.astype(np.float64, copy=False).tolist()))
+    if kind in "iu":
+        return list(map(str, column.tolist()))
+    texts = [value if type(value) is str else _format_value(value) for value in column]
+    if not _QUOTED.search("".join(texts)):
+        return texts
+    return ['"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text for text in texts]
+
+
+def write_rows_csv(path, header, columns) -> None:
+    """Write `columns`, one sequence per name of `header`, all of one length,
+    as the rows of a CSV under `header`, with the bytes `csv.writer` writes:
+    fields joined by commas, lines ended by CRLF, and a line whose one field
+    is empty written as `""`."""
+    n = len(columns[0]) if columns else 0
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    blocks = [[column[i : i + WRITE_ROWS] for column in columns] for i in range(0, n, WRITE_ROWS)]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_value(row[col]) for col in header])
+        for block in [[[name] for name in header]] + blocks:
+            lines = list(map(",".join, zip(*map(_fields, block))))
+            if len(header) == 1:
+                lines = [line or '""' for line in lines]
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def sha256_file(path) -> str:

@@ -391,18 +391,6 @@ class ExperimentResult:
             "events_max": int(self.events.max()),
         }]
 
-    def bias(self, method: str, year: float) -> float:
-        for row in self.summary_rows():
-            if row["method"] == method and row["year"] == float(year):
-                return row["pct_bias"]
-        raise KeyError((method, year))
-
-    def rmse(self, method: str, year: float) -> float:
-        for row in self.summary_rows():
-            if row["method"] == method and row["year"] == float(year):
-                return row["rmse_x100"]
-        raise KeyError((method, year))
-
 
 def run_experiment(
     cfg: ScenarioConfig,

@@ -111,15 +111,24 @@ def risk_set_builds(monkeypatch):
     return frames
 
 
+def summary_value(result, column: str, method: str, year: float) -> float:
+    """`column` of the `ExperimentResult.summary_rows` row of `method` at `year`."""
+    for row in result.summary_rows():
+        if row["method"] == method and row["year"] == float(year):
+            return row[column]
+    raise KeyError((method, year))
+
+
+def bias(result, method: str, year: float) -> float:
+    return summary_value(result, "pct_bias", method, year)
+
+
+def rmse(result, method: str, year: float) -> float:
+    return summary_value(result, "rmse_x100", method, year)
+
+
 def write_registry(path, frame: RegistryFrame) -> None:
-    rows = [
-        {
-            "age_diag": int(a),
-            "year_diag": int(y),
-            "sex": frame.demo_vocab[c][0],
-            "time": float(t),
-            "event": int(e),
-        }
-        for a, y, c, t, e in zip(frame.age, frame.year, frame.demo_code, frame.time, frame.event)
-    ]
-    write_rows_csv(path, REGISTRY_HEADER, rows)
+    sexes = np.array([demo[0] for demo in frame.demo_vocab], dtype=object)
+    write_rows_csv(path, REGISTRY_HEADER, [
+        frame.age, frame.year, sexes[frame.demo_code], frame.time, frame.event.astype(np.int64),
+    ])

@@ -40,6 +40,8 @@
 * `load_registry`, `load_life_table`, `load_incidence_table` and
   `load_counts`, with the row-list `check_table_extent`: the CSV loaders one
   `csv.DictReader` record at a time, each record's checks made in turn.
+* `write_rows_csv_reference`: the CSV writer one dict row at a time, each
+  value formatted and handed to `csv.writer`.
 """
 import csv
 import math
@@ -1019,3 +1021,25 @@ def load_counts(path, value_column: str) -> dict:
             out[keyc] = value
     check_table_extent(path.name, out, IncidenceError)
     return out
+
+
+# The CSV writer one dict row at a time through csv.writer: the column
+# writer must write the same bytes.
+
+def _format_value(value):
+    if isinstance(value, (np.floating, float)):
+        return repr(float(value))
+    if isinstance(value, (np.integer, int)):
+        return str(int(value))
+    return str(value)
+
+
+def write_rows_csv_reference(path, header, rows) -> None:
+    """Write dict rows with a fixed column order and deterministic floats."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_format_value(row[col]) for col in header])

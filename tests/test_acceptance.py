@@ -36,7 +36,7 @@ from netadjust.simulation import (
 from netadjust.survival_provider import OverallSurvivalProvider
 from netadjust.cli import main as cli_main
 
-from conftest import ClosedFormSurvival, flat_life_table, toy_frame
+from conftest import ClosedFormSurvival, bias, flat_life_table, rmse, toy_frame
 from oracles import (
     fit_exponential_tail,
     lag_since_diagnosis_cdf,
@@ -66,10 +66,10 @@ def ds2_result():
 
 def test_criterion_1_dataset2_bias_and_rmse(ds2_result):
     res = ds2_result
-    naive10 = res.bias("naive", 10.0)
-    adj10 = res.bias("adjusted", 10.0)
+    naive10 = bias(res, "naive", 10.0)
+    adj10 = bias(res, "adjusted", 10.0)
     rmse_ok = all(
-        res.rmse("adjusted", y) < res.rmse("naive", y) for y in (5.0, 7.0, 10.0)
+        rmse(res, "adjusted", y) < rmse(res, "naive", y) for y in (5.0, 7.0, 10.0)
     )
     ok = 15.0 <= naive10 <= 24.0 and -2.0 <= adj10 <= 6.0 and rmse_ok and not res.excluded
     report(
@@ -82,8 +82,8 @@ def test_criterion_1_dataset2_bias_and_rmse(ds2_result):
 
 def test_criterion_2_dataset1_bias(ds1_result):
     res = ds1_result
-    naive10 = res.bias("naive", 10.0)
-    adj10 = res.bias("adjusted", 10.0)
+    naive10 = bias(res, "naive", 10.0)
+    adj10 = bias(res, "adjusted", 10.0)
     ok = 3.0 <= naive10 <= 9.0 and -2.0 <= adj10 <= 3.0 and not res.excluded
     report(
         2, "dataset-1 bias",
@@ -369,7 +369,7 @@ def test_invariant_bias_ordering_other_datasets(dataset):
     |bias| at years 5/7/10 for the log-normal settings too, 200 replicates."""
     res = run_experiment(ScenarioConfig(dataset=dataset, reps=200), jobs=JOBS)
     gaps = {
-        y: (abs(res.bias("adjusted", y)), abs(res.bias("naive", y)))
+        y: (abs(bias(res, "adjusted", y)), abs(bias(res, "naive", y)))
         for y in (5.0, 7.0, 10.0)
     }
     ok = all(a < n for a, n in gaps.values()) and not res.excluded

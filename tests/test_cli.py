@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 import netadjust
+import oracles
+from netadjust.adjustment import AdjustmentEngine
 from netadjust.cli import main
+from netadjust.incidence import load_incidence_table
 from netadjust.io import load_registry
+from netadjust.lifetable import load_life_table
+from netadjust.registry import Banding, build_strata
+from netadjust.survival_provider import OverallSurvivalProvider
 
 from conftest import toy_frame, write_registry
 
@@ -242,6 +248,69 @@ class TestAdjust:
             r"incidence and survival inputs disagree",
             errors[0],
         )
+
+    def test_label_that_needs_quoting(self, tmp_path):
+        # a sex label with a comma and quotes is quoted in all three outputs,
+        # byte for byte as csv.writer quotes the old writer's dict rows
+        label = 'f,"x"'
+        registry = write_inputs(tmp_path)
+        for name in ("registry.csv", "lifetable.csv", "incidence.csv"):
+            path = tmp_path / name
+            quoted = '"' + label.replace('"', '""') + '"'
+            path.write_text(path.read_text(encoding="utf-8").replace(",m,", f",{quoted},"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([
+            "adjust", "--registry", str(registry),
+            "--lifetable", str(tmp_path / "lifetable.csv"),
+            "--incidence", str(tmp_path / "incidence.csv"),
+            "--horizon", "10", "--out", str(out),
+        ]) == 0
+        for name in ("adjusted.csv", "alpha.csv", "residuals.csv"):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows and {row[2] for row in rows} == {label}
+
+        frame = load_registry(registry)
+        keys = sorted(build_strata(frame)[0])
+        life_table = load_life_table(tmp_path / "lifetable.csv")
+        so = OverallSurvivalProvider.from_registry(frame, Banding(), anchor_points=4, population_floor=life_table)
+        engine = AdjustmentEngine(life_table, load_incidence_table(tmp_path / "incidence.csv"), so, horizon=10)
+        grid_rows, alpha_rows, r_rows = [], [], []
+        curves = engine.solve(keys)
+        alphas, residuals = engine.alpha(keys), engine.residuals(keys)
+        for key, curve, alpha, r in zip(keys, curves, alphas.tolist(), residuals):
+            alpha_rows.append({"age": key.age, "year": key.year, "sex": key.demographics[0], "alpha": alpha})
+            for t, value in enumerate(curve.values):
+                grid_rows.append({"age": key.age, "year": key.year, "sex": key.demographics[0], "t": t, "s_p": value})
+            for t, value in enumerate(r, start=1):
+                r_rows.append({"age": key.age, "year": key.year, "sex": key.demographics[0], "t": t, "r": value})
+        for name, header, rows in (
+            ("adjusted.csv", ["age", "year", "sex", "t", "s_p"], grid_rows),
+            ("alpha.csv", ["age", "year", "sex", "alpha"], alpha_rows),
+            ("residuals.csv", ["age", "year", "sex", "t", "r"], r_rows),
+        ):
+            oracles.write_rows_csv_reference(tmp_path / "reference" / name, header, rows)
+            assert (out / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+    def test_population_stratifies_the_registry_twice(self, tmp_path, monkeypatch):
+        # once for the keys and the diagnosis counts, once inside the
+        # overall-survival provider
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return build_strata(*args, **kwargs)
+
+        monkeypatch.setattr("netadjust.cli.build_strata", counting)
+        monkeypatch.setattr("netadjust.survival_provider.build_strata", counting)
+        registry = write_inputs(tmp_path)
+        assert main([
+            "adjust", "--registry", str(registry),
+            "--lifetable", str(tmp_path / "lifetable.csv"),
+            "--population", str(tmp_path / "population.csv"),
+            "--horizon", "10", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert len(calls) == 2
 
     def test_jobs_flag_removed(self, tmp_path):
         registry = write_inputs(tmp_path)
