@@ -9,7 +9,6 @@ microsimulation harness reproduces the accompanying bias/rMSE study.
 """
 
 from .adjustment import (
-    AdjustedPopulationSurvival,
     AdjustmentEngine,
     PrevalentCaseSurvival,
     SolverError,
@@ -18,13 +17,12 @@ from .adjustment import (
 )
 from .diagnostics import Diagnostics
 from .estimators import (
-    PopulationSurvivalProvider,
-    adjusted_population_provider,
+    RiskSetSummary,
     crude_probability,
     ederer1,
     evaluate_at_years,
-    naive_population_provider,
     pohar_perme,
+    population_survival,
 )
 from .extrapolation import (
     ExtendedSurvival,

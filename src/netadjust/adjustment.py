@@ -64,16 +64,6 @@ class PrevalentCaseSurvival:
             raise ValueError("prevalent-case survival must be non-increasing in [0,1]")
 
 
-@dataclass
-class AdjustedPopulationSurvival:
-    """Non-cancer survival of one cell at t = 0..K, with its solve's clip and guard counts."""
-
-    origin: StratumKey
-    values: np.ndarray
-    clip_count: int = 0
-    guard_count: int = 0
-
-
 def prevalent_case_survival(keys, mixture: np.ndarray) -> PrevalentCaseSurvival:
     """Prevalent-case survival from the prevalence recursion's mixture.
 
@@ -147,7 +137,7 @@ def solve_noncancer_survival(
     keys: Sequence[StratumKey],
     diagnostics: Diagnostics | None = None,
     cells: SolvedCells | None = None,
-) -> list[AdjustedPopulationSurvival]:
+) -> np.ndarray:
     """S_P of every key, on any birth-cohort diagonals, in one forward sweep.
 
     `ing` supplies the inputs: its methods `lt_survival_grid`, `alpha`,
@@ -168,8 +158,9 @@ def solve_noncancer_survival(
     Each step t solves horizon t for every cell that needs it in one array
     expression.  `cells` carries fetched inputs and solved horizons from one
     call to the next and is updated only when the whole sweep succeeds;
-    only newly solved horizons add to the diagnostics.  The returned
-    curves, in the order of `keys`, report each key's own clip/guard counts.
+    only newly solved horizons add to the diagnostics.  Returns the keys x
+    (K + 1) array of S_P at t = 0..K, in the order of `keys`; each key's
+    clip/guard flags stay in `cells.clipped` and `cells.guarded`.
     """
     diag = ensure_diagnostics(diagnostics)
     K = ing.horizon
@@ -179,12 +170,7 @@ def solve_noncancer_survival(
     todo = [key for key, n in zip(keys, solved.tolist()) if n < K]
     if todo:
         _sweep(ing, todo, diag, cells)
-    return [
-        AdjustedPopulationSurvival(
-            key, cells.values[row].copy(), int(cells.clipped[row].sum()), int(cells.guarded[row].sum())
-        )
-        for key, row in zip(keys, rows.tolist())
-    ]
+    return cells.values[rows]
 
 
 def _sweep(ing, roots: list, diag: Diagnostics, cells: SolvedCells) -> None:
@@ -328,11 +314,12 @@ class AdjustmentEngine:
     def diagnosis_mass(self, keys) -> np.ndarray:
         return time_to_diagnosis_increments(self.incidence, keys, self.horizon, self.diagnostics)
 
-    def solve(self, keys: Sequence[StratumKey]) -> list[AdjustedPopulationSurvival]:
-        """S_P curves of `keys`, in order; the keys not solved before are
-        solved together in one sweep.  The lag table is filled first: made
-        before the sweep's per-cell arrays, the temporaries of its one
-        evaluation (the run's largest) leave `adjust` peaking ~5 MiB lower."""
+    def solve(self, keys: Sequence[StratumKey]) -> np.ndarray:
+        """S_P of `keys` at t = 0..K, one row per key in order; the keys not
+        solved before are solved together in one sweep.  The lag table is
+        filled first: made before the sweep's per-cell arrays, the
+        temporaries of its one evaluation (the run's largest) leave `adjust`
+        peaking ~5 MiB lower."""
         self.calc.table.values
         return solve_noncancer_survival(self, list(keys), self.diagnostics, self.cells)
 

@@ -18,16 +18,15 @@ from .adjustment import AdjustmentEngine
 from .diagnostics import Diagnostics, log
 from .estimators import (
     RiskSetSummary,
-    adjusted_population_provider,
     crude_probability,
     ederer1,
     evaluate_at_years,
-    naive_population_provider,
     pohar_perme,
+    population_survival,
 )
 from .incidence import compute_incidence, load_counts, load_incidence_table
 from .io import load_registry, sha256_file, write_manifest, write_rows_csv
-from .lifetable import load_life_table
+from .lifetable import diagonal_survival, load_life_table
 from .registry import Banding, build_strata
 from .simulation import ScenarioConfig, run_experiment
 from .survival_provider import OverallSurvivalProvider
@@ -89,17 +88,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_incidence_flags(args, adjusted: bool) -> None:
+    """Adjusted runs read exactly one of --incidence and --population; naive runs neither."""
+    given = bool(args.incidence) + bool(args.population)
+    if given and not adjusted:
+        raise UsageError("--incidence and --population apply only to --mode adjusted")
+    if given == 2:
+        raise UsageError("give one of --incidence and --population, not both")
+    if adjusted and not given:
+        raise UsageError("adjusted mode needs --incidence or --population")
+
+
 def _adjustment_engine(args, frame, sizes, life_table, diagnostics):
     """The adjustment engine of the run's inputs and its incidence input for the
     manifest; --population divides the stratum `sizes` by the person-years."""
     if args.incidence:
         incidence, extra = load_incidence_table(args.incidence), {"incidence": args.incidence}
-    elif args.population:
+    else:
         person_years = load_counts(args.population, "person_years")
         diagnoses = {(k.age, k.year, k.demographics): n for k, n in sizes.items()}
         incidence, extra = compute_incidence(diagnoses, person_years, diagnostics), {"population": args.population}
-    else:
-        raise UsageError("adjusted mode needs --incidence or --population")
     so = OverallSurvivalProvider.from_registry(
         frame, Banding(), anchor_points=args.extrapolation_points,
         population_floor=life_table, diagnostics=diagnostics,
@@ -113,24 +121,28 @@ def cmd_estimate(args) -> int:
         raise UsageError("--horizon must cover the largest report year")
     if args.extrapolation_points < 2:
         raise UsageError("--extrapolation-points must be at least 2")
+    _check_incidence_flags(args, args.mode == "adjusted")
     diagnostics = Diagnostics()
     frame = load_registry(args.registry)
     life_table = load_life_table(args.lifetable)
     inputs = {"registry": args.registry, "lifetable": args.lifetable}
+    risk = RiskSetSummary(frame)
     if args.mode == "naive":
-        provider = naive_population_provider(life_table, args.horizon, diagnostics)
+        grid = diagonal_survival(life_table, risk.keys, args.horizon, diagnostics).values
     else:
-        sizes = build_strata(frame)[0] if args.population else None
+        # the strata sizes are --population's diagnosis counts
+        sizes = dict(zip(risk.keys, risk.sizes.astype(np.int64).tolist()))
         engine, extra = _adjustment_engine(args, frame, sizes, life_table, diagnostics)
         inputs.update(extra)
-        provider = adjusted_population_provider(engine)
+        grid = engine.solve(risk.keys)
+    sp = population_survival(grid, diagnostics)
 
     out = Path(args.out)
-    risk = RiskSetSummary(frame)
-    pp = pohar_perme(risk, provider)
-    e1 = ederer1(risk, provider)
-    cpd = crude_probability(risk, provider)
-    rows = [(name, provider.mode, year, value)
+    pp = pohar_perme(risk, sp)
+    e1 = ederer1(risk, sp)
+    cpd = crude_probability(risk, sp)
+    label = "naive-lifetable" if args.mode == "naive" else "adjusted"
+    rows = [(name, label, year, value)
             for name, est in (("pohar_perme", pp), ("ederer1", e1), ("crude_probability", cpd))
             for year, value in evaluate_at_years(est, years)]
     write_rows_csv(out / "estimates.csv", ["estimator", "provider", "year", "value"], list(zip(*rows)))
@@ -146,6 +158,7 @@ def cmd_estimate(args) -> int:
 def cmd_adjust(args) -> int:
     if args.extrapolation_points < 2:
         raise UsageError("--extrapolation-points must be at least 2")
+    _check_incidence_flags(args, True)
     diagnostics = Diagnostics()
     frame = load_registry(args.registry)
     sizes = build_strata(frame)[0]   # stratified before the tables: the run peaks ~0.1 MiB lower

@@ -1,14 +1,15 @@
-"""Relative-survival estimators over a pluggable population-survival source.
+"""Relative-survival estimators over one stacked population-survival grid.
 
 All three estimators read the registry through one `RiskSetSummary`, built
-once per registry and passed to each of them, plus a
-`PopulationSurvivalProvider` (either the raw life-table cohort survival or
-the adjusted non-cancer survival).  The summary takes its strata from
+once per registry and passed to each of them, plus one S_P stack from
+`population_survival`: an annual grid per stratum, in the order of the
+summary's `keys`, floored at WEIGHT_FLOOR.  The grids are the life table's
+diagonal survival (naive mode) or the adjusted non-cancer survival of one
+`AdjustmentEngine.solve` call.  The summary takes its strata from
 `build_strata` and keeps each patient's and each death's (stratum row, time
 index) in time order, and no strata x times array.  Ederer I and the crude
 probability read pooled per-time death and at-risk counts.  S_P and the
-yearly Lambda_P rates of all strata come from one stack of their annual
-grids (the adjusted ones from one `AdjustmentEngine.solve` call).
+yearly Lambda_P rates of a stratum are read from its row of the stack.
 
 Pohar-Perme needs, at every observed time, the at-risk sum of 1/S_P.  In
 grid year k a stratum's 1/S_P(k + f) is exp(L_sk) exp(h_sk f), f in [0, 1],
@@ -47,7 +48,6 @@ import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics
 from .extrapolation import AnnualGridSurvival
-from .lifetable import LifeTable, diagonal_survival
 from .registry import RegistryFrame, StratumKey, build_strata
 
 WEIGHT_FLOOR = 1e-6
@@ -61,94 +61,47 @@ class EstimatorError(ValueError):
     """Estimation impossible on the given inputs."""
 
 
-class PopulationSurvivalProvider:
-    """(key, t) -> S_P, floored so 1/S_P never exceeds 1/floor.
-
-    `grid_fn` maps a list of strata to their annual survival grids (a
-    strata x (horizon + 1) array).  The grids of all strata asked for are
-    stacked once into one `AnnualGridSurvival`, which keeps values, -log
-    values and yearly slopes as strata x (horizon + 1) arrays and
-    interpolates log-linearly, i.e. with a constant hazard inside each year.
-    `survival_matrix` evaluates many strata at many times with one gather;
-    `grid_rows` resolves strata to rows of the stack once, so that
-    `survival_rows` and `hazard_rates` can read any subset of them without
-    looking the keys up again.
-    """
-
-    def __init__(self, grid_fn, horizon: int, mode: str,
-                 floor: float = WEIGHT_FLOOR, diagnostics: Diagnostics | None = None):
-        self.grid_fn = grid_fn
-        self.horizon = int(horizon)
-        self.mode = mode
-        self.floor = float(floor)
-        self.diagnostics = ensure_diagnostics(diagnostics)
-        self._index: dict[StratumKey, int] = {}
-        self._grids: AnnualGridSurvival | None = None
-
-    def grid_rows(self, keys) -> np.ndarray:
-        """Rows of `keys` in the stacked grids; keys not seen before are
-        stacked with one `grid_fn` call."""
-        index = self._index
-        rows = np.fromiter((index.get(k, -1) for k in keys), np.intp, len(keys))
-        if rows.size and rows.min() < 0:
-            new = [k for k in dict.fromkeys(keys) if k not in index]
-            grid = np.asarray(self.grid_fn(new), dtype=np.float64)
-            floored = (grid < self.floor).sum()
-            if floored:
-                self.diagnostics.incr("weight_floor", int(floored))
-                grid = np.maximum(grid, self.floor)
-            if self._grids is not None:
-                grid = np.concatenate((self._grids.values, grid))
-            self._grids = AnnualGridSurvival(grid, self.diagnostics)
-            index.update((k, len(index)) for k in new)
-            rows = np.fromiter((index[k] for k in keys), np.intp, len(keys))
-        return rows
-
-    def survival_rows(self, rows, t, at_risk=None) -> np.ndarray:
-        """Rows x times array of S_P for the stacked-grid `rows` at the times
-        `t`; `at_risk` counts as in `AnnualGridSurvival`."""
-        out = self._grids.survival_at(np.atleast_1d(t), rows, at_risk)
-        return np.maximum(out, self.floor, out=out)
-
-    def hazard_rates(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Lambda_P's yearly rates for the stacked-grid `rows` (rows x horizon,
-        the last one carried past the grid) and the time each row's Lambda_P
-        reaches the cap -log(floor), inf if never: past the floored grids."""
-        grids = self._grids
-        rates = grids.slopes[rows]
-        crossing = np.full(rates.shape[0], np.inf)
-        if rates.shape[1]:
-            rising = np.flatnonzero(rates[:, -1] > 0.0)
-            below = -np.log(self.floor) - grids.log_values[rows[rising], -2]
-            crossing[rising] = (grids.k_max - 1) + below / rates[rising, -1]
-        return rates, crossing
-
-    def survival_matrix(self, keys, t) -> np.ndarray:
-        """Strata x times array of S_P for `keys` at the times `t`."""
-        return self.survival_rows(self.grid_rows(keys), t)
-
-
-def naive_population_provider(
-    life_table: LifeTable, horizon: int, diagnostics: Diagnostics | None = None
-) -> PopulationSurvivalProvider:
-    """Standard practice: the life-table diagonal survival used as S_P."""
+def population_survival(grid, diagnostics: Diagnostics | None = None) -> AnnualGridSurvival:
+    """The S_P stack the estimators read: `grid` holds one annual grid
+    (t = 0..K) per stratum, in the order of `RiskSetSummary.keys`, and its
+    cells below WEIGHT_FLOOR are raised to it (counted as `weight_floor`),
+    so 1/S_P never exceeds 1/WEIGHT_FLOOR."""
     diag = ensure_diagnostics(diagnostics)
+    grid = np.asarray(grid, dtype=np.float64)
+    floored = int((grid < WEIGHT_FLOOR).sum())
+    if floored:
+        diag.incr("weight_floor", floored)
+        grid = np.maximum(grid, WEIGHT_FLOOR)
+    return AnnualGridSurvival(grid, diag)
 
-    def grid_fn(keys) -> np.ndarray:
-        return diagonal_survival(life_table, keys, horizon, diag).values
 
-    return PopulationSurvivalProvider(grid_fn, horizon, "naive-lifetable", diagnostics=diag)
+def _check_rows(rs: RiskSetSummary, sp: AnnualGridSurvival) -> None:
+    """The stack must hold one row per stratum of `rs`, in its order."""
+    if sp.values.ndim != 2 or sp.values.shape[0] != len(rs.keys):
+        raise EstimatorError(
+            f"S_P stack has {np.atleast_2d(sp.values).shape[0]} rows for {len(rs.keys)} strata"
+        )
 
 
-def adjusted_population_provider(engine) -> PopulationSurvivalProvider:
-    """S_P from the solved non-cancer survival grids, all strata in one
-    `engine.solve` call."""
-    return PopulationSurvivalProvider(
-        lambda keys: np.array([curve.values for curve in engine.solve(keys)]),
-        engine.horizon,
-        "adjusted",
-        diagnostics=engine.diagnostics,
-    )
+def _survival(sp: AnnualGridSurvival, rows, t, at_risk=None) -> np.ndarray:
+    """Rows x times S_P of the stack's `rows` (all when None) at the times
+    `t`, floored at WEIGHT_FLOOR past the grid too; `at_risk` counts as in
+    `AnnualGridSurvival`."""
+    out = sp.survival_at(np.atleast_1d(t), rows, at_risk)
+    return np.maximum(out, WEIGHT_FLOOR, out=out)
+
+
+def _hazard_rates(sp: AnnualGridSurvival) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda_P's yearly rates of every stratum (strata x K, the last one
+    carried past the grid) and the time each stratum's Lambda_P reaches the
+    cap -log(WEIGHT_FLOOR), inf if never: past the floored grids."""
+    rates = sp.slopes
+    crossing = np.full(rates.shape[0], np.inf)
+    if rates.shape[1]:
+        rising = np.flatnonzero(rates[:, -1] > 0.0)
+        below = -np.log(WEIGHT_FLOOR) - sp.log_values[rising, -2]
+        crossing[rising] = (sp.k_max - 1) + below / rates[rising, -1]
+    return rates, crossing
 
 
 class RiskSetSummary:
@@ -236,21 +189,21 @@ def _locate(estimate, t: float) -> tuple[int, float | None]:
     u = estimate.times
     m = int(np.searchsorted(u, t, side="left"))
     if m == u.shape[0]:
-        estimate.provider.diagnostics.incr("beyond_support_eval")
+        estimate.population.diagnostics.incr("beyond_support_eval")
         return m - 1, None
     if u[m] == t:
         return m, None
     return m, (float(u[m - 1]) if m > 0 else 0.0)
 
 
-def _at_risk_hazard(rs: RiskSetSummary, provider, edges: np.ndarray, first: int = 0) -> np.ndarray:
+def _at_risk_hazard(rs: RiskSetSummary, sp: AnnualGridSurvival, edges: np.ndarray, first: int = 0) -> np.ndarray:
     """Sum of Lambda_P(hi) - Lambda_P(lo) over the patients at risk, for each
     interval (lo, hi] between consecutive `edges`; interval j has the risk
     set of time index first + j.  Lambda_P's rate is constant on each grid
     year and runs on past the grid until the cap, so each sum adds, year by
     year, the rates of the patients at risk times their overlaps with the
     interval: a reverse cumulative sum over the patients in time order."""
-    rates, crossing = provider.hazard_rates(provider.grid_rows(rs.keys))
+    rates, crossing = _hazard_rates(sp)
     p0 = int(np.searchsorted(rs.patient_times, first))
     rows, lo, hi = rs.patient_rows[p0:], edges[:-1], edges[1:]
     n, n_seg, out = lo.shape[0], rates.shape[1], np.zeros(lo.shape[0])
@@ -281,7 +234,7 @@ class NetSurvivalEstimate:
     times: np.ndarray
     cum_hazard: np.ndarray
     _risk: RiskSetSummary
-    provider: PopulationSurvivalProvider
+    population: AnnualGridSurvival
 
     def cumulative_hazard_at(self, t) -> float:
         t = float(t)
@@ -296,7 +249,7 @@ class NetSurvivalEstimate:
         # S_P at lo and t of the strata at risk; the others' 1 meets y = 0
         y = self._risk.at_risk_column(m)
         sp, live = np.ones((y.shape[0], 2)), y > 0
-        sp[live] = self.provider.survival_rows(self.provider.grid_rows(self._risk.keys)[live], [lo, t])
+        sp[live] = _survival(self.population, np.flatnonzero(live), [lo, t])
         return base - float(np.log((y / sp[:, 1]).sum()) - np.log((y / sp[:, 0]).sum()))
 
     def survival_at(self, t) -> float:
@@ -373,7 +326,7 @@ def _moment_sums(rs: RiskSetSummary, logs: np.ndarray, rates: np.ndarray, first:
     return denom, denom_prev, np.exp(logs[rows, year[j]] + rates[rows, year[j]] * f[j])
 
 
-def pohar_perme(rs: RiskSetSummary, provider: PopulationSurvivalProvider) -> NetSurvivalEstimate:
+def pohar_perme(rs: RiskSetSummary, sp: AnnualGridSurvival) -> NetSurvivalEstimate:
     """Inverse-population-survival weighted excess-hazard estimator.
 
     Event increments weight each death by 1/S_P at its own covariates; the
@@ -383,9 +336,9 @@ def pohar_perme(rs: RiskSetSummary, provider: PopulationSurvivalProvider) -> Net
     moments (`_moment_sums`) when `_moments_pay`; the other times are
     streamed over `rs.blocks`.
     """
+    _check_rows(rs, sp)
     u = rs.times
-    grid_rows = provider.grid_rows(rs.keys)
-    logs, rates = provider._grids.log_values[grid_rows], provider._grids.slopes[grid_rows]
+    logs, rates = sp.log_values, sp.slopes
     denom, denom_prev = np.empty(u.shape), np.empty(u.shape)
     death_weights = np.empty(rs.death_times.shape)
     first = int(np.searchsorted(u, rates.shape[1], side="right")) if rates.shape[1] else 0
@@ -395,17 +348,17 @@ def pohar_perme(rs: RiskSetSummary, provider: PopulationSurvivalProvider) -> Net
     else:
         first = 0
     # S_P at the previous observed time, 1 before the first
-    sp_last = provider.survival_rows(grid_rows, u[first - 1])[:, 0] if first else np.ones(len(rs.keys))
+    sp_last = _survival(sp, None, u[first - 1])[:, 0] if first else np.ones(len(rs.keys))
     position = np.empty(len(rs.keys), dtype=np.intp)
     d0 = int(np.searchsorted(rs.death_times, first))
     for j0, j1, rows, y in rs.blocks(first):
-        sp = provider.survival_rows(grid_rows[rows], u[j0:j1], y)
-        ratio = np.empty_like(sp)
+        s = _survival(sp, rows, u[j0:j1], y)
+        ratio = np.empty_like(s)
         np.divide(y[:, 0], sp_last[rows], out=ratio[:, 0])
-        np.divide(y[:, 1:], sp[:, :-1], out=ratio[:, 1:])
-        sp_last[rows] = sp[:, -1]
+        np.divide(y[:, 1:], s[:, :-1], out=ratio[:, 1:])
+        sp_last[rows] = s[:, -1]
         denom_prev[j0:j1] = ratio.sum(axis=0)
-        w = np.reciprocal(sp, out=sp)
+        w = np.reciprocal(s, out=s)
         d1 = int(np.searchsorted(rs.death_times, j1))
         position[rows] = np.arange(rows.shape[0])
         death_weights[d0:d1] = w[position[rs.death_rows[d0:d1]], rs.death_times[d0:d1] - j0]
@@ -418,7 +371,7 @@ def pohar_perme(rs: RiskSetSummary, provider: PopulationSurvivalProvider) -> Net
     event_inc = weighted_deaths / denom
     expected_inc = np.log(denom) - np.log(denom_prev)
     cum = np.cumsum(event_inc - expected_inc)
-    return NetSurvivalEstimate(u, cum, rs, provider)
+    return NetSurvivalEstimate(u, cum, rs, sp)
 
 
 @dataclass
@@ -428,7 +381,7 @@ class RelativeSurvivalEstimate:
     times: np.ndarray
     na_values: np.ndarray
     _risk: RiskSetSummary
-    provider: PopulationSurvivalProvider
+    population: AnnualGridSurvival
 
     def cumulative_hazard_at(self, t) -> float:
         t = float(t)
@@ -442,7 +395,7 @@ class RelativeSurvivalEstimate:
         else:
             m -= 1
         na = float(self.na_values[m]) if m >= 0 else 0.0
-        sp_t = self.provider.survival_matrix(self._risk.keys, t)[:, 0]
+        sp_t = _survival(self.population, None, t)[:, 0]
         expected = float(np.log(self._risk.n) - np.log((self._risk.sizes * sp_t).sum()))
         return na - expected
 
@@ -452,12 +405,13 @@ class RelativeSurvivalEstimate:
     value_at = survival_at
 
 
-def ederer1(rs: RiskSetSummary, provider: PopulationSurvivalProvider) -> RelativeSurvivalEstimate:
+def ederer1(rs: RiskSetSummary, sp: AnnualGridSurvival) -> RelativeSurvivalEstimate:
     """Observed cumulative hazard minus the expected-survival-weighted
     population hazard; the population term runs over the whole cohort and
     telescopes to log(n) - log(sum_j S_P(t | Z_j))."""
+    _check_rows(rs, sp)
     na = np.cumsum(rs.pooled_deaths / rs.pooled_at_risk)
-    return RelativeSurvivalEstimate(rs.times, na, rs, provider)
+    return RelativeSurvivalEstimate(rs.times, na, rs, sp)
 
 
 @dataclass
@@ -475,7 +429,7 @@ class CrudeProbabilityEstimate:
     cancer_isotonic: np.ndarray
     km_left: np.ndarray
     _risk: RiskSetSummary
-    provider: PopulationSurvivalProvider
+    population: AnnualGridSurvival
 
     def value_at(self, t, which: str = "cancer") -> float:
         t = float(t)
@@ -490,12 +444,12 @@ class CrudeProbabilityEstimate:
         base = float(values[m - 1]) if m > 0 else 0.0
         if which == "cancer_isotonic":
             return base
-        weighted = _at_risk_hazard(self._risk, self.provider, np.array([lo, t]), m)[0]
+        weighted = _at_risk_hazard(self._risk, self.population, np.array([lo, t]), m)[0]
         piece = float(self.km_left[m]) * float(weighted / self._risk.pooled_at_risk[m])
         return base + (-piece if which == "cancer" else piece)
 
 
-def crude_probability(rs: RiskSetSummary, provider: PopulationSurvivalProvider) -> CrudeProbabilityEstimate:
+def crude_probability(rs: RiskSetSummary, sp: AnnualGridSurvival) -> CrudeProbabilityEstimate:
     """Real-world probability of dying of cancer, competing mortality kept.
 
     Integrates the pooled Kaplan-Meier curve (left limits) against the
@@ -503,14 +457,15 @@ def crude_probability(rs: RiskSetSummary, provider: PopulationSurvivalProvider) 
     at-risk-averaged population hazard, summed in closed form from the
     yearly hazard rates of the patients at risk (`_at_risk_hazard`).
     """
+    _check_rows(rs, sp)
     na_inc = rs.pooled_deaths / rs.pooled_at_risk
     km_left = np.concatenate(([1.0], np.cumprod(1.0 - na_inc)[:-1]))
-    weighted = _at_risk_hazard(rs, provider, np.concatenate(([0.0], rs.times)))
+    weighted = _at_risk_hazard(rs, sp, np.concatenate(([0.0], rs.times)))
     avg_pop = weighted / rs.pooled_at_risk
     cancer = np.cumsum(km_left * (na_inc - avg_pop))
     other = np.cumsum(km_left * avg_pop)
     iso = np.maximum.accumulate(cancer)
-    return CrudeProbabilityEstimate(rs.times, cancer, other, iso, km_left, rs, provider)
+    return CrudeProbabilityEstimate(rs.times, cancer, other, iso, km_left, rs, sp)
 
 
 def evaluate_at_years(estimate, years) -> list[tuple[float, float]]:

@@ -19,14 +19,9 @@ import numpy as np
 
 from .adjustment import AdjustmentEngine
 from .diagnostics import Diagnostics, log
-from .estimators import (
-    RiskSetSummary,
-    adjusted_population_provider,
-    naive_population_provider,
-    pohar_perme,
-)
+from .estimators import RiskSetSummary, pohar_perme, population_survival
 from .incidence import IncidenceTable
-from .lifetable import LifeTable
+from .lifetable import LifeTable, diagonal_survival
 from .registry import Banding, RegistryFrame
 from .survival_provider import OverallSurvivalProvider
 
@@ -307,7 +302,7 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
     for method in methods:
         with _stage(f"{method}/provider"):
             if method == "naive":
-                provider = naive_population_provider(life_table, cfg.horizon, diagnostics)
+                grid = diagonal_survival(life_table, risk.keys, cfg.horizon, diagnostics).values
             elif method == "adjusted":
                 frame_all = make_registry(cohort, censor_seed, _provider_window(cfg), cfg.censor_max)
                 so = OverallSurvivalProvider.from_registry(
@@ -323,14 +318,13 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
                     life_table, incidence, so,
                     horizon=cfg.horizon, lag_eval=cfg.lag_eval, diagnostics=diagnostics,
                 )
-                provider = adjusted_population_provider(engine)
             else:
                 raise ValueError(f"unknown method {method!r}")
         if method == "adjusted":
             with _stage("adjusted/solve"):
-                engine.solve(risk.keys)
+                grid = engine.solve(risk.keys)
         with _stage(f"{method}/estimate"):
-            estimate = pohar_perme(risk, provider)
+            estimate = pohar_perme(risk, population_survival(grid, diagnostics))
             values[method] = [estimate.survival_at(y) for y in cfg.years]
     return {
         "rep": rep,

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from netadjust.estimators import RiskSetSummary
+from netadjust import estimators
+from netadjust.diagnostics import ensure_diagnostics
+from netadjust.estimators import RiskSetSummary, population_survival
 from netadjust.incidence import IncidenceTable
 from netadjust.io import MAX_AGE, REGISTRY_HEADER, write_rows_csv
-from netadjust.lifetable import LifeTable
+from netadjust.lifetable import LifeTable, diagonal_survival
 from netadjust.registry import RegistryFrame, StratumKey
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
@@ -42,6 +44,39 @@ def flat_incidence(ir, ages=(0, 110), years=(1950, 2070), sexes=("0", "1")):
             for year in range(years[0], years[1] + 1):
                 cells[(age, year, (sex,))] = ir
     return IncidenceTable(cells)
+
+
+class LifeTableSP:
+    """Naive-mode S_P from a life table's diagonals over `horizon` years.
+    `stack(keys)` is the floored stack the estimators read, one row per key
+    in order; `survival_matrix(keys, t)` evaluates it at the times `t` as
+    the estimators do; `grid(keys)` gives the unfloored annual grids."""
+
+    def __init__(self, life_table, horizon=15, diagnostics=None):
+        self.life_table = life_table
+        self.horizon = horizon
+        self.diagnostics = ensure_diagnostics(diagnostics)
+
+    def grid(self, keys) -> np.ndarray:
+        return diagonal_survival(self.life_table, list(keys), self.horizon, self.diagnostics).values
+
+    def stack(self, keys):
+        return population_survival(self.grid(keys), self.diagnostics)
+
+    def survival_matrix(self, keys, t) -> np.ndarray:
+        return estimators._survival(self.stack(keys), None, t)
+
+
+def fit(estimator, rs, source):
+    """`estimator` over the risk set `rs` against `source`'s S_P stack of its strata."""
+    return estimator(rs, source.stack(rs.keys))
+
+
+def clip_guard_counts(cells, keys) -> list[tuple[int, int]]:
+    """Each key's (clip, guard) counts over its solved horizons, from the
+    flags of the `SolvedCells` that solved it."""
+    rows = cells.rows(keys)
+    return list(zip(cells.clipped[rows].sum(axis=1).tolist(), cells.guarded[rows].sum(axis=1).tolist()))
 
 
 class ClosedFormSurvival:

@@ -33,7 +33,9 @@
   `dense_pohar_perme_sums` gives Pohar-Perme's at-risk and death sums;
   `population_cumulative_hazard` evaluates Lambda_P cell by cell, and
   `exact_population_hazard` sums its increments over the at-risk patients
-  in exact rational arithmetic.
+  in exact rational arithmetic.  Their S_P source has `survival_matrix(keys,
+  t)` and `grid(keys)`, as `conftest.LifeTableSP`; Lambda_P is built from
+  the grids floored at `WEIGHT_FLOOR`.
 * `lag_since_diagnosis_increments` and `lag_since_diagnosis_cdf`: the
   prevalent-case diagnosis-lag distribution, read from the prevalence
   recursion's own terms, and its cdf summed from the increments.
@@ -47,16 +49,13 @@ import csv
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from netadjust.adjustment import (
-    R_FLOOR,
-    SP_CLIP_EPS,
-    AdjustedPopulationSurvival,
-    SolverError,
-)
+from netadjust.adjustment import R_FLOOR, SP_CLIP_EPS, SolverError
 from netadjust.diagnostics import Diagnostics, ensure_diagnostics, log
+from netadjust.estimators import WEIGHT_FLOOR
 from netadjust.incidence import (
     IncidenceError,
     IncidenceTable,
@@ -148,6 +147,15 @@ def triangular_cells(ing, keys, diagnostics=None):
     return solved
 
 
+class TriangularCurve(NamedTuple):
+    """S_P of one target cell at t = 0..K, with its own clip and guard counts."""
+
+    origin: StratumKey
+    values: np.ndarray
+    clip_count: int
+    guard_count: int
+
+
 def solve_noncancer_survival_triangular(ing, keys, diagnostics=None):
     """S_P of the target cell with its own clip/guard counts, or a list of
     them for a sequence of targets solved together (each cell they depend
@@ -155,7 +163,7 @@ def solve_noncancer_survival_triangular(ing, keys, diagnostics=None):
     single = isinstance(keys, StratumKey)
     targets = [keys] if single else list(keys)
     solved = triangular_cells(ing, targets, diagnostics)
-    curves = [AdjustedPopulationSurvival(key, *solved[key][:3]) for key in targets]
+    curves = [TriangularCurve(key, *solved[key][:3]) for key in targets]
     return curves[0] if single else curves
 
 
@@ -609,8 +617,7 @@ def dense_pohar_perme(rs: DenseRiskSet, provider):
 
 
 def _floored_grid(provider, keys):
-    grid = np.asarray(provider.grid_fn(list(keys)), dtype=np.float64)
-    return np.maximum(grid, provider.floor)
+    return np.maximum(provider.grid(keys), WEIGHT_FLOOR)
 
 
 def population_cumulative_hazard(provider, keys, t):
@@ -621,7 +628,7 @@ def population_cumulative_hazard(provider, keys, t):
     slopes = np.diff(logs, axis=1)
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     k = np.minimum(np.floor(t).astype(int), slopes.shape[1] - 1)
-    return np.minimum(logs[:, k] + slopes[:, k] * (t - k), -np.log(provider.floor))
+    return np.minimum(logs[:, k] + slopes[:, k] * (t - k), -np.log(WEIGHT_FLOOR))
 
 
 def exact_population_hazard(rs: DenseRiskSet, provider):

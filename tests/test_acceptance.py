@@ -10,14 +10,7 @@ import numpy as np
 import pytest
 
 from netadjust.adjustment import AdjustmentEngine, solve_noncancer_survival
-from netadjust.estimators import (
-    RiskSetSummary,
-    adjusted_population_provider,
-    crude_probability,
-    ederer1,
-    naive_population_provider,
-    pohar_perme,
-)
+from netadjust.estimators import RiskSetSummary, crude_probability, ederer1, pohar_perme, population_survival
 from netadjust.extrapolation import AnnualGridSurvival, extend_survival
 from netadjust.incidence import IncidenceTable, PrevalenceCalculator
 from netadjust.lifetable import diagonal_survival
@@ -36,7 +29,7 @@ from netadjust.simulation import (
 from netadjust.survival_provider import OverallSurvivalProvider
 from netadjust.cli import main as cli_main
 
-from conftest import ClosedFormSurvival, bias, flat_life_table, rmse, toy_frame
+from conftest import ClosedFormSurvival, LifeTableSP, bias, fit, flat_life_table, rmse, toy_frame
 from oracles import (
     fit_exponential_tail,
     lag_since_diagnosis_cdf,
@@ -117,13 +110,14 @@ def test_criterion_4_null_adjustment_identity():
     engine = AdjustmentEngine(lt, IncidenceTable.zero(), ClosedFormSurvival(so), horizon=12)
     grids_equal = all(
         np.array_equal(
-            engine.solve([StratumKey(a, 2000 + a - 60, (s,))])[0].values,
+            engine.solve([StratumKey(a, 2000 + a - 60, (s,))])[0],
             diagonal_survival(lt, [StratumKey(a, 2000 + a - 60, (s,))], 12).values[0],
         )
         for a, s in ((60, "0"), (63, "1"), (66, "1"))
     )
-    adjusted = pohar_perme(RiskSetSummary(frame), adjusted_population_provider(engine))
-    naive = pohar_perme(RiskSetSummary(frame), naive_population_provider(lt, 12))
+    rs = RiskSetSummary(frame)
+    adjusted = pohar_perme(rs, population_survival(engine.solve(rs.keys), engine.diagnostics))
+    naive = fit(pohar_perme, rs, LifeTableSP(lt, 12))
     gaps = [
         abs(adjusted.cumulative_hazard_at(t) - naive.cumulative_hazard_at(t))
         for t in (1.0, 2.0, 5.0, 6.5, 9.0, 11.5)
@@ -141,7 +135,7 @@ def test_criterion_5_solver_oracle():
         ing = SyntheticIngredients(seed)
         a = solve_noncancer_survival(ing, [BASE_KEY])[0]
         b = solve_noncancer_survival_triangular(ing, BASE_KEY)
-        worst = max(worst, float(np.max(np.abs(a.values - b.values))))
+        worst = max(worst, float(np.max(np.abs(a - b.values))))
     ok = worst <= 1e-12
     report(5, "recursion vs triangular solve", ok,
            f"max |difference| over 1000 fuzzed inputs: {worst:.2e}")
@@ -278,7 +272,7 @@ def noncancer_survival_mae(cfg: ScenarioConfig, rep: int, ts=(1.0, 5.0, 10.0)) -
     for key, curve in zip(keys, engine.solve(keys)):
         for t in ts:
             truth = true_noncancer_survival(cfg, key.age, t)
-            errors[t].append(abs(float(curve.values[int(t)]) - truth))
+            errors[t].append(abs(float(curve[int(t)]) - truth))
     return np.array([float(np.mean(errors[t])) for t in ts])
 
 
@@ -313,10 +307,10 @@ def test_criterion_9_estimator_reductions(rng):
         for i, (t, c) in enumerate(zip(times, cens))
     ]
     frame = toy_frame(rows)
-    unit = naive_population_provider(flat_life_table(0.0), 20)
+    unit = LifeTableSP(flat_life_table(0.0), 20)
     na = nelson_aalen(EventTable(frame.time, frame.event))
-    pp = pohar_perme(RiskSetSummary(frame), unit)
-    e1 = ederer1(RiskSetSummary(frame), unit)
+    pp = fit(pohar_perme, RiskSetSummary(frame), unit)
+    e1 = fit(ederer1, RiskSetSummary(frame), unit)
     grid = np.unique(frame.time)
     pp_gap = max(abs(pp.cumulative_hazard_at(t) - na.hazard_at(t)) for t in grid)
     e1_gap = max(abs(e1.cumulative_hazard_at(t) - na.hazard_at(t)) for t in grid)
@@ -325,9 +319,9 @@ def test_criterion_9_estimator_reductions(rng):
         (60, 1990, "0", float(t), bool(e))
         for t, e in zip(rng.exponential(4.0, 25), rng.random(25) < 0.8)
     ])
-    provider = naive_population_provider(flat_life_table(0.06), 25)
-    pp_s = pohar_perme(RiskSetSummary(single), provider)
-    e1_s = ederer1(RiskSetSummary(single), provider)
+    provider = LifeTableSP(flat_life_table(0.06), 25)
+    pp_s = fit(pohar_perme, RiskSetSummary(single), provider)
+    e1_s = fit(ederer1, RiskSetSummary(single), provider)
     collapse_gap = max(
         abs(pp_s.cumulative_hazard_at(t) - e1_s.cumulative_hazard_at(t))
         for t in np.unique(single.time)
@@ -336,7 +330,7 @@ def test_criterion_9_estimator_reductions(rng):
     uncensored = toy_frame([
         (60, 1990, "0", float(t), True) for t in rng.exponential(3.0, 25)
     ])
-    cpd = crude_probability(RiskSetSummary(uncensored), naive_population_provider(flat_life_table(0.0), 25))
+    cpd = fit(crude_probability, RiskSetSummary(uncensored), LifeTableSP(flat_life_table(0.0), 25))
     km = kaplan_meier(EventTable(uncensored.time, uncensored.event))
     cpd_gap = max(
         abs(cpd.value_at(t) - (1.0 - km.survival_at(t))) for t in np.unique(uncensored.time)

@@ -15,18 +15,22 @@ from netadjust.adjustment import (
     solve_noncancer_survival,
 )
 from netadjust.diagnostics import Diagnostics
-from netadjust.estimators import (
-    RiskSetSummary,
-    adjusted_population_provider,
-    naive_population_provider,
-    pohar_perme,
-)
+from netadjust.estimators import RiskSetSummary, pohar_perme, population_survival
 from netadjust.incidence import IncidenceTable, PrevalenceError
 from netadjust.lifetable import LifeTable, diagonal_survival
 from netadjust.registry import StratumKey
 from netadjust.survival_provider import OverallSurvivalProvider
 
-from conftest import ClosedFormSurvival, const_survival, flat_incidence, flat_life_table, toy_frame
+from conftest import (
+    ClosedFormSurvival,
+    LifeTableSP,
+    clip_guard_counts,
+    const_survival,
+    fit,
+    flat_incidence,
+    flat_life_table,
+    toy_frame,
+)
 from oracles import (
     ScalarIngredients,
     ScalarPrevalence,
@@ -87,8 +91,8 @@ class TestSolver:
         key = StratumKey(65, 2000, ("0",))
         curve = engine.solve([key])[0]
         expected = diagonal_survival(lt, [key], 12).values[0]
-        assert np.array_equal(curve.values, expected)
-        assert curve.clip_count == 0 and curve.guard_count == 0
+        assert np.array_equal(curve, expected)
+        assert clip_guard_counts(engine.cells, [key]) == [(0, 0)]
 
     def test_first_step_closed_form(self):
         engine = AdjustmentEngine(
@@ -99,32 +103,35 @@ class TestSolver:
         prev = engine.prevalent_grid([key])[0]
         lt_grid = engine.lt_survival_grid([key])[0]
         expected = (lt_grid[1] - alpha * prev[1]) / (1.0 - alpha)
-        assert engine.solve([key])[0].values[1] == pytest.approx(expected, abs=1e-14)
+        assert engine.solve([key])[0][1] == pytest.approx(expected, abs=1e-14)
 
     def test_recursion_matches_triangular_oracle(self):
         for seed in range(200):
             ing = SyntheticIngredients(seed)
-            a = solve_noncancer_survival(ing, [BASE_KEY])[0]
+            cells = SolvedCells(ing.horizon)
+            a = solve_noncancer_survival(ing, [BASE_KEY], cells=cells)[0]
             b = solve_noncancer_survival_triangular(ing, BASE_KEY)
-            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
-            assert a.clip_count == b.clip_count
-            assert a.guard_count == b.guard_count
+            np.testing.assert_allclose(a, b.values, rtol=0, atol=1e-12)
+            assert clip_guard_counts(cells, [BASE_KEY]) == [(b.clip_count, b.guard_count)]
 
     def test_horizon_one_identical(self):
         ing = SyntheticIngredients(7, horizon=1)
         a = solve_noncancer_survival(ing, [BASE_KEY])[0]
         b = solve_noncancer_survival_triangular(ing, BASE_KEY)
-        assert a.values.shape == (2,)
-        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-15)
+        assert a.shape == (2,)
+        np.testing.assert_allclose(a, b.values, rtol=0, atol=1e-15)
 
     def test_guard_and_clip_counted(self):
         hits = [0, 0]
         for seed in range(120):
-            curve = solve_noncancer_survival(SyntheticIngredients(seed), [BASE_KEY])[0]
-            hits[0] += curve.clip_count
-            hits[1] += curve.guard_count
-            assert np.all(curve.values[1:] <= curve.values[:-1] + 1e-15)
-            assert curve.values.min() >= 1e-9 and curve.values.max() <= 1.0
+            ing = SyntheticIngredients(seed)
+            cells = SolvedCells(ing.horizon)
+            curve = solve_noncancer_survival(ing, [BASE_KEY], cells=cells)[0]
+            (clips, guards), = clip_guard_counts(cells, [BASE_KEY])
+            hits[0] += clips
+            hits[1] += guards
+            assert np.all(curve[1:] <= curve[:-1] + 1e-15)
+            assert curve.min() >= 1e-9 and curve.max() <= 1.0
         assert hits[0] > 0 and hits[1] > 0
 
     def test_small_residual_denominator_is_hard_error(self):
@@ -155,8 +162,8 @@ class TestSolver:
             flat_life_table(0.02), flat_incidence(0.01), const_survival(0.1), horizon=6
         )
         key = StratumKey(62, 2021, ("1",))
-        first = engine.solve([key])[0].values
-        second = engine.solve([key])[0].values
+        first = engine.solve([key])[0]
+        second = engine.solve([key])[0]
         assert np.array_equal(first, second)
 
     def test_residual_export_shape(self):
@@ -183,8 +190,9 @@ class TestNullAdjustmentEstimate:
         diag = Diagnostics()
         engine = AdjustmentEngine(lt, IncidenceTable.zero(), const_survival(0.1),
                                   horizon=12, diagnostics=diag)
-        adjusted = pohar_perme(RiskSetSummary(frame), adjusted_population_provider(engine))
-        naive = pohar_perme(RiskSetSummary(frame), naive_population_provider(lt, 12, diag))
+        rs = RiskSetSummary(frame)
+        adjusted = pohar_perme(rs, population_survival(engine.solve(rs.keys), diag))
+        naive = fit(pohar_perme, rs, LifeTableSP(lt, 12, diag))
         for t in (1.0, 2.0, 5.5, 9.0, 11.0):
             assert adjusted.cumulative_hazard_at(t) == pytest.approx(
                 naive.cumulative_hazard_at(t), abs=1e-12
@@ -247,8 +255,8 @@ class TestRegistryEngine:
         for key in keys:
             got = engine.solve([key])[0]
             want = solve_noncancer_survival_triangular(engine, key)
-            np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
-            assert (got.clip_count, got.guard_count) == (want.clip_count, want.guard_count)
+            np.testing.assert_allclose(got, want.values, rtol=0, atol=1e-12)
+            assert clip_guard_counts(engine.cells, [key]) == [(want.clip_count, want.guard_count)]
             np.testing.assert_allclose(
                 engine.residuals([key])[0], triangular_residuals(engine, key), rtol=0, atol=1e-12
             )
@@ -354,10 +362,11 @@ class TestSweep:
             cells = SolvedCells(ing.horizon)
             for j in (3, 1, 0, 2):
                 key = BASE_KEY.shift(j)
+                fresh_cells = SolvedCells(ing.horizon)
                 shared = solve_noncancer_survival(ing, [key], cells=cells)[0]
-                fresh = solve_noncancer_survival(ing, [key])[0]
-                assert np.array_equal(shared.values, fresh.values)
-                assert (shared.clip_count, shared.guard_count) == (fresh.clip_count, fresh.guard_count)
+                fresh = solve_noncancer_survival(ing, [key], cells=fresh_cells)[0]
+                assert np.array_equal(shared, fresh)
+                assert clip_guard_counts(cells, [key]) == clip_guard_counts(fresh_cells, [key])
 
     def test_reads_only_the_pruned_closure(self):
         # diagnosis mass only at k = 2: the target (age 60) reads cell 62
@@ -430,10 +439,10 @@ class TestDiagonalBatch:
         one = [solve_noncancer_survival(ing, [key], one_diag, one_cells)[0] for key in keys]
         batch_diag, batch_cells = Diagnostics(), SolvedCells(ing.horizon)
         batch = solve_noncancer_survival(ing, keys, batch_diag, batch_cells)
+        assert batch.shape == (len(keys), ing.horizon + 1)
         for a, b in zip(batch, one):
-            assert a.origin == b.origin
-            assert np.array_equal(a.values, b.values)
-            assert (a.clip_count, a.guard_count) == (b.clip_count, b.guard_count)
+            assert np.array_equal(a, b)
+        assert clip_guard_counts(batch_cells, keys) == clip_guard_counts(one_cells, keys)
         assert solved_state(batch_cells) == solved_state(one_cells)
         assert batch_diag.as_dict() == one_diag.as_dict()
 
@@ -442,12 +451,14 @@ class TestDiagonalBatch:
         # it gets a chain of its own, and each solves as it does alone
         ing = SyntheticIngredients(1)
         other = StratumKey(BASE_KEY.age + 1, BASE_KEY.year, BASE_KEY.demographics)
-        together = solve_noncancer_survival(ing, [BASE_KEY, other])
+        cells = SolvedCells(ing.horizon)
+        together = solve_noncancer_survival(ing, [BASE_KEY, other], cells=cells)
+        assert len(together) == 2
         for key, curve in zip((BASE_KEY, other), together):
-            alone = solve_noncancer_survival(ing, [key])[0]
-            assert curve.origin == key
-            assert np.array_equal(curve.values, alone.values)
-            assert (curve.clip_count, curve.guard_count) == (alone.clip_count, alone.guard_count)
+            alone_cells = SolvedCells(ing.horizon)
+            alone = solve_noncancer_survival(ing, [key], cells=alone_cells)[0]
+            assert np.array_equal(curve, alone)
+            assert clip_guard_counts(cells, [key]) == clip_guard_counts(alone_cells, [key])
 
     @pytest.mark.parametrize("lag_eval", ["mid_year", "year_start"])
     def test_engine_batch_equals_one_at_a_time(self, lag_eval):
@@ -456,8 +467,8 @@ class TestDiagonalBatch:
         curves = batched.solve(keys)
         for key, curve in zip(keys, curves):
             alone = single.solve([key])[0]
-            assert np.array_equal(curve.values, alone.values)
-            assert (curve.clip_count, curve.guard_count) == (alone.clip_count, alone.guard_count)
+            assert np.array_equal(curve, alone)
+            assert clip_guard_counts(batched.cells, [key]) == clip_guard_counts(single.cells, [key])
             assert np.array_equal(batched.residuals([key])[0], single.residuals([key])[0])
         assert batch_diag.as_dict() == single_diag.as_dict()
 
@@ -474,7 +485,7 @@ class TestDiagonalBatch:
 
         monkeypatch.setattr(adjustment, "_sweep", counting)
         curves = engine.solve(keys)
-        assert [c.origin for c in curves] == keys
+        assert np.array_equal(curves, engine.cells.values[engine.cells.rows(keys)])
         diagonals = {(k.year - k.age, k.demographics) for k in keys}
         assert len(sweeps) == 1 < len(diagonals) < len(keys)
         assert sorted(sweeps[0]) == sorted(keys)
@@ -545,7 +556,7 @@ class TestBatchAgainstOracles:
         groups = [keys[i:j] for i, j in zip(bounds, bounds[1:])]
         curves = {}
         for group in groups:
-            curves.update((c.origin, c) for c in engine.solve(group))
+            curves.update(zip(group, engine.solve(group)))
         residuals = engine.residuals(keys)
 
         o_life, o_incidence, o_provider, _, o_diag = random_registry_inputs(seed, zero_band)
@@ -553,8 +564,8 @@ class TestBatchAgainstOracles:
         solved = triangular_cells(oracle, keys, o_diag)
         for key, r in zip(keys, residuals):
             values, clips, guards, want_r = solved[key]
-            np.testing.assert_allclose(curves[key].values, values, rtol=0, atol=1e-12)
-            assert (curves[key].clip_count, curves[key].guard_count) == (clips, guards)
+            np.testing.assert_allclose(curves[key], values, rtol=0, atol=1e-12)
+            assert clip_guard_counts(engine.cells, [key]) == [(clips, guards)]
             np.testing.assert_allclose(r, want_r, rtol=0, atol=1e-12)
         assert diag.as_dict() == o_diag.as_dict()
         assert diag.get("incidence_clamp") and diag.get("incidence_missing_cell")

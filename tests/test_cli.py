@@ -90,6 +90,44 @@ class TestEstimate:
                 "--mode", "adjusted", "--out", str(tmp_path / "out"),
             ])
 
+    @pytest.mark.parametrize("mode, flags, message", [
+        ("naive", ["incidence"], "--incidence and --population apply only to --mode adjusted"),
+        ("naive", ["population"], "--incidence and --population apply only to --mode adjusted"),
+        ("adjusted", ["incidence", "population"], "give one of --incidence and --population, not both"),
+    ], ids=["naive-incidence", "naive-population", "adjusted-both"])
+    def test_flags_the_run_would_ignore_are_rejected(self, tmp_path, capsys, mode, flags, message):
+        registry = write_inputs(tmp_path)
+        extra = [arg for name in flags for arg in (f"--{name}", str(tmp_path / f"{name}.csv"))]
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "estimate", "--registry", str(registry),
+                "--lifetable", str(tmp_path / "lifetable.csv"), *extra,
+                "--mode", mode, "--out", str(tmp_path / "out"),
+            ])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_population_stratifies_the_registry_twice(self, tmp_path, monkeypatch):
+        # once for the risk set, whose sizes are the diagnosis counts, and
+        # once inside the overall-survival provider
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return build_strata(*args, **kwargs)
+
+        for module in ("cli", "estimators", "survival_provider"):
+            monkeypatch.setattr(f"netadjust.{module}.build_strata", counting)
+        registry = write_inputs(tmp_path)
+        assert main([
+            "estimate", "--registry", str(registry),
+            "--lifetable", str(tmp_path / "lifetable.csv"),
+            "--population", str(tmp_path / "population.csv"),
+            "--mode", "adjusted", "--horizon", "10", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert len(calls) == 2
+
     def test_adjusted_with_incidence(self, tmp_path):
         registry = write_inputs(tmp_path)
         out = tmp_path / "out"
@@ -280,7 +318,7 @@ class TestAdjust:
         alphas, residuals = engine.alpha(keys), engine.residuals(keys)
         for key, curve, alpha, r in zip(keys, curves, alphas.tolist(), residuals):
             alpha_rows.append({"age": key.age, "year": key.year, "sex": key.demographics[0], "alpha": alpha})
-            for t, value in enumerate(curve.values):
+            for t, value in enumerate(curve):
                 grid_rows.append({"age": key.age, "year": key.year, "sex": key.demographics[0], "t": t, "s_p": value})
             for t, value in enumerate(r, start=1):
                 r_rows.append({"age": key.age, "year": key.year, "sex": key.demographics[0], "t": t, "r": value})
@@ -311,6 +349,22 @@ class TestAdjust:
             "--horizon", "10", "--out", str(tmp_path / "out"),
         ]) == 0
         assert len(calls) == 2
+
+    def test_incidence_and_population_together_rejected(self, tmp_path, capsys):
+        registry = write_inputs(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "adjust", "--registry", str(registry),
+                "--lifetable", str(tmp_path / "lifetable.csv"),
+                "--incidence", str(tmp_path / "incidence.csv"),
+                "--population", str(tmp_path / "population.csv"),
+                "--horizon", "10", "--out", str(tmp_path / "out"),
+            ])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: give one of --incidence and --population, not both"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_jobs_flag_removed(self, tmp_path):
         registry = write_inputs(tmp_path)

@@ -12,17 +12,16 @@ from netadjust.diagnostics import Diagnostics
 from netadjust.estimators import (
     EstimatorError,
     RiskSetSummary,
-    adjusted_population_provider,
     crude_probability,
     ederer1,
     evaluate_at_years,
-    naive_population_provider,
     pohar_perme,
 )
 from netadjust.lifetable import LifeTable
-from netadjust.registry import EventTable, PatientRecord, RegistryFrame, StratumKey, kaplan_meier
+from netadjust.registry import EventTable, PatientRecord, RegistryFrame, StratumKey, build_strata, kaplan_meier
+from netadjust.simulation import ScenarioConfig, run_replicate
 
-from conftest import const_survival, flat_incidence, flat_life_table, toy_frame
+from conftest import LifeTableSP, fit, flat_life_table, toy_frame
 from oracles import (
     DenseRiskSet,
     dense_crude_probability,
@@ -36,7 +35,7 @@ from oracles import (
 
 def unit_provider(horizon=20):
     """S_P identically 1 (a zero-mortality life table)."""
-    return naive_population_provider(flat_life_table(0.0), horizon)
+    return LifeTableSP(flat_life_table(0.0), horizon)
 
 
 def varying_provider(seed=99, horizon=15):
@@ -47,7 +46,7 @@ def varying_provider(seed=99, horizon=15):
         for age in range(55, 90):
             for year in range(1985, 2020):
                 cells[(age, year, (sex,))] = float(gen.uniform(0.005, 0.2))
-    return naive_population_provider(LifeTable(cells, require_complete=False), horizon)
+    return LifeTableSP(LifeTable(cells, require_complete=False), horizon)
 
 
 def mixed_frame(rng, n=40, n_strata=3, censor=8.0):
@@ -66,18 +65,18 @@ def mixed_frame(rng, n=40, n_strata=3, censor=8.0):
 class TestPoharPerme:
     def test_reduces_to_nelson_aalen_when_sp_is_one(self, rng):
         frame = mixed_frame(rng)
-        est = pohar_perme(RiskSetSummary(frame), unit_provider())
+        est = fit(pohar_perme, RiskSetSummary(frame), unit_provider())
         na = nelson_aalen(EventTable(frame.time, frame.event))
         for t in np.unique(frame.time):
             assert est.cumulative_hazard_at(t) == pytest.approx(na.hazard_at(t), abs=1e-12)
 
     def test_survival_at_zero(self, rng):
-        est = pohar_perme(RiskSetSummary(mixed_frame(rng)), unit_provider())
+        est = fit(pohar_perme, RiskSetSummary(mixed_frame(rng)), unit_provider())
         assert est.survival_at(0.0) == 1.0
 
     def test_constant_beyond_support(self, rng):
         frame = mixed_frame(rng)
-        est = pohar_perme(RiskSetSummary(frame), unit_provider())
+        est = fit(pohar_perme, RiskSetSummary(frame), unit_provider())
         last = float(frame.time.max())
         assert est.survival_at(last + 5.0) == est.survival_at(last)
 
@@ -91,7 +90,7 @@ class TestPoharPerme:
         ]
         frame = toy_frame(rows)
         provider = varying_provider()
-        est = pohar_perme(RiskSetSummary(frame), provider)
+        est = fit(pohar_perme, RiskSetSummary(frame), provider)
         keys = [StratumKey(60, 1990, ("0",)), StratumKey(61, 1991, ("1",)),
                 StratumKey(62, 1992, ("0",))]
         subjects = [(keys[0], 2.7), (keys[0], 4.1), (keys[1], 3.3), (keys[2], 5.9)]
@@ -125,7 +124,7 @@ class TestPoharPerme:
         assert any(len(ages) > len(set(ages)) for ages in deaths_at.values())
         assert any(len(set(ages)) > 1 for ages in deaths_at.values())
         provider = varying_provider()
-        est = pohar_perme(RiskSetSummary(toy_frame(rows)), provider)
+        est = fit(pohar_perme, RiskSetSummary(toy_frame(rows)), provider)
 
         def weight(row, u):
             return 1.0 / float(provider.survival_matrix([StratumKey(row[0], row[1], (row[2],))], [u])[0, 0])
@@ -145,21 +144,21 @@ class TestPoharPerme:
     def test_weight_floor_counted(self):
         frame = toy_frame([(60, 1990, "0", 14.0, 1), (60, 1990, "0", 14.5, 0)])
         diag = Diagnostics()
-        provider = naive_population_provider(flat_life_table(0.8), 15, diag)
-        est = pohar_perme(RiskSetSummary(frame), provider)
+        provider = LifeTableSP(flat_life_table(0.8), 15, diag)
+        est = fit(pohar_perme, RiskSetSummary(frame), provider)
         assert np.isfinite(est.cumulative_hazard_at(14.0))
         assert diag.get("weight_floor") > 0
 
     def test_empty_registry(self):
         empty = RegistryFrame([], [], [], [], [], [])
         with pytest.raises(EstimatorError):
-            pohar_perme(RiskSetSummary(empty), unit_provider())
+            fit(pohar_perme, RiskSetSummary(empty), unit_provider())
 
 
 class TestEderer1:
     def test_reduces_to_nelson_aalen_when_hazard_zero(self, rng):
         frame = mixed_frame(rng)
-        est = ederer1(RiskSetSummary(frame), unit_provider())
+        est = fit(ederer1, RiskSetSummary(frame), unit_provider())
         na = nelson_aalen(EventTable(frame.time, frame.event))
         for t in np.unique(frame.time):
             assert est.cumulative_hazard_at(t) == pytest.approx(na.hazard_at(t), abs=1e-12)
@@ -171,8 +170,8 @@ class TestEderer1:
         lam = -math.log(1.0 - q)
         t0 = 3.5
         frame = toy_frame([(60, 1990, "0", t0, 1)])
-        provider = naive_population_provider(flat_life_table(q), 15)
-        est = ederer1(RiskSetSummary(frame), provider)
+        provider = LifeTableSP(flat_life_table(q), 15)
+        est = fit(ederer1, RiskSetSummary(frame), provider)
         for t in (0.5, 2.0, 3.4999, 3.5):
             expected = (1.0 if t >= t0 else 0.0) - lam * t
             assert est.cumulative_hazard_at(t) == pytest.approx(expected, abs=1e-12)
@@ -183,9 +182,9 @@ class TestEderer1:
             for t, e in zip(rng.exponential(4.0, 30), rng.random(30) < 0.7)
         ]
         frame = toy_frame(rows)
-        provider = naive_population_provider(flat_life_table(0.07), 25)
-        pp = pohar_perme(RiskSetSummary(frame), provider)
-        e1 = ederer1(RiskSetSummary(frame), provider)
+        provider = LifeTableSP(flat_life_table(0.07), 25)
+        pp = fit(pohar_perme, RiskSetSummary(frame), provider)
+        e1 = fit(ederer1, RiskSetSummary(frame), provider)
         for t in np.unique(frame.time):
             assert pp.cumulative_hazard_at(t) == pytest.approx(
                 e1.cumulative_hazard_at(t), abs=1e-12
@@ -193,8 +192,8 @@ class TestEderer1:
 
     def test_population_term_matches_riemann(self):
         frame = toy_frame([(60, 1990, "0", 4.0, 1), (64, 1994, "1", 6.0, 0)])
-        provider = naive_population_provider(flat_life_table(0.05), 15)
-        est = ederer1(RiskSetSummary(frame), provider)
+        provider = LifeTableSP(flat_life_table(0.05), 15)
+        est = fit(ederer1, RiskSetSummary(frame), provider)
         keys = [StratumKey(60, 1990, ("0",)), StratumKey(64, 1994, ("1",))]
         t_eval = 3.3
         h = 1e-3
@@ -217,22 +216,22 @@ class TestCrudeProbability:
     def test_equals_one_minus_km_when_population_hazard_zero(self, rng):
         times = rng.exponential(3.0, 25)
         frame = toy_frame([(60, 1990, "0", float(t), True) for t in times])
-        est = crude_probability(RiskSetSummary(frame), unit_provider())
+        est = fit(crude_probability, RiskSetSummary(frame), unit_provider())
         km = kaplan_meier(EventTable(frame.time, frame.event))
         for t in np.unique(frame.time):
             assert est.value_at(t) == pytest.approx(1.0 - km.survival_at(t), abs=1e-12)
 
     def test_no_deaths_gives_negative_diagnostic(self):
         frame = toy_frame([(60, 1990, "0", 5.0, 0), (60, 1990, "0", 7.0, 0)])
-        provider = naive_population_provider(flat_life_table(0.1), 15)
-        est = crude_probability(RiskSetSummary(frame), provider)
+        provider = LifeTableSP(flat_life_table(0.1), 15)
+        est = fit(crude_probability, RiskSetSummary(frame), provider)
         assert est.value_at(7.0) < 0.0
         assert est.value_at(7.0, "other") > 0.0
 
     def test_decomposition_bounded_by_all_cause(self, rng):
         frame = mixed_frame(rng)
-        provider = naive_population_provider(flat_life_table(0.04), 15)
-        est = crude_probability(RiskSetSummary(frame), provider)
+        provider = LifeTableSP(flat_life_table(0.04), 15)
+        est = fit(crude_probability, RiskSetSummary(frame), provider)
         km = kaplan_meier(EventTable(frame.time, frame.event))
         for t in np.unique(frame.time):
             total = est.value_at(t) + est.value_at(t, "other")
@@ -241,8 +240,8 @@ class TestCrudeProbability:
 
     def test_isotonic_copy_monotone(self, rng):
         frame = mixed_frame(rng)
-        provider = naive_population_provider(flat_life_table(0.04), 15)
-        est = crude_probability(RiskSetSummary(frame), provider)
+        provider = LifeTableSP(flat_life_table(0.04), 15)
+        est = fit(crude_probability, RiskSetSummary(frame), provider)
         iso = [est.value_at(t, "cancer_isotonic") for t in np.unique(frame.time)]
         assert np.all(np.diff(iso) >= -1e-15)
 
@@ -256,7 +255,7 @@ def capping_provider(diag, horizon=15):
         (age, year, ("0",)): cohort_q.get(year - age, 0.05)
         for age in range(55, 95) for year in range(1985, 2015)
     }
-    return naive_population_provider(LifeTable(cells, require_complete=False), horizon, diag)
+    return LifeTableSP(LifeTable(cells, require_complete=False), horizon, diag)
 
 
 class TestCrudeProbabilityCap:
@@ -273,9 +272,9 @@ class TestCrudeProbabilityCap:
         diag = Diagnostics()
         provider = capping_provider(diag)
         rs = RiskSetSummary(frame)
-        est = crude_probability(rs, provider)
+        est = fit(crude_probability, rs, provider)
         assert diag.get("weight_floor") > 0
-        _, crossing = provider.hazard_rates(provider.grid_rows(rs.keys))
+        _, crossing = estimators._hazard_rates(provider.stack(rs.keys))
         binds = crossing < rs.times[-1]
         assert binds.sum() == 2 and (crossing[binds] > provider.horizon).all()
 
@@ -307,7 +306,7 @@ class TestCrudeProbabilityMemory:
         frame = mixed_frame(rng, n=80, n_strata=5)
         provider = varying_provider()
         rs = RiskSetSummary(frame)
-        est = crude_probability(rs, provider)
+        est = fit(crude_probability, rs, provider)
         # the pre-allocation form: np.diff with a prepended zero column
         lp = population_cumulative_hazard(provider, rs.keys, rs.times)
         at_risk = DenseRiskSet(frame).at_risk
@@ -323,11 +322,11 @@ class TestCrudeProbabilityMemory:
                 enumerate(zip(ages, years, gen.exponential(5.0, n), gen.random(n) < 0.6))]
         frame = toy_frame(rows)
         provider = varying_provider()
-        provider.survival_matrix(RiskSetSummary(frame).keys, [1.0])   # stack the grids first
+        sp = provider.stack(RiskSetSummary(frame).keys)   # stack the grids first
         tracemalloc.start()
         try:
             rs = RiskSetSummary(frame)
-            crude_probability(rs, provider)
+            crude_probability(rs, sp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -347,7 +346,7 @@ class TestRiskSetSummary:
         last = float(frame.time.max())
         points = [0.0, 0.3, 2.5, *np.unique(frame.time)[::7], last, last + 4.0]
         for estimator in (pohar_perme, ederer1, crude_probability):
-            shared, own = estimator(rs, provider), estimator(own_rs, provider)
+            shared, own = fit(estimator, rs, provider), fit(estimator, own_rs, provider)
             assert shared._risk is rs
             np.testing.assert_array_equal(shared.times, own.times)
             assert [shared.value_at(t) for t in points] == [own.value_at(t) for t in points]
@@ -430,8 +429,8 @@ def check_streamed_against_dense(rows, block_cells):
             end = j1
         assert end == n_times
 
-        pp = pohar_perme(rs, provider)
-        cp = crude_probability(rs, provider)
+        pp = fit(pohar_perme, rs, provider)
+        cp = fit(crude_probability, rs, provider)
         # one count per stratum at risk at each observed time past the grid;
         # the crude probability evaluates no cell
         assert diag.get("grid_extended_eval") == past_grid_cells(dense)
@@ -494,8 +493,8 @@ class TestStreamedEstimators:
         frame = toy_frame(rows)
         provider = varying_provider(horizon=STREAM_HORIZON)
         rs = RiskSetSummary(frame)
-        got = estimators._at_risk_hazard(rs, provider, np.concatenate(([0.0], rs.times)))
-        _, crossing = provider.hazard_rates(provider.grid_rows(rs.keys))
+        got = estimators._at_risk_hazard(rs, provider.stack(rs.keys), np.concatenate(([0.0], rs.times)))
+        _, crossing = estimators._hazard_rates(provider.stack(rs.keys))
         assert (crossing > rs.times[-1]).all()   # the exact sums ignore the cap
         exact = exact_population_hazard(DenseRiskSet(frame), varying_provider(horizon=STREAM_HORIZON))
         for value, want in zip(got.tolist(), exact):
@@ -522,7 +521,7 @@ def forced_moments(frame, provider):
     """Pohar-Perme with every time on the grid taken from the moment sums."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimators, "_moments_pay", lambda rs, rates, first: first > 0)
-        return pohar_perme(RiskSetSummary(frame), provider)
+        return fit(pohar_perme, RiskSetSummary(frame), provider)
 
 
 def check_against_dense(pp, frame, oracle_provider, points):
@@ -548,8 +547,8 @@ class TestMomentSums:
         rs = RiskSetSummary(frame)
         first = on_grid(rs, provider)
         if first:
-            grid_rows = provider.grid_rows(rs.keys)
-            logs, rates = provider._grids.log_values[grid_rows], provider._grids.slopes[grid_rows]
+            sp = provider.stack(rs.keys)
+            logs, rates = sp.log_values, sp.slopes
             denom, denom_prev, weights = estimators._moment_sums(rs, logs, rates, first)
             d = int(np.searchsorted(rs.death_times, first))
             got = (denom, denom_prev, np.bincount(rs.death_times[:d], weights=weights, minlength=first))
@@ -581,7 +580,7 @@ class TestMomentSums:
         calls = moment_calls(monkeypatch)
         provider = varying_provider()
         rs = RiskSetSummary(frame)
-        pp = pohar_perme(rs, provider)
+        pp = fit(pohar_perme, rs, provider)
         assert len(rs.keys) > 500 and calls == [on_grid(rs, provider)] and calls[0] < len(rs.times)
         u = rs.times
         check_against_dense(pp, frame, varying_provider(), [*u[::97], *((u[1:] + u[:-1]) / 2)[::89], 7.5])
@@ -591,7 +590,7 @@ class TestMomentSums:
         rows = [(60 + int(a), 1990 + int(a), "0", float(t), True)
                 for a, t in zip(gen.integers(0, 30, 2600), gen.exponential(5.0, 2600))]
         calls = moment_calls(monkeypatch)
-        pohar_perme(RiskSetSummary(toy_frame(rows)), varying_provider())
+        fit(pohar_perme, RiskSetSummary(toy_frame(rows)), varying_provider())
         assert calls == []
 
     @pytest.mark.parametrize("moments", ["chosen", "forced"])
@@ -604,8 +603,8 @@ class TestMomentSums:
         frame = toy_frame(rows)
         provider = capping_provider(Diagnostics())
         rs = RiskSetSummary(frame)
-        pp = pohar_perme(rs, provider) if moments == "chosen" else forced_moments(frame, provider)
-        _, crossing = provider.hazard_rates(provider.grid_rows(rs.keys))
+        pp = fit(pohar_perme, rs, provider) if moments == "chosen" else forced_moments(frame, provider)
+        _, crossing = estimators._hazard_rates(provider.stack(rs.keys))
         binds = crossing < rs.times[-1]
         assert binds.sum() == 2 and (crossing[binds] > provider.horizon).all()
         u = rs.times
@@ -620,7 +619,7 @@ class TestMomentSums:
         cells = {(age, year, ("0",)): 1.0 if (year - age, age) == (1931, 61) else 0.03
                  for age in range(55, 95) for year in range(1985, 2015)}
         def provider():
-            return naive_population_provider(LifeTable(cells, require_complete=False), 10)
+            return LifeTableSP(LifeTable(cells, require_complete=False), 10)
 
         gen = np.random.default_rng(8)
         rows = [(60 + int(k), 1991 + int(k), "0", float(gen.uniform(0.05, 12.0)), bool(gen.random() < 0.5))
@@ -629,8 +628,8 @@ class TestMomentSums:
         pp_provider = provider()
         rs = RiskSetSummary(frame)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            pp = pohar_perme(rs, pp_provider) if moments == "chosen" else forced_moments(frame, pp_provider)
-        rates, _ = pp_provider.hazard_rates(pp_provider.grid_rows(rs.keys))
+            pp = fit(pohar_perme, rs, pp_provider) if moments == "chosen" else forced_moments(frame, pp_provider)
+        rates, _ = estimators._hazard_rates(pp_provider.stack(rs.keys))
         assert rates.max() == pytest.approx(-math.log(estimators.WEIGHT_FLOOR), rel=1e-15)
         u = rs.times
         check_against_dense(pp, frame, provider(), [*u[::5], 0.5, 1.0, 10.5])
@@ -645,18 +644,15 @@ class TestMomentSums:
 
 class TestProvider:
     def test_integer_consistency(self):
-        provider = naive_population_provider(flat_life_table(0.03), 10)
+        provider = LifeTableSP(flat_life_table(0.03), 10)
         key = StratumKey(70, 2000, ("0",))
-        rates, crossing = provider.hazard_rates(provider.grid_rows([key]))
+        rates, crossing = estimators._hazard_rates(provider.stack([key]))
         assert rates.shape == (1, 10) and crossing[0] > 10
         lam = np.concatenate(([0.0], np.cumsum(rates[0])))
         for t in range(11):
             s = float(provider.survival_matrix([key], [float(t)])[0, 0])
             assert math.exp(-lam[t]) == pytest.approx(s, abs=1e-12)
         assert provider.survival_matrix([key], [0.0])[0, 0] == 1.0
-
-    def test_mode_labels(self):
-        assert naive_population_provider(flat_life_table(0.0), 5).mode == "naive-lifetable"
 
     def test_matrix_rows_equal_per_key_values(self):
         keys = [
@@ -680,38 +676,28 @@ class TestProvider:
         order = [5, 0, 9, 9, 2]
         assert np.array_equal(provider.survival_matrix([keys[i] for i in order], t), sp[order])
 
-    def test_grids_stacked_with_one_call_per_new_batch(self):
-        lt = flat_life_table(0.03)
+    def test_adjusted_provider_solves_all_strata_in_one_call(self, monkeypatch, risk_set_builds):
+        # one study replicate: the adjusted S_P stack is one solve of the risk set's strata
         calls = []
-        provider = naive_population_provider(lt, 10)
-        grid_fn = provider.grid_fn
-        provider.grid_fn = lambda keys: calls.append(list(keys)) or grid_fn(keys)
-        keys = [StratumKey(60 + i, 2000, ("0",)) for i in range(5)]
-        provider.survival_matrix(keys + keys[:2], np.array([1.0, 2.5]))
-        provider.hazard_rates(provider.grid_rows(keys))
-        provider.survival_matrix([keys[3]], [4.0])
-        extra = StratumKey(40, 1990, ("1",))
-        provider.survival_matrix([extra], [4.0])
-        assert calls == [keys, [extra]]
+        solve = AdjustmentEngine.solve
+        monkeypatch.setattr(AdjustmentEngine, "solve",
+                            lambda engine, keys: calls.append(list(keys)) or solve(engine, keys))
+        run_replicate(ScenarioConfig(dataset=1, cohort_size=4000, reps=1), 0, ("adjusted",))
+        assert len(risk_set_builds) == 1
+        assert calls == [list(build_strata(risk_set_builds[0])[0])]
 
-    def test_adjusted_provider_solves_all_strata_in_one_call(self, rng):
-        frame = mixed_frame(rng, n=60, n_strata=4)
-        overall = const_survival(0.1)
-        engine = AdjustmentEngine(flat_life_table(0.02), flat_incidence(0.01), overall, horizon=12)
-        calls = []
-        solve = engine.solve
-        engine.solve = lambda keys: calls.append(list(keys)) or solve(keys)
-        provider = adjusted_population_provider(engine)
-        rs = RiskSetSummary(frame)
+    def test_stack_must_match_the_strata(self, rng):
+        rs = RiskSetSummary(mixed_frame(rng, n_strata=3))
+        sp = LifeTableSP(flat_life_table(0.02)).stack(rs.keys[:-1])
         for estimator in (pohar_perme, ederer1, crude_probability):
-            evaluate_at_years(estimator(rs, provider), [1.5, 3.0, 7.25])
-        assert calls == [rs.keys]
+            with pytest.raises(EstimatorError, match=rf"^S_P stack has {len(rs.keys) - 1} rows for {len(rs.keys)} strata$"):
+                estimator(rs, sp)
 
 
 class TestEvaluateAtYears:
     def test_rows_and_conventions(self, rng):
         frame = mixed_frame(rng)
-        est = pohar_perme(RiskSetSummary(frame), unit_provider())
+        est = fit(pohar_perme, RiskSetSummary(frame), unit_provider())
         rows = evaluate_at_years(est, [0.0, 3.0, 5.0, 7.0, 10.0])
         assert len(rows) == 5
         assert rows[0] == (0.0, 1.0)

@@ -238,8 +238,8 @@ class TestFailedReplicates:
         ("generate_cohort", "generate_cohort"),
         ("derive_tables", "derive_tables"),
         ("risk_set", "RiskSetSummary"),
-        ("naive/provider", "naive_population_provider"),
-        ("adjusted/provider", "adjusted_population_provider"),
+        ("naive/provider", "diagonal_survival"),
+        ("adjusted/provider", "AdjustmentEngine"),
         ("adjusted/estimate", "pohar_perme"),
     ])
     def test_excluded_entry_names_the_stage(self, monkeypatch, stage, target):
