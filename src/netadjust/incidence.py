@@ -204,9 +204,11 @@ class PrevalenceCalculator:
         `lines`) not looked up before: each is looked up, and counted, once."""
         new = self._rows[lines, ages] < 0
         lines, ages = np.unique(np.stack((lines[new], ages[new])), axis=1)
+        diagonals, line = np.unique(lines, return_inverse=True)
         ident = list(self._diagonals)
-        cells = [StratumKey(d, ident[i][0] + d, ident[i][1]) for i, d in zip(lines.tolist(), ages.tolist())]
-        self._rows[lines, ages] = self.table.rows(cells)
+        births = np.array([ident[i][0] for i in diagonals.tolist()], dtype=np.int64)
+        codes = self.table.codes([ident[i][1] for i in diagonals.tolist()])
+        self._rows[lines, ages] = self.table.rows(codes[line], ages, births[line] + ages)
 
     def _extend(self, diags: np.ndarray, reach: np.ndarray) -> None:
         """Read the inputs of each diagonal through age reach - 1, once: one

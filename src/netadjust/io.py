@@ -5,35 +5,56 @@ An input file is read whole and kept by column (`CsvColumns`): columns are
 found by header name in any order, extra columns are ignored, and of a
 repeated name the last wins; blank lines are skipped and not counted in row
 numbers (the header is row 1); a record with fewer fields than the header is
-an error.  An output file is written by column (`write_rows_csv`), with the
-bytes `csv.writer` writes for its rows: a float or int array column is
-formatted in one pass, floats with repr (shortest round-trip), so identical
-runs emit identical bytes.
+an error.  A file with no quote, NUL or U+001C-U+001F separator is parsed
+in one C pass (`np.loadtxt`); the pass declines on any exception or
+warning, and the row reader (`csv.reader`, `int`, `float`) then reads the
+file.  The row reader alone writes every error message.  An output file is
+written by column (`write_rows_csv`), with the bytes `csv.writer` writes for
+its rows: a float or int array column is formatted in one pass, floats with
+repr (shortest round-trip), so identical runs emit identical bytes.
 """
 from __future__ import annotations
 
 import bisect
 import csv
 import hashlib
+import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .registry import MAX_TABLE_CELLS, RegistryFrame
+from .registry import MAX_AGE, MAX_TABLE_CELLS, RegistryFrame
 
 
 class RegistryFormatError(ValueError):
     """Malformed registry CSV."""
 
 
-MAX_AGE = 150                 # oldest age an input row may name
+DTYPES = {int: np.int64, float: np.float64, str: object}   # a column's kind -> its dtype
+# characters that send a file to the row path: a quote and NUL, which
+# `csv.reader` reads apart, and the separators \x1c-\x1f, which numpy's
+# number parsers skip as whitespace but `int` and `float` reject
+UNPARSED = '"\0\x1c\x1d\x1e\x1f'
 
 
 class CsvColumns:
     """The data records of one input CSV, read at once and kept by column
-    under the rules above.
+    under the rules above.  `kinds` maps each column read to int, float or
+    str, in the order the header error names them.
+
+    A file holding none of `UNPARSED`, whose fields all fit `csv`'s field
+    size limit, is read by one structured `np.loadtxt` (`_c_parse`): int64,
+    float64 or object for each header column.  On such text it splits
+    records as `csv.reader` does, and its number parsers accept a subset of
+    what `int` and `float` accept, with the same values.  So any exception
+    or warning it raises (a text it rejects, a record of another width, a
+    file with no data rows) only sends the file to the row path:
+    `csv.reader`, then `int` or `float` per field.  The row path defines
+    every error message; a field text a message needs is read from it on
+    demand (`text`).
 
     The checks stand in for a loop over the records that stops at the first
     fault: each reads only the records before the earliest fault found so
@@ -41,26 +62,74 @@ class CsvColumns:
     record's faults the first check's.  `check_table_extent` raises it.
     """
 
-    def __init__(self, path: Path, names: list[str], error: type[ValueError]):
-        self.file, self.error = path.name, error
-        with path.open(newline="", encoding="utf-8") as fh:
+    def __init__(self, path: Path, kinds: dict[str, type], error: type[ValueError]):
+        self.path, self.file, self.kinds, self.error = path, path.name, kinds, error
+        self._fault, self._texts = None, None
+        self._columns = self._c_parse()
+        if self._columns is None:
+            header, records = self._records()
+            self.n = len(records)   # the records the checks still read
+            fields = np.fromiter(map(len, records), np.intp, len(records))
+            self.reject(fields < len(header), lambda i: (
+                f"missing column {header[fields[i]]!r}: {fields[i]} fields, the header has {len(header)}"))
+            self._texts = self._by_column(header, records[: self.n])
+
+    def _c_parse(self) -> dict[str, np.ndarray] | None:
+        """The columns of `kinds` from one `np.loadtxt` of the whole file,
+        setting `n`, or None where it declines."""
+        try:
+            with self.path.open(newline="", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError:
+            return None
+        block = csv.field_size_limit() // 2   # a field past csv's size limit fills one of these blocks
+        fits = all(any(text.find(c, i, i + block) >= 0 for c in ",\r\n")
+                   for i in range(0, len(text) - block + 1, block))
+        if not fits or any(c in text for c in UNPARSED):
+            return None
+        header = re.split("[\r\n]", text, maxsplit=1)[0].split(",")
+        last = {name: j for j, name in enumerate(header)}
+        if not last.keys() >= self.kinds.keys():
+            return None
+        kind = {last[name]: kind for name, kind in self.kinds.items()}
+        dtype = [(str(j), DTYPES[kind.get(j, str)]) for j in range(len(header))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                table = np.loadtxt(io.StringIO(text, newline=""), dtype=dtype, delimiter=",",
+                                   comments=None, skiprows=1, ndmin=1)
+            except Exception:   # whatever numpy raises, the row path decides the outcome
+                return None
+        self.n = table.shape[0]
+        return {name: table[str(last[name])].copy() for name in self.kinds}
+
+    def _records(self) -> tuple[list[str], list[list[str]]]:
+        """The row path's header and non-blank records, by `csv.reader`."""
+        with self.path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or not set(names).issubset(header):
-                raise error(f"{path.name}: header must contain {names}")
-            records = list(filter(None, reader))
-        self.n, self._fault = len(records), None   # the records the checks still read
-        fields = np.fromiter(map(len, records), np.intp, len(records))
-        self.reject(fields < len(header), lambda i: (
-            f"missing column {header[fields[i]]!r}: {fields[i]} fields, the header has {len(header)}"))
-        columns = dict(zip(header, zip(*records[: self.n])))
-        self.texts = {name: columns.get(name, ()) for name in names}
+            if header is None or not set(self.kinds).issubset(header):
+                raise self.error(f"{self.file}: header must contain {list(self.kinds)}")
+            return header, list(filter(None, reader))
 
-    def parse(self, name: str, convert) -> np.ndarray:
-        """The column converted by `convert` (int or float) to an int64 or
-        float64 array; the first text it rejects, or an int past 64 bits, is
-        a fault."""
-        dtype, texts = np.int64 if convert is int else np.float64, self.texts[name][: self.n]
+    def _by_column(self, header: list[str], records: list[list[str]]) -> dict[str, tuple]:
+        columns = dict(zip(header, zip(*records)))
+        return {name: columns.get(name, ()) for name in self.kinds}
+
+    def text(self, name: str, i: int) -> str:
+        """Record i's field `name` as the row path reads it."""
+        if self._texts is None:
+            self._texts = self._by_column(*self._records())
+        return self._texts[name][i]
+
+    def parse(self, name: str) -> np.ndarray:
+        """The int or float column `name` as an int64 or float64 array; on
+        the row path the first text `int` or `float` rejects, or an int past
+        64 bits, is a fault."""
+        if self._columns is not None:
+            return self._columns[name][: self.n]
+        convert = self.kinds[name]
+        dtype, texts = DTYPES[convert], self._texts[name][: self.n]
         try:
             return np.array(list(map(convert, texts)), dtype)
         except (ValueError, OverflowError):
@@ -69,12 +138,13 @@ class CsvColumns:
                     np.array(convert(text), dtype)
                 except (ValueError, OverflowError) as exc:
                     self.n, self._fault = i, str(exc)
-                    return self.parse(name, convert)
+                    return self.parse(name)
 
     def groups(self, name: str) -> tuple[list[tuple], np.ndarray]:
-        """The column's stripped texts as (demographics, codes): the distinct
-        texts as 1-tuples, first seen first, and each record's index."""
-        texts = list(map(str.strip, self.texts[name][: self.n]))
+        """The str column's stripped texts as (demographics, codes): the
+        distinct texts as 1-tuples, first seen first, and each record's index."""
+        texts = self._texts[name] if self._columns is None else self._columns[name].tolist()
+        texts = list(map(str.strip, texts[: self.n]))
         index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
         return [(text,) for text in index], np.array(list(map(index.__getitem__, texts)), np.int64)
 
@@ -126,14 +196,14 @@ def read_cells(path: Path, value: str, error: type[ValueError], valid, duplicate
     the value parse, the cell is not a duplicate, `valid(values)` holds; then
     `CsvColumns.check_table_extent`.  The messages are formatted with the
     row's age, year, sex, cell (age, year, (sex,)), value and value text."""
-    rows = CsvColumns(path, sorted({"age", "year", "sex", value}), error)
-    ages, years, values = rows.parse("age", int), rows.parse("year", int), rows.parse(value, float)
+    rows = CsvColumns(path, dict(sorted({"age": int, "year": int, "sex": str, value: float}.items())), error)
+    ages, years, values = rows.parse("age"), rows.parse("year"), rows.parse(value)
     demographics, codes = rows.groups("sex")
 
     def describe(message):
         return lambda i: message.format(
             age=ages[i], year=years[i], sex=demographics[codes[i]][0], value=values[i],
-            cell=(int(ages[i]), int(years[i]), demographics[codes[i]]), text=rows.texts[value][i])
+            cell=(int(ages[i]), int(years[i]), demographics[codes[i]]), text=rows.text(value, i))
 
     rows.reject_repeats([codes, ages, years], describe(duplicate))
     with np.errstate(invalid="ignore"):
@@ -151,13 +221,13 @@ def load_registry(path) -> RegistryFrame:
     or 1, time is finite and non-negative; then
     `CsvColumns.check_table_extent`, and the file needs a data row."""
     path = Path(path)
-    rows = CsvColumns(path, REGISTRY_HEADER, RegistryFormatError)
-    ages, years = rows.parse("age_diag", int), rows.parse("year_diag", int)
-    times, events = rows.parse("time", float), rows.parse("event", int)
+    rows = CsvColumns(path, dict(zip(REGISTRY_HEADER, (int, int, str, float, int))), RegistryFormatError)
+    ages, years = rows.parse("age_diag"), rows.parse("year_diag")
+    times, events = rows.parse("time"), rows.parse("event")
     rows.reject((events != 0) & (events != 1), lambda i: "event must be 0 or 1")
     with np.errstate(invalid="ignore"):
         rows.reject(~(np.isfinite(times) & (times >= 0)), lambda i: (
-            f"follow-up time {rows.texts['time'][i]!r} is not a finite non-negative number"))
+            f"follow-up time {rows.text('time', i)!r} is not a finite non-negative number"))
     vocab, codes = rows.groups("sex")
     rows.check_table_extent(ages, years, codes)
     if not ages.size:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics, log
 
+MAX_AGE = 150                 # oldest age an input row or a registry may name
 MAX_TABLE_CELLS = 1 << 22     # cells of the (demographics, age, year) grid an input may span
 
 
@@ -85,7 +86,8 @@ class RegistryFrame:
     """Column-oriented registry (ages, years, demo codes, times, events).
 
     Demographics tuples are interned into a small vocabulary so grouping can
-    be done with integer arrays.
+    be done with integer arrays.  Ages must lie in [0, MAX_AGE] and follow-up
+    times must be finite and non-negative.
     """
 
     def __init__(self, age, year, demo_code, time, event, demo_vocab):
@@ -98,6 +100,9 @@ class RegistryFrame:
         n = self.age.shape[0]
         if not all(a.shape[0] == n for a in (self.year, self.demo_code, self.time, self.event)):
             raise ValueError("registry columns have unequal lengths")
+        bad = np.flatnonzero((self.age < 0) | (self.age > MAX_AGE))
+        if bad.size:
+            raise ValueError(f"age {self.age[bad[0]]} at index {bad[0]} outside [0, {MAX_AGE}]")
         if n and not (np.isfinite(self.time).all() and self.time.min() >= 0):
             raise ValueError("follow-up times in registry must be finite and non-negative")
 

@@ -22,7 +22,7 @@ from .diagnostics import Diagnostics, log
 from .estimators import RiskSetSummary, pohar_perme, population_survival
 from .incidence import IncidenceTable
 from .lifetable import LifeTable, diagonal_survival
-from .registry import Banding, RegistryFrame
+from .registry import MAX_AGE, Banding, RegistryFrame
 from .survival_provider import OverallSurvivalProvider
 
 BASE_EXCESS_HAZARD = 0.1
@@ -208,18 +208,19 @@ def make_registry(
 ) -> RegistryFrame:
     """Registry of diagnosed subjects with uniform censoring on [0, censor_max].
 
-    Censoring times are drawn for every diagnosed subject before windowing,
-    so a windowed registry is exactly the corresponding subset of the full
-    one.  Covariates are (floor(age), birth_year + floor(age), gender).
+    `window` (lo, hi) keeps the diagnoses at ages lo <= t < hi; None keeps
+    every age a registry may hold, 0..MAX_AGE.  Censoring times are drawn
+    for every diagnosed subject before windowing, so a windowed registry is
+    exactly the corresponding subset of the full one.  Covariates are
+    (floor(age), birth_year + floor(age), gender).
     """
     rng = np.random.default_rng(censor_seed)
     diag_idx = np.flatnonzero(cohort.diagnosed)
     censor = rng.uniform(0.0, censor_max, diag_idx.shape[0])
     t_diag = cohort.t_diag[diag_idx]
-    if window is not None:
-        lo, hi = window
-        keep = (t_diag >= lo) & (t_diag < hi)
-        diag_idx, censor, t_diag = diag_idx[keep], censor[keep], t_diag[keep]
+    lo, hi = (0.0, MAX_AGE + 1.0) if window is None else window
+    keep = (t_diag >= lo) & (t_diag < hi)
+    diag_idx, censor, t_diag = diag_idx[keep], censor[keep], t_diag[keep]
     t_death = cohort.time_to_death[diag_idx]
     observed = np.minimum(t_death, censor)
     event = t_death <= censor

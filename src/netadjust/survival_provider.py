@@ -6,9 +6,10 @@ The registry is stratified once: every patient is labelled with its final
 survival query builds every stratum's curve, tail fit and population grid in
 one batch; later queries only evaluate them.
 
-Keys map onto strata by one clip and one gather from a dense (demographics
-x age x year) table: a registry key, merged or not, holds its own stratum,
-any other cell the stratum nearest its clamp into the strata's ranges.
+Cells, as arrays of demographics codes, ages and years, map onto strata by
+one clip and one gather from a dense (demographics x age x year) table: a
+registry key, merged or not, holds its own stratum, any other cell the
+stratum nearest its clamp into the strata's ranges.
 
 `SurvivalLagTable` is the one cache of these values the adjustment reads:
 every stratum's survival evaluated on a shared grid of lags in one call.
@@ -132,16 +133,26 @@ class OverallSurvivalProvider:
             rows[part] = row[np.argmin(best, axis=1)]
         self._rows[g, a, y] = rows
 
-    def lookup(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """Row of the stratum each key resolves to and whether it was clamped
-        (counted as `so_stratum_clamp`); `ProviderError` names demographics no stratum has."""
-        n = len(keys)
-        group = np.fromiter((self._groups.get(k.demographics, -1) for k in keys), np.intp, n)
-        if (group < 0).any():
-            unseen = sorted({k.demographics for k in keys} - set(self._groups))
+    def codes(self, demographics) -> np.ndarray:
+        """`lookup`'s code of each demographics tuple; `ProviderError` names
+        demographics no stratum has."""
+        codes = np.fromiter((self._groups.get(d, -1) for d in demographics), np.intp, len(demographics))
+        if (codes < 0).any():
+            unseen = sorted(set(demographics) - set(self._groups))
             raise ProviderError(f"no strata with demographics {', '.join(map(str, unseen))}")
-        cell = np.array([(k.age, k.year) for k in keys], dtype=np.int64).reshape(n, 2) - self._lo
-        cell = (group, *np.clip(cell, 0, np.array(self._rows.shape[1:]) - 1).T)
+        return codes
+
+    def lookup(self, codes, ages=None, years=None) -> tuple[np.ndarray, np.ndarray]:
+        """Row of the stratum each cell resolves to and whether it was
+        clamped (counted as `so_stratum_clamp`).  The cells are three arrays:
+        demographics codes (`codes`), ages and years; a list of keys alone is
+        converted to them first."""
+        if ages is None:
+            keys = codes
+            codes = self.codes([k.demographics for k in keys])
+            ages, years = np.array([(k.age, k.year) for k in keys], dtype=np.int64).reshape(-1, 2).T
+        cell = np.stack((ages, years), axis=1).astype(np.int64) - self._lo
+        cell = (np.asarray(codes, np.intp), *np.clip(cell, 0, np.array(self._rows.shape[1:]) - 1).T)
         new = self._rows[cell] < 0
         if new.any():
             self._fill(*(c[new] for c in cell))
@@ -223,7 +234,7 @@ class SurvivalLagTable:
 
     def __init__(self, provider: OverallSurvivalProvider, max_lag: int):
         self.survival = provider.survival
-        self.lookup = provider.lookup
+        self.lookup, self.codes = provider.lookup, provider.codes
         self.strata = list(provider.strata)
         self.max_lag = int(max_lag)
         self.lags = 0.5 * np.arange(2 * self.max_lag + 1, dtype=np.float64)
@@ -236,6 +247,6 @@ class SurvivalLagTable:
             self._values = self.survival(self.strata, self.lags)
         return self._values
 
-    def rows(self, keys) -> np.ndarray:
-        """Row of each key's stratum, by the provider's `lookup`."""
-        return self.lookup(keys)[0]
+    def rows(self, *cells) -> np.ndarray:
+        """Row of each cell's stratum, by the provider's `lookup`."""
+        return self.lookup(*cells)[0]

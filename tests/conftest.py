@@ -81,9 +81,9 @@ def clip_guard_counts(cells, keys) -> list[tuple[int, int]]:
 
 class ClosedFormSurvival:
     """A closed-form overall survival `curve(key, times)` in the shape of
-    `OverallSurvivalProvider`: the `strata`, `lookup` and `survival` the
-    survival lag table reads and the `max_age` the prevalence calculator
-    reads.  It has one stratum per age 0..MAX_AGE and demographics, and a
+    `OverallSurvivalProvider`: the `strata`, `codes`, `lookup` and
+    `survival` the survival lag table reads and the `max_age` the
+    prevalence calculator reads.  It has one stratum per age 0..MAX_AGE and demographics, and a
     key reads the stratum of its age (clipped into 0..MAX_AGE) and
     demographics, so `curve` may depend on a key's age and demographics but
     not on its year.  No key is clamped."""
@@ -97,9 +97,15 @@ class ClosedFormSurvival:
             for demo, i in self.groups.items() for age in range(MAX_AGE + 1)
         }
 
-    def lookup(self, keys):
-        rows = [self.groups[k.demographics] * (MAX_AGE + 1) + min(max(k.age, 0), MAX_AGE) for k in keys]
-        return np.array(rows, dtype=np.intp), np.zeros(len(keys), dtype=bool)
+    def codes(self, demographics):
+        return np.array([self.groups[demo] for demo in demographics], dtype=np.intp)
+
+    def lookup(self, codes, ages=None, years=None):
+        if ages is None:
+            keys = codes
+            codes, ages = self.codes([k.demographics for k in keys]), [k.age for k in keys]
+        rows = np.asarray(codes, dtype=np.intp) * (MAX_AGE + 1) + np.clip(ages, 0, MAX_AGE).astype(np.intp)
+        return rows, np.zeros(rows.shape[0], dtype=bool)
 
     def survival(self, keys, times):
         return np.array([self.curve(key, times) for key in keys], dtype=np.float64)

@@ -306,8 +306,11 @@ class TestRegistryEngine:
     def test_clamp_counter_counts_each_clamped_cell_once(self):
         engine, provider, keys, diag = gapped_registry_engine()
         looked_up = []
-        lookup = engine.calc.table.lookup
-        engine.calc.table.lookup = lambda cells: looked_up.extend(cells) or lookup(cells)
+        lookup, demos = engine.calc.table.lookup, sorted({k.demographics for k in provider.strata})
+        demographics = dict(zip(provider.codes(demos).tolist(), demos))
+        engine.calc.table.lookup = lambda codes, ages, years: looked_up.extend(
+            StratumKey(a, y, demographics[c]) for c, a, y in zip(codes.tolist(), ages.tolist(), years.tolist())
+        ) or lookup(codes, ages, years)
         engine.solve(keys)
         engine.residuals(keys)
         engine.alpha(keys)

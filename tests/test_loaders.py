@@ -5,6 +5,7 @@ import csv
 import io
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from netadjust.cli import main
 from netadjust.incidence import IncidenceError, load_counts, load_incidence_table
-from netadjust.io import RegistryFormatError, load_registry
+from netadjust.io import CsvColumns, RegistryFormatError, load_registry
 from netadjust.lifetable import LifeTableError, load_life_table
 
 CELLS = [(age, year, sex) for sex in ("m", "f") for age in (60, 61) for year in (1990, 1991)]
@@ -209,6 +210,7 @@ class TestMatchesRowByRowOracle:
     ("lifetable.csv", ["age,year,q,sex", "60,1990,0.1,m", "", "61,1990,0.1"], "sex"),
     ("incidence.csv", ["age,year,ir,sex", "60,1990,0.01,m", "", "61,1990,0.01"], "sex"),
     ("population.csv", ["age,year,person_years,sex", "60,1990,1000,m", "", "61,1990"], "person_years"),
+    ("registry.csv", ["age_diag,year_diag,time,event,sex", "60,1990,2.0,1,m", "", " \t "], "year_diag"),
 ])
 def test_short_record_names_row_and_column(tmp_path, name, lines, column):
     load, _, error, _, _ = KINDS[name]
@@ -249,3 +251,154 @@ def test_cli_reports_file_and_row(tmp_path_factory, data):
     assert code == 1
     assert re.match(rf"error: {re.escape(name)}:\d+: ", text.strip().splitlines()[-1])
     assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("name, outcome_text", [
+    ("registry.csv", "RegistryFormatError: registry.csv: no data rows"),
+    ("lifetable.csv", "LifeTableError: lifetable.csv: life table has no cells"),
+    ("incidence.csv", "an empty table"),
+    ("population.csv", "{}"),
+])
+@pytest.mark.parametrize("blank", [0, 2])
+def test_header_only_file(tmp_path, name, outcome_text, blank):
+    """A header and no rows (the C parse warns "input contained no data"
+    and declines) keeps the row path's outcome."""
+    load, oracle, _, lines, _ = KINDS[name]
+    write(tmp_path / name, [lines[0]] + [""] * blank)
+    got, got_error = outcome(load, tmp_path / name)
+    want, want_error = outcome(oracle, tmp_path / name)
+    assert (type(got_error), str(got_error)) == (type(want_error), str(want_error))
+    if got_error is not None:
+        assert f"{type(got_error).__name__}: {got_error}" == outcome_text
+    elif name == "incidence.csv":
+        assert got.demographics == [] and got._values.size == 0
+    else:
+        assert repr(got) == outcome_text
+
+
+class TestParsePath:
+    """Which of `CsvColumns`' two readers a file takes."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        taken = []
+        c_parse, records = CsvColumns._c_parse, CsvColumns._records
+        monkeypatch.setattr(CsvColumns, "_c_parse", lambda self: taken.append("c") or c_parse(self))
+        monkeypatch.setattr(CsvColumns, "_records", lambda self: taken.append("rows") or records(self))
+        return taken
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_clean_file_takes_the_c_parse(self, tmp_path, paths, name):
+        load, oracle, _, lines, _ = KINDS[name]
+        write(tmp_path / name, lines)
+        got = load(tmp_path / name)
+        assert paths == ["c"]
+        assert_same_result(got, oracle(tmp_path / name))
+
+    def test_quoted_sex_label_takes_the_row_path(self, tmp_path, paths):
+        load, oracle, _, lines, _ = KINDS["registry.csv"]
+        write(tmp_path / "registry.csv", lines[:2] + ['61,1991,"f",3.5,0'] + lines[3:])
+        got = load(tmp_path / "registry.csv")
+        assert paths == ["c", "rows"]
+        assert_same_result(got, oracle(tmp_path / "registry.csv"))
+        assert got.demo_vocab == [("m",), ("f",)]
+
+    def test_field_past_the_csv_limit_takes_the_row_path(self, tmp_path, paths):
+        """The row path's `csv.Error` for a field longer than
+        `csv.field_size_limit()` is kept, not read past by the C parse."""
+        load, oracle, _, lines, _ = KINDS["registry.csv"]
+        write(tmp_path / "registry.csv", lines[:2] + ["61,1991," + "f" * (csv.field_size_limit() + 1) + ",3.5,0"])
+        got, got_error = outcome(load, tmp_path / "registry.csv")
+        want, want_error = outcome(oracle, tmp_path / "registry.csv")
+        assert paths == ["c", "rows"]
+        assert type(got_error) is type(want_error) is csv.Error and str(got_error) == str(want_error)
+
+    def test_message_text_read_on_demand(self, tmp_path, paths):
+        """A fault found after the C parse (a non-finite time) names the
+        field's text as the row path reads it."""
+        load, _, error, lines, _ = KINDS["registry.csv"]
+        time = "\u2003-inf "
+        write(tmp_path / "registry.csv", lines[:2] + [f"61,1991,f,{time},0"])
+        with pytest.raises(error, match=re.escape(f"registry.csv:3: follow-up time {time!r} is not")):
+            load(tmp_path / "registry.csv")
+        assert paths == ["c", "rows"]
+
+
+# texts both readers accept, and texts at least one of them rejects (or
+# reads as another kind), for the C parse to decline
+INTS = ["1", "60", "1990", "-1", "+5", "-0", "007", "9223372036854775807"]
+FLOATS = INTS + ["2.5", ".5", "1.", "1E5", "nan", "-nan", "-inf", "Infinity", "1e400", "1e-400"]
+NUMBERS = ["1.0", "1e3", "1_0", "\u0663", "9223372036854775808", "", "#1", "0x10", "x", "- 1"]
+LABELS = ["m", "f", " m", "f ", "", "#1", "1.5", "\u00e9", "a b"]
+SPACES = ["", "", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u2028", "\u3000"]
+COLUMNS = {
+    "registry": dict(zip(["age_diag", "year_diag", "sex", "time", "event"], (int, int, str, float, int))),
+    "cells": {"age": int, "q": float, "sex": str, "year": int},
+}
+
+
+@st.composite
+def csv_texts(draw):
+    """(kinds, text): a header of `kinds`' columns in any order, maybe with
+    an extra or a repeated column, then records of number and label texts
+    padded with whitespace, with blank, whitespace-only, long and short
+    lines, ended by LF, CRLF or a lone CR, with or without a final one."""
+    kinds = COLUMNS[draw(st.sampled_from(sorted(COLUMNS)))]
+    header = draw(st.permutations(list(kinds)))
+    header += draw(st.sampled_from([[], ["note"], [draw(st.sampled_from(header))]]))
+    last = {name: j for j, name in enumerate(header)}
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["record"] * 12 + ["blank", "spaces", "long", "short"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append("".join(draw(st.lists(st.sampled_from(SPACES[3:]), min_size=1, max_size=3))))
+        else:
+            fields = []
+            for j, name in enumerate(header):
+                column = kinds.get(name, str) if last[name] == j else str
+                texts = {int: INTS, float: FLOATS, str: LABELS}[column]
+                if column is not str and draw(st.integers(0, 19)) == 0:
+                    texts = NUMBERS + FLOATS
+                text = draw(st.sampled_from(texts))
+                fields.append(draw(st.sampled_from(SPACES)) + text + draw(st.sampled_from(SPACES)))
+            if kind == "long":
+                fields.append("9")
+            elif kind == "short":
+                fields.pop()
+            lines.append(",".join(fields))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return kinds, text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def read_columns(rows, kinds):
+    """Each column of `kinds` as the reader returns it, in order, and the
+    record count and fault left after them."""
+    columns = [rows.groups(name) if kind is str else rows.parse(name) for name, kind in kinds.items()]
+    return columns, rows.n, rows._fault
+
+
+@given(csv_texts())
+@settings(max_examples=300, deadline=None)
+def test_c_parse_and_row_path_agree(tmp_path_factory, case):
+    """Either the C parse declines, or both readers return identical
+    arrays (bit for bit), vocabularies and record counts."""
+    kinds, text = case
+    path = tmp_path_factory.mktemp("paths") / "input.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    fast = CsvColumns(path, kinds, ValueError)
+    if fast._columns is None:
+        return
+    with mock.patch.object(CsvColumns, "_c_parse", lambda self: None):
+        rows = CsvColumns(path, kinds, ValueError)
+    got, n, fault = read_columns(fast, kinds)
+    want, want_n, want_fault = read_columns(rows, kinds)
+    records = len(list(filter(None, csv.reader(io.StringIO(text, newline=""))))) - 1
+    assert (n, fault) == (want_n, want_fault) == (records, None)
+    for a, b in zip(got, want):
+        if isinstance(a, tuple):
+            assert a[0] == b[0] and a[1].tolist() == b[1].tolist()
+        else:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

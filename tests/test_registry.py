@@ -15,6 +15,7 @@ from netadjust.registry import (
     Banding,
     EmptyInputError,
     EventTable,
+    MAX_AGE,
     MAX_TABLE_CELLS,
     PatientRecord,
     RegistryFrame,
@@ -158,6 +159,20 @@ class TestBuildStrata:
             key = keys[label]
             assert (key.age, key.year) == (frame.age[i] // aw * aw, frame.year[i] // yw * yw)
             assert key.demographics == frame.demo_vocab[frame.demo_code[i]]
+
+
+class TestRegistryFrame:
+    @pytest.mark.parametrize("ages, bad", [([60, MAX_AGE + 1, -1], 1), ([-1, 60], 0), ([0, 60, 7 * MAX_AGE], 2)])
+    def test_ages_outside_range_rejected(self, ages, bad):
+        n = len(ages)
+        with pytest.raises(ValueError, match=rf"^age {ages[bad]} at index {bad} outside \[0, {MAX_AGE}\]$"):
+            RegistryFrame(ages, [2000] * n, [0] * n, [1.0] * n, [True] * n, [("m",)])
+
+    def test_ages_at_the_bounds_accepted(self):
+        assert RegistryFrame([0, MAX_AGE], [2000, 2000], [0, 0], [1.0, 1.0], [True, False], [("m",)]).n == 2
+
+    def test_io_reexports_max_age(self):
+        assert netadjust.io.MAX_AGE is MAX_AGE
 
 
 class TestEventTable:
