@@ -11,6 +11,7 @@ microsimulation harness reproduces the accompanying bias/rMSE study.
 from .adjustment import (
     AdjustmentEngine,
     PrevalentCaseSurvival,
+    Solution,
     SolverError,
     prevalent_case_survival,
     solve_noncancer_survival,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .adjustment import AdjustmentEngine
-from .diagnostics import Diagnostics, log
+from .diagnostics import Diagnostics
 from .estimators import (
     RiskSetSummary,
     crude_probability,
@@ -134,7 +134,7 @@ def cmd_estimate(args) -> int:
         sizes = dict(zip(risk.keys, risk.sizes.astype(np.int64).tolist()))
         engine, extra = _adjustment_engine(args, frame, sizes, life_table, diagnostics)
         inputs.update(extra)
-        grid = engine.solve(risk.keys)
+        grid = engine.solve(risk.keys).values
     sp = population_survival(grid, diagnostics)
 
     out = Path(args.out)
@@ -156,6 +156,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_adjust(args) -> int:
+    if args.horizon < 1:
+        raise UsageError("--horizon must be at least 1")
     if args.extrapolation_points < 2:
         raise UsageError("--extrapolation-points must be at least 2")
     _check_incidence_flags(args, True)
@@ -166,8 +168,8 @@ def cmd_adjust(args) -> int:
     life_table = load_life_table(args.lifetable)
     engine, extra = _adjustment_engine(args, frame, sizes, life_table, diagnostics)
     inputs = {"registry": args.registry, "lifetable": args.lifetable, **extra}
-    residuals, alphas = engine.residuals(keys), engine.alpha(keys)   # residuals solves the keys
-    sp = engine.cells.values[engine.cells.rows(keys)]
+    solution = engine.solve(keys)
+    sp, alphas, residuals = solution.values, solution.alpha, engine.residuals(solution)
     n, K = len(keys), engine.horizon
     ages, years = np.array([k.age for k in keys]), np.array([k.year for k in keys])
     sexes = np.array([k.demographics[0] for k in keys], dtype=object)
@@ -297,7 +299,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         parser.error(str(exc))
     except Exception as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

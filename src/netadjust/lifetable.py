@@ -20,7 +20,6 @@ import numpy as np
 
 from .diagnostics import Diagnostics, log
 from .io import read_cells
-from .registry import StratumKey
 
 
 class LifeTableError(ValueError):
@@ -147,9 +146,8 @@ class LifeTable(CellTable):
 @dataclass(frozen=True)
 class DiagonalSurvival:
     """Cohort survival extracted along the diagonal: values at t = 0..K, one
-    row per origin."""
+    row per origin cell."""
 
-    origin: list[StratumKey]
     values: np.ndarray
 
     def __post_init__(self):
@@ -167,7 +165,7 @@ def diagonal_survival(
     key, as a keys x (horizon + 1) array from one gather."""
     q = lt.q_diagonal(keys, horizon, diagnostics)
     values = np.concatenate((np.ones((q.shape[0], 1)), np.cumprod(1.0 - q, axis=1)), axis=1)
-    return DiagonalSurvival(list(keys), values)
+    return DiagonalSurvival(values)
 
 
 def load_life_table(path) -> LifeTable:

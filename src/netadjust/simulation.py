@@ -323,7 +323,7 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
                 raise ValueError(f"unknown method {method!r}")
         if method == "adjusted":
             with _stage("adjusted/solve"):
-                grid = engine.solve(risk.keys)
+                grid = engine.solve(risk.keys).values
         with _stage(f"{method}/estimate"):
             estimate = pohar_perme(risk, population_survival(grid, diagnostics))
             values[method] = [estimate.survival_at(y) for y in cfg.years]

@@ -72,11 +72,10 @@ def fit(estimator, rs, source):
     return estimator(rs, source.stack(rs.keys))
 
 
-def clip_guard_counts(cells, keys) -> list[tuple[int, int]]:
+def clip_guard_counts(solution) -> list[tuple[int, int]]:
     """Each key's (clip, guard) counts over its solved horizons, from the
-    flags of the `SolvedCells` that solved it."""
-    rows = cells.rows(keys)
-    return list(zip(cells.clipped[rows].sum(axis=1).tolist(), cells.guarded[rows].sum(axis=1).tolist()))
+    flags of its `Solution`."""
+    return list(zip(solution.clipped.sum(axis=1).tolist(), solution.guarded.sum(axis=1).tolist()))
 
 
 class ClosedFormSurvival:

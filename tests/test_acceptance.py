@@ -110,13 +110,13 @@ def test_criterion_4_null_adjustment_identity():
     engine = AdjustmentEngine(lt, IncidenceTable.zero(), ClosedFormSurvival(so), horizon=12)
     grids_equal = all(
         np.array_equal(
-            engine.solve([StratumKey(a, 2000 + a - 60, (s,))])[0],
+            engine.solve([StratumKey(a, 2000 + a - 60, (s,))]).values[0],
             diagonal_survival(lt, [StratumKey(a, 2000 + a - 60, (s,))], 12).values[0],
         )
         for a, s in ((60, "0"), (63, "1"), (66, "1"))
     )
     rs = RiskSetSummary(frame)
-    adjusted = pohar_perme(rs, population_survival(engine.solve(rs.keys), engine.diagnostics))
+    adjusted = pohar_perme(rs, population_survival(engine.solve(rs.keys).values, engine.diagnostics))
     naive = fit(pohar_perme, rs, LifeTableSP(lt, 12))
     gaps = [
         abs(adjusted.cumulative_hazard_at(t) - naive.cumulative_hazard_at(t))
@@ -133,7 +133,7 @@ def test_criterion_5_solver_oracle():
     worst = 0.0
     for seed in range(1000, 2000):
         ing = SyntheticIngredients(seed)
-        a = solve_noncancer_survival(ing, [BASE_KEY])[0]
+        a = solve_noncancer_survival(ing, [BASE_KEY]).values[0]
         b = solve_noncancer_survival_triangular(ing, BASE_KEY)
         worst = max(worst, float(np.max(np.abs(a - b.values))))
     ok = worst <= 1e-12
@@ -269,7 +269,7 @@ def noncancer_survival_mae(cfg: ScenarioConfig, rep: int, ts=(1.0, 5.0, 10.0)) -
         StratumKey(age, cfg.birth_year + age, (sex,))
         for age in range(int(lo), int(hi)) for sex in ("0", "1")
     ]
-    for key, curve in zip(keys, engine.solve(keys)):
+    for key, curve in zip(keys, engine.solve(keys).values):
         for t in ts:
             truth = true_noncancer_survival(cfg, key.age, t)
             errors[t].append(abs(float(curve[int(t)]) - truth))

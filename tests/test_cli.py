@@ -13,7 +13,7 @@ import netadjust
 import oracles
 from netadjust.adjustment import AdjustmentEngine
 from netadjust.cli import main
-from netadjust.incidence import load_incidence_table
+from netadjust.incidence import PrevalenceCalculator, load_incidence_table
 from netadjust.io import load_registry
 from netadjust.lifetable import load_life_table
 from netadjust.registry import Banding, build_strata
@@ -232,6 +232,20 @@ class TestEstimate:
         assert code == 1 and "Traceback" not in err
         assert err.splitlines()[-1] == "error: lifetable.csv: missing cell (age=61, year=1991, ('m',))"
 
+    def test_missing_file_is_one_stderr_line(self, tmp_path):
+        # run as a user runs it, so the logging set-up of `main` is the real one
+        registry = write_inputs(tmp_path)
+        src = Path(netadjust.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-m", "netadjust.cli", "estimate", "--registry", str(registry),
+             "--lifetable", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src), "NETADJUST_LOG": "WARNING"},
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: ") and "missing.csv" in out.stderr
+
 
 class TestAdjust:
     def test_exports(self, tmp_path):
@@ -287,6 +301,33 @@ class TestAdjust:
             errors[0],
         )
 
+    def test_one_solve_gives_every_output(self, tmp_path, monkeypatch):
+        # S_P, alpha and r(t) come from one solve: the prevalence recursion
+        # runs once for alpha and once for the prevalent-case survival
+        calls = []
+        recursion = PrevalenceCalculator._recursion
+        monkeypatch.setattr(PrevalenceCalculator, "_recursion",
+                            lambda calc, keys, grids: calls.append(grids) or recursion(calc, keys, grids))
+        registry = write_inputs(tmp_path)
+        assert main([
+            "adjust", "--registry", str(registry),
+            "--lifetable", str(tmp_path / "lifetable.csv"),
+            "--incidence", str(tmp_path / "incidence.csv"),
+            "--horizon", "10", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert calls == [False, True]
+
+    def test_horizon_must_be_positive(self, tmp_path, capsys):
+        registry = write_inputs(tmp_path)
+        with pytest.raises(SystemExit):
+            main([
+                "adjust", "--registry", str(registry),
+                "--lifetable", str(tmp_path / "lifetable.csv"),
+                "--incidence", str(tmp_path / "incidence.csv"),
+                "--horizon", "0", "--out", str(tmp_path / "out"),
+            ])
+        assert "--horizon must be at least 1" in capsys.readouterr().err
+
     def test_label_that_needs_quoting(self, tmp_path):
         # a sex label with a comma and quotes is quoted in all three outputs,
         # byte for byte as csv.writer quotes the old writer's dict rows
@@ -314,8 +355,8 @@ class TestAdjust:
         so = OverallSurvivalProvider.from_registry(frame, Banding(), anchor_points=4, population_floor=life_table)
         engine = AdjustmentEngine(life_table, load_incidence_table(tmp_path / "incidence.csv"), so, horizon=10)
         grid_rows, alpha_rows, r_rows = [], [], []
-        curves = engine.solve(keys)
-        alphas, residuals = engine.alpha(keys), engine.residuals(keys)
+        curves = engine.solve(keys).values
+        alphas, residuals = engine.alpha(keys), engine.solve(keys).residual[:, 1:]
         for key, curve, alpha, r in zip(keys, curves, alphas.tolist(), residuals):
             alpha_rows.append({"age": key.age, "year": key.year, "sex": key.demographics[0], "alpha": alpha})
             for t, value in enumerate(curve):

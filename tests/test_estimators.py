@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from netadjust import estimators
 from netadjust.adjustment import AdjustmentEngine
@@ -367,9 +367,30 @@ class TestRiskSetSummary:
 
 
 STREAM_HORIZON = 8
-# relative error of the crude probability's population term, in units of
-# float64 eps: 1.78 was the worst over 600 registries
-EXACT_ULPS = 4
+UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def at_risk_hazard_error_bound(at_risk: int, years: int) -> Fraction:
+    """Relative error bound of one interval's sum from
+    `estimators._at_risk_hazard`: gamma_m = m u / (1 - m u), u the unit
+    roundoff, for the most roundings m that any one rate x overlap term
+    meets on its way into the sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed. 2002, lemma 3.1 and section 4.2).  A term
+    meets the overlap's subtraction and its product (2); the bincount and
+    reverse cumulative sum that add it to the other rates of the interval,
+    at most `at_risk` of them (at_risk - 1); and two additions into the
+    interval's total per grid year (2 x years).  Every term is
+    non-negative, so the bound is relative to the exact sum."""
+    m = 2 + (at_risk - 1) + 2 * years
+    return m * UNIT_ROUNDOFF / (1 - m * UNIT_ROUNDOFF)
+
+
+# an all-censored registry whose sums lie 4.067 eps from the exact ones,
+# past the 4 eps that a bound fitted to random registries once allowed
+FOUR_ULP_REGISTRY = (
+    [(60, 1998, "0", 0.25, False)] * 3 + [(60, 1998, "0", 1.25, False)] * 15
+    + [(60, 1998, "1", 1.0, False)] * 6 + [(61, 1995, "1", 0.25, False)] * 5
+)
 
 
 @st.composite
@@ -486,6 +507,7 @@ class TestStreamedEstimators:
             check_streamed_against_dense(rows, BLOCK_SIZES[block])
 
     @given(rows=streamed_registries())
+    @example(rows=FOUR_ULP_REGISTRY)
     @settings(max_examples=40, deadline=None)
     def test_population_term_equals_exact_sums(self, rows):
         # each interval's at-risk sum of Lambda_P increments against exact
@@ -494,11 +516,12 @@ class TestStreamedEstimators:
         provider = varying_provider(horizon=STREAM_HORIZON)
         rs = RiskSetSummary(frame)
         got = estimators._at_risk_hazard(rs, provider.stack(rs.keys), np.concatenate(([0.0], rs.times)))
-        _, crossing = estimators._hazard_rates(provider.stack(rs.keys))
+        rates, crossing = estimators._hazard_rates(provider.stack(rs.keys))
         assert (crossing > rs.times[-1]).all()   # the exact sums ignore the cap
         exact = exact_population_hazard(DenseRiskSet(frame), varying_provider(horizon=STREAM_HORIZON))
-        for value, want in zip(got.tolist(), exact):
-            assert abs(Fraction(value) - want) <= EXACT_ULPS * np.finfo(float).eps * want
+        for value, want, at_risk in zip(got.tolist(), exact, rs.pooled_at_risk.tolist()):
+            bound = at_risk_hazard_error_bound(int(at_risk), rates.shape[1])
+            assert abs(Fraction(value) - want) <= bound * want
 
     def test_study_sized_risk_set_is_one_block(self):
         gen = np.random.default_rng(3)
