@@ -116,12 +116,13 @@ def solve_noncancer_survival(
 ) -> Solution:
     """S_P of every key, on any birth-cohort diagonals, in one forward sweep.
 
-    `ing` supplies the inputs: its methods `lt_survival_grid`, `alpha`,
-    `prevalent_grid`, `so_grid` and `diagnosis_mass` each take a sequence of
-    cells and return one row per cell (the grids at t = 0..K, the diagnosis
-    mass at k = 1..K, alpha one value), and `horizon` is the number K of
-    annual steps solved.  `prevalent_grid` is only asked for cells where
-    `alpha` is positive.
+    `ing` supplies the inputs, and `horizon`, the number K of annual steps
+    solved.  `lt_survival_grid` and `diagnosis_mass` each take a sequence
+    of cells and return one row per cell (the grid at t = 0..K, the
+    diagnosis mass at k = 1..K).  `prevalence_inputs(cells, read)` returns
+    alpha of each cell of `cells`, their prevalent-case survival at
+    t = 0..K (a row of 1 where alpha is 0), and the S_O grid at t = 0..K of
+    each cell of `read`, the cells whose S_O the kernels read.
 
     The keys of a diagonal are the roots of one chain of cells, from its
     youngest key through K - 1 cells past its oldest; each root needs
@@ -130,7 +131,8 @@ def solve_noncancer_survival(
     nonzero diagnosis mass, so exactly the (cell, horizon) pairs the forward
     substitution reads are solved.  Masses are fetched in rounds, each for
     the cells found so far to need two or more horizons; every other
-    ingredient is fetched in one call for all cells that need a horizon.
+    ingredient is fetched in one call for all cells that need a horizon,
+    the prevalence inputs before the life-table grid.
     Each step t solves horizon t for every cell that needs it in one array
     expression, and the clip/guard diagnostics count each solved horizon
     once.  Nothing is kept between calls.  With no keys, or K = 0, nothing
@@ -169,23 +171,20 @@ def solve_noncancer_survival(
     # grids their kernels read, one call per ingredient
     needed = np.flatnonzero(need > 0)
     cells = [chain[j] for j in needed.tolist()]
-    alpha, numer = np.zeros(m), np.ones((m, K + 1))
-    alpha[needed] = np.asarray(ing.alpha(cells), dtype=np.float64)
-    numer[needed] = np.asarray(ing.lt_survival_grid(cells), dtype=np.float64)[:, : K + 1]
-    if (alpha >= 1.0).any():
-        j = int(np.argmax(alpha >= 1.0))
-        raise SolverError(f"prevalence {alpha[j]} >= 1 at {chain[j]}")
-    mixed = np.flatnonzero(alpha != 0.0)
-    if mixed.size:
-        prev = np.asarray(ing.prevalent_grid([chain[j] for j in mixed.tolist()]), dtype=np.float64)
-        numer[mixed] = numer[mixed] - alpha[mixed, None] * prev[:, : K + 1]
     lags = np.arange(1, K + 1)
     active = np.flatnonzero(need >= 2)
     src, k = np.nonzero((mass[active] != 0.0) & (lags < need[active, None]))
     read = np.unique(active[src] + lags[k])
-    so = np.ones((m, K + 1))
+    alpha, numer, so = np.zeros(m), np.ones((m, K + 1)), np.ones((m, K + 1))
+    a, prev, s_o = ing.prevalence_inputs(cells, [chain[j] for j in read.tolist()])
+    alpha[needed] = np.asarray(a, dtype=np.float64)
+    numer[needed] = np.asarray(ing.lt_survival_grid(cells), dtype=np.float64)[:, : K + 1]
+    if (alpha >= 1.0).any():
+        j = int(np.argmax(alpha >= 1.0))
+        raise SolverError(f"prevalence {alpha[j]} >= 1 at {chain[j]}")
+    numer[needed] -= alpha[needed, None] * np.asarray(prev, dtype=np.float64)[:, : K + 1]
     if read.size:
-        so[read] = np.asarray(ing.so_grid([chain[j] for j in read.tolist()]), dtype=np.float64)[:, : K + 1]
+        so[read] = np.asarray(s_o, dtype=np.float64)[:, : K + 1]
 
     sp, residual = np.ones((m, K + 1)), np.ones((m, K + 1))
     clipped, guarded = np.zeros((m, K + 1), dtype=bool), np.zeros((m, K + 1), dtype=bool)
@@ -223,9 +222,11 @@ class AdjustmentEngine:
     Wires the prevalence recursion, the diagnosis-mass products, and the
     diagonal survival into the solver; each ingredient method takes a
     sequence of keys and returns one row per key.  Overall survival is read
-    only from the prevalence calculator's lag table, and each cell's
-    stratum is looked up once per engine; a run solves its keys in one
-    `solve`.
+    only from the prevalence calculator's lag table.  A `solve` runs the
+    prevalence recursion once (`prevalence_inputs`), looking each cell's
+    stratum up once, and keeps nothing; a run solves its keys in one
+    `solve`.  `alpha`, `prevalent_grid` and `so_grid` are one-shot reads of
+    the same quantities, for checking the engine cell by cell.
     """
 
     def __init__(
@@ -248,6 +249,17 @@ class AdjustmentEngine:
     def lt_survival_grid(self, keys) -> np.ndarray:
         return diagonal_survival(self.life_table, keys, self.horizon, self.diagnostics).values
 
+    def prevalence_inputs(self, keys, read):
+        """alpha and the prevalent-case survival of each cell of `keys` (a
+        row of 1 where alpha is 0), and the S_O grid of each cell of `read`,
+        from one pass of the prevalence recursion."""
+        alpha, mixture, rows = self.calc.recursion(keys, read)
+        return alpha, prevalent_case_survival(mixture).values, self._so(rows)
+
+    def _so(self, rows) -> np.ndarray:
+        """S_O at integer lags 0..K: the even columns of the table rows."""
+        return self.calc.table.values[rows, : 2 * self.horizon + 1 : 2]
+
     def alpha(self, keys):
         return self.calc.prevalence(keys)
 
@@ -255,8 +267,7 @@ class AdjustmentEngine:
         return prevalent_case_survival(self.calc.prevalent_survival(keys)).values
 
     def so_grid(self, keys) -> np.ndarray:
-        """S_O at integer lags 0..K: the even columns of each key's table row."""
-        return self.calc.table.values[self.calc.rows(keys), : 2 * self.horizon + 1 : 2]
+        return self._so(self.calc.table.rows(keys))
 
     def diagnosis_mass(self, keys) -> np.ndarray:
         return time_to_diagnosis_increments(self.incidence, keys, self.horizon, self.diagnostics)

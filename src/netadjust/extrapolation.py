@@ -62,8 +62,6 @@ class ExtendedSurvival:
         out = np.where(t <= tau, base_vals, tail)
         return out if out.ndim else float(out)
 
-    __call__ = survival_at
-
 
 def extend_survival(
     curve: StepSurvivalCurve,

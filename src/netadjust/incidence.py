@@ -13,9 +13,10 @@ the life-table adjustment:
   F(t) = 1 - prod_{s<t} (1 - IR(a+s)).
 
 Each cell depends only on strictly earlier cells of its birth-cohort
-diagonal, so the recursion steps through the ages once for all diagonals
-together, reading each diagonal's inputs once; every overall-survival value
-it reads comes from one lag table, evaluated once per diagnosis stratum.
+diagonal, so one pass of the recursion steps through the ages once for all
+diagonals together, reading each diagonal's inputs once, and keeps nothing
+between passes; every overall-survival value it reads comes from one lag
+table, evaluated once per diagnosis stratum.
 """
 from __future__ import annotations
 
@@ -134,8 +135,10 @@ class PrevalenceCalculator:
     `SurvivalLagTable` covering cells up to `max_age` and horizons up to
     `horizon` (lags up to their sum).  `max_age` is the oldest cell the
     solver reaches from a registry stratum (its oldest age plus
-    horizon - 1), so no lag past what a solve can read is evaluated.  Each
-    cell's stratum is looked up once (`rows`).
+    horizon - 1), so no lag past what a solve can read is evaluated.
+    `recursion` is one pass for a set of cells, looking each cell's stratum
+    up once; `prevalence` and `prevalent_survival` are one-pass reads of
+    its outputs.  Only the lag table is kept between calls.
     `lag_eval` picks where within the diagnosis year the survival curve is
     read: "year_start" uses the full integer lag, "mid_year" shifts the
     evaluation point back half a year.
@@ -159,18 +162,25 @@ class PrevalenceCalculator:
         self.horizon = int(horizon)
         self.max_age = overall_survival.max_age + self.horizon - 1
         self.table = SurvivalLagTable(overall_survival, self.max_age + self.horizon)
-        # the inputs of each diagonal (birth year, demographics) over ages
-        # 0..max_age, read once and extended when an older cell is asked for:
-        # IR(d), the lag-table row of the age-d diagnosis stratum (both for
-        # d < known) and the cohort survival from age 0 (through known)
-        self._diagonals: dict[tuple[int, tuple], int] = {}
-        self._known = np.zeros(0, dtype=np.intp)
-        self._ir = np.zeros((0, self.max_age + 1))
-        self._surv = np.ones((0, self.max_age + 1))
-        self._rows = np.zeros((0, self.max_age + 1), dtype=np.intp)
 
-    def _locate(self, keys) -> np.ndarray:
-        """Diagonal of each key, adding the diagonals not seen before."""
+    def recursion(self, keys, read=()):
+        """One pass of the recursion over the keys' diagonals, keeping
+        nothing between calls: alpha at each key's cell, each key's
+        prevalent mixture at t = 0..horizon (a row of 1 where alpha is 0)
+        and the lag-table row of each `read` cell's stratum.
+
+        Each diagonal's IR and life-table q are read from age 0 through its
+        oldest key, one gather each, and the strata of those diagnosis cells
+        and of the `read` cells are looked up, and counted, once in one
+        call.  The recursion then takes one step per age for all the
+        diagonals together.  C[i, m] accumulates irga(d) * S_O(m - d |
+        diagnosed at d) over the ages d stepped so far on diagonal i, irga(d)
+        being IR(d) times the fraction undiagnosed, 1 - alpha(d), times the
+        cohort survival to d.  At step a, before age a is added, alpha(a) =
+        C[i, a] / survival to a, and C[i, a + t] / (survival to a * alpha(a))
+        is the prevalent cases' survival to horizon t.
+        """
+        keys, read = list(keys), list(read)
         for key in keys:
             if key.age < 0:
                 raise ValueError("prevalence needs age >= 0")
@@ -178,92 +188,43 @@ class PrevalenceCalculator:
                 raise PrevalenceError(
                     f"cell {key} is older than the {self.max_age} years the survival lag table covers"
                 )
-        diagonals = self._diagonals
-        index = np.array(
-            [diagonals.setdefault((k.year - k.age, k.demographics), len(diagonals)) for k in keys],
-            dtype=np.intp,
-        )
-        new = len(diagonals) - self._known.shape[0]
-        if new:
-            width = self.max_age + 1
-            self._known = np.concatenate((self._known, np.zeros(new, dtype=np.intp)))
-            self._ir = np.concatenate((self._ir, np.zeros((new, width))))
-            self._surv = np.concatenate((self._surv, np.ones((new, width))))
-            self._rows = np.concatenate((self._rows, np.full((new, width), -1, dtype=np.intp)))  # -1: not looked up
-        return index
-
-    def rows(self, keys) -> np.ndarray:
-        """Lag-table row of each cell's stratum."""
-        lines = self._locate(keys)
+        index: dict[tuple[int, tuple], int] = {}
+        line = np.array([index.setdefault((k.year - k.age, k.demographics), len(index)) for k in keys],
+                        dtype=np.intp)
+        ident = list(index)
         ages = np.fromiter((k.age for k in keys), np.intp, len(keys))
-        self._look_up(lines, ages)
-        return self._rows[lines, ages]
-
-    def _look_up(self, lines: np.ndarray, ages: np.ndarray) -> None:
-        """Look up, in one call, the rows of the cells (`ages` on diagonals
-        `lines`) not looked up before: each is looked up, and counted, once."""
-        new = self._rows[lines, ages] < 0
-        lines, ages = np.unique(np.stack((lines[new], ages[new])), axis=1)
-        diagonals, line = np.unique(lines, return_inverse=True)
-        ident = list(self._diagonals)
-        births = np.array([ident[i][0] for i in diagonals.tolist()], dtype=np.int64)
-        codes = self.table.codes([ident[i][1] for i in diagonals.tolist()])
-        self._rows[lines, ages] = self.table.rows(codes[line], ages, births[line] + ages)
-
-    def _extend(self, diags: np.ndarray, reach: np.ndarray) -> None:
-        """Read the inputs of each diagonal through age reach - 1, once: one
-        IR gather, one life-table gather and one lag-table row lookup for the
-        ages not read before."""
-        grow = reach > self._known[diags]
-        if not grow.any():
-            return
-        diags, reach = diags[grow], reach[grow]
-        start = self._known[diags]
-        count = reach - start
-        ident = list(self._diagonals)
-        starts = [
-            StratumKey(int(a), ident[i][0] + int(a), ident[i][1])
-            for i, a in zip(diags.tolist(), start.tolist())
-        ]
-        ir = self.incidence.ir_diagonal(starts, count, self.diagnostics)
-        q = self.life_table.q_diagonal(starts, count, self.diagnostics)
-        ages = start[:, None] + np.arange(ir.shape[1])
-        used = ages < reach[:, None]
-        lines = np.broadcast_to(diags[:, None], ages.shape)[used]
-        self._ir[lines, ages[used]] = ir[used]
-        self._look_up(lines, ages[used])
-        # survival to d + 1 = survival to d times (1 - q(d)), multiplied in age order
-        surv = np.cumprod(np.column_stack((self._surv[diags, start], 1.0 - q)), axis=1)[:, 1:]
-        self._surv[lines, ages[used] + 1] = surv[used]
-        self._known[diags] = reach
-
-    def _recursion(self, keys, grids: bool):
-        """alpha at each key's cell, and with `grids` the prevalent-case
-        survival at t = 0..horizon, with one step per age for all the keys'
-        diagonals together.
-
-        C[i, m] accumulates irga(d) * S_O(m - d | diagnosed at d) over the
-        ages d stepped so far on diagonal i, irga(d) being IR(d) times the
-        fraction undiagnosed, 1 - alpha(d), times the cohort survival to d.
-        At step a, before age a is added, alpha(a) = C[i, a] / survival to a,
-        and C[i, a + t] is the numerator of the prevalent cases' survival to
-        horizon t.
-        """
-        index = self._locate(keys)
-        ages = np.fromiter((k.age for k in keys), np.intp, len(keys))
-        diags, line = np.unique(index, return_inverse=True)
-        line = line.reshape(-1)
-        reach = np.zeros(diags.shape[0], dtype=np.intp)
+        reach = np.zeros(len(ident), dtype=np.intp)
         np.maximum.at(reach, line, ages)
-        self._extend(diags, reach)
-        top = int(reach.max()) if reach.size else 0
-        K = self.horizon if grids else 0
+        top, K = int(reach.max(initial=0)), self.horizon
+        starts = [StratumKey(0, yob, demo) for yob, demo in ident]
+        ir = self.incidence.ir_diagonal(starts, reach, self.diagnostics)
+        q = self.life_table.q_diagonal(starts, reach, self.diagnostics)
+        # survival to d + 1 = survival to d times (1 - q(d)), multiplied in age order
+        surv = np.cumprod(np.column_stack((np.ones(len(ident)), 1.0 - q)), axis=1)
+
+        # the strata of the diagnosis cells (age d < reach on each diagonal)
+        # and of the read cells, looked up in one call
+        births = np.array([yob for yob, _ in ident], dtype=np.int64)
+        codes = self.table.codes([demo for _, demo in ident])
+        diagonal, age = np.nonzero(np.arange(top) < reach[:, None])
+        cells = np.stack((
+            np.concatenate((codes[diagonal], self.table.codes([k.demographics for k in read]))),
+            np.concatenate((age, np.fromiter((k.age for k in read), np.intp, len(read)))),
+            np.concatenate((births[diagonal] + age, np.fromiter((k.year for k in read), np.int64, len(read)))),
+        ))
+        # one integer per cell, so that the union is one 1-d unique
+        shifted = cells - cells.min(axis=1, keepdims=True, initial=0)
+        _, first, inverse = np.unique(np.ravel_multi_index(shifted, shifted.max(axis=1, initial=0) + 1),
+                                      return_index=True, return_inverse=True)
+        found = self.table.rows(*cells[:, first])[inverse.reshape(-1)]
+        rows = np.zeros((len(ident), top), dtype=np.intp)
+        rows[diagonal, age] = found[: diagonal.size]
+
         table = self.table.values
         lags = 2 * np.arange(1, top + K + 1) - self.offset   # table column of lag 1, 2, ...
-        ir, surv, rows = self._ir[diags, :top], self._surv[diags, : top + 1], self._rows[diags, :top]
-        alpha = np.zeros((diags.shape[0], top + 1))
-        C = np.zeros((diags.shape[0], top + K + 1))
-        numer = np.empty((len(keys), K + 1)) if grids else None
+        alpha = np.zeros((len(ident), top + 1))
+        C = np.zeros((len(ident), top + K + 1))
+        numer = np.empty((len(keys), K + 1))
         order = np.argsort(ages, kind="stable")
         bounds = np.searchsorted(ages[order], np.arange(top + 2))
         for a in range(top + 1):
@@ -271,7 +232,7 @@ class PrevalenceCalculator:
                 live = reach >= a
                 extinct = live & (surv[:, a] <= 0.0)
                 if extinct.any():
-                    yob, demo = list(self._diagonals)[int(diags[extinct.argmax()])]
+                    yob, demo = ident[int(extinct.argmax())]
                     raise PrevalenceError(
                         f"life-table cohort extinct at age {a} on diagonal "
                         f"(birth year {yob}, {demo}); prevalence undefined"
@@ -279,35 +240,36 @@ class PrevalenceCalculator:
                 np.divide(C[:, a], surv[:, a], out=alpha[:, a], where=live)
                 over = live & (alpha[:, a] >= 1.0)
                 if over.any():
-                    yob, demo = list(self._diagonals)[int(diags[over.argmax()])]
+                    yob, demo = ident[int(over.argmax())]
                     raise PrevalenceError(
                         f"prevalence {alpha[over.argmax(), a]:.6f} >= 1 at age {a} on diagonal "
                         f"(birth year {yob}, {demo}); incidence and survival inputs disagree"
                     )
-            if grids:
-                at = order[bounds[a] : bounds[a + 1]]
-                numer[at] = C[line[at], a : a + K + 1]
+            at = order[bounds[a] : bounds[a + 1]]
+            numer[at] = C[line[at], a : a + K + 1]
             if a < top:
                 irga = ir[:, a] * (1.0 - alpha[:, a]) * surv[:, a]
                 C[:, a + 1 :] += irga[:, None] * table[rows[:, a, None], lags[: top + K - a]]
         values = alpha[line, ages]
-        if not grids:
-            return values
-        if (values <= 0.0).any():
-            key = keys[int((values <= 0.0).argmax())]
-            raise PrevalenceError(f"prevalent mixture undefined at {key}: prevalence is 0")
-        return numer / (surv[line, ages] * values)[:, None]
+        mixture = np.ones((len(keys), K + 1))
+        np.divide(numer, (surv[line, ages] * values)[:, None], out=mixture, where=values[:, None] > 0.0)
+        return values, mixture, found[diagonal.size :]
 
     def prevalence(self, keys) -> np.ndarray:
         """alpha at each key's cell."""
-        return self._recursion(list(keys), False)
+        return self.recursion(keys)[0]
 
     def prevalent_survival(self, keys) -> np.ndarray:
         """Survival of the prevalent cases from each key's cell date at
         t = 0..horizon, a keys x (horizon + 1) array: the recursion's lag-s
         diagnosis mass times the survival from that diagnosis to s + t, over
         alpha; 1 at t = 0 up to rounding."""
-        return self._recursion(list(keys), True)
+        keys = list(keys)
+        alpha, mixture, _ = self.recursion(keys)
+        if (alpha <= 0.0).any():
+            key = keys[int((alpha <= 0.0).argmax())]
+            raise PrevalenceError(f"prevalent mixture undefined at {key}: prevalence is 0")
+        return mixture
 
 
 def load_incidence_table(path) -> IncidenceTable:

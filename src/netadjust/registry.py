@@ -367,8 +367,6 @@ class StepSurvivalCurve:
         out[hit] = self.jump_times[first_zero[hit]]
         return out
 
-    __call__ = survival_at
-
 
 def kaplan_meier(table: EventTable) -> StepSurvivalCurve:
     """Product-limit curve of each stratum of an event table (jumps at death

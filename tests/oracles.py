@@ -8,7 +8,8 @@
   time, as a dot product per age, with the per-cell lag-weight vector and
   survival-from-diagnosis matrix of the prevalent cases;
   `ScalarIngredients` feeds it and the other one-cell solver inputs to the
-  triangular solver.
+  triangular solver; `prevalence_inputs_from_views` builds the solver's
+  one prevalence call from a bundle's one-cell views.
 * `ir_at` and `q_at`: one incidence rate and one death probability,
   clamped and counted as the tables' diagonal gathers do.
 * `merge_small_strata_reference`: the plain rescanning stratum merger, which
@@ -325,6 +326,20 @@ class ScalarPrevalence:
         return values
 
 
+def prevalence_inputs_from_views(ing, cells, read):
+    """The solver's `prevalence_inputs(cells, read)` from an ingredient
+    bundle's one-cell views: `alpha` of the cells, `prevalent_grid` of those
+    with nonzero alpha (a row of 1 for the others) and `so_grid` of the
+    read cells (not called when there are none)."""
+    alpha = np.asarray(ing.alpha(cells), dtype=np.float64)
+    prev = np.ones((len(cells), ing.horizon + 1))
+    mixed = np.flatnonzero(alpha != 0.0)
+    if mixed.size:
+        prev[mixed] = ing.prevalent_grid([cells[i] for i in mixed.tolist()])
+    so = ing.so_grid(read) if read else np.ones((0, ing.horizon + 1))
+    return alpha, prev, so
+
+
 class ScalarIngredients:
     """Solver inputs computed one cell at a time, independently of
     `AdjustmentEngine`: alpha and the prevalent-case survival from
@@ -383,6 +398,8 @@ class ScalarIngredients:
 
     def so_grid(self, keys):
         return self._each("so", keys, self._so)
+
+    prevalence_inputs = prevalence_inputs_from_views
 
     def diagnosis_mass(self, keys):
         return self._each("mass", keys, self._mass)

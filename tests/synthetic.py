@@ -3,6 +3,8 @@ import numpy as np
 
 from netadjust.registry import StratumKey
 
+from oracles import prevalence_inputs_from_views
+
 
 class SyntheticIngredients:
     """Random per-cell grids, generated lazily, one row per cell asked for.
@@ -52,6 +54,8 @@ class SyntheticIngredients:
 
     def so_grid(self, keys):
         return self._stack(keys, "so")
+
+    prevalence_inputs = prevalence_inputs_from_views
 
     def diagnosis_mass(self, keys):
         return self._stack(keys, "mass")

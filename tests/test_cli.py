@@ -303,11 +303,11 @@ class TestAdjust:
 
     def test_one_solve_gives_every_output(self, tmp_path, monkeypatch):
         # S_P, alpha and r(t) come from one solve: the prevalence recursion
-        # runs once for alpha and once for the prevalent-case survival
+        # runs once, for alpha, the prevalent-case survival and the S_O rows
         calls = []
-        recursion = PrevalenceCalculator._recursion
-        monkeypatch.setattr(PrevalenceCalculator, "_recursion",
-                            lambda calc, keys, grids: calls.append(grids) or recursion(calc, keys, grids))
+        recursion = PrevalenceCalculator.recursion
+        monkeypatch.setattr(PrevalenceCalculator, "recursion",
+                            lambda calc, keys, read=(): calls.append(bool(read)) or recursion(calc, keys, read))
         registry = write_inputs(tmp_path)
         assert main([
             "adjust", "--registry", str(registry),
@@ -315,7 +315,7 @@ class TestAdjust:
             "--incidence", str(tmp_path / "incidence.csv"),
             "--horizon", "10", "--out", str(tmp_path / "out"),
         ]) == 0
-        assert calls == [False, True]
+        assert calls == [True]
 
     def test_horizon_must_be_positive(self, tmp_path, capsys):
         registry = write_inputs(tmp_path)

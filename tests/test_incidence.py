@@ -87,15 +87,13 @@ class TestDiagonalGather:
     @pytest.mark.parametrize("sex", ["0", "1", "x"])
     def test_prevalence_counts_each_step_once(self, sex):
         # the recursion reads IR(d) for d = 0..age-1 along the diagonal once,
-        # extending it when an older cell is asked for
+        # through the oldest cell asked for
         calc = PrevalenceCalculator(
             GAPPED, const_survival(0.1, demographics=(("0",), ("1",), ("x",))),
             flat_life_table(0.01, years=(1900, 2070), sexes=("0", "1", "x")),
         )
         want = Diagnostics()
-        for age in (20, 45, 70):
-            key = StratumKey(age, 1950 + age, (sex,))
-            calc.prevalence([key])
+        calc.prevalence([StratumKey(age, 1950 + age, (sex,)) for age in (20, 45, 70)])
         ir_reference(GAPPED_CELLS, StratumKey(0, 1950, (sex,)), 70, want)
         got = {k: v for k, v in calc.diagnostics.as_dict().items() if k.startswith("incidence")}
         assert got == want.as_dict()
