@@ -19,8 +19,8 @@ vanishing at k = t.  r(1) = 1, so the system solves by forward substitution;
 the shifted cells' S_P values enter at strictly smaller horizons.
 
 A cell (a, y) is linked only to cells (a+k, y+k) of its own birth-cohort
-diagonal.  `solve_noncancer_survival` lays the requested keys out as one
-chain of cells per diagonal and concatenates the chains.  It first finds
+diagonal.  `solve_noncancer_survival` lays the requested cells out as one
+chain of cells per diagonal, in concatenated integer arrays.  It first finds
 which horizons each cell needs (the union of the roots' dependency
 closures, pruned where dF_k = 0), then fetches every needed cell's inputs
 with one call per ingredient, then steps t = 1..K forward once, solving
@@ -31,14 +31,13 @@ the same sweep as one `Solution`, and keeps nothing between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics
 from .incidence import IncidenceTable, PrevalenceCalculator, time_to_diagnosis_increments
 from .lifetable import LifeTable, diagonal_survival
-from .registry import StratumKey
+from .registry import cell_key, diagonals
 
 SP_CLIP_EPS = 1e-9
 R_FLOOR = 1e-6
@@ -78,7 +77,7 @@ def prevalent_case_survival(mixture: np.ndarray) -> PrevalentCaseSurvival:
 
 @dataclass(frozen=True)
 class Solution:
-    """One solve, one row per key in key order: S_P and r(t) at t = 0..K
+    """One solve, one row per cell in cell order: S_P and r(t) at t = 0..K
     (r(0) = 1 is unused), alpha, and the flags of the horizons where S_P was
     clipped into [SP_CLIP_EPS, 1] or held at S_P(t - 1) by the guard."""
 
@@ -109,23 +108,21 @@ def _propagate(roots, mass, known, starts, lengths, K) -> np.ndarray:
     return need
 
 
-def solve_noncancer_survival(
-    ing,
-    keys: Sequence[StratumKey],
-    diagnostics: Diagnostics | None = None,
-) -> Solution:
-    """S_P of every key, on any birth-cohort diagonals, in one forward sweep.
+def solve_noncancer_survival(ing, cells, diagnostics: Diagnostics | None = None) -> Solution:
+    """S_P of every cell, on any birth-cohort diagonals, in one forward sweep.
 
     `ing` supplies the inputs, and `horizon`, the number K of annual steps
-    solved.  `lt_survival_grid` and `diagnosis_mass` each take a sequence
-    of cells and return one row per cell (the grid at t = 0..K, the
-    diagnosis mass at k = 1..K).  `prevalence_inputs(cells, read)` returns
-    alpha of each cell of `cells`, their prevalent-case survival at
-    t = 0..K (a row of 1 where alpha is 0), and the S_O grid at t = 0..K of
-    each cell of `read`, the cells whose S_O the kernels read.
+    solved.  `lt_survival_grid` and `diagnosis_mass` each take cells and
+    return one row per cell (the grid at t = 0..K, the diagnosis mass at
+    k = 1..K).  `prevalence_inputs(cells, read)` returns alpha of each cell
+    of `cells`, their prevalent-case survival at t = 0..K (a row of 1 where
+    alpha is 0), and the S_O grid at t = 0..K of each cell of `read`, the
+    cells whose S_O the kernels read.  All cells are (demographics, codes,
+    ages, years) columns (`registry.stratum_cells`).
 
-    The keys of a diagonal are the roots of one chain of cells, from its
-    youngest key through K - 1 cells past its oldest; each root needs
+    The cells of a diagonal are the roots of one chain of cells, from its
+    youngest root through K - 1 cells past its oldest; the chains are
+    integer arrays, diagonals in first-seen order.  Each root needs
     horizons 1..K, and no position reads past its chain.  Needed horizons
     propagate from younger to older cells only along kernel terms with
     nonzero diagnosis mass, so exactly the (cell, horizon) pairs the forward
@@ -135,25 +132,26 @@ def solve_noncancer_survival(
     the prevalence inputs before the life-table grid.
     Each step t solves horizon t for every cell that needs it in one array
     expression, and the clip/guard diagnostics count each solved horizon
-    once.  Nothing is kept between calls.  With no keys, or K = 0, nothing
+    once.  Nothing is kept between calls.  With no cells, or K = 0, nothing
     is solved and no ingredient is read: S_P and r are 1 and alpha is NaN.
     """
     diag = ensure_diagnostics(diagnostics)
-    n, K = len(keys), ing.horizon
+    demographics, codes, ages, years = cells
+    n, K = len(codes), ing.horizon
     if not n or not K:
         flags = np.zeros((n, K + 1), dtype=bool)
         return Solution(np.ones((n, K + 1)), np.ones((n, K + 1)), np.full(n, np.nan), flags, flags.copy())
-    spans: dict[tuple, list[int]] = {}
-    for key in keys:
-        span = spans.setdefault((key.year - key.age, key.demographics), [key.age, key.age])
-        span[0], span[1] = min(span[0], key.age), max(span[1], key.age)
-    chain = [StratumKey(a, yob + a, demo) for (yob, demo), (lo, hi) in spans.items()
-             for a in range(lo, hi + K)]
-    lengths = np.array([hi + K - lo for lo, hi in spans.values()], dtype=np.intp)
+    line, first = diagonals(cells)
+    lo, hi = ages[first], ages[first]   # two copies
+    np.minimum.at(lo, line, ages)
+    np.maximum.at(hi, line, ages)
+    lengths = hi + K - lo
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    first = dict(zip(spans, (start - lo for start, (lo, _) in zip(starts.tolist(), spans.values()))))
-    roots = np.array([first[(key.year - key.age, key.demographics)] + key.age for key in keys], dtype=np.intp)
-    m = len(chain)
+    roots = starts[line] + ages - lo[line]
+    m = int(lengths.sum())
+    # the chains' cells, diagonal after diagonal, as rows of codes, ages and years
+    age = np.repeat(lo, lengths) + np.arange(m) - np.repeat(starts, lengths)
+    chain = np.stack((np.repeat(codes[first], lengths), age, age + np.repeat((years - ages)[first], lengths)))
 
     # horizons needed per position, with masses fetched in rounds for the
     # positions found to need two or more; the propagation reruns after
@@ -164,24 +162,23 @@ def solve_noncancer_survival(
         fetch = np.flatnonzero((need >= 2) & ~known)
         if not fetch.size:
             break
-        mass[fetch] = np.asarray(ing.diagnosis_mass([chain[j] for j in fetch.tolist()]), dtype=np.float64)[:, :K]
+        mass[fetch] = np.asarray(ing.diagnosis_mass((demographics, *chain[:, fetch])), dtype=np.float64)[:, :K]
         known[fetch] = True
 
     # every other input of the cells with a horizon to solve, and the S_O
     # grids their kernels read, one call per ingredient
     needed = np.flatnonzero(need > 0)
-    cells = [chain[j] for j in needed.tolist()]
     lags = np.arange(1, K + 1)
     active = np.flatnonzero(need >= 2)
     src, k = np.nonzero((mass[active] != 0.0) & (lags < need[active, None]))
     read = np.unique(active[src] + lags[k])
     alpha, numer, so = np.zeros(m), np.ones((m, K + 1)), np.ones((m, K + 1))
-    a, prev, s_o = ing.prevalence_inputs(cells, [chain[j] for j in read.tolist()])
+    a, prev, s_o = ing.prevalence_inputs((demographics, *chain[:, needed]), (demographics, *chain[:, read]))
     alpha[needed] = np.asarray(a, dtype=np.float64)
-    numer[needed] = np.asarray(ing.lt_survival_grid(cells), dtype=np.float64)[:, : K + 1]
+    numer[needed] = np.asarray(ing.lt_survival_grid((demographics, *chain[:, needed])), dtype=np.float64)[:, : K + 1]
     if (alpha >= 1.0).any():
         j = int(np.argmax(alpha >= 1.0))
-        raise SolverError(f"prevalence {alpha[j]} >= 1 at {chain[j]}")
+        raise SolverError(f"prevalence {alpha[j]} >= 1 at {cell_key((demographics, *chain), j)}")
     numer[needed] -= alpha[needed, None] * np.asarray(prev, dtype=np.float64)[:, : K + 1]
     if read.size:
         so[read] = np.asarray(s_o, dtype=np.float64)[:, : K + 1]
@@ -201,7 +198,8 @@ def solve_noncancer_survival(
             r = 1.0 - np.cumsum(terms, axis=1)[:, -1]
         if (r < R_FLOOR).any():
             i = int(np.flatnonzero(r < R_FLOOR)[0])
-            raise SolverError(f"residual denominator r({t})={r[i]:.3e} at {chain[js[i]]}; inputs are inconsistent")
+            key = cell_key((demographics, *chain), js[i])
+            raise SolverError(f"residual denominator r({t})={r[i]:.3e} at {key}; inputs are inconsistent")
         raw = numer[js, t] / ((1.0 - alpha[js]) * r)
         v = np.minimum(np.maximum(raw, SP_CLIP_EPS), 1.0)
         clip = v != raw
@@ -220,13 +218,14 @@ class AdjustmentEngine:
     """Production ingredients: life table + incidence + registry survival.
 
     Wires the prevalence recursion, the diagnosis-mass products, and the
-    diagonal survival into the solver; each ingredient method takes a
-    sequence of keys and returns one row per key.  Overall survival is read
-    only from the prevalence calculator's lag table.  A `solve` runs the
-    prevalence recursion once (`prevalence_inputs`), looking each cell's
-    stratum up once, and keeps nothing; a run solves its keys in one
-    `solve`.  `alpha`, `prevalent_grid` and `so_grid` are one-shot reads of
-    the same quantities, for checking the engine cell by cell.
+    diagonal survival into the solver; each ingredient method takes
+    (demographics, codes, ages, years) cells and returns one row per cell.
+    Overall survival is read only from the prevalence calculator's lag
+    table.  A `solve` runs the prevalence recursion once
+    (`prevalence_inputs`), looking each cell's stratum up once, and keeps
+    nothing; a run solves its cells in one `solve`.  `alpha`,
+    `prevalent_grid` and `so_grid` are one-shot reads of the same
+    quantities, for checking the engine cell by cell.
     """
 
     def __init__(
@@ -238,50 +237,48 @@ class AdjustmentEngine:
         lag_eval: str = "mid_year",
         diagnostics: Diagnostics | None = None,
     ):
-        self.life_table = life_table
-        self.incidence = incidence
         self.horizon = int(horizon)
         self.diagnostics = ensure_diagnostics(diagnostics)
         self.calc = PrevalenceCalculator(
             incidence, overall_survival, life_table, lag_eval, self.diagnostics, self.horizon
         )
 
-    def lt_survival_grid(self, keys) -> np.ndarray:
-        return diagonal_survival(self.life_table, keys, self.horizon, self.diagnostics).values
+    def lt_survival_grid(self, cells) -> np.ndarray:
+        return diagonal_survival(self.calc.life_table, cells, self.horizon, self.diagnostics).values
 
-    def prevalence_inputs(self, keys, read):
-        """alpha and the prevalent-case survival of each cell of `keys` (a
+    def prevalence_inputs(self, cells, read):
+        """alpha and the prevalent-case survival of each of the `cells` (a
         row of 1 where alpha is 0), and the S_O grid of each cell of `read`,
         from one pass of the prevalence recursion."""
-        alpha, mixture, rows = self.calc.recursion(keys, read)
+        alpha, mixture, rows = self.calc.recursion(cells, read)
         return alpha, prevalent_case_survival(mixture).values, self._so(rows)
 
     def _so(self, rows) -> np.ndarray:
         """S_O at integer lags 0..K: the even columns of the table rows."""
         return self.calc.table.values[rows, : 2 * self.horizon + 1 : 2]
 
-    def alpha(self, keys):
-        return self.calc.prevalence(keys)
+    def alpha(self, cells):
+        return self.calc.prevalence(cells)
 
-    def prevalent_grid(self, keys) -> np.ndarray:
-        return prevalent_case_survival(self.calc.prevalent_survival(keys)).values
+    def prevalent_grid(self, cells) -> np.ndarray:
+        return prevalent_case_survival(self.calc.prevalent_survival(cells)).values
 
-    def so_grid(self, keys) -> np.ndarray:
-        return self._so(self.calc.table.rows(keys))
+    def so_grid(self, cells) -> np.ndarray:
+        return self._so(self.calc.table.lookup(self.calc.table.codes(*cells[:2]), *cells[2:])[0])
 
-    def diagnosis_mass(self, keys) -> np.ndarray:
-        return time_to_diagnosis_increments(self.incidence, keys, self.horizon, self.diagnostics)
+    def diagnosis_mass(self, cells) -> np.ndarray:
+        return time_to_diagnosis_increments(self.calc.incidence, cells, self.horizon, self.diagnostics)
 
-    def solve(self, keys: Sequence[StratumKey]) -> Solution:
-        """S_P of `keys` at t = 0..K, with their alpha, r(t) and clip/guard
-        flags, from one sweep (`solve_noncancer_survival`).  The lag table
-        is filled first: made before the sweep's per-cell arrays, the
-        temporaries of its one evaluation (the run's largest) leave `adjust`
-        peaking ~5 MiB lower."""
+    def solve(self, cells) -> Solution:
+        """S_P of the (demographics, codes, ages, years) `cells` at
+        t = 0..K, with their alpha, r(t) and clip/guard flags, from one
+        sweep (`solve_noncancer_survival`).  The lag table is filled first:
+        made before the sweep's per-cell arrays, the temporaries of its one
+        evaluation (the run's largest) leave `adjust` peaking ~5 MiB lower."""
         self.calc.table.values
-        return solve_noncancer_survival(self, list(keys), self.diagnostics)
+        return solve_noncancer_survival(self, cells, self.diagnostics)
 
     def residuals(self, solution: Solution) -> np.ndarray:
-        """r(t) at t = 1..K of each key of `solution`, as a keys x K array:
+        """r(t) at t = 1..K of each cell of `solution`, as a cells x K array:
         the residual denominators `adjust` exports."""
         return solution.residual[:, 1:]

@@ -27,7 +27,7 @@ from .estimators import (
 from .incidence import compute_incidence, load_counts, load_incidence_table
 from .io import load_registry, sha256_file, write_manifest, write_rows_csv
 from .lifetable import diagonal_survival, load_life_table
-from .registry import Banding, build_strata
+from .registry import Banding, build_strata, stratum_cells
 from .simulation import ScenarioConfig, run_experiment
 from .survival_provider import OverallSurvivalProvider
 
@@ -128,13 +128,13 @@ def cmd_estimate(args) -> int:
     inputs = {"registry": args.registry, "lifetable": args.lifetable}
     risk = RiskSetSummary(frame)
     if args.mode == "naive":
-        grid = diagonal_survival(life_table, risk.keys, args.horizon, diagnostics).values
+        grid = diagonal_survival(life_table, risk.cells, args.horizon, diagnostics).values
     else:
         # the strata sizes are --population's diagnosis counts
         sizes = dict(zip(risk.keys, risk.sizes.astype(np.int64).tolist()))
         engine, extra = _adjustment_engine(args, frame, sizes, life_table, diagnostics)
         inputs.update(extra)
-        grid = engine.solve(risk.keys).values
+        grid = engine.solve(risk.cells).values
     sp = population_survival(grid, diagnostics)
 
     out = Path(args.out)
@@ -164,18 +164,17 @@ def cmd_adjust(args) -> int:
     diagnostics = Diagnostics()
     frame = load_registry(args.registry)
     sizes = build_strata(frame)[0]   # stratified before the tables: the run peaks ~0.1 MiB lower
-    keys = sorted(sizes)
+    demographics, codes, ages, years = cells = stratum_cells(sorted(sizes))
     life_table = load_life_table(args.lifetable)
     engine, extra = _adjustment_engine(args, frame, sizes, life_table, diagnostics)
     inputs = {"registry": args.registry, "lifetable": args.lifetable, **extra}
-    solution = engine.solve(keys)
+    solution = engine.solve(cells)
     sp, alphas, residuals = solution.values, solution.alpha, engine.residuals(solution)
-    n, K = len(keys), engine.horizon
-    ages, years = np.array([k.age for k in keys]), np.array([k.year for k in keys])
-    sexes = np.array([k.demographics[0] for k in keys], dtype=object)
+    n, K = len(codes), engine.horizon
+    sexes = np.array([demo[0] for demo in demographics], dtype=object)[codes]
 
     def keyed(width, *columns):
-        """The age, year and sex columns, each key's repeated `width` times, then `columns`."""
+        """The age, year and sex columns, each cell's repeated `width` times, then `columns`."""
         return [np.repeat(column, width) for column in (ages, years, sexes)] + list(columns)
 
     out = Path(args.out)

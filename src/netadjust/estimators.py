@@ -48,7 +48,7 @@ import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics
 from .extrapolation import AnnualGridSurvival
-from .registry import RegistryFrame, StratumKey, build_strata
+from .registry import RegistryFrame, StratumKey, build_strata, stratum_cells
 
 WEIGHT_FLOOR = 1e-6
 # remainder bound of each grid year's Taylor series of 1/S_P in Pohar-Perme
@@ -107,10 +107,11 @@ def _hazard_rates(sp: AnnualGridSurvival) -> tuple[np.ndarray, np.ndarray]:
 class RiskSetSummary:
     """Risk sets of one registry, shared by all three estimators.
 
-    `times` are the distinct observed times and `keys` the strata of
-    `build_strata`, in its order.  At-risk counts use {T >= u}: on the
-    interval between consecutive observed times the risk set equals the
-    at-risk set of the right endpoint.  No strata x times array is kept.
+    `times` are the distinct observed times, `keys` the strata of
+    `build_strata` in its order and `cells` their `stratum_cells`.  At-risk
+    counts use {T >= u}: on the interval between consecutive observed times
+    the risk set equals the at-risk set of the right endpoint.  No strata x
+    times array is kept.
     Each patient is kept as (`patient_rows`, `patient_times`), stratum row
     and time index, in time order (stratum order within a time), so a
     reverse cumulative sum over the patients sums any per-stratum value over
@@ -140,6 +141,10 @@ class RiskSetSummary:
         self.pooled_at_risk = np.cumsum(exits[::-1])[::-1]
         self.sizes = np.fromiter(strata.values(), np.float64, n_strata)
         self.n = frame.n
+
+    @property
+    def cells(self):
+        return stratum_cells(self.keys)
 
     def blocks(self, start: int = 0):
         """Yield (j0, j1, rows, Y) over the observed times from time index

@@ -27,7 +27,7 @@ import numpy as np
 from .diagnostics import Diagnostics, ensure_diagnostics, log
 from .io import read_cells
 from .lifetable import CellTable
-from .registry import StratumKey
+from .registry import cell_key, diagonals, stratum_cells
 from .survival_provider import SurvivalLagTable
 
 
@@ -61,16 +61,16 @@ class IncidenceTable(CellTable):
         """Empty table: IR identically 0 (the no-adjustment limit)."""
         return cls({})
 
-    def ir_diagonal(self, keys, steps, diagnostics: Diagnostics | None = None) -> np.ndarray:
-        """IR at (age+j, year+j) for j = 0..steps-1 from each key, as a keys
-        x steps array from one gather.  `steps` may give one count per key; a
-        key's row is then 0 past its own count, and those entries are not
-        counted.  Each step is clamped into the table's ranges (counted once
-        per clamped step) and is 0 at a missing cell (counted once per step);
-        an empty table is 0 everywhere and counts nothing."""
+    def ir_diagonal(self, cells, steps, diagnostics: Diagnostics | None = None) -> np.ndarray:
+        """IR at (age+j, year+j) for j = 0..steps-1 from each cell, as a
+        cells x steps array from one gather.  `steps` may give one count per
+        cell; a cell's row is then 0 past its own count, and those entries
+        are not counted.  Each step is clamped into the table's ranges
+        (counted once per clamped step) and is 0 at a missing cell (counted
+        once per step); an empty table is 0 everywhere and counts nothing."""
         if not self._values.size:
-            return np.zeros((len(keys), int(np.max(steps, initial=0))))
-        ir, clamped, _, _ = self._gather(keys, steps)
+            return np.zeros((len(cells[1]), int(np.max(steps, initial=0))))
+        ir, clamped, _, _ = self._gather(cells, steps)
         missing = np.isnan(ir)
         ir[missing] = 0.0
         if diagnostics is not None:
@@ -107,15 +107,15 @@ def compute_incidence(
 
 
 def time_to_diagnosis_increments(
-    ir: IncidenceTable, keys, k_max: int, diagnostics: Diagnostics | None = None
+    ir: IncidenceTable, cells, k_max: int, diagnostics: Diagnostics | None = None
 ) -> np.ndarray:
     """Year-by-year diagnosis mass for k = 1..k_max, F(k) - F(k-1), as a
-    keys x k_max array.
+    cells x k_max array.
 
-    Equals IR(key+k-1) times the probability of staying undiagnosed through
+    Equals IR(cell+k-1) times the probability of staying undiagnosed through
     the earlier years; increments telescope back to the cdf.
     """
-    rates = ir.ir_diagonal(keys, int(k_max), diagnostics)
+    rates = ir.ir_diagonal(cells, int(k_max), diagnostics)
     undiagnosed = np.cumprod(1.0 - rates, axis=1)[:, :-1]
     return np.concatenate((np.ones((rates.shape[0], 1)), undiagnosed), axis=1) * rates
 
@@ -163,16 +163,17 @@ class PrevalenceCalculator:
         self.max_age = overall_survival.max_age + self.horizon - 1
         self.table = SurvivalLagTable(overall_survival, self.max_age + self.horizon)
 
-    def recursion(self, keys, read=()):
-        """One pass of the recursion over the keys' diagonals, keeping
-        nothing between calls: alpha at each key's cell, each key's
-        prevalent mixture at t = 0..horizon (a row of 1 where alpha is 0)
-        and the lag-table row of each `read` cell's stratum.
+    def recursion(self, cells, read=None):
+        """One pass of the recursion over the diagonals of `cells`, keeping
+        nothing between calls: alpha at each cell, each cell's prevalent
+        mixture at t = 0..horizon (a row of 1 where alpha is 0) and the
+        lag-table row of each `read` cell's stratum.
 
+        The diagonals are (code, birth year) pairs in first-seen order.
         Each diagonal's IR and life-table q are read from age 0 through its
-        oldest key, one gather each, and the strata of those diagnosis cells
-        and of the `read` cells are looked up, and counted, once in one
-        call.  The recursion then takes one step per age for all the
+        oldest cell, one gather each, and the strata of those diagnosis
+        cells and of the `read` cells are looked up, and counted, once in
+        one call.  The recursion then takes one step per age for all the
         diagonals together.  C[i, m] accumulates irga(d) * S_O(m - d |
         diagnosed at d) over the ages d stepped so far on diagonal i, irga(d)
         being IR(d) times the fraction undiagnosed, 1 - alpha(d), times the
@@ -180,51 +181,50 @@ class PrevalenceCalculator:
         C[i, a] / survival to a, and C[i, a + t] / (survival to a * alpha(a))
         is the prevalent cases' survival to horizon t.
         """
-        keys, read = list(keys), list(read)
-        for key in keys:
-            if key.age < 0:
+        demographics, codes, ages, years = cells
+        bad = np.flatnonzero((ages < 0) | (ages > self.max_age))
+        if bad.size:
+            if ages[bad[0]] < 0:
                 raise ValueError("prevalence needs age >= 0")
-            if key.age > self.max_age:
-                raise PrevalenceError(
-                    f"cell {key} is older than the {self.max_age} years the survival lag table covers"
-                )
-        index: dict[tuple[int, tuple], int] = {}
-        line = np.array([index.setdefault((k.year - k.age, k.demographics), len(index)) for k in keys],
-                        dtype=np.intp)
-        ident = list(index)
-        ages = np.fromiter((k.age for k in keys), np.intp, len(keys))
-        reach = np.zeros(len(ident), dtype=np.intp)
+            raise PrevalenceError(
+                f"cell {cell_key(cells, bad[0])} is older than the {self.max_age} years the survival lag table covers"
+            )
+        line, first = diagonals(cells)
+        births = (years - ages)[first]
+        reach = np.zeros(first.size, dtype=np.intp)
         np.maximum.at(reach, line, ages)
         top, K = int(reach.max(initial=0)), self.horizon
-        starts = [StratumKey(0, yob, demo) for yob, demo in ident]
+        starts = (demographics, codes[first], np.zeros_like(births), births)
         ir = self.incidence.ir_diagonal(starts, reach, self.diagnostics)
         q = self.life_table.q_diagonal(starts, reach, self.diagnostics)
         # survival to d + 1 = survival to d times (1 - q(d)), multiplied in age order
-        surv = np.cumprod(np.column_stack((np.ones(len(ident)), 1.0 - q)), axis=1)
+        surv = np.cumprod(np.column_stack((np.ones(first.size), 1.0 - q)), axis=1)
+
+        def name(i):
+            return f"diagonal (birth year {births[i]}, {demographics[codes[first[i]]]})"
 
         # the strata of the diagnosis cells (age d < reach on each diagonal)
         # and of the read cells, looked up in one call
-        births = np.array([yob for yob, _ in ident], dtype=np.int64)
-        codes = self.table.codes([demo for _, demo in ident])
+        read = stratum_cells([]) if read is None else read
         diagonal, age = np.nonzero(np.arange(top) < reach[:, None])
-        cells = np.stack((
-            np.concatenate((codes[diagonal], self.table.codes([k.demographics for k in read]))),
-            np.concatenate((age, np.fromiter((k.age for k in read), np.intp, len(read)))),
-            np.concatenate((births[diagonal] + age, np.fromiter((k.year for k in read), np.int64, len(read)))),
+        looked_up = np.stack((
+            np.concatenate((self.table.codes(demographics, codes[first])[diagonal], self.table.codes(*read[:2]))),
+            np.concatenate((age, read[2])),
+            np.concatenate((births[diagonal] + age, read[3])),
         ))
         # one integer per cell, so that the union is one 1-d unique
-        shifted = cells - cells.min(axis=1, keepdims=True, initial=0)
-        _, first, inverse = np.unique(np.ravel_multi_index(shifted, shifted.max(axis=1, initial=0) + 1),
-                                      return_index=True, return_inverse=True)
-        found = self.table.rows(*cells[:, first])[inverse.reshape(-1)]
-        rows = np.zeros((len(ident), top), dtype=np.intp)
+        shifted = looked_up - looked_up.min(axis=1, keepdims=True, initial=0)
+        _, unique, inverse = np.unique(np.ravel_multi_index(shifted, shifted.max(axis=1, initial=0) + 1),
+                                       return_index=True, return_inverse=True)
+        found = self.table.lookup(*looked_up[:, unique])[0][inverse.reshape(-1)]
+        rows = np.zeros((first.size, top), dtype=np.intp)
         rows[diagonal, age] = found[: diagonal.size]
 
         table = self.table.values
         lags = 2 * np.arange(1, top + K + 1) - self.offset   # table column of lag 1, 2, ...
-        alpha = np.zeros((len(ident), top + 1))
-        C = np.zeros((len(ident), top + K + 1))
-        numer = np.empty((len(keys), K + 1))
+        alpha = np.zeros((first.size, top + 1))
+        C = np.zeros((first.size, top + K + 1))
+        numer = np.empty((len(codes), K + 1))
         order = np.argsort(ages, kind="stable")
         bounds = np.searchsorted(ages[order], np.arange(top + 2))
         for a in range(top + 1):
@@ -232,18 +232,15 @@ class PrevalenceCalculator:
                 live = reach >= a
                 extinct = live & (surv[:, a] <= 0.0)
                 if extinct.any():
-                    yob, demo = ident[int(extinct.argmax())]
                     raise PrevalenceError(
-                        f"life-table cohort extinct at age {a} on diagonal "
-                        f"(birth year {yob}, {demo}); prevalence undefined"
+                        f"life-table cohort extinct at age {a} on {name(extinct.argmax())}; prevalence undefined"
                     )
                 np.divide(C[:, a], surv[:, a], out=alpha[:, a], where=live)
                 over = live & (alpha[:, a] >= 1.0)
                 if over.any():
-                    yob, demo = ident[int(over.argmax())]
                     raise PrevalenceError(
-                        f"prevalence {alpha[over.argmax(), a]:.6f} >= 1 at age {a} on diagonal "
-                        f"(birth year {yob}, {demo}); incidence and survival inputs disagree"
+                        f"prevalence {alpha[over.argmax(), a]:.6f} >= 1 at age {a} on {name(over.argmax())}; "
+                        f"incidence and survival inputs disagree"
                     )
             at = order[bounds[a] : bounds[a + 1]]
             numer[at] = C[line[at], a : a + K + 1]
@@ -251,23 +248,22 @@ class PrevalenceCalculator:
                 irga = ir[:, a] * (1.0 - alpha[:, a]) * surv[:, a]
                 C[:, a + 1 :] += irga[:, None] * table[rows[:, a, None], lags[: top + K - a]]
         values = alpha[line, ages]
-        mixture = np.ones((len(keys), K + 1))
+        mixture = np.ones((len(codes), K + 1))
         np.divide(numer, (surv[line, ages] * values)[:, None], out=mixture, where=values[:, None] > 0.0)
         return values, mixture, found[diagonal.size :]
 
-    def prevalence(self, keys) -> np.ndarray:
-        """alpha at each key's cell."""
-        return self.recursion(keys)[0]
+    def prevalence(self, cells) -> np.ndarray:
+        """alpha at each cell."""
+        return self.recursion(cells)[0]
 
-    def prevalent_survival(self, keys) -> np.ndarray:
-        """Survival of the prevalent cases from each key's cell date at
-        t = 0..horizon, a keys x (horizon + 1) array: the recursion's lag-s
+    def prevalent_survival(self, cells) -> np.ndarray:
+        """Survival of the prevalent cases from each cell's date at
+        t = 0..horizon, a cells x (horizon + 1) array: the recursion's lag-s
         diagnosis mass times the survival from that diagnosis to s + t, over
         alpha; 1 at t = 0 up to rounding."""
-        keys = list(keys)
-        alpha, mixture, _ = self.recursion(keys)
+        alpha, mixture, _ = self.recursion(cells)
         if (alpha <= 0.0).any():
-            key = keys[int((alpha <= 0.0).argmax())]
+            key = cell_key(cells, (alpha <= 0.0).argmax())
             raise PrevalenceError(f"prevalent mixture undefined at {key}: prevalence is 0")
         return mixture
 

@@ -30,10 +30,11 @@ class CellTable:
     """Annual values keyed by (age, calendar year, demographics).
 
     The values live in one dense (demographics, age, year) array, NaN where
-    the input has no cell, so a diagonal of any length is read with a single
-    gather.  Lookups outside the declared age/year ranges are clamped to the
-    nearest in-range cell.  Subclasses name the quantity, its valid range
-    and their error type.
+    the input has no cell, so diagonals of any length are read with a single
+    gather from (demographics, codes, ages, years) cells, whose demographics
+    map to the table's codes once per read.  Lookups outside the declared
+    age/year ranges are clamped to the nearest in-range cell.  Subclasses
+    name the quantity, its valid range and their error type.
     """
 
     quantity, bounds, error = "value", "[0,1]", ValueError
@@ -77,19 +78,19 @@ class CellTable:
             for k, i, j in zip(d.tolist(), a.tolist(), y.tolist())
         }
 
-    def _gather(self, keys, steps):
-        """Values at (age+j, year+j) for j = 0..steps-1 from each key (steps
-        an int or one count per key), each step clamped into the table's
-        ranges: (values, clamped, ages, years) as keys x max(steps) arrays of
-        the values, the clamped steps and the cells read.  Values are NaN at
-        a missing cell and 0 past a key's own count, which is not clamped."""
-        n = len(keys)
+    def _gather(self, cells, steps):
+        """Values at (age+j, year+j) for j = 0..steps-1 from each cell (steps
+        an int or one count per cell), each step clamped into the table's
+        ranges: (values, clamped, ages, years) as cells x max(steps) arrays
+        of the values, the clamped steps and the cells read.  Values are NaN
+        at a missing cell and 0 past a cell's own count, not clamped."""
+        demographics, codes, ages, years = cells
+        n = len(codes)
         steps = np.broadcast_to(np.asarray(steps, dtype=np.intp), (n,))
         width = np.arange(int(steps.max()) if n else 0)
         used = width < steps[:, None]
-        ages = np.fromiter((k.age for k in keys), np.intp, n)[:, None] + width
-        years = ages + np.fromiter((k.year - k.age for k in keys), np.intp, n)[:, None]
-        demo = np.fromiter((self._demo_index.get(k.demographics, -1) for k in keys), np.intp, n)
+        demo = np.array([self._demo_index.get(d, -1) for d in demographics], np.intp)[codes]
+        ages, years = ages[:, None] + width, years[:, None] + width
         a = np.minimum(np.maximum(ages, self.age_min), self.age_max)
         y = np.minimum(np.maximum(years, self.year_min), self.year_max)
         values = self._values[demo[:, None], a - self.age_min, y - self.year_min]
@@ -106,7 +107,7 @@ class LifeTable(CellTable):
     from a single birth cohort only populate the Lexis diagonal and are built
     with `require_complete=False`; all pipeline lookups for such tables stay
     on the diagonal (shifts move age and year together, and clamping sends
-    out-of-range keys to the diagonal corner cell).
+    out-of-range cells to the diagonal corner cell).
     """
 
     quantity, bounds, error = "q", "[0,1]", LifeTableError
@@ -122,22 +123,22 @@ class LifeTable(CellTable):
                 f"missing cell (age={self.age_min + a}, year={self.year_min + y}, {self.demographics[d]})"
             )
 
-    def q_diagonal(self, keys, steps, diagnostics: Diagnostics | None = None) -> np.ndarray:
-        """q at (age+j, year+j) for j = 0..steps-1 from each key, as a keys x
-        steps array from one gather.  `steps` may give one count per key; a
-        key's row is then 0 past its own count, and those entries are neither
-        read nor counted.  Each step is clamped into the table's ranges
-        (counted once per clamped step); a missing cell raises, after
-        counting the clamped steps of the keys before it and of its own key
-        up to it."""
-        q, clamped, a, y = self._gather(keys, steps)
+    def q_diagonal(self, cells, steps, diagnostics: Diagnostics | None = None) -> np.ndarray:
+        """q at (age+j, year+j) for j = 0..steps-1 from each cell, as a cells
+        x steps array from one gather.  `steps` may give one count per cell;
+        a cell's row is then 0 past its own count, and those entries are
+        neither read nor counted.  Each step is clamped into the table's
+        ranges (counted once per clamped step); a missing cell raises, after
+        counting the clamped steps of the cells before it and of its own
+        cell up to it."""
+        q, clamped, a, y = self._gather(cells, steps)
         missing = np.isnan(q)
         if missing.any():
             i = int(missing.argmax())
             r, j = divmod(i, q.shape[1])
             if diagnostics is not None:
                 diagnostics.incr("lifetable_clamp", int(clamped.ravel()[: i + 1].sum()))
-            raise LifeTableError(f"no life-table cell (age={a[r, j]}, year={y[r, j]}, {keys[r].demographics})")
+            raise LifeTableError(f"no life-table cell (age={a[r, j]}, year={y[r, j]}, {cells[0][cells[1][r]]})")
         if diagnostics is not None:
             diagnostics.incr("lifetable_clamp", int(clamped.sum()))
         return q
@@ -159,11 +160,11 @@ class DiagonalSurvival:
 
 
 def diagonal_survival(
-    lt: LifeTable, keys, horizon: int, diagnostics: Diagnostics | None = None
+    lt: LifeTable, cells, horizon: int, diagnostics: Diagnostics | None = None
 ) -> DiagonalSurvival:
     """S(t) = prod_{j<t} (1 - q(age+j, year+j)) for t = 0..horizon from each
-    key, as a keys x (horizon + 1) array from one gather."""
-    q = lt.q_diagonal(keys, horizon, diagnostics)
+    cell, as a cells x (horizon + 1) array from one gather."""
+    q = lt.q_diagonal(cells, horizon, diagnostics)
     values = np.concatenate((np.ones((q.shape[0], 1)), np.cumprod(1.0 - q, axis=1)), axis=1)
     return DiagonalSurvival(values)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,27 +47,37 @@ class PatientRecord:
 
 @dataclass(frozen=True, order=True)
 class StratumKey:
-    """Stratum identifier: (age, calendar year, demographic codes).  The hash
-    is computed once, at construction, and not pickled: `str` hashes differ
-    between processes, so an unpickled key hashes afresh."""
+    """Stratum identifier: (age, calendar year, demographic codes), hashed
+    by its fields.  Keys label strata at the edges; every layer below them
+    takes the same strata as cells (`stratum_cells`)."""
 
     age: int
     year: int
     demographics: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.age, self.year, self.demographics)))
 
-    def __hash__(self):
-        return self._hash
+def stratum_cells(keys) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of a sequence of keys as (demographics, codes, ages, years)
+    columns: `codes` index the `demographics` list, which holds the keys'
+    demographics in first-seen order."""
+    index: dict[tuple, int] = {}
+    codes = np.fromiter((index.setdefault(k.demographics, len(index)) for k in keys), np.intp, len(keys))
+    ages = np.fromiter((k.age for k in keys), np.int64, len(keys))
+    return list(index), codes, ages, np.fromiter((k.year for k in keys), np.int64, len(keys))
 
-    def __reduce__(self):
-        return StratumKey, (self.age, self.year, self.demographics)
 
-    def shift(self, s: int) -> "StratumKey":
-        """Move s years along the Lexis diagonal (age and year together)."""
-        return StratumKey(self.age + s, self.year + s, self.demographics)
+def cell_key(cells, i: int) -> StratumKey:
+    """The key of cell i of `cells`, for a message that names it."""
+    return StratumKey(int(cells[2][i]), int(cells[3][i]), cells[0][cells[1][i]])
+
+
+def diagonals(cells) -> tuple[np.ndarray, np.ndarray]:
+    """The birth-cohort diagonals of `cells`, (code, birth year) pairs in
+    first-seen order: each cell's diagonal, and each diagonal's first cell."""
+    _, codes, ages, years = cells
+    births = (years - ages) - (years - ages).min(initial=0)
+    _, first, inverse = np.unique(codes * (births.max(initial=0) + 1) + births, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.reshape(-1)], np.sort(first)
 
 
 @dataclass(frozen=True)

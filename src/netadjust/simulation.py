@@ -303,7 +303,7 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
     for method in methods:
         with _stage(f"{method}/provider"):
             if method == "naive":
-                grid = diagonal_survival(life_table, risk.keys, cfg.horizon, diagnostics).values
+                grid = diagonal_survival(life_table, risk.cells, cfg.horizon, diagnostics).values
             elif method == "adjusted":
                 frame_all = make_registry(cohort, censor_seed, _provider_window(cfg), cfg.censor_max)
                 so = OverallSurvivalProvider.from_registry(
@@ -323,7 +323,7 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
                 raise ValueError(f"unknown method {method!r}")
         if method == "adjusted":
             with _stage("adjusted/solve"):
-                grid = engine.solve(risk.keys).values
+                grid = engine.solve(risk.cells).values
         with _stage(f"{method}/estimate"):
             estimate = pohar_perme(risk, population_survival(grid, diagnostics))
             values[method] = [estimate.survival_at(y) for y in cfg.years]

@@ -29,6 +29,7 @@ from .registry import (
     build_strata,
     kaplan_meier,
     merge_small_strata,
+    stratum_cells,
 )
 
 LIFETABLE_POP_GRID = 120  # annual steps of the per-cell population-cap grid
@@ -119,7 +120,7 @@ class OverallSurvivalProvider:
         """Rows of clamped cells, found when first read: a cell clipped into
         its demographics' strata's ranges takes the clipped cell's stratum if
         it has one, else the nearest by (Chebyshev, L1, age, year)."""
-        g, a, y = np.unique(np.stack((g, a, y)), axis=1)
+        g, a, y = np.unravel_index(np.unique(np.ravel_multi_index((g, a, y), self._rows.shape)), self._rows.shape)
         ca, cy = np.clip(a, *self._ranges[g, :2].T), np.clip(y, *self._ranges[g, 2:].T)
         rows = np.where(self._clamped[g, ca, cy], -1, self._rows[g, ca, cy])
         group, age, year, row = self._strata
@@ -133,24 +134,19 @@ class OverallSurvivalProvider:
             rows[part] = row[np.argmin(best, axis=1)]
         self._rows[g, a, y] = rows
 
-    def codes(self, demographics) -> np.ndarray:
-        """`lookup`'s code of each demographics tuple; `ProviderError` names
-        demographics no stratum has."""
-        codes = np.fromiter((self._groups.get(d, -1) for d in demographics), np.intp, len(demographics))
-        if (codes < 0).any():
-            unseen = sorted(set(demographics) - set(self._groups))
+    def codes(self, demographics, codes) -> np.ndarray:
+        """`lookup`'s code of each of the `codes`, which index `demographics`;
+        `ProviderError` names the demographics no stratum has."""
+        mapped = np.array([self._groups.get(d, -1) for d in demographics], np.intp)[codes]
+        if (mapped < 0).any():
+            unseen = sorted({demographics[c] for c in codes[mapped < 0].tolist()})
             raise ProviderError(f"no strata with demographics {', '.join(map(str, unseen))}")
-        return codes
+        return mapped
 
-    def lookup(self, codes, ages=None, years=None) -> tuple[np.ndarray, np.ndarray]:
+    def lookup(self, codes, ages, years) -> tuple[np.ndarray, np.ndarray]:
         """Row of the stratum each cell resolves to and whether it was
         clamped (counted as `so_stratum_clamp`).  The cells are three arrays:
-        demographics codes (`codes`), ages and years; a list of keys alone is
-        converted to them first."""
-        if ages is None:
-            keys = codes
-            codes = self.codes([k.demographics for k in keys])
-            ages, years = np.array([(k.age, k.year) for k in keys], dtype=np.int64).reshape(-1, 2).T
+        demographics codes from `codes`, ages and years."""
         cell = np.stack((ages, years), axis=1).astype(np.int64) - self._lo
         cell = (np.asarray(codes, np.intp), *np.clip(cell, 0, np.array(self._rows.shape[1:]) - 1).T)
         new = self._rows[cell] < 0
@@ -171,7 +167,7 @@ class OverallSurvivalProvider:
             self._curve = extend_survival(km, tau, self.anchor_points, self.diagnostics)
             if self.population_floor is not None:
                 grid = diagonal_survival(
-                    self.population_floor, list(self.strata), LIFETABLE_POP_GRID, self.diagnostics
+                    self.population_floor, stratum_cells(list(self.strata)), LIFETABLE_POP_GRID, self.diagnostics
                 ).values
                 self._population = AnnualGridSurvival(np.maximum(grid, 1e-12), self.diagnostics)
         return self._curve
@@ -213,10 +209,10 @@ class OverallSurvivalProvider:
             self.diagnostics.incr("so_population_cap", int(np.sum(hit)))
         return out
 
-    def survival(self, keys, times) -> np.ndarray:
-        """S_O at `times` of the stratum each key resolves to, a keys x times
-        array from one evaluation of the stacked curves."""
-        rows = self.lookup(keys)[0]
+    def survival(self, rows, times) -> np.ndarray:
+        """S_O at `times` of the strata `rows`, a rows x times array from one
+        evaluation of the stacked curves."""
+        rows = np.asarray(rows, dtype=np.intp)
         t = np.atleast_1d(np.asarray(times, dtype=np.float64))
         values = self._build().survival_at(t, rows)
         if self.population_floor is not None:
@@ -235,7 +231,7 @@ class SurvivalLagTable:
     def __init__(self, provider: OverallSurvivalProvider, max_lag: int):
         self.survival = provider.survival
         self.lookup, self.codes = provider.lookup, provider.codes
-        self.strata = list(provider.strata)
+        self.n_strata = len(provider.strata)
         self.max_lag = int(max_lag)
         self.lags = 0.5 * np.arange(2 * self.max_lag + 1, dtype=np.float64)
         self._values = None
@@ -244,9 +240,5 @@ class SurvivalLagTable:
     def values(self) -> np.ndarray:
         """Strata x lags array of overall survival."""
         if self._values is None:
-            self._values = self.survival(self.strata, self.lags)
+            self._values = self.survival(np.arange(self.n_strata), self.lags)
         return self._values
-
-    def rows(self, *cells) -> np.ndarray:
-        """Row of each cell's stratum, by the provider's `lookup`."""
-        return self.lookup(*cells)[0]

@@ -10,7 +10,7 @@ from netadjust.estimators import RiskSetSummary, population_survival
 from netadjust.incidence import IncidenceTable
 from netadjust.io import MAX_AGE, REGISTRY_HEADER, write_rows_csv
 from netadjust.lifetable import LifeTable, diagonal_survival
-from netadjust.registry import RegistryFrame, StratumKey
+from netadjust.registry import RegistryFrame, StratumKey, stratum_cells
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
 # test cannot pass on one run and fail on the next
@@ -58,7 +58,7 @@ class LifeTableSP:
         self.diagnostics = ensure_diagnostics(diagnostics)
 
     def grid(self, keys) -> np.ndarray:
-        return diagonal_survival(self.life_table, list(keys), self.horizon, self.diagnostics).values
+        return diagonal_survival(self.life_table, stratum_cells(list(keys)), self.horizon, self.diagnostics).values
 
     def stack(self, keys):
         return population_survival(self.grid(keys), self.diagnostics)
@@ -82,10 +82,10 @@ class ClosedFormSurvival:
     """A closed-form overall survival `curve(key, times)` in the shape of
     `OverallSurvivalProvider`: the `strata`, `codes`, `lookup` and
     `survival` the survival lag table reads and the `max_age` the
-    prevalence calculator reads.  It has one stratum per age 0..MAX_AGE and demographics, and a
-    key reads the stratum of its age (clipped into 0..MAX_AGE) and
-    demographics, so `curve` may depend on a key's age and demographics but
-    not on its year.  No key is clamped."""
+    prevalence calculator reads.  It has one stratum per age 0..MAX_AGE and
+    demographics, and a cell reads the stratum of its age (clipped into
+    0..MAX_AGE) and demographics, so `curve` may depend on a stratum key's
+    age and demographics but not on its year.  No cell is clamped."""
 
     def __init__(self, curve, max_age=110, demographics=(("0",), ("1",))):
         self.curve = curve
@@ -96,18 +96,16 @@ class ClosedFormSurvival:
             for demo, i in self.groups.items() for age in range(MAX_AGE + 1)
         }
 
-    def codes(self, demographics):
-        return np.array([self.groups[demo] for demo in demographics], dtype=np.intp)
+    def codes(self, demographics, codes):
+        return np.array([self.groups[demo] for demo in demographics], dtype=np.intp)[codes]
 
-    def lookup(self, codes, ages=None, years=None):
-        if ages is None:
-            keys = codes
-            codes, ages = self.codes([k.demographics for k in keys]), [k.age for k in keys]
+    def lookup(self, codes, ages, years):
         rows = np.asarray(codes, dtype=np.intp) * (MAX_AGE + 1) + np.clip(ages, 0, MAX_AGE).astype(np.intp)
         return rows, np.zeros(rows.shape[0], dtype=bool)
 
-    def survival(self, keys, times):
-        return np.array([self.curve(key, times) for key in keys], dtype=np.float64)
+    def survival(self, rows, times):
+        keys = list(self.strata)
+        return np.array([self.curve(keys[row], times) for row in np.asarray(rows).tolist()], dtype=np.float64)
 
 
 def const_survival(rate, demographics=(("0",), ("1",))):

@@ -9,7 +9,9 @@
   survival-from-diagnosis matrix of the prevalent cases;
   `ScalarIngredients` feeds it and the other one-cell solver inputs to the
   triangular solver; `prevalence_inputs_from_views` builds the solver's
-  one prevalence call from a bundle's one-cell views.
+  one prevalence call from a bundle's one-cell views.  `cell_keys`,
+  `take_cells` and `lookup_keys` convert between keys and the
+  (demographics, codes, ages, years) cells the package takes.
 * `ir_at` and `q_at`: one incidence rate and one death probability,
   clamped and counted as the tables' diagonal gathers do.
 * `merge_small_strata_reference`: the plain rescanning stratum merger, which
@@ -66,7 +68,15 @@ from netadjust.incidence import (
 )
 from netadjust.io import MAX_AGE, REGISTRY_HEADER, RegistryFormatError
 from netadjust.lifetable import LifeTable, LifeTableError
-from netadjust.registry import MAX_TABLE_CELLS, Banding, EventTable, RegistryFrame, StratumKey
+from netadjust.registry import (
+    MAX_TABLE_CELLS,
+    Banding,
+    EventTable,
+    RegistryFrame,
+    StratumKey,
+    cell_key,
+    stratum_cells,
+)
 from netadjust.survival_provider import ProviderError, SurvivalLagTable
 
 
@@ -90,9 +100,9 @@ def triangular_cells(ing, keys, diagnostics=None):
         if n < 2:
             continue
         if s not in mass:
-            mass[s] = np.asarray(ing.diagnosis_mass([s])[0], dtype=np.float64)[:K]
+            mass[s] = np.asarray(ing.diagnosis_mass(stratum_cells([s]))[0], dtype=np.float64)[:K]
         for k in range(1, n):
-            s2 = s.shift(k)
+            s2 = StratumKey(s.age + k, s.year + k, s.demographics)
             if mass[s][k - 1] != 0.0 and need.get(s2, 0) < n - k:
                 need[s2] = n - k
                 stack.append(s2)
@@ -102,22 +112,23 @@ def triangular_cells(ing, keys, diagnostics=None):
     so_grids: dict[StratumKey, np.ndarray] = {}
     for s in order:
         n = need[s]
-        a = float(ing.alpha([s])[0])
-        lt = np.asarray(ing.lt_survival_grid([s])[0], dtype=np.float64)
+        cell = stratum_cells([s])
+        a = float(ing.alpha(cell)[0])
+        lt = np.asarray(ing.lt_survival_grid(cell)[0], dtype=np.float64)
         if a == 0.0:
             numer = lt[1 : n + 1]
         elif a >= 1.0:
             raise SolverError(f"prevalence {a} >= 1 at {s}")
         else:
-            numer = (lt - a * np.asarray(ing.prevalent_grid([s])[0], dtype=np.float64))[1 : n + 1]
+            numer = (lt - a * np.asarray(ing.prevalent_grid(cell)[0], dtype=np.float64))[1 : n + 1]
         dF = mass[s] if n >= 2 else np.zeros(K)
         H = np.zeros((n, n))
         for k in range(1, n):
             if dF[k - 1] == 0.0:
                 continue
-            shifted = s.shift(k)
+            shifted = StratumKey(s.age + k, s.year + k, s.demographics)
             if shifted not in so_grids:
-                so_grids[shifted] = np.asarray(ing.so_grid([shifted])[0], dtype=np.float64)
+                so_grids[shifted] = np.asarray(ing.so_grid(stratum_cells([shifted]))[0], dtype=np.float64)
             so = so_grids[shifted]
             sp = solved[shifted][0]
             m = n - k
@@ -252,7 +263,7 @@ class ScalarPrevalence:
     def _row(self, key: StratumKey) -> int:
         """The key's lag-table row, looked up once per key."""
         if key not in self._rows:
-            self._rows[key] = int(self.table.rows([key])[0])
+            self._rows[key] = int(lookup_keys(self.table, [key])[0][0])
         return self._rows[key]
 
     def _ensure(self, key: StratumKey, age: int) -> _DiagonalState:
@@ -326,17 +337,33 @@ class ScalarPrevalence:
         return values
 
 
+def cell_keys(cells) -> list[StratumKey]:
+    """The key of each of the (demographics, codes, ages, years) cells."""
+    return [cell_key(cells, i) for i in range(len(cells[1]))]
+
+
+def take_cells(cells, index):
+    """The cells at the positions `index`."""
+    return cells[0], *(column[index] for column in cells[1:])
+
+
+def lookup_keys(provider, keys):
+    """`provider.lookup` of a list of keys: their rows and clamped flags."""
+    demographics, codes, ages, years = stratum_cells(list(keys))
+    return provider.lookup(provider.codes(demographics, codes), ages, years)
+
+
 def prevalence_inputs_from_views(ing, cells, read):
     """The solver's `prevalence_inputs(cells, read)` from an ingredient
     bundle's one-cell views: `alpha` of the cells, `prevalent_grid` of those
     with nonzero alpha (a row of 1 for the others) and `so_grid` of the
     read cells (not called when there are none)."""
     alpha = np.asarray(ing.alpha(cells), dtype=np.float64)
-    prev = np.ones((len(cells), ing.horizon + 1))
+    prev = np.ones((len(alpha), ing.horizon + 1))
     mixed = np.flatnonzero(alpha != 0.0)
     if mixed.size:
-        prev[mixed] = ing.prevalent_grid([cells[i] for i in mixed.tolist()])
-    so = ing.so_grid(read) if read else np.ones((0, ing.horizon + 1))
+        prev[mixed] = ing.prevalent_grid(take_cells(cells, mixed))
+    so = ing.so_grid(read) if len(read[1]) else np.ones((0, ing.horizon + 1))
     return alpha, prev, so
 
 
@@ -360,9 +387,9 @@ class ScalarIngredients:
         self.walk = ScalarPrevalence(incidence, table, life_table, offset, max_age, self.diagnostics)
         self._cache: dict[tuple[str, StratumKey], object] = {}
 
-    def _each(self, name, keys, compute):
+    def _each(self, name, cells, compute):
         out = []
-        for key in keys:
+        for key in cell_keys(cells):
             if (name, key) not in self._cache:
                 self._cache[(name, key)] = compute(key)
             out.append(self._cache[(name, key)])
@@ -387,22 +414,22 @@ class ScalarIngredients:
         table = self.walk.table
         return table.values[self.walk._row(key), : 2 * self.horizon + 1 : 2]
 
-    def lt_survival_grid(self, keys):
-        return self._each("lt", keys, self._lt)
+    def lt_survival_grid(self, cells):
+        return self._each("lt", cells, self._lt)
 
-    def alpha(self, keys):
-        return self._each("alpha", keys, self.walk.prevalence)
+    def alpha(self, cells):
+        return self._each("alpha", cells, self.walk.prevalence)
 
-    def prevalent_grid(self, keys):
-        return self._each("prev", keys, lambda key: self.walk.prevalent_survival(key, self.horizon))
+    def prevalent_grid(self, cells):
+        return self._each("prev", cells, lambda key: self.walk.prevalent_survival(key, self.horizon))
 
-    def so_grid(self, keys):
-        return self._each("so", keys, self._so)
+    def so_grid(self, cells):
+        return self._each("so", cells, self._so)
 
     prevalence_inputs = prevalence_inputs_from_views
 
-    def diagnosis_mass(self, keys):
-        return self._each("mass", keys, self._mass)
+    def diagnosis_mass(self, cells):
+        return self._each("mass", cells, self._mass)
 
 
 def merge_small_strata_reference(sizes, min_size=10, diagnostics=None):
@@ -467,7 +494,7 @@ def diagonal_cumulative_hazard(
     if steps == 0:
         out = np.zeros_like(t_arr)
         return out if np.ndim(t) else float(out[0])
-    q = lt.q_diagonal([key], steps, diagnostics)[0]
+    q = lt.q_diagonal(stratum_cells([key]), steps, diagnostics)[0]
     bad = np.flatnonzero(q == 1.0)
     if bad.size:
         j = int(bad[0])
@@ -520,7 +547,7 @@ def time_to_diagnosis_cdf(
         raise ValueError("t must be >= 0")
     if t == 0:
         return 0.0
-    rates = ir.ir_diagonal([key], int(t), diagnostics)[0]
+    rates = ir.ir_diagonal(stratum_cells([key]), int(t), diagnostics)[0]
     return float(1.0 - np.prod(1.0 - rates))
 
 
@@ -529,7 +556,7 @@ def time_to_diagnosis_increment(
 ) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return float(time_to_diagnosis_increments(ir, [key], k, diagnostics)[0][-1])
+    return float(time_to_diagnosis_increments(ir, stratum_cells([key]), k, diagnostics)[0][-1])
 
 
 def lag_since_diagnosis_increments(calc: PrevalenceCalculator, key: StratumKey) -> np.ndarray:

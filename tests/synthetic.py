@@ -3,11 +3,12 @@ import numpy as np
 
 from netadjust.registry import StratumKey
 
-from oracles import prevalence_inputs_from_views
+from oracles import cell_keys, prevalence_inputs_from_views
 
 
 class SyntheticIngredients:
-    """Random per-cell grids, generated lazily, one row per cell asked for.
+    """Random per-cell grids, generated lazily, one row per cell asked for;
+    each ingredient takes (demographics, codes, ages, years) cells.
 
     Occasionally produces numerators above one or locally increasing grids
     so the clip and monotonicity-guard paths get exercised; total diagnosis
@@ -40,25 +41,25 @@ class SyntheticIngredients:
             self._cells[key] = cell
         return cell
 
-    def _stack(self, keys, name):
-        return np.array([self._cell(key)[name] for key in keys])
+    def _stack(self, cells, name):
+        return np.array([self._cell(key)[name] for key in cell_keys(cells)])
 
-    def lt_survival_grid(self, keys):
-        return self._stack(keys, "lt")
+    def lt_survival_grid(self, cells):
+        return self._stack(cells, "lt")
 
-    def alpha(self, keys):
-        return self._stack(keys, "alpha")
+    def alpha(self, cells):
+        return self._stack(cells, "alpha")
 
-    def prevalent_grid(self, keys):
-        return self._stack(keys, "prev")
+    def prevalent_grid(self, cells):
+        return self._stack(cells, "prev")
 
-    def so_grid(self, keys):
-        return self._stack(keys, "so")
+    def so_grid(self, cells):
+        return self._stack(cells, "so")
 
     prevalence_inputs = prevalence_inputs_from_views
 
-    def diagnosis_mass(self, keys):
-        return self._stack(keys, "mass")
+    def diagnosis_mass(self, cells):
+        return self._stack(cells, "mass")
 
 
 BASE_KEY = StratumKey(60, 2020, ("x",))

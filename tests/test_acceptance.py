@@ -14,7 +14,7 @@ from netadjust.estimators import RiskSetSummary, crude_probability, ederer1, poh
 from netadjust.extrapolation import AnnualGridSurvival, extend_survival
 from netadjust.incidence import IncidenceTable, PrevalenceCalculator
 from netadjust.lifetable import diagonal_survival
-from netadjust.registry import EventTable, StepSurvivalCurve, StratumKey, kaplan_meier
+from netadjust.registry import EventTable, StepSurvivalCurve, StratumKey, kaplan_meier, stratum_cells
 from netadjust.diagnostics import Diagnostics
 from netadjust.registry import Banding
 from netadjust.simulation import (
@@ -110,13 +110,13 @@ def test_criterion_4_null_adjustment_identity():
     engine = AdjustmentEngine(lt, IncidenceTable.zero(), ClosedFormSurvival(so), horizon=12)
     grids_equal = all(
         np.array_equal(
-            engine.solve([StratumKey(a, 2000 + a - 60, (s,))]).values[0],
-            diagonal_survival(lt, [StratumKey(a, 2000 + a - 60, (s,))], 12).values[0],
+            engine.solve(stratum_cells([StratumKey(a, 2000 + a - 60, (s,))])).values[0],
+            diagonal_survival(lt, stratum_cells([StratumKey(a, 2000 + a - 60, (s,))]), 12).values[0],
         )
         for a, s in ((60, "0"), (63, "1"), (66, "1"))
     )
     rs = RiskSetSummary(frame)
-    adjusted = pohar_perme(rs, population_survival(engine.solve(rs.keys).values, engine.diagnostics))
+    adjusted = pohar_perme(rs, population_survival(engine.solve(rs.cells).values, engine.diagnostics))
     naive = fit(pohar_perme, rs, LifeTableSP(lt, 12))
     gaps = [
         abs(adjusted.cumulative_hazard_at(t) - naive.cumulative_hazard_at(t))
@@ -133,7 +133,7 @@ def test_criterion_5_solver_oracle():
     worst = 0.0
     for seed in range(1000, 2000):
         ing = SyntheticIngredients(seed)
-        a = solve_noncancer_survival(ing, [BASE_KEY]).values[0]
+        a = solve_noncancer_survival(ing, stratum_cells([BASE_KEY])).values[0]
         b = solve_noncancer_survival_triangular(ing, BASE_KEY)
         worst = max(worst, float(np.max(np.abs(a - b.values))))
     ok = worst <= 1e-12
@@ -186,13 +186,13 @@ def test_criterion_6_prevalence_oracles():
             n_prev = int(prevalent.sum())
             emp_alpha = n_prev / n_alive
             se = math.sqrt(emp_alpha * (1 - emp_alpha) / n_alive)
-            worst["alpha"] = max(worst["alpha"], abs(calc.prevalence([key])[0] - emp_alpha) / (3 * se))
+            worst["alpha"] = max(worst["alpha"], abs(calc.prevalence(stratum_cells([key]))[0] - emp_alpha) / (3 * se))
             for t in (1, 3, 5, 10):
                 emp = float((prevalent & (td >= age - t)).sum()) / n_prev
                 se_f = math.sqrt(max(emp * (1 - emp), 1e-12) / n_prev)
                 got = lag_since_diagnosis_cdf(calc, key, t)
                 worst["lag_cdf"] = max(worst["lag_cdf"], abs(got - emp) / (3 * max(se_f, 1e-9)))
-            pcs = calc.prevalent_survival([key])[0]
+            pcs = calc.prevalent_survival(stratum_cells([key]))[0]
             for t in (1, 5, 10):
                 emp = float((prevalent & (death >= age + t)).sum()) / n_prev
                 se_f = math.sqrt(max(emp * (1 - emp), 1e-12) / n_prev)
@@ -269,7 +269,7 @@ def noncancer_survival_mae(cfg: ScenarioConfig, rep: int, ts=(1.0, 5.0, 10.0)) -
         StratumKey(age, cfg.birth_year + age, (sex,))
         for age in range(int(lo), int(hi)) for sex in ("0", "1")
     ]
-    for key, curve in zip(keys, engine.solve(keys).values):
+    for key, curve in zip(keys, engine.solve(stratum_cells(keys)).values):
         for t in ts:
             truth = true_noncancer_survival(cfg, key.age, t)
             errors[t].append(abs(float(curve[int(t)]) - truth))

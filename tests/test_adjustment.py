@@ -17,7 +17,7 @@ from netadjust.diagnostics import Diagnostics
 from netadjust.estimators import RiskSetSummary, pohar_perme, population_survival
 from netadjust.incidence import IncidenceTable, PrevalenceError
 from netadjust.lifetable import LifeTable, diagonal_survival
-from netadjust.registry import StratumKey
+from netadjust.registry import StratumKey, stratum_cells
 from netadjust.survival_provider import OverallSurvivalProvider
 
 from conftest import (
@@ -33,6 +33,8 @@ from conftest import (
 from oracles import (
     ScalarIngredients,
     ScalarPrevalence,
+    cell_keys,
+    lookup_keys,
     resolve_stratum,
     solve_noncancer_survival_triangular,
     triangular_cells,
@@ -68,7 +70,7 @@ class TestPrevalentCaseSurvival:
             horizon=10, lag_eval="year_start",
         )
         key = StratumKey(60, 2020, ("0",))
-        grid = engine.prevalent_grid([key])[0]
+        grid = engine.prevalent_grid(stratum_cells([key]))[0]
         for t in range(11):
             expected = math.exp(-rate * (t + s0)) / math.exp(-rate * s0)
             assert grid[t] == pytest.approx(expected, abs=1e-12)
@@ -77,7 +79,7 @@ class TestPrevalentCaseSurvival:
         engine = AdjustmentEngine(
             flat_life_table(0.01), flat_incidence(0.02), const_survival(0.1), horizon=8
         )
-        grid = engine.prevalent_grid([StratumKey(50, 2010, ("0",))])[0]
+        grid = engine.prevalent_grid(stratum_cells([StratumKey(50, 2010, ("0",))]))[0]
         assert grid[0] == 1.0
         assert np.all(np.diff(grid) <= 1e-12)
         PrevalentCaseSurvival(np.array([grid]))
@@ -88,8 +90,8 @@ class TestSolver:
         lt = flat_life_table(0.02)
         engine = AdjustmentEngine(lt, IncidenceTable.zero(), const_survival(0.1), horizon=12)
         key = StratumKey(65, 2000, ("0",))
-        solution = engine.solve([key])
-        expected = diagonal_survival(lt, [key], 12).values[0]
+        solution = engine.solve(stratum_cells([key]))
+        expected = diagonal_survival(lt, stratum_cells([key]), 12).values[0]
         assert np.array_equal(solution.values[0], expected)
         assert clip_guard_counts(solution) == [(0, 0)]
 
@@ -98,23 +100,23 @@ class TestSolver:
             flat_life_table(0.03), flat_incidence(0.02), const_survival(0.1), horizon=4
         )
         key = StratumKey(40, 2005, ("0",))
-        alpha = engine.alpha([key])[0]
-        prev = engine.prevalent_grid([key])[0]
-        lt_grid = engine.lt_survival_grid([key])[0]
+        alpha = engine.alpha(stratum_cells([key]))[0]
+        prev = engine.prevalent_grid(stratum_cells([key]))[0]
+        lt_grid = engine.lt_survival_grid(stratum_cells([key]))[0]
         expected = (lt_grid[1] - alpha * prev[1]) / (1.0 - alpha)
-        assert engine.solve([key]).values[0][1] == pytest.approx(expected, abs=1e-14)
+        assert engine.solve(stratum_cells([key])).values[0][1] == pytest.approx(expected, abs=1e-14)
 
     def test_recursion_matches_triangular_oracle(self):
         for seed in range(200):
             ing = SyntheticIngredients(seed)
-            a = solve_noncancer_survival(ing, [BASE_KEY])
+            a = solve_noncancer_survival(ing, stratum_cells([BASE_KEY]))
             b = solve_noncancer_survival_triangular(ing, BASE_KEY)
             np.testing.assert_allclose(a.values[0], b.values, rtol=0, atol=1e-12)
             assert clip_guard_counts(a) == [(b.clip_count, b.guard_count)]
 
     def test_horizon_one_identical(self):
         ing = SyntheticIngredients(7, horizon=1)
-        a = solve_noncancer_survival(ing, [BASE_KEY]).values[0]
+        a = solve_noncancer_survival(ing, stratum_cells([BASE_KEY])).values[0]
         b = solve_noncancer_survival_triangular(ing, BASE_KEY)
         assert a.shape == (2,)
         np.testing.assert_allclose(a, b.values, rtol=0, atol=1e-15)
@@ -123,7 +125,7 @@ class TestSolver:
         hits = [0, 0]
         for seed in range(120):
             ing = SyntheticIngredients(seed)
-            solution = solve_noncancer_survival(ing, [BASE_KEY])
+            solution = solve_noncancer_survival(ing, stratum_cells([BASE_KEY]))
             curve = solution.values[0]
             (clips, guards), = clip_guard_counts(solution)
             hits[0] += clips
@@ -143,32 +145,32 @@ class TestSolver:
                 return cell
 
         with pytest.raises(SolverError, match="residual denominator"):
-            solve_noncancer_survival(Degenerate(3), [BASE_KEY])
+            solve_noncancer_survival(Degenerate(3), stratum_cells([BASE_KEY]))
         with pytest.raises(SolverError, match="residual denominator"):
             solve_noncancer_survival_triangular(Degenerate(3), BASE_KEY)
 
     def test_alpha_at_least_one_rejected(self):
         class BadAlpha(SyntheticIngredients):
-            def alpha(self, keys):
-                return np.ones(len(keys))
+            def alpha(self, cells):
+                return np.ones(len(cells[1]))
 
         with pytest.raises(SolverError, match="prevalence"):
-            solve_noncancer_survival(BadAlpha(1), [BASE_KEY])
+            solve_noncancer_survival(BadAlpha(1), stratum_cells([BASE_KEY]))
 
     def test_memoized_solve_is_stable(self):
         engine = AdjustmentEngine(
             flat_life_table(0.02), flat_incidence(0.01), const_survival(0.1), horizon=6
         )
         key = StratumKey(62, 2021, ("1",))
-        first = engine.solve([key]).values[0]
-        second = engine.solve([key]).values[0]
+        first = engine.solve(stratum_cells([key])).values[0]
+        second = engine.solve(stratum_cells([key])).values[0]
         assert np.array_equal(first, second)
 
     def test_residual_export_shape(self):
         engine = AdjustmentEngine(
             flat_life_table(0.02), flat_incidence(0.01), const_survival(0.1), horizon=6
         )
-        r = engine.solve([StratumKey(62, 2021, ("1",))]).residual[:, 1:][0]
+        r = engine.solve(stratum_cells([StratumKey(62, 2021, ("1",))])).residual[:, 1:][0]
         assert r.shape == (6,)
         assert r[0] == 1.0
         assert np.all(r > 0)
@@ -177,7 +179,7 @@ class TestSolver:
         engine = AdjustmentEngine(
             flat_life_table(0.02), IncidenceTable.zero(), const_survival(0.1), horizon=6
         )
-        r = engine.solve([StratumKey(62, 2021, ("1",))]).residual[:, 1:][0]
+        r = engine.solve(stratum_cells([StratumKey(62, 2021, ("1",))])).residual[:, 1:][0]
         assert np.all(r == 1.0)
 
     def test_no_keys_read_nothing(self):
@@ -185,8 +187,8 @@ class TestSolver:
             flat_life_table(0.02), flat_incidence(0.01), const_survival(0.1), horizon=6
         )
         for name in ("prevalence_inputs", "alpha", "lt_survival_grid", "prevalent_grid", "so_grid", "diagnosis_mass"):
-            setattr(engine, name, lambda keys, name=name: pytest.fail(f"{name} was read"))
-        solution = engine.solve([])
+            setattr(engine, name, lambda cells, name=name: pytest.fail(f"{name} was read"))
+        solution = engine.solve(stratum_cells([]))
         assert solution.values.shape == solution.residual.shape == (0, 7)
         assert solution.clipped.shape == solution.guarded.shape == (0, 7)
         assert solution.alpha.shape == (0,) and engine.residuals(solution).shape == (0, 6)
@@ -200,7 +202,7 @@ class TestNullAdjustmentEstimate:
         engine = AdjustmentEngine(lt, IncidenceTable.zero(), const_survival(0.1),
                                   horizon=12, diagnostics=diag)
         rs = RiskSetSummary(frame)
-        adjusted = pohar_perme(rs, population_survival(engine.solve(rs.keys).values, diag))
+        adjusted = pohar_perme(rs, population_survival(engine.solve(rs.cells).values, diag))
         naive = fit(pohar_perme, rs, LifeTableSP(lt, 12, diag))
         for t in (1.0, 2.0, 5.5, 9.0, 11.0):
             assert adjusted.cumulative_hazard_at(t) == pytest.approx(
@@ -252,7 +254,7 @@ class TestTailHardening:
         key = StratumKey(60, 1990, ("0",))
         lags = np.array([0.5, 20.0, 119.5, 120.0, 120.5, 130.0, 200.0])
         before = diag.get("grid_extended_eval")
-        provider.survival([key], lags)
+        provider.survival(lookup_keys(provider, [key])[0], lags)
         assert diag.get("grid_extended_eval") - before == 3
 
 
@@ -262,12 +264,12 @@ class TestRegistryEngine:
         engine, _, keys, diag = gapped_registry_engine(lag_eval)
         assert diag.get("stratum_merge") > 0
         for key in keys:
-            got = engine.solve([key])
+            got = engine.solve(stratum_cells([key]))
             want = solve_noncancer_survival_triangular(engine, key)
             np.testing.assert_allclose(got.values[0], want.values, rtol=0, atol=1e-12)
             assert clip_guard_counts(got) == [(want.clip_count, want.guard_count)]
             np.testing.assert_allclose(
-                engine.solve([key]).residual[:, 1:][0], triangular_residuals(engine, key), rtol=0, atol=1e-12
+                engine.solve(stratum_cells([key])).residual[:, 1:][0], triangular_residuals(engine, key), rtol=0, atol=1e-12
             )
         assert diag.get("lifetable_clamp") > 0
         assert diag.get("incidence_clamp") > 0 and diag.get("incidence_missing_cell") > 0
@@ -278,12 +280,13 @@ class TestRegistryEngine:
         lags = table.max_lag
         probes = keys + [StratumKey(40, 1980, ("0",)), StratumKey(70, 2010, ("1",))]
         for key in probes:
-            row = table.values[table.rows([key])[0]]
-            integer = provider.survival([key], np.arange(lags + 1, dtype=np.float64))[0]
-            half = provider.survival([key], np.arange(1, lags + 1, dtype=np.float64) - 0.5)[0]
+            rows = lookup_keys(provider, [key])[0]
+            row = table.values[lookup_keys(table, [key])[0][0]]
+            integer = provider.survival(rows, np.arange(lags + 1, dtype=np.float64))[0]
+            half = provider.survival(rows, np.arange(1, lags + 1, dtype=np.float64) - 0.5)[0]
             assert np.array_equal(row[::2], integer)
             assert np.array_equal(row[1::2], half)
-            assert np.array_equal(engine.so_grid([key])[0], integer[: engine.horizon + 1])
+            assert np.array_equal(engine.so_grid(stratum_cells([key]))[0], integer[: engine.horizon + 1])
 
     def test_prevalence_terms_read_the_table_at_the_right_lags(self):
         # the one-cell walk's survival-from-diagnosis matrix reads the table
@@ -294,10 +297,10 @@ class TestRegistryEngine:
         matrix = walk.survival_from_diagnosis_matrix(key, engine.horizon)
         for s in range(1, key.age + 1):
             origin = StratumKey(key.age - s, key.year - s, key.demographics)
-            want = provider.survival([origin], s - 0.5 + np.arange(engine.horizon + 1, dtype=np.float64))[0]
+            want = provider.survival(lookup_keys(provider, [origin])[0], s - 0.5 + np.arange(engine.horizon + 1, dtype=np.float64))[0]
             assert np.array_equal(matrix[s - 1], want)
         np.testing.assert_allclose(
-            engine.calc.prevalent_survival([key])[0], walk.prevalent_mix_weights(key) @ matrix, rtol=0, atol=1e-12
+            engine.calc.prevalent_survival(stratum_cells([key]))[0], walk.prevalent_mix_weights(key) @ matrix, rtol=0, atol=1e-12
         )
 
     def test_one_survival_evaluation_per_stratum(self):
@@ -307,23 +310,36 @@ class TestRegistryEngine:
         provider.survival = lambda strata, times: calls.append(strata) or direct(strata, times)
         engine.calc.table.survival = provider.survival
         for key in keys:
-            engine.solve([key])
+            engine.solve(stratum_cells([key]))
         # one call evaluates every stratum once, in the table's row order
         assert len(calls) == 1
-        assert calls[0] == list(provider.strata)
+        assert calls[0].tolist() == list(range(len(provider.strata)))
 
     def test_clamp_counter_counts_each_clamped_cell_once(self):
         engine, provider, keys, diag = gapped_registry_engine()
         looked_up = []
         lookup, demos = engine.calc.table.lookup, sorted({k.demographics for k in provider.strata})
-        demographics = dict(zip(provider.codes(demos).tolist(), demos))
+        demographics = dict(zip(provider.codes(demos, np.arange(len(demos))).tolist(), demos))
         engine.calc.table.lookup = lambda codes, ages, years: looked_up.extend(
             StratumKey(a, y, demographics[c]) for c, a, y in zip(codes.tolist(), ages.tolist(), years.tolist())
         ) or lookup(codes, ages, years)
-        engine.solve(keys)
+        engine.solve(stratum_cells(keys))
         assert len(looked_up) == len(set(looked_up))
         clamped = sum(resolve_stratum(provider, cell)[1] for cell in looked_up)
         assert diag.get("so_stratum_clamp") == clamped == 1604
+
+    def test_solve_builds_no_keys(self, monkeypatch):
+        # keys are converted to cells once, before the solve; the solve and
+        # every ingredient it reads run on the cells and build no key
+        engine, _, keys, _ = gapped_registry_engine()
+        cells = stratum_cells(keys)
+        built = []
+        init = StratumKey.__init__
+        monkeypatch.setattr(StratumKey, "__init__", lambda key, *args: built.append(args) or init(key, *args))
+        assert StratumKey(60, 2000, ("0",)) and built == [(60, 2000, ("0",))]
+        solution = engine.solve(cells)
+        assert built == [(60, 2000, ("0",))]
+        assert solution.values.shape == (len(keys), engine.horizon + 1)
 
     def test_each_solve_reads_its_inputs_afresh(self):
         # nothing is kept between solves: solving the same keys again reads,
@@ -333,7 +349,7 @@ class TestRegistryEngine:
         added = []
         for _ in range(2):
             before = diag.as_dict()
-            engine.solve(keys)
+            engine.solve(stratum_cells(keys))
             after = diag.as_dict()
             added.append({name: after[name] - before.get(name, 0) for name in after})
         assert added[0] == added[1]
@@ -343,7 +359,7 @@ class TestRegistryEngine:
         engine, provider, _, _ = gapped_registry_engine()
         old = StratumKey(provider.max_age + engine.horizon, 2000, ("0",))
         with pytest.raises(PrevalenceError, match="older than"):
-            engine.alpha([old])
+            engine.alpha(stratum_cells([old]))
 
 
 class TestKeyDependentCurve:
@@ -355,15 +371,15 @@ class TestKeyDependentCurve:
         engine = AdjustmentEngine(flat_life_table(0.01), flat_incidence(0.01), ClosedFormSurvival(so), horizon=6)
         keys = [StratumKey(a, 1990 + a + d, ("0",)) for a in (30, 45, 60) for d in (0, 7)]
         for key in keys:
-            engine.solve([key])
+            engine.solve(stratum_cells([key]))
         walk = ScalarPrevalence.of(engine.calc)
         for key in keys:
-            np.testing.assert_array_equal(engine.so_grid([key])[0], so(key, np.arange(7.0)))
+            np.testing.assert_array_equal(engine.so_grid(stratum_cells([key]))[0], so(key, np.arange(7.0)))
             origin = StratumKey(0, key.year - key.age, key.demographics)
             matrix = walk.survival_from_diagnosis_matrix(key, 6)
             np.testing.assert_array_equal(matrix[-1], so(origin, key.age - 0.5 + np.arange(7.0)))
             np.testing.assert_allclose(
-                engine.calc.prevalent_survival([key])[0], walk.prevalent_mix_weights(key) @ matrix,
+                engine.calc.prevalent_survival(stratum_cells([key]))[0], walk.prevalent_mix_weights(key) @ matrix,
                 rtol=0, atol=1e-12,
             )
 
@@ -382,22 +398,22 @@ class TestSweep:
                 cell["mass"] = np.array([0.0, 0.2, 0.0, 0.0, 0.0, 0.0])
                 return cell
 
-            def alpha(self, keys):
-                self.calls["alpha"].update(key.age for key in keys)
-                return super().alpha(keys)
+            def alpha(self, cells):
+                self.calls["alpha"].update(cells[2].tolist())
+                return super().alpha(cells)
 
-            def so_grid(self, keys):
-                self.calls["so"].update(key.age for key in keys)
-                return super().so_grid(keys)
+            def so_grid(self, cells):
+                self.calls["so"].update(cells[2].tolist())
+                return super().so_grid(cells)
 
-            def diagnosis_mass(self, keys):
-                self.calls["mass"].update(key.age for key in keys)
-                return super().diagnosis_mass(keys)
+            def diagnosis_mass(self, cells):
+                self.calls["mass"].update(cells[2].tolist())
+                return super().diagnosis_mass(cells)
 
         ing = Sparse(5)
         with pytest.MonkeyPatch.context() as mp:
             solved = record_solved_horizons(mp, ing)
-            solve_noncancer_survival(ing, [BASE_KEY])
+            solve_noncancer_survival(ing, stratum_cells([BASE_KEY]))
         assert ing.calls == {"alpha": {60, 62, 64}, "so": {62, 64}, "mass": {60, 62, 64}}
         assert {k.age: n for k, n in solved.items()} == {60: 6, 62: 4, 64: 2}
 
@@ -413,7 +429,7 @@ class TestSweep:
                 return cell
 
         with pytest.raises(SolverError, match=r"r\(2\)=.* at StratumKey\(age=62, year=2022"):
-            solve_noncancer_survival(DeepDegenerate(3), [BASE_KEY])
+            solve_noncancer_survival(DeepDegenerate(3), stratum_cells([BASE_KEY]))
         with pytest.raises(SolverError, match=r"at StratumKey\(age=62, year=2022"):
             solve_noncancer_survival_triangular(DeepDegenerate(3), BASE_KEY)
 
@@ -429,8 +445,8 @@ def record_solved_horizons(mp, ing):
 
     def recording(cells, read):
         need = needs[-1][needs[-1] > 0].tolist()
-        assert len(need) == len(cells)
-        for cell, n in zip(cells, need):
+        assert len(need) == len(cells[1])
+        for cell, n in zip(cell_keys(cells), need):
             solved[cell] = max(solved.get(cell, 0), n)
         return inputs(cells, read)
 
@@ -443,18 +459,18 @@ class TestDiagonalBatch:
     @settings(max_examples=150, deadline=None)
     def test_batch_equals_one_at_a_time(self, seed, offsets):
         ing = SyntheticIngredients(seed)
-        keys = [BASE_KEY.shift(j) for j in offsets]
+        keys = [StratumKey(BASE_KEY.age + j, BASE_KEY.year + j, BASE_KEY.demographics) for j in offsets]
         batch_diag = Diagnostics()
-        batch = solve_noncancer_survival(ing, keys, batch_diag)
+        batch = solve_noncancer_survival(ing, stratum_cells(keys), batch_diag)
         assert batch.values.shape == (len(keys), ing.horizon + 1)
         for key, curve, counts in zip(keys, batch.values, clip_guard_counts(batch)):
-            alone = solve_noncancer_survival(ing, [key])
+            alone = solve_noncancer_survival(ing, stratum_cells([key]))
             assert np.array_equal(curve, alone.values[0])
             assert [counts] == clip_guard_counts(alone)
         # a batch counts each cell once: its counters are those of the same
         # keys deduplicated and reordered
         unique_diag = Diagnostics()
-        solve_noncancer_survival(ing, sorted(set(keys), key=lambda k: -k.age), unique_diag)
+        solve_noncancer_survival(ing, stratum_cells(sorted(set(keys), key=lambda k: -k.age)), unique_diag)
         assert batch_diag.as_dict() == unique_diag.as_dict()
 
     def test_keys_off_the_diagonal_rejected(self):
@@ -462,10 +478,10 @@ class TestDiagonalBatch:
         # it gets a chain of its own, and each solves as it does alone
         ing = SyntheticIngredients(1)
         other = StratumKey(BASE_KEY.age + 1, BASE_KEY.year, BASE_KEY.demographics)
-        together = solve_noncancer_survival(ing, [BASE_KEY, other])
+        together = solve_noncancer_survival(ing, stratum_cells([BASE_KEY, other]))
         assert len(together.values) == 2
         for key, curve, counts in zip((BASE_KEY, other), together.values, clip_guard_counts(together)):
-            alone = solve_noncancer_survival(ing, [key])
+            alone = solve_noncancer_survival(ing, stratum_cells([key]))
             assert np.array_equal(curve, alone.values[0])
             assert [counts] == clip_guard_counts(alone)
 
@@ -473,15 +489,15 @@ class TestDiagonalBatch:
     def test_engine_batch_equals_one_at_a_time(self, lag_eval):
         batched, _, keys, batch_diag = gapped_registry_engine(lag_eval)
         single, _, _, _ = gapped_registry_engine(lag_eval)
-        batch = batched.solve(keys)
+        batch = batched.solve(stratum_cells(keys))
         for i, key in enumerate(keys):
-            alone = single.solve([key])
+            alone = single.solve(stratum_cells([key]))
             assert np.array_equal(batch.values[i], alone.values[0])
             assert clip_guard_counts(batch)[i] == clip_guard_counts(alone)[0]
             assert np.array_equal(batch.residual[i, 1:], alone.residual[0, 1:])
         # the batch counts each cell once, as the same keys reordered do
         reordered, _, _, reordered_diag = gapped_registry_engine(lag_eval)
-        reordered.solve(keys[::-1])
+        reordered.solve(stratum_cells(keys[::-1]))
         assert batch_diag.as_dict() == reordered_diag.as_dict()
 
     def test_one_sweep_per_diagonal(self):
@@ -491,12 +507,12 @@ class TestDiagonalBatch:
         engine, _, keys, _ = gapped_registry_engine()
         calls = []
         inputs = engine.prevalence_inputs
-        engine.prevalence_inputs = lambda cells, read: calls.append(list(cells)) or inputs(cells, read)
-        solution = engine.solve(keys)
+        engine.prevalence_inputs = lambda cells, read: calls.append(cell_keys(cells)) or inputs(cells, read)
+        solution = engine.solve(stratum_cells(keys))
         diagonals = {(k.year - k.age, k.demographics) for k in keys}
         assert len(calls) == 1 < len(diagonals) < len(keys)
         assert set(keys) <= set(calls[0]) and len(calls[0]) == len(set(calls[0]))
-        again = engine.solve(keys[::-1])
+        again = engine.solve(stratum_cells(keys[::-1]))
         assert len(calls) == 2
         assert np.array_equal(again.values, solution.values[::-1])
 
@@ -565,14 +581,14 @@ class TestBatchAgainstOracles:
         with pytest.MonkeyPatch.context() as mp:
             solved_horizons = record_solved_horizons(mp, engine)
             for group in groups:
-                solution = engine.solve(group)
+                solution = engine.solve(stratum_cells(group))
                 curves.update(zip(group, solution.values))
                 counts.update(zip(group, clip_guard_counts(solution)))
         # one solve of every key, on inputs built afresh, counts each cell
         # once, as the oracle does
         f_life, f_incidence, f_provider, _, once_diag = random_registry_inputs(seed, zero_band)
         once = AdjustmentEngine(f_life, f_incidence, f_provider, horizon, lag_eval, once_diag)
-        residuals = once.solve(keys).residual[:, 1:]
+        residuals = once.solve(stratum_cells(keys)).residual[:, 1:]
 
         o_life, o_incidence, o_provider, _, o_diag = random_registry_inputs(seed, zero_band)
         oracle = ScalarIngredients(o_life, o_incidence, o_provider, horizon, lag_eval, o_diag)
@@ -589,9 +605,9 @@ class TestBatchAgainstOracles:
         # every cell the oracle solved: alpha and the prevalent-case survival
         cells = list(solved)
         assert set(solved_horizons) == set(cells)
-        alpha = once.alpha(cells)
-        np.testing.assert_allclose(alpha, oracle.alpha(cells), rtol=0, atol=1e-12)
-        mixed = [cell for cell, a in zip(cells, alpha) if a > 0.0]
+        alpha = once.alpha(stratum_cells(cells))
+        np.testing.assert_allclose(alpha, oracle.alpha(stratum_cells(cells)), rtol=0, atol=1e-12)
+        mixed = stratum_cells([cell for cell, a in zip(cells, alpha) if a > 0.0])
         np.testing.assert_allclose(
             once.prevalent_grid(mixed), oracle.prevalent_grid(mixed), rtol=0, atol=1e-12
         )
@@ -616,15 +632,36 @@ class TestErrorsNameTheCell:
                 if key == bad:
                     cell["mass"] = np.array([1.0 - 1e-9] + [0.0] * (self.horizon - 1))
                     cell["alpha"] = 0.0
-                if key == bad.shift(1):
+                if key == StratumKey(bad.age + 1, bad.year + 1, bad.demographics):
                     cell["so"] = np.concatenate(([1.0], np.full(self.horizon, 1e-9)))
                 return cell
 
         cell = rf"StratumKey\(age={bad.age}, year={bad.year}, demographics=\('{bad.demographics[0]}',\)\)"
         with pytest.raises(SolverError, match=rf"r\(2\)=.* at {cell}; "):
-            solve_noncancer_survival(Degenerate(seed), keys)
+            solve_noncancer_survival(Degenerate(seed), stratum_cells(keys))
         with pytest.raises(SolverError, match=rf"r\(2\)=.* at {cell}; "):
             solve_noncancer_survival_triangular(Degenerate(seed), keys)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_first_seen_failing_diagonal_is_named(self, reverse):
+        # a and b start two diagonals that both fail at r(2); the error names
+        # the diagonal seen first among the keys, not the one sorted first
+        # (b's, born 1960, sorts before a's, born 1965); c is on b's diagonal
+        a, b, c = StratumKey(60, 2025, ("x",)), StratumKey(60, 2020, ("x",)), StratumKey(62, 2022, ("x",))
+
+        class Degenerate(SyntheticIngredients):
+            def _cell(self, key):
+                cell = super()._cell(key)
+                if key in (a, b):
+                    cell["mass"] = np.array([1.0 - 1e-9] + [0.0] * (self.horizon - 1))
+                    cell["alpha"] = 0.0
+                if key in (StratumKey(61, 2026, ("x",)), StratumKey(61, 2021, ("x",))):
+                    cell["so"] = np.concatenate(([1.0], np.full(self.horizon, 1e-9)))
+                return cell
+
+        keys, named = ([c, b, a], b) if reverse else ([a, b, c], a)
+        with pytest.raises(SolverError, match=rf"r\(2\)=.* at StratumKey\(age=60, year={named.year},"):
+            solve_noncancer_survival(Degenerate(4), stratum_cells(keys))
 
     def test_prevalence_at_least_one_names_the_cell(self):
         # immortal patients and a population halving every year push alpha
@@ -637,7 +674,7 @@ class TestErrorsNameTheCell:
             ScalarPrevalence.of(engine.calc).prevalence(keys[1])
         age = re.search(r">= 1 at age (\d+) on diagonal \(birth year 1955, \('1',\)\)", str(want.value)).group(1)
         with pytest.raises(PrevalenceError, match=rf">= 1 at age {age} on diagonal \(birth year 1955, \('1',\)\)"):
-            engine.solve(keys)
+            engine.solve(stratum_cells(keys))
 
     def test_extinct_cohort_names_the_cell(self):
         # every group-"0" cohort dies out at age 5
@@ -648,6 +685,6 @@ class TestErrorsNameTheCell:
         with pytest.raises(
             PrevalenceError, match=r"extinct at age 6 on diagonal \(birth year 1960, \('0',\)\); prevalence undefined"
         ):
-            engine.solve(keys)
+            engine.solve(stratum_cells(keys))
         with pytest.raises(PrevalenceError, match=r"extinct at age 6 on diagonal \(birth year 1960, \('0',\)\)"):
             ScalarPrevalence.of(engine.calc).prevalence(keys[1])

@@ -16,7 +16,7 @@ from netadjust.cli import main
 from netadjust.incidence import PrevalenceCalculator, load_incidence_table
 from netadjust.io import load_registry
 from netadjust.lifetable import load_life_table
-from netadjust.registry import Banding, build_strata
+from netadjust.registry import Banding, build_strata, stratum_cells
 from netadjust.survival_provider import OverallSurvivalProvider
 
 from conftest import toy_frame, write_registry
@@ -307,7 +307,8 @@ class TestAdjust:
         calls = []
         recursion = PrevalenceCalculator.recursion
         monkeypatch.setattr(PrevalenceCalculator, "recursion",
-                            lambda calc, keys, read=(): calls.append(bool(read)) or recursion(calc, keys, read))
+                            lambda calc, cells, read=None: calls.append(read is not None and len(read[1]) > 0)
+                            or recursion(calc, cells, read))
         registry = write_inputs(tmp_path)
         assert main([
             "adjust", "--registry", str(registry),
@@ -355,8 +356,9 @@ class TestAdjust:
         so = OverallSurvivalProvider.from_registry(frame, Banding(), anchor_points=4, population_floor=life_table)
         engine = AdjustmentEngine(life_table, load_incidence_table(tmp_path / "incidence.csv"), so, horizon=10)
         grid_rows, alpha_rows, r_rows = [], [], []
-        curves = engine.solve(keys).values
-        alphas, residuals = engine.alpha(keys), engine.solve(keys).residual[:, 1:]
+        cells = stratum_cells(keys)
+        curves = engine.solve(cells).values
+        alphas, residuals = engine.alpha(cells), engine.solve(cells).residual[:, 1:]
         for key, curve, alpha, r in zip(keys, curves, alphas.tolist(), residuals):
             alpha_rows.append({"age": key.age, "year": key.year, "sex": key.demographics[0], "alpha": alpha})
             for t, value in enumerate(curve):

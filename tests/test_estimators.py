@@ -24,6 +24,7 @@ from netadjust.simulation import ScenarioConfig, run_replicate
 from conftest import LifeTableSP, fit, flat_life_table, toy_frame
 from oracles import (
     DenseRiskSet,
+    cell_keys,
     dense_crude_probability,
     dense_pohar_perme,
     dense_pohar_perme_sums,
@@ -704,7 +705,7 @@ class TestProvider:
         calls = []
         solve = AdjustmentEngine.solve
         monkeypatch.setattr(AdjustmentEngine, "solve",
-                            lambda engine, keys: calls.append(list(keys)) or solve(engine, keys))
+                            lambda engine, cells: calls.append(cell_keys(cells)) or solve(engine, cells))
         run_replicate(ScenarioConfig(dataset=1, cohort_size=4000, reps=1), 0, ("adjusted",))
         assert len(risk_set_builds) == 1
         assert calls == [list(build_strata(risk_set_builds[0])[0])]

@@ -12,7 +12,7 @@ from netadjust.incidence import (
     load_incidence_table,
     time_to_diagnosis_increments,
 )
-from netadjust.registry import StratumKey
+from netadjust.registry import StratumKey, stratum_cells
 
 from conftest import const_survival, diagonal_life_table, flat_incidence, flat_life_table
 from oracles import (
@@ -68,7 +68,7 @@ class TestDiagonalGather:
         key = StratumKey(age, year, (sex,))
         got_diag, want_diag = Diagnostics(), Diagnostics()
         want = ir_reference(GAPPED_CELLS, key, steps, want_diag)
-        np.testing.assert_array_equal(GAPPED.ir_diagonal([key], steps, got_diag)[0], want)
+        np.testing.assert_array_equal(GAPPED.ir_diagonal(stratum_cells([key]), steps, got_diag)[0], want)
         assert got_diag.as_dict() == want_diag.as_dict()
         one_diag, one_want = Diagnostics(), Diagnostics()
         assert ir_at(GAPPED, age, year, (sex,), one_diag) == ir_reference(GAPPED_CELLS, key, 1, one_want)[0]
@@ -77,7 +77,7 @@ class TestDiagonalGather:
     def test_empty_table_is_zero_and_counts_nothing(self):
         diag = Diagnostics()
         table = IncidenceTable.zero()
-        np.testing.assert_array_equal(table.ir_diagonal([KEY60], 5, diag)[0], np.zeros(5))
+        np.testing.assert_array_equal(table.ir_diagonal(stratum_cells([KEY60]), 5, diag)[0], np.zeros(5))
         assert ir_at(table, 60, 2010, ("0",), diag) == 0.0
         assert diag.as_dict() == {}
 
@@ -93,7 +93,7 @@ class TestDiagonalGather:
             flat_life_table(0.01, years=(1900, 2070), sexes=("0", "1", "x")),
         )
         want = Diagnostics()
-        calc.prevalence([StratumKey(age, 1950 + age, (sex,)) for age in (20, 45, 70)])
+        calc.prevalence(stratum_cells([StratumKey(age, 1950 + age, (sex,)) for age in (20, 45, 70)]))
         ir_reference(GAPPED_CELLS, StratumKey(0, 1950, (sex,)), 70, want)
         got = {k: v for k, v in calc.diagnostics.as_dict().items() if k.startswith("incidence")}
         assert got == want.as_dict()
@@ -161,14 +161,14 @@ class TestTimeToDiagnosis:
 
     def test_increments_telescope(self):
         table = flat_incidence(0.03)
-        inc = time_to_diagnosis_increments(table, [KEY60], 12)[0]
+        inc = time_to_diagnosis_increments(table, stratum_cells([KEY60]), 12)[0]
         for t in range(1, 13):
             assert inc[:t].sum() == pytest.approx(
                 time_to_diagnosis_cdf(table, KEY60, t), abs=1e-12
             )
 
     def test_zero_increments_when_no_incidence(self):
-        inc = time_to_diagnosis_increments(IncidenceTable.zero(), [KEY60], 5)[0]
+        inc = time_to_diagnosis_increments(IncidenceTable.zero(), stratum_cells([KEY60]), 5)[0]
         assert np.all(inc == 0.0)
 
     @given(st.lists(st.floats(0.0, 0.3), min_size=1, max_size=20))
@@ -188,7 +188,7 @@ class TestPrevalence:
             IncidenceTable.zero(), const_survival(0.1), flat_life_table(0.01)
         )
         for age in (1, 5, 40):
-            assert calc.prevalence([StratumKey(age, 1960 + age, ("0",))])[0] == 0.0
+            assert calc.prevalence(stratum_cells([StratumKey(age, 1960 + age, ("0",))]))[0] == 0.0
 
     def test_single_term_at_age_one(self):
         # flat world with no background mortality reduces to the bare recursion
@@ -197,7 +197,7 @@ class TestPrevalence:
             ir, const_survival(0.1), flat_life_table(0.0), lag_eval="year_start"
         )
         key = StratumKey(1, 1961, ("0",))
-        assert calc.prevalence([key])[0] == pytest.approx(np.exp(-0.1) * 0.02, abs=1e-14)
+        assert calc.prevalence(stratum_cells([key]))[0] == pytest.approx(np.exp(-0.1) * 0.02, abs=1e-14)
 
     def test_mid_year_single_term(self):
         ir = flat_incidence(0.02)
@@ -205,7 +205,7 @@ class TestPrevalence:
             ir, const_survival(0.1), flat_life_table(0.0), lag_eval="mid_year"
         )
         key = StratumKey(1, 1961, ("0",))
-        assert calc.prevalence([key])[0] == pytest.approx(np.exp(-0.05) * 0.02, abs=1e-14)
+        assert calc.prevalence(stratum_cells([key]))[0] == pytest.approx(np.exp(-0.05) * 0.02, abs=1e-14)
 
     def test_attrition_factor_uses_life_table(self):
         # with background mortality q the lag-1 term is inflated by 1/(1-q)
@@ -216,7 +216,7 @@ class TestPrevalence:
         )
         key = StratumKey(1, 1961, ("0",))
         expected = np.exp(-0.1) * 0.02 / (1.0 - q)
-        assert calc.prevalence([key])[0] == pytest.approx(expected, abs=1e-14)
+        assert calc.prevalence(stratum_cells([key]))[0] == pytest.approx(expected, abs=1e-14)
 
     def test_lag_cdf_closure(self):
         ir = flat_incidence(0.02)
@@ -248,7 +248,7 @@ class TestPrevalence:
         ir = flat_incidence(0.5)
         calc = PrevalenceCalculator(ir, const_survival(0.0), flat_life_table(0.5))
         with pytest.raises(PrevalenceError, match=">= 1"):
-            calc.prevalence([StratumKey(6, 1966, ("0",))])
+            calc.prevalence(stratum_cells([StratumKey(6, 1966, ("0",))]))
 
     @given(
         st.lists(st.floats(0.0, 0.05), min_size=3, max_size=15),
@@ -263,7 +263,7 @@ class TestPrevalence:
         lt = diagonal_life_table(qs[:n] + [0.0], sexes=("0",))
         calc = PrevalenceCalculator(ir, const_survival(so_rate), lt)
         key = StratumKey(n, 1960 + n, ("0",))
-        alpha = calc.prevalence([key])[0]
+        alpha = calc.prevalence(stratum_cells([key]))[0]
         if alpha > 0:
             assert lag_since_diagnosis_cdf(calc, key, n) == pytest.approx(1.0, abs=1e-12)
             inc = lag_since_diagnosis_increments(calc, key)

@@ -12,7 +12,7 @@ from netadjust.lifetable import (
     diagonal_survival,
     load_life_table,
 )
-from netadjust.registry import StratumKey
+from netadjust.registry import StratumKey, stratum_cells
 
 from conftest import diagonal_life_table, flat_life_table
 from oracles import InfiniteHazardError, diagonal_cumulative_hazard, q_at
@@ -62,22 +62,22 @@ class TestLoader:
 class TestDiagonalSurvival:
     def test_zero_rates_give_one(self):
         lt = flat_life_table(0.0)
-        values = diagonal_survival(lt, [StratumKey(60, 1990, ("0",))], 5).values[0]
+        values = diagonal_survival(lt, stratum_cells([StratumKey(60, 1990, ("0",))]), 5).values[0]
         assert np.all(values == 1.0)
 
     def test_constant_rate_closed_form(self):
         lt = flat_life_table(0.1)
-        values = diagonal_survival(lt, [StratumKey(60, 1990, ("0",))], 3).values[0]
+        values = diagonal_survival(lt, stratum_cells([StratumKey(60, 1990, ("0",))]), 3).values[0]
         assert values[3] == pytest.approx(0.9 ** 3, abs=1e-12)
 
     def test_t_zero_is_one(self):
         lt = flat_life_table(0.37)
-        assert diagonal_survival(lt, [StratumKey(60, 1990, ("0",))], 0).values[0][0] == 1.0
+        assert diagonal_survival(lt, stratum_cells([StratumKey(60, 1990, ("0",))]), 0).values[0][0] == 1.0
 
     def test_clamping_counted(self):
         lt = diagonal_life_table([0.1] * 10)
         diag = Diagnostics()
-        diagonal_survival(lt, [StratumKey(8, 1968, ("0",))], 5, diag)
+        diagonal_survival(lt, stratum_cells([StratumKey(8, 1968, ("0",))]), 5, diag)
         assert diag.get("lifetable_clamp") > 0
 
 
@@ -113,15 +113,15 @@ class TestDiagonalGather:
             want = q_diagonal_reference(lt, key, steps, want_diag)
         except LifeTableError as exc:
             with pytest.raises(LifeTableError, match=re.escape(str(exc))):
-                lt.q_diagonal([key], steps, got_diag)
+                lt.q_diagonal(stratum_cells([key]), steps, got_diag)
         else:
-            np.testing.assert_array_equal(lt.q_diagonal([key], steps, got_diag)[0], want)
+            np.testing.assert_array_equal(lt.q_diagonal(stratum_cells([key]), steps, got_diag)[0], want)
         assert got_diag.as_dict() == want_diag.as_dict()
 
     def test_missing_cell_named(self):
         lt = diagonal_life_table([0.1] * 10)
         with pytest.raises(LifeTableError, match=r"no life-table cell \(age=3, year=1962"):
-            lt.q_diagonal([StratumKey(3, 1962, ("0",))], 4)
+            lt.q_diagonal(stratum_cells([StratumKey(3, 1962, ("0",))]), 4)
 
 
 class TestDiagonalCumulativeHazard:
@@ -151,7 +151,7 @@ class TestDiagonalCumulativeHazard:
         lt = diagonal_life_table(qs)
         key = StratumKey(0, 1960, ("0",))
         horizon = len(qs)
-        surv = diagonal_survival(lt, [key], horizon).values[0]
+        surv = diagonal_survival(lt, stratum_cells([key]), horizon).values[0]
         for t in range(horizon + 1):
             lam = diagonal_cumulative_hazard(lt, key, float(t))
             assert math.exp(-lam) == pytest.approx(surv[t], abs=1e-12)

@@ -21,8 +21,11 @@ from netadjust.registry import (
     RegistryFrame,
     StratumKey,
     build_strata,
+    cell_key,
+    diagonals,
     kaplan_meier,
     merge_small_strata,
+    stratum_cells,
 )
 
 from conftest import toy_frame
@@ -294,5 +297,28 @@ class TestStratumKey:
         assert a == b and hash(a) == hash(b) == hash((60, 2000, ("f",)))
         assert a != StratumKey(60, 2001, ("f",))
         assert {a: 1}[b] == 1
-        assert a.shift(2) == StratumKey(62, 2002, ("f",))
         assert repr(a) == "StratumKey(age=60, year=2000, demographics=('f',))"
+
+
+class TestStratumCells:
+    KEYS = [StratumKey(61, 2001, ("m",)), StratumKey(60, 2000, ("f",)), StratumKey(63, 2003, ("m",)),
+            StratumKey(60, 2000, ("f",)), StratumKey(60, 2003, ("m",))]
+
+    def test_round_trip(self):
+        demographics, codes, ages, years = cells = stratum_cells(self.KEYS)
+        assert demographics == [("m",), ("f",)]   # first-seen order, not sorted
+        assert codes.tolist() == [0, 1, 0, 1, 0]
+        assert ages.tolist() == [61, 60, 63, 60, 60] and years.tolist() == [2001, 2000, 2003, 2000, 2003]
+        assert [cell_key(cells, i) for i in range(len(self.KEYS))] == self.KEYS
+        assert all(type(v) is int for key in map(cell_key, [cells] * 5, range(5)) for v in (key.age, key.year))
+        empty = stratum_cells([])
+        assert empty[0] == [] and all(column.shape == (0,) for column in empty[1:])
+
+    def test_diagonals_in_first_seen_order(self):
+        # diagonals are numbered in the order first seen, not sorted: the
+        # keys see (m, born 1940), (f, 1940), (m, 1943); reversed, (m, 1943)
+        # comes first
+        line, first = diagonals(stratum_cells(self.KEYS))
+        assert line.tolist() == [0, 1, 0, 1, 2] and first.tolist() == [0, 1, 4]
+        line, first = diagonals(stratum_cells(self.KEYS[::-1]))
+        assert line.tolist() == [0, 1, 2, 1, 2] and first.tolist() == [0, 1, 2]

@@ -11,7 +11,7 @@ from netadjust.registry import EventTable, StratumKey, kaplan_meier
 from netadjust.survival_provider import OverallSurvivalProvider, ProviderError, SurvivalLagTable
 
 from conftest import toy_frame
-from oracles import PerStratumSurvival, resolve_stratum
+from oracles import PerStratumSurvival, lookup_keys, resolve_stratum
 
 COUNTERS = (
     "so_population_cap",
@@ -78,7 +78,7 @@ def rectangle_keys(provider):
 
 
 def assert_lookup_is_the_scalar_rule(provider, keys):
-    rows, clamped = provider.lookup(keys)
+    rows, clamped = lookup_keys(provider, keys)
     want = [resolve_stratum(provider, key) for key in keys]
     assert rows.tolist() == [provider.strata[stratum] for stratum, _ in want]
     assert clamped.tolist() == [flag for _, flag in want]
@@ -102,7 +102,7 @@ class TestClampTable:
         assert min(k.age for k in provider.strata) == 51
         below = [k for k in provider.alias if k.age == 50]
         assert len(below) == 2
-        assert not provider.lookup(below)[1].any()
+        assert not lookup_keys(provider, below)[1].any()
         assert_lookup_is_the_scalar_rule(provider, rectangle_keys(provider))
         far = [StratumKey(a, y, (s,)) for s in "01" for a in (0, 49, 50, 150) for y in (1900, 2000, 2003, 2100)]
         assert_lookup_is_the_scalar_rule(provider, far)
@@ -116,7 +116,7 @@ class TestClampTable:
         provider = OverallSurvivalProvider.from_registry(toy_frame(rows), min_stratum_size=5)
         assert set(provider.strata) == {StratumKey(63, 2000, ("0",)), StratumKey(59, 2001, ("0",))}
         keys = [StratumKey(60, 2000, ("0",)), StratumKey(60, 1990, ("0",)), StratumKey(60, 1999, ("0",))]
-        rows, clamped = provider.lookup(keys)
+        rows, clamped = lookup_keys(provider, keys)
         assert rows.tolist() == [provider.strata[StratumKey(63, 2000, ("0",))]] * 3
         assert clamped.tolist() == [False, True, True]
         assert_lookup_is_the_scalar_rule(provider, rectangle_keys(provider))
@@ -126,7 +126,7 @@ class TestClampTable:
         frame = toy_frame([(60, 2000, "0", 1.0, 1), (62, 2001, "0", 2.0, 1)])
         provider = OverallSurvivalProvider.from_registry(frame, min_stratum_size=1, diagnostics=diag)
         keys = [StratumKey(60, 2000, ("0",)), StratumKey(61, 2000, ("0",)), StratumKey(70, 1990, ("0",))]
-        assert provider.lookup(keys)[1].tolist() == [False, True, True]
+        assert lookup_keys(provider, keys)[1].tolist() == [False, True, True]
         assert diag.get("so_stratum_clamp") == 2
 
     def test_unseen_demographics_are_named(self):
@@ -134,9 +134,9 @@ class TestClampTable:
         provider = OverallSurvivalProvider.from_registry(frame, min_stratum_size=1)
         keys = [StratumKey(60, 2000, ("0",)), StratumKey(60, 2000, ("x",)), StratumKey(61, 2001, ("2",))]
         with pytest.raises(ProviderError, match=re.escape("no strata with demographics ('2',), ('x',)")):
-            provider.lookup(keys)
+            lookup_keys(provider, keys)
         with pytest.raises(ProviderError, match=re.escape("('x',)")):
-            provider.survival(keys[1:2], [1.0])
+            lookup_keys(provider, keys[1:2])
 
 
 class TestBatchMatchesPerStratumPath:
@@ -157,17 +157,17 @@ class TestBatchMatchesPerStratumPath:
         oracle = PerStratumSurvival(provider, frame)
         table = SurvivalLagTable(provider, max_lag)
         keys = probe_keys(provider)
-        rows = table.rows(keys).tolist()
+        rows = lookup_keys(table, keys)[0].tolist()
         for stratum in provider.strata:
             want = oracle.survival(stratum, table.lags)
-            np.testing.assert_allclose(table.values[table.rows([stratum])[0]], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(table.values[lookup_keys(table, [stratum])[0][0]], want, rtol=0, atol=1e-12)
         assert counters(diag) == counters(oracle.diagnostics)
         times = np.array([0.0, 0.6, 3.0, 7.25, 14.9, 30.0, 119.5, 121.0, 200.0])
         for key, row in zip(keys, rows):
             assert row == provider.strata[resolve_stratum(provider, key)[0]]
-            got = provider.survival([key], times)[0]
+            got = provider.survival([row], times)[0]
             np.testing.assert_allclose(got, oracle.survival(key, times), rtol=0, atol=1e-12)
-            assert provider.survival([key], 7.25)[0][0] == oracle.survival(key, 7.25)[0] == got[3]
+            assert provider.survival([row], 7.25)[0][0] == oracle.survival(key, 7.25)[0] == got[3]
         assert counters(diag) == counters(oracle.diagnostics)
 
     @given(registries(), st.integers(2, 5), st.integers(1, 4))
@@ -210,7 +210,7 @@ class TestTailCases:
         lags = SurvivalLagTable(provider, 130)
         for stratum in provider.strata:
             np.testing.assert_allclose(
-                lags.values[lags.rows([stratum])[0]], oracle.survival(stratum, lags.lags), rtol=0, atol=1e-12
+                lags.values[lookup_keys(lags, [stratum])[0][0]], oracle.survival(stratum, lags.lags), rtol=0, atol=1e-12
             )
         assert diag.get("extrapolation_fallback") == 1
         curve = provider._curve
