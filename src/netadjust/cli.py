@@ -27,7 +27,7 @@ from .estimators import (
 from .incidence import compute_incidence, load_counts, load_incidence_table
 from .io import load_registry, sha256_file, write_manifest, write_rows_csv
 from .lifetable import diagonal_survival, load_life_table
-from .registry import Banding, build_strata, stratum_cells
+from .registry import Banding, build_strata, stratum_cells, stratum_keys
 from .simulation import ScenarioConfig, run_experiment
 from .survival_provider import OverallSurvivalProvider
 
@@ -163,7 +163,8 @@ def cmd_adjust(args) -> int:
     _check_incidence_flags(args, True)
     diagnostics = Diagnostics()
     frame = load_registry(args.registry)
-    sizes = build_strata(frame)[0]   # stratified before the tables: the run peaks ~0.1 MiB lower
+    strata, counts, _ = build_strata(frame)   # stratified before the tables: the run peaks ~0.1 MiB lower
+    sizes = dict(zip(stratum_keys(strata), counts.tolist()))
     demographics, codes, ages, years = cells = stratum_cells(sorted(sizes))
     life_table = load_life_table(args.lifetable)
     engine, extra = _adjustment_engine(args, frame, sizes, life_table, diagnostics)

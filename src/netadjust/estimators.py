@@ -48,7 +48,7 @@ import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics
 from .extrapolation import AnnualGridSurvival
-from .registry import RegistryFrame, StratumKey, build_strata, stratum_cells
+from .registry import RegistryFrame, StratumKey, build_strata, stratum_cells, stratum_keys
 
 WEIGHT_FLOOR = 1e-6
 # remainder bound of each grid year's Taylor series of 1/S_P in Pohar-Perme
@@ -128,18 +128,18 @@ class RiskSetSummary:
         if frame.n == 0:
             raise EstimatorError("cannot estimate from an empty registry")
         self.times, t_idx = np.unique(frame.time, return_inverse=True)
-        strata, rows = build_strata(frame)
-        self.keys: list[StratumKey] = list(strata)
+        strata, sizes, rows = build_strata(frame)
+        self.keys: list[StratumKey] = stratum_keys(strata)
         # (time index, stratum row) pairs sorted as one integer each
         n_strata = len(self.keys)
         pairs = t_idx * n_strata + rows
         self.patient_times, self.patient_rows = np.divmod(np.sort(pairs), n_strata)
-        self.death_times, self.death_rows = np.divmod(np.sort(pairs[frame.event]), n_strata)
+        self.death_times, self.death_rows = np.divmod(np.sort(pairs[np.flatnonzero(frame.event)]), n_strata)
         n_times = self.times.shape[0]
         self.pooled_deaths = np.bincount(self.death_times, minlength=n_times)
         exits = np.bincount(t_idx, minlength=n_times).astype(np.float64)
         self.pooled_at_risk = np.cumsum(exits[::-1])[::-1]
-        self.sizes = np.fromiter(strata.values(), np.float64, n_strata)
+        self.sizes = sizes.astype(np.float64)
         self.n = frame.n
 
     @property

@@ -12,6 +12,7 @@ as at risk at u), and deaths are processed before censorings at tied times.
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,8 +49,9 @@ class PatientRecord:
 @dataclass(frozen=True, order=True)
 class StratumKey:
     """Stratum identifier: (age, calendar year, demographic codes), hashed
-    by its fields.  Keys label strata at the edges; every layer below them
-    takes the same strata as cells (`stratum_cells`)."""
+    by its fields.  Keys label strata at the edges: the risk-set summary's
+    `keys`, log lines and error messages.  Stratification, merging and
+    every layer below take the same strata as cells (`stratum_cells`)."""
 
     age: int
     year: int
@@ -64,6 +66,11 @@ def stratum_cells(keys) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     codes = np.fromiter((index.setdefault(k.demographics, len(index)) for k in keys), np.intp, len(keys))
     ages = np.fromiter((k.age for k in keys), np.int64, len(keys))
     return list(index), codes, ages, np.fromiter((k.year for k in keys), np.int64, len(keys))
+
+
+def stratum_keys(cells) -> list[StratumKey]:
+    """The keys of (demographics, codes, ages, years) cells: `stratum_cells` inverted."""
+    return [StratumKey(a, y, cells[0][c]) for c, a, y in zip(*(column.tolist() for column in cells[1:]))]
 
 
 def cell_key(cells, i: int) -> StratumKey:
@@ -184,13 +191,14 @@ class EventTable:
         return int(self.sizes.sum())
 
 
-def build_strata(frame: RegistryFrame, banding: Banding = Banding()) -> tuple[dict[StratumKey, int], np.ndarray]:
-    """Partition a registry into strata keyed by banded (age, year, demographics).
+def build_strata(frame: RegistryFrame, banding: Banding = Banding()) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Partition a registry into strata by banded (age, year, demographics).
 
-    Band representatives are the lower band edges.  Returns the size of each
-    stratum, keys in (demographics, age, year) order, and each patient's
-    stratum as an index into that order; stratum sizes sum to the patient
-    count.  Strata are numbered within the (demographics, age, year) grid the
+    Band representatives are the lower band edges.  Returns the strata as
+    (demographics, codes, ages, years) cells in (demographics, age, year)
+    order, `demographics` being the registry's vocabulary, their sizes, which
+    sum to the patient count, and each patient's stratum as an index into
+    that order.  Strata are numbered by one count per cell of the grid the
     registry spans, which may hold at most MAX_TABLE_CELLS cells.
     """
     if frame.n == 0:
@@ -206,97 +214,82 @@ def build_strata(frame: RegistryFrame, banding: Banding = Banding()) -> tuple[di
             f"registry spans ages {age0}-{age0 + n_ages - 1} and years {year0}-{year0 + n_years - 1}: "
             f"{cells} (demographics, age, year) cells, at most {MAX_TABLE_CELLS}"
         )
-    codes, labels = np.unique(
-        (frame.demo_code * n_ages + (b_age - age0)) * n_years + (b_year - year0), return_inverse=True
-    )
-    demo, cell = np.divmod(codes, n_ages * n_years)
-    age, year = np.divmod(cell, n_years)
-    keys = [
-        StratumKey(a + age0, y + year0, frame.demo_vocab[d])
-        for d, a, y in zip(demo.tolist(), age.tolist(), year.tolist())
-    ]
-    return dict(zip(keys, np.bincount(labels).tolist())), labels.reshape(-1)
+    cell = (frame.demo_code * n_ages + (b_age - age0)) * n_years + (b_year - year0)
+    counts = np.bincount(cell, minlength=cells)
+    present = np.flatnonzero(counts)
+    demo, rest = np.divmod(present, n_ages * n_years)
+    age, year = np.divmod(rest, n_years)
+    labels = (np.cumsum(counts > 0) - 1)[cell]
+    return (frame.demo_vocab, demo, age + age0, year + year0), counts[present], labels
 
 
-class _DemographicPool:
-    """Live strata of one demographic group, as arrays for neighbour search."""
-
-    def __init__(self, keys: list[StratumKey]):
-        self.keys = sorted(keys)   # by (age, year): the first of tied distances is the tie-break
-        self.pos = {k: i for i, k in enumerate(self.keys)}
-        self.ages = np.array([k.age for k in self.keys], dtype=np.int64)
-        self.years = np.array([k.year for k in self.keys], dtype=np.int64)
-        # Manhattan distances between members stay below this, so Chebyshev
-        # distance * span + Manhattan distance orders by both
-        self.span = int(np.ptp(self.ages) + np.ptp(self.years)) + 1
-        self.dead = np.zeros(len(self.keys), dtype=np.int64)   # a distance past any live one
-
-    def remove(self, key: StratumKey) -> None:
-        self.dead[self.pos[key]] = np.iinfo(np.int64).max
-
-    def nearest(self, key: StratumKey) -> StratumKey:
-        """Closest live stratum: Chebyshev distance, then Manhattan, then
-        lower age, then lower year, by one arg-min."""
-        da = np.abs(self.ages - key.age)
-        dy = np.abs(self.years - key.year)
-        distance = np.maximum(da, dy) * self.span + (da + dy)
-        return self.keys[int(np.maximum(distance, self.dead).argmin())]
-
-
-def merge_small_strata(
-    sizes: dict[StratumKey, int],
-    min_size: int = 10,
-    diagnostics: Diagnostics | None = None,
-) -> tuple[dict[StratumKey, int], dict[StratumKey, StratumKey]]:
+def merge_small_strata(strata, sizes, min_size: int = 10, diagnostics: Diagnostics | None = None) -> np.ndarray:
     """Fold strata with fewer than min_size subjects into a neighbor.
 
-    Merges are decided from the stratum sizes alone.  The smallest stratum
-    (ties toward the lower key) goes first.  Preference: adjacent age with
-    the same year, then the nearest existing stratum with the same
-    demographics (Chebyshev distance on (age, year), ties toward lower age
-    then lower year).  Returns the sizes of the merged strata plus a lookup
-    from every original key to the key that now holds its records.
+    `strata` are (demographics, codes, ages, years) cells and `sizes` their
+    subject counts; merges are decided from the sizes alone.  The smallest
+    stratum (ties toward the lower `StratumKey`) goes first.  Preference:
+    adjacent age with the same year, then the nearest live stratum with the
+    same demographics (Chebyshev distance on (age, year), then Manhattan,
+    ties toward lower age then lower year).  Merging stops when a stratum
+    is the last of its demographics.  Returns each stratum's holder: the
+    index of the stratum that now holds its records, its own if kept.
 
-    Each merge touches only the two strata involved: a heap orders the small
-    strata by (size, key), dropping entries a merge made stale, and a
-    reverse map lists the original keys each stratum holds.
+    A heap orders the small strata by (size, rank in key order), dropping
+    entries a merge made stale; a dense grid finds the adjacent strata, and
+    each small stratum's neighbours are sorted by distance once, up front.
     """
     diag = ensure_diagnostics(diagnostics)
-    merged = dict(sizes)
-    alias: dict[StratumKey, StratumKey] = {k: k for k in sizes}
-    holds: dict[StratumKey, list[StratumKey]] = {k: [k] for k in sizes}
-    by_demo: dict[tuple, list[StratumKey]] = {}
-    for k in merged:
-        by_demo.setdefault(k.demographics, []).append(k)
-    pools = {demo: _DemographicPool(keys) for demo, keys in by_demo.items()}
-    small = [(n, k) for k, n in merged.items() if n < min_size]
-    heapq.heapify(small)
-    while small:
-        n, key = small[0]
-        if merged.get(key) != n:
-            heapq.heappop(small)
+    demographics, codes, ages, years = strata
+    holder, small = np.arange(len(codes)), np.flatnonzero(np.asarray(sizes) < min_size)
+    # rank in key order: (age, year, demographics)
+    by_demo = sorted(range(len(demographics)), key=demographics.__getitem__)
+    order = np.lexsort((np.argsort(by_demo)[codes], years, ages))
+    rank = np.argsort(order).tolist()
+    neighbours: dict[int, list] = {}
+    for d in np.unique(codes[small]).tolist():
+        pool, mine = order[codes[order] == d], small[codes[small] == d]   # the pool by (age, year)
+        # Manhattan distances in the pool stay below span, so Chebyshev
+        # distance * span + Manhattan distance orders by both
+        span = int(np.ptp(ages[pool]) + np.ptp(years[pool])) + 1
+        da, dy = np.abs(ages[mine, None] - ages[pool]), np.abs(years[mine, None] - years[pool])
+        near = pool[np.argsort(np.maximum(da, dy) * span + da + dy, axis=1, kind="stable")]
+        neighbours.update(zip(mine.tolist(), near.tolist()))
+    age0, year0 = int(ages.min()) - 1, int(years.min())
+    grid = np.full((len(demographics), int(np.ptp(ages)) + 3, int(np.ptp(years)) + 1), -1, dtype=np.intp)
+    grid[codes, ages - age0, years - year0] = holder
+    size, live, order = np.asarray(sizes).tolist(), [True] * len(codes), order.tolist()
+    place = list(zip(codes.tolist(), (ages - age0).tolist(), (years - year0).tolist()))
+    left = np.bincount(codes, minlength=len(demographics)).tolist()
+    heap = [(size[i], rank[i]) for i in small.tolist()]
+    heapq.heapify(heap)
+    while heap:
+        n, r = heap[0]
+        i = order[r]
+        if not live[i] or size[i] != n:
+            heapq.heappop(heap)
             continue
-        pool = pools[key.demographics]
-        pool.remove(key)
-        if pool.dead.all():
+        d, a, y = place[i]
+        live[i] = False
+        left[d] -= 1
+        if not left[d]:
             break
-        for target in (StratumKey(key.age - 1, key.year, key.demographics),
-                       StratumKey(key.age + 1, key.year, key.demographics)):
-            if target in merged:
+        for j in (grid.item(d, a - 1, y), grid.item(d, a + 1, y)):
+            if j >= 0 and live[j]:
                 break
         else:
-            target = pool.nearest(key)
-        heapq.heappop(small)
-        merged[target] += merged.pop(key)
-        moved = holds.pop(key)
-        for orig in moved:
-            alias[orig] = target
-        holds[target].extend(moved)
-        if merged[target] < min_size:
-            heapq.heappush(small, (merged[target], target))
+            j = next(j for j in neighbours[i] if live[j])
+        heapq.heappop(heap)
+        size[j] += size[i]
+        holder[i] = j
+        if size[j] < min_size:
+            heapq.heappush(heap, (size[j], rank[j]))
         diag.incr("stratum_merge")
-        log.debug("merged stratum %s (n<%d) into %s", key, min_size, target)
-    return merged, alias
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("merged stratum %s (n<%d) into %s", cell_key(strata, i), min_size, cell_key(strata, j))
+    while (holder[holder] != holder).any():
+        holder = holder[holder]
+    return holder
 
 
 def _segment_cumprod(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -341,11 +334,11 @@ class StepSurvivalCurve:
         self._stratum = stratum = np.repeat(np.arange(self.offsets.shape[0] - 1), np.diff(self.offsets))
         if n:
             within = stratum[1:] == stratum[:-1]
-            if (np.diff(self.jump_times)[within] <= 0).any():
+            if ((np.diff(self.jump_times) <= 0) & within).any():
                 raise ValueError("jump times must be strictly increasing")
             if self.jump_times.min() <= 0:
                 raise ValueError("jumps must occur at positive times")
-            if (np.diff(self.values)[within] > 1e-15).any():
+            if ((np.diff(self.values) > 1e-15) & within).any():
                 raise ValueError("survival curve must be non-increasing")
             if self.values.max() > 1 or self.values.min() < 0:
                 raise ValueError("survival values must lie in [0, 1]")
@@ -381,8 +374,8 @@ class StepSurvivalCurve:
 def kaplan_meier(table: EventTable) -> StepSurvivalCurve:
     """Product-limit curve of each stratum of an event table (jumps at death
     times only), stacked like the table."""
-    has_death = table.deaths > 0
+    has_death = np.flatnonzero(table.deaths)
     t = table.times[has_death]
     factors = 1.0 - table.deaths[has_death] / table.at_risk[has_death]
-    offsets = np.concatenate(([0], np.cumsum(np.add.reduceat(has_death, table.offsets[:-1], dtype=np.intp))))
+    offsets = np.searchsorted(has_death, table.offsets)
     return StepSurvivalCurve(t, _segment_cumprod(factors, offsets), offsets if table.stacked else None)

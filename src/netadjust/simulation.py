@@ -79,6 +79,13 @@ class ScenarioConfig:
             raise ValueError("horizon must cover the largest report year")
         if self.extrapolation_points < 2:
             raise ValueError("need at least two extrapolation anchor points")
+        for name in ("reps", "cohort_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 <= self.diag_window[0] < self.diag_window[1]:
+            raise ValueError(f"diag_window must satisfy 0 <= lo < hi, got {self.diag_window}")
+        if not self.censor_max > 0:
+            raise ValueError(f"censor_max must be positive, got {self.censor_max}")
 
 
 @dataclass
@@ -128,12 +135,18 @@ def generate_cohort(cfg: ScenarioConfig, seed: int) -> Cohort:
     gender = rng.integers(0, 2, n).astype(np.int8)
     t_diag, t_other = _draw_potentials(rng, cfg.dataset, n)
     exp_raw = rng.exponential(1.0, n)
-    # covariates vary yearly: the hazard reads the integer (age, year) cell
-    age_cell = np.floor(t_diag)
-    t_cancer = exp_raw / excess_hazard(age_cell, cfg.birth_year + age_cell, gender)
     diagnosed = t_diag < t_other
-    time_to_death = np.where(diagnosed, np.minimum(t_cancer, t_other - t_diag), np.nan)
-    death_age = np.where(diagnosed, t_diag + time_to_death, t_other)
+    sick = np.flatnonzero(diagnosed)
+    # covariates vary yearly: the hazard reads the integer (age, year) cell,
+    # evaluated once per (gender, age) and gathered for the diagnosed
+    onset = t_diag[sick]
+    age_cell = onset.astype(np.intp)
+    ages = np.arange(age_cell.max(initial=0) + 1.0)
+    hazard = excess_hazard(ages, cfg.birth_year + ages, np.array([[0], [1]]))
+    t_cancer, time_to_death, death_age = np.full(n, np.nan), np.full(n, np.nan), t_other.copy()
+    t_cancer[sick] = cancer = exp_raw[sick] / hazard[gender[sick], age_cell]
+    time_to_death[sick] = to_death = np.minimum(cancer, t_other[sick] - onset)
+    death_age[sick] = onset + to_death
     return Cohort(cfg.birth_year, gender, t_diag, t_other, t_cancer,
                   diagnosed, time_to_death, death_age)
 
@@ -150,54 +163,48 @@ def derive_tables(
     subjects, with the mid-year convention counting each within-year exit as
     half a year ("exact" integrates the true exposure).  The table is
     truncated at the last age with anyone alive (capped at max_age) and both
-    genders share the common truncation point.
+    genders share the common truncation point.  Every count is one
+    `np.bincount` over the (gender, age) cells `gender * width + floor(age)`.
     """
     if person_years not in ("midyear", "exact"):
         raise ValueError(f"unknown person_years convention {person_years!r}")
-    lt_cells: dict = {}
-    ir_cells: dict = {}
-    a_max_common = None
-    per_sex = []
-    for sex in (0, 1):
-        mask = cohort.gender == sex
-        if not mask.any():
-            raise ValueError(f"cohort has no subjects with gender {sex}")
-        death = cohort.death_age[mask]
-        deaths_per_year = np.bincount(np.floor(death).astype(np.int64))
-        alive = deaths_per_year[::-1].cumsum()[::-1]
-        a_last = int(np.flatnonzero(alive > 0)[-1])
-        a_max = min(a_last, max_age)
-        if a_max < a_last:
-            log.debug("life table capped at age %d (last populated %d)", a_max, a_last)
-        per_sex.append((mask, deaths_per_year, alive, a_max))
-        a_max_common = a_max if a_max_common is None else min(a_max_common, a_max)
-    for sex, (mask, deaths_per_year, alive, _) in zip((0, 1), per_sex):
-        demo = (str(sex),)
-        q = deaths_per_year[: a_max_common + 1] / alive[: a_max_common + 1]
-        free_until = np.minimum(cohort.t_diag[mask], cohort.t_other[mask])
-        free_floor = np.floor(free_until).astype(np.int64)
-        free_counts = np.bincount(free_floor, minlength=a_max_common + 2)
-        free_alive = free_counts[::-1].cumsum()[::-1]
-        diag_mask = cohort.diagnosed[mask]
-        diag_counts = np.bincount(
-            np.floor(cohort.t_diag[mask][diag_mask]).astype(np.int64),
-            minlength=a_max_common + 1,
-        )
-        if person_years == "midyear":
-            py = 0.5 * (free_alive[: a_max_common + 1] + free_alive[1 : a_max_common + 2])
-        else:
-            frac = np.bincount(free_floor, weights=free_until - free_floor,
-                               minlength=a_max_common + 2)
-            py = free_alive[1 : a_max_common + 2] + frac[: a_max_common + 1]
-        for a in range(a_max_common + 1):
-            year = cohort.birth_year + a
-            lt_cells[(a, year, demo)] = float(q[a])
-            d = float(diag_counts[a]) if a < diag_counts.shape[0] else 0.0
-            if py[a] > 0:
-                ir_cells[(a, year, demo)] = min(d / float(py[a]), 1.0 - 1e-9)
-            elif d > 0:
-                raise ValueError(f"diagnoses without person-years at age {a}, gender {sex}")
-    return LifeTable(lt_cells, require_complete=False), IncidenceTable(ir_cells)
+    gender = cohort.gender.astype(np.intp)
+    empty = np.flatnonzero(np.bincount(gender, minlength=2)[:2] == 0)
+    if empty.size:
+        raise ValueError(f"cohort has no subjects with gender {empty[0]}")
+    free_until = np.minimum(cohort.t_diag, cohort.t_other)   # the diagnosis age, where diagnosed
+    free_floor = np.floor(free_until).astype(np.intp)
+    death_floor = np.floor(cohort.death_age).astype(np.intp)
+    width = max(int(death_floor.max()), int(free_floor.max())) + 2
+    free_cell = gender * width + free_floor
+
+    def per_sex(cells, weights=None):
+        """A gender x age table of counts (rows 0 and 1) from one bincount."""
+        return np.bincount(cells, weights, minlength=2 * width).reshape(-1, width)[:2]
+
+    deaths = per_sex(gender * width + death_floor)
+    alive = deaths[:, ::-1].cumsum(axis=1)[:, ::-1]
+    a_last = (alive > 0).sum(axis=1) - 1
+    for a in a_last[a_last > max_age].tolist():
+        log.debug("life table capped at age %d (last populated %d)", max_age, a)
+    top = min(int(a_last.min()), max_age) + 1
+    free_alive = per_sex(free_cell)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    diagnoses = per_sex(free_cell, cohort.diagnosed)[:, :top]
+    if person_years == "midyear":
+        py = 0.5 * (free_alive[:, :top] + free_alive[:, 1 : top + 1])
+    else:
+        py = free_alive[:, 1 : top + 1] + per_sex(free_cell, free_until - free_floor)[:, :top]
+    bad = np.flatnonzero(~(py > 0) & (diagnoses > 0))
+    if bad.size:
+        sex, a = divmod(int(bad[0]), top)
+        raise ValueError(f"diagnoses without person-years at age {a}, gender {sex}")
+    demographics, sexes, ages = [("0",), ("1",)], np.repeat([0, 1], top), np.tile(np.arange(top), 2)
+    years = cohort.birth_year + ages
+    q = (deaths[:, :top] / alive[:, :top]).ravel()
+    has = np.flatnonzero(py > 0)
+    ir = np.minimum(diagnoses.ravel()[has] / py.ravel()[has], 1.0 - 1e-9)
+    incidence = IncidenceTable((demographics, sexes[has], ages[has], years[has], ir) if has.size else {})
+    return LifeTable((demographics, sexes, ages, years, q), require_complete=False), incidence
 
 
 def make_registry(
@@ -219,7 +226,7 @@ def make_registry(
     censor = rng.uniform(0.0, censor_max, diag_idx.shape[0])
     t_diag = cohort.t_diag[diag_idx]
     lo, hi = (0.0, MAX_AGE + 1.0) if window is None else window
-    keep = (t_diag >= lo) & (t_diag < hi)
+    keep = np.flatnonzero((t_diag >= lo) & (t_diag < hi))
     diag_idx, censor, t_diag = diag_idx[keep], censor[keep], t_diag[keep]
     t_death = cohort.time_to_death[diag_idx]
     observed = np.minimum(t_death, censor)

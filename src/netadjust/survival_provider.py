@@ -1,15 +1,16 @@
 """Per-stratum overall-survival lookup built from registry data.
 
 Each stratum gets a Kaplan-Meier curve continued by the exponential tail fit.
-The registry is stratified once: every patient is labelled with its final
-(merged) stratum and all strata share one stacked event table.  The first
+The registry is stratified once, on integer arrays: the strata are cells,
+small ones are merged into a holder array, every patient is labelled with
+its final (merged) stratum and all strata share one stacked event table.  The first
 survival query builds every stratum's curve, tail fit and population grid in
 one batch; later queries only evaluate them.
 
 Cells, as arrays of demographics codes, ages and years, map onto strata by
 one clip and one gather from a dense (demographics x age x year) table: a
-registry key, merged or not, holds its own stratum, any other cell the
-stratum nearest its clamp into the strata's ranges.
+registry stratum's cell, merged or not, holds its holder's row, any other
+cell the stratum nearest its clamp into the strata's ranges.
 
 `SurvivalLagTable` is the one cache of these values the adjustment reads:
 every stratum's survival evaluated on a shared grid of lags in one call.
@@ -25,11 +26,9 @@ from .registry import (
     Banding,
     EventTable,
     RegistryFrame,
-    StratumKey,
     build_strata,
     kaplan_meier,
     merge_small_strata,
-    stratum_cells,
 )
 
 LIFETABLE_POP_GRID = 120  # annual steps of the per-cell population-cap grid
@@ -42,8 +41,11 @@ class ProviderError(ValueError):
 class OverallSurvivalProvider:
     """Overall survival of cancer patients, by registry stratum.
 
-    `keys` are the strata in the order of the rows of `table`, a stacked
-    `EventTable`, and `alias` maps merged-away keys onto them (see `lookup`).
+    `cells` are the registry's strata before merging, as (demographics,
+    codes, ages, years) columns, and `alias` gives each one's holder, an
+    index into them (its own for a kept stratum).  The kept strata, in
+    `cells` order, are the rows of `table`, a stacked `EventTable`:
+    `strata` holds each row's index into `cells` (see `lookup`).
     When a life table is supplied, every extrapolated value (t > tau) is
     reshaped by the population of the stratum's own cell: it is multiplied
     by the population's hazard growth past the fit window and capped at the
@@ -54,19 +56,19 @@ class OverallSurvivalProvider:
 
     def __init__(
         self,
-        keys: list[StratumKey],
+        cells,
+        alias: np.ndarray,
         table: EventTable,
-        alias: dict[StratumKey, StratumKey] | None = None,
         anchor_points: int = 4,
         tau_min_at_risk: int = 5,
         population_floor: LifeTable | None = None,
         diagnostics: Diagnostics | None = None,
     ):
-        if not keys:
+        if not len(alias):
             raise ProviderError("no strata available")
-        self.strata: dict[StratumKey, int] = {key: row for row, key in enumerate(keys)}
+        self.cells, self.alias = cells, np.asarray(alias, dtype=np.intp)
+        self.strata = np.flatnonzero(self.alias == np.arange(self.alias.shape[0]))
         self.table = table
-        self.alias = dict(alias) if alias else {}
         self.anchor_points = int(anchor_points)
         self.tau_min_at_risk = int(tau_min_at_risk)
         self.population_floor = population_floor
@@ -89,32 +91,30 @@ class OverallSurvivalProvider:
         """Stratify once: merge strata by size, label every patient with its
         final stratum and build one event table over all of them."""
         diag = ensure_diagnostics(diagnostics)
-        sizes, labels = build_strata(frame, banding)
-        merged, alias = merge_small_strata(sizes, min_stratum_size, diag)
-        row = {key: i for i, key in enumerate(merged)}
-        final = np.array([row[alias[key]] for key in sizes], dtype=np.intp)
-        table = EventTable(frame.time, frame.event, final[labels])
-        return cls(list(merged), table, alias, anchor_points, tau_min_at_risk, population_floor, diag)
+        cells, sizes, labels = build_strata(frame, banding)
+        alias = merge_small_strata(cells, sizes, min_stratum_size, diag)
+        row = np.cumsum(alias == np.arange(alias.shape[0])) - 1
+        table = EventTable(frame.time, frame.event, row[alias][labels])
+        return cls(cells, alias, table, anchor_points, tau_min_at_risk, population_floor, diag)
 
     def _clamp_table(self) -> None:
         """Stratum rows of the (demographics, age, year) cells of a rectangle
-        one cell wider on every side than the strata and the merged-away
-        keys, which hold their strata; any other cell is clamped, its row
-        found when first read (`_fill`).  Keys past the border read the
+        one cell wider on every side than the registry's strata, each of
+        which holds the row of its holder; any other cell is clamped, its
+        row found when first read (`_fill`).  Keys past the border read the
         border cells they clip onto."""
-        groups = self._groups = {d: i for i, d in enumerate(dict.fromkeys(k.demographics for k in self.strata))}
-        group, age, year, row, own = np.array([
-            (groups[k.demographics], k.age, k.year, self.strata.get(self.alias.get(k, k), -1),
-             self.strata.get(k, -1)) for k in {*self.strata, *self.alias} if k.demographics in groups
-        ], dtype=np.int64).T
-        lo = self._lo = np.array([age.min(), year.min()]) - 1
-        self.max_age = int(age.max())   # the oldest age at diagnosis of any stratum, merged or not
-        self._rows = np.full((len(groups), age.max() - lo[0] + 2, year.max() - lo[1] + 2), -1, dtype=np.intp)
-        self._rows[group, age - lo[0], year - lo[1]] = row
+        demographics, codes, ages, years = self.cells
+        used, group = np.unique(codes, return_inverse=True)
+        self._groups = {demographics[c]: g for g, c in enumerate(used.tolist())}
+        row = np.searchsorted(self.strata, self.alias)   # each cell's holder's row
+        lo = self._lo = np.array([ages.min(), years.min()]) - 1
+        self.max_age = int(ages.max())   # the oldest age at diagnosis of any stratum, merged or not
+        self._rows = np.full((len(used), ages.max() - lo[0] + 2, years.max() - lo[1] + 2), -1, dtype=np.intp)
+        self._rows[group, ages - lo[0], years - lo[1]] = row
         self._clamped = self._rows < 0
-        group, age, year, row = self._strata = np.stack((group, age - lo[0], year - lo[1], own))[:, own >= 0]
+        group, age, year, row = self._strata = np.stack((group, ages - lo[0], years - lo[1], row))[:, self.strata]
         self._ranges = np.array([(age[m].min(), age[m].max(), year[m].min(), year[m].max())
-                                 for m in (group == i for i in range(len(groups)))])
+                                 for m in (group == i for i in range(len(used)))])
 
     def _fill(self, g: np.ndarray, a: np.ndarray, y: np.ndarray) -> None:
         """Rows of clamped cells, found when first read: a cell clipped into
@@ -166,9 +166,8 @@ class OverallSurvivalProvider:
             tau = follow_up_cutoff(self.table, self.tau_min_at_risk)
             self._curve = extend_survival(km, tau, self.anchor_points, self.diagnostics)
             if self.population_floor is not None:
-                grid = diagonal_survival(
-                    self.population_floor, stratum_cells(list(self.strata)), LIFETABLE_POP_GRID, self.diagnostics
-                ).values
+                cells = (self.cells[0], *(column[self.strata] for column in self.cells[1:]))
+                grid = diagonal_survival(self.population_floor, cells, LIFETABLE_POP_GRID, self.diagnostics).values
                 self._population = AnnualGridSurvival(np.maximum(grid, 1e-12), self.diagnostics)
         return self._curve
 

@@ -14,11 +14,17 @@
   (demographics, codes, ages, years) cells the package takes.
 * `ir_at` and `q_at`: one incidence rate and one death probability,
   clamped and counted as the tables' diagonal gathers do.
-* `merge_small_strata_reference`: the plain rescanning stratum merger, which
-  rebuilds the small-stratum list, the neighbour pool and the alias map on
-  every merge.
+* `build_strata_reference`: strata numbered by `np.unique`'s sort.
+* `merge_small_strata_reference`: the plain rescanning stratum merger on
+  {key: size} dicts, which rebuilds the small-stratum list, the neighbour
+  pool and the alias map on every merge.
+* `generate_cohort_reference` and `derive_tables_reference`: the cohort
+  draw with the excess hazard evaluated per subject, and the life table and
+  incidence rates one gender at a time through boolean masks, built as
+  {(age, year, demographics): value} dicts.
 * `resolve_stratum`: the stratum one key maps onto, by the scalar clamp and
-  nearest-stratum search over the strata of its demographics.
+  nearest-stratum search over the strata of its demographics; `strata_of`
+  and `alias_of` give a provider's strata and holders as key dicts.
 * `PerStratumSurvival`, `select_anchor_times` and `fit_exponential_tail`:
   registry overall survival one stratum at a time (event table, Kaplan-Meier,
   anchors, `np.polyfit` tail, population hardening), the path the stacked
@@ -76,7 +82,9 @@ from netadjust.registry import (
     StratumKey,
     cell_key,
     stratum_cells,
+    stratum_keys,
 )
+from netadjust.simulation import LIFETABLE_MAX_AGE, Cohort, _draw_potentials, excess_hazard
 from netadjust.survival_provider import ProviderError, SurvivalLagTable
 
 
@@ -430,6 +438,21 @@ class ScalarIngredients:
 
     def diagnosis_mass(self, cells):
         return self._each("mass", cells, self._mass)
+
+
+def build_strata_reference(frame: RegistryFrame, banding: Banding = Banding()):
+    """`build_strata` numbering the strata by `np.unique`'s sort of one
+    integer per (demographics, age, year) cell."""
+    b_age = (frame.age // banding.age_width) * banding.age_width
+    b_year = (frame.year // banding.year_width) * banding.year_width
+    age0, year0 = int(b_age.min()), int(b_year.min())
+    n_ages, n_years = int(b_age.max()) - age0 + 1, int(b_year.max()) - year0 + 1
+    codes, labels = np.unique(
+        (frame.demo_code * n_ages + (b_age - age0)) * n_years + (b_year - year0), return_inverse=True
+    )
+    demo, cell = np.divmod(codes, n_ages * n_years)
+    age, year = np.divmod(cell, n_years)
+    return (frame.demo_vocab, demo, age + age0, year + year0), np.bincount(labels), labels.reshape(-1)
 
 
 def merge_small_strata_reference(sizes, min_size=10, diagnostics=None):
@@ -790,15 +813,28 @@ class _StepCurve:
         return out if out.ndim else float(out)
 
 
+def strata_of(provider) -> dict[StratumKey, int]:
+    """The provider's strata as {key: row of its table}, in row order."""
+    keys = stratum_keys(provider.cells)
+    return {keys[i]: row for row, i in enumerate(provider.strata.tolist())}
+
+
+def alias_of(provider) -> dict[StratumKey, StratumKey]:
+    """Every registry stratum's key, merged or not, mapped onto the key of
+    the stratum that holds its records."""
+    keys = stratum_keys(provider.cells)
+    return {key: keys[j] for key, j in zip(keys, provider.alias.tolist())}
+
+
 def resolve_stratum(provider, key: StratumKey) -> tuple[StratumKey, bool]:
     """The stratum `key` maps onto, and whether it was clamped.
 
-    A stratum, or a key merged into one (`provider.alias`), maps onto that
+    A stratum, or a key merged into one (`alias_of`), maps onto that
     stratum.  Any other key is clamped into the age and year ranges of the
     strata of its demographics; the clamped cell maps onto its own stratum
     if it has one, otherwise onto the nearest stratum by (Chebyshev
     distance, L1 distance, age, year)."""
-    strata, alias = provider.strata, provider.alias
+    strata, alias = strata_of(provider), alias_of(provider)
     if alias.get(key, key) in strata:
         return alias.get(key, key), False
     keys = [k for k in strata if k.demographics == key.demographics]
@@ -834,13 +870,14 @@ class PerStratumSurvival:
         self.diagnostics = ensure_diagnostics(diagnostics)
         b_age = (frame.age // banding.age_width) * banding.age_width
         b_year = (frame.year // banding.year_width) * banding.year_width
+        alias = alias_of(provider)
         owner = [
-            provider.alias.get(k, k)
+            alias.get(k, k)
             for k in (StratumKey(int(a), int(y), frame.demo_vocab[int(c)])
                       for a, y, c in zip(b_age, b_year, frame.demo_code))
         ]
         self.observations = {}
-        for key in provider.strata:
+        for key in strata_of(provider):
             mine = np.array([o == key for o in owner])
             self.observations[key] = (frame.time[mine], frame.event[mine])
         self._curves = {}
@@ -1094,3 +1131,64 @@ def write_rows_csv_reference(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_format_value(row[col]) for col in header])
+
+
+def generate_cohort_reference(cfg, seed: int) -> Cohort:
+    """`generate_cohort` with the excess hazard evaluated for every subject
+    and the histories assembled by full-cohort `np.where`."""
+    rng = np.random.default_rng(seed)
+    n = cfg.cohort_size
+    gender = rng.integers(0, 2, n).astype(np.int8)
+    t_diag, t_other = _draw_potentials(rng, cfg.dataset, n)
+    exp_raw = rng.exponential(1.0, n)
+    age_cell = np.floor(t_diag)
+    t_cancer = exp_raw / excess_hazard(age_cell, cfg.birth_year + age_cell, gender)
+    diagnosed = t_diag < t_other
+    time_to_death = np.where(diagnosed, np.minimum(t_cancer, t_other - t_diag), np.nan)
+    death_age = np.where(diagnosed, t_diag + time_to_death, t_other)
+    return Cohort(cfg.birth_year, gender, t_diag, t_other, t_cancer, diagnosed, time_to_death, death_age)
+
+
+def derive_tables_reference(cohort: Cohort, person_years: str = "midyear", max_age: int = LIFETABLE_MAX_AGE):
+    """`derive_tables` one gender at a time: each gender's subjects taken by
+    a boolean mask, its counts binned by age, and the cells collected one
+    (age, gender) at a time into {(age, year, demographics): value} dicts."""
+    if person_years not in ("midyear", "exact"):
+        raise ValueError(f"unknown person_years convention {person_years!r}")
+    lt_cells: dict = {}
+    ir_cells: dict = {}
+    a_max_common = None
+    per_sex = []
+    for sex in (0, 1):
+        mask = cohort.gender == sex
+        if not mask.any():
+            raise ValueError(f"cohort has no subjects with gender {sex}")
+        deaths_per_year = np.bincount(np.floor(cohort.death_age[mask]).astype(np.int64))
+        alive = deaths_per_year[::-1].cumsum()[::-1]
+        a_max = min(int(np.flatnonzero(alive > 0)[-1]), max_age)
+        per_sex.append((mask, deaths_per_year, alive))
+        a_max_common = a_max if a_max_common is None else min(a_max_common, a_max)
+    for sex, (mask, deaths_per_year, alive) in zip((0, 1), per_sex):
+        demo = (str(sex),)
+        q = deaths_per_year[: a_max_common + 1] / alive[: a_max_common + 1]
+        free_until = np.minimum(cohort.t_diag[mask], cohort.t_other[mask])
+        free_floor = np.floor(free_until).astype(np.int64)
+        free_counts = np.bincount(free_floor, minlength=a_max_common + 2)
+        free_alive = free_counts[::-1].cumsum()[::-1]
+        diag_counts = np.bincount(
+            np.floor(cohort.t_diag[mask][cohort.diagnosed[mask]]).astype(np.int64), minlength=a_max_common + 1
+        )
+        if person_years == "midyear":
+            py = 0.5 * (free_alive[: a_max_common + 1] + free_alive[1 : a_max_common + 2])
+        else:
+            frac = np.bincount(free_floor, weights=free_until - free_floor, minlength=a_max_common + 2)
+            py = free_alive[1 : a_max_common + 2] + frac[: a_max_common + 1]
+        for a in range(a_max_common + 1):
+            year = cohort.birth_year + a
+            lt_cells[(a, year, demo)] = float(q[a])
+            d = float(diag_counts[a]) if a < diag_counts.shape[0] else 0.0
+            if py[a] > 0:
+                ir_cells[(a, year, demo)] = min(d / float(py[a]), 1.0 - 1e-9)
+            elif d > 0:
+                raise ValueError(f"diagnoses without person-years at age {a}, gender {sex}")
+    return LifeTable(lt_cells, require_complete=False), IncidenceTable(ir_cells)

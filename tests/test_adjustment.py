@@ -37,6 +37,7 @@ from oracles import (
     lookup_keys,
     resolve_stratum,
     solve_noncancer_survival_triangular,
+    strata_of,
     triangular_cells,
     triangular_residuals,
 )
@@ -318,7 +319,7 @@ class TestRegistryEngine:
     def test_clamp_counter_counts_each_clamped_cell_once(self):
         engine, provider, keys, diag = gapped_registry_engine()
         looked_up = []
-        lookup, demos = engine.calc.table.lookup, sorted({k.demographics for k in provider.strata})
+        lookup, demos = engine.calc.table.lookup, sorted({k.demographics for k in strata_of(provider)})
         demographics = dict(zip(provider.codes(demos, np.arange(len(demos))).tolist(), demos))
         engine.calc.table.lookup = lambda codes, ages, years: looked_up.extend(
             StratumKey(a, y, demographics[c]) for c, a, y in zip(codes.tolist(), ages.tolist(), years.tolist())

@@ -16,7 +16,7 @@ from netadjust.cli import main
 from netadjust.incidence import PrevalenceCalculator, load_incidence_table
 from netadjust.io import load_registry
 from netadjust.lifetable import load_life_table
-from netadjust.registry import Banding, build_strata, stratum_cells
+from netadjust.registry import Banding, build_strata, stratum_cells, stratum_keys
 from netadjust.survival_provider import OverallSurvivalProvider
 
 from conftest import toy_frame, write_registry
@@ -351,7 +351,7 @@ class TestAdjust:
             assert rows and {row[2] for row in rows} == {label}
 
         frame = load_registry(registry)
-        keys = sorted(build_strata(frame)[0])
+        keys = sorted(stratum_keys(build_strata(frame)[0]))
         life_table = load_life_table(tmp_path / "lifetable.csv")
         so = OverallSurvivalProvider.from_registry(frame, Banding(), anchor_points=4, population_floor=life_table)
         engine = AdjustmentEngine(life_table, load_incidence_table(tmp_path / "incidence.csv"), so, horizon=10)
@@ -557,6 +557,21 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["dataset"] == 2
         assert manifest["config"]["years"] == [3.0, 5.0]
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--reps", "0"], "reps must be at least 1, got 0"),
+        (["--cohort-size", "0"], "cohort_size must be at least 1, got 0"),
+        (["--dataset", "5"], "dataset must be 1-4, got 5"),
+    ])
+    def test_bad_settings_are_one_error_line(self, tmp_path, capsys, monkeypatch, flag, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr("netadjust.simulation.run_replicate", refuse)
+        out = tmp_path / "out"
+        assert main(["simulate", *flag, "--jobs", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_unknown_scenario_key(self, tmp_path):
         scenario = tmp_path / "scenario.txt"

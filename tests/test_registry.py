@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import netadjust
 from netadjust.diagnostics import Diagnostics
@@ -26,10 +26,29 @@ from netadjust.registry import (
     kaplan_meier,
     merge_small_strata,
     stratum_cells,
+    stratum_keys,
 )
 
 from conftest import toy_frame
-from oracles import merge_small_strata_reference, nelson_aalen
+from oracles import build_strata_reference, merge_small_strata_reference, nelson_aalen
+
+
+def strata_sizes(frame, banding=Banding()):
+    """`build_strata` as ({key: size} in its order, labels)."""
+    strata, sizes, labels = build_strata(frame, banding)
+    return dict(zip(stratum_keys(strata), sizes.tolist())), labels
+
+
+def merge(sizes, min_size, diagnostics=None):
+    """`merge_small_strata` on {key: size}, as the reference's (merged
+    sizes, alias) dicts: the kept keys with their totals in input order,
+    and every key mapped onto its holder's."""
+    keys = list(sizes)
+    holder = merge_small_strata(stratum_cells(keys), list(sizes.values()), min_size, diagnostics).tolist()
+    merged = {keys[h]: 0 for h in sorted(set(holder))}
+    for key, h in zip(keys, holder):
+        merged[keys[h]] += sizes[key]
+    return merged, {key: keys[h] for key, h in zip(keys, holder)}
 
 
 def make_table(times, events):
@@ -106,14 +125,14 @@ class TestBuildStrata:
             (60, 1990, "m", 2.0, 0),
             (61, 1991, "f", 3.0, 1),
         ])
-        strata, labels = build_strata(frame)
+        strata, labels = strata_sizes(frame)
         assert len(strata) == 2
         assert sum(strata.values()) == 3
         assert labels.tolist() == [0, 0, 1]
 
     def test_banding_collapses_keys(self):
         rows = [(a, 1990, "m", 1.0, 1) for a in range(60, 65)]
-        strata, _ = build_strata(toy_frame(rows), Banding(age_width=5))
+        strata, _ = strata_sizes(toy_frame(rows), Banding(age_width=5))
         assert set(strata) == {StratumKey(60, 1990, ("m",))}
         assert strata[StratumKey(60, 1990, ("m",))] == 5
 
@@ -123,7 +142,7 @@ class TestBuildStrata:
 
     def test_accepts_patient_records(self):
         records = [PatientRecord(70, 2000, ("f",), 2.5, True)]
-        strata, _ = build_strata(RegistryFrame.from_records(records))
+        strata, _ = strata_sizes(RegistryFrame.from_records(records))
         assert StratumKey(70, 2000, ("f",)) in strata
 
     def test_grid_past_the_cell_limit_rejected(self):
@@ -151,7 +170,7 @@ class TestBuildStrata:
     @settings(max_examples=50, deadline=None)
     def test_partition_property(self, rows, aw, yw):
         frame = toy_frame(rows)
-        strata, labels = build_strata(frame, Banding(aw, yw))
+        strata, labels = strata_sizes(frame, Banding(aw, yw))
         assert sum(strata.values()) == len(rows)
         for key in strata:
             assert key.age % aw == 0 and key.year % yw == 0
@@ -162,6 +181,25 @@ class TestBuildStrata:
             key = keys[label]
             assert (key.age, key.year) == (frame.age[i] // aw * aw, frame.year[i] // yw * yw)
             assert key.demographics == frame.demo_vocab[frame.demo_code[i]]
+
+
+    @given(
+        st.lists(st.tuples(st.integers(0, MAX_AGE), st.integers(0, 30), st.integers(0, 3)), min_size=1, max_size=60),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(1980, 2020),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_unique_numbering(self, rows, aw, yw, year0):
+        # vocabulary entry 3 is never used when no row draws it
+        ages, years, codes = (np.array(column) for column in zip(*rows))
+        frame = RegistryFrame(ages, year0 + years, codes, np.ones(len(rows)), np.zeros(len(rows), bool),
+                              [("b",), ("a",), ("c", "x"), ("d",)])
+        (demographics, *columns), sizes, labels = build_strata(frame, Banding(aw, yw))
+        (ref_demographics, *ref_columns), ref_sizes, ref_labels = build_strata_reference(frame, Banding(aw, yw))
+        assert demographics == ref_demographics
+        for got, want in zip((*columns, sizes, labels), (*ref_columns, ref_sizes, ref_labels)):
+            assert np.array_equal(got, want)
 
 
 class TestRegistryFrame:
@@ -213,14 +251,47 @@ class TestEventTable:
                 assert np.array_equal(getattr(stacked, name)[part], getattr(own, name))
 
 
+# one- and two-element demographics: ("m", "b") is seen first but
+# sorts after ("f", "a") and ("m", "a")
+DEMOGRAPHICS = [("m", "b"), ("f", "a"), ("m",), ("m", "a"), ("f",)]
+
+
+@st.composite
+def stratum_sizes(draw):
+    """{key: size} over a lattice of ages and years `step` apart (past
+    adjacency when step > 1, so the nearest stratum decides, often at
+    tied distances), or along birth-cohort diagonals, where no stratum
+    has an adjacent age in its own year."""
+    step, diagonal = draw(st.integers(1, 3)), draw(st.booleans())
+    demographics = draw(st.lists(st.sampled_from(DEMOGRAPHICS),
+                                 min_size=1, max_size=3, unique=True))
+    cells = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 6), st.sampled_from(demographics)),
+                          min_size=1, max_size=40, unique=True))
+    keys = dict.fromkeys(StratumKey(50 + step * a, 1990 + step * (a + y if diagonal else y), d)
+                         for a, y, d in cells)
+    return {key: draw(st.integers(1, 14)) for key in keys}
+
+
+# tied distances: (48, 1992) and (52, 1988) are both 2 (Chebyshev) and 4 (L1) away
+TIED = {StratumKey(50, 1990, ("m",)): 1, StratumKey(52, 1988, ("m",)): 9, StratumKey(48, 1992, ("m",)): 9}
+# the ("m",) pool runs out after one merge; ("f",) is never reached
+RUNS_OUT = {StratumKey(52, 1992, ("m",)): 1, StratumKey(50, 1990, ("m",)): 1,
+            StratumKey(50, 1990, ("f",)): 3, StratumKey(51, 1990, ("f",)): 20}
+# ("f", "a") sorts first, so it merges before the lone ("m", "b") stops the merging
+SORTED_FIRST = {StratumKey(50, 1990, ("m", "b")): 1, StratumKey(50, 1990, ("f", "a")): 1,
+                StratumKey(60, 2000, ("f", "a")): 20}
+# the adjacent age wins over (60, 1991), which is as near and younger
+ADJACENT = {StratumKey(60, 1990, ("m",)): 1, StratumKey(61, 1990, ("m",)): 20, StratumKey(60, 1991, ("m",)): 20}
+
+
 class TestMergeSmallStrata:
     def test_small_stratum_absorbed(self):
         frame = toy_frame(
             [(60, 1990, "m", float(i + 1), 1) for i in range(12)]
             + [(61, 1990, "m", 1.0, 1)]
         )
-        strata, _ = build_strata(frame)
-        merged, alias = merge_small_strata(strata, min_size=10)
+        strata, _ = strata_sizes(frame)
+        merged, alias = merge(strata, min_size=10)
         assert len(merged) == 1
         assert sum(merged.values()) == 13
         assert alias[StratumKey(61, 1990, ("m",))] == StratumKey(60, 1990, ("m",))
@@ -231,32 +302,43 @@ class TestMergeSmallStrata:
             + [(61, 1990, "m", 1.0, 1)]
             + [(61, 1991, "m", float(i + 1), 1) for i in range(20)]
         )
-        merged, alias = merge_small_strata(build_strata(toy_frame(rows))[0], min_size=5)
+        merged, alias = merge(strata_sizes(toy_frame(rows))[0], min_size=5)
         assert alias[StratumKey(61, 1990, ("m",))] == StratumKey(60, 1990, ("m",))
 
     def test_keeps_demographics_separate(self):
         rows = [(60, 1990, "m", 1.0, 1)] + [(60, 1990, "f", float(i + 1), 1) for i in range(30)]
-        merged, alias = merge_small_strata(build_strata(toy_frame(rows))[0], min_size=5)
+        merged, alias = merge(strata_sizes(toy_frame(rows))[0], min_size=5)
         # nothing to merge the lone male stratum into
         assert StratumKey(60, 1990, ("m",)) in merged
 
-    @given(
-        st.dictionaries(
-            st.tuples(st.integers(50, 58), st.integers(1990, 1996), st.sampled_from(["m", "f"])),
-            st.integers(1, 14),
-            min_size=1, max_size=40,
-        ),
-        st.integers(1, 12),
-    )
+    @given(stratum_sizes(), st.integers(1, 12))
+    @example(TIED, 5)
+    @example(RUNS_OUT, 5)
+    @example(SORTED_FIRST, 5)
+    @example(ADJACENT, 5)
     @settings(max_examples=150, deadline=None)
-    def test_matches_rescanning_reference(self, sizes, min_size):
-        strata = {StratumKey(a, y, (s,)): n for (a, y, s), n in sizes.items()}
+    def test_matches_rescanning_reference(self, strata, min_size):
         diag, ref_diag = Diagnostics(), Diagnostics()
-        merged, alias = merge_small_strata(strata, min_size, diag)
+        merged, alias = merge(strata, min_size, diag)
         ref_merged, ref_alias = merge_small_strata_reference(strata, min_size, ref_diag)
         assert list(merged.items()) == list(ref_merged.items())
         assert list(alias.items()) == list(ref_alias.items())
         assert diag.get("stratum_merge") == ref_diag.get("stratum_merge")
+
+    def test_examples_take_the_named_branches(self):
+        assert merge(TIED, 5)[1][StratumKey(50, 1990, ("m",))] == StratumKey(48, 1992, ("m",))
+        diag = Diagnostics()
+        merged, _ = merge(RUNS_OUT, 5, diag)
+        assert diag.get("stratum_merge") == 1 and StratumKey(50, 1990, ("f",)) in merged
+        diag = Diagnostics()
+        merged, _ = merge(SORTED_FIRST, 5, diag)
+        assert diag.get("stratum_merge") == 1 and StratumKey(50, 1990, ("f", "a")) not in merged
+        assert merge(ADJACENT, 5)[1][StratumKey(60, 1990, ("m",))] == StratumKey(61, 1990, ("m",))
+
+    def test_holders_are_indices_in_input_order(self):
+        keys = [StratumKey(61, 1990, ("m",)), StratumKey(60, 1990, ("m",)), StratumKey(70, 1990, ("f",))]
+        assert merge_small_strata(stratum_cells(keys), [3, 20, 4], 5).tolist() == [1, 1, 2]
+        assert merge_small_strata(stratum_cells(keys), [30, 20, 40], 5).tolist() == [0, 1, 2]
 
 
 class TestNonFiniteTimes:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netadjust import simulation
 from netadjust.adjustment import AdjustmentEngine, SolverError
@@ -20,7 +21,7 @@ from netadjust.simulation import (
     true_noncancer_survival,
 )
 
-from oracles import ir_at, q_at
+from oracles import derive_tables_reference, generate_cohort_reference, ir_at, q_at
 
 SMALL = ScenarioConfig(dataset=1, cohort_size=4000, reps=2, n_truth=50_000)
 
@@ -57,6 +58,17 @@ class TestGenerateCohort:
         assert np.array_equal(a.t_diag, b.t_diag)
         assert np.array_equal(a.death_age, b.death_age)
 
+    @pytest.mark.parametrize("dataset", [1, 2, 3, 4])
+    def test_equals_per_subject_reference(self, dataset):
+        # the hazard table gathered for the diagnosed equals the hazard of
+        # every subject, bit for bit; t_cancer is NaN where not diagnosed
+        for seed in (1, 2, 3):
+            cfg = ScenarioConfig(dataset=dataset, cohort_size=20_000)
+            got, want = generate_cohort(cfg, seed), generate_cohort_reference(cfg, seed)
+            for name in ("gender", "t_diag", "t_other", "diagnosed", "time_to_death", "death_age"):
+                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+            assert np.array_equal(got.t_cancer, np.where(want.diagnosed, want.t_cancer, np.nan), equal_nan=True)
+
     def test_gender_balance(self):
         cohort = generate_cohort(ScenarioConfig(dataset=1, cohort_size=50_000), 3)
         p = cohort.gender.mean()
@@ -84,7 +96,59 @@ class TestGenerateCohort:
         assert count(c2) > count(c1)
 
 
+def outcome(call, *args):
+    """`call(*args)`, or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def same_tables(got, want):
+    if isinstance(want[0], type):
+        return got == want
+    return all(g.cells == w.cells for g, w in zip(got, want))
+
+
+QUARTER_AGES = st.integers(0, 24).map(lambda q: q / 4.0)
+
+
 class TestDeriveTables:
+    @given(
+        st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 400),
+        st.sampled_from(["midyear", "exact"]), st.integers(0, 140),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_gender_reference(self, dataset, seed, n, person_years, max_age):
+        cohort = generate_cohort(ScenarioConfig(dataset=dataset, cohort_size=n), seed)
+        got = outcome(derive_tables, cohort, person_years, max_age)
+        assert same_tables(got, outcome(derive_tables_reference, cohort, person_years, max_age))
+
+    @given(
+        st.lists(st.tuples(QUARTER_AGES, QUARTER_AGES, st.integers(0, 1)), min_size=1, max_size=12),
+        st.sampled_from(["midyear", "exact"]), st.integers(0, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hand_built_cohorts_equal_the_reference(self, subjects, person_years, max_age):
+        # ages on a quarter-year grid: diagnoses exactly at an integer age
+        # with nobody left after it have no exact person-years, and cohorts
+        # of one gender are common
+        t_diag, t_other, gender = (np.array(column) for column in zip(*subjects))
+        cohort = manual_cohort(t_diag, t_other, np.ones(len(subjects)), gender=gender)
+        got = outcome(derive_tables, cohort, person_years, max_age)
+        assert same_tables(got, outcome(derive_tables_reference, cohort, person_years, max_age))
+
+    def test_error_messages(self):
+        one_gender = manual_cohort([1e9, 1e9], [3.5, 4.5], [1.0, 1.0], gender=[1, 1])
+        with pytest.raises(ValueError, match=r"^cohort has no subjects with gender 0$"):
+            derive_tables(one_gender)
+        # gender 1 is diagnosed at exactly 2.0 and nobody is free after it
+        cohort = manual_cohort([1e9, 2.0], [3.5, 4.5], [1.0, 1.0], gender=[0, 1])
+        with pytest.raises(ValueError, match=r"^diagnoses without person-years at age 2, gender 1$"):
+            derive_tables(cohort, "exact")
+        # the mid-year convention counts half a year for it: IR 2, clipped
+        assert derive_tables(cohort, "midyear")[1].cells[(2, 1962, ("1",))] == 1.0 - 1e-9
+
     def test_no_cancer_cohort(self):
         t_other = np.array([2.5, 3.5, 3.7, 10.2, 0.5, 1.5, 2.2, 7.7])
         cohort = manual_cohort(
@@ -225,6 +289,24 @@ class TestExperiment:
     def test_horizon_must_cover_years(self):
         with pytest.raises(ValueError):
             ScenarioConfig(dataset=1, horizon=8, years=(3.0, 10.0))
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"reps": 0}, r"^reps must be at least 1, got 0$"),
+        ({"cohort_size": 0}, r"^cohort_size must be at least 1, got 0$"),
+        ({"cohort_size": -5}, r"^cohort_size must be at least 1, got -5$"),
+        ({"diag_window": (75.0, 60.0)}, r"^diag_window must satisfy 0 <= lo < hi, got \(75\.0, 60\.0\)$"),
+        ({"diag_window": (60.0, 60.0)}, r"^diag_window must satisfy 0 <= lo < hi"),
+        ({"diag_window": (-1.0, 60.0)}, r"^diag_window must satisfy 0 <= lo < hi"),
+        ({"censor_max": 0.0}, r"^censor_max must be positive, got 0\.0$"),
+        ({"censor_max": float("nan")}, r"^censor_max must be positive, got nan$"),
+    ])
+    def test_bad_settings_rejected_up_front(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(**setting)
+
+    def test_smallest_settings_accepted(self):
+        cfg = ScenarioConfig(reps=1, cohort_size=1, diag_window=(0.0, 0.5), censor_max=1e-9)
+        assert (cfg.reps, cfg.cohort_size) == (1, 1)
 
 
 def _raise(exc):

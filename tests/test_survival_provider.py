@@ -11,7 +11,7 @@ from netadjust.registry import EventTable, StratumKey, kaplan_meier
 from netadjust.survival_provider import OverallSurvivalProvider, ProviderError, SurvivalLagTable
 
 from conftest import toy_frame
-from oracles import PerStratumSurvival, lookup_keys, resolve_stratum
+from oracles import PerStratumSurvival, alias_of, lookup_keys, resolve_stratum, strata_of
 
 COUNTERS = (
     "so_population_cap",
@@ -64,23 +64,23 @@ def counters(diag):
 def probe_keys(provider):
     """Every registry stratum, every merged-away key, and keys outside the
     registry's ranges that clamp onto it."""
-    demos = {key.demographics for key in provider.strata}
+    demos = {key.demographics for key in strata_of(provider)}
     extra = [StratumKey(a, y, d) for a in (40, 61, 90) for y in (1970, 1997, 2030) for d in sorted(demos)]
-    return list(provider.strata) + list(provider.alias) + extra
+    return list(strata_of(provider)) + list(alias_of(provider)) + extra
 
 
 def rectangle_keys(provider):
     """Every (age, year, sex) cell of LIFE_TABLE's rectangle whose sex has
     strata, and every merged-away key."""
-    demos = {key.demographics for key in provider.strata}
+    demos = {key.demographics for key in strata_of(provider)}
     cells = [StratumKey(a, y, d) for d in sorted(demos) for a in range(30, 101) for y in range(1980, 2041)]
-    return cells + list(provider.alias)
+    return cells + list(alias_of(provider))
 
 
 def assert_lookup_is_the_scalar_rule(provider, keys):
     rows, clamped = lookup_keys(provider, keys)
     want = [resolve_stratum(provider, key) for key in keys]
-    assert rows.tolist() == [provider.strata[stratum] for stratum, _ in want]
+    assert rows.tolist() == [strata_of(provider)[stratum] for stratum, _ in want]
     assert clamped.tolist() == [flag for _, flag in want]
 
 
@@ -99,8 +99,8 @@ class TestClampTable:
                  for i in range(4)]
         rows += [(52, 2002, "1", 1.0 + i, 1) for i in range(4)]
         provider = OverallSurvivalProvider.from_registry(toy_frame(rows), min_stratum_size=3)
-        assert min(k.age for k in provider.strata) == 51
-        below = [k for k in provider.alias if k.age == 50]
+        assert min(k.age for k in strata_of(provider)) == 51
+        below = [k for k in alias_of(provider) if k.age == 50]
         assert len(below) == 2
         assert not lookup_keys(provider, below)[1].any()
         assert_lookup_is_the_scalar_rule(provider, rectangle_keys(provider))
@@ -114,10 +114,10 @@ class TestClampTable:
         rows = [(60, 2000, "0", 1.0, 1), (61, 2000, "0", 1.0, 1), (61, 2000, "0", 2.0, 0)]
         rows += [(age, year, "0", 1.0 + i, i % 2) for age, year in ((63, 2000), (59, 2001)) for i in range(6)]
         provider = OverallSurvivalProvider.from_registry(toy_frame(rows), min_stratum_size=5)
-        assert set(provider.strata) == {StratumKey(63, 2000, ("0",)), StratumKey(59, 2001, ("0",))}
+        assert set(strata_of(provider)) == {StratumKey(63, 2000, ("0",)), StratumKey(59, 2001, ("0",))}
         keys = [StratumKey(60, 2000, ("0",)), StratumKey(60, 1990, ("0",)), StratumKey(60, 1999, ("0",))]
         rows, clamped = lookup_keys(provider, keys)
-        assert rows.tolist() == [provider.strata[StratumKey(63, 2000, ("0",))]] * 3
+        assert rows.tolist() == [strata_of(provider)[StratumKey(63, 2000, ("0",))]] * 3
         assert clamped.tolist() == [False, True, True]
         assert_lookup_is_the_scalar_rule(provider, rectangle_keys(provider))
 
@@ -158,13 +158,13 @@ class TestBatchMatchesPerStratumPath:
         table = SurvivalLagTable(provider, max_lag)
         keys = probe_keys(provider)
         rows = lookup_keys(table, keys)[0].tolist()
-        for stratum in provider.strata:
+        for stratum in strata_of(provider):
             want = oracle.survival(stratum, table.lags)
             np.testing.assert_allclose(table.values[lookup_keys(table, [stratum])[0][0]], want, rtol=0, atol=1e-12)
         assert counters(diag) == counters(oracle.diagnostics)
         times = np.array([0.0, 0.6, 3.0, 7.25, 14.9, 30.0, 119.5, 121.0, 200.0])
         for key, row in zip(keys, rows):
-            assert row == provider.strata[resolve_stratum(provider, key)[0]]
+            assert row == strata_of(provider)[resolve_stratum(provider, key)[0]]
             got = provider.survival([row], times)[0]
             np.testing.assert_allclose(got, oracle.survival(key, times), rtol=0, atol=1e-12)
             assert provider.survival([row], 7.25)[0][0] == oracle.survival(key, 7.25)[0] == got[3]
@@ -208,13 +208,13 @@ class TestTailCases:
         )
         oracle = PerStratumSurvival(provider, frame)
         lags = SurvivalLagTable(provider, 130)
-        for stratum in provider.strata:
+        for stratum in strata_of(provider):
             np.testing.assert_allclose(
                 lags.values[lookup_keys(lags, [stratum])[0][0]], oracle.survival(stratum, lags.lags), rtol=0, atol=1e-12
             )
         assert diag.get("extrapolation_fallback") == 1
         curve = provider._curve
-        flat = provider.strata[StratumKey(61, 2000, ("0",))]
+        flat = strata_of(provider)[StratumKey(61, 2000, ("0",))]
         assert curve.g1[flat] == 0.0 and curve.g0[flat] == np.mean(np.full(4, -np.log(1.0 - 1.0 / 3.0)))
         assert diag.get("extrapolation_slope_clipped") == 0   # noise is clipped, not counted
         assert counters(diag) == counters(oracle.diagnostics)
