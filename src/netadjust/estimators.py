@@ -41,6 +41,7 @@ series stops once its remainder bound is below TAYLOR_TOL.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics
 from .extrapolation import AnnualGridSurvival
-from .registry import RegistryFrame, StratumKey, build_strata, stratum_cells, stratum_keys
+from .registry import RegistryFrame, StratumKey, build_strata, stratum_keys
 
 WEIGHT_FLOOR = 1e-6
 # remainder bound of each grid year's Taylor series of 1/S_P in Pohar-Perme
@@ -77,9 +78,9 @@ def population_survival(grid, diagnostics: Diagnostics | None = None) -> AnnualG
 
 def _check_rows(rs: RiskSetSummary, sp: AnnualGridSurvival) -> None:
     """The stack must hold one row per stratum of `rs`, in its order."""
-    if sp.values.ndim != 2 or sp.values.shape[0] != len(rs.keys):
+    if sp.values.ndim != 2 or sp.values.shape[0] != rs.n_strata:
         raise EstimatorError(
-            f"S_P stack has {np.atleast_2d(sp.values).shape[0]} rows for {len(rs.keys)} strata"
+            f"S_P stack has {np.atleast_2d(sp.values).shape[0]} rows for {rs.n_strata} strata"
         )
 
 
@@ -107,11 +108,12 @@ def _hazard_rates(sp: AnnualGridSurvival) -> tuple[np.ndarray, np.ndarray]:
 class RiskSetSummary:
     """Risk sets of one registry, shared by all three estimators.
 
-    `times` are the distinct observed times, `keys` the strata of
-    `build_strata` in its order and `cells` their `stratum_cells`.  At-risk
-    counts use {T >= u}: on the interval between consecutive observed times
-    the risk set equals the at-risk set of the right endpoint.  No strata x
-    times array is kept.
+    `times` are the distinct observed times, `cells` the strata of
+    `build_strata` in its order, numbered like `stratum_cells`, `n_strata`
+    their count and `keys` their `StratumKey`s, built when first read.
+    At-risk counts use {T >= u}: on the interval between consecutive observed
+    times the risk set equals the at-risk set of the right endpoint.  No
+    strata x times array is kept.
     Each patient is kept as (`patient_rows`, `patient_times`), stratum row
     and time index, in time order (stratum order within a time), so a
     reverse cumulative sum over the patients sums any per-stratum value over
@@ -128,10 +130,11 @@ class RiskSetSummary:
         if frame.n == 0:
             raise EstimatorError("cannot estimate from an empty registry")
         self.times, t_idx = np.unique(frame.time, return_inverse=True)
-        strata, sizes, rows = build_strata(frame)
-        self.keys: list[StratumKey] = stratum_keys(strata)
+        (demographics, codes, ages, years), sizes, rows = build_strata(frame)
+        present, codes = np.unique(codes, return_inverse=True)
+        self.cells = ([demographics[c] for c in present.tolist()], codes.reshape(-1), ages, years)
         # (time index, stratum row) pairs sorted as one integer each
-        n_strata = len(self.keys)
+        n_strata = self.n_strata = sizes.shape[0]
         pairs = t_idx * n_strata + rows
         self.patient_times, self.patient_rows = np.divmod(np.sort(pairs), n_strata)
         self.death_times, self.death_rows = np.divmod(np.sort(pairs[np.flatnonzero(frame.event)]), n_strata)
@@ -142,9 +145,9 @@ class RiskSetSummary:
         self.sizes = sizes.astype(np.float64)
         self.n = frame.n
 
-    @property
-    def cells(self):
-        return stratum_cells(self.keys)
+    @functools.cached_property
+    def keys(self) -> list[StratumKey]:
+        return stratum_keys(self.cells)
 
     def blocks(self, start: int = 0):
         """Yield (j0, j1, rows, Y) over the observed times from time index
@@ -156,7 +159,7 @@ class RiskSetSummary:
         whole strata x times array."""
         n_times = self.times.shape[0]
         remaining = self.at_risk_column(start)
-        position = np.empty(len(self.keys), dtype=np.intp)
+        position = np.empty(self.n_strata, dtype=np.intp)
         j0, p0 = start, int(np.searchsorted(self.patient_times, start))
         while j0 < n_times:
             rows = np.flatnonzero(remaining)
@@ -183,7 +186,7 @@ class RiskSetSummary:
     def at_risk_column(self, m: int) -> np.ndarray:
         """At-risk counts of every stratum at time index m."""
         p = int(np.searchsorted(self.patient_times, m))
-        return np.bincount(self.patient_rows[p:], minlength=len(self.keys)).astype(np.float64)
+        return np.bincount(self.patient_rows[p:], minlength=self.n_strata).astype(np.float64)
 
 
 def _locate(estimate, t: float) -> tuple[int, float | None]:
@@ -292,7 +295,7 @@ def _moments_pay(rs: RiskSetSummary, rates: np.ndarray, first: int) -> bool:
     patients = rs.patient_times.shape[0] - np.searchsorted(rs.patient_times, starts)
     terms = _taylor_terms(np.abs(rates).max(axis=0))[year[starts]]
     moments = ((terms + 1) * (patients + np.diff(starts, append=first))).sum()
-    last = np.zeros(len(rs.keys), np.intp)
+    last = np.zeros(rs.n_strata, np.intp)
     np.maximum.at(last, rs.patient_rows, rs.patient_times)
     return 0 < moments < np.minimum(last + 1, first).sum()
 
@@ -353,8 +356,8 @@ def pohar_perme(rs: RiskSetSummary, sp: AnnualGridSurvival) -> NetSurvivalEstima
     else:
         first = 0
     # S_P at the previous observed time, 1 before the first
-    sp_last = _survival(sp, None, u[first - 1])[:, 0] if first else np.ones(len(rs.keys))
-    position = np.empty(len(rs.keys), dtype=np.intp)
+    sp_last = _survival(sp, None, u[first - 1])[:, 0] if first else np.ones(rs.n_strata)
+    position = np.empty(rs.n_strata, dtype=np.intp)
     d0 = int(np.searchsorted(rs.death_times, first))
     for j0, j1, rows, y in rs.blocks(first):
         s = _survival(sp, rows, u[j0:j1], y)

@@ -236,8 +236,10 @@ def merge_small_strata(strata, sizes, min_size: int = 10, diagnostics: Diagnosti
     index of the stratum that now holds its records, its own if kept.
 
     A heap orders the small strata by (size, rank in key order), dropping
-    entries a merge made stale; a dense grid finds the adjacent strata, and
-    each small stratum's neighbours are sorted by distance once, up front.
+    entries a merge made stale.  The holder is one arg-min over its
+    demographic's strata of a table of the distance of each (age, year)
+    offset, with merged strata set past any other, so memory stays linear
+    in the strata and the span of ages and years.
     """
     diag = ensure_diagnostics(diagnostics)
     demographics, codes, ages, years = strata
@@ -246,39 +248,34 @@ def merge_small_strata(strata, sizes, min_size: int = 10, diagnostics: Diagnosti
     by_demo = sorted(range(len(demographics)), key=demographics.__getitem__)
     order = np.lexsort((np.argsort(by_demo)[codes], years, ages))
     rank = np.argsort(order).tolist()
-    neighbours: dict[int, list] = {}
-    for d in np.unique(codes[small]).tolist():
-        pool, mine = order[codes[order] == d], small[codes[small] == d]   # the pool by (age, year)
-        # Manhattan distances in the pool stay below span, so Chebyshev
-        # distance * span + Manhattan distance orders by both
-        span = int(np.ptp(ages[pool]) + np.ptp(years[pool])) + 1
-        da, dy = np.abs(ages[mine, None] - ages[pool]), np.abs(years[mine, None] - years[pool])
-        near = pool[np.argsort(np.maximum(da, dy) * span + da + dy, axis=1, kind="stable")]
-        neighbours.update(zip(mine.tolist(), near.tolist()))
-    age0, year0 = int(ages.min()) - 1, int(years.min())
-    grid = np.full((len(demographics), int(np.ptp(ages)) + 3, int(np.ptp(years)) + 1), -1, dtype=np.intp)
-    grid[codes, ages - age0, years - year0] = holder
-    size, live, order = np.asarray(sizes).tolist(), [True] * len(codes), order.tolist()
-    place = list(zip(codes.tolist(), (ages - age0).tolist(), (years - year0).tolist()))
-    left = np.bincount(codes, minlength=len(demographics)).tolist()
+    # demographic d's strata by (age, year) are pool[start[d]:start[d + 1]], i at slot[i]
+    pool = order[np.argsort(codes[order], kind="stable")]
+    start, slot = np.searchsorted(codes[pool], np.arange(len(demographics) + 1)).tolist(), np.argsort(pool).tolist()
+    # each (age, year) offset's Chebyshev distance * span + Manhattan distance
+    # (< span), but 0 for an adjacent age in the same year
+    n_ages, n_years = int(np.ptp(ages)) + 1, int(np.ptp(years)) + 1
+    da, dy = np.abs(np.arange(1 - n_ages, n_ages))[:, None], np.abs(np.arange(1 - n_years, n_years))
+    distance = ((np.maximum(da, dy) * (n_ages + n_years) + da + dy) * ((da != 1) | (dy != 0))).ravel()
+    offset = (ages - ages.min()) * (2 * n_years - 1) + (years - years.min())
+    pool_place, offset = offset[pool] + distance.size // 2, offset.tolist()
+    far, dead = np.iinfo(np.int64).max, np.zeros(len(codes), dtype=np.int64)   # far once merged, by slot
+    size, order, left = np.asarray(sizes).tolist(), order.tolist(), np.diff(start).tolist()
     heap = [(size[i], rank[i]) for i in small.tolist()]
     heapq.heapify(heap)
     while heap:
         n, r = heap[0]
         i = order[r]
-        if not live[i] or size[i] != n:
+        if size[i] != n or holder.item(i) != i:
             heapq.heappop(heap)
             continue
-        d, a, y = place[i]
-        live[i] = False
+        d = codes.item(i)
+        dead[slot[i]] = far
         left[d] -= 1
         if not left[d]:
             break
-        for j in (grid.item(d, a - 1, y), grid.item(d, a + 1, y)):
-            if j >= 0 and live[j]:
-                break
-        else:
-            j = next(j for j in neighbours[i] if live[j])
+        s, e = start[d], start[d + 1]
+        near = distance.take(pool_place[s:e] - offset[i])
+        j = pool.item(s + int(np.maximum(near, dead[s:e], out=near).argmin()))
         heapq.heappop(heap)
         size[j] += size[i]
         holder[i] = j

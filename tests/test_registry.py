@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,13 @@ class TestBuildStrata:
         assert demographics == ref_demographics
         for got, want in zip((*columns, sizes, labels), (*ref_columns, ref_sizes, ref_labels)):
             assert np.array_equal(got, want)
+        if (aw, yw) == (1, 1):
+            # the risk set keeps the same strata, numbered like `stratum_cells`
+            risk = RiskSetSummary(frame)
+            (demographics, *columns), (ref_demographics, *ref_columns) = risk.cells, stratum_cells(risk.keys)
+            assert demographics == ref_demographics and risk.n_strata == len(risk.keys)
+            for got, want in zip(columns, ref_columns):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestRegistryFrame:
@@ -334,6 +342,27 @@ class TestMergeSmallStrata:
         merged, _ = merge(SORTED_FIRST, 5, diag)
         assert diag.get("stratum_merge") == 1 and StratumKey(50, 1990, ("f", "a")) not in merged
         assert merge(ADJACENT, 5)[1][StratumKey(60, 1990, ("m",))] == StratumKey(61, 1990, ("m",))
+
+    def test_thousands_of_small_strata_in_one_demographic(self):
+        # 1,200 strata spread over a 100 x 100 (age, year) grid, all small:
+        # the nearest stratum decides most merges, and memory stays linear
+        rng = np.random.default_rng(3)
+        ages, years = np.divmod(rng.choice(100 * 100, 1200, replace=False), 100)
+        strata = {StratumKey(int(a), 1900 + int(y), ("m",)): int(n)
+                  for a, y, n in zip(ages, years, rng.integers(1, 10, 1200))}
+        diag, ref_diag = Diagnostics(), Diagnostics()
+        tracemalloc.start()
+        try:
+            merged, alias = merge(strata, 10, diag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ref_merged, ref_alias = merge_small_strata_reference(strata, 10, ref_diag)
+        assert list(merged.items()) == list(ref_merged.items())
+        assert list(alias.items()) == list(ref_alias.items())
+        assert diag.get("stratum_merge") == ref_diag.get("stratum_merge") > 500
+        # a strata x strata array of int64 alone would take 11.5 MB
+        assert peak < 4e6
 
     def test_holders_are_indices_in_input_order(self):
         keys = [StratumKey(61, 1990, ("m",)), StratumKey(60, 1990, ("m",)), StratumKey(70, 1990, ("f",))]
