@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from .estimators import (
 from .incidence import compute_incidence, load_counts, load_incidence_table
 from .io import load_registry, sha256_file, write_manifest, write_rows_csv
 from .lifetable import diagonal_survival, load_life_table
-from .registry import Banding, build_strata, stratum_cells, stratum_keys
+from .registry import build_strata
 from .simulation import ScenarioConfig, run_experiment
 from .survival_provider import OverallSurvivalProvider
 
@@ -43,6 +44,9 @@ def _parse_years(text: str) -> tuple:
         raise UsageError(f"cannot parse years {text!r}") from None
     if not years:
         raise UsageError("at least one report year is required")
+    bad = [y for y in years if not (math.isfinite(y) and y >= 0)]
+    if bad:
+        raise UsageError(f"report years must be finite and non-negative, got {bad[0]}")
     return years
 
 
@@ -99,17 +103,20 @@ def _check_incidence_flags(args, adjusted: bool) -> None:
         raise UsageError("adjusted mode needs --incidence or --population")
 
 
-def _adjustment_engine(args, frame, sizes, life_table, diagnostics):
+def _adjustment_engine(args, frame, strata, sizes, life_table, diagnostics):
     """The adjustment engine of the run's inputs and its incidence input for the
-    manifest; --population divides the stratum `sizes` by the person-years."""
+    manifest; --population divides the `sizes` of the registry's `strata`,
+    (demographics, codes, ages, years) cells, by the person-years."""
     if args.incidence:
         incidence, extra = load_incidence_table(args.incidence), {"incidence": args.incidence}
     else:
         person_years = load_counts(args.population, "person_years")
-        diagnoses = {(k.age, k.year, k.demographics): n for k, n in sizes.items()}
+        demographics, codes, ages, years = strata
+        cells = zip(ages.tolist(), years.tolist(), map(demographics.__getitem__, codes.tolist()))
+        diagnoses = dict(zip(cells, np.asarray(sizes, np.int64).tolist()))
         incidence, extra = compute_incidence(diagnoses, person_years, diagnostics), {"population": args.population}
     so = OverallSurvivalProvider.from_registry(
-        frame, Banding(), anchor_points=args.extrapolation_points,
+        frame, anchor_points=args.extrapolation_points,
         population_floor=life_table, diagnostics=diagnostics,
     )
     return AdjustmentEngine(life_table, incidence, so, horizon=args.horizon, diagnostics=diagnostics), extra
@@ -130,9 +137,7 @@ def cmd_estimate(args) -> int:
     if args.mode == "naive":
         grid = diagonal_survival(life_table, risk.cells, args.horizon, diagnostics).values
     else:
-        # the strata sizes are --population's diagnosis counts
-        sizes = dict(zip(risk.keys, risk.sizes.astype(np.int64).tolist()))
-        engine, extra = _adjustment_engine(args, frame, sizes, life_table, diagnostics)
+        engine, extra = _adjustment_engine(args, frame, risk.cells, risk.sizes, life_table, diagnostics)
         inputs.update(extra)
         grid = engine.solve(risk.cells).values
     sp = population_survival(grid, diagnostics)
@@ -163,11 +168,14 @@ def cmd_adjust(args) -> int:
     _check_incidence_flags(args, True)
     diagnostics = Diagnostics()
     frame = load_registry(args.registry)
-    strata, counts, _ = build_strata(frame)   # stratified before the tables: the run peaks ~0.1 MiB lower
-    sizes = dict(zip(stratum_keys(strata), counts.tolist()))
-    demographics, codes, ages, years = cells = stratum_cells(sorted(sizes))
+    strata, sizes, _ = build_strata(frame)   # stratified before the tables: the run peaks ~0.1 MiB lower
+    demographics, codes, ages, years = strata
+    # the cells in `StratumKey` order: age, year, then demographics as tuples
+    rank = np.argsort(sorted(range(len(demographics)), key=demographics.__getitem__))
+    order = np.lexsort((rank[codes], years, ages))
+    cells = demographics, codes, ages, years = (demographics, codes[order], ages[order], years[order])
     life_table = load_life_table(args.lifetable)
-    engine, extra = _adjustment_engine(args, frame, sizes, life_table, diagnostics)
+    engine, extra = _adjustment_engine(args, frame, strata, sizes, life_table, diagnostics)
     inputs = {"registry": args.registry, "lifetable": args.lifetable, **extra}
     solution = engine.solve(cells)
     sp, alphas, residuals = solution.values, solution.alpha, engine.residuals(solution)

@@ -1,4 +1,4 @@
-"""Relative-survival estimators over one stacked population-survival grid.
+"""Relative-survival estimators over one population-survival grid per stratum.
 
 All three estimators read the registry through one `RiskSetSummary`, built
 once per registry and passed to each of them, plus one S_P stack from
@@ -78,17 +78,15 @@ def population_survival(grid, diagnostics: Diagnostics | None = None) -> AnnualG
 
 def _check_rows(rs: RiskSetSummary, sp: AnnualGridSurvival) -> None:
     """The stack must hold one row per stratum of `rs`, in its order."""
-    if sp.values.ndim != 2 or sp.values.shape[0] != rs.n_strata:
-        raise EstimatorError(
-            f"S_P stack has {np.atleast_2d(sp.values).shape[0]} rows for {rs.n_strata} strata"
-        )
+    if sp.values.shape[0] != rs.n_strata:
+        raise EstimatorError(f"S_P stack has {sp.values.shape[0]} rows for {rs.n_strata} strata")
 
 
 def _survival(sp: AnnualGridSurvival, rows, t, at_risk=None) -> np.ndarray:
     """Rows x times S_P of the stack's `rows` (all when None) at the times
     `t`, floored at WEIGHT_FLOOR past the grid too; `at_risk` counts as in
     `AnnualGridSurvival`."""
-    out = sp.survival_at(np.atleast_1d(t), rows, at_risk)
+    out = sp.survival_at(t, rows, at_risk)
     return np.maximum(out, WEIGHT_FLOOR, out=out)
 
 

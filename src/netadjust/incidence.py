@@ -56,11 +56,6 @@ class IncidenceTable(CellTable):
     def valid(values: np.ndarray) -> np.ndarray:
         return (values >= 0.0) & (values < 1.0)
 
-    @classmethod
-    def zero(cls) -> "IncidenceTable":
-        """Empty table: IR identically 0 (the no-adjustment limit)."""
-        return cls({})
-
     def ir_diagonal(self, cells, steps, diagnostics: Diagnostics | None = None) -> np.ndarray:
         """IR at (age+j, year+j) for j = 0..steps-1 from each cell, as a
         cells x steps array from one gather.  `steps` may give one count per

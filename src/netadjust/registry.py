@@ -3,8 +3,8 @@
 A registry row carries the covariates fixed at diagnosis (age, calendar year,
 demographic codes), the follow-up time in years, and an all-cause death
 indicator.  Records are grouped into strata by their diagnosis covariates;
-the strata share one stacked event table, and one call fits the
-Kaplan-Meier curves of all of them.
+the strata share one event table, stratum after stratum, and one call
+fits the Kaplan-Meier curves of all of them.
 
 Conventions: the at-risk set at time u is {T >= u} (subjects dying at u count
 as at risk at u), and deaths are processed before censorings at tied times.
@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import heapq
 import logging
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,23 +25,6 @@ MAX_TABLE_CELLS = 1 << 22     # cells of the (demographics, age, year) grid an i
 
 class EmptyInputError(ValueError):
     """Raised when an operation requires at least one record."""
-
-
-@dataclass(frozen=True)
-class PatientRecord:
-    """One registry row: covariates at diagnosis, follow-up, event flag."""
-
-    age_diag: int
-    year_diag: int
-    demographics: tuple
-    time: float
-    event: bool
-
-    def __post_init__(self):
-        if not (math.isfinite(self.time) and self.time >= 0):
-            raise ValueError(f"follow-up time {self.time} is not a finite non-negative number")
-        if self.age_diag < 0:
-            raise ValueError(f"negative age at diagnosis {self.age_diag}")
 
 
 @dataclass(frozen=True, order=True)
@@ -87,18 +68,6 @@ def diagonals(cells) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(np.argsort(first))[inverse.reshape(-1)], np.sort(first)
 
 
-@dataclass(frozen=True)
-class Banding:
-    """Stratification config: band widths for age and calendar year."""
-
-    age_width: int = 1
-    year_width: int = 1
-
-    def __post_init__(self):
-        if self.age_width < 1 or self.year_width < 1:
-            raise ValueError("band widths must be >= 1")
-
-
 class RegistryFrame:
     """Column-oriented registry (ages, years, demo codes, times, events).
 
@@ -131,41 +100,24 @@ class RegistryFrame:
     def n_events(self) -> int:
         return int(self.event.sum())
 
-    @classmethod
-    def from_records(cls, records: Sequence[PatientRecord]) -> "RegistryFrame":
-        vocab: dict[tuple, int] = {}
-        codes = np.empty(len(records), dtype=np.int64)
-        for i, r in enumerate(records):
-            codes[i] = vocab.setdefault(r.demographics, len(vocab))
-        return cls(
-            [r.age_diag for r in records],
-            [r.year_diag for r in records],
-            codes,
-            [r.time for r in records],
-            [r.event for r in records],
-            list(vocab),
-        )
-
 
 class EventTable:
-    """Risk-set summary of one stratum, or of many stacked stratum after
-    stratum: each stratum's distinct times with their deaths, censorings and
-    at-risk counts.
+    """Risk-set summary of many strata, one after another: each stratum's
+    distinct times with their deaths, censorings and at-risk counts.
 
     `labels` gives each observation's stratum 0..S-1, and every stratum must
-    have one; without it the table is a single stratum.  The observations are
-    sorted once by (stratum, time), and stratum i owns the entries
+    have one; one stratum is labels of zeros.  The observations are sorted
+    once by (stratum, time), and stratum i owns the entries
     `offsets[i]:offsets[i + 1]`; `sizes` are the observations per stratum.
     """
 
-    def __init__(self, times: np.ndarray, events: np.ndarray, labels: np.ndarray | None = None):
+    def __init__(self, times: np.ndarray, events: np.ndarray, labels: np.ndarray):
         times = np.asarray(times, dtype=np.float64)
         events = np.asarray(events, dtype=bool)
         n = times.shape[0]
         if n == 0:
             raise EmptyInputError("event table needs at least one observation")
-        self.stacked = labels is not None
-        labels = np.zeros(n, dtype=np.intp) if labels is None else np.asarray(labels, dtype=np.intp)
+        labels = np.asarray(labels, dtype=np.intp)
         self.sizes = np.bincount(labels)
         if not self.sizes.all():
             raise EmptyInputError("every stratum of an event table needs at least one observation")
@@ -191,30 +143,29 @@ class EventTable:
         return int(self.sizes.sum())
 
 
-def build_strata(frame: RegistryFrame, banding: Banding = Banding()) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Partition a registry into strata by banded (age, year, demographics).
+def build_strata(frame: RegistryFrame) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Partition a registry into strata by (age, year, demographics), one
+    stratum per 1-year cell, as the life table's cells are.
 
-    Band representatives are the lower band edges.  Returns the strata as
-    (demographics, codes, ages, years) cells in (demographics, age, year)
-    order, `demographics` being the registry's vocabulary, their sizes, which
-    sum to the patient count, and each patient's stratum as an index into
-    that order.  Strata are numbered by one count per cell of the grid the
-    registry spans, which may hold at most MAX_TABLE_CELLS cells.
+    Returns the strata as (demographics, codes, ages, years) cells in
+    (demographics, age, year) order, `demographics` being the registry's
+    vocabulary, their sizes, which sum to the patient count, and each
+    patient's stratum as an index into that order.  Strata are numbered by
+    one count per cell of the grid the registry spans, which may hold at
+    most MAX_TABLE_CELLS cells.
     """
     if frame.n == 0:
         raise EmptyInputError("cannot stratify an empty registry")
-    b_age = (frame.age // banding.age_width) * banding.age_width
-    b_year = (frame.year // banding.year_width) * banding.year_width
     # one integer per stratum, ordered like (demographics, age, year)
-    age0, year0 = int(b_age.min()), int(b_year.min())
-    n_ages, n_years = int(b_age.max()) - age0 + 1, int(b_year.max()) - year0 + 1
+    age0, year0 = int(frame.age.min()), int(frame.year.min())
+    n_ages, n_years = int(frame.age.max()) - age0 + 1, int(frame.year.max()) - year0 + 1
     cells = len(frame.demo_vocab) * n_ages * n_years
     if cells > MAX_TABLE_CELLS:
         raise ValueError(
             f"registry spans ages {age0}-{age0 + n_ages - 1} and years {year0}-{year0 + n_years - 1}: "
             f"{cells} (demographics, age, year) cells, at most {MAX_TABLE_CELLS}"
         )
-    cell = (frame.demo_code * n_ages + (b_age - age0)) * n_years + (b_year - year0)
+    cell = (frame.demo_code * n_ages + (frame.age - age0)) * n_years + (frame.year - year0)
     counts = np.bincount(cell, minlength=cells)
     present = np.flatnonzero(counts)
     demo, rest = np.divmod(present, n_ages * n_years)
@@ -313,21 +264,20 @@ class StepSurvivalCurve:
     """Right-continuous step survival curves with S(0) = 1, one per stratum.
 
     Stratum i jumps at `jump_times[offsets[i]:offsets[i + 1]]` to the
-    matching `values`.  Without `offsets` there is one curve, evaluated at
-    times of any shape.  A stacked curve evaluates every stratum, or the
-    `rows` asked for, at a vector of times shared by all of them (a rows x
-    times array), or at a rows x m array of times, one row per stratum.
-    Every evaluation is one exact search: each jump is keyed by its stratum
-    and the rank of its time among all jump times, so one `searchsorted`
-    over the keys counts the jumps at or before each (stratum, time) pair.
+    matching `values`; one curve is offsets [0, n].  `survival_at`
+    evaluates every stratum, or the `rows` asked for, at a vector of times
+    shared by all of them (a rows x times array), or at a rows x m array of
+    times, one row per stratum.  Every evaluation is one exact search: each
+    jump is keyed by its stratum and the rank of its time among all jump
+    times, so one `searchsorted` over the keys counts the jumps at or
+    before each (stratum, time) pair.
     """
 
-    def __init__(self, jump_times: np.ndarray, values: np.ndarray, offsets: np.ndarray | None = None):
+    def __init__(self, jump_times: np.ndarray, values: np.ndarray, offsets: np.ndarray):
         self.jump_times = np.asarray(jump_times, dtype=np.float64)
         self.values = np.asarray(values, dtype=np.float64)
         n = self.jump_times.shape[0]
-        self.stacked = offsets is not None
-        self.offsets = np.array([0, n]) if offsets is None else np.asarray(offsets, dtype=np.intp)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
         self._stratum = stratum = np.repeat(np.arange(self.offsets.shape[0] - 1), np.diff(self.offsets))
         if n:
             within = stratum[1:] == stratum[:-1]
@@ -342,20 +292,14 @@ class StepSurvivalCurve:
         self._ranks = np.unique(self.jump_times)
         self._keys = stratum * (self._ranks.shape[0] + 1) + np.searchsorted(self._ranks, self.jump_times)
 
-    def survival_at(self, t, rows=None):
+    def survival_at(self, t, rows=None) -> np.ndarray:
         """Right-continuous evaluation; constant after the last jump."""
-        t = np.asarray(t, dtype=np.float64)
-        if not self.stacked:
-            rows = np.zeros((), dtype=np.intp)
-        else:
-            rows = np.arange(self.offsets.shape[0] - 1) if rows is None else np.asarray(rows, dtype=np.intp)
-            rows = rows[:, None]
-            t = t if t.ndim == 2 else np.atleast_1d(t)
+        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        rows = (np.arange(self.offsets.shape[0] - 1) if rows is None else np.asarray(rows, dtype=np.intp))[:, None]
         start = self.offsets[rows]
         rank = np.searchsorted(self._ranks, t, side="right")
         idx = np.searchsorted(self._keys, rows * (self._ranks.shape[0] + 1) + rank) - 1
-        out = np.where(idx >= start, np.append(self.values, 1.0)[idx], 1.0)   # idx -1 reads the 1
-        return out if out.ndim else float(out)
+        return np.where(idx >= start, np.append(self.values, 1.0)[idx], 1.0)   # idx -1 reads the 1
 
     def zero_times(self) -> np.ndarray:
         """Each stratum's first time at 0 (inf where its curve stays positive)."""
@@ -370,9 +314,9 @@ class StepSurvivalCurve:
 
 def kaplan_meier(table: EventTable) -> StepSurvivalCurve:
     """Product-limit curve of each stratum of an event table (jumps at death
-    times only), stacked like the table."""
+    times only), one curve per stratum of the table."""
     has_death = np.flatnonzero(table.deaths)
     t = table.times[has_death]
     factors = 1.0 - table.deaths[has_death] / table.at_risk[has_death]
     offsets = np.searchsorted(has_death, table.offsets)
-    return StepSurvivalCurve(t, _segment_cumprod(factors, offsets), offsets if table.stacked else None)
+    return StepSurvivalCurve(t, _segment_cumprod(factors, offsets), offsets)

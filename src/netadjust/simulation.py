@@ -22,7 +22,7 @@ from .diagnostics import Diagnostics, log
 from .estimators import RiskSetSummary, pohar_perme, population_survival
 from .incidence import IncidenceTable
 from .lifetable import LifeTable, diagonal_survival
-from .registry import MAX_AGE, Banding, RegistryFrame
+from .registry import RegistryFrame
 from .survival_provider import OverallSurvivalProvider
 
 BASE_EXCESS_HAZARD = 0.1
@@ -70,11 +70,12 @@ class ScenarioConfig:
     lag_eval: str = "mid_year"        # or "year_start"
     min_stratum_size: int = 600
     tau_min_at_risk: int = 120
-    jobs: int | None = None
 
     def __post_init__(self):
         if self.dataset not in (1, 2, 3, 4):
             raise ValueError(f"dataset must be 1-4, got {self.dataset}")
+        if not all(math.isfinite(y) and y >= 0 for y in self.years):
+            raise ValueError(f"report years must be finite and non-negative, got {self.years}")
         if self.horizon < max(self.years):
             raise ValueError("horizon must cover the largest report year")
         if self.extrapolation_points < 2:
@@ -210,22 +211,22 @@ def derive_tables(
 def make_registry(
     cohort: Cohort,
     censor_seed: int,
-    window: tuple | None = (60.0, 75.0),
+    window: tuple = (60.0, 75.0),
     censor_max: float = 15.0,
 ) -> RegistryFrame:
     """Registry of diagnosed subjects with uniform censoring on [0, censor_max].
 
-    `window` (lo, hi) keeps the diagnoses at ages lo <= t < hi; None keeps
-    every age a registry may hold, 0..MAX_AGE.  Censoring times are drawn
-    for every diagnosed subject before windowing, so a windowed registry is
-    exactly the corresponding subset of the full one.  Covariates are
-    (floor(age), birth_year + floor(age), gender).
+    `window` (lo, hi) keeps the diagnoses at ages lo <= t < hi.  Censoring
+    times are drawn for every diagnosed subject before windowing, so a
+    registry is exactly the subset of any wider window's registry that its
+    window keeps.  Covariates are (floor(age), birth_year + floor(age),
+    gender).
     """
     rng = np.random.default_rng(censor_seed)
     diag_idx = np.flatnonzero(cohort.diagnosed)
     censor = rng.uniform(0.0, censor_max, diag_idx.shape[0])
     t_diag = cohort.t_diag[diag_idx]
-    lo, hi = (0.0, MAX_AGE + 1.0) if window is None else window
+    lo, hi = window
     keep = np.flatnonzero((t_diag >= lo) & (t_diag < hi))
     diag_idx, censor, t_diag = diag_idx[keep], censor[keep], t_diag[keep]
     t_death = cohort.time_to_death[diag_idx]
@@ -315,7 +316,6 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
                 frame_all = make_registry(cohort, censor_seed, _provider_window(cfg), cfg.censor_max)
                 so = OverallSurvivalProvider.from_registry(
                     frame_all,
-                    Banding(),
                     min_stratum_size=cfg.min_stratum_size,
                     anchor_points=cfg.extrapolation_points,
                     tau_min_at_risk=cfg.tau_min_at_risk,
@@ -397,15 +397,14 @@ class ExperimentResult:
 def run_experiment(
     cfg: ScenarioConfig,
     methods=("naive", "adjusted"),
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> ExperimentResult:
-    """Run cfg.reps replicates (optionally in a process pool) and aggregate.
+    """Run cfg.reps replicates (in a pool of `jobs` processes when > 1) and aggregate.
 
     Failed replicates are excluded and reported; identical (cfg, seed) always
     reproduce identical results regardless of worker count.
     """
     methods = tuple(methods)
-    jobs = jobs if jobs is not None else (cfg.jobs or 1)
     tasks = [(cfg, rep, methods) for rep in range(cfg.reps)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor   # only here, so the CLI starts without it

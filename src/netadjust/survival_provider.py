@@ -3,7 +3,7 @@
 Each stratum gets a Kaplan-Meier curve continued by the exponential tail fit.
 The registry is stratified once, on integer arrays: the strata are cells,
 small ones are merged into a holder array, every patient is labelled with
-its final (merged) stratum and all strata share one stacked event table.  The first
+its final (merged) stratum and all strata share one event table.  The first
 survival query builds every stratum's curve, tail fit and population grid in
 one batch; later queries only evaluate them.
 
@@ -22,14 +22,7 @@ import numpy as np
 from .diagnostics import Diagnostics, ensure_diagnostics
 from .extrapolation import AnnualGridSurvival, ExtendedSurvival, extend_survival, follow_up_cutoff
 from .lifetable import LifeTable, diagonal_survival
-from .registry import (
-    Banding,
-    EventTable,
-    RegistryFrame,
-    build_strata,
-    kaplan_meier,
-    merge_small_strata,
-)
+from .registry import EventTable, RegistryFrame, build_strata, kaplan_meier, merge_small_strata
 
 LIFETABLE_POP_GRID = 120  # annual steps of the per-cell population-cap grid
 
@@ -44,7 +37,7 @@ class OverallSurvivalProvider:
     `cells` are the registry's strata before merging, as (demographics,
     codes, ages, years) columns, and `alias` gives each one's holder, an
     index into them (its own for a kept stratum).  The kept strata, in
-    `cells` order, are the rows of `table`, a stacked `EventTable`:
+    `cells` order, are the strata of `table`, one `EventTable`:
     `strata` holds each row's index into `cells` (see `lookup`).
     When a life table is supplied, every extrapolated value (t > tau) is
     reshaped by the population of the stratum's own cell: it is multiplied
@@ -81,7 +74,6 @@ class OverallSurvivalProvider:
     def from_registry(
         cls,
         frame: RegistryFrame,
-        banding: Banding = Banding(),
         min_stratum_size: int = 10,
         anchor_points: int = 4,
         tau_min_at_risk: int = 5,
@@ -91,7 +83,7 @@ class OverallSurvivalProvider:
         """Stratify once: merge strata by size, label every patient with its
         final stratum and build one event table over all of them."""
         diag = ensure_diagnostics(diagnostics)
-        cells, sizes, labels = build_strata(frame, banding)
+        cells, sizes, labels = build_strata(frame)
         alias = merge_small_strata(cells, sizes, min_stratum_size, diag)
         row = np.cumsum(alias == np.arange(alias.shape[0])) - 1
         table = EventTable(frame.time, frame.event, row[alias][labels])
@@ -210,7 +202,7 @@ class OverallSurvivalProvider:
 
     def survival(self, rows, times) -> np.ndarray:
         """S_O at `times` of the strata `rows`, a rows x times array from one
-        evaluation of the stacked curves."""
+        evaluation of the strata's curves."""
         rows = np.asarray(rows, dtype=np.intp)
         t = np.atleast_1d(np.asarray(times, dtype=np.float64))
         values = self._build().survival_at(t, rows)

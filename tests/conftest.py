@@ -10,7 +10,7 @@ from netadjust.estimators import RiskSetSummary, population_survival
 from netadjust.incidence import IncidenceTable
 from netadjust.io import MAX_AGE, REGISTRY_HEADER, write_rows_csv
 from netadjust.lifetable import LifeTable, diagonal_survival
-from netadjust.registry import RegistryFrame, StratumKey, stratum_cells
+from netadjust.registry import EventTable, RegistryFrame, StratumKey, stratum_cells
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
 # test cannot pass on one run and fail on the next
@@ -130,6 +130,16 @@ def toy_frame(rows):
     )
 
 
+def one_stratum(times, events) -> EventTable:
+    """The event table of one stratum: labels of zeros."""
+    return EventTable(times, events, np.zeros(len(times), np.intp))
+
+
+def at(curve, t: float) -> float:
+    """A one-stratum curve's value at the time t: row 0 of its evaluation."""
+    return curve.survival_at(t)[0, 0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
@@ -147,6 +157,15 @@ def risk_set_builds(monkeypatch):
 
     monkeypatch.setattr(RiskSetSummary, "__init__", counting)
     return frames
+
+
+@pytest.fixture
+def key_builds(monkeypatch):
+    """The arguments of every `StratumKey` built, one entry per key."""
+    built = []
+    init = StratumKey.__init__
+    monkeypatch.setattr(StratumKey, "__init__", lambda key, *args: built.append(args) or init(key, *args))
+    return built
 
 
 def summary_value(result, column: str, method: str, year: float) -> float:

@@ -27,8 +27,8 @@
   and `alias_of` give a provider's strata and holders as key dicts.
 * `PerStratumSurvival`, `select_anchor_times` and `fit_exponential_tail`:
   registry overall survival one stratum at a time (event table, Kaplan-Meier,
-  anchors, `np.polyfit` tail, population hardening), the path the stacked
-  provider replaced.
+  anchors, `np.polyfit` tail, population hardening), the path the
+  provider's one event table of all strata replaced.
 * `diagonal_cumulative_hazard`: the life table's piecewise-linear cumulative
   hazard along a diagonal.
 * `nelson_aalen`: the all-cause cumulative-hazard step function of an event
@@ -76,7 +76,6 @@ from netadjust.io import MAX_AGE, REGISTRY_HEADER, RegistryFormatError
 from netadjust.lifetable import LifeTable, LifeTableError
 from netadjust.registry import (
     MAX_TABLE_CELLS,
-    Banding,
     EventTable,
     RegistryFrame,
     StratumKey,
@@ -440,15 +439,13 @@ class ScalarIngredients:
         return self._each("mass", cells, self._mass)
 
 
-def build_strata_reference(frame: RegistryFrame, banding: Banding = Banding()):
+def build_strata_reference(frame: RegistryFrame):
     """`build_strata` numbering the strata by `np.unique`'s sort of one
     integer per (demographics, age, year) cell."""
-    b_age = (frame.age // banding.age_width) * banding.age_width
-    b_year = (frame.year // banding.year_width) * banding.year_width
-    age0, year0 = int(b_age.min()), int(b_year.min())
-    n_ages, n_years = int(b_age.max()) - age0 + 1, int(b_year.max()) - year0 + 1
+    age0, year0 = int(frame.age.min()), int(frame.year.min())
+    n_ages, n_years = int(frame.age.max()) - age0 + 1, int(frame.year.max()) - year0 + 1
     codes, labels = np.unique(
-        (frame.demo_code * n_ages + (b_age - age0)) * n_years + (b_year - year0), return_inverse=True
+        (frame.demo_code * n_ages + (frame.age - age0)) * n_years + (frame.year - year0), return_inverse=True
     )
     demo, cell = np.divmod(codes, n_ages * n_years)
     age, year = np.divmod(cell, n_years)
@@ -772,7 +769,7 @@ def select_anchor_times(curve, tau: float, h: int) -> np.ndarray:
     if h < 2:
         raise ValueError("need at least two anchor points")
     grid = np.arange(0, int(np.floor(tau)) + 1, dtype=np.float64)
-    positive = grid[curve.survival_at(grid) > 0.0]
+    positive = grid[np.reshape(curve.survival_at(grid), -1) > 0.0]
     if positive.shape[0] < 2:
         raise ExtrapolationError(f"only {positive.shape[0]} positive grid point(s) at or before tau={tau}")
     return positive[-h:]
@@ -785,7 +782,7 @@ def fit_exponential_tail(curve, anchors: np.ndarray, diagnostics: Diagnostics | 
     anchors = np.asarray(anchors, dtype=np.float64)
     if np.unique(anchors).shape[0] < 2:
         raise ExtrapolationError("anchor times are all equal; tail fit is singular")
-    values = np.asarray(curve.survival_at(anchors), dtype=np.float64)
+    values = np.reshape(curve.survival_at(anchors), -1).astype(np.float64)
     if (values <= 0).any():
         raise ExtrapolationError("tail fit needs positive survival at every anchor")
     y = -np.log(values)
@@ -865,16 +862,14 @@ class PerStratumSurvival:
 
     POP_GRID = 120
 
-    def __init__(self, provider, frame, banding=Banding(), diagnostics=None):
+    def __init__(self, provider, frame, diagnostics=None):
         self.provider = provider
         self.diagnostics = ensure_diagnostics(diagnostics)
-        b_age = (frame.age // banding.age_width) * banding.age_width
-        b_year = (frame.year // banding.year_width) * banding.year_width
         alias = alias_of(provider)
         owner = [
             alias.get(k, k)
             for k in (StratumKey(int(a), int(y), frame.demo_vocab[int(c)])
-                      for a, y, c in zip(b_age, b_year, frame.demo_code))
+                      for a, y, c in zip(frame.age, frame.year, frame.demo_code))
         ]
         self.observations = {}
         for key in strata_of(provider):

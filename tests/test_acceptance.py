@@ -14,9 +14,8 @@ from netadjust.estimators import RiskSetSummary, crude_probability, ederer1, poh
 from netadjust.extrapolation import AnnualGridSurvival, extend_survival
 from netadjust.incidence import IncidenceTable, PrevalenceCalculator
 from netadjust.lifetable import diagonal_survival
-from netadjust.registry import EventTable, StepSurvivalCurve, StratumKey, kaplan_meier, stratum_cells
+from netadjust.registry import StepSurvivalCurve, StratumKey, kaplan_meier, stratum_cells
 from netadjust.diagnostics import Diagnostics
-from netadjust.registry import Banding
 from netadjust.simulation import (
     ScenarioConfig,
     _provider_window,
@@ -29,7 +28,7 @@ from netadjust.simulation import (
 from netadjust.survival_provider import OverallSurvivalProvider
 from netadjust.cli import main as cli_main
 
-from conftest import ClosedFormSurvival, LifeTableSP, bias, fit, flat_life_table, rmse, toy_frame
+from conftest import ClosedFormSurvival, LifeTableSP, at, bias, fit, flat_life_table, one_stratum, rmse, toy_frame
 from oracles import (
     fit_exponential_tail,
     lag_since_diagnosis_cdf,
@@ -107,7 +106,7 @@ def test_criterion_4_null_adjustment_identity():
     def so(key, times):
         return np.exp(-0.1 * np.asarray(times, float))
 
-    engine = AdjustmentEngine(lt, IncidenceTable.zero(), ClosedFormSurvival(so), horizon=12)
+    engine = AdjustmentEngine(lt, IncidenceTable({}), ClosedFormSurvival(so), horizon=12)
     grids_equal = all(
         np.array_equal(
             engine.solve(stratum_cells([StratumKey(a, 2000 + a - 60, (s,))])).values[0],
@@ -217,17 +216,17 @@ def test_criterion_6_prevalence_oracles():
 def test_criterion_7_extrapolation_exactness():
     rate = 0.173
     jumps = np.arange(0.25, 16.0, 0.25)
-    curve = StepSurvivalCurve(jumps, np.exp(-rate * jumps))
+    curve = StepSurvivalCurve(jumps, np.exp(-rate * jumps), [0, len(jumps)])
     g0, g1 = fit_exponential_tail(curve, np.array([12.0, 13.0, 14.0, 15.0]))
-    ext = extend_survival(curve, 15.0, 4)
+    ext = extend_survival(curve, np.array([15.0]), 4)
     value_err = max(
-        abs(ext.survival_at(t) - math.exp(-rate * t)) for t in (2.5, 15.0, 20.0, 45.0)
+        abs(at(ext, t) - math.exp(-rate * t)) for t in (2.5, 15.0, 20.0, 45.0)
     )
     grid = np.exp(-0.21 * np.arange(16.0))
-    interpolated = AnnualGridSurvival(grid)
-    grid_exact = all(interpolated.survival_at(float(t)) == grid[t] for t in range(16))
+    interpolated = AnnualGridSurvival(grid[None])
+    grid_exact = all(at(interpolated, float(t)) == grid[t] for t in range(16))
     interp_err = max(
-        abs(interpolated.survival_at(t) - math.exp(-0.21 * t))
+        abs(at(interpolated, t) - math.exp(-0.21 * t))
         for t in (0.31, 4.5, 9.99, 14.2)
     )
     ok = abs(g0) <= 1e-10 and abs(g1 - rate) <= 1e-10 and value_err <= 1e-10 \
@@ -252,7 +251,7 @@ def noncancer_survival_mae(cfg: ScenarioConfig, rep: int, ts=(1.0, 5.0, 10.0)) -
     )
     diagnostics = Diagnostics()
     so = OverallSurvivalProvider.from_registry(
-        frame_all, Banding(),
+        frame_all,
         min_stratum_size=cfg.min_stratum_size,
         anchor_points=cfg.extrapolation_points,
         tau_min_at_risk=cfg.tau_min_at_risk,
@@ -308,7 +307,7 @@ def test_criterion_9_estimator_reductions(rng):
     ]
     frame = toy_frame(rows)
     unit = LifeTableSP(flat_life_table(0.0), 20)
-    na = nelson_aalen(EventTable(frame.time, frame.event))
+    na = nelson_aalen(one_stratum(frame.time, frame.event))
     pp = fit(pohar_perme, RiskSetSummary(frame), unit)
     e1 = fit(ederer1, RiskSetSummary(frame), unit)
     grid = np.unique(frame.time)
@@ -331,9 +330,9 @@ def test_criterion_9_estimator_reductions(rng):
         (60, 1990, "0", float(t), True) for t in rng.exponential(3.0, 25)
     ])
     cpd = fit(crude_probability, RiskSetSummary(uncensored), LifeTableSP(flat_life_table(0.0), 25))
-    km = kaplan_meier(EventTable(uncensored.time, uncensored.event))
+    km = kaplan_meier(one_stratum(uncensored.time, uncensored.event))
     cpd_gap = max(
-        abs(cpd.value_at(t) - (1.0 - km.survival_at(t))) for t in np.unique(uncensored.time)
+        abs(cpd.value_at(t) - (1.0 - at(km, t))) for t in np.unique(uncensored.time)
     )
     ok = max(pp_gap, e1_gap, collapse_gap, cpd_gap) <= 1e-12
     report(

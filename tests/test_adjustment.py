@@ -89,7 +89,7 @@ class TestPrevalentCaseSurvival:
 class TestSolver:
     def test_null_adjustment_matches_diagonal_exactly(self):
         lt = flat_life_table(0.02)
-        engine = AdjustmentEngine(lt, IncidenceTable.zero(), const_survival(0.1), horizon=12)
+        engine = AdjustmentEngine(lt, IncidenceTable({}), const_survival(0.1), horizon=12)
         key = StratumKey(65, 2000, ("0",))
         solution = engine.solve(stratum_cells([key]))
         expected = diagonal_survival(lt, stratum_cells([key]), 12).values[0]
@@ -178,7 +178,7 @@ class TestSolver:
 
     def test_residuals_with_zero_incidence(self):
         engine = AdjustmentEngine(
-            flat_life_table(0.02), IncidenceTable.zero(), const_survival(0.1), horizon=6
+            flat_life_table(0.02), IncidenceTable({}), const_survival(0.1), horizon=6
         )
         r = engine.solve(stratum_cells([StratumKey(62, 2021, ("1",))])).residual[:, 1:][0]
         assert np.all(r == 1.0)
@@ -200,7 +200,7 @@ class TestNullAdjustmentEstimate:
         lt = flat_life_table(0.02)
         frame = toy_registry()
         diag = Diagnostics()
-        engine = AdjustmentEngine(lt, IncidenceTable.zero(), const_survival(0.1),
+        engine = AdjustmentEngine(lt, IncidenceTable({}), const_survival(0.1),
                                   horizon=12, diagnostics=diag)
         rs = RiskSetSummary(frame)
         adjusted = pohar_perme(rs, population_survival(engine.solve(rs.cells).values, diag))
@@ -329,17 +329,15 @@ class TestRegistryEngine:
         clamped = sum(resolve_stratum(provider, cell)[1] for cell in looked_up)
         assert diag.get("so_stratum_clamp") == clamped == 1604
 
-    def test_solve_builds_no_keys(self, monkeypatch):
+    def test_solve_builds_no_keys(self, key_builds):
         # keys are converted to cells once, before the solve; the solve and
         # every ingredient it reads run on the cells and build no key
         engine, _, keys, _ = gapped_registry_engine()
         cells = stratum_cells(keys)
-        built = []
-        init = StratumKey.__init__
-        monkeypatch.setattr(StratumKey, "__init__", lambda key, *args: built.append(args) or init(key, *args))
-        assert StratumKey(60, 2000, ("0",)) and built == [(60, 2000, ("0",))]
+        key_builds.clear()
+        assert StratumKey(60, 2000, ("0",)) and key_builds == [(60, 2000, ("0",))]
         solution = engine.solve(cells)
-        assert built == [(60, 2000, ("0",))]
+        assert key_builds == [(60, 2000, ("0",))]
         assert solution.values.shape == (len(keys), engine.horizon + 1)
 
     def test_each_solve_reads_its_inputs_afresh(self):

@@ -16,7 +16,7 @@ from netadjust.cli import main
 from netadjust.incidence import PrevalenceCalculator, load_incidence_table
 from netadjust.io import load_registry
 from netadjust.lifetable import load_life_table
-from netadjust.registry import Banding, build_strata, stratum_cells, stratum_keys
+from netadjust.registry import StratumKey, build_strata, stratum_cells, stratum_keys
 from netadjust.survival_provider import OverallSurvivalProvider
 
 from conftest import toy_frame, write_registry
@@ -246,6 +246,23 @@ class TestEstimate:
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("error: ") and "missing.csv" in out.stderr
 
+    @pytest.mark.parametrize("years, bad", [
+        ("nan", "nan"), ("3,nan", "nan"), ("inf", "inf"), ("-1", "-1.0"), ("3,-0.5", "-0.5"),
+    ])
+    def test_report_years_must_be_finite_and_non_negative(self, tmp_path, capsys, years, bad):
+        # rejected before anything is read, like an empty --years
+        registry = write_inputs(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "estimate", "--registry", str(registry), "--lifetable", str(tmp_path / "lifetable.csv"),
+                "--years", years, "--out", str(tmp_path / "out"),
+            ])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: report years must be finite and non-negative, got {bad}"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestAdjust:
     def test_exports(self, tmp_path):
@@ -279,6 +296,30 @@ class TestAdjust:
         ]) == 0
         for name, value in (("adjusted.csv", "s_p"), ("alpha.csv", "alpha"), ("residuals.csv", "r")):
             assert_matches_golden(out / name, GOLDEN / "adjust" / name, [value])
+
+    def test_rows_follow_key_order(self, tmp_path):
+        # sex m is seen first but f sorts first: the cells go by age, then
+        # year, then demographics, as `StratumKey`s sort
+        registry = write_inputs(tmp_path)
+        for name in ("lifetable.csv", "incidence.csv"):
+            path = tmp_path / name
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text + text.split("\n", 1)[1].replace(",m,", ",f,"), encoding="utf-8")
+        registry.write_text(
+            "age_diag,year_diag,sex,time,event\n"
+            "61,1991,m,2.0,1\n60,1991,m,3.0,0\n61,1991,f,1.5,1\n60,1990,f,4.0,1\n60,1991,f,2.5,0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main([
+            "adjust", "--registry", str(registry),
+            "--lifetable", str(tmp_path / "lifetable.csv"),
+            "--incidence", str(tmp_path / "incidence.csv"),
+            "--horizon", "10", "--out", str(out),
+        ]) == 0
+        cells = [(row["age"], row["year"], row["sex"]) for row in read_csv(out / "alpha.csv")]
+        assert cells == [("60", "1990", "f"), ("60", "1991", "f"), ("60", "1991", "m"),
+                         ("61", "1991", "f"), ("61", "1991", "m")]
 
     def test_prevalence_error_is_one_line(self, tmp_path, capsys):
         # incidence 0.9 in a population losing half of itself every year:
@@ -353,7 +394,7 @@ class TestAdjust:
         frame = load_registry(registry)
         keys = sorted(stratum_keys(build_strata(frame)[0]))
         life_table = load_life_table(tmp_path / "lifetable.csv")
-        so = OverallSurvivalProvider.from_registry(frame, Banding(), anchor_points=4, population_floor=life_table)
+        so = OverallSurvivalProvider.from_registry(frame, anchor_points=4, population_floor=life_table)
         engine = AdjustmentEngine(life_table, load_incidence_table(tmp_path / "incidence.csv"), so, horizon=10)
         grid_rows, alpha_rows, r_rows = [], [], []
         cells = stratum_cells(keys)
@@ -573,6 +614,24 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "scenario"])
+    def test_bad_report_years_are_usage_errors(self, tmp_path, capsys, monkeypatch, source):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr("netadjust.simulation.run_replicate", refuse)
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text("years = 3,nan\n", encoding="utf-8")
+        args = ["--years", "3,nan"] if source == "flag" else ["--scenario", str(scenario)]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", *args, "--jobs", "1", "--out", str(out)])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: report years must be finite and non-negative, got nan"
+        )
+        assert not out.exists()
+
     def test_unknown_scenario_key(self, tmp_path):
         scenario = tmp_path / "scenario.txt"
         scenario.write_text("cohortsize = 10\n", encoding="utf-8")
@@ -598,6 +657,21 @@ class TestRegistryIO:
         assert np.array_equal(back.age, frame.age)
         assert np.array_equal(back.time, frame.time)
         assert back.demo_vocab[back.demo_code[1]] == ("f",)
+
+
+@pytest.mark.parametrize("command", [["estimate", "--mode", "adjusted"], ["adjust"]])
+def test_incidence_runs_build_no_keys(tmp_path, key_builds, command):
+    # the strata stay (demographics, codes, ages, years) cells from the
+    # registry to the outputs; only --population turns them into a dict
+    registry = write_inputs(tmp_path)
+    assert StratumKey(60, 2000, ("m",)) and key_builds == [(60, 2000, ("m",))]
+    assert main([
+        *command, "--registry", str(registry),
+        "--lifetable", str(tmp_path / "lifetable.csv"),
+        "--incidence", str(tmp_path / "incidence.csv"),
+        "--horizon", "10", "--out", str(tmp_path / "out"),
+    ]) == 0
+    assert key_builds == [(60, 2000, ("m",))]
 
 
 def test_import_leaves_out_the_process_pool():

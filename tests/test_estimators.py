@@ -19,11 +19,11 @@ from netadjust.estimators import (
 )
 from netadjust.lifetable import LifeTable
 from netadjust.registry import (
-    EventTable, PatientRecord, RegistryFrame, StratumKey, build_strata, kaplan_meier, stratum_keys,
+    RegistryFrame, StratumKey, build_strata, kaplan_meier, stratum_keys,
 )
 from netadjust.simulation import ScenarioConfig, run_replicate
 
-from conftest import LifeTableSP, fit, flat_life_table, toy_frame
+from conftest import LifeTableSP, at, fit, flat_life_table, one_stratum, toy_frame
 from oracles import (
     DenseRiskSet,
     cell_keys,
@@ -69,7 +69,7 @@ class TestPoharPerme:
     def test_reduces_to_nelson_aalen_when_sp_is_one(self, rng):
         frame = mixed_frame(rng)
         est = fit(pohar_perme, RiskSetSummary(frame), unit_provider())
-        na = nelson_aalen(EventTable(frame.time, frame.event))
+        na = nelson_aalen(one_stratum(frame.time, frame.event))
         for t in np.unique(frame.time):
             assert est.cumulative_hazard_at(t) == pytest.approx(na.hazard_at(t), abs=1e-12)
 
@@ -162,7 +162,7 @@ class TestEderer1:
     def test_reduces_to_nelson_aalen_when_hazard_zero(self, rng):
         frame = mixed_frame(rng)
         est = fit(ederer1, RiskSetSummary(frame), unit_provider())
-        na = nelson_aalen(EventTable(frame.time, frame.event))
+        na = nelson_aalen(one_stratum(frame.time, frame.event))
         for t in np.unique(frame.time):
             assert est.cumulative_hazard_at(t) == pytest.approx(na.hazard_at(t), abs=1e-12)
 
@@ -220,9 +220,9 @@ class TestCrudeProbability:
         times = rng.exponential(3.0, 25)
         frame = toy_frame([(60, 1990, "0", float(t), True) for t in times])
         est = fit(crude_probability, RiskSetSummary(frame), unit_provider())
-        km = kaplan_meier(EventTable(frame.time, frame.event))
+        km = kaplan_meier(one_stratum(frame.time, frame.event))
         for t in np.unique(frame.time):
-            assert est.value_at(t) == pytest.approx(1.0 - km.survival_at(t), abs=1e-12)
+            assert est.value_at(t) == pytest.approx(1.0 - at(km, t), abs=1e-12)
 
     def test_no_deaths_gives_negative_diagnostic(self):
         frame = toy_frame([(60, 1990, "0", 5.0, 0), (60, 1990, "0", 7.0, 0)])
@@ -235,11 +235,11 @@ class TestCrudeProbability:
         frame = mixed_frame(rng)
         provider = LifeTableSP(flat_life_table(0.04), 15)
         est = fit(crude_probability, RiskSetSummary(frame), provider)
-        km = kaplan_meier(EventTable(frame.time, frame.event))
+        km = kaplan_meier(one_stratum(frame.time, frame.event))
         for t in np.unique(frame.time):
             total = est.value_at(t) + est.value_at(t, "other")
-            assert total <= 1.0 - km.survival_at(t) + 1e-9
-            assert total == pytest.approx(1.0 - km.survival_at(t), abs=1e-9)
+            assert total <= 1.0 - at(km, t) + 1e-9
+            assert total == pytest.approx(1.0 - at(km, t), abs=1e-9)
 
     def test_isotonic_copy_monotone(self, rng):
         frame = mixed_frame(rng)
@@ -340,12 +340,10 @@ class TestCrudeProbabilityMemory:
 class TestRiskSetSummary:
     def test_summary_and_records_give_equal_estimates(self, rng):
         frame = mixed_frame(rng, n=60, n_strata=4)
-        records = [
-            PatientRecord(int(a), int(y), frame.demo_vocab[int(c)], float(t), bool(e))
-            for a, y, c, t, e in zip(frame.age, frame.year, frame.demo_code, frame.time, frame.event)
-        ]
+        # the same registry rebuilt from one list per column
+        columns = [column.tolist() for column in (frame.age, frame.year, frame.demo_code, frame.time, frame.event)]
         provider = varying_provider()
-        rs, own_rs = RiskSetSummary(frame), RiskSetSummary(RegistryFrame.from_records(records))
+        rs, own_rs = RiskSetSummary(frame), RiskSetSummary(RegistryFrame(*columns, list(frame.demo_vocab)))
         last = float(frame.time.max())
         points = [0.0, 0.3, 2.5, *np.unique(frame.time)[::7], last, last + 4.0]
         for estimator in (pohar_perme, ederer1, crude_probability):

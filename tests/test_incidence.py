@@ -76,7 +76,7 @@ class TestDiagonalGather:
 
     def test_empty_table_is_zero_and_counts_nothing(self):
         diag = Diagnostics()
-        table = IncidenceTable.zero()
+        table = IncidenceTable({})
         np.testing.assert_array_equal(table.ir_diagonal(stratum_cells([KEY60]), 5, diag)[0], np.zeros(5))
         assert ir_at(table, 60, 2010, ("0",), diag) == 0.0
         assert diag.as_dict() == {}
@@ -144,7 +144,7 @@ class TestLoader:
 
 class TestTimeToDiagnosis:
     def test_zero_rates(self):
-        table = IncidenceTable.zero()
+        table = IncidenceTable({})
         assert time_to_diagnosis_cdf(table, KEY60, 10) == 0.0
 
     def test_constant_rate_closed_form(self):
@@ -168,7 +168,7 @@ class TestTimeToDiagnosis:
             )
 
     def test_zero_increments_when_no_incidence(self):
-        inc = time_to_diagnosis_increments(IncidenceTable.zero(), stratum_cells([KEY60]), 5)[0]
+        inc = time_to_diagnosis_increments(IncidenceTable({}), stratum_cells([KEY60]), 5)[0]
         assert np.all(inc == 0.0)
 
     @given(st.lists(st.floats(0.0, 0.3), min_size=1, max_size=20))
@@ -185,7 +185,7 @@ class TestTimeToDiagnosis:
 class TestPrevalence:
     def test_zero_incidence_gives_zero_alpha(self):
         calc = PrevalenceCalculator(
-            IncidenceTable.zero(), const_survival(0.1), flat_life_table(0.01)
+            IncidenceTable({}), const_survival(0.1), flat_life_table(0.01)
         )
         for age in (1, 5, 40):
             assert calc.prevalence(stratum_cells([StratumKey(age, 1960 + age, ("0",))]))[0] == 0.0
@@ -238,7 +238,7 @@ class TestPrevalence:
 
     def test_lag_distribution_undefined_without_prevalence(self):
         calc = PrevalenceCalculator(
-            IncidenceTable.zero(), const_survival(0.1), flat_life_table(0.0)
+            IncidenceTable({}), const_survival(0.1), flat_life_table(0.0)
         )
         with pytest.raises(PrevalenceError):
             lag_since_diagnosis_increments(calc, StratumKey(10, 1970, ("0",)))

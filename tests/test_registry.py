@@ -9,16 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import netadjust
+import netadjust.io
 from netadjust.diagnostics import Diagnostics
 from netadjust.estimators import RiskSetSummary
 from netadjust.registry import (
-    Banding,
     EmptyInputError,
     EventTable,
     MAX_AGE,
     MAX_TABLE_CELLS,
-    PatientRecord,
     RegistryFrame,
     StratumKey,
     build_strata,
@@ -30,13 +28,13 @@ from netadjust.registry import (
     stratum_keys,
 )
 
-from conftest import toy_frame
+from conftest import at, one_stratum, toy_frame
 from oracles import build_strata_reference, merge_small_strata_reference, nelson_aalen
 
 
-def strata_sizes(frame, banding=Banding()):
+def strata_sizes(frame):
     """`build_strata` as ({key: size} in its order, labels)."""
-    strata, sizes, labels = build_strata(frame, banding)
+    strata, sizes, labels = build_strata(frame)
     return dict(zip(stratum_keys(strata), sizes.tolist())), labels
 
 
@@ -53,31 +51,31 @@ def merge(sizes, min_size, diagnostics=None):
 
 
 def make_table(times, events):
-    return EventTable(np.asarray(times, float), np.asarray(events, bool))
+    return one_stratum(np.asarray(times, float), np.asarray(events, bool))
 
 
 class TestKaplanMeier:
     def test_no_deaths_curve_is_one(self):
         km = kaplan_meier(make_table([1.0, 2.0, 3.0], [0, 0, 0]))
-        assert km.survival_at(0.0) == 1.0
-        assert km.survival_at(10.0) == 1.0
+        assert at(km, 0.0) == 1.0
+        assert at(km, 10.0) == 1.0
 
     def test_hand_calculation(self):
         # n=3: death at 1, censor at 2, death at 3
         km = kaplan_meier(make_table([1.0, 2.0, 3.0], [1, 0, 1]))
-        assert km.survival_at(1.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert km.survival_at(3.0) == pytest.approx(0.0, abs=1e-15)
-        assert km.survival_at(2.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert at(km, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert at(km, 3.0) == pytest.approx(0.0, abs=1e-15)
+        assert at(km, 2.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_uncensored_equals_empirical_survivor(self, rng):
         times = np.sort(rng.uniform(0.1, 10.0, 25))
         km = kaplan_meier(make_table(times, np.ones(25)))
         for t in (0.5, 3.0, 7.7, 11.0):
-            assert km.survival_at(t) == pytest.approx(np.mean(times > t), abs=1e-12)
+            assert at(km, t) == pytest.approx(np.mean(times > t), abs=1e-12)
 
     def test_constant_after_last_observed(self):
         km = kaplan_meier(make_table([1.0, 2.0], [1, 0]))
-        assert km.survival_at(100.0) == km.survival_at(2.0)
+        assert at(km, 100.0) == at(km, 2.0)
 
 
 class TestNelsonAalen:
@@ -100,23 +98,23 @@ class TestNelsonAalen:
         na = nelson_aalen(table)
         bound = float(np.sum((table.deaths / table.at_risk) ** 2))
         for t in np.unique(times):
-            assert abs(km.survival_at(t) - np.exp(-na.hazard_at(t))) <= bound + 1e-12
+            assert abs(at(km, t) - np.exp(-na.hazard_at(t))) <= bound + 1e-12
 
 
 class TestSurvivalAt:
     def test_value_at_zero(self):
         km = kaplan_meier(make_table([2.0], [1]))
-        assert km.survival_at(0.0) == 1.0
+        assert at(km, 0.0) == 1.0
 
     def test_right_continuity_at_jump(self):
         km = kaplan_meier(make_table([2.0, 2.0], [1, 0]))
         # jump to 0.5 exactly at t=2
-        assert km.survival_at(2.0) == pytest.approx(0.5, abs=1e-15)
-        assert km.survival_at(1.999999) == 1.0
+        assert at(km, 2.0) == pytest.approx(0.5, abs=1e-15)
+        assert at(km, 1.999999) == 1.0
 
     def test_beyond_last_jump(self):
         km = kaplan_meier(make_table([1.0, 2.0], [1, 1]))
-        assert km.survival_at(50.0) == km.survival_at(2.0)
+        assert at(km, 50.0) == at(km, 2.0)
 
 
 class TestBuildStrata:
@@ -131,20 +129,9 @@ class TestBuildStrata:
         assert sum(strata.values()) == 3
         assert labels.tolist() == [0, 0, 1]
 
-    def test_banding_collapses_keys(self):
-        rows = [(a, 1990, "m", 1.0, 1) for a in range(60, 65)]
-        strata, _ = strata_sizes(toy_frame(rows), Banding(age_width=5))
-        assert set(strata) == {StratumKey(60, 1990, ("m",))}
-        assert strata[StratumKey(60, 1990, ("m",))] == 5
-
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            build_strata(RegistryFrame.from_records([]))
-
-    def test_accepts_patient_records(self):
-        records = [PatientRecord(70, 2000, ("f",), 2.5, True)]
-        strata, _ = strata_sizes(RegistryFrame.from_records(records))
-        assert StratumKey(70, 2000, ("f",)) in strata
+            build_strata(RegistryFrame([], [], [], [], [], []))
 
     def test_grid_past_the_cell_limit_rejected(self):
         # 3 sexes x 151 ages x 3e16 + 1 years: the int64 stratum code would
@@ -165,49 +152,42 @@ class TestBuildStrata:
             ),
             min_size=1, max_size=80,
         ),
-        st.integers(1, 5),
-        st.integers(1, 5),
     )
     @settings(max_examples=50, deadline=None)
-    def test_partition_property(self, rows, aw, yw):
+    def test_partition_property(self, rows):
         frame = toy_frame(rows)
-        strata, labels = strata_sizes(frame, Banding(aw, yw))
+        strata, labels = strata_sizes(frame)
         assert sum(strata.values()) == len(rows)
-        for key in strata:
-            assert key.age % aw == 0 and key.year % yw == 0
-        # each record's label is its own banded stratum, in key order
+        # each record's label is its own (age, year) cell's stratum, in key order
         keys = list(strata)
         assert keys == sorted(keys, key=lambda k: (frame.demo_vocab.index(k.demographics), k.age, k.year))
         for i, label in enumerate(labels):
             key = keys[label]
-            assert (key.age, key.year) == (frame.age[i] // aw * aw, frame.year[i] // yw * yw)
+            assert (key.age, key.year) == (frame.age[i], frame.year[i])
             assert key.demographics == frame.demo_vocab[frame.demo_code[i]]
 
 
     @given(
         st.lists(st.tuples(st.integers(0, MAX_AGE), st.integers(0, 30), st.integers(0, 3)), min_size=1, max_size=60),
-        st.integers(1, 4),
-        st.integers(1, 4),
         st.integers(1980, 2020),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_unique_numbering(self, rows, aw, yw, year0):
+    def test_matches_unique_numbering(self, rows, year0):
         # vocabulary entry 3 is never used when no row draws it
         ages, years, codes = (np.array(column) for column in zip(*rows))
         frame = RegistryFrame(ages, year0 + years, codes, np.ones(len(rows)), np.zeros(len(rows), bool),
                               [("b",), ("a",), ("c", "x"), ("d",)])
-        (demographics, *columns), sizes, labels = build_strata(frame, Banding(aw, yw))
-        (ref_demographics, *ref_columns), ref_sizes, ref_labels = build_strata_reference(frame, Banding(aw, yw))
+        (demographics, *columns), sizes, labels = build_strata(frame)
+        (ref_demographics, *ref_columns), ref_sizes, ref_labels = build_strata_reference(frame)
         assert demographics == ref_demographics
         for got, want in zip((*columns, sizes, labels), (*ref_columns, ref_sizes, ref_labels)):
             assert np.array_equal(got, want)
-        if (aw, yw) == (1, 1):
-            # the risk set keeps the same strata, numbered like `stratum_cells`
-            risk = RiskSetSummary(frame)
-            (demographics, *columns), (ref_demographics, *ref_columns) = risk.cells, stratum_cells(risk.keys)
-            assert demographics == ref_demographics and risk.n_strata == len(risk.keys)
-            for got, want in zip(columns, ref_columns):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the risk set keeps the same strata, numbered like `stratum_cells`
+        risk = RiskSetSummary(frame)
+        (demographics, *columns), (ref_demographics, *ref_columns) = risk.cells, stratum_cells(risk.keys)
+        assert demographics == ref_demographics and risk.n_strata == len(risk.keys)
+        for got, want in zip(columns, ref_columns):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestRegistryFrame:
@@ -236,7 +216,7 @@ class TestEventTable:
         # both the death and the censoring at t=1 count as at risk at t=1
         t = make_table([1.0, 1.0], [1, 0])
         km = kaplan_meier(t)
-        assert km.survival_at(1.0) == pytest.approx(0.5, abs=1e-15)
+        assert at(km, 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_merge(self):
         # strata are merged by labelling their observations alike
@@ -371,11 +351,6 @@ class TestMergeSmallStrata:
 
 
 class TestNonFiniteTimes:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_patient_record_rejects(self, bad):
-        with pytest.raises(ValueError, match="finite non-negative"):
-            PatientRecord(60, 2000, ("m",), bad, True)
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_frame_rejects(self, bad):
         with pytest.raises(ValueError, match="finite and non-negative"):

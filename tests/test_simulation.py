@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from netadjust import simulation
 from netadjust.adjustment import AdjustmentEngine, SolverError
+from netadjust.registry import MAX_AGE
 from netadjust.simulation import (
     Cohort,
     ReplicateError,
@@ -220,7 +221,7 @@ class TestMakeRegistry:
 
     def test_window_is_subset_of_full(self):
         cohort = generate_cohort(SMALL, 3)
-        full = make_registry(cohort, 17, None)
+        full = make_registry(cohort, 17, (0.0, MAX_AGE + 1.0))   # every age a registry may hold
         window = make_registry(cohort, 17, (60.0, 75.0))
         mask = (full.age >= 60) & (full.age < 75)
         assert np.array_equal(window.time, full.time[mask])
@@ -303,6 +304,11 @@ class TestExperiment:
     def test_bad_settings_rejected_up_front(self, setting, message):
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(**setting)
+
+    @pytest.mark.parametrize("years", [(3.0, float("nan")), (float("inf"),), (-1.0, 5.0)])
+    def test_report_years_must_be_finite_and_non_negative(self, years):
+        with pytest.raises(ValueError, match=r"^report years must be finite and non-negative, got \("):
+            ScenarioConfig(years=years)
 
     def test_smallest_settings_accepted(self):
         cfg = ScenarioConfig(reps=1, cohort_size=1, diag_window=(0.0, 0.5), censor_max=1e-9)

@@ -10,7 +10,7 @@ from netadjust.lifetable import LifeTable
 from netadjust.registry import EventTable, StratumKey, kaplan_meier
 from netadjust.survival_provider import OverallSurvivalProvider, ProviderError, SurvivalLagTable
 
-from conftest import toy_frame
+from conftest import one_stratum, toy_frame
 from oracles import PerStratumSurvival, alias_of, lookup_keys, resolve_stratum, strata_of
 
 COUNTERS = (
@@ -173,7 +173,8 @@ class TestBatchMatchesPerStratumPath:
     @given(registries(), st.integers(2, 5), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_stacked_forms_equal_single_stratum_forms(self, frame, anchor_points, min_at_risk):
-        # one stratum per registry cell, stacked, against each cell on its own
+        # one stratum per registry cell, stacked, against each cell on its
+        # own: a one-stratum table, read at row 0
         cells = list(zip(frame.age.tolist(), frame.year.tolist(), frame.demo_code.tolist()))
         labels = np.unique(np.array(cells), axis=0, return_inverse=True)[1].reshape(-1)
         stacked = EventTable(frame.time, frame.event, labels)
@@ -184,12 +185,12 @@ class TestBatchMatchesPerStratumPath:
         values = tails.survival_at(grid)
         single_diag = Diagnostics()
         for i in range(labels.max() + 1):
-            own = EventTable(frame.time[labels == i], frame.event[labels == i])
+            own = one_stratum(frame.time[labels == i], frame.event[labels == i])
             own_km = kaplan_meier(own)
             own_tail = extend_survival(own_km, follow_up_cutoff(own, min_at_risk), anchor_points, single_diag)
-            assert np.array_equal(km.survival_at(grid)[i], own_km.survival_at(grid))
-            assert (tails.tau[i], tails.g0[i], tails.g1[i]) == (own_tail.tau, own_tail.g0, own_tail.g1)
-            assert np.array_equal(values[i], own_tail.survival_at(grid))
+            assert np.array_equal(km.survival_at(grid)[i], own_km.survival_at(grid)[0])
+            assert (tails.tau[i], tails.g0[i], tails.g1[i]) == (own_tail.tau[0], own_tail.g0[0], own_tail.g1[0])
+            assert np.array_equal(values[i], own_tail.survival_at(grid)[0])
         assert diag.as_dict() == single_diag.as_dict()
 
 
