@@ -171,7 +171,9 @@ def solve_noncancer_survival(ing, cells, diagnostics: Diagnostics | None = None)
     lags = np.arange(1, K + 1)
     active = np.flatnonzero(need >= 2)
     src, k = np.nonzero((mass[active] != 0.0) & (lags < need[active, None]))
-    read = np.unique(active[src] + lags[k])
+    read = np.zeros(m, dtype=bool)
+    read[active[src] + lags[k]] = True
+    read = np.flatnonzero(read)
     alpha, numer, so = np.zeros(m), np.ones((m, K + 1)), np.ones((m, K + 1))
     a, prev, s_o = ing.prevalence_inputs((demographics, *chain[:, needed]), (demographics, *chain[:, read]))
     alpha[needed] = np.asarray(a, dtype=np.float64)
@@ -220,12 +222,11 @@ class AdjustmentEngine:
     Wires the prevalence recursion, the diagnosis-mass products, and the
     diagonal survival into the solver; each ingredient method takes
     (demographics, codes, ages, years) cells and returns one row per cell.
-    Overall survival is read only from the prevalence calculator's lag
-    table.  A `solve` runs the prevalence recursion once
-    (`prevalence_inputs`), looking each cell's stratum up once, and keeps
-    nothing; a run solves its cells in one `solve`.  `alpha`,
-    `prevalent_grid` and `so_grid` are one-shot reads of the same
-    quantities, for checking the engine cell by cell.
+    A `solve` runs the prevalence recursion once (`prevalence_inputs`),
+    which looks each cell's stratum up once and evaluates overall survival
+    once, at the lags it reads, and keeps nothing; a run solves its cells
+    in one `solve`.  `alpha`, `prevalent_grid` and `so_grid` are one-shot
+    reads of the same quantities, for checking the engine cell by cell.
     """
 
     def __init__(
@@ -250,12 +251,8 @@ class AdjustmentEngine:
         """alpha and the prevalent-case survival of each of the `cells` (a
         row of 1 where alpha is 0), and the S_O grid of each cell of `read`,
         from one pass of the prevalence recursion."""
-        alpha, mixture, rows = self.calc.recursion(cells, read)
-        return alpha, prevalent_case_survival(mixture).values, self._so(rows)
-
-    def _so(self, rows) -> np.ndarray:
-        """S_O at integer lags 0..K: the even columns of the table rows."""
-        return self.calc.table.values[rows, : 2 * self.horizon + 1 : 2]
+        alpha, mixture, so = self.calc.recursion(cells, read)
+        return alpha, prevalent_case_survival(mixture).values, so
 
     def alpha(self, cells):
         return self.calc.prevalence(cells)
@@ -264,7 +261,9 @@ class AdjustmentEngine:
         return prevalent_case_survival(self.calc.prevalent_survival(cells)).values
 
     def so_grid(self, cells) -> np.ndarray:
-        return self._so(self.calc.table.lookup(self.calc.table.codes(*cells[:2]), *cells[2:])[0])
+        provider = self.calc.overall_survival
+        rows = provider.lookup(provider.codes(*cells[:2]), *cells[2:])[0]
+        return provider.survival(rows, np.arange(self.horizon + 1, dtype=np.float64))
 
     def diagnosis_mass(self, cells) -> np.ndarray:
         return time_to_diagnosis_increments(self.calc.incidence, cells, self.horizon, self.diagnostics)
@@ -272,10 +271,7 @@ class AdjustmentEngine:
     def solve(self, cells) -> Solution:
         """S_P of the (demographics, codes, ages, years) `cells` at
         t = 0..K, with their alpha, r(t) and clip/guard flags, from one
-        sweep (`solve_noncancer_survival`).  The lag table is filled first:
-        made before the sweep's per-cell arrays, the temporaries of its one
-        evaluation (the run's largest) leave `adjust` peaking ~5 MiB lower."""
-        self.calc.table.values
+        sweep (`solve_noncancer_survival`)."""
         return solve_noncancer_survival(self, cells, self.diagnostics)
 
     def residuals(self, solution: Solution) -> np.ndarray:

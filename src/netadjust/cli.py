@@ -29,7 +29,7 @@ from .incidence import compute_incidence, load_counts, load_incidence_table
 from .io import load_registry, sha256_file, write_manifest, write_rows_csv
 from .lifetable import diagonal_survival, load_life_table
 from .registry import build_strata
-from .simulation import ScenarioConfig, run_experiment
+from .simulation import ScenarioConfig, run_experiment   # perfbench's tracer expects every module loaded with the CLI
 from .survival_provider import OverallSurvivalProvider
 
 
@@ -250,8 +250,11 @@ def cmd_simulate(args) -> int:
         kwargs["base_seed"] = settings["seed"]
     if "years" in settings:
         kwargs["years"] = _parse_years(str(settings["years"]))
+    jobs = settings.get("jobs")
+    if jobs is not None and jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
     cfg = ScenarioConfig(**kwargs)
-    jobs = settings.get("jobs") or os.cpu_count() or 1
+    jobs = jobs or os.cpu_count() or 1
     result = run_experiment(cfg, jobs=jobs)
     out = Path(args.out)
     for name, header, rows in (

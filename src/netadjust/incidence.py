@@ -15,8 +15,8 @@ the life-table adjustment:
 Each cell depends only on strictly earlier cells of its birth-cohort
 diagonal, so one pass of the recursion steps through the ages once for all
 diagonals together, reading each diagonal's inputs once, and keeps nothing
-between passes; every overall-survival value it reads comes from one lag
-table, evaluated once per diagnosis stratum.
+between passes; every overall-survival value it reads comes from one
+evaluation of the strata it reads, at the lags it reads.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .diagnostics import Diagnostics, ensure_diagnostics, log
 from .io import read_cells
 from .lifetable import CellTable
 from .registry import cell_key, diagonals, stratum_cells
-from .survival_provider import SurvivalLagTable
 
 
 class IncidenceError(ValueError):
@@ -126,14 +125,10 @@ class PrevalenceCalculator:
     prevalence at high-mortality ages is badly understated.
 
     `overall_survival` is an `OverallSurvivalProvider`, which extrapolates
-    past follow-up internally.  It is read only through `table`, a
-    `SurvivalLagTable` covering cells up to `max_age` and horizons up to
-    `horizon` (lags up to their sum).  `max_age` is the oldest cell the
-    solver reaches from a registry stratum (its oldest age plus
-    horizon - 1), so no lag past what a solve can read is evaluated.
+    past follow-up internally; a pass reads it with one `survival` call.
     `recursion` is one pass for a set of cells, looking each cell's stratum
     up once; `prevalence` and `prevalent_survival` are one-pass reads of
-    its outputs.  Only the lag table is kept between calls.
+    its outputs.  Nothing is kept between calls.
     `lag_eval` picks where within the diagnosis year the survival curve is
     read: "year_start" uses the full integer lag, "mid_year" shifts the
     evaluation point back half a year.
@@ -151,39 +146,58 @@ class PrevalenceCalculator:
         if lag_eval not in ("year_start", "mid_year"):
             raise ValueError(f"unknown lag_eval {lag_eval!r}")
         self.incidence = incidence
+        self.overall_survival = overall_survival
         self.life_table = life_table
-        self.offset = 0 if lag_eval == "year_start" else 1   # in half-year table columns
+        self.offset = 0 if lag_eval == "year_start" else 1   # half years before the integer lag
         self.diagnostics = ensure_diagnostics(diagnostics)
         self.horizon = int(horizon)
-        self.max_age = overall_survival.max_age + self.horizon - 1
-        self.table = SurvivalLagTable(overall_survival, self.max_age + self.horizon)
+
+    def _overall_survival(self, strata, ages, diagnosed, top):
+        """S_O at the lags the recursion reads, from one `survival` call, and
+        the row of it that holds each of the `strata`: those of the diagnosis
+        cells, aged `ages`, then those of the read cells.
+
+        A diagnosis cell with nonzero IR (`diagnosed`) reads its stratum at
+        lags 1..top+K-age, each `offset` half years earlier, and a read cell
+        reads its stratum at lags 0..K.  Column c holds lag c / (1 + offset),
+        and a column a row does not read repeats the lag before it, so only
+        the cells read are evaluated and counted."""
+        K, scale = self.horizon, 1 + self.offset
+        youngest = np.full(int(strata.max(initial=-1)) + 1, top + K + 1, dtype=np.intp)
+        np.minimum.at(youngest, strata[: ages.size][diagnosed], ages[diagnosed])
+        ends = np.full((2, youngest.size), -1, dtype=np.intp)   # each stratum's last column of each kind
+        ends[0] = scale * (top + K - youngest) - self.offset
+        ends[1, strata[ages.size :]] = scale * K
+        used = np.flatnonzero(ends.max(axis=0, initial=-1) >= 0)
+        column = np.arange(int(ends.max(initial=-1)) + 1)
+        read = ((column % scale == self.offset) & (column <= ends[0, used, None])) | (
+            (column % scale == 0) & (column <= ends[1, used, None]))
+        times = np.maximum.accumulate(np.where(read, column, 0), axis=1) / scale
+        return self.overall_survival.survival(used, times), np.searchsorted(used, strata)
 
     def recursion(self, cells, read=None):
         """One pass of the recursion over the diagonals of `cells`, keeping
         nothing between calls: alpha at each cell, each cell's prevalent
-        mixture at t = 0..horizon (a row of 1 where alpha is 0) and the
-        lag-table row of each `read` cell's stratum.
+        mixture at t = 0..horizon (a row of 1 where alpha is 0) and S_O at
+        t = 0..horizon of each `read` cell's stratum.
 
         The diagonals are (code, birth year) pairs in first-seen order.
         Each diagonal's IR and life-table q are read from age 0 through its
         oldest cell, one gather each, and the strata of those diagnosis
         cells and of the `read` cells are looked up, and counted, once in
-        one call.  The recursion then takes one step per age for all the
-        diagonals together.  C[i, m] accumulates irga(d) * S_O(m - d |
-        diagnosed at d) over the ages d stepped so far on diagonal i, irga(d)
-        being IR(d) times the fraction undiagnosed, 1 - alpha(d), times the
-        cohort survival to d.  At step a, before age a is added, alpha(a) =
-        C[i, a] / survival to a, and C[i, a + t] / (survival to a * alpha(a))
-        is the prevalent cases' survival to horizon t.
+        one call; their S_O is evaluated once, at the lags read
+        (`_overall_survival`).  The recursion then takes one step per age
+        for all the diagonals together.  C[i, m] accumulates irga(d) *
+        S_O(m - d | diagnosed at d) over the ages d stepped so far on
+        diagonal i, irga(d) being IR(d) times the fraction undiagnosed,
+        1 - alpha(d), times the cohort survival to d; a diagonal with
+        irga(d) = 0 adds nothing.  At step a, before age a is added,
+        alpha(a) = C[i, a] / survival to a, and C[i, a + t] / (survival to a
+        * alpha(a)) is the prevalent cases' survival to horizon t.
         """
         demographics, codes, ages, years = cells
-        bad = np.flatnonzero((ages < 0) | (ages > self.max_age))
-        if bad.size:
-            if ages[bad[0]] < 0:
-                raise ValueError("prevalence needs age >= 0")
-            raise PrevalenceError(
-                f"cell {cell_key(cells, bad[0])} is older than the {self.max_age} years the survival lag table covers"
-            )
+        if (ages < 0).any():
+            raise ValueError("prevalence needs age >= 0")
         line, first = diagonals(cells)
         births = (years - ages)[first]
         reach = np.zeros(first.size, dtype=np.intp)
@@ -200,10 +214,11 @@ class PrevalenceCalculator:
 
         # the strata of the diagnosis cells (age d < reach on each diagonal)
         # and of the read cells, looked up in one call
+        provider = self.overall_survival
         read = stratum_cells([]) if read is None else read
         diagonal, age = np.nonzero(np.arange(top) < reach[:, None])
         looked_up = np.stack((
-            np.concatenate((self.table.codes(demographics, codes[first])[diagonal], self.table.codes(*read[:2]))),
+            np.concatenate((provider.codes(demographics, codes[first])[diagonal], provider.codes(*read[:2]))),
             np.concatenate((age, read[2])),
             np.concatenate((births[diagonal] + age, read[3])),
         ))
@@ -211,12 +226,13 @@ class PrevalenceCalculator:
         shifted = looked_up - looked_up.min(axis=1, keepdims=True, initial=0)
         _, unique, inverse = np.unique(np.ravel_multi_index(shifted, shifted.max(axis=1, initial=0) + 1),
                                        return_index=True, return_inverse=True)
-        found = self.table.lookup(*looked_up[:, unique])[0][inverse.reshape(-1)]
+        found = provider.lookup(*looked_up[:, unique])[0][inverse.reshape(-1)]
+        so, held = self._overall_survival(found, age, ir[diagonal, age] > 0.0, top)
         rows = np.zeros((first.size, top), dtype=np.intp)
-        rows[diagonal, age] = found[: diagonal.size]
+        rows[diagonal, age] = held[: diagonal.size]
 
-        table = self.table.values
-        lags = 2 * np.arange(1, top + K + 1) - self.offset   # table column of lag 1, 2, ...
+        scale = 1 + self.offset
+        lags = scale * np.arange(1, top + K + 1) - self.offset   # column of lag 1, 2, ...
         alpha = np.zeros((first.size, top + 1))
         C = np.zeros((first.size, top + K + 1))
         numer = np.empty((len(codes), K + 1))
@@ -241,11 +257,12 @@ class PrevalenceCalculator:
             numer[at] = C[line[at], a : a + K + 1]
             if a < top:
                 irga = ir[:, a] * (1.0 - alpha[:, a]) * surv[:, a]
-                C[:, a + 1 :] += irga[:, None] * table[rows[:, a, None], lags[: top + K - a]]
+                i = np.flatnonzero(irga)
+                C[i, a + 1 :] += irga[i, None] * so[rows[i, a, None], lags[: top + K - a]]
         values = alpha[line, ages]
         mixture = np.ones((len(codes), K + 1))
         np.divide(numer, (surv[line, ages] * values)[:, None], out=mixture, where=values[:, None] > 0.0)
-        return values, mixture, found[diagonal.size :]
+        return values, mixture, so[held[diagonal.size :], : scale * K + 1 : scale]
 
     def prevalence(self, cells) -> np.ndarray:
         """alpha at each cell."""

@@ -160,10 +160,11 @@ class DiagonalSurvival:
 
 
 def diagonal_survival(
-    lt: LifeTable, cells, horizon: int, diagnostics: Diagnostics | None = None
+    lt: LifeTable, cells, horizon, diagnostics: Diagnostics | None = None
 ) -> DiagonalSurvival:
     """S(t) = prod_{j<t} (1 - q(age+j, year+j)) for t = 0..horizon from each
-    cell, as a cells x (horizon + 1) array from one gather."""
+    cell, as a cells x (horizon + 1) array from one gather.  `horizon` may
+    give one count per cell; a cell's row then stays flat past its own."""
     q = lt.q_diagonal(cells, horizon, diagnostics)
     values = np.concatenate((np.ones((q.shape[0], 1)), np.cumprod(1.0 - q, axis=1)), axis=1)
     return DiagonalSurvival(values)

@@ -249,7 +249,7 @@ def _segment_cumprod(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     out = np.empty_like(values)
     lengths = np.diff(offsets)
     width_class = np.frexp(lengths.astype(np.float64))[1]   # 2**(c-1) <= length < 2**c
-    for c in np.unique(width_class[lengths > 0]).tolist():
+    for c in np.flatnonzero(np.bincount(width_class[lengths > 0])).tolist():
         segs = np.flatnonzero(width_class == c)
         idx = offsets[segs, None] + np.arange(1 << c)
         used = idx < offsets[segs + 1, None]
@@ -289,8 +289,8 @@ class StepSurvivalCurve:
                 raise ValueError("survival curve must be non-increasing")
             if self.values.max() > 1 or self.values.min() < 0:
                 raise ValueError("survival values must lie in [0, 1]")
-        self._ranks = np.unique(self.jump_times)
-        self._keys = stratum * (self._ranks.shape[0] + 1) + np.searchsorted(self._ranks, self.jump_times)
+        self._ranks, rank = np.unique(self.jump_times, return_inverse=True)
+        self._keys = stratum * (self._ranks.shape[0] + 1) + rank.reshape(-1)
 
     def survival_at(self, t, rows=None) -> np.ndarray:
         """Right-continuous evaluation; constant after the last jump."""

@@ -74,6 +74,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.dataset not in (1, 2, 3, 4):
             raise ValueError(f"dataset must be 1-4, got {self.dataset}")
+        if not self.years:
+            raise ValueError(f"at least one report year is required, got years={self.years!r}")
         if not all(math.isfinite(y) and y >= 0 for y in self.years):
             raise ValueError(f"report years must be finite and non-negative, got {self.years}")
         if self.horizon < max(self.years):
@@ -110,15 +112,16 @@ class Cohort:
 def _draw_potentials(rng: np.random.Generator, dataset: int, n: int):
     """Potential diagnosis and other-death ages for the four settings.
 
-    Weibull(lam, p) has hazard lam*p*(lam*t)^(p-1); the log-normal settings
-    pass the second parameter as the SD of log (sigma 2 reproduces the
-    published patient counts, sigma sqrt(2) does not).
+    Weibull(lam, p) has hazard lam*p*(lam*t)^(p-1), and Weibull(lam, 1) is
+    the exponential, drawn as such; the log-normal settings pass the second
+    parameter as the SD of log (sigma 2 reproduces the published patient
+    counts, sigma sqrt(2) does not).
     """
     if dataset == 1:
-        t_diag = rng.weibull(1.0, n) / 0.5e-2
+        t_diag = rng.standard_exponential(n) / 0.5e-2
         t_other = rng.weibull(2.0, n) / 1.0e-2
     elif dataset == 2:
-        t_diag = rng.weibull(1.0, n) / 1.5e-2
+        t_diag = rng.standard_exponential(n) / 1.5e-2
         t_other = rng.weibull(2.0, n) / 1.0e-2
     elif dataset == 3:
         t_diag = rng.lognormal(math.log(65.0), 2.0, n)
@@ -135,7 +138,7 @@ def generate_cohort(cfg: ScenarioConfig, seed: int) -> Cohort:
     n = cfg.cohort_size
     gender = rng.integers(0, 2, n).astype(np.int8)
     t_diag, t_other = _draw_potentials(rng, cfg.dataset, n)
-    exp_raw = rng.exponential(1.0, n)
+    exp_raw = rng.standard_exponential(n)
     diagnosed = t_diag < t_other
     sick = np.flatnonzero(diagnosed)
     # covariates vary yearly: the hazard reads the integer (age, year) cell,
@@ -211,36 +214,31 @@ def derive_tables(
 def make_registry(
     cohort: Cohort,
     censor_seed: int,
-    window: tuple = (60.0, 75.0),
+    windows: tuple = ((60.0, 75.0),),
     censor_max: float = 15.0,
-) -> RegistryFrame:
-    """Registry of diagnosed subjects with uniform censoring on [0, censor_max].
+) -> list[RegistryFrame]:
+    """Registries of diagnosed subjects with uniform censoring on [0, censor_max],
+    one per (lo, hi) window of `windows`.
 
-    `window` (lo, hi) keeps the diagnoses at ages lo <= t < hi.  Censoring
-    times are drawn for every diagnosed subject before windowing, so a
-    registry is exactly the subset of any wider window's registry that its
-    window keeps.  Covariates are (floor(age), birth_year + floor(age),
-    gender).
+    A window keeps the diagnoses at ages lo <= t < hi.  Censoring times are
+    drawn once, for every diagnosed subject, and every window is cut from
+    that one draw, so a registry is exactly the subset of any wider
+    window's registry that its window keeps.  Covariates are (floor(age),
+    birth_year + floor(age), gender).
     """
     rng = np.random.default_rng(censor_seed)
     diag_idx = np.flatnonzero(cohort.diagnosed)
     censor = rng.uniform(0.0, censor_max, diag_idx.shape[0])
-    t_diag = cohort.t_diag[diag_idx]
-    lo, hi = window
-    keep = np.flatnonzero((t_diag >= lo) & (t_diag < hi))
-    diag_idx, censor, t_diag = diag_idx[keep], censor[keep], t_diag[keep]
-    t_death = cohort.time_to_death[diag_idx]
-    observed = np.minimum(t_death, censor)
-    event = t_death <= censor
+    t_diag, t_death = cohort.t_diag[diag_idx], cohort.time_to_death[diag_idx]
+    observed, event = np.minimum(t_death, censor), t_death <= censor
     age = np.floor(t_diag).astype(np.int64)
-    return RegistryFrame(
-        age,
-        cohort.birth_year + age,
-        cohort.gender[diag_idx].astype(np.int64),
-        observed,
-        event,
-        [("0",), ("1",)],
-    )
+    gender = cohort.gender[diag_idx].astype(np.int64)
+    frames = []
+    for lo, hi in windows:
+        keep = np.flatnonzero((t_diag >= lo) & (t_diag < hi))
+        frames.append(RegistryFrame(age[keep], cohort.birth_year + age[keep], gender[keep],
+                                    observed[keep], event[keep], [("0",), ("1",)]))
+    return frames
 
 
 def true_net_survival(cfg: ScenarioConfig, years=None, seed_offset: int = 2_000_000) -> dict:
@@ -293,7 +291,8 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
     """Full pipeline for one replicate; returns per-method year values.
 
     A failure raises `ReplicateError` naming its stage: `generate_cohort`,
-    `derive_tables`, `make_registry` or `risk_set`, then per method
+    `derive_tables`, `make_registry` (the report window's registry and the
+    wider one the provider reads, from one draw) or `risk_set`, then per method
     `<method>/provider`, `adjusted/solve` (every registry stratum in one
     `AdjustmentEngine.solve` call) and `<method>/estimate`.
     """
@@ -302,9 +301,9 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
         cohort = generate_cohort(cfg, cfg.base_seed + rep)
     with _stage("derive_tables"):
         life_table, incidence = derive_tables(cohort, cfg.person_years)
-    censor_seed = cfg.base_seed + 1_000_000 + rep
     with _stage("make_registry"):
-        frame_win = make_registry(cohort, censor_seed, cfg.diag_window, cfg.censor_max)
+        frame_win, frame_all = make_registry(cohort, cfg.base_seed + 1_000_000 + rep,
+                                             (cfg.diag_window, _provider_window(cfg)), cfg.censor_max)
     with _stage("risk_set"):
         risk = RiskSetSummary(frame_win)
     values: dict[str, list[float]] = {}
@@ -313,7 +312,6 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
             if method == "naive":
                 grid = diagonal_survival(life_table, risk.cells, cfg.horizon, diagnostics).values
             elif method == "adjusted":
-                frame_all = make_registry(cohort, censor_seed, _provider_window(cfg), cfg.censor_max)
                 so = OverallSurvivalProvider.from_registry(
                     frame_all,
                     min_stratum_size=cfg.min_stratum_size,

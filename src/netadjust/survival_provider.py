@@ -4,16 +4,14 @@ Each stratum gets a Kaplan-Meier curve continued by the exponential tail fit.
 The registry is stratified once, on integer arrays: the strata are cells,
 small ones are merged into a holder array, every patient is labelled with
 its final (merged) stratum and all strata share one event table.  The first
-survival query builds every stratum's curve, tail fit and population grid in
-one batch; later queries only evaluate them.
+survival query builds every stratum's curve and tail fit in one batch; each
+query evaluates them and, with a life table, builds the population grids of
+the strata it reads, as far as it reads them.
 
 Cells, as arrays of demographics codes, ages and years, map onto strata by
 one clip and one gather from a dense (demographics x age x year) table: a
 registry stratum's cell, merged or not, holds its holder's row, any other
 cell the stratum nearest its clamp into the strata's ranges.
-
-`SurvivalLagTable` is the one cache of these values the adjustment reads:
-every stratum's survival evaluated on a shared grid of lags in one call.
 """
 from __future__ import annotations
 
@@ -23,8 +21,6 @@ from .diagnostics import Diagnostics, ensure_diagnostics
 from .extrapolation import AnnualGridSurvival, ExtendedSurvival, extend_survival, follow_up_cutoff
 from .lifetable import LifeTable, diagonal_survival
 from .registry import EventTable, RegistryFrame, build_strata, kaplan_meier, merge_small_strata
-
-LIFETABLE_POP_GRID = 120  # annual steps of the per-cell population-cap grid
 
 
 class ProviderError(ValueError):
@@ -67,7 +63,6 @@ class OverallSurvivalProvider:
         self.population_floor = population_floor
         self.diagnostics = ensure_diagnostics(diagnostics)
         self._curve: ExtendedSurvival | None = None
-        self._population: AnnualGridSurvival | None = None
         self._clamp_table()
 
     @classmethod
@@ -100,7 +95,6 @@ class OverallSurvivalProvider:
         self._groups = {demographics[c]: g for g, c in enumerate(used.tolist())}
         row = np.searchsorted(self.strata, self.alias)   # each cell's holder's row
         lo = self._lo = np.array([ages.min(), years.min()]) - 1
-        self.max_age = int(ages.max())   # the oldest age at diagnosis of any stratum, merged or not
         self._rows = np.full((len(used), ages.max() - lo[0] + 2, years.max() - lo[1] + 2), -1, dtype=np.intp)
         self._rows[group, ages - lo[0], years - lo[1]] = row
         self._clamped = self._rows < 0
@@ -112,7 +106,8 @@ class OverallSurvivalProvider:
         """Rows of clamped cells, found when first read: a cell clipped into
         its demographics' strata's ranges takes the clipped cell's stratum if
         it has one, else the nearest by (Chebyshev, L1, age, year)."""
-        g, a, y = np.unravel_index(np.unique(np.ravel_multi_index((g, a, y), self._rows.shape)), self._rows.shape)
+        cell = np.unique(np.ravel_multi_index((g, a, y), self._rows.shape), return_inverse=True)[0]
+        g, a, y = np.unravel_index(cell, self._rows.shape)
         ca, cy = np.clip(a, *self._ranges[g, :2].T), np.clip(y, *self._ranges[g, 2:].T)
         rows = np.where(self._clamped[g, ca, cy], -1, self._rows[g, ca, cy])
         group, age, year, row = self._strata
@@ -149,18 +144,13 @@ class OverallSurvivalProvider:
         return self._rows[cell], clamped
 
     def _build(self) -> ExtendedSurvival:
-        """Every stratum's Kaplan-Meier curve and tail fit, and the stack of
-        their cells' population grids, built once; the counters of the
-        build (`lifetable_clamp`, `extrapolation_fallback`) count every
+        """Every stratum's Kaplan-Meier curve and tail fit, built once; the
+        counters of the build (`extrapolation_fallback`) count every
         stratum, whether or not a query reads it."""
         if self._curve is None:
             km = kaplan_meier(self.table)
             tau = follow_up_cutoff(self.table, self.tau_min_at_risk)
             self._curve = extend_survival(km, tau, self.anchor_points, self.diagnostics)
-            if self.population_floor is not None:
-                cells = (self.cells[0], *(column[self.strata] for column in self.cells[1:]))
-                grid = diagonal_survival(self.population_floor, cells, LIFETABLE_POP_GRID, self.diagnostics).values
-                self._population = AnnualGridSurvival(np.maximum(grid, 1e-12), self.diagnostics)
         return self._curve
 
     def _harden_tail(self, rows: np.ndarray, t: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -172,21 +162,30 @@ class OverallSurvivalProvider:
         tau beyond what the fit-window rate predicts: the population's
         hazard growth with attained age.  The result is then capped at
         S(tau) times the population's survival from tau, so the patient
-        cohort never outlives its own general-population cell.  Every value
-        this lowers is counted as `so_population_cap`; with an increasing
-        population hazard that is nearly every extrapolated value.  `rows`
-        are the strata of the rows of `values`, evaluated at the times `t`.
+        cohort never outlives its own general-population cell.  `rows` are
+        the strata of the rows of `values`, evaluated at the times `t`.
+
+        Each row's population grid is its stratum cell's life-table
+        diagonal, one year past the later of its last time and its tau, so
+        no time read falls on or past a grid's end; its `lifetable_clamp`
+        counts are the steps it reads past the life table.  Every cell this
+        lowers is counted once as `so_population_cap`: with an increasing
+        population hazard that is nearly every extrapolated value read.
         """
-        pop, curve = self._population, self._curve
+        curve = self._curve
         tau = curve.tau[rows, None]
+        steps = np.floor(np.maximum(t.max(axis=-1, initial=0.0), tau[:, 0])).astype(np.intp) + 1
+        cells = (self.cells[0], *(column[self.strata[rows]] for column in self.cells[1:]))
+        grid = diagonal_survival(self.population_floor, cells, steps, self.diagnostics).values
+        pop = AnnualGridSurvival(np.maximum(grid, 1e-12), self.diagnostics)
         span = max(self.anchor_points - 1, 1)
-        lam_tau = pop.cumulative_hazard_at(tau, rows)
-        lam_lo = pop.cumulative_hazard_at(np.maximum(tau - span, 0.0), rows)
+        lam_tau = pop.cumulative_hazard_at(tau)
+        lam_lo = pop.cumulative_hazard_at(np.maximum(tau - span, 0.0))
         lam_fit = np.zeros_like(tau)
         np.divide(lam_tau - lam_lo, np.minimum(span, tau), out=lam_fit, where=tau > 0)
         # rows x times arrays, computed in place: the population's hazard past
         # tau, its growth beyond the fit-window rate, and the cap
-        excess = pop.cumulative_hazard_at(t, rows)
+        excess = pop.cumulative_hazard_at(t)
         excess -= lam_tau
         growth = lam_fit * (t - tau)
         np.subtract(excess, growth, out=growth)
@@ -195,41 +194,18 @@ class OverallSurvivalProvider:
         cap *= curve.s_tau[rows, None]
         growth *= values
         out = np.where(t > tau, np.minimum(growth, cap, out=growth), values)
-        hit = out < values
-        if hit.any():
-            self.diagnostics.incr("so_population_cap", int(np.sum(hit)))
+        fresh = np.diff(t, prepend=-1.0) != 0   # a time repeated next to itself is the same cell
+        self.diagnostics.incr("so_population_cap", np.count_nonzero((out < values) & fresh))
         return out
 
     def survival(self, rows, times) -> np.ndarray:
-        """S_O at `times` of the strata `rows`, a rows x times array from one
-        evaluation of the strata's curves."""
+        """S_O of the strata `rows` at `times`, a rows x times array from one
+        evaluation of the strata's curves.  `times` are shared by every row,
+        or one non-decreasing row of times per stratum, in which a time may
+        repeat (see `_harden_tail`)."""
         rows = np.asarray(rows, dtype=np.intp)
         t = np.atleast_1d(np.asarray(times, dtype=np.float64))
         values = self._build().survival_at(t, rows)
-        if self.population_floor is not None:
+        if self.population_floor is not None and values.size:
             values = self._harden_tail(rows, t, values)
         return values
-
-
-class SurvivalLagTable:
-    """Overall survival of each stratum on one grid of lags 0, 1/2, 1, ..., max_lag.
-
-    Column c of `values` holds lag c/2: integer lags sit at even columns,
-    the half-year-offset lags s - 1/2 at odd ones.  Row r holds the
-    provider's stratum r; the first read of `values` fills every row with
-    one call of the provider on the whole grid."""
-
-    def __init__(self, provider: OverallSurvivalProvider, max_lag: int):
-        self.survival = provider.survival
-        self.lookup, self.codes = provider.lookup, provider.codes
-        self.n_strata = len(provider.strata)
-        self.max_lag = int(max_lag)
-        self.lags = 0.5 * np.arange(2 * self.max_lag + 1, dtype=np.float64)
-        self._values = None
-
-    @property
-    def values(self) -> np.ndarray:
-        """Strata x lags array of overall survival."""
-        if self._values is None:
-            self._values = self.survival(np.arange(self.n_strata), self.lags)
-        return self._values

@@ -80,21 +80,21 @@ def clip_guard_counts(solution) -> list[tuple[int, int]]:
 
 class ClosedFormSurvival:
     """A closed-form overall survival `curve(key, times)` in the shape of
-    `OverallSurvivalProvider`: the `strata`, `codes`, `lookup` and
-    `survival` the survival lag table reads and the `max_age` the
-    prevalence calculator reads.  It has one stratum per age 0..MAX_AGE and
-    demographics, and a cell reads the stratum of its age (clipped into
-    0..MAX_AGE) and demographics, so `curve` may depend on a stratum key's
-    age and demographics but not on its year.  No cell is clamped."""
+    `OverallSurvivalProvider`: the `cells`, `strata`, `codes`, `lookup` and
+    `survival` the prevalence recursion and the oracles' lag table read.
+    It has one stratum per age 0..MAX_AGE and demographics, and a cell
+    reads the stratum of its age (clipped into 0..MAX_AGE) and
+    demographics, so `curve` may depend on a stratum key's age and
+    demographics but not on its year.  No cell is clamped."""
 
-    def __init__(self, curve, max_age=110, demographics=(("0",), ("1",))):
+    def __init__(self, curve, demographics=(("0",), ("1",))):
         self.curve = curve
-        self.max_age = max_age
         self.groups = {demo: i for i, demo in enumerate(demographics)}
         self.strata = {
             StratumKey(age, 0, demo): i * (MAX_AGE + 1) + age
             for demo, i in self.groups.items() for age in range(MAX_AGE + 1)
         }
+        self.cells = stratum_cells(list(self.strata))
 
     def codes(self, demographics, codes):
         return np.array([self.groups[demo] for demo in demographics], dtype=np.intp)[codes]
@@ -104,8 +104,12 @@ class ClosedFormSurvival:
         return rows, np.zeros(rows.shape[0], dtype=bool)
 
     def survival(self, rows, times):
-        keys = list(self.strata)
-        return np.array([self.curve(keys[row], times) for row in np.asarray(rows).tolist()], dtype=np.float64)
+        """`curve` of each row's stratum at `times`, shared or one row per stratum."""
+        keys, rows = list(self.strata), np.asarray(rows).tolist()
+        t = np.atleast_1d(np.asarray(times, dtype=np.float64))
+        t = np.broadcast_to(t, (len(rows), t.shape[-1]))
+        values = [self.curve(keys[row], row_times) for row, row_times in zip(rows, t)]
+        return np.array(values, dtype=np.float64).reshape(t.shape)
 
 
 def const_survival(rate, demographics=(("0",), ("1",))):

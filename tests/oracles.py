@@ -4,9 +4,13 @@
   system assembled as one explicit strictly-lower-triangular kernel matrix
   per lattice cell, solved by forward substitution, every cell the targets
   depend on once; `triangular_residuals` returns its r(t).
+* `SurvivalLagTable`: every stratum's overall survival on one dense grid of
+  half-year lags, from one provider call, and `lag_table`, the table over
+  every lag a solve could read.
 * `ScalarPrevalence`: the prevalence recursion one age and one diagonal at a
-  time, as a dot product per age, with the per-cell lag-weight vector and
-  survival-from-diagnosis matrix of the prevalent cases;
+  time, as a dot product per age, reading the dense lag table, with the
+  per-cell lag-weight vector and survival-from-diagnosis matrix of the
+  prevalent cases;
   `ScalarIngredients` feeds it and the other one-cell solver inputs to the
   triangular solver; `prevalence_inputs_from_views` builds the solver's
   one prevalence call from a bundle's one-cell views.  `cell_keys`,
@@ -18,17 +22,21 @@
 * `merge_small_strata_reference`: the plain rescanning stratum merger on
   {key: size} dicts, which rebuilds the small-stratum list, the neighbour
   pool and the alias map on every merge.
-* `generate_cohort_reference` and `derive_tables_reference`: the cohort
-  draw with the excess hazard evaluated per subject, and the life table and
-  incidence rates one gender at a time through boolean masks, built as
-  {(age, year, demographics): value} dicts.
+* `draw_potentials_reference`, `generate_cohort_reference` and
+  `derive_tables_reference`: the cohort draw with Weibull(1) and
+  exponential(1) draws and the excess hazard evaluated per subject, and the
+  life table and incidence rates one gender at a time through boolean
+  masks, built as {(age, year, demographics): value} dicts.
+* `make_registry_reference`: the registry of one window from its own
+  censoring draw.
 * `resolve_stratum`: the stratum one key maps onto, by the scalar clamp and
   nearest-stratum search over the strata of its demographics; `strata_of`
   and `alias_of` give a provider's strata and holders as key dicts.
 * `PerStratumSurvival`, `select_anchor_times` and `fit_exponential_tail`:
   registry overall survival one stratum at a time (event table, Kaplan-Meier,
-  anchors, `np.polyfit` tail, population hardening), the path the
-  provider's one event table of all strata replaced.
+  anchors, `np.polyfit` tail, population hardening against a grid read
+  cell by cell), the path the provider's one event table of all strata
+  replaced.
 * `diagonal_cumulative_hazard`: the life table's piecewise-linear cumulative
   hazard along a diagonal.
 * `nelson_aalen`: the all-cause cumulative-hazard step function of an event
@@ -56,6 +64,7 @@
 """
 import csv
 import math
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -83,8 +92,8 @@ from netadjust.registry import (
     stratum_cells,
     stratum_keys,
 )
-from netadjust.simulation import LIFETABLE_MAX_AGE, Cohort, _draw_potentials, excess_hazard
-from netadjust.survival_provider import ProviderError, SurvivalLagTable
+from netadjust.simulation import LIFETABLE_MAX_AGE, Cohort, excess_hazard
+from netadjust.survival_provider import ProviderError
 
 
 def triangular_cells(ing, keys, diagnostics=None):
@@ -223,6 +232,104 @@ def q_at(lt: LifeTable, age: int, year: int, demo: tuple, diagnostics=None) -> f
     return q
 
 
+class SurvivalLagTable:
+    """Overall survival of each stratum on one grid of lags 0, 1/2, 1, ..., max_lag.
+
+    Column c of `values` holds lag c/2: integer lags sit at even columns,
+    the half-year-offset lags s - 1/2 at odd ones.  Row r holds the
+    provider's stratum r; the first read of `values` fills every row with
+    one call of the provider on the whole grid, counted in the provider's
+    counters unless `counted` is false (see `uncounted`)."""
+
+    def __init__(self, provider, max_lag: int, counted: bool = True):
+        self.provider = provider
+        self.lookup, self.codes = provider.lookup, provider.codes
+        self.n_strata = len(provider.strata)
+        self.max_lag = int(max_lag)
+        self.lags = 0.5 * np.arange(2 * self.max_lag + 1, dtype=np.float64)
+        self.counted = counted
+        self._values = None
+
+    @property
+    def values(self) -> np.ndarray:
+        """Strata x lags array of overall survival."""
+        if self._values is None:
+            with (nullcontext() if self.counted else uncounted(self.provider)):
+                self._values = self.provider.survival(np.arange(self.n_strata), self.lags)
+        return self._values
+
+
+def lag_table(provider, horizon: int) -> tuple[SurvivalLagTable, int]:
+    """The uncounted lag table over every lag a solve could read from
+    `provider`, and the oldest cell it covers: a solve's chains reach the
+    strata's oldest age plus horizon - 1, and read lags up to that plus the
+    horizon."""
+    max_age = int(provider.cells[2].max()) + horizon - 1
+    return SurvivalLagTable(provider, max_age + horizon, counted=False), max_age
+
+
+@contextmanager
+def uncounted(provider):
+    """`provider` with its curves built and its counters sent, until the
+    block ends, to a throwaway `Diagnostics` (a provider without counters
+    is left as it is)."""
+    if not hasattr(provider, "diagnostics"):
+        yield provider
+        return
+    provider._build()
+    counted, provider.diagnostics = provider.diagnostics, Diagnostics()
+    try:
+        yield provider
+    finally:
+        provider.diagnostics = counted
+
+
+def survival_reads(provider, incidence, keys, read, horizon: int, offset: int) -> dict[int, np.ndarray]:
+    """The lags at which one prevalence pass over the cells `keys`, with
+    the read cells `read`, reads S_O, as {stratum row: sorted lags}.
+
+    Each diagonal (birth year, demographics) of `keys` reaches its oldest
+    key, and `top` is the oldest key of all.  Every age d below a
+    diagonal's reach with IR > 0 reads the stratum of its cell at lags
+    1..top+K-d, each less offset / 2 years; every read cell reads its
+    stratum at lags 0..K.  Strata resolve by `resolve_stratum`, so nothing
+    is counted."""
+    reach: dict[tuple, int] = {}
+    for key in keys:
+        ident = (key.year - key.age, key.demographics)
+        reach[ident] = max(reach.get(ident, 0), key.age)
+    top = max(reach.values(), default=0)
+    rows = strata_of(provider)
+    lags: dict[int, set] = {}
+    for (birth, demo), oldest in reach.items():
+        for d in range(oldest):
+            if ir_at(incidence, d, birth + d, demo) > 0.0:
+                row = rows[resolve_stratum(provider, StratumKey(d, birth + d, demo))[0]]
+                lags.setdefault(row, set()).update(s - offset / 2 for s in range(1, top + horizon - d + 1))
+    for key in read:
+        lags.setdefault(rows[resolve_stratum(provider, key)[0]], set()).update(range(horizon + 1))
+    return {row: np.array(sorted(found), dtype=np.float64) for row, found in lags.items()}
+
+
+def survival_read_counters(provider, reads: dict[int, np.ndarray]) -> Diagnostics:
+    """The counters of evaluating S_O at exactly the `reads` of
+    `survival_reads`, stratum by stratum: `so_population_cap`, each read
+    cell whose value the population cap lowers below the stratum's curve,
+    and `lifetable_clamp`, each step of a stratum's population grid, one
+    year past the later of its last lag read and its tau, that `q_at`
+    clamps into the life table."""
+    diag = Diagnostics()
+    curve, keys = provider._build(), stratum_keys(provider.cells)
+    for row, t in reads.items():
+        with uncounted(provider):
+            capped = provider.survival([row], t)[0]
+        diag.incr("so_population_cap", int((capped < curve.survival_at(t, [row])[0]).sum()))
+        cell = keys[provider.strata[row]]
+        for j in range(int(np.floor(max(t.max(), curve.tau[row]))) + 1):
+            q_at(provider.population_floor, cell.age + j, cell.year + j, cell.demographics, diag)
+    return diag
+
+
 class _DiagonalState:
     """Per-diagonal recursion state (one birth cohort, one demographic group).
 
@@ -264,8 +371,9 @@ class ScalarPrevalence:
 
     @classmethod
     def of(cls, calc: PrevalenceCalculator, diagnostics=None) -> "ScalarPrevalence":
-        """A walk over the inputs and the lag table of `calc`."""
-        return cls(calc.incidence, calc.table, calc.life_table, calc.offset, calc.max_age, diagnostics)
+        """A walk over the inputs of `calc` and the lag table of its overall survival."""
+        table, max_age = lag_table(calc.overall_survival, calc.horizon)
+        return cls(calc.incidence, table, calc.life_table, calc.offset, max_age, diagnostics)
 
     def _row(self, key: StratumKey) -> int:
         """The key's lag-table row, looked up once per key."""
@@ -388,11 +496,19 @@ class ScalarIngredients:
         self.incidence = incidence
         self.horizon = int(horizon)
         self.diagnostics = ensure_diagnostics(diagnostics)
-        max_age = overall_survival.max_age + self.horizon - 1
-        table = SurvivalLagTable(overall_survival, max_age + self.horizon)
+        table, max_age = lag_table(overall_survival, self.horizon)
         offset = 0 if lag_eval == "year_start" else 1
         self.walk = ScalarPrevalence(incidence, table, life_table, offset, max_age, self.diagnostics)
         self._cache: dict[tuple[str, StratumKey], object] = {}
+
+    def survival_read_counters(self) -> Diagnostics:
+        """The S_O counters of one prevalence pass over the cells whose
+        alpha was read, with the cells whose S_O grid was read
+        (`survival_reads`): the counts a solve of the same cells makes."""
+        keys = {name: [key for kind, key in self._cache if kind == name] for name in ("alpha", "so")}
+        reads = survival_reads(self.walk.table.provider, self.incidence, keys["alpha"], keys["so"],
+                               self.horizon, self.walk.offset)
+        return survival_read_counters(self.walk.table.provider, reads)
 
     def _each(self, name, cells, compute):
         out = []
@@ -851,16 +967,15 @@ class PerStratumSurvival:
     """Overall survival one stratum at a time, as the provider computed it
     before its strata were stacked: each stratum's event table from its own
     sorted observations, its Kaplan-Meier curve by `np.cumprod`, its
-    anchors and `np.polyfit` tail, and hardening against its own 120-step
-    population grid read cell by cell with `LifeTable.q`.  Curves and
-    population grids are built the first time a stratum is evaluated.
+    anchors and `np.polyfit` tail, and hardening against its own
+    population grid read cell by cell with `q_at`.  Curves are built the
+    first time a stratum is evaluated; each evaluation builds its
+    population grid, one year past the later of its last time and tau.
 
     `provider` (an `OverallSurvivalProvider`) supplies its strata, its
     merged-away keys and its settings; a key resolves by `resolve_stratum`.
     `frame` is the registry it was built from.
     """
-
-    POP_GRID = 120
 
     def __init__(self, provider, frame, diagnostics=None):
         self.provider = provider
@@ -876,7 +991,6 @@ class PerStratumSurvival:
             mine = np.array([o == key for o in owner])
             self.observations[key] = (frame.time[mine], frame.event[mine])
         self._curves = {}
-        self._pops = {}
 
     def curve(self, stratum):
         """(step curve, tau, g0, g1) of one stratum."""
@@ -902,23 +1016,24 @@ class PerStratumSurvival:
             self._curves[stratum] = (km, tau, g0, g1)
         return self._curves[stratum]
 
-    def _population_hazard(self, stratum, t):
-        """The stratum's cell population's cumulative hazard at t: piecewise
-        linear through -log of its floored annual grid, the last slope
-        carried past the grid (counted per time)."""
-        if stratum not in self._pops:
-            lt = self.provider.population_floor
-            values = [1.0]
-            for j in range(self.POP_GRID):
-                q = q_at(lt, stratum.age + j, stratum.year + j, stratum.demographics, self.diagnostics)
-                values.append(values[-1] * (1.0 - q))
-            logs = -np.log(np.maximum(np.array(values), 1e-12))
-            self._pops[stratum] = (logs, np.diff(logs))
-        logs, slopes = self._pops[stratum]
-        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        self.diagnostics.incr("grid_extended_eval", int((t > self.POP_GRID).sum()))
-        idx = np.minimum(np.floor(t).astype(int), self.POP_GRID - 1)
-        return slopes[idx] * (t - idx) + logs[idx]
+    def _population_hazard(self, stratum, steps):
+        """The cumulative hazard of the stratum's cell population on
+        [0, steps): piecewise linear through -log of its floored annual grid
+        of `steps` years."""
+        lt = self.provider.population_floor
+        values = [1.0]
+        for j in range(steps):
+            q = q_at(lt, stratum.age + j, stratum.year + j, stratum.demographics, self.diagnostics)
+            values.append(values[-1] * (1.0 - q))
+        logs = -np.log(np.maximum(np.array(values), 1e-12))
+        slopes = np.diff(logs)
+
+        def hazard(t):
+            t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+            idx = np.floor(t).astype(int)
+            return slopes[idx] * (t - idx) + logs[idx]
+
+        return hazard
 
     def survival(self, key, times):
         stratum = resolve_stratum(self.provider, key)[0]
@@ -930,11 +1045,10 @@ class PerStratumSurvival:
         if self.provider.population_floor is None:
             return values
         span = max(self.provider.anchor_points - 1, 1)
-        lam_tau = float(self._population_hazard(stratum, tau)[0])
-        lam_fit = (lam_tau - float(self._population_hazard(stratum, max(tau - span, 0.0))[0])) / min(
-            span, tau
-        ) if tau > 0 else 0.0
-        lam_t = self._population_hazard(stratum, t)
+        hazard = self._population_hazard(stratum, int(np.floor(max(t.max(), tau))) + 1)
+        lam_tau = float(hazard(tau)[0])
+        lam_fit = (lam_tau - float(hazard(max(tau - span, 0.0))[0])) / min(span, tau) if tau > 0 else 0.0
+        lam_t = hazard(t)
         growth = np.minimum(np.exp(-(lam_t - lam_tau - lam_fit * (t - tau))), 1.0)
         cap = s_tau * np.minimum(np.exp(-(lam_t - lam_tau)), 1.0)
         out = np.where(t > tau, np.minimum(values * growth, cap), values)
@@ -1128,13 +1242,36 @@ def write_rows_csv_reference(path, header, rows) -> None:
             writer.writerow([_format_value(row[col]) for col in header])
 
 
+def draw_potentials_reference(rng: np.random.Generator, dataset: int, n: int):
+    """Potential diagnosis and other-death ages, the exponential laws drawn
+    as Weibull(1)."""
+    if dataset in (1, 2):
+        return rng.weibull(1.0, n) / (0.5e-2 if dataset == 1 else 1.5e-2), rng.weibull(2.0, n) / 1.0e-2
+    return rng.lognormal(math.log(65.0), 2.0 if dataset == 3 else 1.0, n), rng.lognormal(math.log(75.0), 2.0, n)
+
+
+def make_registry_reference(cohort: Cohort, censor_seed: int, window=(60.0, 75.0), censor_max: float = 15.0):
+    """The registry of one (lo, hi) window: censoring drawn for every
+    diagnosed subject, then the window's subjects kept."""
+    rng = np.random.default_rng(censor_seed)
+    diag_idx = np.flatnonzero(cohort.diagnosed)
+    censor = rng.uniform(0.0, censor_max, diag_idx.shape[0])
+    t_diag = cohort.t_diag[diag_idx]
+    keep = (t_diag >= window[0]) & (t_diag < window[1])
+    diag_idx, censor, t_diag = diag_idx[keep], censor[keep], t_diag[keep]
+    t_death = cohort.time_to_death[diag_idx]
+    age = np.floor(t_diag).astype(np.int64)
+    return RegistryFrame(age, cohort.birth_year + age, cohort.gender[diag_idx].astype(np.int64),
+                         np.minimum(t_death, censor), t_death <= censor, [("0",), ("1",)])
+
+
 def generate_cohort_reference(cfg, seed: int) -> Cohort:
     """`generate_cohort` with the excess hazard evaluated for every subject
     and the histories assembled by full-cohort `np.where`."""
     rng = np.random.default_rng(seed)
     n = cfg.cohort_size
     gender = rng.integers(0, 2, n).astype(np.int8)
-    t_diag, t_other = _draw_potentials(rng, cfg.dataset, n)
+    t_diag, t_other = draw_potentials_reference(rng, cfg.dataset, n)
     exp_raw = rng.exponential(1.0, n)
     age_cell = np.floor(t_diag)
     t_cancer = exp_raw / excess_hazard(age_cell, cfg.birth_year + age_cell, gender)

@@ -246,8 +246,8 @@ def noncancer_survival_mae(cfg: ScenarioConfig, rep: int, ts=(1.0, 5.0, 10.0)) -
     """
     cohort = generate_cohort(cfg, cfg.base_seed + rep)
     life_table, incidence = derive_tables(cohort, cfg.person_years)
-    frame_all = make_registry(
-        cohort, cfg.base_seed + 1_000_000 + rep, _provider_window(cfg), cfg.censor_max
+    frame_all, = make_registry(
+        cohort, cfg.base_seed + 1_000_000 + rep, (_provider_window(cfg),), cfg.censor_max
     )
     diagnostics = Diagnostics()
     so = OverallSurvivalProvider.from_registry(

@@ -34,10 +34,13 @@ from oracles import (
     ScalarIngredients,
     ScalarPrevalence,
     cell_keys,
+    lag_table,
     lookup_keys,
     resolve_stratum,
     solve_noncancer_survival_triangular,
     strata_of,
+    survival_read_counters,
+    survival_reads,
     triangular_cells,
     triangular_residuals,
 )
@@ -245,7 +248,10 @@ def gapped_registry_engine(lag_eval="mid_year", horizon=8):
 
 
 class TestTailHardening:
-    def test_lags_past_population_grid_counted_once(self):
+    def test_population_grid_reaches_past_every_lag(self):
+        # each call's population grid runs one year past its last lag, so no
+        # lag is read past the grid; the grid's steps past the life table's
+        # oldest age (110) are clamped
         frame = toy_frame([(60, 1990, "0", float(t), 1) for t in range(1, 9)])
         diag = Diagnostics()
         provider = OverallSurvivalProvider.from_registry(
@@ -254,9 +260,9 @@ class TestTailHardening:
         )
         key = StratumKey(60, 1990, ("0",))
         lags = np.array([0.5, 20.0, 119.5, 120.0, 120.5, 130.0, 200.0])
-        before = diag.get("grid_extended_eval")
         provider.survival(lookup_keys(provider, [key])[0], lags)
-        assert diag.get("grid_extended_eval") - before == 3
+        assert diag.get("grid_extended_eval") == 0
+        assert diag.get("lifetable_clamp") == 201 - 51   # steps 51..200 pass age 110
 
 
 class TestRegistryEngine:
@@ -277,7 +283,7 @@ class TestRegistryEngine:
 
     def test_lag_table_equals_direct_survival(self):
         engine, provider, keys, _ = gapped_registry_engine()
-        table = engine.calc.table
+        table, _ = lag_table(provider, engine.horizon)
         lags = table.max_lag
         probes = keys + [StratumKey(40, 1980, ("0",)), StratumKey(70, 2010, ("1",))]
         for key in probes:
@@ -309,19 +315,18 @@ class TestRegistryEngine:
         calls = []
         direct = provider.survival
         provider.survival = lambda strata, times: calls.append(strata) or direct(strata, times)
-        engine.calc.table.survival = provider.survival
-        for key in keys:
+        for n, key in enumerate(keys, start=1):
             engine.solve(stratum_cells([key]))
-        # one call evaluates every stratum once, in the table's row order
-        assert len(calls) == 1
-        assert calls[0].tolist() == list(range(len(provider.strata)))
+            # one call per solve evaluates each stratum it reads once, in row order
+            assert len(calls) == n
+            assert np.all(np.diff(calls[-1]) > 0)
 
     def test_clamp_counter_counts_each_clamped_cell_once(self):
         engine, provider, keys, diag = gapped_registry_engine()
         looked_up = []
-        lookup, demos = engine.calc.table.lookup, sorted({k.demographics for k in strata_of(provider)})
+        lookup, demos = provider.lookup, sorted({k.demographics for k in strata_of(provider)})
         demographics = dict(zip(provider.codes(demos, np.arange(len(demos))).tolist(), demos))
-        engine.calc.table.lookup = lambda codes, ages, years: looked_up.extend(
+        provider.lookup = lambda codes, ages, years: looked_up.extend(
             StratumKey(a, y, demographics[c]) for c, a, y in zip(codes.tolist(), ages.tolist(), years.tolist())
         ) or lookup(codes, ages, years)
         engine.solve(stratum_cells(keys))
@@ -343,8 +348,8 @@ class TestRegistryEngine:
     def test_each_solve_reads_its_inputs_afresh(self):
         # nothing is kept between solves: solving the same keys again reads,
         # and counts, every input again
-        engine, _, keys, diag = gapped_registry_engine()
-        engine.calc.table.values
+        engine, provider, keys, diag = gapped_registry_engine()
+        provider._build()
         added = []
         for _ in range(2):
             before = diag.as_dict()
@@ -353,12 +358,6 @@ class TestRegistryEngine:
             added.append({name: after[name] - before.get(name, 0) for name in after})
         assert added[0] == added[1]
         assert added[0]["so_stratum_clamp"] == 1604
-
-    def test_cells_past_the_table_are_rejected(self):
-        engine, provider, _, _ = gapped_registry_engine()
-        old = StratumKey(provider.max_age + engine.horizon, 2000, ("0",))
-        with pytest.raises(PrevalenceError, match="older than"):
-            engine.alpha(stratum_cells([old]))
 
 
 class TestKeyDependentCurve:
@@ -597,6 +596,7 @@ class TestBatchAgainstOracles:
             np.testing.assert_allclose(curves[key], values, rtol=0, atol=1e-12)
             assert counts[key] == (clips, guards)
             np.testing.assert_allclose(r, want_r, rtol=0, atol=1e-12)
+        o_diag.merge(oracle.survival_read_counters())
         assert once_diag.as_dict() == o_diag.as_dict()
         assert diag.get("incidence_clamp") and diag.get("incidence_missing_cell")
         assert diag.get("lifetable_clamp") and diag.get("so_stratum_clamp")
@@ -610,6 +610,80 @@ class TestBatchAgainstOracles:
         np.testing.assert_allclose(
             once.prevalent_grid(mixed), oracle.prevalent_grid(mixed), rtol=0, atol=1e-12
         )
+
+
+@st.composite
+def small_registries(draw):
+    """A registry of 1-8 drawn (age, year, sex) cells of 1-10 patients each,
+    followed up for a quarter to six years, so that most strata's tau falls
+    inside the solver's horizons."""
+    cells = draw(st.lists(
+        st.tuples(st.integers(55, 66), st.integers(1995, 1999), st.sampled_from("01")),
+        min_size=1, max_size=8, unique=True,
+    ))
+    rows = []
+    for age, year, sex in cells:
+        rows += [(age, year, sex, draw(st.integers(1, 24)) / 4.0, draw(st.booleans()))
+                 for _ in range(draw(st.integers(1, 10)))]
+    return toy_frame(rows)
+
+
+# narrower than the cells a solve reaches, so that both clamp; the incidence
+# is 0 below age 30, and missing on every seventh anti-diagonal
+DENSE_LIFE_TABLE = flat_life_table(0.015, ages=(0, 68), years=(1940, 2001))
+DENSE_INCIDENCE = IncidenceTable({
+    (age, year, (sex,)): 0.002 + 0.0004 * max(age - 40, 0) if age >= 30 else 0.0
+    for sex in ("0", "1") for age in range(0, 72) for year in range(1935, 2003) if (age + year) % 7
+})
+
+
+class TestDenseTableOracle:
+    """The recursion and the solve, which evaluate S_O once at the lags they
+    read, against the one-cell walk over the dense lag table of every lag a
+    solve could read; the population cap counts the cells read, as the
+    oracle's `survival_reads` finds them."""
+
+    @staticmethod
+    def engine(frame, lag_eval, horizon):
+        diag = Diagnostics()
+        provider = OverallSurvivalProvider.from_registry(
+            frame, min_stratum_size=3, anchor_points=3, tau_min_at_risk=2,
+            population_floor=DENSE_LIFE_TABLE, diagnostics=diag,
+        )
+        return AdjustmentEngine(DENSE_LIFE_TABLE, DENSE_INCIDENCE, provider, horizon, lag_eval, diag), diag
+
+    @given(small_registries(), st.sampled_from(["mid_year", "year_start"]), st.integers(2, 10))
+    @settings(max_examples=25, deadline=None)
+    def test_recursion_and_solve_equal_the_dense_table(self, frame, lag_eval, horizon):
+        keys = sorted({StratumKey(int(a), int(y), frame.demo_vocab[int(c)])
+                       for a, y, c in zip(frame.age, frame.year, frame.demo_code)})
+        read = [StratumKey(k.age + 2, k.year + 2, k.demographics) for k in keys]
+        engine, diag = self.engine(frame, lag_eval, horizon)
+        provider = engine.calc.overall_survival
+        alpha, mixture, so = engine.calc.recursion(stratum_cells(keys), stratum_cells(read))
+        reads = survival_reads(provider, DENSE_INCIDENCE, keys, read, horizon, engine.calc.offset)
+        assert diag.get("so_population_cap") == survival_read_counters(provider, reads).get("so_population_cap")
+        walk = ScalarPrevalence.of(engine.calc)
+        for i, key in enumerate(keys):
+            np.testing.assert_allclose(alpha[i], walk.prevalence(key), rtol=0, atol=1e-12)
+            if alpha[i] > 0.0:
+                want = walk.prevalent_mix_weights(key) @ walk.survival_from_diagnosis_matrix(key, horizon)
+                np.testing.assert_allclose(mixture[i], want, rtol=0, atol=1e-12)
+        rows = lookup_keys(walk.table, read)[0]
+        assert np.array_equal(so, walk.table.values[rows, : 2 * horizon + 1 : 2])
+
+        # one solve of every key against the triangular solver over the
+        # dense table, each on inputs built afresh
+        engine, diag = self.engine(frame, lag_eval, horizon)
+        solution = engine.solve(stratum_cells(keys))
+        oracle_engine, _ = self.engine(frame, lag_eval, horizon)
+        oracle = ScalarIngredients(DENSE_LIFE_TABLE, DENSE_INCIDENCE, oracle_engine.calc.overall_survival,
+                                   horizon, lag_eval)
+        solved = triangular_cells(oracle, keys)
+        for key, values, a in zip(keys, solution.values, solution.alpha):
+            np.testing.assert_allclose(values, solved[key][0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a, oracle.alpha(stratum_cells([key]))[0], rtol=0, atol=1e-12)
+        assert diag.get("so_population_cap") == oracle.survival_read_counters().get("so_population_cap")
 
 
 class TestErrorsNameTheCell:

@@ -632,6 +632,23 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "scenario"])
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_are_usage_errors(self, tmp_path, capsys, monkeypatch, source, jobs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr("netadjust.simulation.run_replicate", refuse)
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(f"jobs = {jobs}\n", encoding="utf-8")
+        args = ["--jobs", str(jobs)] if source == "flag" else ["--scenario", str(scenario)]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", *args, "--reps", "1", "--out", str(out)])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: jobs must be at least 1, got {jobs}")
+        assert not out.exists()
+
     def test_unknown_scenario_key(self, tmp_path):
         scenario = tmp_path / "scenario.txt"
         scenario.write_text("cohortsize = 10\n", encoding="utf-8")
@@ -683,3 +700,21 @@ def test_import_leaves_out_the_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", [["estimate", "--mode", "adjusted"], ["adjust"]])
+def test_adjusted_runs_leave_out_numpy_ma(tmp_path, command):
+    """An adjusted `estimate` or an `adjust` run leaves `numpy.ma` unimported
+    unless a bare `import numpy` imports it: a plain `np.unique` imports it,
+    which costs every such run ~13 ms at start-up."""
+    registry = write_inputs(tmp_path)
+    argv = [*command, "--registry", str(registry), "--lifetable", str(tmp_path / "lifetable.csv"),
+            "--incidence", str(tmp_path / "incidence.csv"), "--horizon", "10", "--out", str(tmp_path / "out")]
+    probe = (
+        "import sys, numpy; bare = 'numpy.ma' in sys.modules; import netadjust.cli; "
+        f"assert netadjust.cli.main({argv!r}) == 0; print(bare or 'numpy.ma' not in sys.modules)"
+    )
+    src = Path(netadjust.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"

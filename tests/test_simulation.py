@@ -11,6 +11,8 @@ from netadjust.simulation import (
     Cohort,
     ReplicateError,
     ScenarioConfig,
+    _draw_potentials,
+    _provider_window,
     _replicate_task,
     derive_tables,
     excess_hazard,
@@ -22,7 +24,14 @@ from netadjust.simulation import (
     true_noncancer_survival,
 )
 
-from oracles import derive_tables_reference, generate_cohort_reference, ir_at, q_at
+from oracles import (
+    derive_tables_reference,
+    draw_potentials_reference,
+    generate_cohort_reference,
+    ir_at,
+    make_registry_reference,
+    q_at,
+)
 
 SMALL = ScenarioConfig(dataset=1, cohort_size=4000, reps=2, n_truth=50_000)
 
@@ -69,6 +78,17 @@ class TestGenerateCohort:
             for name in ("gender", "t_diag", "t_other", "diagnosed", "time_to_death", "death_age"):
                 assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
             assert np.array_equal(got.t_cancer, np.where(want.diagnosed, want.t_cancer, np.nan), equal_nan=True)
+
+    @pytest.mark.parametrize("dataset", [1, 2, 3, 4])
+    def test_draws_equal_the_weibull_and_exponential_reference(self, dataset):
+        # standard exponential draws are Weibull(1) and exponential(1) draws
+        # bit for bit, and leave the generator's stream where they did
+        for seed in (0, 5, 77):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for got, want in zip(_draw_potentials(rng, dataset, 5000), draw_potentials_reference(ref, dataset, 5000)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(rng.standard_exponential(5000), ref.exponential(1.0, 5000))
+            assert np.array_equal(rng.random(3), ref.random(3))
 
     def test_gender_balance(self):
         cohort = generate_cohort(ScenarioConfig(dataset=1, cohort_size=50_000), 3)
@@ -205,7 +225,7 @@ class TestDeriveTables:
 class TestMakeRegistry:
     def test_observed_time_and_event(self):
         cohort = manual_cohort([70.0, 70.0], [90.0, 90.0], [3.0, 3.0])
-        frame = make_registry(cohort, censor_seed=5, window=(60.0, 75.0), censor_max=15.0)
+        frame, = make_registry(cohort, censor_seed=5, windows=((60.0, 75.0),), censor_max=15.0)
         rng = np.random.default_rng(5)
         censor = rng.uniform(0.0, 15.0, 2)
         for i in range(2):
@@ -215,22 +235,35 @@ class TestMakeRegistry:
 
     def test_window_boundary_excludes(self):
         cohort = manual_cohort([59.9, 60.0, 74.999, 75.0], np.full(4, 120.0), np.full(4, 2.0))
-        frame = make_registry(cohort, 1, (60.0, 75.0))
+        frame, = make_registry(cohort, 1, ((60.0, 75.0),))
         assert frame.n == 2
         assert sorted(frame.age.tolist()) == [60, 74]
 
     def test_window_is_subset_of_full(self):
         cohort = generate_cohort(SMALL, 3)
-        full = make_registry(cohort, 17, (0.0, MAX_AGE + 1.0))   # every age a registry may hold
-        window = make_registry(cohort, 17, (60.0, 75.0))
+        full, = make_registry(cohort, 17, ((0.0, MAX_AGE + 1.0),))   # every age a registry may hold
+        window, = make_registry(cohort, 17, ((60.0, 75.0),))
         mask = (full.age >= 60) & (full.age < 75)
         assert np.array_equal(window.time, full.time[mask])
         assert np.array_equal(window.event, full.event[mask])
 
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_windows_of_one_draw_equal_the_one_window_reference(self, seed):
+        # a replicate's two registries, cut from one censoring draw, equal
+        # one draw per window
+        cfg = ScenarioConfig(dataset=2, cohort_size=20_000)
+        cohort = generate_cohort(cfg, seed)
+        windows = (cfg.diag_window, _provider_window(cfg), (61.5, 62.25))
+        for got, window in zip(make_registry(cohort, seed + 5, windows, cfg.censor_max), windows):
+            want = make_registry_reference(cohort, seed + 5, window, cfg.censor_max)
+            for name in ("age", "year", "demo_code", "time", "event"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.demo_vocab == want.demo_vocab
+
     def test_pipeline_closure_no_clamping_inside_window(self):
         cohort = generate_cohort(ScenarioConfig(dataset=1, cohort_size=20_000), 4)
         lt, _ = derive_tables(cohort)
-        frame = make_registry(cohort, 4, (60.0, 75.0))
+        frame, = make_registry(cohort, 4, ((60.0, 75.0),))
         for a, y, c in zip(frame.age, frame.year, frame.demo_code):
             assert (int(a), int(y), frame.demo_vocab[int(c)]) in lt.cells
 
@@ -309,6 +342,10 @@ class TestExperiment:
     def test_report_years_must_be_finite_and_non_negative(self, years):
         with pytest.raises(ValueError, match=r"^report years must be finite and non-negative, got \("):
             ScenarioConfig(years=years)
+
+    def test_report_years_must_not_be_empty(self):
+        with pytest.raises(ValueError, match=r"^at least one report year is required, got years=\(\)$"):
+            ScenarioConfig(years=())
 
     def test_smallest_settings_accepted(self):
         cfg = ScenarioConfig(reps=1, cohort_size=1, diag_window=(0.0, 0.5), censor_max=1e-9)

@@ -8,10 +8,10 @@ from netadjust.diagnostics import Diagnostics
 from netadjust.extrapolation import extend_survival, follow_up_cutoff
 from netadjust.lifetable import LifeTable
 from netadjust.registry import EventTable, StratumKey, kaplan_meier
-from netadjust.survival_provider import OverallSurvivalProvider, ProviderError, SurvivalLagTable
+from netadjust.survival_provider import OverallSurvivalProvider, ProviderError
 
 from conftest import one_stratum, toy_frame
-from oracles import PerStratumSurvival, alias_of, lookup_keys, resolve_stratum, strata_of
+from oracles import PerStratumSurvival, SurvivalLagTable, alias_of, lookup_keys, resolve_stratum, strata_of
 
 COUNTERS = (
     "so_population_cap",
@@ -21,8 +21,8 @@ COUNTERS = (
     "extrapolation_slope_clipped",
 )
 
-# a life table narrower than the 120-year population grids, so that the
-# grids of every stratum are clamped
+# a life table narrower than the population grids of the lag tables read
+# below, so that the grids of every stratum are clamped
 LIFE_TABLE = LifeTable({
     (age, year, (sex,)): min(0.002 * np.exp(0.06 * (age - 40)) * (1.1 if sex == "0" else 1.0), 0.9)
     for sex in ("0", "1") for age in range(30, 101) for year in range(1980, 2041)
@@ -219,4 +219,5 @@ class TestTailCases:
         assert curve.g1[flat] == 0.0 and curve.g0[flat] == np.mean(np.full(4, -np.log(1.0 - 1.0 / 3.0)))
         assert diag.get("extrapolation_slope_clipped") == 0   # noise is clipped, not counted
         assert counters(diag) == counters(oracle.diagnostics)
-        assert diag.get("grid_extended_eval") > 0 and diag.get("lifetable_clamp") > 0
+        # each evaluation's population grid reaches past its lags
+        assert diag.get("grid_extended_eval") == 0 and diag.get("lifetable_clamp") > 0
