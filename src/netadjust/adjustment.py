@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Diagnostics, ensure_diagnostics
-from .incidence import IncidenceTable, PrevalenceCalculator, time_to_diagnosis_increments
+from .incidence import IncidenceTable, PrevalenceCalculator, PrevalenceError, time_to_diagnosis_increments
 from .lifetable import LifeTable, diagonal_survival
 from .registry import cell_key, diagonals
 
@@ -47,32 +47,20 @@ class SolverError(ValueError):
     """The discrete system is numerically inconsistent at a named cell."""
 
 
-@dataclass(frozen=True)
-class PrevalentCaseSurvival:
+def prevalent_case_survival(mixture: np.ndarray) -> np.ndarray:
     """Survival from the cell date of previously diagnosed subjects, t = 0..K,
-    one row per cell."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = self.values
-        if (np.abs(v[:, 0] - 1.0) > 1e-9).any():
-            raise ValueError("prevalent-case survival must start at 1")
-        if (np.diff(v, axis=1) > 1e-12).any() or v.min() < -1e-12:
-            raise ValueError("prevalent-case survival must be non-increasing in [0,1]")
-
-
-def prevalent_case_survival(mixture: np.ndarray) -> PrevalentCaseSurvival:
-    """Prevalent-case survival from the prevalence recursion's mixture.
+    one row per cell, from the prevalence recursion's mixture.
 
     `mixture[i, t]` is the lag-weighted survival of cell i's prevalent cases
-    to horizon t, over alpha (`PrevalenceCalculator.prevalent_survival`);
-    its t = 0 column is 1 up to rounding, by the recursion itself.  Values
-    are clipped into [0, 1] and start at exactly 1.
+    to horizon t, over alpha (`PrevalenceCalculator.recursion`); its t = 0
+    column is 1 up to rounding, by the recursion itself.  Values are
+    clipped into [0, 1] and start at exactly 1, and must not increase.
     """
     values = np.clip(mixture, 0.0, 1.0)
     values[:, 0] = 1.0
-    return PrevalentCaseSurvival(values)
+    if (np.diff(values, axis=1) > 1e-12).any():
+        raise ValueError("prevalent-case survival must be non-increasing in [0,1]")
+    return values
 
 
 @dataclass(frozen=True)
@@ -225,8 +213,8 @@ class AdjustmentEngine:
     A `solve` runs the prevalence recursion once (`prevalence_inputs`),
     which looks each cell's stratum up once and evaluates overall survival
     once, at the lags it reads, and keeps nothing; a run solves its cells
-    in one `solve`.  `alpha`, `prevalent_grid` and `so_grid` are one-shot
-    reads of the same quantities, for checking the engine cell by cell.
+    in one `solve`.  `alpha`, `prevalent_grid` (undefined where alpha is 0)
+    and `so_grid` read the same quantities, to check the engine by cell.
     """
 
     def __init__(
@@ -245,20 +233,24 @@ class AdjustmentEngine:
         )
 
     def lt_survival_grid(self, cells) -> np.ndarray:
-        return diagonal_survival(self.calc.life_table, cells, self.horizon, self.diagnostics).values
+        return diagonal_survival(self.calc.life_table, cells, self.horizon, self.diagnostics)
 
     def prevalence_inputs(self, cells, read):
         """alpha and the prevalent-case survival of each of the `cells` (a
         row of 1 where alpha is 0), and the S_O grid of each cell of `read`,
         from one pass of the prevalence recursion."""
         alpha, mixture, so = self.calc.recursion(cells, read)
-        return alpha, prevalent_case_survival(mixture).values, so
+        return alpha, prevalent_case_survival(mixture), so
 
     def alpha(self, cells):
-        return self.calc.prevalence(cells)
+        return self.calc.recursion(cells)[0]
 
     def prevalent_grid(self, cells) -> np.ndarray:
-        return prevalent_case_survival(self.calc.prevalent_survival(cells)).values
+        alpha, mixture, _ = self.calc.recursion(cells)
+        if (alpha <= 0.0).any():
+            key = cell_key(cells, (alpha <= 0.0).argmax())
+            raise PrevalenceError(f"prevalent mixture undefined at {key}: prevalence is 0")
+        return prevalent_case_survival(mixture)
 
     def so_grid(self, cells) -> np.ndarray:
         provider = self.calc.overall_survival

@@ -28,7 +28,7 @@ from .estimators import (
 from .incidence import compute_incidence, load_counts, load_incidence_table
 from .io import load_registry, sha256_file, write_manifest, write_rows_csv
 from .lifetable import diagonal_survival, load_life_table
-from .registry import build_strata
+from .registry import build_strata, key_order
 from .simulation import ScenarioConfig, run_experiment   # perfbench's tracer expects every module loaded with the CLI
 from .survival_provider import OverallSurvivalProvider
 
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--population", help="person-years CSV; derives incidence from the registry")
     est.add_argument("--mode", choices=("naive", "adjusted"), default="naive")
     est.add_argument("--horizon", type=int, default=15)
-    est.add_argument("--extrapolation-points", type=int, default=4)
+    est.add_argument("--extrapolation-points", type=int)
     est.add_argument("--years", default="3,5,7,10")
     est.add_argument("--curves", action="store_true", help="also write full PP curve CSV")
     est.add_argument("--out", required=True)
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     adj.add_argument("--incidence")
     adj.add_argument("--population")
     adj.add_argument("--horizon", type=int, default=15)
-    adj.add_argument("--extrapolation-points", type=int, default=4)
+    adj.add_argument("--extrapolation-points", type=int)
     adj.add_argument("--out", required=True)
 
     sim = sub.add_parser("simulate", help="run the bias/rMSE experiment")
@@ -92,8 +92,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_incidence_flags(args, adjusted: bool) -> None:
-    """Adjusted runs read exactly one of --incidence and --population; naive runs neither."""
+def _check_adjustment_flags(args, adjusted: bool) -> None:
+    """Adjusted runs read one of --incidence and --population, and
+    --extrapolation-points (4 when not given); naive runs none of them."""
+    if adjusted:
+        args.extrapolation_points = 4 if args.extrapolation_points is None else args.extrapolation_points
+        if args.extrapolation_points < 2:
+            raise UsageError("--extrapolation-points must be at least 2")
+    elif args.extrapolation_points is not None:
+        raise UsageError("--extrapolation-points applies only to --mode adjusted")
     given = bool(args.incidence) + bool(args.population)
     if given and not adjusted:
         raise UsageError("--incidence and --population apply only to --mode adjusted")
@@ -126,16 +133,14 @@ def cmd_estimate(args) -> int:
     years = _parse_years(args.years)
     if args.horizon < max(years):
         raise UsageError("--horizon must cover the largest report year")
-    if args.extrapolation_points < 2:
-        raise UsageError("--extrapolation-points must be at least 2")
-    _check_incidence_flags(args, args.mode == "adjusted")
+    _check_adjustment_flags(args, args.mode == "adjusted")
     diagnostics = Diagnostics()
     frame = load_registry(args.registry)
     life_table = load_life_table(args.lifetable)
     inputs = {"registry": args.registry, "lifetable": args.lifetable}
     risk = RiskSetSummary(frame)
     if args.mode == "naive":
-        grid = diagonal_survival(life_table, risk.cells, args.horizon, diagnostics).values
+        grid = diagonal_survival(life_table, risk.cells, args.horizon, diagnostics)
     else:
         engine, extra = _adjustment_engine(args, frame, risk.cells, risk.sizes, life_table, diagnostics)
         inputs.update(extra)
@@ -163,16 +168,12 @@ def cmd_estimate(args) -> int:
 def cmd_adjust(args) -> int:
     if args.horizon < 1:
         raise UsageError("--horizon must be at least 1")
-    if args.extrapolation_points < 2:
-        raise UsageError("--extrapolation-points must be at least 2")
-    _check_incidence_flags(args, True)
+    _check_adjustment_flags(args, True)
     diagnostics = Diagnostics()
     frame = load_registry(args.registry)
     strata, sizes, _ = build_strata(frame)   # stratified before the tables: the run peaks ~0.1 MiB lower
     demographics, codes, ages, years = strata
-    # the cells in `StratumKey` order: age, year, then demographics as tuples
-    rank = np.argsort(sorted(range(len(demographics)), key=demographics.__getitem__))
-    order = np.lexsort((rank[codes], years, ages))
+    order = key_order(strata)   # the cells sorted as their `StratumKey`s
     cells = demographics, codes, ages, years = (demographics, codes[order], ages[order], years[order])
     life_table = load_life_table(args.lifetable)
     engine, extra = _adjustment_engine(args, frame, strata, sizes, life_table, diagnostics)

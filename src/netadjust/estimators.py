@@ -187,6 +187,19 @@ class RiskSetSummary:
         return np.bincount(self.patient_rows[p:], minlength=self.n_strata).astype(np.float64)
 
 
+def _from_zero(reader):
+    """`reader(self, t, ...)` of t > 0 as a reader of any t >= 0, 0 at t = 0."""
+
+    @functools.wraps(reader)
+    def read(self, t, *args, **kwargs):
+        t = float(t)
+        if t < 0:
+            raise ValueError("t must be >= 0")
+        return reader(self, t, *args, **kwargs) if t else 0.0
+
+    return read
+
+
 def _locate(estimate, t: float) -> tuple[int, float | None]:
     """(m, lo) for t > 0 on the estimate's observed times u: lo is None when
     the stored value at m is exact (t = u[m], or t past the last time, which
@@ -242,12 +255,8 @@ class NetSurvivalEstimate:
     _risk: RiskSetSummary
     population: AnnualGridSurvival
 
-    def cumulative_hazard_at(self, t) -> float:
-        t = float(t)
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        if t == 0:
-            return 0.0
+    @_from_zero
+    def cumulative_hazard_at(self, t: float) -> float:
         m, lo = _locate(self, t)
         if lo is None:
             return float(self.cum_hazard[m])
@@ -258,10 +267,8 @@ class NetSurvivalEstimate:
         sp[live] = _survival(self.population, np.flatnonzero(live), [lo, t])
         return base - float(np.log((y / sp[:, 1]).sum()) - np.log((y / sp[:, 0]).sum()))
 
-    def survival_at(self, t) -> float:
+    def value_at(self, t) -> float:
         return float(np.exp(-self.cumulative_hazard_at(t)))
-
-    value_at = survival_at
 
 
 def _taylor_terms(x: np.ndarray) -> np.ndarray:
@@ -389,12 +396,8 @@ class RelativeSurvivalEstimate:
     _risk: RiskSetSummary
     population: AnnualGridSurvival
 
-    def cumulative_hazard_at(self, t) -> float:
-        t = float(t)
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        if t == 0:
-            return 0.0
+    @_from_zero
+    def cumulative_hazard_at(self, t: float) -> float:
         m, lo = _locate(self, t)
         if lo is None:
             t = float(self.times[m])   # t itself, or the last time when t is past it
@@ -405,10 +408,8 @@ class RelativeSurvivalEstimate:
         expected = float(np.log(self._risk.n) - np.log((self._risk.sizes * sp_t).sum()))
         return na - expected
 
-    def survival_at(self, t) -> float:
+    def value_at(self, t) -> float:
         return float(np.exp(-self.cumulative_hazard_at(t)))
-
-    value_at = survival_at
 
 
 def ederer1(rs: RiskSetSummary, sp: AnnualGridSurvival) -> RelativeSurvivalEstimate:
@@ -437,12 +438,8 @@ class CrudeProbabilityEstimate:
     _risk: RiskSetSummary
     population: AnnualGridSurvival
 
-    def value_at(self, t, which: str = "cancer") -> float:
-        t = float(t)
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        if t == 0:
-            return 0.0
+    @_from_zero
+    def value_at(self, t: float, which: str = "cancer") -> float:
         values = getattr(self, which)
         m, lo = _locate(self, t)
         if lo is None:

@@ -27,7 +27,7 @@ import numpy as np
 from .diagnostics import Diagnostics, ensure_diagnostics, log
 from .io import read_cells
 from .lifetable import CellTable
-from .registry import cell_key, diagonals, stratum_cells
+from .registry import diagonals, stratum_cells
 
 
 class IncidenceError(ValueError):
@@ -127,8 +127,8 @@ class PrevalenceCalculator:
     `overall_survival` is an `OverallSurvivalProvider`, which extrapolates
     past follow-up internally; a pass reads it with one `survival` call.
     `recursion` is one pass for a set of cells, looking each cell's stratum
-    up once; `prevalence` and `prevalent_survival` are one-pass reads of
-    its outputs.  Nothing is kept between calls.
+    up once, and the one read of alpha, the prevalent mixture and the S_O
+    grids.  Nothing is kept between calls.
     `lag_eval` picks where within the diagnosis year the survival curve is
     read: "year_start" uses the full integer lag, "mid_year" shifts the
     evaluation point back half a year.
@@ -152,22 +152,23 @@ class PrevalenceCalculator:
         self.diagnostics = ensure_diagnostics(diagnostics)
         self.horizon = int(horizon)
 
-    def _overall_survival(self, strata, ages, diagnosed, top):
+    def _overall_survival(self, strata, extra, diagnosed):
         """S_O at the lags the recursion reads, from one `survival` call, and
         the row of it that holds each of the `strata`: those of the diagnosis
-        cells, aged `ages`, then those of the read cells.
+        cells, then those of the read cells.
 
         A diagnosis cell with nonzero IR (`diagnosed`) reads its stratum at
-        lags 1..top+K-age, each `offset` half years earlier, and a read cell
-        reads its stratum at lags 0..K.  Column c holds lag c / (1 + offset),
-        and a column a row does not read repeats the lag before it, so only
-        the cells read are evaluated and counted."""
+        lags 1..K+extra, extra being its diagonal's oldest age less its own,
+        each `offset` half years earlier, and a read cell at lags 0..K.
+        Column c holds lag c / (1 + offset), and a column a row does not
+        read repeats the lag before it, so only the cells read are evaluated
+        and counted."""
         K, scale = self.horizon, 1 + self.offset
-        youngest = np.full(int(strata.max(initial=-1)) + 1, top + K + 1, dtype=np.intp)
-        np.minimum.at(youngest, strata[: ages.size][diagnosed], ages[diagnosed])
-        ends = np.full((2, youngest.size), -1, dtype=np.intp)   # each stratum's last column of each kind
-        ends[0] = scale * (top + K - youngest) - self.offset
-        ends[1, strata[ages.size :]] = scale * K
+        longest = np.full(int(strata.max(initial=-1)) + 1, -K - 1, dtype=np.intp)
+        np.maximum.at(longest, strata[: extra.size][diagnosed], extra[diagnosed])
+        ends = np.full((2, longest.size), -1, dtype=np.intp)   # each stratum's last column of each kind
+        ends[0] = scale * (K + longest) - self.offset
+        ends[1, strata[extra.size :]] = scale * K
         used = np.flatnonzero(ends.max(axis=0, initial=-1) >= 0)
         column = np.arange(int(ends.max(initial=-1)) + 1)
         read = ((column % scale == self.offset) & (column <= ends[0, used, None])) | (
@@ -227,12 +228,13 @@ class PrevalenceCalculator:
         _, unique, inverse = np.unique(np.ravel_multi_index(shifted, shifted.max(axis=1, initial=0) + 1),
                                        return_index=True, return_inverse=True)
         found = provider.lookup(*looked_up[:, unique])[0][inverse.reshape(-1)]
-        so, held = self._overall_survival(found, age, ir[diagonal, age] > 0.0, top)
+        so, held = self._overall_survival(found, reach[diagonal] - age, ir[diagonal, age] > 0.0)
         rows = np.zeros((first.size, top), dtype=np.intp)
         rows[diagonal, age] = held[: diagonal.size]
 
         scale = 1 + self.offset
-        lags = scale * np.arange(1, top + K + 1) - self.offset   # column of lag 1, 2, ...
+        # column of lag 1, 2, ..., clipped where past a diagonal's reach: C reads none of those
+        lags = np.minimum(scale * np.arange(1, top + K + 1) - self.offset, so.shape[1] - 1)
         alpha = np.zeros((first.size, top + 1))
         C = np.zeros((first.size, top + K + 1))
         numer = np.empty((len(codes), K + 1))
@@ -263,21 +265,6 @@ class PrevalenceCalculator:
         mixture = np.ones((len(codes), K + 1))
         np.divide(numer, (surv[line, ages] * values)[:, None], out=mixture, where=values[:, None] > 0.0)
         return values, mixture, so[held[diagonal.size :], : scale * K + 1 : scale]
-
-    def prevalence(self, cells) -> np.ndarray:
-        """alpha at each cell."""
-        return self.recursion(cells)[0]
-
-    def prevalent_survival(self, cells) -> np.ndarray:
-        """Survival of the prevalent cases from each cell's date at
-        t = 0..horizon, a cells x (horizon + 1) array: the recursion's lag-s
-        diagnosis mass times the survival from that diagnosis to s + t, over
-        alpha; 1 at t = 0 up to rounding."""
-        alpha, mixture, _ = self.recursion(cells)
-        if (alpha <= 0.0).any():
-            key = cell_key(cells, (alpha <= 0.0).argmax())
-            raise PrevalenceError(f"prevalent mixture undefined at {key}: prevalence is 0")
-        return mixture
 
 
 def load_incidence_table(path) -> IncidenceTable:

@@ -9,11 +9,11 @@ cumulative hazard is piecewise linear with slope -log(1 - q) per year.
 Lookups outside the declared age/year ranges are clamped to the nearest
 in-range cell (both coordinates independently) and counted.  The cells live
 in one dense (demographics, age, year) array, so a diagonal of any length is
-read with a single gather.
+read with a single gather, and `diagonal_survival` returns the survival
+grids of many cells as one checked cells x (horizon + 1) array.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -144,30 +144,18 @@ class LifeTable(CellTable):
         return q
 
 
-@dataclass(frozen=True)
-class DiagonalSurvival:
-    """Cohort survival extracted along the diagonal: values at t = 0..K, one
-    row per origin cell."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = self.values
-        if (v[:, 0] != 1.0).any():
-            raise ValueError("diagonal survival must start at 1")
-        if (np.diff(v, axis=1) > 1e-15).any() or v.min() < 0 or v.max() > 1:
-            raise ValueError("diagonal survival must be non-increasing in [0,1]")
-
-
-def diagonal_survival(
-    lt: LifeTable, cells, horizon, diagnostics: Diagnostics | None = None
-) -> DiagonalSurvival:
+def diagonal_survival(lt: LifeTable, cells, horizon, diagnostics: Diagnostics | None = None) -> np.ndarray:
     """S(t) = prod_{j<t} (1 - q(age+j, year+j)) for t = 0..horizon from each
-    cell, as a cells x (horizon + 1) array from one gather.  `horizon` may
-    give one count per cell; a cell's row then stays flat past its own."""
+    cell, as a cells x (horizon + 1) array from one gather, checked to start
+    at 1 and not to increase.  `horizon` may give one count per cell; a
+    cell's row then stays flat past its own."""
     q = lt.q_diagonal(cells, horizon, diagnostics)
     values = np.concatenate((np.ones((q.shape[0], 1)), np.cumprod(1.0 - q, axis=1)), axis=1)
-    return DiagonalSurvival(values)
+    if (values[:, 0] != 1.0).any():
+        raise ValueError("diagonal survival must start at 1")
+    if (np.diff(values, axis=1) > 1e-15).any() or values.min() < 0 or values.max() > 1:
+        raise ValueError("diagonal survival must be non-increasing in [0,1]")
+    return values
 
 
 def load_life_table(path) -> LifeTable:

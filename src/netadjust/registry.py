@@ -59,6 +59,14 @@ def cell_key(cells, i: int) -> StratumKey:
     return StratumKey(int(cells[2][i]), int(cells[3][i]), cells[0][cells[1][i]])
 
 
+def key_order(cells) -> np.ndarray:
+    """The order that sorts (demographics, codes, ages, years) cells as
+    their `StratumKey`s sort: by age, year, then demographics as tuples."""
+    demographics, codes, ages, years = cells
+    rank = np.argsort(sorted(range(len(demographics)), key=demographics.__getitem__))
+    return np.lexsort((rank[codes], years, ages))
+
+
 def diagonals(cells) -> tuple[np.ndarray, np.ndarray]:
     """The birth-cohort diagonals of `cells`, (code, birth year) pairs in
     first-seen order: each cell's diagonal, and each diagonal's first cell."""
@@ -186,7 +194,7 @@ def merge_small_strata(strata, sizes, min_size: int = 10, diagnostics: Diagnosti
     is the last of its demographics.  Returns each stratum's holder: the
     index of the stratum that now holds its records, its own if kept.
 
-    A heap orders the small strata by (size, rank in key order), dropping
+    A heap orders the small strata by (size, rank in `key_order`), dropping
     entries a merge made stale.  The holder is one arg-min over its
     demographic's strata of a table of the distance of each (age, year)
     offset, with merged strata set past any other, so memory stays linear
@@ -195,9 +203,7 @@ def merge_small_strata(strata, sizes, min_size: int = 10, diagnostics: Diagnosti
     diag = ensure_diagnostics(diagnostics)
     demographics, codes, ages, years = strata
     holder, small = np.arange(len(codes)), np.flatnonzero(np.asarray(sizes) < min_size)
-    # rank in key order: (age, year, demographics)
-    by_demo = sorted(range(len(demographics)), key=demographics.__getitem__)
-    order = np.lexsort((np.argsort(by_demo)[codes], years, ages))
+    order = key_order(strata)
     rank = np.argsort(order).tolist()
     # demographic d's strata by (age, year) are pool[start[d]:start[d + 1]], i at slot[i]
     pool = order[np.argsort(codes[order], kind="stable")]
@@ -238,26 +244,6 @@ def merge_small_strata(strata, sizes, min_size: int = 10, diagnostics: Diagnosti
     while (holder[holder] != holder).any():
         holder = holder[holder]
     return holder
-
-
-def _segment_cumprod(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Cumulative product restarting at each segment `offsets[i]:offsets[i+1]`,
-    bit-identical to `np.cumprod` of each segment.  Segments are grouped by
-    length class (the same power of two at or above the length), each class
-    padded with ones into one matrix and multiplied along its rows, so the
-    padding never exceeds the data."""
-    out = np.empty_like(values)
-    lengths = np.diff(offsets)
-    width_class = np.frexp(lengths.astype(np.float64))[1]   # 2**(c-1) <= length < 2**c
-    for c in np.flatnonzero(np.bincount(width_class[lengths > 0])).tolist():
-        segs = np.flatnonzero(width_class == c)
-        idx = offsets[segs, None] + np.arange(1 << c)
-        used = idx < offsets[segs + 1, None]
-        block = np.ones(idx.shape)
-        block[used] = values[idx[used]]
-        np.cumprod(block, axis=1, out=block)
-        out[idx[used]] = block[used]
-    return out
 
 
 class StepSurvivalCurve:
@@ -314,9 +300,12 @@ class StepSurvivalCurve:
 
 def kaplan_meier(table: EventTable) -> StepSurvivalCurve:
     """Product-limit curve of each stratum of an event table (jumps at death
-    times only), one curve per stratum of the table."""
+    times only), one curve and one `np.cumprod` per stratum of the table."""
     has_death = np.flatnonzero(table.deaths)
     t = table.times[has_death]
     factors = 1.0 - table.deaths[has_death] / table.at_risk[has_death]
     offsets = np.searchsorted(has_death, table.offsets)
-    return StepSurvivalCurve(t, _segment_cumprod(factors, offsets), offsets)
+    values = np.empty_like(factors)
+    for s, e in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        np.cumprod(factors[s:e], out=values[s:e])
+    return StepSurvivalCurve(t, values, offsets)

@@ -256,19 +256,6 @@ def true_net_survival(cfg: ScenarioConfig, years=None, seed_offset: int = 2_000_
     return {float(y): float(np.mean(np.exp(-lam * float(y)))) for y in years}
 
 
-def true_noncancer_survival(cfg: ScenarioConfig, age: int, t: float) -> float:
-    """Generator's non-cancer survival t years past exact integer age."""
-    if cfg.dataset in (1, 2):
-        lam, p = 1.0e-2, 2.0
-        return float(np.exp(-((lam * (age + t)) ** p) + ((lam * age) ** p)))
-    mu, sigma = math.log(75.0), 2.0
-
-    def s(x):
-        return 0.5 * math.erfc((math.log(x) - mu) / (sigma * math.sqrt(2.0)))
-
-    return s(age + t) / s(age)
-
-
 def _provider_window(cfg: ScenarioConfig) -> tuple:
     """Diagnosis-age range whose strata the adjustment can ever query."""
     hi = float(math.ceil(cfg.diag_window[1]) + cfg.horizon + 5)
@@ -310,7 +297,7 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
     for method in methods:
         with _stage(f"{method}/provider"):
             if method == "naive":
-                grid = diagonal_survival(life_table, risk.cells, cfg.horizon, diagnostics).values
+                grid = diagonal_survival(life_table, risk.cells, cfg.horizon, diagnostics)
             elif method == "adjusted":
                 so = OverallSurvivalProvider.from_registry(
                     frame_all,
@@ -331,7 +318,7 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
                 grid = engine.solve(risk.cells).values
         with _stage(f"{method}/estimate"):
             estimate = pohar_perme(risk, population_survival(grid, diagnostics))
-            values[method] = [estimate.survival_at(y) for y in cfg.years]
+            values[method] = [estimate.value_at(y) for y in cfg.years]
     return {
         "rep": rep,
         "values": values,

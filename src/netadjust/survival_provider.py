@@ -176,7 +176,7 @@ class OverallSurvivalProvider:
         tau = curve.tau[rows, None]
         steps = np.floor(np.maximum(t.max(axis=-1, initial=0.0), tau[:, 0])).astype(np.intp) + 1
         cells = (self.cells[0], *(column[self.strata[rows]] for column in self.cells[1:]))
-        grid = diagonal_survival(self.population_floor, cells, steps, self.diagnostics).values
+        grid = diagonal_survival(self.population_floor, cells, steps, self.diagnostics)
         pop = AnnualGridSurvival(np.maximum(grid, 1e-12), self.diagnostics)
         span = max(self.anchor_points - 1, 1)
         lam_tau = pop.cumulative_hazard_at(tau)

@@ -58,7 +58,7 @@ class LifeTableSP:
         self.diagnostics = ensure_diagnostics(diagnostics)
 
     def grid(self, keys) -> np.ndarray:
-        return diagonal_survival(self.life_table, stratum_cells(list(keys)), self.horizon, self.diagnostics).values
+        return diagonal_survival(self.life_table, stratum_cells(list(keys)), self.horizon, self.diagnostics)
 
     def stack(self, keys):
         return population_survival(self.grid(keys), self.diagnostics)

@@ -22,6 +22,8 @@
 * `merge_small_strata_reference`: the plain rescanning stratum merger on
   {key: size} dicts, which rebuilds the small-stratum list, the neighbour
   pool and the alias map on every merge.
+* `true_noncancer_survival`: the generator's non-cancer survival from an
+  exact age, in closed form.
 * `draw_potentials_reference`, `generate_cohort_reference` and
   `derive_tables_reference`: the cohort draw with Weibull(1) and
   exponential(1) draws and the excess hazard evaluated per subject, and the
@@ -289,23 +291,21 @@ def survival_reads(provider, incidence, keys, read, horizon: int, offset: int) -
     the read cells `read`, reads S_O, as {stratum row: sorted lags}.
 
     Each diagonal (birth year, demographics) of `keys` reaches its oldest
-    key, and `top` is the oldest key of all.  Every age d below a
-    diagonal's reach with IR > 0 reads the stratum of its cell at lags
-    1..top+K-d, each less offset / 2 years; every read cell reads its
-    stratum at lags 0..K.  Strata resolve by `resolve_stratum`, so nothing
-    is counted."""
+    key.  Every age d below a diagonal's reach with IR > 0 reads the
+    stratum of its cell at lags 1..oldest+K-d, each less offset / 2 years;
+    every read cell reads its stratum at lags 0..K.  Strata resolve by
+    `resolve_stratum`, so nothing is counted."""
     reach: dict[tuple, int] = {}
     for key in keys:
         ident = (key.year - key.age, key.demographics)
         reach[ident] = max(reach.get(ident, 0), key.age)
-    top = max(reach.values(), default=0)
     rows = strata_of(provider)
     lags: dict[int, set] = {}
     for (birth, demo), oldest in reach.items():
         for d in range(oldest):
             if ir_at(incidence, d, birth + d, demo) > 0.0:
                 row = rows[resolve_stratum(provider, StratumKey(d, birth + d, demo))[0]]
-                lags.setdefault(row, set()).update(s - offset / 2 for s in range(1, top + horizon - d + 1))
+                lags.setdefault(row, set()).update(s - offset / 2 for s in range(1, oldest + horizon - d + 1))
     for key in read:
         lags.setdefault(rows[resolve_stratum(provider, key)[0]], set()).update(range(horizon + 1))
     return {row: np.array(sorted(found), dtype=np.float64) for row, found in lags.items()}
@@ -1240,6 +1240,19 @@ def write_rows_csv_reference(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_format_value(row[col]) for col in header])
+
+
+def true_noncancer_survival(cfg, age: int, t: float) -> float:
+    """Generator's non-cancer survival t years past exact integer age."""
+    if cfg.dataset in (1, 2):
+        lam, p = 1.0e-2, 2.0
+        return float(np.exp(-((lam * (age + t)) ** p) + ((lam * age) ** p)))
+    mu, sigma = math.log(75.0), 2.0
+
+    def s(x):
+        return 0.5 * math.erfc((math.log(x) - mu) / (sigma * math.sqrt(2.0)))
+
+    return s(age + t) / s(age)
 
 
 def draw_potentials_reference(rng: np.random.Generator, dataset: int, n: int):

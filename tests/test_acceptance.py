@@ -23,7 +23,6 @@ from netadjust.simulation import (
     generate_cohort,
     make_registry,
     run_experiment,
-    true_noncancer_survival,
 )
 from netadjust.survival_provider import OverallSurvivalProvider
 from netadjust.cli import main as cli_main
@@ -35,6 +34,7 @@ from oracles import (
     nelson_aalen,
     solve_noncancer_survival_triangular,
     time_to_diagnosis_cdf,
+    true_noncancer_survival,
 )
 from synthetic import BASE_KEY, SyntheticIngredients
 
@@ -110,7 +110,7 @@ def test_criterion_4_null_adjustment_identity():
     grids_equal = all(
         np.array_equal(
             engine.solve(stratum_cells([StratumKey(a, 2000 + a - 60, (s,))])).values[0],
-            diagonal_survival(lt, stratum_cells([StratumKey(a, 2000 + a - 60, (s,))]), 12).values[0],
+            diagonal_survival(lt, stratum_cells([StratumKey(a, 2000 + a - 60, (s,))]), 12)[0],
         )
         for a, s in ((60, "0"), (63, "1"), (66, "1"))
     )
@@ -185,13 +185,13 @@ def test_criterion_6_prevalence_oracles():
             n_prev = int(prevalent.sum())
             emp_alpha = n_prev / n_alive
             se = math.sqrt(emp_alpha * (1 - emp_alpha) / n_alive)
-            worst["alpha"] = max(worst["alpha"], abs(calc.prevalence(stratum_cells([key]))[0] - emp_alpha) / (3 * se))
+            worst["alpha"] = max(worst["alpha"], abs(calc.recursion(stratum_cells([key]))[0][0] - emp_alpha) / (3 * se))
             for t in (1, 3, 5, 10):
                 emp = float((prevalent & (td >= age - t)).sum()) / n_prev
                 se_f = math.sqrt(max(emp * (1 - emp), 1e-12) / n_prev)
                 got = lag_since_diagnosis_cdf(calc, key, t)
                 worst["lag_cdf"] = max(worst["lag_cdf"], abs(got - emp) / (3 * max(se_f, 1e-9)))
-            pcs = calc.prevalent_survival(stratum_cells([key]))[0]
+            pcs = calc.recursion(stratum_cells([key]))[1][0]
             for t in (1, 5, 10):
                 emp = float((prevalent & (death >= age + t)).sum()) / n_prev
                 se_f = math.sqrt(max(emp * (1 - emp), 1e-12) / n_prev)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from netadjust import adjustment
 from netadjust.adjustment import (
     AdjustmentEngine,
-    PrevalentCaseSurvival,
     SolverError,
     prevalent_case_survival,
     solve_noncancer_survival,
@@ -61,7 +60,7 @@ class TestPrevalentCaseSurvival:
         weights = np.array([0.4, 0.6])
         matrix = np.ones((2, 5))
         curve = prevalent_case_survival(np.array([weights @ matrix]))
-        assert np.all(curve.values == 1.0)
+        assert np.all(curve == 1.0)
 
     def test_point_mass_gives_conditional_survival(self):
         # single diagnosis year: survival is the conditional continuation
@@ -86,7 +85,7 @@ class TestPrevalentCaseSurvival:
         grid = engine.prevalent_grid(stratum_cells([StratumKey(50, 2010, ("0",))]))[0]
         assert grid[0] == 1.0
         assert np.all(np.diff(grid) <= 1e-12)
-        PrevalentCaseSurvival(np.array([grid]))
+        assert np.array_equal(prevalent_case_survival(np.array([grid])), [grid])
 
 
 class TestSolver:
@@ -95,7 +94,7 @@ class TestSolver:
         engine = AdjustmentEngine(lt, IncidenceTable({}), const_survival(0.1), horizon=12)
         key = StratumKey(65, 2000, ("0",))
         solution = engine.solve(stratum_cells([key]))
-        expected = diagonal_survival(lt, stratum_cells([key]), 12).values[0]
+        expected = diagonal_survival(lt, stratum_cells([key]), 12)[0]
         assert np.array_equal(solution.values[0], expected)
         assert clip_guard_counts(solution) == [(0, 0)]
 
@@ -307,7 +306,7 @@ class TestRegistryEngine:
             want = provider.survival(lookup_keys(provider, [origin])[0], s - 0.5 + np.arange(engine.horizon + 1, dtype=np.float64))[0]
             assert np.array_equal(matrix[s - 1], want)
         np.testing.assert_allclose(
-            engine.calc.prevalent_survival(stratum_cells([key]))[0], walk.prevalent_mix_weights(key) @ matrix, rtol=0, atol=1e-12
+            engine.prevalent_grid(stratum_cells([key]))[0], walk.prevalent_mix_weights(key) @ matrix, rtol=0, atol=1e-12
         )
 
     def test_one_survival_evaluation_per_stratum(self):
@@ -377,7 +376,7 @@ class TestKeyDependentCurve:
             matrix = walk.survival_from_diagnosis_matrix(key, 6)
             np.testing.assert_array_equal(matrix[-1], so(origin, key.age - 0.5 + np.arange(7.0)))
             np.testing.assert_allclose(
-                engine.calc.prevalent_survival(stratum_cells([key]))[0], walk.prevalent_mix_weights(key) @ matrix,
+                engine.prevalent_grid(stratum_cells([key]))[0], walk.prevalent_mix_weights(key) @ matrix,
                 rtol=0, atol=1e-12,
             )
 

@@ -80,6 +80,7 @@ class TestEstimate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["inputs"]) == {"registry", "lifetable"}
         assert manifest["command"] == "estimate"
+        assert "extrapolation_points" not in manifest["config"]
 
     def test_adjusted_requires_incidence(self, tmp_path, capsys):
         registry = write_inputs(tmp_path)
@@ -91,13 +92,17 @@ class TestEstimate:
             ])
 
     @pytest.mark.parametrize("mode, flags, message", [
-        ("naive", ["incidence"], "--incidence and --population apply only to --mode adjusted"),
-        ("naive", ["population"], "--incidence and --population apply only to --mode adjusted"),
-        ("adjusted", ["incidence", "population"], "give one of --incidence and --population, not both"),
-    ], ids=["naive-incidence", "naive-population", "adjusted-both"])
+        ("naive", ["--incidence", "incidence.csv"], "--incidence and --population apply only to --mode adjusted"),
+        ("naive", ["--population", "population.csv"], "--incidence and --population apply only to --mode adjusted"),
+        ("adjusted", ["--incidence", "incidence.csv", "--population", "population.csv"],
+         "give one of --incidence and --population, not both"),
+        ("naive", ["--extrapolation-points", "4"], "--extrapolation-points applies only to --mode adjusted"),
+        ("naive", ["--extrapolation-points", "1"], "--extrapolation-points applies only to --mode adjusted"),
+    ], ids=["naive-incidence", "naive-population", "adjusted-both", "naive-extrapolation-points",
+            "naive-extrapolation-points-below-2"])
     def test_flags_the_run_would_ignore_are_rejected(self, tmp_path, capsys, mode, flags, message):
         registry = write_inputs(tmp_path)
-        extra = [arg for name in flags for arg in (f"--{name}", str(tmp_path / f"{name}.csv"))]
+        extra = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in flags]
         with pytest.raises(SystemExit) as exited:
             main([
                 "estimate", "--registry", str(registry),
@@ -142,6 +147,7 @@ class TestEstimate:
         assert (out / "curve_pohar_perme.csv").exists()
         rows = (out / "estimates.csv").read_text().strip().splitlines()[1:]
         assert all(",adjusted," in r for r in rows)
+        assert json.loads((out / "manifest.json").read_text())["config"]["extrapolation_points"] == 4
 
     def test_adjusted_with_population_counts(self, tmp_path):
         registry = write_inputs(tmp_path)

@@ -75,13 +75,13 @@ class TestPoharPerme:
 
     def test_survival_at_zero(self, rng):
         est = fit(pohar_perme, RiskSetSummary(mixed_frame(rng)), unit_provider())
-        assert est.survival_at(0.0) == 1.0
+        assert est.value_at(0.0) == 1.0
 
     def test_constant_beyond_support(self, rng):
         frame = mixed_frame(rng)
         est = fit(pohar_perme, RiskSetSummary(frame), unit_provider())
         last = float(frame.time.max())
-        assert est.survival_at(last + 5.0) == est.survival_at(last)
+        assert est.value_at(last + 5.0) == est.value_at(last)
 
     def test_expected_term_matches_riemann(self, rng):
         # all-censored registry isolates the population-hazard integral
@@ -735,4 +735,4 @@ class TestEvaluateAtYears:
         assert rows[0] == (0.0, 1.0)
         last = float(frame.time.max())
         beyond = evaluate_at_years(est, [last + 10.0])[0][1]
-        assert beyond == est.survival_at(last)
+        assert beyond == est.value_at(last)

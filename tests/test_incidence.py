@@ -93,7 +93,7 @@ class TestDiagonalGather:
             flat_life_table(0.01, years=(1900, 2070), sexes=("0", "1", "x")),
         )
         want = Diagnostics()
-        calc.prevalence(stratum_cells([StratumKey(age, 1950 + age, (sex,)) for age in (20, 45, 70)]))
+        calc.recursion(stratum_cells([StratumKey(age, 1950 + age, (sex,)) for age in (20, 45, 70)]))
         ir_reference(GAPPED_CELLS, StratumKey(0, 1950, (sex,)), 70, want)
         got = {k: v for k, v in calc.diagnostics.as_dict().items() if k.startswith("incidence")}
         assert got == want.as_dict()
@@ -188,7 +188,7 @@ class TestPrevalence:
             IncidenceTable({}), const_survival(0.1), flat_life_table(0.01)
         )
         for age in (1, 5, 40):
-            assert calc.prevalence(stratum_cells([StratumKey(age, 1960 + age, ("0",))]))[0] == 0.0
+            assert calc.recursion(stratum_cells([StratumKey(age, 1960 + age, ("0",))]))[0][0] == 0.0
 
     def test_single_term_at_age_one(self):
         # flat world with no background mortality reduces to the bare recursion
@@ -197,7 +197,7 @@ class TestPrevalence:
             ir, const_survival(0.1), flat_life_table(0.0), lag_eval="year_start"
         )
         key = StratumKey(1, 1961, ("0",))
-        assert calc.prevalence(stratum_cells([key]))[0] == pytest.approx(np.exp(-0.1) * 0.02, abs=1e-14)
+        assert calc.recursion(stratum_cells([key]))[0][0] == pytest.approx(np.exp(-0.1) * 0.02, abs=1e-14)
 
     def test_mid_year_single_term(self):
         ir = flat_incidence(0.02)
@@ -205,7 +205,7 @@ class TestPrevalence:
             ir, const_survival(0.1), flat_life_table(0.0), lag_eval="mid_year"
         )
         key = StratumKey(1, 1961, ("0",))
-        assert calc.prevalence(stratum_cells([key]))[0] == pytest.approx(np.exp(-0.05) * 0.02, abs=1e-14)
+        assert calc.recursion(stratum_cells([key]))[0][0] == pytest.approx(np.exp(-0.05) * 0.02, abs=1e-14)
 
     def test_attrition_factor_uses_life_table(self):
         # with background mortality q the lag-1 term is inflated by 1/(1-q)
@@ -216,7 +216,7 @@ class TestPrevalence:
         )
         key = StratumKey(1, 1961, ("0",))
         expected = np.exp(-0.1) * 0.02 / (1.0 - q)
-        assert calc.prevalence(stratum_cells([key]))[0] == pytest.approx(expected, abs=1e-14)
+        assert calc.recursion(stratum_cells([key]))[0][0] == pytest.approx(expected, abs=1e-14)
 
     def test_lag_cdf_closure(self):
         ir = flat_incidence(0.02)
@@ -248,7 +248,7 @@ class TestPrevalence:
         ir = flat_incidence(0.5)
         calc = PrevalenceCalculator(ir, const_survival(0.0), flat_life_table(0.5))
         with pytest.raises(PrevalenceError, match=">= 1"):
-            calc.prevalence(stratum_cells([StratumKey(6, 1966, ("0",))]))
+            calc.recursion(stratum_cells([StratumKey(6, 1966, ("0",))]))
 
     @given(
         st.lists(st.floats(0.0, 0.05), min_size=3, max_size=15),
@@ -263,7 +263,7 @@ class TestPrevalence:
         lt = diagonal_life_table(qs[:n] + [0.0], sexes=("0",))
         calc = PrevalenceCalculator(ir, const_survival(so_rate), lt)
         key = StratumKey(n, 1960 + n, ("0",))
-        alpha = calc.prevalence(stratum_cells([key]))[0]
+        alpha = calc.recursion(stratum_cells([key]))[0][0]
         if alpha > 0:
             assert lag_since_diagnosis_cdf(calc, key, n) == pytest.approx(1.0, abs=1e-12)
             inc = lag_since_diagnosis_increments(calc, key)

@@ -62,17 +62,17 @@ class TestLoader:
 class TestDiagonalSurvival:
     def test_zero_rates_give_one(self):
         lt = flat_life_table(0.0)
-        values = diagonal_survival(lt, stratum_cells([StratumKey(60, 1990, ("0",))]), 5).values[0]
+        values = diagonal_survival(lt, stratum_cells([StratumKey(60, 1990, ("0",))]), 5)[0]
         assert np.all(values == 1.0)
 
     def test_constant_rate_closed_form(self):
         lt = flat_life_table(0.1)
-        values = diagonal_survival(lt, stratum_cells([StratumKey(60, 1990, ("0",))]), 3).values[0]
+        values = diagonal_survival(lt, stratum_cells([StratumKey(60, 1990, ("0",))]), 3)[0]
         assert values[3] == pytest.approx(0.9 ** 3, abs=1e-12)
 
     def test_t_zero_is_one(self):
         lt = flat_life_table(0.37)
-        assert diagonal_survival(lt, stratum_cells([StratumKey(60, 1990, ("0",))]), 0).values[0][0] == 1.0
+        assert diagonal_survival(lt, stratum_cells([StratumKey(60, 1990, ("0",))]), 0)[0][0] == 1.0
 
     def test_clamping_counted(self):
         lt = diagonal_life_table([0.1] * 10)
@@ -151,7 +151,7 @@ class TestDiagonalCumulativeHazard:
         lt = diagonal_life_table(qs)
         key = StratumKey(0, 1960, ("0",))
         horizon = len(qs)
-        surv = diagonal_survival(lt, stratum_cells([key]), horizon).values[0]
+        surv = diagonal_survival(lt, stratum_cells([key]), horizon)[0]
         for t in range(horizon + 1):
             lam = diagonal_cumulative_hazard(lt, key, float(t))
             assert math.exp(-lam) == pytest.approx(surv[t], abs=1e-12)

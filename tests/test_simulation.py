@@ -21,7 +21,6 @@ from netadjust.simulation import (
     run_experiment,
     run_replicate,
     true_net_survival,
-    true_noncancer_survival,
 )
 
 from oracles import (
@@ -31,6 +30,7 @@ from oracles import (
     ir_at,
     make_registry_reference,
     q_at,
+    true_noncancer_survival,
 )
 
 SMALL = ScenarioConfig(dataset=1, cohort_size=4000, reps=2, n_truth=50_000)
