@@ -76,24 +76,27 @@ class Solution:
     guarded: np.ndarray
 
 
-def _propagate(roots, mass, known, starts, lengths, K) -> np.ndarray:
+def _propagate(roots, mass, K) -> np.ndarray:
     """Horizons each chain position needs: K at the roots, and n - k at
     position j + k from a position j that needs n >= 2, for each k < n with
-    nonzero diagnosis mass dF_k at j.  Positions are visited in chain order,
-    all chains at once, so a position's need is final before it passes it
-    on.  Positions whose mass is not `known` pass nothing on."""
-    need = np.zeros(known.shape[0], dtype=np.intp)
+    nonzero diagnosis mass dF_k at j.  A position whose mass is not fetched
+    yet holds zeros and passes nothing on.
+
+    Every position takes, at once, the most any position k = 1..K-1 before
+    it passes on, over and over until nothing changes: a need passed on
+    falls by at least 1 a step, so that is at most K rounds.  What one
+    position passes on is positive only inside its own chain, as each
+    chain runs K - 1 positions past its last root."""
+    lags = np.arange(1, K)
+    source = np.arange(mass.shape[0])[:, None] - lags
+    passes = (source >= 0) & (mass[source, lags - 1] != 0.0)
+    need = np.zeros(mass.shape[0], dtype=np.intp)
     need[roots] = K
-    lags = np.arange(1, K + 1)
-    for o in range(int(lengths.max())):
-        j = starts[lengths > o] + o
-        n = need[j]
-        go = (n >= 2) & known[j]
-        j, n = j[go], n[go]
-        src, k = np.nonzero((mass[j] != 0.0) & (lags < n[:, None]))
-        target = j[src] + lags[k]
-        need[target] = np.maximum(need[target], n[src] - lags[k])
-    return need
+    while True:
+        passed = np.maximum(need, np.where(passes, need[source] - lags, 0).max(axis=1, initial=0))
+        if np.array_equal(passed, need):
+            return need
+        need = passed
 
 
 def solve_noncancer_survival(ing, cells, diagnostics: Diagnostics | None = None) -> Solution:
@@ -113,15 +116,17 @@ def solve_noncancer_survival(ing, cells, diagnostics: Diagnostics | None = None)
     integer arrays, diagonals in first-seen order.  Each root needs
     horizons 1..K, and no position reads past its chain.  Needed horizons
     propagate from younger to older cells only along kernel terms with
-    nonzero diagnosis mass, so exactly the (cell, horizon) pairs the forward
-    substitution reads are solved.  Masses are fetched in rounds, each for
-    the cells found so far to need two or more horizons; every other
-    ingredient is fetched in one call for all cells that need a horizon,
-    the prevalence inputs before the life-table grid.
+    nonzero diagnosis mass (`_propagate`), so exactly the (cell, horizon)
+    pairs the forward substitution reads are solved.  Masses are fetched
+    in rounds, the first for the roots and each later one for the cells
+    that the propagation after the round before found to need two or more
+    horizons; every other ingredient is fetched in one call for all cells
+    that need a horizon, the prevalence inputs before the life-table grid.
     Each step t solves horizon t for every cell that needs it in one array
     expression, and the clip/guard diagnostics count each solved horizon
-    once.  Nothing is kept between calls.  With no cells, or K = 0, nothing
-    is solved and no ingredient is read: S_P and r are 1 and alpha is NaN.
+    once, after the last step.  Nothing is kept between calls.  With no
+    cells, or K = 0, nothing is solved and no ingredient is read: S_P and r
+    are 1 and alpha is NaN.
     """
     diag = ensure_diagnostics(diagnostics)
     demographics, codes, ages, years = cells
@@ -141,17 +146,16 @@ def solve_noncancer_survival(ing, cells, diagnostics: Diagnostics | None = None)
     age = np.repeat(lo, lengths) + np.arange(m) - np.repeat(starts, lengths)
     chain = np.stack((np.repeat(codes[first], lengths), age, age + np.repeat((years - ages)[first], lengths)))
 
-    # horizons needed per position, with masses fetched in rounds for the
-    # positions found to need two or more; the propagation reruns after
-    # each round until no position lacks its mass
+    # horizons needed per position: before any mass is fetched, K at the
+    # roots; masses are then fetched in rounds for the positions found to
+    # need two or more, and the need propagated again after each round
     mass, known = np.zeros((m, K)), np.zeros(m, dtype=bool)
-    while True:
-        need = _propagate(roots, mass, known, starts, lengths, K)
-        fetch = np.flatnonzero((need >= 2) & ~known)
-        if not fetch.size:
-            break
+    need = np.zeros(m, dtype=np.intp)
+    need[roots] = K
+    while (fetch := np.flatnonzero((need >= 2) & ~known)).size:
         mass[fetch] = np.asarray(ing.diagnosis_mass((demographics, *chain[:, fetch])), dtype=np.float64)[:, :K]
         known[fetch] = True
+        need = _propagate(roots, mass, K)
 
     # every other input of the cells with a horizon to solve, and the S_O
     # grids their kernels read, one call per ingredient
@@ -199,8 +203,9 @@ def solve_noncancer_survival(ing, cells, diagnostics: Diagnostics | None = None)
         residual[js, t] = r
         clipped[js, t] = clip
         guarded[js, t] = guard
-        diag.incr("sp_clip", int(clip.sum()))
-        diag.incr("sp_monotone_guard", int(guard.sum()))
+    # each solved horizon's flags are set once, and no other is
+    diag.incr("sp_clip", np.count_nonzero(clipped))
+    diag.incr("sp_monotone_guard", np.count_nonzero(guarded))
     return Solution(sp[roots], residual[roots], alpha[roots], clipped[roots], guarded[roots])
 
 

@@ -121,7 +121,8 @@ class RiskSetSummary:
     time on; `at_risk_column` rebuilds one column.
     Deaths are the same pairs for the patients who died (`death_rows`,
     `death_times`), in the same order.  `pooled_deaths` and `pooled_at_risk`
-    are the per-time totals and `sizes` the patients per stratum.
+    are the per-time totals, `sizes` the patients per stratum and
+    `last_times` each stratum's last time index.
     """
 
     def __init__(self, frame: RegistryFrame):
@@ -140,6 +141,8 @@ class RiskSetSummary:
         self.pooled_deaths = np.bincount(self.death_times, minlength=n_times)
         exits = np.bincount(t_idx, minlength=n_times).astype(np.float64)
         self.pooled_at_risk = np.cumsum(exits[::-1])[::-1]
+        self.last_times = np.zeros(n_strata, np.intp)
+        np.maximum.at(self.last_times, rows, t_idx)
         self.sizes = sizes.astype(np.float64)
         self.n = frame.n
 
@@ -300,9 +303,7 @@ def _moments_pay(rs: RiskSetSummary, rates: np.ndarray, first: int) -> bool:
     patients = rs.patient_times.shape[0] - np.searchsorted(rs.patient_times, starts)
     terms = _taylor_terms(np.abs(rates).max(axis=0))[year[starts]]
     moments = ((terms + 1) * (patients + np.diff(starts, append=first))).sum()
-    last = np.zeros(rs.n_strata, np.intp)
-    np.maximum.at(last, rs.patient_rows, rs.patient_times)
-    return 0 < moments < np.minimum(last + 1, first).sum()
+    return 0 < moments < np.minimum(rs.last_times + 1, first).sum()
 
 
 def _moment_sums(rs: RiskSetSummary, logs: np.ndarray, rates: np.ndarray, first: int):

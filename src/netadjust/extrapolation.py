@@ -65,11 +65,13 @@ def extend_survival(
     A stratum's anchors are the last h integer times <= tau where its curve
     is positive (all of them if fewer): since a curve is positive before
     its first zero, they are consecutive integers, fixed by the last one and
-    their number.  Strata with the same anchors share one `np.polyfit` of
-    -log S, one column per stratum, so each stratum's (g0, g1) is the same
-    least-squares line as a fit of its own; a negative slope is clipped to
-    0.  A stratum with fewer than two anchors carries its value at tau
-    forward (g1 = 0, counted as `extrapolation_fallback`).
+    their number.  -log S at the anchors of every fitted stratum comes from
+    one evaluation, one row of times per stratum.  Strata with the same
+    anchors share one `np.polyfit` of it, one column per stratum, so each
+    stratum's (g0, g1) is the same least-squares line as a fit of its own;
+    a negative slope is clipped to 0.  A stratum with fewer than two
+    anchors carries its value at tau forward (g1 = 0, counted as
+    `extrapolation_fallback`).
     """
     if h < 2:
         raise ValueError("need at least two anchor points")
@@ -80,14 +82,19 @@ def extend_survival(
     fits = count >= 2.0
     g0 = np.empty(tau.shape[0])
     g1 = np.zeros(tau.shape[0])
+    fit_rows = np.flatnonzero(fits)
+    # -log S at every fitted stratum's anchors from one read, one row of
+    # times per stratum; a row of fewer than h anchors repeats its last
+    anchors = np.minimum((last - count + 1.0)[fit_rows, None] + np.arange(h), last[fit_rows, None])
+    logs = -np.log(curve.survival_at(anchors, fit_rows))
     anchor_sets, members = np.unique((last * (h + 1) + count)[fits], return_inverse=True)
-    fit_rows, members = np.flatnonzero(fits), members.reshape(-1)
+    members = members.reshape(-1)
     for j, code in enumerate(anchor_sets.tolist()):
-        rows = fit_rows[members == j]
+        mine = members == j
+        rows = fit_rows[mine]
         top, n = divmod(code, h + 1)
-        anchors = np.arange(top - n + 1.0, top + 1.0)
-        y = -np.log(curve.survival_at(np.broadcast_to(anchors, (rows.shape[0], int(n))), rows))
-        slope, intercept = np.polyfit(anchors, y.T, 1)
+        y = logs[mine, : int(n)]
+        slope, intercept = np.polyfit(np.arange(top - n + 1.0, top + 1.0), y.T, 1)
         rising = slope < 0.0
         if rising.any():
             # float noise on flat curves is not worth reporting
@@ -152,7 +159,10 @@ class AnnualGridSurvival:
             self.diagnostics.incr("grid_extended_eval", int(beyond.sum()) * (1 if per_row else logs.shape[0]))
 
         def take(a, i):
-            return np.take_along_axis(a, i, axis=1) if per_row else np.take(a, i, axis=1)
+            if not per_row:
+                return np.take(a, i, axis=1)
+            # row r's columns i[r], as positions in the flattened rows
+            return np.take(a, i + (np.arange(a.shape[0]) * a.shape[1])[:, None])
 
         if self.k_max > 0:
             idx = np.minimum(np.floor(t_arr).astype(int), self.k_max - 1)

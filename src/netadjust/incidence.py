@@ -194,7 +194,12 @@ class PrevalenceCalculator:
         1 - alpha(d), times the cohort survival to d; a diagonal with
         irga(d) = 0 adds nothing.  At step a, before age a is added,
         alpha(a) = C[i, a] / survival to a, and C[i, a + t] / (survival to a
-        * alpha(a)) is the prevalent cases' survival to horizon t.
+        * alpha(a)) is the prevalent cases' survival to horizon t; the
+        numerators are kept only at the ages that hold a cell.  A step does
+        the same few array operations for every diagonal and checks
+        nothing: after the last step, the youngest age at which a diagonal
+        reaching it is extinct or has alpha >= 1 raises `PrevalenceError`,
+        extinction first, then the first-seen diagonal.
         """
         demographics, codes, ages, years = cells
         if (ages < 0).any():
@@ -228,42 +233,55 @@ class PrevalenceCalculator:
         _, unique, inverse = np.unique(np.ravel_multi_index(shifted, shifted.max(axis=1, initial=0) + 1),
                                        return_index=True, return_inverse=True)
         found = provider.lookup(*looked_up[:, unique])[0][inverse.reshape(-1)]
-        so, held = self._overall_survival(found, reach[diagonal] - age, ir[diagonal, age] > 0.0)
-        rows = np.zeros((first.size, top), dtype=np.intp)
-        rows[diagonal, age] = held[: diagonal.size]
+        diagnosed = ir[diagonal, age] > 0.0
+        so, held = self._overall_survival(found, reach[diagonal] - age, diagnosed)
 
         scale = 1 + self.offset
-        # column of lag 1, 2, ..., clipped where past a diagonal's reach: C reads none of those
+        # S_O at lag 1, 2, ... of each evaluated stratum, clipped past the
+        # evaluated width: C reads none of those.  With no stratum evaluated
+        # no cell is diagnosed, and every step adds 0.
         lags = np.minimum(scale * np.arange(1, top + K + 1) - self.offset, so.shape[1] - 1)
-        alpha = np.zeros((first.size, top + 1))
-        C = np.zeros((first.size, top + K + 1))
+        lagged = so[:, lags] if so.size else np.zeros((1, top + K))
+        # ages x diagonals from here on, so that each step reads rows: the
+        # row of `lagged` each diagnosis cell adds (0 where it adds nothing)
+        rows = np.zeros((top, first.size), dtype=np.intp)
+        rows[age[diagnosed], diagonal[diagnosed]] = held[: diagonal.size][diagnosed]
+        ir, surv = ir.T.copy(), surv.T.copy()
+        alpha = np.zeros((top + 1, first.size))
+        C = np.zeros((top + K + 1, first.size))
         numer = np.empty((len(codes), K + 1))
         order = np.argsort(ages, kind="stable")
-        bounds = np.searchsorted(ages[order], np.arange(top + 2))
-        for a in range(top + 1):
-            if a:
-                live = reach >= a
-                extinct = live & (surv[:, a] <= 0.0)
-                if extinct.any():
-                    raise PrevalenceError(
-                        f"life-table cohort extinct at age {a} on {name(extinct.argmax())}; prevalence undefined"
-                    )
-                np.divide(C[:, a], surv[:, a], out=alpha[:, a], where=live)
-                over = live & (alpha[:, a] >= 1.0)
-                if over.any():
-                    raise PrevalenceError(
-                        f"prevalence {alpha[over.argmax(), a]:.6f} >= 1 at age {a} on {name(over.argmax())}; "
-                        f"incidence and survival inputs disagree"
-                    )
-            at = order[bounds[a] : bounds[a + 1]]
-            numer[at] = C[line[at], a : a + K + 1]
-            if a < top:
-                irga = ir[:, a] * (1.0 - alpha[:, a]) * surv[:, a]
-                i = np.flatnonzero(irga)
-                C[i, a + 1 :] += irga[i, None] * so[rows[i, a, None], lags[: top + K - a]]
-        values = alpha[line, ages]
+        bounds = np.searchsorted(ages[order], np.arange(top + 2)).tolist()
+        # Diagonals do not interact, so each one's values up to its first
+        # fault are those of a pass that stops there.  The faults are looked
+        # for once, after the loop; nothing reads the values past them, nor
+        # alpha past a diagonal's reach, where IR is 0.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for a in range(top + 1):
+                if a:
+                    np.divide(C[a], surv[a], out=alpha[a])
+                if bounds[a] < bounds[a + 1]:
+                    at = order[bounds[a] : bounds[a + 1]]
+                    numer[at] = C[a : a + K + 1, line[at]].T
+                if a < top:
+                    irga = ir[a] * (1.0 - alpha[a]) * surv[a]
+                    C[a + 1 :] += lagged[rows[a], : top + K - a].T * irga
+            live = reach >= np.arange(1, top + 1)[:, None]   # ages 1..top
+            extinct = live & (surv[1:] <= 0.0)
+            over = live & (alpha[1:] >= 1.0)
+        faults = (extinct | over).any(axis=1)
+        if faults.any():
+            # the youngest age with a fault; there, extinction before prevalence >= 1
+            a = int(faults.argmax()) + 1
+            if extinct[a - 1].any():
+                i = int(extinct[a - 1].argmax())
+                raise PrevalenceError(f"life-table cohort extinct at age {a} on {name(i)}; prevalence undefined")
+            i = int(over[a - 1].argmax())
+            raise PrevalenceError(f"prevalence {alpha[a, i]:.6f} >= 1 at age {a} on {name(i)}; "
+                                  f"incidence and survival inputs disagree")
+        values = alpha[ages, line]
         mixture = np.ones((len(codes), K + 1))
-        np.divide(numer, (surv[line, ages] * values)[:, None], out=mixture, where=values[:, None] > 0.0)
+        np.divide(numer, (surv[ages, line] * values)[:, None], out=mixture, where=values[:, None] > 0.0)
         return values, mixture, so[held[diagonal.size :], : scale * K + 1 : scale]
 
 

@@ -142,11 +142,16 @@ class CsvColumns:
 
     def groups(self, name: str) -> tuple[list[tuple], np.ndarray]:
         """The str column's stripped texts as (demographics, codes): the
-        distinct texts as 1-tuples, first seen first, and each record's index."""
+        distinct stripped texts as 1-tuples, first seen first, and each
+        record's index.  The distinct raw texts are numbered first, so each
+        is stripped once."""
         texts = self._texts[name] if self._columns is None else self._columns[name].tolist()
-        texts = list(map(str.strip, texts[: self.n]))
-        index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-        return [(text,) for text in index], np.array(list(map(index.__getitem__, texts)), np.int64)
+        texts = texts[: self.n]
+        raw = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+        stripped = [text.strip() for text in raw]
+        index = {text: i for i, text in enumerate(dict.fromkeys(stripped))}
+        codes = np.array([index[text] for text in stripped], np.int64)
+        return [(text,) for text in index], codes[np.fromiter(map(raw.__getitem__, texts), np.intp, len(texts))]
 
     def reject(self, bad: np.ndarray, message) -> None:
         """A fault at the first record i where `bad` holds: `message(i)`."""

@@ -10,7 +10,7 @@ Lookups outside the declared age/year ranges are clamped to the nearest
 in-range cell (both coordinates independently) and counted.  The cells live
 in one dense (demographics, age, year) array, so a diagonal of any length is
 read with a single gather, and `diagonal_survival` returns the survival
-grids of many cells as one checked cells x (horizon + 1) array.
+grids of many cells as one cells x (horizon + 1) array.
 """
 from __future__ import annotations
 
@@ -146,16 +146,12 @@ class LifeTable(CellTable):
 
 def diagonal_survival(lt: LifeTable, cells, horizon, diagnostics: Diagnostics | None = None) -> np.ndarray:
     """S(t) = prod_{j<t} (1 - q(age+j, year+j)) for t = 0..horizon from each
-    cell, as a cells x (horizon + 1) array from one gather, checked to start
-    at 1 and not to increase.  `horizon` may give one count per cell; a
-    cell's row then stays flat past its own."""
+    cell, as a cells x (horizon + 1) array from one gather.  `horizon` may
+    give one count per cell; a cell's row then stays flat past its own.
+    Each row starts at exactly 1 and does not increase within [0, 1]: every
+    factor 1 - q lies in [0, 1], as the table holds q in [0, 1] only."""
     q = lt.q_diagonal(cells, horizon, diagnostics)
-    values = np.concatenate((np.ones((q.shape[0], 1)), np.cumprod(1.0 - q, axis=1)), axis=1)
-    if (values[:, 0] != 1.0).any():
-        raise ValueError("diagonal survival must start at 1")
-    if (np.diff(values, axis=1) > 1e-15).any() or values.min() < 0 or values.max() > 1:
-        raise ValueError("diagonal survival must be non-increasing in [0,1]")
-    return values
+    return np.concatenate((np.ones((q.shape[0], 1)), np.cumprod(1.0 - q, axis=1)), axis=1)
 
 
 def load_life_table(path) -> LifeTable:

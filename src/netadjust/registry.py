@@ -144,7 +144,7 @@ class EventTable:
         self.deaths = np.add.reduceat(events[order].astype(np.int64), starts)
         self.censored = np.diff(np.append(starts, n)) - self.deaths
         self.at_risk = np.cumsum(self.sizes)[stratum] - starts
-        self.offsets = np.concatenate(([0], np.cumsum(np.bincount(stratum, minlength=self.sizes.shape[0]))))
+        self.offsets = np.searchsorted(stratum, np.arange(self.sizes.shape[0] + 1))
 
     @property
     def n(self) -> int:
@@ -197,50 +197,57 @@ def merge_small_strata(strata, sizes, min_size: int = 10, diagnostics: Diagnosti
     A heap orders the small strata by (size, rank in `key_order`), dropping
     entries a merge made stale.  The holder is one arg-min over its
     demographic's strata of a table of the distance of each (age, year)
-    offset, with merged strata set past any other, so memory stays linear
-    in the strata and the span of ages and years.
+    offset, read with one `take` whose merged strata clip onto an entry
+    past any other, so memory stays linear in the strata and the span of
+    ages and years.
     """
     diag = ensure_diagnostics(diagnostics)
     demographics, codes, ages, years = strata
-    holder, small = np.arange(len(codes)), np.flatnonzero(np.asarray(sizes) < min_size)
+    small = np.flatnonzero(np.asarray(sizes) < min_size)
     order = key_order(strata)
     rank = np.argsort(order).tolist()
     # demographic d's strata by (age, year) are pool[start[d]:start[d + 1]], i at slot[i]
     pool = order[np.argsort(codes[order], kind="stable")]
     start, slot = np.searchsorted(codes[pool], np.arange(len(demographics) + 1)).tolist(), np.argsort(pool).tolist()
     # each (age, year) offset's Chebyshev distance * span + Manhattan distance
-    # (< span), but 0 for an adjacent age in the same year
+    # (< span), but 0 for an adjacent age in the same year, and past every
+    # offset one entry `far`, onto which a merged stratum's place clips
     n_ages, n_years = int(np.ptp(ages)) + 1, int(np.ptp(years)) + 1
     da, dy = np.abs(np.arange(1 - n_ages, n_ages))[:, None], np.abs(np.arange(1 - n_years, n_years))
     distance = ((np.maximum(da, dy) * (n_ages + n_years) + da + dy) * ((da != 1) | (dy != 0))).ravel()
+    origin, distance = distance.size // 2, np.append(distance, np.iinfo(np.int64).max)
     offset = (ages - ages.min()) * (2 * n_years - 1) + (years - years.min())
-    pool_place, offset = offset[pool] + distance.size // 2, offset.tolist()
-    far, dead = np.iinfo(np.int64).max, np.zeros(len(codes), dtype=np.int64)   # far once merged, by slot
+    place, offset = offset[pool], offset.tolist()   # by slot; a merged stratum's is past the table
     size, order, left = np.asarray(sizes).tolist(), order.tolist(), np.diff(start).tolist()
+    holder, merges, debug = list(range(len(codes))), 0, log.isEnabledFor(logging.DEBUG)
+    code, member = codes.tolist(), pool.tolist()
     heap = [(size[i], rank[i]) for i in small.tolist()]
     heapq.heapify(heap)
     while heap:
         n, r = heap[0]
         i = order[r]
-        if size[i] != n or holder.item(i) != i:
+        if size[i] != n or holder[i] != i:
             heapq.heappop(heap)
             continue
-        d = codes.item(i)
-        dead[slot[i]] = far
+        d = code[i]
+        place[slot[i]] = distance.size
         left[d] -= 1
         if not left[d]:
             break
         s, e = start[d], start[d + 1]
-        near = distance.take(pool_place[s:e] - offset[i])
-        j = pool.item(s + int(np.maximum(near, dead[s:e], out=near).argmin()))
+        # the distances from i's offset: the table read from the entry of offset -offset[i]
+        near = distance[origin - offset[i] :].take(place[s:e], mode="clip")
+        j = member[s + int(near.argmin())]
         heapq.heappop(heap)
         size[j] += size[i]
         holder[i] = j
         if size[j] < min_size:
             heapq.heappush(heap, (size[j], rank[j]))
-        diag.incr("stratum_merge")
-        if log.isEnabledFor(logging.DEBUG):
+        merges += 1
+        if debug:
             log.debug("merged stratum %s (n<%d) into %s", cell_key(strata, i), min_size, cell_key(strata, j))
+    diag.incr("stratum_merge", merges)
+    holder = np.array(holder, dtype=np.intp)
     while (holder[holder] != holder).any():
         holder = holder[holder]
     return holder

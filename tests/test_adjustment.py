@@ -1,9 +1,10 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from netadjust import adjustment
 from netadjust.adjustment import (
@@ -14,7 +15,7 @@ from netadjust.adjustment import (
 )
 from netadjust.diagnostics import Diagnostics
 from netadjust.estimators import RiskSetSummary, pohar_perme, population_survival
-from netadjust.incidence import IncidenceTable, PrevalenceError
+from netadjust.incidence import IncidenceTable, PrevalenceCalculator, PrevalenceError
 from netadjust.lifetable import LifeTable, diagonal_survival
 from netadjust.registry import StratumKey, stratum_cells
 from netadjust.survival_provider import OverallSurvivalProvider
@@ -760,3 +761,61 @@ class TestErrorsNameTheCell:
             engine.solve(stratum_cells(keys))
         with pytest.raises(PrevalenceError, match=r"extinct at age 6 on diagonal \(birth year 1960, \('0',\)\)"):
             ScalarPrevalence.of(engine.calc).prevalence(keys[1])
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_batch_raises_the_first_fault_by_age(self, shift, data):
+        """A batch of diagonals, one of which reaches prevalence >= 1 at some
+        age and another of which dies out `shift` years after it, with more
+        diagonals of any kind, raises the fault the one-cell walk finds
+        first by age: extinction before prevalence >= 1 at one age, the
+        first-seen diagonal among equals.  No RuntimeWarning escapes."""
+        oldest, birth = 30, 1960
+
+        def diagonal(kind):
+            if kind == "quiet":
+                return 0.01, data.draw(st.floats(0.0, 0.02))
+            return data.draw(st.floats(0.2, 0.5)), data.draw(st.floats(0.02, 0.3))   # dies fast, diagnosed often
+
+        def calculator(inputs):
+            groups = [(f"g{i}",) for i in range(len(inputs))]
+            q, ir = {}, {}
+            for group, (q_base, rate, extinct) in zip(groups, inputs):
+                for a in range(oldest + 1):
+                    q[(a, birth + a, group)] = 1.0 if extinct is not None and a == extinct - 1 else q_base
+                    ir[(a, birth + a, group)] = rate
+            return PrevalenceCalculator(IncidenceTable(ir), const_survival(0.0, demographics=groups),
+                                        LifeTable(q, require_complete=False), data.draw(st.sampled_from(
+                                            ["year_start", "mid_year"])), horizon=3)
+
+        def first_fault(calc, key):
+            try:
+                ScalarPrevalence.of(calc).prevalence(key)
+            except PrevalenceError as exc:
+                return int(re.search(r"at age (\d+) ", str(exc)).group(1)), "extinct" not in str(exc), str(exc)
+            return None
+
+        # the diagonal that goes over 1 and the age it does, found alone
+        over = (*diagonal("over"), None)
+        found = first_fault(calculator([over]), StratumKey(oldest, birth + oldest, ("g0",)))
+        assume(found is not None and found[0] + shift >= 1)
+        inputs = [over, (0.01, 0.01, found[0] + shift)]
+        for kind in data.draw(st.lists(st.sampled_from(["quiet", "over", "extinct"]), max_size=3)):
+            extinct = data.draw(st.integers(1, oldest)) if kind == "extinct" else None
+            inputs.append((*diagonal(kind), extinct))
+        order = data.draw(st.permutations(range(len(inputs))))
+        inputs = [inputs[i] for i in order]
+        calc = calculator(inputs)
+        keys = [StratumKey(age, birth + age, (f"g{i}",)) for i in range(len(inputs))
+                for age in sorted(data.draw(st.sets(st.integers(oldest - 5, oldest), min_size=1, max_size=2)))]
+        keys = data.draw(st.permutations(keys))
+        seen = list(dict.fromkeys(key.demographics for key in keys))
+        faults = [(*fault[:2], i, fault[2]) for i, demo in enumerate(seen) if (fault := first_fault(
+            calc, max((k for k in keys if k.demographics == demo), key=lambda k: k.age))) is not None]
+        message = min(faults)[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PrevalenceError) as got:
+                calc.recursion(stratum_cells(keys))
+        assert str(got.value) == message

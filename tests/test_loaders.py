@@ -313,6 +313,22 @@ class TestParsePath:
         assert paths == ["c", "rows"]
         assert type(got_error) is type(want_error) is csv.Error and str(got_error) == str(want_error)
 
+    @pytest.mark.parametrize("reader", ["c", "rows"])
+    def test_padded_labels_group_by_their_stripped_text(self, tmp_path, paths, reader):
+        """Raw labels that strip to one text are one group, the groups
+        first seen first and each record coded by its own, on either reader."""
+        load, oracle, _, lines, _ = KINDS["registry.csv"]
+        labels = [" f", "m", "f ", "\tm ", "f", "m\t", " f"]
+        records = [f"{60 + i % 2},{1990 + i % 2},{label},{i + 1.5},{i % 2}" for i, label in enumerate(labels)]
+        if reader == "rows":
+            records[-1] = records[-1].replace(" f", '" f"')   # a quote sends the file to the row path
+        write(tmp_path / "registry.csv", lines[:1] + records)
+        got = load(tmp_path / "registry.csv")
+        assert paths == (["c"] if reader == "c" else ["c", "rows"])
+        assert got.demo_vocab == [("f",), ("m",)]
+        assert got.demo_code.tolist() == [0, 1, 0, 1, 0, 1, 0]
+        assert_same_result(got, oracle(tmp_path / "registry.csv"))
+
     def test_message_text_read_on_demand(self, tmp_path, paths):
         """A fault found after the C parse (a non-finite time) names the
         field's text as the row path reads it."""

@@ -11,6 +11,11 @@ move: the estimates, the Pohar-Perme curve and the manifest's counters.
   demographics by name.
 * Zero incidence is no adjustment: `--mode adjusted` with an incidence file
   of zeros gives the `--mode naive` values and curve, bit for bit.
+* Row order is not data: shuffling the registry's rows moves nothing while
+  the sexes are first seen in the same order.  The first-seen order numbers
+  the sexes, and so orders the strata the estimators sum over: a shuffle
+  that puts a sex-2 row first moves the estimates and the Pohar-Perme curve
+  by rounding only (within 1e-12), and the counters not at all.
 """
 import json
 import math
@@ -49,14 +54,21 @@ def ir(age, s):
     return 0.0 if age < 30 else min(2e-4 * math.exp(0.05 * (min(age, 85) - 30)) * (1.0 + 0.3 * s), 0.05)
 
 
-def write_inputs(directory, shift=0, names=SEXES, zero_incidence=False):
+def write_inputs(directory, shift=0, names=SEXES, zero_incidence=False, shuffle=None):
     """The registry, life table and incidence CSVs, their calendar years
-    moved by `shift` and their sexes named `names`."""
+    moved by `shift`, their sexes named `names` and, with `shuffle`, the
+    registry's rows in a random order that starts and ends with a row of
+    that sex (the rows of `registry_rows` end with sex 2)."""
     directory.mkdir(parents=True)
     paths = {name: directory / f"{name}.csv" for name in ("registry", "lifetable", "incidence")}
     rename = dict(zip(SEXES, names))
+    rows = registry_rows()
+    if shuffle is not None:
+        rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+        ends = [i for i, row in enumerate(rows) if row[2] == shuffle][:2]
+        rows = [rows[ends[0]], *(row for i, row in enumerate(rows) if i not in ends), rows[ends[1]]]
     registry = ["age_diag,year_diag,sex,time,event"]
-    registry += [f"{a},{y + shift},{rename[sex]},{t!r},{e}" for a, y, sex, t, e in registry_rows()]
+    registry += [f"{a},{y + shift},{rename[sex]},{t!r},{e}" for a, y, sex, t, e in rows]
     lifetable, incidence = ["age,year,sex,q"], ["age,year,sex,ir"]
     for s, name in enumerate(names):
         for a in AGES:
@@ -106,6 +118,26 @@ def test_shifting_every_calendar_year_moves_nothing(tmp_path, base, mode):
 def test_renaming_the_sexes_to_sort_the_other_way_moves_nothing(tmp_path, base, mode):
     renamed = estimate(write_inputs(tmp_path / "inputs", names=("z", "a")), tmp_path / "out", mode)
     assert outputs(renamed) == outputs(base[mode])
+
+
+@pytest.mark.parametrize("mode", ["naive", "adjusted"])
+def test_shuffling_the_registry_rows_moves_nothing(tmp_path, base, mode):
+    shuffled = estimate(write_inputs(tmp_path / "inputs", shuffle=SEXES[0]), tmp_path / "out", mode)
+    assert outputs(shuffled) == outputs(base[mode])
+
+
+@pytest.mark.parametrize("mode", ["naive", "adjusted"])
+def test_seeing_the_other_sex_first_moves_only_rounding(tmp_path, base, mode):
+    shuffled = estimate(write_inputs(tmp_path / "inputs", shuffle=SEXES[1]), tmp_path / "out", mode)
+    got, want = outputs(shuffled), outputs(base[mode])
+    assert got["counters"] == want["counters"]
+    # (estimator, provider, year) and the curve's times stay; values move by rounding
+    for name, keys in (("estimates.csv", 3), ("curve_pohar_perme.csv", 1)):
+        a, b = ([line.split(",") for line in (out / name).read_text(encoding="utf-8").splitlines()]
+                for out in (shuffled, base[mode]))
+        assert [row[:keys] for row in a] == [row[:keys] for row in b]
+        assert np.abs(np.array([row[keys:] for row in a[1:]], float)
+                      - np.array([row[keys:] for row in b[1:]], float)).max() <= 1e-12
 
 
 def test_zero_incidence_adjusts_nothing(tmp_path, base):
