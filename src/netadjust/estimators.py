@@ -12,18 +12,13 @@ probability read pooled per-time death and at-risk counts.  S_P and the
 yearly Lambda_P rates of a stratum are read from its row of the stack.
 
 Pohar-Perme needs, at every observed time, the at-risk sum of 1/S_P.  In
-grid year k a stratum's 1/S_P(k + f) is exp(L_sk) exp(h_sk f), f in [0, 1],
-so the sum is a power series in f whose coefficients M_n sum
-exp(L_sk) h_sk^n / n! over the patients at risk: one reverse cumulative sum
-over the patients in time order per term, with the terms chosen from the
-year's largest rate.  That costs O((patients + times) x terms) per year,
-against one S_P cell per stratum at risk per time for streaming the at-risk
-counts in column blocks and evaluating S_P for the strata at risk.
-`pohar_perme` takes the moments for the times on the grid when they cost
-less (a 1,200-stratum registry), and streams otherwise (a ~30-stratum study
-replicate), as it always does past the grid, where the weight floor caps
-each stratum at its own crossing time.  Its weighted death sum is one
-bincount of 1/S_P evaluated at the deaths.
+unit year k (a grid year, or a year past the grid) a stratum's 1/S_P(k + f)
+is exp(L_sk) exp(h_sk f), f in [0, 1], until it reaches 1/WEIGHT_FLOOR, so
+the sum is a power series in f whose coefficients sum exp(L_sk) h_sk^n / n!
+over the patients at risk, on segments of the year split where a stratum
+at risk crosses the floor (`_at_risk_sums`).  That costs O(terms x
+(patients + times + strata x segments)), with no strata x times array.  The
+weighted death sum is one bincount of 1/S_P evaluated at the deaths.
 
 The population-hazard terms are integrated in closed form: within any
 interval where the risk set is frozen and the annual hazards are constant,
@@ -54,8 +49,6 @@ from .registry import RegistryFrame, StratumKey, build_strata, stratum_keys
 WEIGHT_FLOOR = 1e-6
 # remainder bound of each grid year's Taylor series of 1/S_P in Pohar-Perme
 TAYLOR_TOL = 1e-17
-# cells of one at-risk column block: a ~30-stratum study replicate is one block
-BLOCK_CELLS = 1 << 17
 
 
 class EstimatorError(ValueError):
@@ -82,11 +75,10 @@ def _check_rows(rs: RiskSetSummary, sp: AnnualGridSurvival) -> None:
         raise EstimatorError(f"S_P stack has {sp.values.shape[0]} rows for {rs.n_strata} strata")
 
 
-def _survival(sp: AnnualGridSurvival, rows, t, at_risk=None) -> np.ndarray:
+def _survival(sp: AnnualGridSurvival, rows, t) -> np.ndarray:
     """Rows x times S_P of the stack's `rows` (all when None) at the times
-    `t`, floored at WEIGHT_FLOOR past the grid too; `at_risk` counts as in
-    `AnnualGridSurvival`."""
-    out = sp.survival_at(t, rows, at_risk)
+    `t`, floored at WEIGHT_FLOOR past the grid too."""
+    out = sp.survival_at(t, rows)
     return np.maximum(out, WEIGHT_FLOOR, out=out)
 
 
@@ -116,9 +108,8 @@ class RiskSetSummary:
     and time index, in time order (stratum order within a time), so a
     reverse cumulative sum over the patients sums any per-stratum value over
     the risk set of every time at once, as Pohar-Perme's moments and the
-    crude probability's rates do.  `blocks` rebuilds the at-risk counts one
-    column block at a time from each stratum's remaining count, from any
-    time on; `at_risk_column` rebuilds one column.
+    crude probability's rates do; `at_risk_column` rebuilds the at-risk
+    counts of one time.
     Deaths are the same pairs for the patients who died (`death_rows`,
     `death_times`), in the same order.  `pooled_deaths` and `pooled_at_risk`
     are the per-time totals, `sizes` the patients per stratum and
@@ -149,40 +140,6 @@ class RiskSetSummary:
     @functools.cached_property
     def keys(self) -> list[StratumKey]:
         return stratum_keys(self.cells)
-
-    def blocks(self, start: int = 0):
-        """Yield (j0, j1, rows, Y) over the observed times from time index
-        `start` on, in order: `rows` are the strata with someone at risk at
-        time index j0 (ascending) and `Y` their C-ordered at-risk counts at
-        time indices j0..j1-1, about BLOCK_CELLS cells.  A block spans at
-        least two times unless only one is left, so that summing `Y`-shaped
-        arrays over strata always adds rows one after another, as for a
-        whole strata x times array."""
-        n_times = self.times.shape[0]
-        remaining = self.at_risk_column(start)
-        position = np.empty(self.n_strata, dtype=np.intp)
-        j0, p0 = start, int(np.searchsorted(self.patient_times, start))
-        while j0 < n_times:
-            rows = np.flatnonzero(remaining)
-            j1 = min(n_times, j0 + max(2, BLOCK_CELLS // rows.shape[0]))
-            if j1 == n_times - 1:
-                j1 = n_times
-            p1 = int(np.searchsorted(self.patient_times, j1))
-            width = j1 - j0
-            position[rows] = np.arange(rows.shape[0])
-            pos = position[self.patient_rows[p0:p1]]
-            col = self.patient_times[p0:p1] - j0
-            # a stratum's row of the block is constant between the times its
-            # patients leave: one run per stratum and one more per patient
-            # leaving before the block's last time, filled with np.repeat
-            row_ends = np.arange(1, rows.shape[0] + 1) * width
-            ends = np.sort(np.concatenate(((pos * width + col + 1)[col < width - 1], row_ends)))
-            first = np.searchsorted(ends, row_ends - width, side="right")
-            values = (remaining[rows] + first)[(ends - 1) // width] - np.arange(ends.shape[0])
-            y = np.repeat(values, np.diff(ends, prepend=0)).reshape(rows.shape[0], width)
-            yield j0, j1, rows, y
-            remaining[rows] -= np.bincount(pos, minlength=rows.shape[0])
-            j0, p0 = j1, p1
 
     def at_risk_column(self, m: int) -> np.ndarray:
         """At-risk counts of every stratum at time index m."""
@@ -288,56 +245,84 @@ def _taylor_terms(x: np.ndarray) -> np.ndarray:
     return np.array(terms, dtype=np.intp)
 
 
-def _years(u: np.ndarray, n_years: int):
-    """Each time's grid year (the last year also holds K) and the index of
-    the first time of each year that holds one."""
-    year = np.minimum(np.floor(u).astype(np.intp), n_years - 1)
-    return year, np.flatnonzero(np.diff(year, prepend=-1))
+def _at_risk_sums(rs: RiskSetSummary, sp: AnnualGridSurvival):
+    """Pohar-Perme's sums at every observed time: (denom, denom_prev,
+    weighted_deaths), the at-risk sum of 1/S_P at the time and at the
+    previous one (S_P = 1 at time 0), and the deaths' summed 1/S_P.
 
-
-def _moments_pay(rs: RiskSetSummary, rates: np.ndarray, first: int) -> bool:
-    """Whether `_moment_sums` over the first `first` times costs less than
-    the stream: (terms + 1) x (patients at risk + times), summed over the
-    grid years, against the strata at risk summed over the times."""
-    year, starts = _years(rs.times[:first], rates.shape[1])
-    patients = rs.patient_times.shape[0] - np.searchsorted(rs.patient_times, starts)
-    terms = _taylor_terms(np.abs(rates).max(axis=0))[year[starts]]
-    moments = ((terms + 1) * (patients + np.diff(starts, append=first))).sum()
-    return 0 < moments < np.minimum(rs.last_times + 1, first).sum()
-
-
-def _moment_sums(rs: RiskSetSummary, logs: np.ndarray, rates: np.ndarray, first: int):
-    """Pohar-Perme's at-risk sums at the first `first` observed times, all on
-    the grid, from per-year moments: (denom, denom_prev, the weights of the
-    deaths at those times).  `logs` and `rates` are -log S_P at the grid
-    points and the yearly slopes, one row per stratum of `rs.keys`.
-
-    In grid year k, the at-risk sum of 1/S_P at time index j is
-    sum_n f^n M_n(k, j), where M_n(k, j) sums exp(L_sk) h_sk^n / n! over the
-    patients at risk at j: a reverse cumulative sum over the patients in
-    time order, read at each time of the year and at the next time, whose
-    denom_prev is the same series at the year's last f.  Horner evaluates
-    the series in f; the death weights are evaluated directly."""
-    from numpy.polynomial.polynomial import polyval
-
-    u, n_patients = rs.times[:first], rs.patient_times.shape[0]
-    # the patients at risk at time index j are those from p[j] on in time order
-    p = np.searchsorted(rs.patient_times, np.arange(first))
-    year, starts = _years(u, rates.shape[1])
-    f, terms = u - year, _taylor_terms(np.abs(rates).max(axis=0))
-    denom, denom_prev = np.empty(first), np.empty(first)
-    denom_prev[0] = rs.pooled_at_risk[0]   # S_P = 1 at time 0
-    for j0, j1 in zip(starts, [*starts[1:], first]):
-        k = year[j0]
-        powers = rates[:, k] / np.arange(1.0, terms[k] + 1)[:, None]
-        coef = np.cumprod(np.concatenate((np.exp(logs[None, :, k]), powers)), axis=0)
-        # column c of the reverse cumulative sums sums the last c + 1 patients
-        moments = np.cumsum(coef[:, rs.patient_rows[p[j0]:][::-1]], axis=1)[:, n_patients - 1 - p[j0 : j1 + 1]]
-        denom[j0:j1] = polyval(f[j0:j1], moments[:, : j1 - j0], tensor=False)
-        denom_prev[j0 + 1 : j1 + 1] = polyval(f[j0:j1][: moments.shape[1] - 1], moments[:, 1:], tensor=False)
-    d = int(np.searchsorted(rs.death_times, first))
-    rows, j = rs.death_rows[:d], rs.death_times[:d]
-    return denom, denom_prev, np.exp(logs[rows, year[j]] + rates[rows, year[j]] * f[j])
+    Each sum is a power series in f, one per segment: a unit year (a grid
+    year, the last one holding K, or a year past the grid) split at the
+    weight-floor crossing of any stratum still at risk.  In a segment a
+    stratum's 1/S_P is exp(L) exp(h f), f in [0, 1] from the unit year's
+    start, or 1/WEIGHT_FLOOR once it has crossed, so the coefficient M_n at
+    time index j sums exp(L) h^n / n! over the patients at risk at j: those
+    leaving in j's segment from j on, one reverse cumulative sum over them,
+    plus those still at risk past the segment, by stratum.  One Horner pass
+    evaluates the series; the death weights are evaluated directly."""
+    u, n_times = rs.times, rs.times.shape[0]
+    # -log S_P at each grid year's start and Lambda_P's rate in it; a
+    # one-point grid is S_P = 1 throughout
+    logs, rates = sp.log_values[:, :-1], sp.slopes
+    if not rates.shape[1]:
+        logs = rates = np.zeros((rs.n_strata, 1))
+    last, cap = rates.shape[1] - 1, -np.log(WEIGHT_FLOOR)
+    crossing = _hazard_rates(sp)[1]
+    year = np.floor(u).astype(np.intp)
+    if sp.k_max:
+        year[u == sp.k_max] = sp.k_max - 1
+    f = u - year
+    # the segments: runs of times in one unit year, past the same crossings
+    crossed = np.searchsorted(np.sort(crossing[crossing <= u[rs.last_times]]), u, side="right")
+    new = np.ones(n_times, dtype=bool)
+    new[1:] = (year[1:] != year[:-1]) | (crossed[1:] != crossed[:-1])
+    starts = np.flatnonzero(new)
+    n_seg = starts.shape[0]
+    segment = np.cumsum(new) - 1
+    # row g: each stratum's patients at risk past segment g - 1
+    exits = np.bincount(segment[rs.patient_times] * rs.n_strata + rs.patient_rows, minlength=(n_seg + 1) * rs.n_strata)
+    staying = exits.reshape(n_seg + 1, rs.n_strata)[::-1].cumsum(axis=0)[::-1].astype(np.float64)
+    terms = _taylor_terms(np.abs(rates).max(axis=0))
+    moments = np.zeros((int(terms[np.minimum(year[starts], last)].max()) + 1, n_times))
+    tails = np.zeros((moments.shape[0], n_seg))
+    p = np.searchsorted(rs.patient_times, np.arange(n_times + 1))
+    bounds = [*starts.tolist(), n_times]
+    for g in range(n_seg):
+        j0, j1 = bounds[g], bounds[g + 1]
+        if g == 0 or year[j0] != year[j0 - 1]:
+            # exp(L) h^n / n! of every stratum, L = -log S_P at the year's start
+            k = min(int(year[j0]), last)
+            powers = rates[:, k] / np.arange(1.0, terms[k] + 1)[:, None]
+            start = np.exp(np.minimum(logs[None, :, k] + rates[None, :, k] * (year[j0] - k), cap))
+            coef = np.cumprod(np.concatenate((start, powers)), axis=0)
+        if crossed[j0]:
+            # past its crossing a stratum's 1/S_P is the floor's
+            capped = crossing <= u[j0]
+            coef[0, capped], coef[1:, capped] = 1.0 / WEIGHT_FLOOR, 0.0
+        n = coef.shape[0]
+        tails[:n, g] = coef @ staying[g + 1]
+        # column c of the reverse cumulative sums sums the last c + 1 leaving
+        leaving = np.cumsum(coef[:, rs.patient_rows[p[j0] : p[j1]][::-1]], axis=1)
+        moments[:n, j0:j1] = leaving[:, p[j1] - 1 - p[j0:j1]] + tails[:n, g, None]
+    # the sums at the previous time: in its own segment, with the risk set of
+    # j (the patients past it at a segment's first time); S_P = 1 at time 0
+    before = moments.copy()
+    before[:, starts[1:]] = tails[:, :-1]
+    before[:, 0] = 0.0
+    before[0, 0] = rs.pooled_at_risk[0]
+    # every observed time has someone at risk and 1/S_P > 0, so denom > 0
+    denom, denom_prev, f_prev = np.zeros(n_times), np.zeros(n_times), np.concatenate(([0.0], f[:-1]))
+    for row, row_prev in zip(moments[::-1], before[::-1]):   # Horner
+        denom, denom_prev = denom * f + row, denom_prev * f_prev + row_prev
+    # one count per stratum at risk at each observed time past the grid
+    first = int(np.searchsorted(u, sp.k_max, side="right"))
+    sp.diagnostics.incr("grid_extended_eval", int(np.maximum(rs.last_times - first + 1, 0).sum()))
+    rows, j = rs.death_rows, rs.death_times
+    k = np.minimum(year[j], last)
+    h = rates[rows, k]
+    death_weights = np.exp(np.minimum(logs[rows, k] + h * (year[j] - k) + h * f[j], cap))
+    # one bincount over the deaths in time order, stratum order within a
+    # time: each time's weights are added in stratum order
+    return denom, denom_prev, np.bincount(j, weights=death_weights, minlength=n_times)
 
 
 def pohar_perme(rs: RiskSetSummary, sp: AnnualGridSurvival) -> NetSurvivalEstimate:
@@ -346,46 +331,13 @@ def pohar_perme(rs: RiskSetSummary, sp: AnnualGridSurvival) -> NetSurvivalEstima
     Event increments weight each death by 1/S_P at its own covariates; the
     expected-mortality part subtracts the at-risk population hazard, with the
     interval integrals in the exact log form described in the module header.
-    The at-risk sums of 1/S_P at the times on the grid come from per-year
-    moments (`_moment_sums`) when `_moments_pay`; the other times are
-    streamed over `rs.blocks`.
+    The sums of 1/S_P come from `_at_risk_sums`.
     """
     _check_rows(rs, sp)
-    u = rs.times
-    logs, rates = sp.log_values, sp.slopes
-    denom, denom_prev = np.empty(u.shape), np.empty(u.shape)
-    death_weights = np.empty(rs.death_times.shape)
-    first = int(np.searchsorted(u, rates.shape[1], side="right")) if rates.shape[1] else 0
-    if _moments_pay(rs, rates, first):
-        denom[:first], denom_prev[:first], weights = _moment_sums(rs, logs, rates, first)
-        death_weights[: weights.shape[0]] = weights
-    else:
-        first = 0
-    # S_P at the previous observed time, 1 before the first
-    sp_last = _survival(sp, None, u[first - 1])[:, 0] if first else np.ones(rs.n_strata)
-    position = np.empty(rs.n_strata, dtype=np.intp)
-    d0 = int(np.searchsorted(rs.death_times, first))
-    for j0, j1, rows, y in rs.blocks(first):
-        s = _survival(sp, rows, u[j0:j1], y)
-        ratio = np.empty_like(s)
-        np.divide(y[:, 0], sp_last[rows], out=ratio[:, 0])
-        np.divide(y[:, 1:], s[:, :-1], out=ratio[:, 1:])
-        sp_last[rows] = s[:, -1]
-        denom_prev[j0:j1] = ratio.sum(axis=0)
-        w = np.reciprocal(s, out=s)
-        d1 = int(np.searchsorted(rs.death_times, j1))
-        position[rows] = np.arange(rows.shape[0])
-        death_weights[d0:d1] = w[position[rs.death_rows[d0:d1]], rs.death_times[d0:d1] - j0]
-        d0 = d1
-        # every observed time has someone at risk and 1/S_P > 0, so denom > 0
-        denom[j0:j1] = np.multiply(y, w, out=w).sum(axis=0)
-    # one bincount over the deaths in time order, stratum order within a
-    # time: each time's weights are added in stratum order
-    weighted_deaths = np.bincount(rs.death_times, weights=death_weights, minlength=u.shape[0])
+    denom, denom_prev, weighted_deaths = _at_risk_sums(rs, sp)
     event_inc = weighted_deaths / denom
     expected_inc = np.log(denom) - np.log(denom_prev)
-    cum = np.cumsum(event_inc - expected_inc)
-    return NetSurvivalEstimate(u, cum, rs, sp)
+    return NetSurvivalEstimate(rs.times, np.cumsum(event_inc - expected_inc), rs, sp)
 
 
 @dataclass

@@ -123,11 +123,9 @@ class AnnualGridSurvival:
     cumulative hazard is piecewise linear with the yearly slopes implied by
     the grid, and evaluation past the grid carries the last slope forward.
     Each (row, time) evaluated past the grid counts once as
-    `grid_extended_eval`; given `at_risk` (rows x times, shared times), only
-    the cells where it is positive count, so Pohar-Perme counts one per
-    (stratum at risk, observed time past the grid).  A time vector is
-    located once and the columns it needs are gathered from every row, or
-    from the `rows` asked for; the result is a C-ordered rows x times array.
+    `grid_extended_eval`.  A time vector is located once and the columns it
+    needs are gathered from every row, or from the `rows` asked for; the
+    result is a C-ordered rows x times array.
     `cumulative_hazard_at` also takes a rows x m array of times, one row of
     times for each row read.
     """
@@ -145,7 +143,7 @@ class AnnualGridSurvival:
         self.slopes = np.diff(self.log_values, axis=1)
         self.k_max = self.values.shape[1] - 1
 
-    def _hazard(self, t_arr: np.ndarray, rows, at_risk=None) -> np.ndarray:
+    def _hazard(self, t_arr: np.ndarray, rows) -> np.ndarray:
         if (t_arr < 0).any():
             raise ValueError("t must be >= 0")
         logs, slopes = self.log_values, self.slopes
@@ -153,9 +151,7 @@ class AnnualGridSurvival:
             logs, slopes = logs[rows], slopes[rows]
         per_row = t_arr.ndim == 2
         beyond = t_arr > self.k_max
-        if at_risk is not None:
-            self.diagnostics.incr("grid_extended_eval", np.count_nonzero(at_risk[:, beyond]))
-        elif beyond.any():
+        if beyond.any():
             self.diagnostics.incr("grid_extended_eval", int(beyond.sum()) * (1 if per_row else logs.shape[0]))
 
         def take(a, i):
@@ -177,9 +173,9 @@ class AnnualGridSurvival:
     def cumulative_hazard_at(self, t, rows=None) -> np.ndarray:
         return self._hazard(np.atleast_1d(np.asarray(t, dtype=np.float64)), rows)
 
-    def survival_at(self, t, rows=None, at_risk=None) -> np.ndarray:
+    def survival_at(self, t, rows=None) -> np.ndarray:
         t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        out = self._hazard(t_arr, rows, at_risk)
+        out = self._hazard(t_arr, rows)
         np.exp(np.negative(out, out=out), out=out)
         exact = (t_arr == np.floor(t_arr)) & (t_arr <= self.k_max) & (t_arr >= 0)
         if exact.any():

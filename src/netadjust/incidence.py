@@ -288,7 +288,7 @@ class PrevalenceCalculator:
 def load_incidence_table(path) -> IncidenceTable:
     """Read an incidence CSV (age,year,sex,ir) with `io.read_cells`: ir must
     lie in [0,1)."""
-    columns = read_cells(Path(path), "ir", IncidenceError, lambda ir: (ir >= 0.0) & (ir < 1.0),
+    columns = read_cells(Path(path), "ir", IncidenceError, IncidenceTable.valid,
                          "duplicate cell (age={age}, year={year}, sex={sex})", "ir={value} outside [0,1)")
     return IncidenceTable(columns)
 

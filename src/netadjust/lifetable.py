@@ -159,7 +159,7 @@ def load_life_table(path) -> LifeTable:
     lie in [0,1], and the observed ages x years rectangle must be complete
     for every sex (the error names the file and the missing cell)."""
     path = Path(path)
-    columns = read_cells(path, "q", LifeTableError, lambda q: (q >= 0.0) & (q <= 1.0),
+    columns = read_cells(path, "q", LifeTableError, LifeTable.valid,
                          "duplicate cell (age={age}, year={year}, sex={sex})",
                          "q={value} outside [0,1] at (age={age}, year={year}, sex={sex})")
     try:

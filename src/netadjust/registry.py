@@ -254,10 +254,12 @@ def merge_small_strata(strata, sizes, min_size: int = 10, diagnostics: Diagnosti
 
 
 class StepSurvivalCurve:
-    """Right-continuous step survival curves with S(0) = 1, one per stratum.
+    """Right-continuous step survival curves, one per stratum, 1 before the
+    first jump.
 
-    Stratum i jumps at `jump_times[offsets[i]:offsets[i + 1]]` to the
-    matching `values`; one curve is offsets [0, n].  `survival_at`
+    Stratum i jumps at `jump_times[offsets[i]:offsets[i + 1]]`, all >= 0, to
+    the matching `values`; one curve is offsets [0, n].  A jump at 0 (deaths
+    at time 0) makes S(0) = 1 - d_0 / n_0.  `survival_at`
     evaluates every stratum, or the `rows` asked for, at a vector of times
     shared by all of them (a rows x times array), or at a rows x m array of
     times, one row per stratum.  Every evaluation is one exact search: each
@@ -276,8 +278,8 @@ class StepSurvivalCurve:
             within = stratum[1:] == stratum[:-1]
             if ((np.diff(self.jump_times) <= 0) & within).any():
                 raise ValueError("jump times must be strictly increasing")
-            if self.jump_times.min() <= 0:
-                raise ValueError("jumps must occur at positive times")
+            if self.jump_times.min() < 0:
+                raise ValueError("jumps must occur at non-negative times")
             if ((np.diff(self.values) > 1e-15) & within).any():
                 raise ValueError("survival curve must be non-increasing")
             if self.values.max() > 1 or self.values.min() < 0:

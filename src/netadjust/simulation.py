@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjustment import AdjustmentEngine
-from .diagnostics import Diagnostics, log
+from .diagnostics import Diagnostics, ensure_diagnostics, log
 from .estimators import RiskSetSummary, pohar_perme, population_survival
-from .incidence import IncidenceTable
+from .incidence import IR_CLIP, IncidenceTable
 from .lifetable import LifeTable, diagonal_survival
 from .registry import RegistryFrame
 from .survival_provider import OverallSurvivalProvider
@@ -159,6 +159,7 @@ def derive_tables(
     cohort: Cohort,
     person_years: str = "midyear",
     max_age: int = LIFETABLE_MAX_AGE,
+    diagnostics: Diagnostics | None = None,
 ) -> tuple[LifeTable, IncidenceTable]:
     """Annual life table and incidence rates from the realized cohort.
 
@@ -169,6 +170,7 @@ def derive_tables(
     truncated at the last age with anyone alive (capped at max_age) and both
     genders share the common truncation point.  Every count is one
     `np.bincount` over the (gender, age) cells `gender * width + floor(age)`.
+    IR above IR_CLIP is clipped to it, counted as `incidence_clip`.
     """
     if person_years not in ("midyear", "exact"):
         raise ValueError(f"unknown person_years convention {person_years!r}")
@@ -206,7 +208,9 @@ def derive_tables(
     years = cohort.birth_year + ages
     q = (deaths[:, :top] / alive[:, :top]).ravel()
     has = np.flatnonzero(py > 0)
-    ir = np.minimum(diagnoses.ravel()[has] / py.ravel()[has], 1.0 - 1e-9)
+    ir = diagnoses.ravel()[has] / py.ravel()[has]
+    ensure_diagnostics(diagnostics).incr("incidence_clip", np.count_nonzero(ir > IR_CLIP))
+    ir = np.minimum(ir, IR_CLIP)
     incidence = IncidenceTable((demographics, sexes[has], ages[has], years[has], ir) if has.size else {})
     return LifeTable((demographics, sexes, ages, years, q), require_complete=False), incidence
 
@@ -287,7 +291,7 @@ def run_replicate(cfg: ScenarioConfig, rep: int, methods=("naive", "adjusted")) 
     with _stage("generate_cohort"):
         cohort = generate_cohort(cfg, cfg.base_seed + rep)
     with _stage("derive_tables"):
-        life_table, incidence = derive_tables(cohort, cfg.person_years)
+        life_table, incidence = derive_tables(cohort, cfg.person_years, diagnostics=diagnostics)
     with _stage("make_registry"):
         frame_win, frame_all = make_registry(cohort, cfg.base_seed + 1_000_000 + rep,
                                              (cfg.diag_window, _provider_window(cfg)), cfg.censor_max)

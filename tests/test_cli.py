@@ -149,6 +149,19 @@ class TestEstimate:
         assert all(",adjusted," in r for r in rows)
         assert json.loads((out / "manifest.json").read_text())["config"]["extrapolation_points"] == 4
 
+    def test_death_at_time_zero(self, tmp_path):
+        # the registry's Kaplan-Meier curve, which S_O is read from, jumps at 0
+        registry = write_inputs(tmp_path)
+        registry.write_text(registry.read_text() + "62,1992,m,0,1\n")
+        out = tmp_path / "out"
+        assert main([
+            "estimate", "--registry", str(registry), "--lifetable", str(tmp_path / "lifetable.csv"),
+            "--incidence", str(tmp_path / "incidence.csv"), "--mode", "adjusted", "--horizon", "12",
+            "--out", str(out),
+        ]) == 0
+        values = [float(r["value"]) for r in read_csv(out / "estimates.csv")]
+        assert len(values) == 12 and np.isfinite(values).all()
+
     def test_adjusted_with_population_counts(self, tmp_path):
         registry = write_inputs(tmp_path)
         out = tmp_path / "out"
@@ -288,6 +301,17 @@ class TestAdjust:
         assert len(alpha) == 3
         residuals = (out / "residuals.csv").read_text().strip().splitlines()
         assert len(residuals) == 1 + 2 * 10
+
+    def test_death_at_time_zero(self, tmp_path):
+        registry = write_inputs(tmp_path)
+        registry.write_text(registry.read_text() + "62,1992,m,0,1\n")
+        out = tmp_path / "out"
+        assert main([
+            "adjust", "--registry", str(registry), "--lifetable", str(tmp_path / "lifetable.csv"),
+            "--incidence", str(tmp_path / "incidence.csv"), "--horizon", "10", "--out", str(out),
+        ]) == 0
+        s_p = [float(r["s_p"]) for r in read_csv(out / "adjusted.csv")]
+        assert len(s_p) == 2 * 11 and np.isfinite(s_p).all()
 
     def test_matches_golden_outputs(self, tmp_path):
         # golden files were written by the memoized scalar recursion this
@@ -546,7 +570,9 @@ class TestOutOfRangeInput:
             def refuse(*args, **kwargs):
                 raise AssertionError("a table was built from out-of-range input")
 
-            monkeypatch.setattr(self.BUILT_FROM[name], refuse)
+            # the constructor, not the module's name: the loaders read the
+            # class's validity rule
+            monkeypatch.setattr(self.BUILT_FROM[name] + ".__init__", refuse)
         (tmp_path / name).write_text("\n".join([self.HEADERS[name], *rows]) + "\n", encoding="utf-8")
         source = ["--population", str(tmp_path / "population.csv")] if name == "population.csv" \
             else ["--incidence", str(tmp_path / "incidence.csv")]

@@ -395,8 +395,8 @@ FOUR_ULP_REGISTRY = (
 
 
 @st.composite
-def streamed_registries(draw):
-    """Registries for the streamed estimators: times on a quarter-year grid
+def small_registries(draw):
+    """Registries for the dense-oracle comparisons: times on a quarter-year grid
     (ties within and across strata, integer times), some strata censored
     early, times past the provider's grid, and optionally a death at the
     last time."""
@@ -431,81 +431,76 @@ def kept_matrices(rs):
     return [name for name, value in kept.items() if np.ndim(value) > 1]
 
 
-def check_streamed_against_dense(rows, block_cells):
+def check_against_dense_risk_set(rows):
     frame = toy_frame(rows)
     diag = Diagnostics()
     provider = varying_provider(horizon=STREAM_HORIZON)
     provider.diagnostics = diag
     oracle_provider = varying_provider(horizon=STREAM_HORIZON)
     dense = DenseRiskSet(frame)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "BLOCK_CELLS", block_cells(len(dense.keys)))
-        rs = RiskSetSummary(frame)
-        assert rs.keys == dense.keys
-        np.testing.assert_array_equal(rs.times, dense.times)
-        assert kept_matrices(rs) == []
-        np.testing.assert_array_equal(rs.pooled_at_risk, dense.pooled_at_risk)
-        for m in range(rs.times.shape[0]):
-            np.testing.assert_array_equal(rs.at_risk_column(m), dense.at_risk[:, m])
-        # the blocks tile the times in order; each holds exactly the strata
-        # at risk at its first time and their at-risk counts
-        n_times = rs.times.shape[0]
-        end = 0
-        for j0, j1, block_rows, y in rs.blocks():
-            assert j0 == end and (j1 - j0 >= 2 or n_times == 1)
-            np.testing.assert_array_equal(block_rows, np.flatnonzero(dense.at_risk[:, j0]))
-            assert y.flags.c_contiguous
-            np.testing.assert_array_equal(y, dense.at_risk[block_rows, j0:j1])
-            end = j1
-        assert end == n_times
+    rs = RiskSetSummary(frame)
+    assert rs.keys == dense.keys
+    np.testing.assert_array_equal(rs.times, dense.times)
+    assert kept_matrices(rs) == []
+    np.testing.assert_array_equal(rs.pooled_at_risk, dense.pooled_at_risk)
+    for m in range(rs.times.shape[0]):
+        np.testing.assert_array_equal(rs.at_risk_column(m), dense.at_risk[:, m])
 
-        pp = fit(pohar_perme, rs, provider)
-        cp = fit(crude_probability, rs, provider)
-        # one count per stratum at risk at each observed time past the grid;
-        # the crude probability evaluates no cell
-        assert diag.get("grid_extended_eval") == past_grid_cells(dense)
-        cum, pp_at = dense_pohar_perme(dense, oracle_provider)
-        curves, cp_at = dense_crude_probability(dense, oracle_provider)
-        np.testing.assert_allclose(pp.cum_hazard, cum, rtol=0, atol=1e-12)
-        for which, values in curves.items():
-            np.testing.assert_allclose(getattr(cp, which), values, rtol=0, atol=1e-12, err_msg=which)
+    pp = fit(pohar_perme, rs, provider)
+    cp = fit(crude_probability, rs, provider)
+    # one count per stratum at risk at each observed time past the grid;
+    # the crude probability evaluates no cell
+    assert diag.get("grid_extended_eval") == past_grid_cells(dense)
+    cum, pp_at = dense_pohar_perme(dense, oracle_provider)
+    curves, cp_at = dense_crude_probability(dense, oracle_provider)
+    np.testing.assert_allclose(pp.cum_hazard, cum, rtol=0, atol=1e-12)
+    for which, values in curves.items():
+        np.testing.assert_allclose(getattr(cp, which), values, rtol=0, atol=1e-12, err_msg=which)
 
-        u = rs.times
-        off_grid = [u[0] / 2, *((u[1:] + u[:-1]) / 2), u[-1] + 1.0]
-        for t in [*u, *off_grid]:
-            m = min(int(np.searchsorted(u, t)), n_times - 1)
-            beyond = 0 if t == u[m] or t > u[-1] else int(t > STREAM_HORIZON) + int(
-                (u[m - 1] if m else 0.0) > STREAM_HORIZON)
-            live = int((dense.at_risk[:, m] > 0).sum())
-            before = diag.get("grid_extended_eval")
-            assert pp.value_at(t) == pytest.approx(pp_at(t), rel=0, abs=1e-12), t
-            for which in curves:
-                assert cp.value_at(t, which) == pytest.approx(cp_at(t, which), rel=0, abs=1e-12), (t, which)
-            # off the grid only Pohar-Perme evaluates, and only the strata at risk
-            assert diag.get("grid_extended_eval") - before == live * beyond
+    u, n_times = rs.times, rs.times.shape[0]
+    off_grid = [u[0] / 2, *((u[1:] + u[:-1]) / 2), u[-1] + 1.0]
+    for t in [*u, *off_grid]:
+        m = min(int(np.searchsorted(u, t)), n_times - 1)
+        beyond = 0 if t == u[m] or t > u[-1] else int(t > STREAM_HORIZON) + int(
+            (u[m - 1] if m else 0.0) > STREAM_HORIZON)
+        live = int((dense.at_risk[:, m] > 0).sum())
+        before = diag.get("grid_extended_eval")
+        assert pp.value_at(t) == pytest.approx(pp_at(t), rel=0, abs=1e-12), t
+        for which in curves:
+            assert cp.value_at(t, which) == pytest.approx(cp_at(t, which), rel=0, abs=1e-12), (t, which)
+        # off the grid only Pohar-Perme evaluates, and only the strata at risk
+        assert diag.get("grid_extended_eval") - before == live * beyond
 
 
-BLOCK_SIZES = {
-    "one cell": lambda n_strata: 1,
-    "seven cells": lambda n_strata: 7,
-    "three strata": lambda n_strata: 3 * n_strata,
-    "one block": lambda n_strata: 1 << 20,
+# each registry is also checked reshaped: its strata folded into fewer, or
+# its times scaled into the first unit year, one segment of the moment sums
+REGISTRY_SHAPES = {
+    "one cell": lambda r: (60, 1995, "0", *r[3:]),
+    "seven cells": lambda r: (60 + (r[0] - 60) % 7, 1995, "0", *r[3:]),
+    "three strata": lambda r: (60 + (r[0] - 60) % 3, 1995, "0", *r[3:]),
+    "one block": lambda r: (*r[:3], r[3] / 15, r[4]),
 }
 
 
-class TestStreamedEstimators:
-    @pytest.mark.parametrize("block", list(BLOCK_SIZES))
-    @given(rows=streamed_registries())
-    @settings(max_examples=40, deadline=None)
-    def test_equal_dense_construction_bit_for_bit(self, block, rows):
-        check_streamed_against_dense(rows, BLOCK_SIZES[block])
+def check_registry_shape(rows, shape):
+    check_against_dense_risk_set(rows)
+    check_against_dense_risk_set([REGISTRY_SHAPES[shape](r) for r in rows])
 
-    @pytest.mark.parametrize("block", list(BLOCK_SIZES))
+
+class TestStreamedEstimators:
+    @pytest.mark.parametrize("shape", list(REGISTRY_SHAPES))
+    @given(rows=small_registries())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_dense_construction_bit_for_bit(self, shape, rows):
+        check_registry_shape(rows, shape)
+
+    @pytest.mark.parametrize("shape", list(REGISTRY_SHAPES))
     @pytest.mark.parametrize("n_times", [1, 2, 3])
-    def test_few_times_many_strata(self, block, n_times):
+    def test_few_times_many_strata(self, shape, n_times):
         # with one or two times the whole-matrix sums run over one-column
-        # matrices, which numpy adds pairwise, and the blocks add rows one
-        # after another: over forty strata that order shows in the last bit
+        # matrices, which numpy adds pairwise, while the moments add the
+        # strata by patient and by stratum: over forty strata the two orders
+        # part in the last bits
         for seed in range(12):
             gen = np.random.default_rng(seed)
             times = gen.choice([2.5, 6.25, 11.0][:n_times], 40)
@@ -513,9 +508,9 @@ class TestStreamedEstimators:
                 (60 + k % 7, 1995 + k // 7, "0" if k % 2 else "1", float(t), bool(gen.random() < 0.6))
                 for k, t in zip(gen.permutation(40), times)
             ]
-            check_streamed_against_dense(rows, BLOCK_SIZES[block])
+            check_registry_shape(rows, shape)
 
-    @given(rows=streamed_registries())
+    @given(rows=small_registries())
     @example(rows=FOUR_ULP_REGISTRY)
     @settings(max_examples=40, deadline=None)
     def test_population_term_equals_exact_sums(self, rows):
@@ -532,29 +527,6 @@ class TestStreamedEstimators:
             bound = at_risk_hazard_error_bound(int(at_risk), rates.shape[1])
             assert abs(Fraction(value) - want) <= bound * want
 
-    def test_study_sized_risk_set_is_one_block(self):
-        gen = np.random.default_rng(3)
-        rows = [(60 + int(a), 1990 + int(a), "0", float(t), True)
-                for a, t in zip(gen.integers(0, 30, 2600), gen.exponential(5.0, 2600))]
-        rs = RiskSetSummary(toy_frame(rows))
-        assert len(rs.keys) == 30 and len(rs.times) == 2600
-        assert len(list(rs.blocks())) == 1
-
-
-def moment_calls(monkeypatch):
-    """The `first` of every `_moment_sums` call."""
-    calls, moment_sums = [], estimators._moment_sums
-    monkeypatch.setattr(estimators, "_moment_sums",
-                        lambda rs, logs, rates, first: calls.append(first) or moment_sums(rs, logs, rates, first))
-    return calls
-
-
-def forced_moments(frame, provider):
-    """Pohar-Perme with every time on the grid taken from the moment sums."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "_moments_pay", lambda rs, rates, first: first > 0)
-        return fit(pohar_perme, RiskSetSummary(frame), provider)
-
 
 def check_against_dense(pp, frame, oracle_provider, points):
     """cum_hazard to 1e-12; value_at to 1e-12, relative where it passes 1
@@ -565,89 +537,107 @@ def check_against_dense(pp, frame, oracle_provider, points):
         assert pp.value_at(t) == pytest.approx(pp_at(t), rel=1e-12, abs=1e-12), t
 
 
-def on_grid(rs, provider) -> int:
-    """The number of observed times on the provider's grid."""
-    return int(np.searchsorted(rs.times, provider.horizon, side="right"))
+def check_sums_against_dense(frame, provider, oracle_provider):
+    """`_at_risk_sums` against the whole-matrix sums, to 1e-12 relative."""
+    rs = RiskSetSummary(frame)
+    got = estimators._at_risk_sums(rs, provider.stack(rs.keys))
+    want = dense_pohar_perme_sums(DenseRiskSet(frame), oracle_provider)
+    for value, expected in zip(got, want):
+        np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0)
 
 
 class TestMomentSums:
-    @given(rows=streamed_registries())
+    @given(rows=small_registries())
     @settings(max_examples=60, deadline=None)
     def test_equal_dense_sums(self, rows):
         frame = toy_frame(rows)
-        provider = varying_provider(horizon=STREAM_HORIZON)
-        rs = RiskSetSummary(frame)
-        first = on_grid(rs, provider)
-        if first:
-            sp = provider.stack(rs.keys)
-            logs, rates = sp.log_values, sp.slopes
-            denom, denom_prev, weights = estimators._moment_sums(rs, logs, rates, first)
-            d = int(np.searchsorted(rs.death_times, first))
-            got = (denom, denom_prev, np.bincount(rs.death_times[:d], weights=weights, minlength=first))
-            want = dense_pohar_perme_sums(DenseRiskSet(frame), varying_provider(horizon=STREAM_HORIZON))
-            for value, expected in zip(got, want):
-                np.testing.assert_allclose(value, expected[:first], rtol=1e-12, atol=0)
-        # the stream past the grid starts at the first time past it
-        at_risk = DenseRiskSet(frame).at_risk
-        for j0, j1, block_rows, y in rs.blocks(first):
-            np.testing.assert_array_equal(block_rows, np.flatnonzero(at_risk[:, j0]))
-            np.testing.assert_array_equal(y, at_risk[block_rows, j0:j1])
-        # the whole estimator with the moment sums, and the same count past the grid
+        check_sums_against_dense(frame, varying_provider(horizon=STREAM_HORIZON),
+                                 varying_provider(horizon=STREAM_HORIZON))
+        # the whole estimator, one count per stratum at risk past the grid
         diag = Diagnostics()
         provider = varying_provider(horizon=STREAM_HORIZON)
         provider.diagnostics = diag
-        pp = forced_moments(frame, provider)
+        rs = RiskSetSummary(frame)
+        pp = fit(pohar_perme, rs, provider)
         assert diag.get("grid_extended_eval") == past_grid_cells(DenseRiskSet(frame))
         u = rs.times
         check_against_dense(pp, frame, varying_provider(horizon=STREAM_HORIZON),
                             [*u, u[0] / 2, *((u[1:] + u[:-1]) / 2), u[-1] + 1.0])
 
-    def test_large_registry_picks_moments(self, monkeypatch):
+    def test_large_registry_equals_dense(self):
         gen = np.random.default_rng(21)
         n = 4000
         rows = [(55 + int(a), 1985 + int(y), "0" if i % 2 else "1", float(t), bool(e)) for i, (a, y, t, e) in
                 enumerate(zip(gen.integers(0, 35, n), gen.integers(0, 10, n), gen.exponential(5.0, n),
                               gen.random(n) < 0.6))]
         frame = toy_frame(rows)
-        calls = moment_calls(monkeypatch)
         provider = varying_provider()
         rs = RiskSetSummary(frame)
         pp = fit(pohar_perme, rs, provider)
-        assert len(rs.keys) > 500 and calls == [on_grid(rs, provider)] and calls[0] < len(rs.times)
+        assert len(rs.keys) > 500 and rs.times[-1] > provider.horizon
         u = rs.times
         check_against_dense(pp, frame, varying_provider(), [*u[::97], *((u[1:] + u[:-1]) / 2)[::89], 7.5])
 
-    def test_study_sized_registry_keeps_the_stream(self, monkeypatch):
-        gen = np.random.default_rng(3)
-        rows = [(60 + int(a), 1990 + int(a), "0", float(t), True)
-                for a, t in zip(gen.integers(0, 30, 2600), gen.exponential(5.0, 2600))]
-        calls = moment_calls(monkeypatch)
-        fit(pohar_perme, RiskSetSummary(toy_frame(rows)), varying_provider())
-        assert calls == []
-
-    @pytest.mark.parametrize("moments", ["chosen", "forced"])
-    def test_floor_crossing_past_the_grid(self, moments):
+    @pytest.mark.parametrize("times", ["chosen", "forced"])
+    def test_floor_crossing_past_the_grid(self, times):
         # follow-up to 30 years on a 15-year grid: Lambda_P reaches
-        # -log(WEIGHT_FLOOR) past the grid in the 0.5 and 0.6 cohorts
+        # -log(WEIGHT_FLOOR) past the grid in the 0.5 and 0.6 cohorts;
+        # "forced" adds a death at each crossing, a segment's first time
         gen = np.random.default_rng(17)
         rows = [(60 + int(k), 1990, "0", float(gen.uniform(0.2, 30.0)), bool(gen.random() < 0.4))
                 for k in gen.integers(0, 5, 200)]
-        frame = toy_frame(rows)
         provider = capping_provider(Diagnostics())
+        if times == "forced":
+            keys = RiskSetSummary(toy_frame(rows)).keys
+            _, crossing = estimators._hazard_rates(provider.stack(keys))
+            rows += [(key.age, key.year, "0", float(c), True) for key, c in zip(keys, crossing) if c < 30.0]
+        frame = toy_frame(rows)
         rs = RiskSetSummary(frame)
-        pp = fit(pohar_perme, rs, provider) if moments == "chosen" else forced_moments(frame, provider)
+        pp = fit(pohar_perme, rs, provider)
         _, crossing = estimators._hazard_rates(provider.stack(rs.keys))
         binds = crossing < rs.times[-1]
         assert binds.sum() == 2 and (crossing[binds] > provider.horizon).all()
+        assert np.isin(crossing[binds], rs.times).all() == (times == "forced")
         u = rs.times
         check_against_dense(pp, frame, capping_provider(Diagnostics()),
                             [*crossing[binds], *u[np.searchsorted(u, crossing[binds]) + np.array([[-1], [0]])].ravel(),
                              *u[::7], 15.0, 22.5])
 
-    @pytest.mark.parametrize("moments", ["chosen", "forced"])
-    def test_year_down_to_the_floor_in_one_step(self, moments):
+    def test_two_crossings_in_one_year_past_the_grid(self):
+        # q 0.54 and 0.55 along the cohorts born 1930 and 1929: Lambda_P
+        # reaches -log(WEIGHT_FLOOR) at ~17.79 and ~17.30 years, inside one
+        # unit year past the 15-year grid, with deaths before, between and
+        # after the two crossings
+        def provider():
+            cohort_q = {1930: 0.54, 1929: 0.55}
+            cells = {(age, year, ("0",)): cohort_q.get(year - age, 0.05)
+                     for age in range(55, 95) for year in range(1985, 2015)}
+            return LifeTableSP(LifeTable(cells, require_complete=False), 15)
+
+        gen = np.random.default_rng(23)
+        rows = [(60 + int(k), 1990, "0", float(gen.uniform(0.2, 19.0)), bool(gen.random() < 0.4))
+                for k in gen.integers(0, 3, 150)]
+        rows += [(60 + k, 1990, "0", t, True) for k in (0, 1) for t in (17.1, 17.5, 17.95, 18.2)]
+        frame = toy_frame(rows)
+        pp_provider = provider()
+        rs = RiskSetSummary(frame)
+        pp = fit(pohar_perme, rs, pp_provider)
+        _, crossing = estimators._hazard_rates(pp_provider.stack(rs.keys))
+        binds = np.sort(crossing[crossing < rs.times[-1]])
+        assert binds.shape == (2,) and (np.floor(binds) == 17).all()
+        u = rs.times
+        assert ((u > 17) & (u < binds[0])).any() and ((u > binds[0]) & (u < binds[1])).any()
+        assert ((u > binds[1]) & (u < 18)).any()
+        check_sums_against_dense(frame, provider(), provider())
+        check_against_dense(pp, frame, provider(),
+                            [*binds, *u[(u > 16.5) & (u < 18.5)], *((u[1:] + u[:-1]) / 2)[::5], 17.0, 18.0])
+
+    @pytest.mark.parametrize("times", ["chosen", "forced"])
+    def test_year_down_to_the_floor_in_one_step(self, times):
         # the cohort born 1931 dies out at age 61: its floored grid falls
-        # from 1 to WEIGHT_FLOOR in the first year of the key (61, 1992)
+        # from 1 to WEIGHT_FLOOR in the first year of the key (61, 1992);
+        # "forced" adds deaths at the whole years, the grid's end included,
+        # where f = 0 and the year's coefficients start
         cells = {(age, year, ("0",)): 1.0 if (year - age, age) == (1931, 61) else 0.03
                  for age in range(55, 95) for year in range(1985, 2015)}
         def provider():
@@ -656,11 +646,13 @@ class TestMomentSums:
         gen = np.random.default_rng(8)
         rows = [(60 + int(k), 1991 + int(k), "0", float(gen.uniform(0.05, 12.0)), bool(gen.random() < 0.5))
                 for k in gen.integers(0, 3, 120)]
+        if times == "forced":
+            rows += [(60 + k, 1991 + k, "0", float(t), True) for k in range(3) for t in range(1, 12)]
         frame = toy_frame(rows)
         pp_provider = provider()
         rs = RiskSetSummary(frame)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            pp = fit(pohar_perme, rs, pp_provider) if moments == "chosen" else forced_moments(frame, pp_provider)
+            pp = fit(pohar_perme, rs, pp_provider)
         rates, _ = estimators._hazard_rates(pp_provider.stack(rs.keys))
         assert rates.max() == pytest.approx(-math.log(estimators.WEIGHT_FLOOR), rel=1e-15)
         u = rs.times

@@ -18,6 +18,7 @@ from netadjust.registry import (
     MAX_AGE,
     MAX_TABLE_CELLS,
     RegistryFrame,
+    StepSurvivalCurve,
     StratumKey,
     build_strata,
     cell_key,
@@ -76,6 +77,15 @@ class TestKaplanMeier:
     def test_constant_after_last_observed(self):
         km = kaplan_meier(make_table([1.0, 2.0], [1, 0]))
         assert at(km, 100.0) == at(km, 2.0)
+
+    def test_death_at_time_zero(self):
+        # right-continuous at 0: S(0) = 1 - d_0 / n_0, then 2 at risk at 1
+        km = kaplan_meier(make_table([0.0, 0.0, 1.0, 2.0], [1, 0, 1, 0]))
+        assert at(km, 0.0) == 0.75
+        assert at(km, 0.5) == 0.75
+        assert at(km, 1.0) == pytest.approx(0.375, abs=1e-15)
+        with pytest.raises(ValueError, match="jumps must occur at non-negative times"):
+            StepSurvivalCurve(np.array([-1.0]), np.array([0.5]), np.array([0, 1]))
 
 
 class TestNelsonAalen:

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from netadjust import simulation
 from netadjust.adjustment import AdjustmentEngine, SolverError
+from netadjust.diagnostics import Diagnostics
+from netadjust.incidence import IR_CLIP
 from netadjust.registry import MAX_AGE
 from netadjust.simulation import (
     Cohort,
@@ -168,7 +170,9 @@ class TestDeriveTables:
         with pytest.raises(ValueError, match=r"^diagnoses without person-years at age 2, gender 1$"):
             derive_tables(cohort, "exact")
         # the mid-year convention counts half a year for it: IR 2, clipped
-        assert derive_tables(cohort, "midyear")[1].cells[(2, 1962, ("1",))] == 1.0 - 1e-9
+        diag = Diagnostics()
+        assert derive_tables(cohort, "midyear", diagnostics=diag)[1].cells[(2, 1962, ("1",))] == IR_CLIP
+        assert diag.as_dict() == {"incidence_clip": 1}
 
     def test_no_cancer_cohort(self):
         t_other = np.array([2.5, 3.5, 3.7, 10.2, 0.5, 1.5, 2.2, 7.7])
