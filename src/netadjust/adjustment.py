@@ -109,7 +109,7 @@ def solve_noncancer_survival(ing, cells, diagnostics: Diagnostics | None = None)
     of `cells`, their prevalent-case survival at t = 0..K (a row of 1 where
     alpha is 0), and the S_O grid at t = 0..K of each cell of `read`, the
     cells whose S_O the kernels read.  All cells are (demographics, codes,
-    ages, years) columns (`registry.stratum_cells`).
+    ages, years) columns (`registry.StratumKey`).
 
     The cells of a diagonal are the roots of one chain of cells, from its
     youngest root through K - 1 cells past its oldest; the chains are
@@ -233,9 +233,8 @@ class AdjustmentEngine:
     ):
         self.horizon = int(horizon)
         self.diagnostics = ensure_diagnostics(diagnostics)
-        self.calc = PrevalenceCalculator(
-            incidence, overall_survival, life_table, lag_eval, self.diagnostics, self.horizon
-        )
+        self.calc = PrevalenceCalculator(incidence, overall_survival, life_table, lag_eval=lag_eval,
+                                         horizon=self.horizon, diagnostics=self.diagnostics)
 
     def lt_survival_grid(self, cells) -> np.ndarray:
         return diagonal_survival(self.calc.life_table, cells, self.horizon, self.diagnostics)
@@ -259,8 +258,7 @@ class AdjustmentEngine:
 
     def so_grid(self, cells) -> np.ndarray:
         provider = self.calc.overall_survival
-        rows = provider.lookup(provider.codes(*cells[:2]), *cells[2:])[0]
-        return provider.survival(rows, np.arange(self.horizon + 1, dtype=np.float64))
+        return provider.survival(provider.lookup(cells)[0], np.arange(self.horizon + 1, dtype=np.float64))
 
     def diagnosis_mass(self, cells) -> np.ndarray:
         return time_to_diagnosis_increments(self.calc.incidence, cells, self.horizon, self.diagnostics)

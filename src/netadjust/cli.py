@@ -118,10 +118,7 @@ def _adjustment_engine(args, frame, strata, sizes, life_table, diagnostics):
         incidence, extra = load_incidence_table(args.incidence), {"incidence": args.incidence}
     else:
         person_years = load_counts(args.population, "person_years")
-        demographics, codes, ages, years = strata
-        cells = zip(ages.tolist(), years.tolist(), map(demographics.__getitem__, codes.tolist()))
-        diagnoses = dict(zip(cells, np.asarray(sizes, np.int64).tolist()))
-        incidence, extra = compute_incidence(diagnoses, person_years, diagnostics), {"population": args.population}
+        incidence, extra = compute_incidence(strata, sizes, person_years, diagnostics), {"population": args.population}
     so = OverallSurvivalProvider.from_registry(
         frame, anchor_points=args.extrapolation_points,
         population_floor=life_table, diagnostics=diagnostics,

@@ -99,7 +99,7 @@ class RiskSetSummary:
     """Risk sets of one registry, shared by all three estimators.
 
     `times` are the distinct observed times, `cells` the strata of
-    `build_strata` in its order, numbered like `stratum_cells`, `n_strata`
+    `build_strata` in its order, demographics first seen first, `n_strata`
     their count and `keys` their `StratumKey`s, built when first read.
     At-risk counts use {T >= u}: on the interval between consecutive observed
     times the risk set equals the at-risk set of the right endpoint.  No
@@ -147,24 +147,13 @@ class RiskSetSummary:
         return np.bincount(self.patient_rows[p:], minlength=self.n_strata).astype(np.float64)
 
 
-def _from_zero(reader):
-    """`reader(self, t, ...)` of t > 0 as a reader of any t >= 0, 0 at t = 0."""
-
-    @functools.wraps(reader)
-    def read(self, t, *args, **kwargs):
-        t = float(t)
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        return reader(self, t, *args, **kwargs) if t else 0.0
-
-    return read
-
-
 def _locate(estimate, t: float) -> tuple[int, float | None]:
-    """(m, lo) for t > 0 on the estimate's observed times u: lo is None when
-    the stored value at m is exact (t = u[m], or t past the last time, which
-    is counted); otherwise t lies in (lo, u[m]), lo = 0 before u[0], where
-    the risk set is the one at time index m."""
+    """(m, lo) for t >= 0 on the estimate's observed times u: lo is None when
+    the stored value at m is exact (t = u[m], deaths at u[m] = 0 included, or
+    t past the last time, which is counted); otherwise t lies in (lo, u[m]),
+    lo = 0 before u[0], where the risk set is the one at time index m."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
     u = estimate.times
     m = int(np.searchsorted(u, t, side="left"))
     if m == u.shape[0]:
@@ -215,7 +204,6 @@ class NetSurvivalEstimate:
     _risk: RiskSetSummary
     population: AnnualGridSurvival
 
-    @_from_zero
     def cumulative_hazard_at(self, t: float) -> float:
         m, lo = _locate(self, t)
         if lo is None:
@@ -349,7 +337,6 @@ class RelativeSurvivalEstimate:
     _risk: RiskSetSummary
     population: AnnualGridSurvival
 
-    @_from_zero
     def cumulative_hazard_at(self, t: float) -> float:
         m, lo = _locate(self, t)
         if lo is None:
@@ -391,7 +378,6 @@ class CrudeProbabilityEstimate:
     _risk: RiskSetSummary
     population: AnnualGridSurvival
 
-    @_from_zero
     def value_at(self, t: float, which: str = "cancer") -> float:
         values = getattr(self, which)
         m, lo = _locate(self, t)

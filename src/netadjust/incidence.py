@@ -12,7 +12,10 @@ the life-table adjustment:
 * the time-to-diagnosis distribution of cancer-free members,
   F(t) = 1 - prod_{s<t} (1 - IR(a+s)).
 
-Each cell depends only on strictly earlier cells of its birth-cohort
+Cells take one form throughout, (demographics, codes, ages, years)
+columns: the tables' cells, the person-years that `compute_incidence`
+joins to the registry's strata, and the cells whose strata the recursion
+looks up.  Each cell depends only on strictly earlier cells of its birth-cohort
 diagonal, so one pass of the recursion steps through the ages once for all
 diagonals together, reading each diagonal's inputs once, and keeps nothing
 between passes; every overall-survival value it reads comes from one
@@ -27,7 +30,7 @@ import numpy as np
 from .diagnostics import Diagnostics, ensure_diagnostics, log
 from .io import read_cells
 from .lifetable import CellTable
-from .registry import diagonals, stratum_cells
+from .registry import diagonals
 
 
 class IncidenceError(ValueError):
@@ -73,31 +76,42 @@ class IncidenceTable(CellTable):
         return ir
 
 
-def compute_incidence(
-    new_diagnoses: dict, person_years: dict, diagnostics: Diagnostics | None = None
-) -> IncidenceTable:
-    """IR = diagnoses / person-years per cell, clipped into [0, 1-1e-9].
+def compute_incidence(strata, sizes, person_years, diagnostics: Diagnostics | None = None) -> IncidenceTable:
+    """IR = diagnoses / person-years per cell, clipped into [0, IR_CLIP].
 
-    Cells come from the person-years table (it defines the population);
-    nonzero diagnoses without exposure are a hard error.
+    `strata` are the registry's (demographics, codes, ages, years) cells,
+    `sizes` their diagnoses, and `person_years` the (demographics, codes,
+    ages, years, values) columns of `load_counts`, joined to them by one
+    sort.  Cells with positive person-years make the table (they define the
+    population).  The first stratum with diagnoses but no person-years is a
+    hard error; clipped cells are counted and logged in person-years order.
     """
-    diag = ensure_diagnostics(diagnostics)
-    cells = {}
-    for key, d in new_diagnoses.items():
-        py = person_years.get(key, 0.0)
-        if py <= 0 and d > 0:
-            raise IncidenceError(f"{d} diagnoses but no person-years at cell {key}")
-    for key, py in person_years.items():
-        d = float(new_diagnoses.get(key, 0))
-        if py <= 0:
-            continue
-        ir = d / py
-        if ir > IR_CLIP:
-            diag.incr("incidence_clip")
-            log.warning("incidence rate %.6f clipped at cell %s", ir, key)
-            ir = IR_CLIP
-        cells[key] = ir
-    return IncidenceTable(cells)
+    demographics, codes, ages, years, py = person_years
+    index = {demo: i for i, demo in enumerate(demographics)}   # an unseen demographic matches no cell
+    known = np.array([index.setdefault(demo, len(index)) for demo in strata[0]], np.intp)[strata[1]]
+    # the cells of both, sorted stably: a stratum comes right after the person-years cell it matches
+    cells = np.column_stack((np.stack((codes, ages, years)), np.stack((known, strata[2], strata[3]))))
+    order = np.lexsort(cells)
+    match = np.flatnonzero((cells[:, order[1:]] == cells[:, order[:-1]]).all(axis=0))
+    row = np.full(known.size, -1, dtype=np.intp)   # each stratum's person-years row; -1 reads a spare 0
+    row[order[match + 1] - py.size] = order[match]
+    sizes = np.asarray(sizes, dtype=np.int64)
+    bad = np.flatnonzero((np.append(py, 0.0)[row] <= 0) & (sizes > 0))
+    if bad.size:
+        i = bad[0]
+        cell = (int(strata[2][i]), int(strata[3][i]), strata[0][strata[1][i]])
+        raise IncidenceError(f"{sizes[i]} diagnoses but no person-years at cell {cell}")
+    diagnoses = np.zeros(py.size + 1)
+    diagnoses[row] = sizes
+    keep = np.flatnonzero(py > 0)
+    ir = diagnoses[keep] / py[keep]
+    clipped = np.flatnonzero(ir > IR_CLIP)
+    ensure_diagnostics(diagnostics).incr("incidence_clip", clipped.size)
+    for i, j in zip(clipped.tolist(), keep[clipped].tolist()):
+        cell = (int(ages[j]), int(years[j]), demographics[codes[j]])
+        log.warning("incidence rate %.6f clipped at cell %s", ir[i], cell)
+    ir[clipped] = IR_CLIP
+    return IncidenceTable((demographics, codes[keep], ages[keep], years[keep], ir))
 
 
 def time_to_diagnosis_increments(
@@ -131,7 +145,8 @@ class PrevalenceCalculator:
     grids.  Nothing is kept between calls.
     `lag_eval` picks where within the diagnosis year the survival curve is
     read: "year_start" uses the full integer lag, "mid_year" shifts the
-    evaluation point back half a year.
+    evaluation point back half a year.  It and `horizon` have no default:
+    `AdjustmentEngine`, the one production caller, passes the run's.
     """
 
     def __init__(
@@ -139,9 +154,10 @@ class PrevalenceCalculator:
         incidence: IncidenceTable,
         overall_survival,
         life_table,
-        lag_eval: str = "year_start",
+        *,
+        lag_eval: str,
+        horizon: int,
         diagnostics: Diagnostics | None = None,
-        horizon: int = 15,
     ):
         if lag_eval not in ("year_start", "mid_year"):
             raise ValueError(f"unknown lag_eval {lag_eval!r}")
@@ -219,12 +235,13 @@ class PrevalenceCalculator:
             return f"diagonal (birth year {births[i]}, {demographics[codes[first[i]]]})"
 
         # the strata of the diagnosis cells (age d < reach on each diagonal)
-        # and of the read cells, looked up in one call
-        provider = self.overall_survival
-        read = stratum_cells([]) if read is None else read
+        # and of the read cells, each distinct cell looked up once in one call
+        read = (demographics, *np.empty((3, 0), np.intp)) if read is None else read
+        index = {demo: i for i, demo in enumerate(demographics)}   # the read cells in the same codes
+        read_codes = np.array([index.setdefault(demo, len(index)) for demo in read[0]], np.intp)[read[1]]
         diagonal, age = np.nonzero(np.arange(top) < reach[:, None])
         looked_up = np.stack((
-            np.concatenate((provider.codes(demographics, codes[first])[diagonal], provider.codes(*read[:2]))),
+            np.concatenate((codes[first][diagonal], read_codes)),
             np.concatenate((age, read[2])),
             np.concatenate((births[diagonal] + age, read[3])),
         ))
@@ -232,7 +249,7 @@ class PrevalenceCalculator:
         shifted = looked_up - looked_up.min(axis=1, keepdims=True, initial=0)
         _, unique, inverse = np.unique(np.ravel_multi_index(shifted, shifted.max(axis=1, initial=0) + 1),
                                        return_index=True, return_inverse=True)
-        found = provider.lookup(*looked_up[:, unique])[0][inverse.reshape(-1)]
+        found = self.overall_survival.lookup((list(index), *looked_up[:, unique]))[0][inverse.reshape(-1)]
         diagnosed = ir[diagonal, age] > 0.0
         so, held = self._overall_survival(found, reach[diagonal] - age, diagnosed)
 
@@ -293,13 +310,11 @@ def load_incidence_table(path) -> IncidenceTable:
     return IncidenceTable(columns)
 
 
-def load_counts(path, value_column: str) -> dict:
+def load_counts(path, value_column: str):
     """Read a counts CSV (age,year,sex,<value_column>) with `io.read_cells`
-    into a cell dict in file order: the values must be finite and
-    non-negative.  The cells become an incidence table."""
-    demographics, codes, ages, years, values = read_cells(
+    into its (demographics, codes, ages, years, values) columns, in file
+    order: the values must be finite and non-negative."""
+    return read_cells(
         Path(path), value_column, IncidenceError, lambda v: np.isfinite(v) & (v >= 0), "duplicate cell {cell}",
         value_column + " {text!r} is not a finite non-negative number",
     )
-    cells = zip(ages.tolist(), years.tolist(), map(demographics.__getitem__, codes.tolist()))
-    return dict(zip(cells, values.tolist()))

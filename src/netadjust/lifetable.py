@@ -7,10 +7,11 @@ and year advance together.  Hazard within a year is constant, so the
 cumulative hazard is piecewise linear with slope -log(1 - q) per year.
 
 Lookups outside the declared age/year ranges are clamped to the nearest
-in-range cell (both coordinates independently) and counted.  The cells live
-in one dense (demographics, age, year) array, so a diagonal of any length is
-read with a single gather, and `diagonal_survival` returns the survival
-grids of many cells as one cells x (horizon + 1) array.
+in-range cell (both coordinates independently) and counted.  A table is
+built from (demographics, codes, ages, years, values) columns, the one form
+of cells, held in one dense (demographics, age, year) array, so a diagonal
+of any length is read with a single gather, and `diagonal_survival` returns
+the survival grids of many cells as one cells x (horizon + 1) array.
 """
 from __future__ import annotations
 
@@ -29,33 +30,28 @@ class LifeTableError(ValueError):
 class CellTable:
     """Annual values keyed by (age, calendar year, demographics).
 
-    The values live in one dense (demographics, age, year) array, NaN where
-    the input has no cell, so diagonals of any length are read with a single
-    gather from (demographics, codes, ages, years) cells, whose demographics
-    map to the table's codes once per read.  Lookups outside the declared
-    age/year ranges are clamped to the nearest in-range cell.  Subclasses
-    name the quantity, its valid range and their error type.
+    Built from (demographics, codes, ages, years, values) columns, the one
+    form of cells, into one dense (demographics its cells use, age, year)
+    array, NaN where the input has no cell: diagonals of any length are read
+    with a single gather from (demographics, codes, ages, years) cells,
+    whose demographics map to the table's once per read.  Lookups outside
+    the declared age/year ranges are clamped to the nearest in-range cell.
+    Subclasses name the quantity, its valid range and their error type.
     """
 
     quantity, bounds, error = "value", "[0,1]", ValueError
 
     def __init__(self, cells):
-        """`cells` is {(age, year, demographics): value}, made into columns,
-        or the columns (demographics, codes, ages, years, values)."""
-        if isinstance(cells, dict):
-            demographics = list(dict.fromkeys(k[2] for k in cells))
-            index = {demo: i for i, demo in enumerate(demographics)}
-            keys = np.array([(index[k[2]], int(k[0]), int(k[1])) for k in cells], np.intp).reshape(-1, 3).T
-            cells = demographics, *keys, np.fromiter((float(v) for v in cells.values()), np.float64, len(cells))
         demographics, codes, ages, years, values = cells
         bad = np.flatnonzero(~self.valid(values))
         if bad.size:
             i = bad[0]
             raise self.error(f"{self.quantity}={float(values[i])} outside {self.bounds} at cell "
                              f"(age={int(ages[i])}, year={int(years[i])}, {demographics[codes[i]]})")
-        self.demographics = sorted(demographics)
+        used = np.bincount(codes, minlength=len(demographics))   # cells per demographic
+        self.demographics = sorted(demo for demo, n in zip(demographics, used.tolist()) if n)
         self._demo_index = {demo: i for i, demo in enumerate(self.demographics)}
-        rank = np.array([self._demo_index[demo] for demo in demographics], np.intp)
+        rank = np.array([self._demo_index.get(demo, -1) for demo in demographics], np.intp)
         n = len(values)
         self.age_min, self.age_max = (int(ages.min()), int(ages.max())) if n else (0, 0)
         self.year_min, self.year_max = (int(years.min()), int(years.max())) if n else (0, 0)
@@ -68,15 +64,6 @@ class CellTable:
     @staticmethod
     def valid(values: np.ndarray) -> np.ndarray:
         return (values >= 0.0) & (values <= 1.0)
-
-    @property
-    def cells(self) -> dict[tuple[int, int, tuple], float]:
-        """Every cell the table holds, as {(age, year, demographics): value}."""
-        d, a, y = np.nonzero(~np.isnan(self._values))
-        return {
-            (self.age_min + i, self.year_min + j, self.demographics[k]): self._values.item(k, i, j)
-            for k, i, j in zip(d.tolist(), a.tolist(), y.tolist())
-        }
 
     def _gather(self, cells, steps):
         """Values at (age+j, year+j) for j = 0..steps-1 from each cell (steps

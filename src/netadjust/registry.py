@@ -32,25 +32,16 @@ class StratumKey:
     """Stratum identifier: (age, calendar year, demographic codes), hashed
     by its fields.  Keys label strata at the edges: the risk-set summary's
     `keys`, log lines and error messages.  Stratification, merging and
-    every layer below take the same strata as cells (`stratum_cells`)."""
+    every layer below take the same strata as (demographics, codes, ages,
+    years) columns: `codes` index the `demographics` list."""
 
     age: int
     year: int
     demographics: tuple
 
 
-def stratum_cells(keys) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """The cells of a sequence of keys as (demographics, codes, ages, years)
-    columns: `codes` index the `demographics` list, which holds the keys'
-    demographics in first-seen order."""
-    index: dict[tuple, int] = {}
-    codes = np.fromiter((index.setdefault(k.demographics, len(index)) for k in keys), np.intp, len(keys))
-    ages = np.fromiter((k.age for k in keys), np.int64, len(keys))
-    return list(index), codes, ages, np.fromiter((k.year for k in keys), np.int64, len(keys))
-
-
 def stratum_keys(cells) -> list[StratumKey]:
-    """The keys of (demographics, codes, ages, years) cells: `stratum_cells` inverted."""
+    """The keys of (demographics, codes, ages, years) cells, in order."""
     return [StratumKey(a, y, cells[0][c]) for c, a, y in zip(*(column.tolist() for column in cells[1:]))]
 
 
@@ -111,7 +102,7 @@ class RegistryFrame:
 
 class EventTable:
     """Risk-set summary of many strata, one after another: each stratum's
-    distinct times with their deaths, censorings and at-risk counts.
+    distinct times with their deaths and at-risk counts.
 
     `labels` gives each observation's stratum 0..S-1, and every stratum must
     have one; one stratum is labels of zeros.  The observations are sorted
@@ -142,7 +133,6 @@ class EventTable:
         stratum = lab[starts]
         self.times = t[starts]
         self.deaths = np.add.reduceat(events[order].astype(np.int64), starts)
-        self.censored = np.diff(np.append(starts, n)) - self.deaths
         self.at_risk = np.cumsum(self.sizes)[stratum] - starts
         self.offsets = np.searchsorted(stratum, np.arange(self.sizes.shape[0] + 1))
 

@@ -211,7 +211,7 @@ def derive_tables(
     ir = diagnoses.ravel()[has] / py.ravel()[has]
     ensure_diagnostics(diagnostics).incr("incidence_clip", np.count_nonzero(ir > IR_CLIP))
     ir = np.minimum(ir, IR_CLIP)
-    incidence = IncidenceTable((demographics, sexes[has], ages[has], years[has], ir) if has.size else {})
+    incidence = IncidenceTable((demographics, sexes[has], ages[has], years[has], ir))
     return LifeTable((demographics, sexes, ages, years, q), require_complete=False), incidence
 
 

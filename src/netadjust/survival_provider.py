@@ -8,10 +8,12 @@ survival query builds every stratum's curve and tail fit in one batch; each
 query evaluates them and, with a life table, builds the population grids of
 the strata it reads, as far as it reads them.
 
-Cells, as arrays of demographics codes, ages and years, map onto strata by
-one clip and one gather from a dense (demographics x age x year) table: a
-registry stratum's cell, merged or not, holds its holder's row, any other
-cell the stratum nearest its clamp into the strata's ranges.
+`lookup` takes cells in the one form every layer passes, (demographics,
+codes, ages, years) columns, maps their demographics onto the strata's
+once, and finds their strata by one clip and one gather from a dense
+(demographics x age x year) table: a registry stratum's cell, merged or
+not, holds its holder's row, any other cell the stratum nearest its clamp
+into the strata's ranges.
 """
 from __future__ import annotations
 
@@ -121,21 +123,18 @@ class OverallSurvivalProvider:
             rows[part] = row[np.argmin(best, axis=1)]
         self._rows[g, a, y] = rows
 
-    def codes(self, demographics, codes) -> np.ndarray:
-        """`lookup`'s code of each of the `codes`, which index `demographics`;
-        `ProviderError` names the demographics no stratum has."""
-        mapped = np.array([self._groups.get(d, -1) for d in demographics], np.intp)[codes]
-        if (mapped < 0).any():
-            unseen = sorted({demographics[c] for c in codes[mapped < 0].tolist()})
+    def lookup(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """Row of the stratum each of the (demographics, codes, ages, years)
+        `cells` resolves to and whether it was clamped (counted as
+        `so_stratum_clamp`).  The cells' demographics map to the strata's
+        once per call; `ProviderError` names those no stratum has."""
+        demographics, codes, ages, years = cells
+        group = np.array([self._groups.get(d, -1) for d in demographics], np.intp)[codes]
+        if (group < 0).any():
+            unseen = sorted({demographics[c] for c in codes[group < 0].tolist()})
             raise ProviderError(f"no strata with demographics {', '.join(map(str, unseen))}")
-        return mapped
-
-    def lookup(self, codes, ages, years) -> tuple[np.ndarray, np.ndarray]:
-        """Row of the stratum each cell resolves to and whether it was
-        clamped (counted as `so_stratum_clamp`).  The cells are three arrays:
-        demographics codes from `codes`, ages and years."""
         cell = np.stack((ages, years), axis=1).astype(np.int64) - self._lo
-        cell = (np.asarray(codes, np.intp), *np.clip(cell, 0, np.array(self._rows.shape[1:]) - 1).T)
+        cell = (group, *np.clip(cell, 0, np.array(self._rows.shape[1:]) - 1).T)
         new = self._rows[cell] < 0
         if new.any():
             self._fill(*(c[new] for c in cell))

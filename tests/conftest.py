@@ -10,12 +10,46 @@ from netadjust.estimators import RiskSetSummary, population_survival
 from netadjust.incidence import IncidenceTable
 from netadjust.io import MAX_AGE, REGISTRY_HEADER, write_rows_csv
 from netadjust.lifetable import LifeTable, diagonal_survival
-from netadjust.registry import EventTable, RegistryFrame, StratumKey, stratum_cells
+from netadjust.registry import EventTable, RegistryFrame, StratumKey
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
 # test cannot pass on one run and fail on the next
 settings.register_profile("ci", derandomize=True, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def stratum_cells(keys) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of a sequence of keys as (demographics, codes, ages, years)
+    columns: `codes` index the `demographics` list, which holds the keys'
+    demographics in first-seen order."""
+    index: dict[tuple, int] = {}
+    codes = np.fromiter((index.setdefault(k.demographics, len(index)) for k in keys), np.intp, len(keys))
+    ages = np.fromiter((k.age for k in keys), np.int64, len(keys))
+    return list(index), codes, ages, np.fromiter((k.year for k in keys), np.int64, len(keys))
+
+
+def cell_columns(cells: dict):
+    """{(age, year, demographics): value} as the (demographics, codes, ages,
+    years, values) columns the loaders return, in the dict's order, the
+    demographics first seen first."""
+    keys = [StratumKey(int(a), int(y), demo) for a, y, demo in cells]
+    return (*stratum_cells(keys), np.fromiter((float(v) for v in cells.values()), np.float64, len(cells)))
+
+
+def cell_table(cls, cells: dict, **kwargs):
+    """A `CellTable` of class `cls` (`LifeTable`, `IncidenceTable`) from a
+    {(age, year, demographics): value} dict: the one helper tests build
+    their tables with."""
+    return cls(cell_columns(cells), **kwargs)
+
+
+def table_cells(table) -> dict:
+    """Every cell a `CellTable` holds, as {(age, year, demographics): value}."""
+    d, a, y = np.nonzero(~np.isnan(table._values))
+    return {
+        (table.age_min + i, table.year_min + j, table.demographics[k]): table._values.item(k, i, j)
+        for k, i, j in zip(d.tolist(), a.tolist(), y.tolist())
+    }
 
 
 def flat_life_table(q=0.02, ages=(0, 110), years=(1950, 2070), sexes=("0", "1")):
@@ -25,7 +59,7 @@ def flat_life_table(q=0.02, ages=(0, 110), years=(1950, 2070), sexes=("0", "1"))
         for age in range(ages[0], ages[1] + 1):
             for year in range(years[0], years[1] + 1):
                 cells[(age, year, (sex,))] = q
-    return LifeTable(cells, require_complete=False)
+    return cell_table(LifeTable, cells, require_complete=False)
 
 
 def diagonal_life_table(q_by_age, birth_year=1960, sexes=("0", "1")):
@@ -34,7 +68,7 @@ def diagonal_life_table(q_by_age, birth_year=1960, sexes=("0", "1")):
     for sex in sexes:
         for age, q in enumerate(q_by_age):
             cells[(age, birth_year + age, (sex,))] = float(q)
-    return LifeTable(cells, require_complete=False)
+    return cell_table(LifeTable, cells, require_complete=False)
 
 
 def flat_incidence(ir, ages=(0, 110), years=(1950, 2070), sexes=("0", "1")):
@@ -43,7 +77,7 @@ def flat_incidence(ir, ages=(0, 110), years=(1950, 2070), sexes=("0", "1")):
         for age in range(ages[0], ages[1] + 1):
             for year in range(years[0], years[1] + 1):
                 cells[(age, year, (sex,))] = ir
-    return IncidenceTable(cells)
+    return cell_table(IncidenceTable, cells)
 
 
 class LifeTableSP:
@@ -80,7 +114,7 @@ def clip_guard_counts(solution) -> list[tuple[int, int]]:
 
 class ClosedFormSurvival:
     """A closed-form overall survival `curve(key, times)` in the shape of
-    `OverallSurvivalProvider`: the `cells`, `strata`, `codes`, `lookup` and
+    `OverallSurvivalProvider`: the `cells`, `strata`, `lookup` and
     `survival` the prevalence recursion and the oracles' lag table read.
     It has one stratum per age 0..MAX_AGE and demographics, and a cell
     reads the stratum of its age (clipped into 0..MAX_AGE) and
@@ -96,11 +130,10 @@ class ClosedFormSurvival:
         }
         self.cells = stratum_cells(list(self.strata))
 
-    def codes(self, demographics, codes):
-        return np.array([self.groups[demo] for demo in demographics], dtype=np.intp)[codes]
-
-    def lookup(self, codes, ages, years):
-        rows = np.asarray(codes, dtype=np.intp) * (MAX_AGE + 1) + np.clip(ages, 0, MAX_AGE).astype(np.intp)
+    def lookup(self, cells):
+        demographics, codes, ages, years = cells
+        group = np.array([self.groups[demo] for demo in demographics], dtype=np.intp)[codes]
+        rows = group * (MAX_AGE + 1) + np.clip(ages, 0, MAX_AGE).astype(np.intp)
         return rows, np.zeros(rows.shape[0], dtype=bool)
 
     def survival(self, rows, times):

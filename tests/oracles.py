@@ -60,7 +60,10 @@
   recursion's own terms, and its cdf summed from the increments.
 * `load_registry`, `load_life_table`, `load_incidence_table` and
   `load_counts`, with the row-list `check_table_extent`: the CSV loaders one
-  `csv.DictReader` record at a time, each record's checks made in turn.
+  `csv.DictReader` record at a time, each record's checks made in turn,
+  the tables built from {(age, year, demographics): value} dicts.
+* `compute_incidence_reference`: the incidence rates of `--population`,
+  diagnoses over person-years, joined on cell dicts one cell at a time.
 * `write_rows_csv_reference`: the CSV writer one dict row at a time, each
   value formatted and handed to `csv.writer`.
 """
@@ -77,6 +80,7 @@ from netadjust.adjustment import R_FLOOR, SP_CLIP_EPS, SolverError
 from netadjust.diagnostics import Diagnostics, ensure_diagnostics, log
 from netadjust.estimators import WEIGHT_FLOOR
 from netadjust.incidence import (
+    IR_CLIP,
     IncidenceError,
     IncidenceTable,
     PrevalenceCalculator,
@@ -91,11 +95,12 @@ from netadjust.registry import (
     RegistryFrame,
     StratumKey,
     cell_key,
-    stratum_cells,
     stratum_keys,
 )
 from netadjust.simulation import LIFETABLE_MAX_AGE, Cohort, excess_hazard
 from netadjust.survival_provider import ProviderError
+
+from conftest import cell_table, stratum_cells
 
 
 def triangular_cells(ing, keys, diagnostics=None):
@@ -245,7 +250,7 @@ class SurvivalLagTable:
 
     def __init__(self, provider, max_lag: int, counted: bool = True):
         self.provider = provider
-        self.lookup, self.codes = provider.lookup, provider.codes
+        self.lookup = provider.lookup
         self.n_strata = len(provider.strata)
         self.max_lag = int(max_lag)
         self.lags = 0.5 * np.arange(2 * self.max_lag + 1, dtype=np.float64)
@@ -464,8 +469,7 @@ def take_cells(cells, index):
 
 def lookup_keys(provider, keys):
     """`provider.lookup` of a list of keys: their rows and clamped flags."""
-    demographics, codes, ages, years = stratum_cells(list(keys))
-    return provider.lookup(provider.codes(demographics, codes), ages, years)
+    return provider.lookup(stratum_cells(list(keys)))
 
 
 def prevalence_inputs_from_views(ing, cells, read):
@@ -1156,7 +1160,7 @@ def load_life_table(path) -> LifeTable:
             cells[keyc] = q
     check_table_extent(path.name, cells, LifeTableError)
     try:
-        table = LifeTable(cells, require_complete=True)
+        table = cell_table(LifeTable, cells, require_complete=True)
     except LifeTableError as exc:
         raise LifeTableError(f"{path.name}: {exc}") from None
     log.info("loaded life table %s: ages %d-%d, years %d-%d, %d groups",
@@ -1190,7 +1194,7 @@ def load_incidence_table(path) -> IncidenceTable:
                 raise IncidenceError(f"{path.name}:{rownum}: ir={ir} outside [0,1)")
             cells[keyc] = ir
     check_table_extent(path.name, cells, IncidenceError)
-    return IncidenceTable(cells)
+    return cell_table(IncidenceTable, cells)
 
 
 def load_counts(path, value_column: str) -> dict:
@@ -1218,6 +1222,31 @@ def load_counts(path, value_column: str) -> dict:
             out[keyc] = value
     check_table_extent(path.name, out, IncidenceError)
     return out
+
+
+def compute_incidence_reference(new_diagnoses: dict, person_years: dict, diagnostics=None) -> IncidenceTable:
+    """IR = diagnoses / person-years per cell, clipped into [0, 1-1e-9], on
+    {(age, year, demographics): value} dicts: the cells with positive
+    person-years, in person-years order; the first cell in diagnoses order
+    with diagnoses but no person-years raises, and each clipped cell is
+    counted and logged in turn."""
+    diag = ensure_diagnostics(diagnostics)
+    cells = {}
+    for key, d in new_diagnoses.items():
+        py = person_years.get(key, 0.0)
+        if py <= 0 and d > 0:
+            raise IncidenceError(f"{d} diagnoses but no person-years at cell {key}")
+    for key, py in person_years.items():
+        d = float(new_diagnoses.get(key, 0))
+        if py <= 0:
+            continue
+        ir = d / py
+        if ir > IR_CLIP:
+            diag.incr("incidence_clip")
+            log.warning("incidence rate %.6f clipped at cell %s", ir, key)
+            ir = IR_CLIP
+        cells[key] = ir
+    return cell_table(IncidenceTable, cells)
 
 
 # The CSV writer one dict row at a time through csv.writer: the column
@@ -1336,4 +1365,4 @@ def derive_tables_reference(cohort: Cohort, person_years: str = "midyear", max_a
                 ir_cells[(a, year, demo)] = min(d / float(py[a]), 1.0 - 1e-9)
             elif d > 0:
                 raise ValueError(f"diagnoses without person-years at age {a}, gender {sex}")
-    return LifeTable(lt_cells, require_complete=False), IncidenceTable(ir_cells)
+    return cell_table(LifeTable, lt_cells, require_complete=False), cell_table(IncidenceTable, ir_cells)

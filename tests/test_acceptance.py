@@ -14,7 +14,7 @@ from netadjust.estimators import RiskSetSummary, crude_probability, ederer1, poh
 from netadjust.extrapolation import AnnualGridSurvival, extend_survival
 from netadjust.incidence import IncidenceTable, PrevalenceCalculator
 from netadjust.lifetable import diagonal_survival
-from netadjust.registry import StepSurvivalCurve, StratumKey, kaplan_meier, stratum_cells
+from netadjust.registry import StepSurvivalCurve, StratumKey, kaplan_meier
 from netadjust.diagnostics import Diagnostics
 from netadjust.simulation import (
     ScenarioConfig,
@@ -27,7 +27,7 @@ from netadjust.simulation import (
 from netadjust.survival_provider import OverallSurvivalProvider
 from netadjust.cli import main as cli_main
 
-from conftest import ClosedFormSurvival, LifeTableSP, at, bias, fit, flat_life_table, one_stratum, rmse, toy_frame
+from conftest import ClosedFormSurvival, LifeTableSP, at, bias, cell_table, fit, flat_life_table, one_stratum, rmse, stratum_cells, toy_frame
 from oracles import (
     fit_exponential_tail,
     lag_since_diagnosis_cdf,
@@ -106,7 +106,7 @@ def test_criterion_4_null_adjustment_identity():
     def so(key, times):
         return np.exp(-0.1 * np.asarray(times, float))
 
-    engine = AdjustmentEngine(lt, IncidenceTable({}), ClosedFormSurvival(so), horizon=12)
+    engine = AdjustmentEngine(lt, cell_table(IncidenceTable, {}), ClosedFormSurvival(so), horizon=12)
     grids_equal = all(
         np.array_equal(
             engine.solve(stratum_cells([StratumKey(a, 2000 + a - 60, (s,))])).values[0],
@@ -170,7 +170,7 @@ def test_criterion_6_prevalence_oracles():
     cohort = generate_cohort(cfg, cfg.base_seed)
     life_table, incidence = derive_tables(cohort, cfg.person_years)
     calc = PrevalenceCalculator(
-        incidence, ClosedFormSurvival(_EmpiricalSurvival(cohort)), life_table, lag_eval=cfg.lag_eval
+        incidence, ClosedFormSurvival(_EmpiricalSurvival(cohort)), life_table, lag_eval=cfg.lag_eval, horizon=15
     )
     g, td, tp = cohort.gender, cohort.t_diag, cohort.t_other
     death, diagnosed = cohort.death_age, cohort.diagnosed

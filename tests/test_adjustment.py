@@ -17,17 +17,19 @@ from netadjust.diagnostics import Diagnostics
 from netadjust.estimators import RiskSetSummary, pohar_perme, population_survival
 from netadjust.incidence import IncidenceTable, PrevalenceCalculator, PrevalenceError
 from netadjust.lifetable import LifeTable, diagonal_survival
-from netadjust.registry import StratumKey, stratum_cells
+from netadjust.registry import StratumKey
 from netadjust.survival_provider import OverallSurvivalProvider
 
 from conftest import (
     ClosedFormSurvival,
     LifeTableSP,
+    cell_table,
     clip_guard_counts,
     const_survival,
     fit,
     flat_incidence,
     flat_life_table,
+    stratum_cells,
     toy_frame,
 )
 from oracles import (
@@ -38,7 +40,6 @@ from oracles import (
     lookup_keys,
     resolve_stratum,
     solve_noncancer_survival_triangular,
-    strata_of,
     survival_read_counters,
     survival_reads,
     triangular_cells,
@@ -70,7 +71,7 @@ class TestPrevalentCaseSurvival:
         lt = flat_life_table(0.0)
         cells = {(53, 2013, ("0",)): 0.05}
         engine = AdjustmentEngine(
-            lt, IncidenceTable(cells), const_survival(rate),
+            lt, cell_table(IncidenceTable, cells), const_survival(rate),
             horizon=10, lag_eval="year_start",
         )
         key = StratumKey(60, 2020, ("0",))
@@ -92,7 +93,7 @@ class TestPrevalentCaseSurvival:
 class TestSolver:
     def test_null_adjustment_matches_diagonal_exactly(self):
         lt = flat_life_table(0.02)
-        engine = AdjustmentEngine(lt, IncidenceTable({}), const_survival(0.1), horizon=12)
+        engine = AdjustmentEngine(lt, cell_table(IncidenceTable, {}), const_survival(0.1), horizon=12)
         key = StratumKey(65, 2000, ("0",))
         solution = engine.solve(stratum_cells([key]))
         expected = diagonal_survival(lt, stratum_cells([key]), 12)[0]
@@ -181,7 +182,7 @@ class TestSolver:
 
     def test_residuals_with_zero_incidence(self):
         engine = AdjustmentEngine(
-            flat_life_table(0.02), IncidenceTable({}), const_survival(0.1), horizon=6
+            flat_life_table(0.02), cell_table(IncidenceTable, {}), const_survival(0.1), horizon=6
         )
         r = engine.solve(stratum_cells([StratumKey(62, 2021, ("1",))])).residual[:, 1:][0]
         assert np.all(r == 1.0)
@@ -203,7 +204,7 @@ class TestNullAdjustmentEstimate:
         lt = flat_life_table(0.02)
         frame = toy_registry()
         diag = Diagnostics()
-        engine = AdjustmentEngine(lt, IncidenceTable({}), const_survival(0.1),
+        engine = AdjustmentEngine(lt, cell_table(IncidenceTable, {}), const_survival(0.1),
                                   horizon=12, diagnostics=diag)
         rs = RiskSetSummary(frame)
         adjusted = pohar_perme(rs, population_survival(engine.solve(rs.cells).values, diag))
@@ -240,7 +241,7 @@ def gapped_registry_engine(lag_eval="mid_year", horizon=8):
         population_floor=life_table, diagnostics=diag,
     )
     engine = AdjustmentEngine(
-        life_table, IncidenceTable(cells), provider, horizon=horizon, lag_eval=lag_eval,
+        life_table, cell_table(IncidenceTable, cells), provider, horizon=horizon, lag_eval=lag_eval,
         diagnostics=diag,
     )
     keys = sorted({StratumKey(a, y, (s,)) for a, y, s, _, _ in rows})
@@ -324,11 +325,8 @@ class TestRegistryEngine:
     def test_clamp_counter_counts_each_clamped_cell_once(self):
         engine, provider, keys, diag = gapped_registry_engine()
         looked_up = []
-        lookup, demos = provider.lookup, sorted({k.demographics for k in strata_of(provider)})
-        demographics = dict(zip(provider.codes(demos, np.arange(len(demos))).tolist(), demos))
-        provider.lookup = lambda codes, ages, years: looked_up.extend(
-            StratumKey(a, y, demographics[c]) for c, a, y in zip(codes.tolist(), ages.tolist(), years.tolist())
-        ) or lookup(codes, ages, years)
+        lookup = provider.lookup
+        provider.lookup = lambda cells: looked_up.extend(cell_keys(cells)) or lookup(cells)
         engine.solve(stratum_cells(keys))
         assert len(looked_up) == len(set(looked_up))
         clamped = sum(resolve_stratum(provider, cell)[1] for cell in looked_up)
@@ -548,7 +546,7 @@ def random_registry_inputs(seed, zero_band):
         population_floor=life_table, diagnostics=diag,
     )
     keys = sorted({StratumKey(a, y, (s,)) for a, y, s, _, _ in rows})
-    return life_table, IncidenceTable(cells), provider, keys, diag
+    return life_table, cell_table(IncidenceTable, cells), provider, keys, diag
 
 
 class TestBatchAgainstOracles:
@@ -631,7 +629,7 @@ def small_registries(draw):
 # narrower than the cells a solve reaches, so that both clamp; the incidence
 # is 0 below age 30, and missing on every seventh anti-diagonal
 DENSE_LIFE_TABLE = flat_life_table(0.015, ages=(0, 68), years=(1940, 2001))
-DENSE_INCIDENCE = IncidenceTable({
+DENSE_INCIDENCE = cell_table(IncidenceTable, {
     (age, year, (sex,)): 0.002 + 0.0004 * max(age - 40, 0) if age >= 30 else 0.0
     for sex in ("0", "1") for age in range(0, 72) for year in range(1935, 2003) if (age + year) % 7
 })
@@ -741,7 +739,7 @@ class TestErrorsNameTheCell:
         # past 1 on the diagonal of group "1" only
         q = {(a, y, (s,)): (0.5 if s == "1" else 0.01)
              for s in ("0", "1") for a in range(0, 60) for y in range(1940, 2010)}
-        engine = AdjustmentEngine(LifeTable(q), flat_incidence(0.3), const_survival(0.0), horizon=4)
+        engine = AdjustmentEngine(cell_table(LifeTable, q), flat_incidence(0.3), const_survival(0.0), horizon=4)
         keys = [StratumKey(20, 1980, ("0",)), StratumKey(20, 1975, ("1",)), StratumKey(25, 1985, ("0",))]
         with pytest.raises(PrevalenceError) as want:
             ScalarPrevalence.of(engine.calc).prevalence(keys[1])
@@ -753,7 +751,7 @@ class TestErrorsNameTheCell:
         # every group-"0" cohort dies out at age 5
         q = {(a, y, (s,)): (1.0 if s == "0" and a == 5 else 0.01)
              for s in ("0", "1") for a in range(0, 60) for y in range(1940, 2010)}
-        engine = AdjustmentEngine(LifeTable(q), flat_incidence(0.01), const_survival(0.1), horizon=4)
+        engine = AdjustmentEngine(cell_table(LifeTable, q), flat_incidence(0.01), const_survival(0.1), horizon=4)
         keys = [StratumKey(20, 1980, ("1",)), StratumKey(20, 1980, ("0",))]
         with pytest.raises(
             PrevalenceError, match=r"extinct at age 6 on diagonal \(birth year 1960, \('0',\)\); prevalence undefined"
@@ -785,9 +783,9 @@ class TestErrorsNameTheCell:
                 for a in range(oldest + 1):
                     q[(a, birth + a, group)] = 1.0 if extinct is not None and a == extinct - 1 else q_base
                     ir[(a, birth + a, group)] = rate
-            return PrevalenceCalculator(IncidenceTable(ir), const_survival(0.0, demographics=groups),
-                                        LifeTable(q, require_complete=False), data.draw(st.sampled_from(
-                                            ["year_start", "mid_year"])), horizon=3)
+            lag_eval = data.draw(st.sampled_from(["year_start", "mid_year"]))
+            return PrevalenceCalculator(cell_table(IncidenceTable, ir), const_survival(0.0, demographics=groups),
+                                        cell_table(LifeTable, q, require_complete=False), lag_eval=lag_eval, horizon=3)
 
         def first_fault(calc, key):
             try:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,10 +17,10 @@ from netadjust.cli import main
 from netadjust.incidence import PrevalenceCalculator, load_incidence_table
 from netadjust.io import load_registry
 from netadjust.lifetable import load_life_table
-from netadjust.registry import StratumKey, build_strata, stratum_cells, stratum_keys
+from netadjust.registry import StratumKey, build_strata, stratum_keys
 from netadjust.survival_provider import OverallSurvivalProvider
 
-from conftest import toy_frame, write_registry
+from conftest import stratum_cells, toy_frame, write_registry
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -162,6 +163,22 @@ class TestEstimate:
         values = [float(r["value"]) for r in read_csv(out / "estimates.csv")]
         assert len(values) == 12 and np.isfinite(values).all()
 
+    @pytest.mark.parametrize("mode", ["naive", "adjusted"])
+    def test_year_zero_counts_deaths_at_time_zero(self, tmp_path, mode):
+        # one of four patients dies at time 0, where S_P is exactly 1: each
+        # estimate at year 0 holds that death, as just after it
+        registry = write_inputs(tmp_path)
+        registry.write_text(registry.read_text() + "62,1992,m,0,1\n")
+        extra = ["--incidence", str(tmp_path / "incidence.csv")] if mode == "adjusted" else []
+        out = tmp_path / "out"
+        assert main([
+            "estimate", "--registry", str(registry), "--lifetable", str(tmp_path / "lifetable.csv"), *extra,
+            "--mode", mode, "--horizon", "12", "--years", "0", "--out", str(out),
+        ]) == 0
+        values = {r["estimator"]: float(r["value"]) for r in read_csv(out / "estimates.csv")}
+        assert values == pytest.approx(
+            {"pohar_perme": math.exp(-0.25), "ederer1": math.exp(-0.25), "crude_probability": 0.25}, rel=0, abs=1e-15)
+
     def test_adjusted_with_population_counts(self, tmp_path):
         registry = write_inputs(tmp_path)
         out = tmp_path / "out"
@@ -197,17 +214,20 @@ class TestEstimate:
             estimates.append((out / "estimates.csv").read_bytes())
         assert estimates[0] == estimates[1]
 
-    @pytest.mark.parametrize("mode", ["naive", "adjusted"])
+    @pytest.mark.parametrize("mode", ["naive", "adjusted", "population"])
     def test_matches_golden_outputs(self, tmp_path, mode):
-        # golden files were written when each estimator built its own risk
-        # sets with a strata x times deaths matrix, from the same inputs
+        # the naive and adjusted golden files were written when each
+        # estimator built its own risk sets with a strata x times deaths
+        # matrix, the population ones (an adjusted run on --population) when
+        # --population joined cell dicts, from the same inputs
         registry = write_inputs(tmp_path)
         out = tmp_path / "out"
-        extra = ["--incidence", str(tmp_path / "incidence.csv")] if mode == "adjusted" else []
+        extra = {"naive": [], "adjusted": ["--incidence", str(tmp_path / "incidence.csv")],
+                 "population": ["--population", str(tmp_path / "population.csv")]}[mode]
         assert main([
             "estimate", "--registry", str(registry),
             "--lifetable", str(tmp_path / "lifetable.csv"), *extra,
-            "--mode", mode, "--horizon", "12", "--years", "3,5,7,10",
+            "--mode", "naive" if mode == "naive" else "adjusted", "--horizon", "12", "--years", "3,5,7,10",
             "--curves", "--out", str(out),
         ]) == 0
         golden = GOLDEN / "estimate" / mode
@@ -314,18 +334,20 @@ class TestAdjust:
         assert len(s_p) == 2 * 11 and np.isfinite(s_p).all()
 
     def test_matches_golden_outputs(self, tmp_path):
-        # golden files were written by the memoized scalar recursion this
-        # solver replaced, from the same inputs
+        # the incidence run's golden files were written by the memoized
+        # scalar recursion this solver replaced, the population run's when
+        # --population joined cell dicts, from the same inputs
         registry = write_inputs(tmp_path)
-        out = tmp_path / "out"
-        assert main([
-            "adjust", "--registry", str(registry),
-            "--lifetable", str(tmp_path / "lifetable.csv"),
-            "--incidence", str(tmp_path / "incidence.csv"),
-            "--horizon", "10", "--out", str(out),
-        ]) == 0
-        for name, value in (("adjusted.csv", "s_p"), ("alpha.csv", "alpha"), ("residuals.csv", "r")):
-            assert_matches_golden(out / name, GOLDEN / "adjust" / name, [value])
+        for table, golden in (("incidence", GOLDEN / "adjust"), ("population", GOLDEN / "adjust" / "population")):
+            out = tmp_path / table
+            assert main([
+                "adjust", "--registry", str(registry),
+                "--lifetable", str(tmp_path / "lifetable.csv"),
+                f"--{table}", str(tmp_path / f"{table}.csv"),
+                "--horizon", "10", "--out", str(out),
+            ]) == 0
+            for name, value in (("adjusted.csv", "s_p"), ("alpha.csv", "alpha"), ("residuals.csv", "r")):
+                assert_matches_golden(out / name, golden / name, [value])
 
     def test_rows_follow_key_order(self, tmp_path):
         # sex m is seen first but f sorts first: the cells go by age, then
@@ -708,16 +730,18 @@ class TestRegistryIO:
         assert back.demo_vocab[back.demo_code[1]] == ("f",)
 
 
-@pytest.mark.parametrize("command", [["estimate", "--mode", "adjusted"], ["adjust"]])
+@pytest.mark.parametrize("command", [
+    ["estimate", "--mode", "adjusted", "--incidence", "incidence.csv"], ["adjust", "--incidence", "incidence.csv"],
+    ["estimate", "--mode", "adjusted", "--population", "population.csv"], ["adjust", "--population", "population.csv"],
+])
 def test_incidence_runs_build_no_keys(tmp_path, key_builds, command):
     # the strata stay (demographics, codes, ages, years) cells from the
-    # registry to the outputs; only --population turns them into a dict
+    # registry to the outputs, through --population's join too
     registry = write_inputs(tmp_path)
     assert StratumKey(60, 2000, ("m",)) and key_builds == [(60, 2000, ("m",))]
     assert main([
-        *command, "--registry", str(registry),
+        *command[:-1], str(tmp_path / command[-1]), "--registry", str(registry),
         "--lifetable", str(tmp_path / "lifetable.csv"),
-        "--incidence", str(tmp_path / "incidence.csv"),
         "--horizon", "10", "--out", str(tmp_path / "out"),
     ]) == 0
     assert key_builds == [(60, 2000, ("m",))]

@@ -23,7 +23,7 @@ from netadjust.registry import (
 )
 from netadjust.simulation import ScenarioConfig, run_replicate
 
-from conftest import LifeTableSP, at, fit, flat_life_table, one_stratum, toy_frame
+from conftest import LifeTableSP, at, cell_table, fit, flat_life_table, one_stratum, toy_frame
 from oracles import (
     DenseRiskSet,
     cell_keys,
@@ -49,7 +49,7 @@ def varying_provider(seed=99, horizon=15):
         for age in range(55, 90):
             for year in range(1985, 2020):
                 cells[(age, year, (sex,))] = float(gen.uniform(0.005, 0.2))
-    return LifeTableSP(LifeTable(cells, require_complete=False), horizon)
+    return LifeTableSP(cell_table(LifeTable, cells, require_complete=False), horizon)
 
 
 def mixed_frame(rng, n=40, n_strata=3, censor=8.0):
@@ -63,6 +63,31 @@ def mixed_frame(rng, n=40, n_strata=3, censor=8.0):
         for i, (a, t, e) in enumerate(zip(ages, observed, event))
     ]
     return toy_frame(rows)
+
+
+class TestDeathsAtTimeZero:
+    """One of four patients dies at time 0, with S_P = 1: every estimate at
+    t = 0 holds that death, as its curve's first row and the estimate just
+    after 0 do."""
+
+    @pytest.fixture
+    def estimates(self):
+        frame = toy_frame([(60, 1990, "0", t, e) for t, e in ((0.0, 1), (1.0, 1), (2.0, 0), (3.0, 1))])
+        rs, sp = RiskSetSummary(frame), unit_provider()
+        return fit(pohar_perme, rs, sp), fit(ederer1, rs, sp), fit(crude_probability, rs, sp)
+
+    def test_value_at_zero(self, estimates):
+        pp, e1, cpd = estimates
+        assert [pp.value_at(0.0), e1.value_at(0.0), cpd.value_at(0.0)] == pytest.approx(
+            [math.exp(-0.25), math.exp(-0.25), 0.25], rel=0, abs=1e-15)
+        assert pp.value_at(0.0) == math.exp(-pp.cum_hazard[0]) and cpd.value_at(0.0) == cpd.cancer[0]
+        for est in estimates:
+            assert est.value_at(0.0) == pytest.approx(est.value_at(1e-9), rel=0, abs=1e-12)
+
+    def test_no_death_at_zero_reads_the_start(self, rng):
+        rs = RiskSetSummary(mixed_frame(rng))
+        assert [fit(f, rs, unit_provider()).value_at(0.0) for f in (pohar_perme, ederer1, crude_probability)] \
+            == [1.0, 1.0, 0.0]
 
 
 class TestPoharPerme:
@@ -258,7 +283,7 @@ def capping_provider(diag, horizon=15):
         (age, year, ("0",)): cohort_q.get(year - age, 0.05)
         for age in range(55, 95) for year in range(1985, 2015)
     }
-    return LifeTableSP(LifeTable(cells, require_complete=False), horizon, diag)
+    return LifeTableSP(cell_table(LifeTable, cells, require_complete=False), horizon, diag)
 
 
 class TestCrudeProbabilityCap:
@@ -612,7 +637,7 @@ class TestMomentSums:
             cohort_q = {1930: 0.54, 1929: 0.55}
             cells = {(age, year, ("0",)): cohort_q.get(year - age, 0.05)
                      for age in range(55, 95) for year in range(1985, 2015)}
-            return LifeTableSP(LifeTable(cells, require_complete=False), 15)
+            return LifeTableSP(cell_table(LifeTable, cells, require_complete=False), 15)
 
         gen = np.random.default_rng(23)
         rows = [(60 + int(k), 1990, "0", float(gen.uniform(0.2, 19.0)), bool(gen.random() < 0.4))
@@ -641,7 +666,7 @@ class TestMomentSums:
         cells = {(age, year, ("0",)): 1.0 if (year - age, age) == (1931, 61) else 0.03
                  for age in range(55, 95) for year in range(1985, 2015)}
         def provider():
-            return LifeTableSP(LifeTable(cells, require_complete=False), 10)
+            return LifeTableSP(cell_table(LifeTable, cells, require_complete=False), 10)
 
         gen = np.random.default_rng(8)
         rows = [(60 + int(k), 1991 + int(k), "0", float(gen.uniform(0.05, 12.0)), bool(gen.random() < 0.5))

@@ -25,11 +25,10 @@ from netadjust.registry import (
     diagonals,
     kaplan_meier,
     merge_small_strata,
-    stratum_cells,
     stratum_keys,
 )
 
-from conftest import at, one_stratum, toy_frame
+from conftest import at, one_stratum, stratum_cells, toy_frame
 from oracles import build_strata_reference, merge_small_strata_reference, nelson_aalen
 
 
@@ -219,7 +218,6 @@ class TestEventTable:
         t = make_table([1.0, 1.0, 1.0, 2.0], [1, 1, 0, 0])
         assert t.times.tolist() == [1.0, 2.0]
         assert t.deaths.tolist() == [2, 0]
-        assert t.censored.tolist() == [1, 1]
         assert t.at_risk.tolist() == [4, 1]
 
     def test_tied_death_and_censor_share_risk_set(self):
@@ -245,7 +243,7 @@ class TestEventTable:
         for i in range(labels.max() + 1):
             own = make_table(times[labels == i], events[labels == i])
             part = slice(stacked.offsets[i], stacked.offsets[i + 1])
-            for name in ("times", "deaths", "censored", "at_risk"):
+            for name in ("times", "deaths", "at_risk"):
                 assert np.array_equal(getattr(stacked, name)[part], getattr(own, name))
 
 

@@ -25,6 +25,7 @@ from netadjust.simulation import (
     true_net_survival,
 )
 
+from conftest import table_cells
 from oracles import (
     derive_tables_reference,
     draw_potentials_reference,
@@ -130,7 +131,7 @@ def outcome(call, *args):
 def same_tables(got, want):
     if isinstance(want[0], type):
         return got == want
-    return all(g.cells == w.cells for g, w in zip(got, want))
+    return all(table_cells(g) == table_cells(w) for g, w in zip(got, want))
 
 
 QUARTER_AGES = st.integers(0, 24).map(lambda q: q / 4.0)
@@ -171,7 +172,7 @@ class TestDeriveTables:
             derive_tables(cohort, "exact")
         # the mid-year convention counts half a year for it: IR 2, clipped
         diag = Diagnostics()
-        assert derive_tables(cohort, "midyear", diagnostics=diag)[1].cells[(2, 1962, ("1",))] == IR_CLIP
+        assert table_cells(derive_tables(cohort, "midyear", diagnostics=diag)[1])[(2, 1962, ("1",))] == IR_CLIP
         assert diag.as_dict() == {"incidence_clip": 1}
 
     def test_no_cancer_cohort(self):
@@ -180,7 +181,7 @@ class TestDeriveTables:
             np.full(8, 1e9), t_other, np.ones(8), gender=[0, 1, 0, 1, 0, 1, 0, 1]
         )
         lt, inc = derive_tables(cohort)
-        assert all(v == 0.0 for v in inc.cells.values())
+        assert all(v == 0.0 for v in table_cells(inc).values())
         # q(2) for gender 0: alive at 2 are deaths at 2.5, 3.7, 2.2 -> 3; deaths in [2,3): 2
         assert q_at(lt, 2, 1962, ("0",)) == pytest.approx(2.0 / 3.0)
 
@@ -269,7 +270,7 @@ class TestMakeRegistry:
         lt, _ = derive_tables(cohort)
         frame, = make_registry(cohort, 4, ((60.0, 75.0),))
         for a, y, c in zip(frame.age, frame.year, frame.demo_code):
-            assert (int(a), int(y), frame.demo_vocab[int(c)]) in lt.cells
+            assert (int(a), int(y), frame.demo_vocab[int(c)]) in table_cells(lt)
 
 
 class TestTruth:

@@ -10,7 +10,7 @@ from netadjust.lifetable import LifeTable
 from netadjust.registry import EventTable, StratumKey, kaplan_meier
 from netadjust.survival_provider import OverallSurvivalProvider, ProviderError
 
-from conftest import one_stratum, toy_frame
+from conftest import cell_table, one_stratum, toy_frame
 from oracles import PerStratumSurvival, SurvivalLagTable, alias_of, lookup_keys, resolve_stratum, strata_of
 
 COUNTERS = (
@@ -23,7 +23,7 @@ COUNTERS = (
 
 # a life table narrower than the population grids of the lag tables read
 # below, so that the grids of every stratum are clamped
-LIFE_TABLE = LifeTable({
+LIFE_TABLE = cell_table(LifeTable, {
     (age, year, (sex,)): min(0.002 * np.exp(0.06 * (age - 40)) * (1.1 if sex == "0" else 1.0), 0.9)
     for sex in ("0", "1") for age in range(30, 101) for year in range(1980, 2041)
 })
