@@ -31,6 +31,7 @@ YEAR_REF, YEAR_RATIO, YEAR_SCALE = 2000.0, 0.95, 15.0
 GENDER_RATIO = 0.8
 
 LIFETABLE_MAX_AGE = 130
+TRUTH_PIECE = 1 << 16      # subjects per piece of the truth's draw: 512 KiB of float64, within L2
 
 
 def excess_hazard(age, year, gender):
@@ -82,7 +83,7 @@ class ScenarioConfig:
             raise ValueError("horizon must cover the largest report year")
         if self.extrapolation_points < 2:
             raise ValueError("need at least two extrapolation anchor points")
-        for name in ("reps", "cohort_size"):
+        for name in ("reps", "cohort_size", "n_truth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0 <= self.diag_window[0] < self.diag_window[1]:
@@ -109,27 +110,32 @@ class Cohort:
         return self.gender.shape[0]
 
 
-def _draw_potentials(rng: np.random.Generator, dataset: int, n: int):
-    """Potential diagnosis and other-death ages for the four settings.
+# (diagnosis, other-death) age laws per dataset: ("weibull", rate, shape) or ("lognormal",
+# median, SD of log; sigma 2 reproduces the published patient counts, sqrt(2) does not)
+AGE_LAWS = {
+    1: (("weibull", 0.5e-2, 1), ("weibull", 1.0e-2, 2)),
+    2: (("weibull", 1.5e-2, 1), ("weibull", 1.0e-2, 2)),
+    3: (("lognormal", 65.0, 2.0), ("lognormal", 75.0, 2.0)),
+    4: (("lognormal", 65.0, 1.0), ("lognormal", 75.0, 2.0)),
+}
 
-    Weibull(lam, p) has hazard lam*p*(lam*t)^(p-1), and Weibull(lam, 1) is
-    the exponential, drawn as such; the log-normal settings pass the second
-    parameter as the SD of log (sigma 2 reproduces the published patient
-    counts, sigma sqrt(2) does not).
+
+def _draw_ages(rng: np.random.Generator, dataset: int, kind: int, n: int) -> np.ndarray:
+    """n potential diagnosis (kind 0) or other-death (kind 1) ages.
+
+    A Weibull(lam, p) age, hazard lam*p*(lam*t)^(p-1), is E^(1/p)/lam for a
+    standard exponential E, scaled in place: shape 2 takes `np.sqrt`, which
+    reads the stream `Generator.weibull(2)` reads, leaves the generator where
+    it does and is within 1 ULP of its `pow(E, 0.5)`; shape 1 takes no root.
     """
-    if dataset == 1:
-        t_diag = rng.standard_exponential(n) / 0.5e-2
-        t_other = rng.weibull(2.0, n) / 1.0e-2
-    elif dataset == 2:
-        t_diag = rng.standard_exponential(n) / 1.5e-2
-        t_other = rng.weibull(2.0, n) / 1.0e-2
-    elif dataset == 3:
-        t_diag = rng.lognormal(math.log(65.0), 2.0, n)
-        t_other = rng.lognormal(math.log(75.0), 2.0, n)
-    else:
-        t_diag = rng.lognormal(math.log(65.0), 1.0, n)
-        t_other = rng.lognormal(math.log(75.0), 2.0, n)
-    return t_diag, t_other
+    law, a, b = AGE_LAWS[dataset][kind]
+    if law == "lognormal":
+        return rng.lognormal(math.log(a), b, n)
+    x = rng.standard_exponential(n)
+    if b == 2:
+        np.sqrt(x, out=x)
+    x /= a
+    return x
 
 
 def generate_cohort(cfg: ScenarioConfig, seed: int) -> Cohort:
@@ -137,7 +143,7 @@ def generate_cohort(cfg: ScenarioConfig, seed: int) -> Cohort:
     rng = np.random.default_rng(seed)
     n = cfg.cohort_size
     gender = rng.integers(0, 2, n).astype(np.int8)
-    t_diag, t_other = _draw_potentials(rng, cfg.dataset, n)
+    t_diag, t_other = _draw_ages(rng, cfg.dataset, 0, n), _draw_ages(rng, cfg.dataset, 1, n)
     exp_raw = rng.standard_exponential(n)
     diagnosed = t_diag < t_other
     sick = np.flatnonzero(diagnosed)
@@ -247,16 +253,25 @@ def make_registry(
 
 def true_net_survival(cfg: ScenarioConfig, years=None, seed_offset: int = 2_000_000) -> dict:
     """Generator truth: E[exp(-t * excess hazard)] over diagnosed-in-window
-    subjects of a fresh large cohort."""
+    subjects of a fresh cohort of cfg.n_truth, drawn TRUTH_PIECE subjects at
+    a time in the order one whole draw makes them (the genders, then the
+    diagnosis ages, then the other-death ages), keeping only the window's
+    subjects: pieces of a draw equal one draw, so the values are bit for bit
+    those of the whole cohort drawn at once."""
     years = tuple(cfg.years) if years is None else tuple(years)
     rng = np.random.default_rng(cfg.base_seed + seed_offset)
-    n = cfg.n_truth
-    gender = rng.integers(0, 2, n).astype(np.int8)
-    t_diag, t_other = _draw_potentials(rng, cfg.dataset, n)
     lo, hi = cfg.diag_window
-    keep = (t_diag >= lo) & (t_diag < hi) & (t_diag < t_other)
-    age_cell = np.floor(t_diag[keep])
-    lam = excess_hazard(age_cell, cfg.birth_year + age_cell, gender[keep])
+    sizes = [min(TRUTH_PIECE, cfg.n_truth - s) for s in range(0, cfg.n_truth, TRUTH_PIECE)]
+    gender = [rng.integers(0, 2, m).astype(np.int8) for m in sizes]
+    window, onset = [], []
+    for m in sizes:
+        t_diag = _draw_ages(rng, cfg.dataset, 0, m)
+        window.append(np.flatnonzero((t_diag >= lo) & (t_diag < hi)))
+        onset.append(t_diag[window[-1]])
+    keep = np.concatenate([t < _draw_ages(rng, cfg.dataset, 1, m)[i] for m, i, t in zip(sizes, window, onset)])
+    age_cell = np.floor(np.concatenate(onset)[keep])
+    sex = np.concatenate([g[i] for g, i in zip(gender, window)])[keep]
+    lam = excess_hazard(age_cell, cfg.birth_year + age_cell, sex)
     return {float(y): float(np.mean(np.exp(-lam * float(y)))) for y in years}
 
 

@@ -29,6 +29,8 @@
   exponential(1) draws and the excess hazard evaluated per subject, and the
   life table and incidence rates one gender at a time through boolean
   masks, built as {(age, year, demographics): value} dicts.
+* `true_net_survival_reference`: the generator truth from one draw of the
+  whole truth cohort, held at once.
 * `make_registry_reference`: the registry of one window from its own
   censoring draw.
 * `resolve_stratum`: the stratum one key maps onto, by the scalar clamp and
@@ -1286,10 +1288,26 @@ def true_noncancer_survival(cfg, age: int, t: float) -> float:
 
 def draw_potentials_reference(rng: np.random.Generator, dataset: int, n: int):
     """Potential diagnosis and other-death ages, the exponential laws drawn
-    as Weibull(1)."""
+    as Weibull(1) and Weibull(2) as the square root of exponential(1)
+    draws."""
     if dataset in (1, 2):
-        return rng.weibull(1.0, n) / (0.5e-2 if dataset == 1 else 1.5e-2), rng.weibull(2.0, n) / 1.0e-2
+        return rng.weibull(1.0, n) / (0.5e-2 if dataset == 1 else 1.5e-2), np.sqrt(rng.exponential(1.0, n)) / 1.0e-2
     return rng.lognormal(math.log(65.0), 2.0 if dataset == 3 else 1.0, n), rng.lognormal(math.log(75.0), 2.0, n)
+
+
+def true_net_survival_reference(cfg, years=None, seed_offset: int = 2_000_000) -> dict:
+    """The generator truth from one draw of the whole cohort held at once:
+    E[exp(-t * excess hazard)] over its diagnosed-in-window subjects."""
+    years = tuple(cfg.years) if years is None else tuple(years)
+    rng = np.random.default_rng(cfg.base_seed + seed_offset)
+    n = cfg.n_truth
+    gender = rng.integers(0, 2, n).astype(np.int8)
+    t_diag, t_other = draw_potentials_reference(rng, cfg.dataset, n)
+    lo, hi = cfg.diag_window
+    keep = (t_diag >= lo) & (t_diag < hi) & (t_diag < t_other)
+    age_cell = np.floor(t_diag[keep])
+    lam = excess_hazard(age_cell, cfg.birth_year + age_cell, gender[keep])
+    return {float(y): float(np.mean(np.exp(-lam * float(y)))) for y in years}
 
 
 def make_registry_reference(cohort: Cohort, censor_seed: int, window=(60.0, 75.0), censor_max: float = 15.0):

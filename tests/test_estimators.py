@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -41,15 +42,22 @@ def unit_provider(horizon=20):
     return LifeTableSP(flat_life_table(0.0), horizon)
 
 
-def varying_provider(seed=99, horizon=15):
-    """S_P from a life table with random q in every cell, so weights differ by stratum."""
+@functools.cache
+def varying_life_table(seed=99) -> LifeTable:
+    """A life table with random q in every cell, built once per seed."""
     cells = {}
     gen = np.random.default_rng(seed)
     for sex in ("0", "1"):
         for age in range(55, 90):
             for year in range(1985, 2020):
                 cells[(age, year, (sex,))] = float(gen.uniform(0.005, 0.2))
-    return LifeTableSP(cell_table(LifeTable, cells, require_complete=False), horizon)
+    return cell_table(LifeTable, cells, require_complete=False)
+
+
+def varying_provider(seed=99, horizon=15):
+    """S_P from `varying_life_table`, so weights differ by stratum; a fresh
+    provider, with its own diagnostics, on each call."""
+    return LifeTableSP(varying_life_table(seed), horizon)
 
 
 def mixed_frame(rng, n=40, n_strata=3, censor=8.0):

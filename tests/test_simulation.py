@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from netadjust import simulation
 from netadjust.adjustment import AdjustmentEngine, SolverError
@@ -13,7 +14,8 @@ from netadjust.simulation import (
     Cohort,
     ReplicateError,
     ScenarioConfig,
-    _draw_potentials,
+    TRUTH_PIECE,
+    _draw_ages,
     _provider_window,
     _replicate_task,
     derive_tables,
@@ -33,6 +35,7 @@ from oracles import (
     ir_at,
     make_registry_reference,
     q_at,
+    true_net_survival_reference,
     true_noncancer_survival,
 )
 
@@ -85,11 +88,24 @@ class TestGenerateCohort:
     @pytest.mark.parametrize("dataset", [1, 2, 3, 4])
     def test_draws_equal_the_weibull_and_exponential_reference(self, dataset):
         # standard exponential draws are Weibull(1) and exponential(1) draws
-        # bit for bit, and leave the generator's stream where they did
+        # bit for bit, and leave the generator's stream where they did; the
+        # Weibull(2) ages before scaling, the square roots of the second
+        # 5,000 exponentials, lie within 1 ULP of numpy's own Weibull(2)
+        # draws from the same stream, which differ in few of them and leave
+        # the generator in the same state
         for seed in (0, 5, 77):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            for got, want in zip(_draw_potentials(rng, dataset, 5000), draw_potentials_reference(ref, dataset, 5000)):
+            drawn = _draw_ages(rng, dataset, 0, 5000), _draw_ages(rng, dataset, 1, 5000)
+            for got, want in zip(drawn, draw_potentials_reference(ref, dataset, 5000)):
                 assert np.array_equal(got, want)
+            if dataset in (1, 2):
+                raw, numpy_law = np.random.default_rng(seed), np.random.default_rng(seed)
+                raw.standard_exponential(5000), numpy_law.standard_exponential(5000)
+                root, weibull = np.sqrt(raw.standard_exponential(5000)), numpy_law.weibull(2.0, 5000)
+                assert np.array_equal(drawn[1], root / 1.0e-2)
+                assert np.all(np.abs(weibull - root) <= np.spacing(root))
+                assert np.count_nonzero(weibull != root) <= 0.005 * 5000
+                assert numpy_law.bit_generator.state == rng.bit_generator.state
             assert np.array_equal(rng.standard_exponential(5000), ref.exponential(1.0, 5000))
             assert np.array_equal(rng.random(3), ref.random(3))
 
@@ -281,6 +297,27 @@ class TestTruth:
             assert truth[3.0] == pytest.approx(0.748 if ds == 1 else 0.749, abs=0.002)
             assert truth[10.0] == pytest.approx(y10, abs=0.002)
 
+    @given(
+        st.integers(1, 4), st.integers(0, 10**6),
+        st.sampled_from([1, TRUTH_PIECE - 1, TRUTH_PIECE, TRUTH_PIECE + 1, 2 * TRUTH_PIECE,
+                         3 * TRUTH_PIECE - 1, 3 * TRUTH_PIECE + 17]),
+    )
+    @example(2, 20230316, 500_000)
+    @settings(max_examples=30, deadline=None)
+    def test_pieces_equal_one_draw(self, dataset, base_seed, n_truth):
+        # the truth drawn in pieces equals the whole cohort drawn at once, bit
+        # for bit, with the same warnings where nobody is in the window
+        cfg = ScenarioConfig(dataset=dataset, base_seed=base_seed, n_truth=n_truth)
+
+        def run(truth):
+            """Each year with its value's bits (NaN reads "nan"), and the warnings."""
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                values = truth(cfg)
+            return [(y, v.hex()) for y, v in values.items()], [str(w.message) for w in caught]
+
+        assert run(true_net_survival) == run(true_net_survival_reference)
+
     def test_value_at_zero(self):
         cfg = ScenarioConfig(dataset=1, n_truth=10_000)
         assert true_net_survival(cfg, years=(0.0,))[0.0] == 1.0
@@ -338,6 +375,7 @@ class TestExperiment:
         ({"diag_window": (-1.0, 60.0)}, r"^diag_window must satisfy 0 <= lo < hi"),
         ({"censor_max": 0.0}, r"^censor_max must be positive, got 0\.0$"),
         ({"censor_max": float("nan")}, r"^censor_max must be positive, got nan$"),
+        ({"n_truth": 0}, r"^n_truth must be at least 1, got 0$"),
     ])
     def test_bad_settings_rejected_up_front(self, setting, message):
         with pytest.raises(ValueError, match=message):
